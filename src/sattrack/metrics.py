@@ -5,7 +5,7 @@ errors: center location error in pixels, the same error normalized by the
 ground-truth box size, and intersection over union.  Sweeping thresholds
 turns these into the standard precision, normalized precision and success
 curves; the headline scalars are precision at 20 px (plus 5 px for the
-small-object regime), normalized precision at 0.05 and the success AUC.
+small-object regime), normalized precision at 0.5 and the success AUC.
 """
 
 from __future__ import annotations

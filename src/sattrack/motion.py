@@ -15,15 +15,16 @@ overrides the raw model box:
   size follows an exponential moving average.
 
 All positions are pixel units, center-format boxes.  The per-frame step is
-a real-time hot path, so the tracker state carries its history both as a
-deque of boxes (the inspection surface) and as flat arrays the math reads
-directly.
+a real-time hot path, so the tracker state stores its history once, as
+``(cx, cy, w, h)`` rows in a doubled ring buffer: every row is written twice,
+``capacity`` rows apart, so the recent window is always one contiguous slice
+and a push costs O(1).  ``TrackerState.history`` is a read-only view built
+from those rows.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,49 +70,58 @@ class MotionParams:
 
 class TrackerState:
     """Mutable per-sequence state: a bounded box history (chronological,
-    oldest evicted first), the running PSR maximum and the current frame
-    index.  The last scored PSR, normalized PSR and branch label are kept
-    for tracing.
+    oldest evicted first, at most ``capacity`` boxes), the running PSR
+    maximum and the current frame index.  The last scored PSR, normalized
+    PSR and branch label are kept for tracing.
 
-    Between :func:`refine_step` calls treat the state as owned by the
-    refinement; mutating ``history`` by hand desynchronizes the cached
-    history arrays.
+    The history lives only in a ``(2 * capacity, 4)`` ring of ``(cx, cy, w,
+    h)`` rows; ``history`` rebuilds the boxes from it and cannot be mutated.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"history capacity must be >= 1, got {capacity}")
-        self.history: deque[BoundingBox] = deque(maxlen=capacity)
+        self.capacity = capacity
         self.psr_max = 0.0
         self.frame_index = 0
         self.last_psr = 0.0
         self.last_npsr = 0.0
         self.last_branch = ""
-        self._centers = np.zeros((capacity, 2))
-        self._sizes = np.zeros((capacity, 2))
+        self._ring = np.zeros((2 * capacity, 4))
+        self._slot = 0  # ring row the next box goes to (and capacity rows on)
         self._count = 0
 
+    @property
+    def history(self) -> tuple[BoundingBox, ...]:
+        """The stored boxes, oldest first."""
+        return tuple(BoundingBox(*row) for row in self._window().tolist())
+
+    def _window(self) -> np.ndarray:
+        """The stored rows, oldest first, as one contiguous ``(count, 4)`` view."""
+        end = self._slot + self.capacity
+        return self._ring[end - self._count : end]
+
     def _push(self, box: BoundingBox):
-        capacity = self.history.maxlen
-        if self._count == capacity:
-            self._centers[:-1] = self._centers[1:]
-            self._sizes[:-1] = self._sizes[1:]
-        else:
-            self._count += 1
-        self._centers[self._count - 1] = (box.cx, box.cy)
-        self._sizes[self._count - 1] = (box.w, box.h)
-        self.history.append(box)
+        self._ring[self._slot :: self.capacity] = (box.cx, box.cy, box.w, box.h)
+        self._slot = (self._slot + 1) % self.capacity
+        self._count = min(self._count + 1, self.capacity)
 
 
-def _check_response(response) -> np.ndarray:
+def _check_response(response) -> tuple[np.ndarray, float]:
+    """Validate a response map; return it as a float array with its cell sum.
+
+    A finite sum proves every cell finite, so the cell-by-cell scan only runs
+    when the sum is not (non-finite cells, or finite cells that overflow).
+    """
     response = np.asarray(response, dtype=float)
     if response.ndim != 2:
         raise ValueError(f"response map must be 2-D, got shape {response.shape}")
     if response.shape[0] < 3 or response.shape[1] < 3:
         raise ValueError(f"response map must be at least 3x3, got {response.shape}")
-    if not np.all(np.isfinite(response)):
+    total = response.sum()
+    if not math.isfinite(total) and not np.isfinite(response).all():
         raise ValueError("response map must be finite")
-    return response
+    return response, total
 
 
 def psr(response) -> float:
@@ -122,23 +132,34 @@ def psr(response) -> float:
     at the borders).  Returns (peak - mean) / (std + eps) with the population
     standard deviation of the sidelobe, so a constant map scores 0.
     """
-    response = _check_response(response)
+    response, total = _check_response(response)
     height, width = response.shape
-    pi, pj = divmod(int(np.argmax(response)), width)
+    flat = response.ravel()
+    peak_index = int(flat.argmax())
+    pi, pj = divmod(peak_index, width)
     i0, i1 = max(pi - 1, 0), min(pi + 2, height)
     j0, j1 = max(pj - 1, 0), min(pj + 2, width)
     block = response[i0:i1, j0:j1]
-    sidelobe_count = response.size - block.size
+    sidelobe_count = flat.size - block.size
     if sidelobe_count == 0:
         raise ValueError(f"map {response.shape} has no sidelobe outside the peak block")
-    if response[pi, pj] == response.min():
+    peak = flat[peak_index]
+    if peak == flat.min():
         return 0.0  # flat map: peak equals the sidelobe mean exactly
-    # Sidelobe statistics without gathering: whole-map sums minus the block.
-    mean = (response.sum() - block.sum()) / sidelobe_count
-    centered = response - mean
-    square_sum = (centered * centered).sum() - (centered[i0:i1, j0:j1] ** 2).sum()
-    std = math.sqrt(max(square_sum / sidelobe_count, 0.0))
-    return float((response[pi, pj] - mean) / (std + PSR_EPS))
+    # Sidelobe statistics without gathering: the mean is the whole-map sum
+    # minus the block; the squares are summed with the block zeroed out.
+    mean = (total - block.sum()) / sidelobe_count
+    centered = flat - mean
+    centered.reshape(height, width)[i0:i1, j0:j1] = 0.0
+    std = math.sqrt(centered @ centered / sidelobe_count)
+    return float((peak - mean) / (std + PSR_EPS))
+
+
+def _score(response, state: TrackerState) -> tuple[float, float]:
+    """Score a response map, raise ``state.psr_max`` and return (psr, npsr)."""
+    value = psr(response)
+    state.psr_max = max(state.psr_max, value)
+    return value, (value / state.psr_max if state.psr_max > 0.0 else 0.0)
 
 
 def normalized_psr(response, state: TrackerState) -> float:
@@ -147,11 +168,7 @@ def normalized_psr(response, state: TrackerState) -> float:
     The maximum is raised first, so the result always lies in [0, 1]; while
     the maximum is still zero the score is defined as 0.
     """
-    value = psr(response)
-    state.psr_max = max(state.psr_max, value)
-    if state.psr_max <= 0.0:
-        return 0.0
-    return value / state.psr_max
+    return _score(response, state)[1]
 
 
 # Centered index vectors keyed by series length; the refinement hits the
@@ -220,46 +237,39 @@ def refine_step(
     Past warm-up the history must hold exactly ``n1`` boxes; a shorter one
     means the state was fed inconsistently and is reported as an error.
     """
-    if state.history.maxlen != params.n1:
-        raise ValueError(
-            f"state history capacity {state.history.maxlen} does not match n1={params.n1}"
-        )
-    value = psr(response)
-    state.psr_max = max(state.psr_max, value)
-    npsr = value / state.psr_max if state.psr_max > 0.0 else 0.0
+    n1 = params.n1
+    if state.capacity != n1:
+        raise ValueError(f"state history capacity {state.capacity} does not match n1={n1}")
+    value, npsr = _score(response, state)
     state.frame_index += 1
 
-    if state.frame_index <= params.n1:
+    if state.frame_index <= n1:
         refined = model_box
         branch = WARMUP
     else:
-        if len(state.history) < params.n1:
+        if state._count < n1:
             raise ValueError(
                 f"frame {state.frame_index} is past warm-up but history holds "
-                f"{len(state.history)} boxes instead of {params.n1}"
+                f"{state._count} boxes instead of {n1}"
             )
+        window = state._window()
         lam = params.lambda_ema
-        prev_cx, prev_cy = state._centers[params.n1 - 1]
-        prev_w, prev_h = state._sizes[params.n1 - 1]
+        prev_cx, prev_cy, prev_w, prev_h = window[-1].tolist()
         if npsr < params.theta:
-            slope_c, intercept_c = linear_fit(state._centers)
-            slope_s, intercept_s = linear_fit(state._sizes)
-            cx, cy = fit_value(slope_c, intercept_c, params.n1)
-            fit_w, fit_h = fit_value(slope_s, intercept_s, params.n1)
+            slope, intercept = linear_fit(window)
+            cx, cy, fit_w, fit_h = fit_value(slope, intercept, n1).tolist()
             w = lam * fit_w + (1.0 - lam) * prev_w
             h = lam * fit_h + (1.0 - lam) * prev_h
             branch = LOW_CONFIDENCE
         else:
-            vx, vy = instantaneous_velocity(state._centers, params.n2)
+            vx, vy = instantaneous_velocity(window[:, :2], params.n2).tolist()
             alpha = npsr * npsr
             cx = prev_cx + alpha * (model_box.cx - prev_cx) + (1.0 - alpha) * vx
             cy = prev_cy + alpha * (model_box.cy - prev_cy) + (1.0 - alpha) * vy
             w = lam * model_box.w + (1.0 - lam) * prev_w
             h = lam * model_box.h + (1.0 - lam) * prev_h
             branch = HIGH_CONFIDENCE
-        refined = BoundingBox(
-            float(cx), float(cy), max(float(w), MIN_SIZE), max(float(h), MIN_SIZE)
-        )
+        refined = BoundingBox(cx, cy, max(w, MIN_SIZE), max(h, MIN_SIZE))
 
     state._push(refined)
     state.last_psr = value
@@ -274,7 +284,7 @@ def peak_to_box(response, scale: float, prev_size: tuple[float, float]) -> Bound
     Cell (i, j) maps to pixel (floor(scale/2) + j*scale, floor(scale/2) +
     i*scale); the box keeps the previous size.
     """
-    response = _check_response(response)
+    response, _ = _check_response(response)
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be positive, got {scale}")
     pi, pj = np.unravel_index(int(np.argmax(response)), response.shape)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import BoundingBox
-from .motion import MotionParams, TrackerState, psr, refine_step
+from .motion import MotionParams, TrackerState, _score, refine_step
 
 # Jitter of the raw box around the truth while the target is in view (px).
 TRACK_JITTER_SIGMA = 0.5
@@ -273,18 +273,15 @@ def run_tracking(
         raise ValueError(f"scenario must have at least 2 frames, got {len(scenario)}")
     trajectory: list[BoundingBox] = []
     trace: list[TraceRow] = []
+    state = TrackerState(capacity=params.n1)
     if ommr_enabled:
-        state = TrackerState(capacity=params.n1)
         for obs in scenario:
             box = refine_step(state, obs.raw_model_box, obs.response, params)
             trajectory.append(box)
             trace.append(TraceRow(obs.frame, state.last_psr, state.last_npsr, state.last_branch))
     else:
-        psr_max = 0.0
         for obs in scenario:
-            value = psr(obs.response)
-            psr_max = max(psr_max, value)
-            npsr = value / psr_max if psr_max > 0.0 else 0.0
+            value, npsr = _score(obs.response, state)
             trajectory.append(obs.raw_model_box)
             trace.append(TraceRow(obs.frame, value, npsr, "raw"))
     if return_trace:

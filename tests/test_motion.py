@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sattrack import (
     BoundingBox,
@@ -119,6 +122,102 @@ class TestPsr:
         grid = np.zeros((5, 5))
         grid[1, 1] = np.nan
         with pytest.raises(ValueError):
+            psr(grid)
+
+
+def dyadic_maps(min_side=3, max_side=30, bound=2**20):
+    """Maps of multiples of 2**-10: every sum the kernel and the oracle take
+    of them is exact, so both see the same sidelobe mean."""
+    shapes = st.tuples(st.integers(min_side, max_side), st.integers(min_side, max_side))
+    return shapes.flatmap(
+        lambda shape: hnp.arrays(np.int64, shape, elements=st.integers(-bound, bound))
+    ).map(lambda cells: cells / 1024.0)
+
+
+def assert_matches_oracle(grid):
+    try:
+        expected = brute_psr(grid)
+    except ZeroDivisionError:  # the oracle found no sidelobe
+        with pytest.raises(ValueError, match="no sidelobe"):
+            psr(grid)
+        return
+    assert math.isclose(psr(grid), expected, rel_tol=1e-12, abs_tol=0.0)
+
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+class TestPsrProperties:
+    """The array kernel against the scalar oracle ``brute_psr``."""
+
+    @PROPERTY_SETTINGS
+    @given(dyadic_maps())
+    def test_dyadic_maps(self, grid):
+        assert_matches_oracle(grid)
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.tuples(st.integers(3, 30), st.integers(3, 30)),
+        st.floats(1.0, 1e3),
+    )
+    def test_random_maps(self, seed, shape, peak_gain):
+        # a tall peak over a low sidelobe makes whole-map-minus-block sums
+        # of squares cancel; the kernel must not lose the sidelobe spread
+        rng = np.random.default_rng(seed)
+        grid = rng.uniform(0.0, 1.0, size=shape)
+        grid.flat[rng.integers(grid.size)] *= peak_gain
+        assert_matches_oracle(grid)
+
+    @PROPERTY_SETTINGS
+    @given(dyadic_maps(bound=4))
+    def test_tied_plateaus_first_peak_wins(self, grid):
+        # cells take 9 values, so the maximum is nearly always tied
+        assert_matches_oracle(grid)
+
+    @PROPERTY_SETTINGS
+    @given(dyadic_maps(bound=1023), st.data())
+    def test_border_and_corner_peaks(self, grid, data):
+        rows, cols = grid.shape
+        i = data.draw(st.sampled_from([0, rows - 1]) | st.integers(0, rows - 1))
+        on_edge_row = i in (0, rows - 1)
+        j = data.draw(st.integers(0, cols - 1) if on_edge_row else st.sampled_from([0, cols - 1]))
+        grid[i, j] = 2.0  # above every other cell, on the border
+        assert_matches_oracle(grid)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @PROPERTY_SETTINGS
+    @given(
+        st.tuples(st.integers(3, 30), st.integers(3, 30)),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_constant_maps_score_zero(self, shape, value):
+        assert psr(np.full(shape, value)) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cells_rejected(self, bad):
+        grid = np.zeros((6, 7))
+        grid[4, 2] = bad
+        with pytest.raises(ValueError, match="response map must be finite"):
+            psr(grid)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_sum_is_not_non_finite(self):
+        # every cell is finite, only the sum overflows: the map is accepted,
+        # and the refined box's own validation rejects the score it yields
+        grid = np.full((5, 5), 1e308)
+        grid[2, 2] = 1.5e308
+        psr(grid)
+        params = MotionParams(n1=5, n2=2)
+        boxes = [BoundingBox(float(k), 0.0, 4.0, 4.0) for k in range(params.n1)]
+        state = warmed_state(params, boxes, map_with_score(8.0))
+        with pytest.raises(ValueError, match="box field"):
+            refine_step(state, BoundingBox(5.0, 0.0, 4.0, 4.0), grid, params)
+
+    def test_three_by_three_center_peak_has_no_sidelobe(self):
+        grid = np.zeros((3, 3))
+        grid[1, 1] = 1.0
+        with pytest.raises(ValueError, match="no sidelobe"):
             psr(grid)
 
 
@@ -256,6 +355,47 @@ def warmed_state(params, boxes, grid):
         assert out == box
         assert state.last_branch == WARMUP
     return state
+
+
+def numbered_box(k):
+    return BoundingBox(float(k), -2.0 * k, 1.0 + k, 2.0 + 0.5 * k)
+
+
+class TestTrackerState:
+    @settings(deadline=None)
+    @given(st.sampled_from([1, 2, 50]), st.data())
+    def test_history_is_last_capacity_boxes(self, capacity, data):
+        around_capacity = st.sampled_from([capacity - 1, capacity, capacity + 1])
+        pushes = data.draw(around_capacity | st.integers(0, 3 * capacity + 2))
+        state = TrackerState(capacity)
+        boxes = [numbered_box(k) for k in range(pushes)]
+        for box in boxes:
+            state._push(box)
+        assert state.capacity == capacity
+        assert state.history == tuple(boxes[max(pushes - capacity, 0) :])
+
+    def test_history_cannot_be_mutated(self):
+        state = TrackerState(3)
+        for k in range(4):
+            state._push(numbered_box(k))
+        history = state.history
+        assert isinstance(history, tuple)
+        with pytest.raises(TypeError):
+            history[0] = numbered_box(9)
+        with pytest.raises(AttributeError):
+            state.history = ()
+        assert state.history == (numbered_box(1), numbered_box(2), numbered_box(3))
+
+    def test_capacity_below_one_rejected(self):
+        with pytest.raises(ValueError, match="capacity"):
+            TrackerState(0)
+
+    def test_past_warmup_with_short_history_rejected(self):
+        params = MotionParams(n1=10, n2=4)
+        state = TrackerState(params.n1)
+        state.frame_index = params.n1
+        with pytest.raises(ValueError, match="past warm-up but history holds 0 boxes"):
+            refine_step(state, BoundingBox(0.0, 0.0, 2.0, 2.0), map_with_score(5.0), params)
 
 
 class TestRefineStep:
