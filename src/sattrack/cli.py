@@ -260,6 +260,11 @@ def cmd_attention_demo(args):
     attn = attention_weights(q, k)
     if args.mask:
         top, left, mask_h, mask_w = _parse_numbers(args.mask, 4, "--mask", int)
+        if mask_h <= 0 or mask_w <= 0:
+            raise ConfigError(
+                f"--mask {args.mask}: height and width must be positive, "
+                f"got {mask_h} and {mask_w}"
+            )
         rows = np.arange(top, top + mask_h)
         cols = np.arange(left, left + mask_w)
         if (rows.min() < 0 or rows.max() >= search.shape[1]

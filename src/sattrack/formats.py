@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import struct
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -340,11 +341,28 @@ def motion_params_from_file(path) -> MotionParams:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+# Group names become part of output file names (curves_<group>.csv).
+_GROUP_NAME = re.compile(r"[A-Za-z0-9_-]+")
+
+
 def read_attribute_groups(path) -> dict[str, list[str]]:
-    """Read ``group = id id ...`` lines mapping group names to sequence ids."""
+    """Read ``group = id id ...`` lines mapping group names to sequence ids.
+
+    Names are limited to ``[A-Za-z0-9_-]+`` so that they stay inside the
+    output directory, and ``overall`` is reserved for the built-in group.
+    """
     path = Path(path)
     groups: dict[str, list[str]] = {}
     for number, key, value in read_kv_file(path):
+        if not _GROUP_NAME.fullmatch(key):
+            raise ConfigError(
+                f"{path}:{number}: group name {key!r} must use only letters, "
+                f"digits, '_' and '-'"
+            )
+        if key == "overall":
+            raise ConfigError(
+                f"{path}:{number}: group name 'overall' is reserved for all sequences"
+            )
         if key in groups:
             raise ConfigError(f"{path}:{number}: duplicate group {key!r}")
         members = value.replace(",", " ").split()

@@ -13,6 +13,14 @@ onto it (small Gaussian jitter); once the target leaves the window, for
 example after drifting away during an occlusion, the map holds nothing but
 distractor peaks and the raw box never recovers on its own.
 
+Response maps are synthesized separably.  Every peak centre is an integer
+cell, so a peak's 2-D Gaussian is the outer product of a row profile and a
+column profile.  One 1-D kernel per axis is computed once per scenario (or
+per standalone map); the profiles of all cells are read-only windows onto
+it, so the tables cost O(H + W) memory and even a 3 x 20000 map stays
+cheap.  A frame's P peaks are then one ``(H, P) @ (P, W)`` product: no
+per-frame ``exp``.  Noise is added and the map clipped at zero in place.
+
 All randomness flows through one seeded PCG64 generator, so a configuration
 reproduces its scenario exactly.
 """
@@ -23,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .boxes import BoundingBox
 from .motion import MotionParams, TrackerState, _score, refine_step
@@ -120,15 +129,20 @@ class TraceRow:
     branch: str
 
 
-def _gaussian_peaks(shape, peaks, sharpness) -> np.ndarray:
-    rows, cols = np.meshgrid(
-        np.arange(shape[0], dtype=float), np.arange(shape[1], dtype=float), indexing="ij"
-    )
-    response = np.zeros(shape)
-    denom = 2.0 * sharpness * sharpness
-    for ci, cj, amp in peaks:
-        response += amp * np.exp(-((rows - ci) ** 2 + (cols - cj) ** 2) / denom)
-    return response
+def _profiles(shape, sharpness: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column profile tables of a map: for an axis of length ``L``, a
+    read-only ``(L, L)`` view whose row ``c`` is the 1-D Gaussian
+    ``exp(-(i - c)**2 / (2 * sharpness**2))`` centred on cell ``c``.
+
+    Every row is a window onto one kernel of ``2L - 1`` samples, so a table
+    costs O(L) memory however long its axis is.
+    """
+    tables = []
+    for length in shape:
+        offsets = np.arange(1 - length, length, dtype=float)
+        kernel = np.exp(-(offsets * offsets) / (2.0 * sharpness * sharpness))
+        tables.append(sliding_window_view(kernel, length)[::-1])
+    return tuple(tables)
 
 
 def _place_distractor(rng, shape, taken):
@@ -144,11 +158,20 @@ def _place_distractor(rng, shape, taken):
     return di, dj
 
 
-def _compose(rng, shape, peaks, sharpness, noise_sigma) -> np.ndarray:
-    response = _gaussian_peaks(shape, peaks, sharpness)
+def _compose(rng, profiles, cells, amps, noise_sigma) -> np.ndarray:
+    """Sum of Gaussian peaks at integer ``cells`` with heights ``amps``, plus
+    optional noise, clipped at zero.
+
+    A 2-D Gaussian is the outer product of its row and column profiles, so
+    all peaks together are one ``(H, P) @ (P, W)`` product of rows taken
+    from the :func:`_profiles` tables.
+    """
+    row_profiles, col_profiles = profiles
+    ci, cj = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+    response = (row_profiles[ci].T * amps) @ col_profiles[cj]
     if noise_sigma > 0:
-        response += rng.normal(0.0, noise_sigma, shape)
-    return np.clip(response, 0.0, None)
+        response += rng.normal(0.0, noise_sigma, response.shape)
+    return np.maximum(response, 0.0, out=response)
 
 
 def synthesize_response_map(
@@ -177,13 +200,12 @@ def synthesize_response_map(
     if noise_sigma < 0:
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    peaks = [(ci, cj, 1.0)]
     taken = [(ci, cj)]
+    amps = [1.0]
     for _ in range(distractors):
-        di, dj = _place_distractor(rng, map_size, taken)
-        taken.append((di, dj))
-        peaks.append((di, dj, rng.uniform(*CLUTTER_AMP)))
-    return _compose(rng, map_size, peaks, sharpness, noise_sigma)
+        taken.append(_place_distractor(rng, map_size, taken))
+        amps.append(rng.uniform(*CLUTTER_AMP))
+    return _compose(rng, _profiles(map_size, sharpness), taken, amps, noise_sigma)
 
 
 def generate_scenario(config: ScenarioConfig) -> list[FrameObservation]:
@@ -206,6 +228,7 @@ def generate_scenario(config: ScenarioConfig) -> list[FrameObservation]:
         occluded_flags[start - 1 : end] = True
 
     shape = tuple(config.map_size)
+    profiles = _profiles(shape, config.peak_sharpness)
     target_w, target_h = config.target_size
     raw_x, raw_y = float(gt_x[0]), float(gt_y[0])
     observations = []
@@ -217,22 +240,20 @@ def generate_scenario(config: ScenarioConfig) -> list[FrameObservation]:
         in_window = 0 <= ci < shape[0] and 0 <= cj < shape[1]
 
         target_seen = in_window and not occluded
-        peaks = []
         taken = []
+        amps = []
         if in_window:
-            amp = rng.uniform(*CLUTTER_AMP) if occluded else 1.0
-            peaks.append((ci, cj, amp))
             taken.append((ci, cj))
+            amps.append(rng.uniform(*CLUTTER_AMP) if occluded else 1.0)
         for _ in range(config.distractor_count):
-            di, dj = _place_distractor(rng, shape, taken)
-            taken.append((di, dj))
-            peaks.append((di, dj, rng.uniform(*CLUTTER_AMP)))
+            taken.append(_place_distractor(rng, shape, taken))
+            amps.append(rng.uniform(*CLUTTER_AMP))
         noise_sigma = (
             config.noise_sigma
             if target_seen
             else max(config.noise_sigma, CLUTTER_NOISE_SIGMA)
         )
-        response = _compose(rng, shape, peaks, config.peak_sharpness, noise_sigma)
+        response = _compose(rng, profiles, taken, amps, noise_sigma)
 
         if occluded:
             step = rng.normal(0.0, WALK_SIGMA, 2)

@@ -405,6 +405,39 @@ def test_evaluate_directory_mode_with_attributes(tmp_path):
         assert (out / f"curves_{group}.csv").exists()
 
 
+def run_evaluate_with_groups(tmp_path, groups_text):
+    pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+    pred_dir.mkdir(), gt_dir.mkdir()
+    for directory in (pred_dir, gt_dir):
+        write_corner_file(directory / "seq1.txt", [(10, 10, 10, 10)] * 5)
+    attrs = tmp_path / "groups.cfg"
+    attrs.write_text(groups_text)
+    out = tmp_path / "run" / "out"
+    code = main(
+        ["evaluate", "--pred", str(pred_dir), "--gt", str(gt_dir),
+         "--attributes", str(attrs), "--output", str(out)]
+    )
+    return code, attrs, out
+
+
+def test_evaluate_rejects_group_named_overall(tmp_path, capsys):
+    code, attrs, out = run_evaluate_with_groups(tmp_path, "good = seq1\noverall = seq1\n")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{attrs}:2:" in err and "'overall'" in err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("name", ["../../escaped", "a/b", "dots.csv", "two words", "caf\u00e9"])
+def test_evaluate_rejects_unsafe_group_names(tmp_path, capsys, name):
+    code, attrs, out = run_evaluate_with_groups(tmp_path, f"ok_group-1 = seq1\n{name} = seq1\n")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{attrs}:2:" in err and repr(name) in err
+    written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    assert all(p.parts[0] in ("pred", "gt", "groups.cfg") for p in written)
+
+
 def test_evaluate_length_mismatch_names_counts(tmp_path, capsys):
     gt, pred = tmp_path / "gt.txt", tmp_path / "pred.txt"
     write_corner_file(gt, [(0, 0, 5, 5)] * 3)
@@ -534,6 +567,18 @@ def test_attention_demo_mask_out_of_bounds(tmp_path, capsys):
     )
     assert code == 1
     assert "--mask" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mask", ["1,1,0,2", "1,1,2,0", "1,1,-1,2", "1,1,2,-3"])
+def test_attention_demo_mask_needs_positive_extent(tmp_path, capsys, mask):
+    code = main(
+        ["attention-demo", "--search-size", "4,5,5", "--mask", mask,
+         "--output", str(tmp_path / "o")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--mask" in err and "positive" in err
+    assert not (tmp_path / "o" / "saliency.csv").exists()
 
 
 def test_attention_demo_weights_file_and_gamma_override(tmp_path):

@@ -300,6 +300,25 @@ class TestAttributeGroups:
             read_attribute_groups(path)
 
 
+    def test_overall_rejected(self, tmp_path):
+        path = tmp_path / "groups.cfg"
+        path.write_text("# groups\noverall = a b\n")
+        with pytest.raises(ConfigError, match=r"groups\.cfg:2: .*'overall'"):
+            read_attribute_groups(path)
+
+    @pytest.mark.parametrize("name", ["../../escaped", "x/y", "a.b", "a b", "a\\b", "\u00e9t\u00e9"])
+    def test_unsafe_names_rejected(self, tmp_path, name):
+        path = tmp_path / "groups.cfg"
+        path.write_text(f"{name} = a\n")
+        with pytest.raises(ConfigError, match=r"groups\.cfg:1: "):
+            read_attribute_groups(path)
+
+    def test_safe_charset_accepted(self, tmp_path):
+        path = tmp_path / "groups.cfg"
+        path.write_text("Fast_Motion-2 = a\n")
+        assert read_attribute_groups(path) == {"Fast_Motion-2": ["a"]}
+
+
 class TestEvalOutputs:
     def result(self):
         gt = [BoundingBox(10.0 + k, 20.0, 6.0, 6.0) for k in range(10)]

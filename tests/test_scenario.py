@@ -1,8 +1,12 @@
 """Simulator behavior: determinism, occlusion dynamics, response-map shape."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sattrack import (
     BoundingBox,
@@ -14,6 +18,7 @@ from sattrack import (
     run_tracking,
     synthesize_response_map,
 )
+from sattrack.scenario import _compose, _profiles
 
 
 def clean_config(frames=120, seed=0, **overrides):
@@ -105,6 +110,70 @@ class TestSynthesizeResponseMap:
     def test_out_of_bounds_center_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             synthesize_response_map((25, 0))
+
+
+def brute_peaks(shape, cells, amps, sharpness):
+    """2-D oracle: every peak evaluated on the full meshgrid."""
+    rows, cols = np.meshgrid(
+        np.arange(shape[0], dtype=float), np.arange(shape[1], dtype=float), indexing="ij"
+    )
+    response = np.zeros(shape)
+    for (ci, cj), amp in zip(cells, amps):
+        response += amp * np.exp(
+            -((rows - ci) ** 2 + (cols - cj) ** 2) / (2.0 * sharpness * sharpness)
+        )
+    return response
+
+
+def map_shapes():
+    side = st.integers(3, 40)
+    return st.one_of(
+        st.tuples(side, side), st.tuples(st.just(3), side), st.tuples(side, st.just(3))
+    )
+
+
+class TestSeparablePeaks:
+    @settings(max_examples=300, deadline=None)
+    @given(map_shapes(), st.floats(0.1, 5.0), st.data())
+    def test_composed_peaks_match_meshgrid_oracle(self, shape, sharpness, data):
+        peaks = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, shape[0] - 1),
+                    st.integers(0, shape[1] - 1),
+                    st.floats(0.0, 1.0),
+                ),
+                max_size=6,
+            )
+        )
+        cells = [(ci, cj) for ci, cj, _ in peaks]
+        amps = [amp for _, _, amp in peaks]
+        composed = _compose(
+            np.random.default_rng(0), _profiles(shape, sharpness), cells, amps, 0.0
+        )
+        expected = brute_peaks(shape, cells, amps, sharpness)
+        assert composed.shape == shape
+        assert np.abs(composed - expected).max() <= 1e-15 * (1.0 + sum(amps))
+
+    def test_profile_rows_are_centred_and_read_only(self):
+        rows, cols = _profiles((7, 4), 1.5)
+        assert rows.shape == (7, 7) and cols.shape == (4, 4)
+        for table in (rows, cols):
+            for c in range(len(table)):
+                assert table[c].argmax() == c
+                assert table[c, c] == 1.0
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 2.0
+
+    def test_long_thin_map_frame_builds(self):
+        config = clean_config(frames=2, map_size=(3, 20000))
+        (first, _) = generate_scenario(config)
+        assert first.response.shape == (3, 20000)
+        assert np.unravel_index(first.response.argmax(), (3, 20000)) == (1, 10000)
+        assert first.response[1, 10000] == 1.0
+        expected = brute_peaks((3, 20000), [(1, 10000)], [1.0], config.peak_sharpness)
+        assert np.abs(first.response - expected).max() <= 2e-15
 
 
 class TestGenerateScenario:
@@ -253,3 +322,81 @@ class TestDriftSeries:
         boxes = [BoundingBox(0.0, 0.0, 1.0, 1.0)]
         with pytest.raises(ValueError, match="length"):
             drift_series(boxes, boxes * 2)
+
+
+# Two configurations whose every frame was recorded before the peak synthesis
+# was made separable.  "walkout" occludes a fast target on a fine grid, so the
+# raw box walks out of its window and stays lost with four distractors drawn
+# per frame; "wide" uses a non-square map.  Recorded: exact gt/raw boxes, the
+# occluded flag and the argmax cell of each response.
+PIN_CONFIGS = {
+    "walkout": dict(
+        frame_count=160,
+        waypoints=((1, 40.0, 30.0), (90, 150.0, 90.0), (160, 120.0, 200.0)),
+        target_size=(10.0, 6.0),
+        occlusions=((40, 75),),
+        distractor_count=4,
+        noise_sigma=0.02,
+        cell_scale=2.0,
+        seed=21,
+    ),
+    "wide": dict(
+        frame_count=80,
+        waypoints=((1, 10.0, 20.0), (80, 90.0, 60.0)),
+        target_size=(8.0, 8.0),
+        occlusions=((30, 45),),
+        distractor_count=2,
+        noise_sigma=0.05,
+        map_size=(15, 19),
+        seed=4,
+    ),
+}
+PIN_FILE = Path(__file__).parent / "data" / "scenario_pin.csv"
+PIN_HEADER = "config,frame,gt_cx,gt_cy,gt_w,gt_h,raw_cx,raw_cy,raw_w,raw_h,occluded,peak_row,peak_col"
+
+
+def pin_rows(name, scenario):
+    """One exact text row per frame: float reprs round-trip bit for bit."""
+    rows = []
+    for obs in scenario:
+        peak = np.unravel_index(int(np.argmax(obs.response)), obs.response.shape)
+        values = [
+            getattr(box, attr)
+            for box in (obs.gt_box, obs.raw_model_box)
+            for attr in ("cx", "cy", "w", "h")
+        ]
+        rows.append(
+            ",".join(
+                [name, str(obs.frame), *(repr(float(v)) for v in values), str(int(obs.occluded)),
+                 str(int(peak[0])), str(int(peak[1]))]
+            )
+        )
+    return rows
+
+
+class TestDrawOrderPin:
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        lines = PIN_FILE.read_text().splitlines()
+        assert lines[0] == PIN_HEADER
+        return lines[1:]
+
+    @pytest.mark.parametrize("name", sorted(PIN_CONFIGS))
+    def test_frames_match_recording(self, name, recorded):
+        scenario = generate_scenario(ScenarioConfig(**PIN_CONFIGS[name]))
+        expected = [row for row in recorded if row.startswith(name + ",")]
+        assert len(expected) == PIN_CONFIGS[name]["frame_count"]
+        assert pin_rows(name, scenario) == expected
+
+    def test_walkout_config_loses_the_window(self):
+        config = ScenarioConfig(**PIN_CONFIGS["walkout"])
+        scenario = generate_scenario(config)
+        rows, cols = config.map_size
+        raw = scenario[0].gt_box
+        outside = 0
+        for obs in scenario:
+            ci = rows // 2 + round((obs.gt_box.cy - raw.cy) / config.cell_scale)
+            cj = cols // 2 + round((obs.gt_box.cx - raw.cx) / config.cell_scale)
+            outside += not (0 <= ci < rows and 0 <= cj < cols)
+            raw = obs.raw_model_box
+        assert outside > 50
