@@ -5,10 +5,21 @@ from the search features, keys and values from the template, and the attended
 template content is added back onto the search features through a learnable
 residual gate.  Feature maps are plain float arrays of shape (C, H, W).
 
+The softmax is taken over a template-major (Nt, Ns) score matrix, so its
+max, sum and divide reduce along the contiguous leading axis;
+:func:`attention_weights` hands out the transpose, the row-stochastic
+(Ns, Nt) matrix.
+
 The module also hosts the depthwise sliding-window correlation used to turn a
 matched template/search pair into a response map, and the saliency readout
 that sums attention columns to show which template locations the search
-region relied on.
+region relied on.  The correlation is one batched matrix product per
+template row: the rows of the search map that the template row meets,
+times the (C, Ws, ow) banded Toeplitz matrix of that template row.  The
+Toeplitz matrices are read-only strided views of one zero-padded
+(C, Ht, Ws + ow - 1) copy of the template, so the extra memory is
+O(C * Ht * (Ws + ow)) plus the output; no C * oh * ow * Ht * Wt window copy
+is ever formed.
 """
 
 from __future__ import annotations
@@ -18,13 +29,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def _check_feature_map(f: np.ndarray, name: str) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.ndim != 3 or min(f.shape) < 1:
         raise ValueError(f"{name} must have shape (C, H, W), got {f.shape}")
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise ValueError(f"{name} must be finite")
     return f
 
@@ -141,22 +153,34 @@ def project_qkv(
     return q, k, v
 
 
-def attention_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Row-stochastic attention matrix (Ns, Nt): softmax over template
-    locations of the raw dot-product scores.
+def _template_softmax(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Column-stochastic (Nt, Ns) matrix: scores k.T @ q, softmax over the
+    template axis, computed in place.
 
-    Scores are shifted by their row maximum before exponentiation; the shift
-    cancels in the ratio, so overflow is avoided without changing the result.
+    Scores are shifted by their column maximum before exponentiation; the
+    shift cancels in the ratio, so overflow is avoided without changing the
+    result.
     """
     if q.ndim != 2 or k.ndim != 2 or q.shape[0] != k.shape[0]:
         raise ValueError(
             f"q and k must be (d, Ns) and (d, Nt) with matching d, "
             f"got {q.shape} and {k.shape}"
         )
-    scores = q.T @ k
-    scores -= scores.max(axis=1, keepdims=True)
-    exp = np.exp(scores)
-    return exp / exp.sum(axis=1, keepdims=True)
+    probs = k.T @ q
+    probs -= probs.max(axis=0)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=0)
+    return probs
+
+
+def attention_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Row-stochastic attention matrix (Ns, Nt): softmax over template
+    locations of the raw dot-product scores.
+
+    The result is the transpose of a template-major array, a view rather
+    than a copy.
+    """
+    return _template_softmax(q, k).T
 
 
 def aggregate_values(v: np.ndarray, attn: np.ndarray) -> np.ndarray:
@@ -176,10 +200,9 @@ def enhance_features(
     Returns search + gamma * aggregated, reshaped to the search layout.  With
     gamma == 0 the input is returned unchanged (bit for bit).
     """
-    search = _check_feature_map(search, "search")
     q, k, v = project_qkv(search, template, weights)
-    attn = attention_weights(q, k)
-    mixed = aggregate_values(v, attn).reshape(search.shape)
+    search = np.asarray(search, dtype=float)
+    mixed = (v @ _template_softmax(q, k)).reshape(search.shape)
     return search + weights.gamma * mixed
 
 
@@ -220,7 +243,14 @@ def xcorr_depthwise(template: np.ndarray, search: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"template {template.shape[1:]} larger than search {search.shape[1:]}"
         )
-    windows = np.lib.stride_tricks.sliding_window_view(
-        search, template.shape[1:], axis=(1, 2)
-    )
-    return np.einsum("cijhw,chw->cij", windows, template)
+    channels, rows, cols = template.shape
+    out_h = search.shape[1] - rows + 1
+    out_w = search.shape[2] - cols + 1
+    # toeplitz[c, i, s, x] = template[c, i, s - x] for 0 <= s - x < cols, else 0
+    padded = np.zeros((channels, rows, search.shape[2] + out_w - 1))
+    padded[:, :, out_w - 1:out_w - 1 + cols] = template
+    toeplitz = sliding_window_view(padded, out_w, axis=2)[..., ::-1]
+    out = search[:, :out_h] @ toeplitz[:, 0]
+    for i in range(1, rows):
+        out += search[:, i:i + out_h] @ toeplitz[:, i]
+    return out

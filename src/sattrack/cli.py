@@ -24,7 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .attention import enhance_features, init_projection_weights, project_qkv, attention_weights, template_saliency
+from .attention import (
+    aggregate_values,
+    attention_weights,
+    init_projection_weights,
+    project_qkv,
+    template_saliency,
+)
 from .boxes import BoundingBox
 from .formats import ConfigError
 from .geometry import AspectRatioParams, GridGeometry, build_label_maps
@@ -133,7 +139,7 @@ def cmd_simulate(args):
         peak = np.unravel_index(int(np.argmax(obs.response)), obs.response.shape)
         summary_lines.append(
             f"{obs.frame},{int(obs.occluded)},{peak[0]},{peak[1]},"
-            f"{obs.response[peak]!r},{psr(obs.response)!r}"
+            f"{formats._fmt(obs.response[peak])},{formats._fmt(psr(obs.response))}"
         )
 
     out = _output_dir(args)
@@ -176,7 +182,14 @@ def _discover_sequences(pred_dir: Path, gt_dir: Path) -> list[tuple[str, Path, P
     )
     if not pred_files:
         raise ConfigError(f"{pred_dir}: no .csv or .txt trajectories found")
+    by_stem: dict[str, Path] = {}
     for pred_file in pred_files:
+        other = by_stem.setdefault(pred_file.stem, pred_file)
+        if other is not pred_file:
+            raise ConfigError(
+                f"{pred_dir}: {other.name} and {pred_file.name} are both sequence "
+                f"{pred_file.stem!r}; keep one"
+            )
         for suffix in (".csv", ".txt"):
             candidate = gt_dir / (pred_file.stem + suffix)
             if candidate.exists():
@@ -255,9 +268,10 @@ def cmd_attention_demo(args):
     else:
         weights = init_projection_weights(search.shape[0], seed=seed, gamma=gamma)
 
-    enhanced = enhance_features(search, template, weights)
-    q, k, _ = project_qkv(search, template, weights)
+    q, k, v = project_qkv(search, template, weights)
     attn = attention_weights(q, k)
+    mixed = aggregate_values(v, attn).reshape(search.shape)
+    enhanced = search + weights.gamma * mixed
     if args.mask:
         top, left, mask_h, mask_w = _parse_numbers(args.mask, 4, "--mask", int)
         if mask_h <= 0 or mask_w <= 0:

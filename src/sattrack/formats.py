@@ -7,9 +7,10 @@ parse back to the exact values that were written.
 
 Formats:
 
-* trajectory CSV -- header ``frame,cx,cy,w,h``, center-format boxes; the
-  reader also accepts the common headerless benchmark layout ``x,y,w,h``
-  (top-left corner, comma or tab separated)
+* trajectory CSV -- header ``frame,cx,cy,w,h``, center-format boxes with
+  frames numbered 1..N in order; the reader also accepts the common
+  headerless benchmark layout ``x,y,w,h`` (top-left corner, comma or tab
+  separated)
 * grid CSV -- one response/label map row per line
 * PGM (binary P5) -- grayscale heatmap export, value*255 rounded
 * feature tensor -- 12-byte header of C, H, W as little-endian uint32,
@@ -92,7 +93,10 @@ def _split_row(line: str) -> list[str]:
 
 
 def read_trajectory(path) -> list[BoundingBox]:
-    """Read boxes from our trajectory CSV or a headerless x,y,w,h file."""
+    """Read boxes from our trajectory CSV or a headerless x,y,w,h file.
+
+    The frame column of a trajectory CSV must count 1..N in file order.
+    """
     path = Path(path)
     rows = [
         (number, raw)
@@ -117,6 +121,11 @@ def read_trajectory(path) -> list[BoundingBox]:
             if len(values) != 5:
                 raise ConfigError(
                     f"{path}:{number}: expected frame,cx,cy,w,h, got {len(values)} fields"
+                )
+            if values[0] != len(boxes) + 1:
+                raise ConfigError(
+                    f"{path}:{number}: frame {parts[0]} out of sequence, "
+                    f"expected {len(boxes) + 1} (frames must be 1..N in order)"
                 )
             boxes.append(BoundingBox(*values[1:]))
         else:

@@ -7,6 +7,8 @@ targets (vehicles seen from orbit are a few pixels wide but many long) of
 usable positives along their long axis.  The constrained variant flattens the
 decay along the principal axis by raising each side ratio to an exponent
 derived from the box aspect ratio, so supervision follows the object shape.
+A cell's horizontal side ratio depends only on its column and its vertical
+one only on its row, so a whole map is built from two 1-D profiles.
 
 The losses consume these targets: a soft-label cross entropy for the
 classification head, a centerness-weighted log-IoU loss for the regression
@@ -188,23 +190,14 @@ def build_label_maps(
     ``params`` is None); everything else is zero.  A box that covers no grid
     point yields all-negative maps and a warning.
     """
-    xs = grid.point_xs()
-    ys = grid.point_ys()
-    x_grid, y_grid = np.meshgrid(xs, ys)
     x0, y0, x1, y1 = gt_box.corners
-    left = x_grid - x0
-    right = x1 - x_grid
-    top = y_grid - y0
-    bottom = y1 - y_grid
-    positive = (left > 0) & (right > 0) & (top > 0) & (bottom > 0)
-
-    centerness = np.zeros((grid.height, grid.width), dtype=float)
-    if not positive.any():
+    ratio_h, inside_x = _side_ratios(grid.point_xs(), x0, x1)
+    ratio_v, inside_y = _side_ratios(grid.point_ys(), y0, y1)
+    if not (inside_x.any() and inside_y.any()):
         warnings.warn(
             "ground-truth box covers no grid point; all cells are negative",
             stacklevel=2,
         )
-        return LabelMaps(centerness, positive.astype(np.uint8), grid)
 
     if params is None:
         exp_h = exp_v = 1.0
@@ -212,10 +205,19 @@ def build_label_maps(
         rho = gt_box.w / gt_box.h
         exp_h = modulation_factor(1.0 / rho, params.gamma)
         exp_v = modulation_factor(rho, params.gamma)
-    ratio_h = np.minimum(left, right)[positive] / np.maximum(left, right)[positive]
-    ratio_v = np.minimum(top, bottom)[positive] / np.maximum(top, bottom)[positive]
-    centerness[positive] = np.sqrt(ratio_h**exp_h * ratio_v**exp_v)
-    return LabelMaps(centerness, positive.astype(np.uint8), grid)
+    # both profiles are zero outside the box, so negatives score zero
+    centerness = np.sqrt(np.multiply.outer(ratio_v**exp_v, ratio_h**exp_h))
+    labels = np.multiply.outer(inside_y, inside_x).astype(np.uint8)
+    return LabelMaps(centerness, labels, grid)
+
+
+def _side_ratios(coords: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """min/max of each coordinate's distances to ``lo`` and ``hi`` where it lies
+    strictly between them (else 0), and the mask of those coordinates."""
+    near = np.minimum(coords - lo, hi - coords)
+    inside = near > 0
+    far = np.maximum(coords - lo, hi - coords)
+    return np.divide(near, far, out=np.zeros(coords.shape), where=inside), inside
 
 
 def soft_cls_target(c_target: float, c_pred: float, label: int) -> float:
@@ -246,7 +248,8 @@ def _soft_binary_cross_entropy(preds, targets) -> float:
     if preds.shape != targets.shape:
         raise ValueError(f"shape mismatch: {preds.shape} vs {targets.shape}")
     for name, arr in (("predictions", preds), ("targets", targets)):
-        if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
+        # one check: NaN and +-inf fail the comparisons as well
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
             raise ValueError(f"{name} must lie in [0, 1]")
     p = np.clip(preds, LOG_EPS, 1.0 - LOG_EPS)
     terms = targets * np.log(p) + (1.0 - targets) * np.log1p(-p)
@@ -284,9 +287,9 @@ def regression_loss(pred_boxes, gt_boxes, centerness_weights) -> float:
         raise ValueError(
             f"expected {pred.shape[0]} weights, got {weights.shape[0]}"
         )
-    if not (np.all(np.isfinite(pred)) and np.all(np.isfinite(gt)) and np.all(np.isfinite(weights))):
+    if not (np.isfinite(pred).all() and np.isfinite(gt).all() and np.isfinite(weights).all()):
         raise ValueError("loss inputs must be finite")
-    if np.any(pred[:, 2:] <= 0) or np.any(gt[:, 2:] <= 0):
+    if (pred[:, 2:] <= 0).any() or (gt[:, 2:] <= 0).any():
         raise ValueError("box sizes must be positive")
     if weights.min() < 0:
         raise ValueError("centerness weights must be >= 0")

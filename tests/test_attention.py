@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sattrack import (
     ProjectionWeights,
@@ -355,3 +357,113 @@ class TestCrossCorrelation:
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError, match="channel"):
             xcorr_depthwise(np.zeros((2, 2, 2)), np.zeros((3, 4, 4)))
+
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def xcorr_loop(template, search):
+    """The correlation by definition: one windowed sum of products per
+    channel and offset."""
+    channels, rows, cols = template.shape
+    out = np.empty((channels, search.shape[1] - rows + 1, search.shape[2] - cols + 1))
+    for c in range(channels):
+        for y in range(out.shape[1]):
+            for x in range(out.shape[2]):
+                out[c, y, x] = np.sum(search[c, y : y + rows, x : x + cols] * template[c])
+    return out
+
+
+def assert_xcorr_matches_loop(template, search):
+    got = xcorr_depthwise(template, search)
+    # relative to the sum of |products|, the scale rounding errors live on
+    scale = xcorr_loop(np.abs(template), np.abs(search))
+    assert got.shape == scale.shape
+    assert (np.abs(got - xcorr_loop(template, search)) <= 1e-12 * scale).all()
+
+
+@st.composite
+def xcorr_pairs(draw):
+    """(template, search) with 1..4 channels, search axes 1..20 and any
+    template no larger than the search map on either axis."""
+    channels = draw(st.integers(1, 4))
+    rows, cols = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    t_rows, t_cols = draw(st.integers(1, rows)), draw(st.integers(1, cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    return (
+        scale * rng.normal(size=(channels, t_rows, t_cols)),
+        rng.normal(size=(channels, rows, cols)),
+    )
+
+
+class TestCrossCorrelationProperties:
+    @PROPERTY_SETTINGS
+    @given(xcorr_pairs())
+    def test_matches_loop_oracle(self, pair):
+        assert_xcorr_matches_loop(*pair)
+
+    @pytest.mark.parametrize(
+        "template_shape, search_shape",
+        [
+            ((3, 7, 5), (3, 7, 5)),  # equal sizes: a single output cell
+            ((2, 1, 1), (2, 6, 9)),
+            ((4, 1, 1), (4, 1, 1)),
+            ((1, 1, 6), (1, 4, 6)),
+            ((2, 64, 64), (2, 128, 128)),
+        ],
+    )
+    def test_edge_shapes_match_loop_oracle(self, template_shape, search_shape):
+        rng = np.random.default_rng(24)
+        assert_xcorr_matches_loop(
+            rng.normal(size=template_shape), rng.normal(size=search_shape)
+        )
+
+    def test_inputs_are_not_modified(self):
+        rng = np.random.default_rng(25)
+        template, search = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 8, 9))
+        before = template.copy(), search.copy()
+        xcorr_depthwise(template, search)
+        assert np.array_equal(template, before[0]) and np.array_equal(search, before[1])
+
+
+def softmax_rows(q, k):
+    """Scalar per-row softmax of the dot-product scores (Ns, Nt)."""
+    out = np.empty((q.shape[1], k.shape[1]))
+    for i in range(q.shape[1]):
+        logits = [float(np.dot(q[:, i], k[:, j])) for j in range(k.shape[1])]
+        top = max(logits)
+        exps = [math.exp(value - top) for value in logits]
+        total = math.fsum(exps)
+        out[i] = [value / total for value in exps]
+    return out
+
+
+class TestAttentionWeightsProperties:
+    @PROPERTY_SETTINGS
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.floats(0.01, 3.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_row_softmax(self, dim, n_search, n_template, scale, seed):
+        rng = np.random.default_rng(seed)
+        q = scale * rng.normal(size=(dim, n_search))
+        k = scale * rng.normal(size=(dim, n_template))
+        attn = attention_weights(q, k)
+        assert attn.shape == (n_search, n_template)
+        assert np.abs(attn - softmax_rows(q, k)).max() <= 1e-12
+        assert (attn >= 0).all()
+        assert np.abs(attn.sum(axis=1) - 1.0).max() <= 1e-12
+
+    def test_enhancement_uses_the_same_attention(self):
+        rng = np.random.default_rng(26)
+        search, template = rng.normal(size=(8, 6, 7)), rng.normal(size=(8, 3, 2))
+        weights = init_projection_weights(8, seed=4, use_bias=True, gamma=0.3)
+        q, k, v = project_qkv(search, template, weights)
+        mixed = aggregate_values(v, attention_weights(q, k)).reshape(search.shape)
+        assert np.array_equal(
+            enhance_features(search, template, weights), search + 0.3 * mixed
+        )

@@ -7,7 +7,13 @@ import pytest
 
 from sattrack.cli import main
 from sattrack.formats import read_feature_map, read_grid_csv, read_trajectory, write_feature_map
-from sattrack import init_projection_weights
+from sattrack import (
+    attention_weights,
+    enhance_features,
+    init_projection_weights,
+    project_qkv,
+    template_saliency,
+)
 from sattrack.formats import write_projection_weights
 
 CLEAN_SCENARIO = """\
@@ -140,6 +146,20 @@ def test_simulate_two_frame_scenario(scenario_file, tmp_path):
     summary = (out / "response_summary.csv").read_text().splitlines()
     assert summary[0] == "frame,occluded,peak_row,peak_col,peak_value,psr"
     assert len(summary) == 3
+
+
+def test_simulate_summary_fields_are_plain_numbers(scenario_file, tmp_path):
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", scenario_file(CLEAN_SCENARIO), "--output", str(out)]) == 0
+    header, *rows = (out / "response_summary.csv").read_text().splitlines()
+    kinds = (int, int, int, int, float, float)
+    assert len(header.split(",")) == len(kinds)
+    assert len(rows) == 120
+    for row in rows:
+        fields = row.split(",")
+        assert len(fields) == len(kinds)
+        for kind, field in zip(kinds, fields):
+            kind(field)
 
 
 def test_simulate_deterministic_outputs(scenario_file, tmp_path):
@@ -405,6 +425,25 @@ def test_evaluate_directory_mode_with_attributes(tmp_path):
         assert (out / f"curves_{group}.csv").exists()
 
 
+@pytest.mark.parametrize("suffixes", [(".csv", ".txt"), (".txt", ".csv")])
+def test_evaluate_rejects_pred_files_sharing_a_stem(tmp_path, capsys, suffixes):
+    pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+    pred_dir.mkdir(), gt_dir.mkdir()
+    write_corner_file(gt_dir / "a.txt", [(10, 10, 10, 10)] * 5)
+    # "a.d" sorts between "a.csv" and "a.txt"
+    for name in ("b.txt", "a.d.txt"):
+        write_corner_file(pred_dir / name, [(10, 10, 10, 10)] * 5)
+        write_corner_file(gt_dir / name, [(10, 10, 10, 10)] * 5)
+    for suffix in suffixes:
+        write_corner_file(pred_dir / f"a{suffix}", [(10, 10, 10, 10)] * 5)
+    out = tmp_path / "out"
+    code = main(["evaluate", "--pred", str(pred_dir), "--gt", str(gt_dir), "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "a.csv" in err and "a.txt" in err
+    assert not (out / "summary.json").exists()
+
+
 def run_evaluate_with_groups(tmp_path, groups_text):
     pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
     pred_dir.mkdir(), gt_dir.mkdir()
@@ -551,6 +590,35 @@ def test_attention_demo_mask_saliency_total(tmp_path):
     saliency = read_grid_csv(out / "saliency.csv")
     assert saliency.shape == (5, 5)
     assert saliency.sum() == pytest.approx(6.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("mask", [None, "3,4,2,3"])
+def test_attention_demo_outputs_match_library_calls(tmp_path, mask):
+    rng = np.random.default_rng(63)
+    search = rng.normal(size=(8, 9, 7)).astype(np.float32).astype(float)
+    template = rng.normal(size=(8, 3, 4)).astype(np.float32).astype(float)
+    search_path, template_path = tmp_path / "search.bin", tmp_path / "template.bin"
+    write_feature_map(search_path, search)
+    write_feature_map(template_path, template)
+    weights = init_projection_weights(8, seed=5, use_bias=True, gamma=0.7)
+    weights_path = tmp_path / "weights.npz"
+    write_projection_weights(weights_path, weights)
+    out = tmp_path / "out"
+    argv = ["attention-demo", "--search", str(search_path), "--template", str(template_path),
+            "--weights", str(weights_path), "--output", str(out)]
+    assert main(argv + (["--mask", mask] if mask else [])) == 0
+
+    expected = enhance_features(search, template, weights)
+    assert read_feature_map(out / "enhanced.bin").tobytes() == (
+        expected.astype(np.float32).astype(float).tobytes()
+    )
+    if mask:
+        cells = [r * 7 + c for r in range(3, 5) for c in range(4, 7)]
+    else:
+        cells = range(9 * 7)
+    attn = attention_weights(*project_qkv(search, template, weights)[:2])
+    saliency = template_saliency(attn, cells).reshape(3, 4)
+    assert np.array_equal(read_grid_csv(out / "saliency.csv"), saliency)
 
 
 def test_attention_demo_mask_out_of_bounds(tmp_path, capsys):

@@ -90,6 +90,23 @@ class TestTrajectoryIO:
         with pytest.raises(ConfigError, match="no box rows"):
             read_trajectory(path)
 
+    @pytest.mark.parametrize(
+        "frames, bad_line",
+        [((3, 1), 2), ((2, 3), 2), ((1, 3), 3), ((1, 1), 3), ((0, 1), 2), ((1, 2.5), 3)],
+    )
+    def test_center_format_frames_must_be_one_to_n(self, tmp_path, frames, bad_line):
+        path = tmp_path / "pred.csv"
+        path.write_text(
+            "frame,cx,cy,w,h\n" + "".join(f"{f},10,20,4,6\n" for f in frames)
+        )
+        with pytest.raises(ConfigError, match=rf"pred\.csv:{bad_line}: frame"):
+            read_trajectory(path)
+
+    def test_center_format_frame_numbers_skip_comment_lines(self, tmp_path):
+        path = tmp_path / "pred.csv"
+        path.write_text("frame,cx,cy,w,h\n1,10,20,4,6\n# note\n\n2,11,20,4,6\n")
+        assert [b.cx for b in read_trajectory(path)] == [10.0, 11.0]
+
 
 class TestTraceAndGrids:
     def test_trace_format(self, tmp_path):

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sattrack import (
     AspectRatioParams,
@@ -141,6 +143,13 @@ class TestLabelMaps:
         assert maps.positive_count == 0
         assert not maps.centerness.any()
 
+    def test_grid_points_on_the_box_edge_are_negative(self):
+        # grid points sit at 4, 12, 20, ...; this box's edges are x = 4, 20
+        # and y = 12, 36, so only the points strictly between them count
+        maps = build_label_maps(BoundingBox(12.0, 24.0, 16.0, 24.0), params=None)
+        assert np.argwhere(maps.labels).tolist() == [[2, 1], [3, 1]]
+        assert (maps.centerness[maps.labels == 0] == 0).all()
+
     def test_brute_force_oracle(self):
         """Vectorized maps must match a per-point loop over the definition."""
         rng = np.random.default_rng(23)
@@ -171,6 +180,55 @@ class TestLabelMaps:
                         expected = 0.0
                         assert maps.labels[i, j] == 0
                     assert abs(maps.centerness[i, j] - expected) < 1e-12
+
+
+def meshgrid_label_maps(box, grid, params):
+    """Label maps evaluated cell by cell on a full coordinate meshgrid."""
+    x_grid, y_grid = np.meshgrid(grid.point_xs(), grid.point_ys())
+    x0, y0, x1, y1 = box.corners
+    left, right = x_grid - x0, x1 - x_grid
+    top, bottom = y_grid - y0, y1 - y_grid
+    positive = (left > 0) & (right > 0) & (top > 0) & (bottom > 0)
+    centerness = np.zeros((grid.height, grid.width))
+    if positive.any():
+        if params is None:
+            exp_h = exp_v = 1.0
+        else:
+            rho = box.w / box.h
+            exp_h = modulation_factor(1.0 / rho, params.gamma)
+            exp_v = modulation_factor(rho, params.gamma)
+        ratio_h = np.minimum(left, right)[positive] / np.maximum(left, right)[positive]
+        ratio_v = np.minimum(top, bottom)[positive] / np.maximum(top, bottom)[positive]
+        centerness[positive] = np.sqrt(ratio_h**exp_h * ratio_v**exp_v)
+    return centerness, positive.astype(np.uint8)
+
+
+class TestLabelMapProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 16),
+        st.integers(1, 40),
+        st.integers(1, 40),
+        # whole-number centres and even sizes put box edges on grid points
+        st.floats(-50.0, 700.0) | st.integers(-50, 700).map(float),
+        st.floats(-50.0, 700.0) | st.integers(-50, 700).map(float),
+        st.floats(0.01, 800.0) | st.integers(1, 400).map(lambda n: 2.0 * n),
+        st.floats(0.01, 800.0) | st.integers(1, 400).map(lambda n: 2.0 * n),
+        st.none() | st.floats(0.01, 4.0),
+    )
+    def test_equals_meshgrid_oracle(self, stride, height, width, cx, cy, w, h, gamma):
+        grid = GridGeometry(stride=stride, height=height, width=width)
+        box = BoundingBox(cx, cy, w, h)
+        params = None if gamma is None else AspectRatioParams(gamma)
+        expected_centerness, expected_labels = meshgrid_label_maps(box, grid, params)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            maps = build_label_maps(box, grid, params)
+        assert np.array_equal(maps.centerness, expected_centerness)
+        assert np.array_equal(maps.labels, expected_labels)
+        assert maps.labels.dtype == np.uint8
+        assert maps.centerness.shape == (height, width)
+        assert bool(caught) == (not expected_labels.any())
 
 
 class TestSoftClsTarget:
@@ -220,6 +278,24 @@ class TestLosses:
             cls_loss([0.5], [1.5])
         with pytest.raises(ValueError):
             cls_loss([-0.1], [0.5])
+
+    @pytest.mark.parametrize("loss", [cls_loss, centerness_loss])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5, -0.5])
+    @pytest.mark.parametrize("side", ["predictions", "targets"])
+    def test_bce_rejects_out_of_range_and_non_finite(self, loss, bad, side):
+        values = np.full(50, 0.5)
+        values[17] = bad
+        args = (values, np.full(50, 0.5)) if side == "predictions" else (np.full(50, 0.5), values)
+        with pytest.raises(ValueError, match=f"{side} must lie in \\[0, 1\\]"):
+            loss(*args)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_regression_loss_rejects_non_finite(self, bad, which):
+        arrays = [np.array([[10.0, 10.0, 4.0, 6.0]]), np.array([[11.0, 10.0, 4.0, 6.0]]), np.ones(1)]
+        arrays[which].flat[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            regression_loss(*arrays)
 
     def test_centerness_loss_values(self):
         assert centerness_loss([0.5], [0.5]) == pytest.approx(math.log(2))
