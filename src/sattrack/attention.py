@@ -202,8 +202,15 @@ def enhance_features(
     """
     q, k, v = project_qkv(search, template, weights)
     search = np.asarray(search, dtype=float)
-    mixed = (v @ _template_softmax(q, k)).reshape(search.shape)
-    return search + weights.gamma * mixed
+    return _gated_residual(search, weights.gamma, v @ _template_softmax(q, k))
+
+
+def _gated_residual(search: np.ndarray, gamma: float, mixed: np.ndarray) -> np.ndarray:
+    """``search + gamma * mixed`` in the search layout; with gamma == 0 a copy
+    of ``search``, since adding ``0.0 * mixed`` turns every -0.0 into +0.0."""
+    if gamma == 0.0:
+        return search.copy()
+    return search + gamma * mixed.reshape(search.shape)
 
 
 def template_saliency(attn: np.ndarray, search_mask) -> np.ndarray:

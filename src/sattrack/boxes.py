@@ -1,9 +1,17 @@
-"""Axis-aligned bounding boxes in center format (cx, cy, w, h), pixel units."""
+"""Axis-aligned bounding boxes in center format (cx, cy, w, h), pixel units.
+
+:func:`overlap_areas` is the one definition of box overlap, shared by
+evaluation and the regression loss.  Every area comes from corner
+differences, so equal boxes give intersection == union exactly (IoU 1).
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -49,6 +57,20 @@ class BoundingBox:
     def size(self) -> tuple[float, float]:
         return (self.w, self.h)
 
-    @property
-    def area(self) -> float:
-        return self.w * self.h
+
+def box_rows(boxes: Iterable[BoundingBox]) -> np.ndarray:
+    """``(N, 4)`` float array of ``(cx, cy, w, h)`` rows, one per box."""
+    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
+
+
+def overlap_areas(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Intersection and union areas of paired ``(N, 4)`` center-format rows.
+    The union takes the side lengths ``hi - lo`` rather than ``w * h``, so
+    for equal rows the two are the same float and never cross."""
+    a_lo, a_hi = a[:, :2] - a[:, 2:] / 2.0, a[:, :2] + a[:, 2:] / 2.0
+    b_lo, b_hi = b[:, :2] - b[:, 2:] / 2.0, b[:, :2] + b[:, 2:] / 2.0
+    overlap = np.clip(np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo), 0.0, None)
+    intersection = overlap[:, 0] * overlap[:, 1]
+    a_sides, b_sides = a_hi - a_lo, b_hi - b_lo
+    union = a_sides[:, 0] * a_sides[:, 1] + b_sides[:, 0] * b_sides[:, 1] - intersection
+    return intersection, union

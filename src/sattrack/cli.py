@@ -25,6 +25,7 @@ import numpy as np
 
 from . import formats
 from .attention import (
+    _gated_residual,
     aggregate_values,
     attention_weights,
     init_projection_weights,
@@ -54,16 +55,6 @@ def _resolve(flag_value, env_name: str, parse, fallback):
         except ValueError as exc:
             raise ConfigError(f"invalid SATTRACK_{env_name}={raw!r}") from exc
     return fallback
-
-
-def _parse_numbers(text: str, count: int, flag: str, kind=float):
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != count:
-        raise ConfigError(f"{flag} needs {count} comma-separated values, got {text!r}")
-    try:
-        return tuple(kind(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"{flag} has a non-numeric value in {text!r}") from exc
 
 
 def _parse_ommr(text: str) -> bool:
@@ -114,8 +105,8 @@ def _scenario_config(args):
 
 
 def cmd_centerness_map(args):
-    cx, cy, w, h = _parse_numbers(args.box, 4, "--box")
-    grid_h, grid_w, stride = _parse_numbers(args.grid, 3, "--grid", int)
+    cx, cy, w, h = formats._parse_numbers(args.box, (float,) * 4, "--box")
+    grid_h, grid_w, stride = formats._parse_numbers(args.grid, (int,) * 3, "--grid")
     gamma = _resolve(args.gamma, "GAMMA", float, 0.5)
     box = BoundingBox(cx, cy, w, h)
     grid = GridGeometry(stride=stride, height=grid_h, width=grid_w)
@@ -165,7 +156,8 @@ def cmd_track(args):
             f"for refinement to activate; lower --n1 or use --ommr off"
         )
     observations = generate_scenario(config)
-    trajectory, trace = run_tracking(observations, params, refine, return_trace=True)
+    trace = []
+    trajectory = run_tracking(observations, params, refine, trace=trace)
 
     out = _output_dir(args)
     formats.write_trajectory(out / "trajectory.csv", trajectory)
@@ -175,29 +167,29 @@ def cmd_track(args):
     print(f"tracked {len(trajectory)} frames ({mode}, seed {config.seed}) into {out}")
 
 
-def _discover_sequences(pred_dir: Path, gt_dir: Path) -> list[tuple[str, Path, Path]]:
-    sequences = []
-    pred_files = sorted(
-        p for p in pred_dir.iterdir() if p.suffix in (".csv", ".txt")
-    )
-    if not pred_files:
-        raise ConfigError(f"{pred_dir}: no .csv or .txt trajectories found")
+def _sequence_files(directory: Path) -> dict[str, Path]:
+    """The .csv and .txt trajectories of a directory by sequence name (stem);
+    two files of one sequence are an error, naming both."""
     by_stem: dict[str, Path] = {}
-    for pred_file in pred_files:
-        other = by_stem.setdefault(pred_file.stem, pred_file)
-        if other is not pred_file:
+    for path in sorted(p for p in directory.iterdir() if p.suffix in (".csv", ".txt")):
+        other = by_stem.setdefault(path.stem, path)
+        if other is not path:
             raise ConfigError(
-                f"{pred_dir}: {other.name} and {pred_file.name} are both sequence "
-                f"{pred_file.stem!r}; keep one"
+                f"{directory}: {other.name} and {path.name} are both sequence "
+                f"{path.stem!r}; keep one"
             )
-        for suffix in (".csv", ".txt"):
-            candidate = gt_dir / (pred_file.stem + suffix)
-            if candidate.exists():
-                sequences.append((pred_file.stem, pred_file, candidate))
-                break
-        else:
-            raise ConfigError(f"no ground truth for sequence {pred_file.stem!r} in {gt_dir}")
-    return sequences
+    return by_stem
+
+
+def _discover_sequences(pred_dir: Path, gt_dir: Path) -> list[tuple[str, Path, Path]]:
+    preds = _sequence_files(pred_dir)
+    if not preds:
+        raise ConfigError(f"{pred_dir}: no .csv or .txt trajectories found")
+    gts = _sequence_files(gt_dir)
+    missing = [stem for stem in preds if stem not in gts]
+    if missing:
+        raise ConfigError(f"no ground truth for sequence {missing[0]!r} in {gt_dir}")
+    return [(stem, pred_file, gts[stem]) for stem, pred_file in preds.items()]
 
 
 def cmd_evaluate(args):
@@ -253,12 +245,12 @@ def cmd_attention_demo(args):
     if args.search:
         search = formats.read_feature_map(args.search)
     else:
-        c, h, w = _parse_numbers(args.search_size, 3, "--search-size", int)
+        c, h, w = formats._parse_numbers(args.search_size, (int,) * 3, "--search-size")
         search = rng.standard_normal((c, h, w))
     if args.template:
         template = formats.read_feature_map(args.template)
     else:
-        h, w = _parse_numbers(args.template_size, 2, "--template-size", int)
+        h, w = formats._parse_numbers(args.template_size, (int,) * 2, "--template-size")
         template = rng.standard_normal((search.shape[0], h, w))
 
     if args.weights:
@@ -270,10 +262,9 @@ def cmd_attention_demo(args):
 
     q, k, v = project_qkv(search, template, weights)
     attn = attention_weights(q, k)
-    mixed = aggregate_values(v, attn).reshape(search.shape)
-    enhanced = search + weights.gamma * mixed
+    enhanced = _gated_residual(search, weights.gamma, aggregate_values(v, attn))
     if args.mask:
-        top, left, mask_h, mask_w = _parse_numbers(args.mask, 4, "--mask", int)
+        top, left, mask_h, mask_w = formats._parse_numbers(args.mask, (int,) * 4, "--mask")
         if mask_h <= 0 or mask_w <= 0:
             raise ConfigError(
                 f"--mask {args.mask}: height and width must be positive, "

@@ -37,6 +37,7 @@ from .metrics import (
     NORM_PRECISION_THRESHOLDS,
     PRECISION_THRESHOLDS,
     SUCCESS_THRESHOLDS,
+    SUMMARY_NAMES,
     EvalResult,
 )
 from .motion import MotionParams
@@ -254,31 +255,25 @@ def read_kv_file(path) -> list[tuple[int, str, str]]:
     return entries
 
 
-def _parse(path, number, key, value, kind):
+def _parse(text: str, kind, where: str):
+    """One int or finite float; ``where`` opens the error message."""
     try:
-        if kind is int:
-            return int(value)
-        if kind is float:
-            result = float(value)
-            if not math.isfinite(result):
-                raise ValueError
-            return result
-        raise AssertionError(kind)
+        value = kind(text)
+        if kind is float and not math.isfinite(value):
+            raise ValueError
+        return value
     except ValueError as exc:
-        raise ConfigError(
-            f"{path}:{number}: key {key!r} needs a {kind.__name__}, got {value!r}"
-        ) from exc
+        raise ConfigError(f"{where} needs a {kind.__name__}, got {text!r}") from exc
 
 
-def _parse_numbers(path, number, key, value, kinds):
-    parts = value.replace(",", " ").split()
+def _parse_numbers(text: str, kinds: tuple, where: str) -> tuple:
+    """Comma- or space-separated numbers, exactly one of each of ``kinds``.
+    ``where`` opens every error message: a CLI flag such as ``--box``, or
+    ``path:line: key 'name'`` for a config file entry."""
+    parts = text.replace(",", " ").split()
     if len(parts) != len(kinds):
-        raise ConfigError(
-            f"{path}:{number}: key {key!r} needs {len(kinds)} values, got {len(parts)}"
-        )
-    return tuple(
-        _parse(path, number, key, part, kind) for part, kind in zip(parts, kinds)
-    )
+        raise ConfigError(f"{where} needs {len(kinds)} values, got {len(parts)} in {text!r}")
+    return tuple(_parse(part, kind, where) for part, kind in zip(parts, kinds))
 
 
 _SCENARIO_SCALARS = {
@@ -303,19 +298,20 @@ def scenario_from_file(path) -> ScenarioConfig:
     waypoints = []
     occlusions = []
     for number, key, value in read_kv_file(path):
+        where = f"{path}:{number}: key {key!r}"
         if key == "waypoint":
-            waypoints.append(_parse_numbers(path, number, key, value, (int, float, float)))
+            waypoints.append(_parse_numbers(value, (int, float, float), where))
         elif key == "occlusion":
-            occlusions.append(_parse_numbers(path, number, key, value, (int, int)))
+            occlusions.append(_parse_numbers(value, (int, int), where))
         elif key in ("target_size", "map_size"):
             kinds = (float, float) if key == "target_size" else (int, int)
             if key in fields:
                 raise ConfigError(f"{path}:{number}: duplicate key {key!r}")
-            fields[key] = _parse_numbers(path, number, key, value, kinds)
+            fields[key] = _parse_numbers(value, kinds, where)
         elif key in _SCENARIO_SCALARS:
             if key in fields:
                 raise ConfigError(f"{path}:{number}: duplicate key {key!r}")
-            fields[key] = _parse(path, number, key, value, _SCENARIO_SCALARS[key])
+            fields[key] = _parse(value, _SCENARIO_SCALARS[key], where)
         else:
             raise ConfigError(f"{path}:{number}: unknown scenario key {key!r}")
     for required in ("frame_count", "target_size"):
@@ -343,7 +339,7 @@ def motion_params_from_file(path) -> MotionParams:
             raise ConfigError(f"{path}:{number}: unknown motion key {key!r}")
         if key in fields:
             raise ConfigError(f"{path}:{number}: duplicate key {key!r}")
-        fields[key] = _parse(path, number, key, value, _MOTION_KEYS[key])
+        fields[key] = _parse(value, _MOTION_KEYS[key], f"{path}:{number}: key {key!r}")
     try:
         return MotionParams(**fields)
     except ValueError as exc:
@@ -402,10 +398,5 @@ def write_curves_csv(path, result: EvalResult):
 
 
 def result_summary(result: EvalResult) -> dict:
-    return {
-        "p5": result.p5,
-        "p20": result.p20,
-        "np05": result.np05,
-        "success_auc": result.success_auc,
-        "frame_count": result.frame_count,
-    }
+    scalars = {name: getattr(result, name) for name in SUMMARY_NAMES}
+    return {**scalars, "frame_count": result.frame_count}

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import BoundingBox
+from .boxes import BoundingBox, overlap_areas
 
 # Predictions are clamped to [LOG_EPS, 1 - LOG_EPS] before any logarithm.
 LOG_EPS = 1e-7
@@ -297,25 +297,8 @@ def regression_loss(pred_boxes, gt_boxes, centerness_weights) -> float:
     if total_weight <= 0:
         raise ValueError("centerness weights must not all be zero")
 
-    def corners(boxes):
-        half = boxes[:, 2:] / 2.0
-        return boxes[:, :2] - half, boxes[:, :2] + half
-
-    pred_lo, pred_hi = corners(pred)
-    gt_lo, gt_hi = corners(gt)
-    overlap = np.clip(
-        np.minimum(pred_hi, gt_hi) - np.maximum(pred_lo, gt_lo), 0.0, None
-    )
-    intersection = overlap[:, 0] * overlap[:, 1]
-    # areas from the same corner differences as the intersection, so an
-    # exact prediction gives intersection == union and a loss of exactly 0
-    pred_sides = pred_hi - pred_lo
-    gt_sides = gt_hi - gt_lo
-    union = (
-        pred_sides[:, 0] * pred_sides[:, 1]
-        + gt_sides[:, 0] * gt_sides[:, 1]
-        - intersection
-    )
+    # an exact prediction gives intersection == union and a loss of exactly 0
+    intersection, union = overlap_areas(pred, gt)
     per_sample = -np.log((intersection + 1.0) / (union + 1.0))
     return float((weights * per_sample).sum() / total_weight)
 

@@ -6,22 +6,31 @@ ground-truth box size, and intersection over union.  Sweeping thresholds
 turns these into the standard precision, normalized precision and success
 curves; the headline scalars are precision at 20 px (plus 5 px for the
 small-object regime), normalized precision at 0.5 and the success AUC.
+
+Each error has one kernel over ``(N, 4)`` center-format rows, which the
+per-pair :func:`cle`, :func:`normalized_cle` and :func:`iou` wrap.  IoU
+areas come from corner differences (:func:`~sattrack.boxes.overlap_areas`),
+so equal boxes score exactly 1, never above: a perfect trajectory has a
+success AUC of 20/21, as IoU > 1 never holds.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .boxes import BoundingBox
+from .boxes import BoundingBox, box_rows, overlap_areas
 
 # Threshold grids for the three curves.
 PRECISION_THRESHOLDS = np.arange(51, dtype=float)  # px, 0..50 step 1
 NORM_PRECISION_THRESHOLDS = np.arange(51, dtype=float) / 100.0  # 0..0.5 step 0.01
 SUCCESS_THRESHOLDS = np.arange(21, dtype=float) / 20.0  # IoU 0..1 step 0.05
+
+# EvalResult's curves and summary scalars, by field name.
+CURVE_NAMES = ("precision", "norm_precision", "success")
+SUMMARY_NAMES = ("p5", "p20", "np05", "success_auc")
 
 
 @dataclass(frozen=True)
@@ -38,38 +47,54 @@ class EvalResult:
     frame_count: int
 
 
-def cle(pred: BoundingBox, gt: BoundingBox) -> float:
-    """Center location error: Euclidean distance between box centers, px."""
-    return math.hypot(pred.cx - gt.cx, pred.cy - gt.cy)
-
-
-def normalized_cle(pred: BoundingBox, gt: BoundingBox) -> float:
-    """Center error with each axis divided by the ground-truth box size,
-    making the score resolution independent."""
-    return math.hypot((pred.cx - gt.cx) / gt.w, (pred.cy - gt.cy) / gt.h)
-
-
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes."""
-    ax0, ay0, ax1, ay1 = a.corners
-    bx0, by0, bx1, by1 = b.corners
-    iw = min(ax1, bx1) - max(ax0, bx0)
-    ih = min(ay1, by1) - max(ay0, by0)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    intersection = iw * ih
-    return intersection / (a.area + b.area - intersection)
-
-
-def evaluate(pred: Sequence[BoundingBox], gt: Sequence[BoundingBox]) -> EvalResult:
-    """Score one predicted trajectory against ground truth of equal length."""
+def paired_rows(pred: Sequence[BoundingBox], gt: Sequence[BoundingBox]):
+    """Two trajectories of the same nonzero length as ``(N, 4)`` rows."""
     if len(pred) != len(gt) or len(pred) == 0:
         raise ValueError(
             f"trajectories must have equal nonzero length, got {len(pred)} and {len(gt)}"
         )
-    cles = np.array([cle(p, g) for p, g in zip(pred, gt)])
-    norm_cles = np.array([normalized_cle(p, g) for p, g in zip(pred, gt)])
-    ious = np.array([iou(p, g) for p, g in zip(pred, gt)])
+    return box_rows(pred), box_rows(gt)
+
+
+def center_errors(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """Per-row center location error: Euclidean distance between centers, px."""
+    return np.hypot(pred[:, 0] - gt[:, 0], pred[:, 1] - gt[:, 1])
+
+
+def normalized_center_errors(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """Per-row center error with each axis divided by the ground-truth box
+    size, making the score resolution independent."""
+    return np.hypot((pred[:, 0] - gt[:, 0]) / gt[:, 2], (pred[:, 1] - gt[:, 1]) / gt[:, 3])
+
+
+def overlap_ratios(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """Per-row intersection over union in [0, 1]; 0 where the union rounds
+    to zero (boxes narrower than the float spacing at their coordinates)."""
+    intersection, union = overlap_areas(pred, gt)
+    return np.divide(intersection, union, out=np.zeros_like(union), where=union > 0)
+
+
+def cle(pred: BoundingBox, gt: BoundingBox) -> float:
+    """Center location error of one box pair, px."""
+    return float(center_errors(box_rows([pred]), box_rows([gt]))[0])
+
+
+def normalized_cle(pred: BoundingBox, gt: BoundingBox) -> float:
+    """Size-normalized center error of one box pair."""
+    return float(normalized_center_errors(box_rows([pred]), box_rows([gt]))[0])
+
+
+def iou(a: BoundingBox, b: BoundingBox) -> float:
+    """Intersection over union of two boxes."""
+    return float(overlap_ratios(box_rows([a]), box_rows([b]))[0])
+
+
+def evaluate(pred: Sequence[BoundingBox], gt: Sequence[BoundingBox]) -> EvalResult:
+    """Score one predicted trajectory against ground truth of equal length."""
+    pred_rows, gt_rows = paired_rows(pred, gt)
+    cles = center_errors(pred_rows, gt_rows)
+    norm_cles = normalized_center_errors(pred_rows, gt_rows)
+    ious = overlap_ratios(pred_rows, gt_rows)
 
     precision = (cles[None, :] <= PRECISION_THRESHOLDS[:, None]).mean(axis=1)
     norm_precision = (norm_cles[None, :] <= NORM_PRECISION_THRESHOLDS[:, None]).mean(axis=1)
@@ -99,15 +124,8 @@ def aggregate_results(
         missing = [i for i in ids if i not in results]
         if missing:
             raise ValueError(f"group {group!r} names unknown sequences: {missing}")
-        member_results = [results[i] for i in ids]
-        aggregated[group] = EvalResult(
-            precision=np.mean([r.precision for r in member_results], axis=0),
-            norm_precision=np.mean([r.norm_precision for r in member_results], axis=0),
-            success=np.mean([r.success for r in member_results], axis=0),
-            p5=float(np.mean([r.p5 for r in member_results])),
-            p20=float(np.mean([r.p20 for r in member_results])),
-            np05=float(np.mean([r.np05 for r in member_results])),
-            success_auc=float(np.mean([r.success_auc for r in member_results])),
-            frame_count=sum(r.frame_count for r in member_results),
-        )
+        members = [results[i] for i in ids]
+        means = {n: np.mean([getattr(r, n) for r in members], axis=0) for n in CURVE_NAMES}
+        means.update({n: float(np.mean([getattr(r, n) for r in members])) for n in SUMMARY_NAMES})
+        aggregated[group] = EvalResult(**means, frame_count=sum(r.frame_count for r in members))
     return aggregated

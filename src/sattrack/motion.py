@@ -24,6 +24,7 @@ from those rows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -171,21 +172,14 @@ def normalized_psr(response, state: TrackerState) -> float:
     return _score(response, state)[1]
 
 
-# Centered index vectors keyed by series length; the refinement hits the
-# same length every frame, so building them once matters on the hot path.
-_FIT_INDEX_CACHE: dict[int, tuple[np.ndarray, float, float]] = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _fit_indices(count: int) -> tuple[np.ndarray, float, float]:
-    cached = _FIT_INDEX_CACHE.get(count)
-    if cached is None:
-        mid = 0.5 * (count - 1)
-        centered = np.arange(count, dtype=float) - mid
-        cached = (centered, float(centered @ centered), mid)
-        if len(_FIT_INDEX_CACHE) > 16:
-            _FIT_INDEX_CACHE.clear()
-        _FIT_INDEX_CACHE[count] = cached
-    return cached
+    """Indices 0..count-1 minus their mean, their squared norm and the mean,
+    built once per length; the vector is read-only as every call shares it."""
+    mid = 0.5 * (count - 1)
+    centered = np.arange(count, dtype=float) - mid
+    centered.flags.writeable = False
+    return centered, float(centered @ centered), mid
 
 
 def linear_fit(series) -> tuple[np.ndarray, np.ndarray]:

@@ -34,6 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .boxes import BoundingBox
+from .metrics import center_errors, paired_rows
 from .motion import MotionParams, TrackerState, _score, refine_step
 
 # Jitter of the raw box around the truth while the target is in view (px).
@@ -282,44 +283,32 @@ def run_tracking(
     params: MotionParams,
     ommr_enabled: bool,
     *,
-    return_trace: bool = False,
-) -> list[BoundingBox] | tuple[list[BoundingBox], list[TraceRow]]:
+    trace: list[TraceRow] | None = None,
+) -> list[BoundingBox]:
     """Run the online refinement (or the raw model verbatim) over a scenario.
 
     With refinement on, each frame goes through :func:`~sattrack.motion.refine_step`;
-    off, the trajectory is the raw model boxes and the trace still records
-    response quality with branch label "raw".
+    off, the trajectory is the raw model boxes and the response maps are
+    still scored, under branch label "raw".  One :class:`TraceRow` per frame
+    is appended to ``trace`` when it is a list.
     """
     if len(scenario) < 2:
         raise ValueError(f"scenario must have at least 2 frames, got {len(scenario)}")
     trajectory: list[BoundingBox] = []
-    trace: list[TraceRow] = []
     state = TrackerState(capacity=params.n1)
-    if ommr_enabled:
-        for obs in scenario:
-            box = refine_step(state, obs.raw_model_box, obs.response, params)
-            trajectory.append(box)
-            trace.append(TraceRow(obs.frame, state.last_psr, state.last_npsr, state.last_branch))
-    else:
-        for obs in scenario:
-            value, npsr = _score(obs.response, state)
+    for obs in scenario:
+        if ommr_enabled:
+            trajectory.append(refine_step(state, obs.raw_model_box, obs.response, params))
+            value, npsr, branch = state.last_psr, state.last_npsr, state.last_branch
+        else:
             trajectory.append(obs.raw_model_box)
-            trace.append(TraceRow(obs.frame, value, npsr, "raw"))
-    if return_trace:
-        return trajectory, trace
+            value, npsr = _score(obs.response, state)
+            branch = "raw"
+        if trace is not None:
+            trace.append(TraceRow(obs.frame, value, npsr, branch))
     return trajectory
 
 
 def drift_series(trajectory, ground_truth) -> np.ndarray:
     """Per-frame center distance between a trajectory and the ground truth."""
-    if len(trajectory) != len(ground_truth) or len(trajectory) == 0:
-        raise ValueError(
-            f"trajectories must have equal nonzero length, "
-            f"got {len(trajectory)} and {len(ground_truth)}"
-        )
-    return np.array(
-        [
-            math.hypot(p.cx - g.cx, p.cy - g.cy)
-            for p, g in zip(trajectory, ground_truth)
-        ]
-    )
+    return center_errors(*paired_rows(trajectory, ground_truth))

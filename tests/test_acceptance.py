@@ -297,7 +297,8 @@ def test_criterion_5_confidence_contract():
             seed=seed,
         )
         observations = generate_scenario(config)
-        _, trace = run_tracking(observations, MotionParams(), False, return_trace=True)
+        trace = []
+        run_tracking(observations, MotionParams(), False, trace=trace)
         occluded = [row.npsr for row, obs in zip(trace, observations) if obs.occluded]
         clean = [row.npsr for row, obs in zip(trace, observations) if not obs.occluded]
         wins += np.mean(occluded) < np.mean(clean)

@@ -212,6 +212,17 @@ class TestEnhancement:
         out = enhance_features(search, template, weights)
         assert np.array_equal(out, search)
 
+    def test_gamma_zero_keeps_negative_zeros(self):
+        search = np.full((4, 3, 3), -0.0)
+        template = np.random.default_rng(11).normal(size=(4, 2, 2))
+        weights = init_projection_weights(4, seed=9)
+        # flipping the template flips the sign of the attended values, so
+        # one of the two runs adds +0.0 to every channel with a -0.0
+        for sign in (1.0, -1.0):
+            out = enhance_features(search, sign * template, weights)
+            assert out is not search
+            assert out.tobytes() == search.tobytes()
+
     def test_single_template_point_broadcast(self):
         rng = np.random.default_rng(10)
         search = rng.normal(size=(3, 4, 4))

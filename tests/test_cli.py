@@ -118,6 +118,22 @@ def test_centerness_bad_box_is_config_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["centerness-map", "--box", "1,2,nan,4"], "--box needs a float, got 'nan'"),
+        (["centerness-map", "--box", "1,2,3,inf"], "--box needs a float, got 'inf'"),
+        (["centerness-map", "--box", "1,2,3,4", "--grid", "25,25"], "--grid needs 3 values"),
+        (["attention-demo", "--search-size", "4,5,5.5"], "--search-size needs a int"),
+        (["attention-demo", "--template-size", "3"], "--template-size needs 2 values"),
+        (["attention-demo", "--mask", "1,2,x,3"], "--mask needs a int, got 'x'"),
+    ],
+)
+def test_number_flag_errors_name_the_flag(tmp_path, capsys, argv, message):
+    assert main(argv + ["--output", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_output_flag_required_without_env(scenario_file, capsys):
     code = main(["simulate", "--scenario", scenario_file(CLEAN_SCENARIO)])
     assert code == 1
@@ -441,6 +457,22 @@ def test_evaluate_rejects_pred_files_sharing_a_stem(tmp_path, capsys, suffixes):
     assert code == 1
     err = capsys.readouterr().err
     assert "a.csv" in err and "a.txt" in err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("suffixes", [(".csv", ".txt"), (".txt", ".csv")])
+def test_evaluate_rejects_gt_files_sharing_a_stem(tmp_path, capsys, suffixes):
+    pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+    pred_dir.mkdir(), gt_dir.mkdir()
+    write_corner_file(pred_dir / "a.txt", [(10, 10, 10, 10)] * 5)
+    # a perfect gt file and a hopeless one for the same sequence
+    write_corner_file(gt_dir / f"a{suffixes[0]}", [(10, 10, 10, 10)] * 5)
+    write_corner_file(gt_dir / f"a{suffixes[1]}", [(90, 90, 10, 10)] * 5)
+    out = tmp_path / "out"
+    code = main(["evaluate", "--pred", str(pred_dir), "--gt", str(gt_dir), "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(gt_dir) in err and "a.csv" in err and "a.txt" in err
     assert not (out / "summary.json").exists()
 
 

@@ -2,12 +2,17 @@
 
 import json
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sattrack import BoundingBox, evaluate, init_projection_weights
 from sattrack.formats import (
     ConfigError,
+    _parse_numbers,
     atomic_write_text,
     motion_params_from_file,
     read_attribute_groups,
@@ -269,6 +274,45 @@ class TestScenarioConfigFile:
         path = self.write(tmp_path, "frame_count 10\n")
         with pytest.raises(ConfigError, match="key = value"):
             scenario_from_file(path)
+
+
+class TestNumberLists:
+    # number-like fragments, so the parser's success path is reached too
+    fragments = st.one_of(
+        st.integers(-10**6, 10**6).map(str),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.sampled_from(["nan", "inf", "-inf", "1_000", "1e400", "9" * 5000, "0x10", ""]),
+        st.text(max_size=8),
+    )
+    texts = st.one_of(
+        st.text(), st.lists(fragments, max_size=6).map(lambda parts: ", ".join(parts))
+    )
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=texts, kinds=st.lists(st.sampled_from([int, float]), max_size=5).map(tuple))
+    def test_returns_the_kinds_or_raises_config_error(self, text, kinds):
+        try:
+            values = _parse_numbers(text, kinds, "--flag")
+        except ConfigError as exc:
+            assert str(exc).startswith("--flag ")
+            return
+        assert len(values) == len(kinds)
+        for value, kind in zip(values, kinds):
+            assert type(value) is kind
+            assert math.isfinite(value)
+
+    def test_mixed_kinds_and_separators(self):
+        assert _parse_numbers(" 3, 4.5 6", (int, float, float), "w") == (3, 4.5, 6.0)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1 2", "--x needs 3 values, got 2"), ("1 x 3", "--x needs a int, got 'x'"),
+         ("1 2 nan", "--x needs a int, got 'nan'")],
+    )
+    def test_errors_start_with_the_source(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            _parse_numbers(text, (int,) * 3, "--x")
+        assert str(info.value).startswith(message)
 
 
 class TestMotionParamsFile:

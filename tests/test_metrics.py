@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sattrack import (
     BoundingBox,
@@ -14,15 +16,22 @@ from sattrack import (
     iou,
     normalized_cle,
 )
+from sattrack.boxes import box_rows
+from sattrack.metrics import center_errors, normalized_center_errors, overlap_ratios
+
+# Boxes whose sides stay far above the float spacing at their coordinates.
+boxes = st.builds(
+    BoundingBox,
+    st.floats(-1e4, 1e4),
+    st.floats(-1e4, 1e4),
+    st.floats(1e-2, 1e3),
+    st.floats(1e-2, 1e3),
+)
 
 
-def brute_force_evaluate(pred, gt):
-    """Frame-by-frame OPE scorer written with plain loops.
-
-    Independent of the library path: computes distances and overlaps per
-    frame with scalar arithmetic, then counts frames per threshold.
-    """
-    n = len(pred)
+def brute_force_errors(pred, gt):
+    """Per-frame center errors, normalized center errors and IoUs, computed
+    with scalar arithmetic (areas as w * h)."""
     distances, normalized, overlaps = [], [], []
     for p, g in zip(pred, gt):
         dx, dy = p.cx - g.cx, p.cy - g.cy
@@ -35,6 +44,17 @@ def brute_force_evaluate(pred, gt):
         inter = overlap_w * overlap_h
         union = p.w * p.h + g.w * g.h - inter
         overlaps.append(inter / union)
+    return distances, normalized, overlaps
+
+
+def brute_force_evaluate(pred, gt):
+    """Frame-by-frame OPE scorer written with plain loops.
+
+    Independent of the library path: computes distances and overlaps per
+    frame with scalar arithmetic, then counts frames per threshold.
+    """
+    n = len(pred)
+    distances, normalized, overlaps = brute_force_errors(pred, gt)
     precision = [sum(d <= tau for d in distances) / n for tau in range(51)]
     norm_precision = [
         sum(d <= tau / 100 for d in normalized) / n for tau in range(51)
@@ -94,6 +114,49 @@ class TestPointMetrics:
             b = BoundingBox(*rng.uniform(10, 50, 2), *rng.uniform(2, 30, 2))
             assert iou(a, b) == pytest.approx(iou(b, a), abs=1e-15)
             assert 0.0 <= iou(a, b) <= 1.0
+
+
+class TestKernelProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(box=boxes)
+    def test_self_iou_is_exactly_one(self, box):
+        assert iou(box, box) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=boxes, b=boxes)
+    def test_iou_bounded_and_symmetric(self, a, b):
+        assert 0.0 <= iou(a, b) <= 1.0
+        assert iou(a, b) == iou(b, a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(gt=st.lists(boxes, min_size=1, max_size=20))
+    def test_perfect_trajectory_scores_twenty_of_twenty_one(self, gt):
+        result = evaluate(gt, gt)
+        assert result.success[20] == 0.0
+        assert np.array_equal(result.success[:20], np.ones(20))
+        assert result.success_auc == 20 / 21
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=st.lists(st.tuples(boxes, boxes), min_size=1, max_size=20))
+    def test_array_kernels_match_brute_force(self, pairs):
+        pred, gt = [p for p, _ in pairs], [g for _, g in pairs]
+        pred_rows, gt_rows = box_rows(pred), box_rows(gt)
+        distances, normalized, overlaps = brute_force_errors(pred, gt)
+        np.testing.assert_allclose(center_errors(pred_rows, gt_rows), distances, rtol=1e-12)
+        np.testing.assert_allclose(
+            normalized_center_errors(pred_rows, gt_rows), normalized, rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            overlap_ratios(pred_rows, gt_rows), overlaps, rtol=1e-9, atol=1e-12
+        )
+        for k, (p, g) in enumerate(pairs):
+            assert cle(p, g) == center_errors(pred_rows, gt_rows)[k]
+            assert iou(p, g) == overlap_ratios(pred_rows, gt_rows)[k]
+
+    def test_unrepresentable_width_scores_zero(self):
+        # at 1e17 the float spacing is 16, so both corners round to the center
+        box = BoundingBox(1e17, 0.0, 1.0, 1.0)
+        assert iou(box, box) == 0.0
 
 
 class TestEvaluate:

@@ -20,7 +20,7 @@ from sattrack import (
     psr,
     refine_step,
 )
-from sattrack.motion import HIGH_CONFIDENCE, LOW_CONFIDENCE, WARMUP
+from sattrack.motion import HIGH_CONFIDENCE, LOW_CONFIDENCE, WARMUP, _fit_indices
 
 
 def brute_psr(grid):
@@ -295,6 +295,13 @@ class TestLinearFit:
     def test_too_short_series_rejected(self):
         with pytest.raises(ValueError, match="2"):
             linear_fit(np.zeros((1, 2)))
+
+    def test_shared_index_vector_is_read_only(self):
+        centered, norm, mid = _fit_indices(7)
+        assert _fit_indices(7)[0] is centered
+        with pytest.raises(ValueError, match="read-only"):
+            centered[0] = 1.0
+        assert (norm, mid) == (28.0, 3.0)
 
 
 class TestInstantaneousVelocity:

@@ -12,9 +12,13 @@ from sattrack import (
     BoundingBox,
     MotionParams,
     ScenarioConfig,
+    TraceRow,
+    TrackerState,
     drift_series,
     generate_scenario,
+    normalized_psr,
     psr,
+    refine_step,
     run_tracking,
     synthesize_response_map,
 )
@@ -284,10 +288,31 @@ class TestRunTracking:
 
     def test_trace_rows_cover_every_frame(self):
         scenario = generate_scenario(clean_config(frames=60))
-        _, trace = run_tracking(scenario, MotionParams(n1=20, n2=8), True, return_trace=True)
+        trace = []
+        run_tracking(scenario, MotionParams(n1=20, n2=8), True, trace=trace)
         assert [row.frame for row in trace] == list(range(1, 61))
         assert all(row.branch in ("warmup", "low", "high") for row in trace)
         assert all(0.0 <= row.npsr <= 1.0 for row in trace)
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**16), refine=st.booleans())
+    def test_trace_rows_match_tracker_state(self, seed, refine):
+        scenario = generate_scenario(
+            clean_config(frames=40, seed=seed, occlusions=((15, 24),), distractor_count=2)
+        )
+        params = MotionParams(n1=12, n2=4)
+        trace = []
+        trajectory = run_tracking(scenario, params, refine, trace=trace)
+        assert len(trace) == len(trajectory) == len(scenario)
+        state = TrackerState(capacity=params.n1)
+        for obs, row, box in zip(scenario, trace, trajectory):
+            if refine:
+                assert refine_step(state, obs.raw_model_box, obs.response, params) == box
+                expected = (state.last_psr, state.last_npsr, state.last_branch)
+            else:
+                assert box == obs.raw_model_box
+                expected = (psr(obs.response), normalized_psr(obs.response, state), "raw")
+            assert row == TraceRow(obs.frame, *expected)
 
     def test_too_short_scenario_rejected(self):
         scenario = generate_scenario(
