@@ -40,6 +40,10 @@ from .motion import MotionParams, psr
 from .scenario import generate_scenario, run_tracking
 
 
+class UsageError(ConfigError):
+    """A flag the other arguments rule out; exits 2, like argparse's errors."""
+
+
 def _env(name: str) -> str | None:
     return os.environ.get("SATTRACK_" + name)
 
@@ -195,9 +199,14 @@ def _discover_sequences(pred_dir: Path, gt_dir: Path) -> list[tuple[str, Path, P
 def cmd_evaluate(args):
     pred_path = Path(args.pred)
     gt_path = Path(args.gt)
-    out = _output_dir(args)
     if pred_path.is_dir() != gt_path.is_dir():
         raise ConfigError("--pred and --gt must both be files or both be directories")
+    if args.attributes and not pred_path.is_dir():
+        raise UsageError(
+            "--attributes needs directory mode (--pred and --gt directories); "
+            "a single sequence has no attribute groups"
+        )
+    out = _output_dir(args)
 
     if not pred_path.is_dir():
         result = evaluate(formats.read_trajectory(pred_path), formats.read_trajectory(gt_path))
@@ -361,6 +370,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.handler(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -26,6 +26,9 @@ import math
 import os
 import re
 import struct
+import tokenize
+import zipfile
+import zlib
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -128,13 +131,16 @@ def read_trajectory(path) -> list[BoundingBox]:
                     f"{path}:{number}: frame {parts[0]} out of sequence, "
                     f"expected {len(boxes) + 1} (frames must be 1..N in order)"
                 )
-            boxes.append(BoundingBox(*values[1:]))
-        else:
-            if len(values) != 4:
-                raise ConfigError(
-                    f"{path}:{number}: expected x,y,w,h, got {len(values)} fields"
-                )
-            boxes.append(BoundingBox.from_corner(*values))
+        elif len(values) != 4:
+            raise ConfigError(
+                f"{path}:{number}: expected x,y,w,h, got {len(values)} fields"
+            )
+        try:
+            boxes.append(
+                BoundingBox(*values[1:]) if center_format else BoundingBox.from_corner(*values)
+            )
+        except ValueError as exc:  # a non-finite field or a size <= 0
+            raise ConfigError(f"{path}:{number}: {exc}") from None
     return boxes
 
 
@@ -158,11 +164,17 @@ def write_grid_csv(path, grid: np.ndarray):
 
 
 def read_grid_csv(path) -> np.ndarray:
-    rows = [
-        [float(part) for part in _split_row(line)]
-        for line in Path(path).read_text().splitlines()
-        if line.strip()
-    ]
+    rows = []
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        row = []
+        for part in _split_row(line):
+            try:
+                row.append(float(part))
+            except ValueError:
+                raise ConfigError(f"{path}:{number}: non-numeric grid cell {part!r}") from None
+        rows.append(row)
     if not rows or any(len(row) != len(rows[0]) for row in rows):
         raise ConfigError(f"{path}: ragged or empty grid")
     return np.array(rows)
@@ -221,17 +233,50 @@ def write_projection_weights(path, weights: ProjectionWeights):
     _atomic_write(path, save)
 
 
+_REQUIRED_WEIGHTS = ("w_q", "w_k", "w_v", "gamma")
+_WEIGHT_ARRAYS = (*_REQUIRED_WEIGHTS, "b_q", "b_k", "b_v")
+# What numpy and zipfile raise on an open file that is not an intact .npz
+# archive (OSError: a corrupt offset can make zipfile seek before the start).
+_ARCHIVE_ERRORS = (
+    ValueError, EOFError, OSError, NotImplementedError,
+    zipfile.BadZipFile, zlib.error, tokenize.TokenError,
+)
+
+
 def read_projection_weights(path) -> ProjectionWeights:
-    with np.load(path, allow_pickle=False) as bundle:
+    """Load the ``.npz`` bundle :func:`write_projection_weights` writes.
+
+    A file that is not such a bundle -- not an intact ``.npz`` archive, a
+    missing or unknown array, a non-numeric or non-finite array, a
+    ``gamma`` that is not one number, shapes that do not fit one attention
+    block -- is a :class:`ConfigError` naming the file.
+    """
+    with open(path, "rb") as fh:
+        try:
+            bundle = np.load(fh, allow_pickle=False)
+            if not isinstance(bundle, np.lib.npyio.NpzFile):
+                raise ValueError("a single array")
+            with bundle:
+                arrays = {name: np.asarray(bundle[name]) for name in bundle.files}
+        except _ARCHIVE_ERRORS as exc:
+            raise ConfigError(f"{path}: not a weights .npz archive ({exc})") from None
+    for name in _REQUIRED_WEIGHTS:
+        if name not in arrays:
+            raise ConfigError(f"{path}: missing array {name!r}")
+    for name, value in arrays.items():
+        if name not in _WEIGHT_ARRAYS:
+            raise ConfigError(f"{path}: unknown array {name!r}")
+        if value.dtype.kind not in "iuf" or not np.isfinite(value).all():
+            raise ConfigError(f"{path}: array {name!r} must hold finite real numbers")
+    gamma = arrays.pop("gamma")
+    if gamma.shape != ():
+        raise ConfigError(f"{path}: gamma must be a single number, got shape {gamma.shape}")
+    try:
         return ProjectionWeights(
-            w_q=bundle["w_q"],
-            w_k=bundle["w_k"],
-            w_v=bundle["w_v"],
-            gamma=float(bundle["gamma"]),
-            b_q=bundle["b_q"] if "b_q" in bundle else None,
-            b_k=bundle["b_k"] if "b_k" in bundle else None,
-            b_v=bundle["b_v"] if "b_v" in bundle else None,
+            gamma=float(gamma), **{name: value.astype(float) for name, value in arrays.items()}
         )
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,42 @@ onto it (small Gaussian jitter); once the target leaves the window, for
 example after drifting away during an occlusion, the map holds nothing but
 distractor peaks and the raw box never recovers on its own.
 
-Response maps are synthesized separably.  Every peak centre is an integer
-cell, so a peak's 2-D Gaussian is the outer product of a row profile and a
-column profile.  One 1-D kernel per axis is computed once per scenario (or
-per standalone map); the profiles of all cells are read-only windows onto
-it, so the tables cost O(H + W) memory and even a 3 x 20000 map stays
-cheap.  A frame's P peaks are then one ``(H, P) @ (P, W)`` product: no
-per-frame ``exp``.  Noise is added and the map clipped at zero in place.
+Randomness comes from four independent PCG64 streams, spawned once from
+``np.random.SeedSequence(seed).spawn(4)`` in this fixed order (NEP 19):
 
-All randomness flows through one seeded PCG64 generator, so a configuration
-reproduces its scenario exactly.
+0. walk and jitter steps of the raw box;
+1. distractor cells;
+2. peak amplitudes;
+3. pixel noise.
+
+Each purpose draws whole arrays from its own stream, so all frames are
+synthesized in one batch.  Only the raw-box walk is a Python loop over
+pre-drawn ``(T, 2)`` steps, because each position depends on the one
+before; it yields each frame's target cell and whether the cell lies in
+the window.  Then, over all frames at once:
+
+* distractor cells: one vectorised rejection pass per distractor slot,
+  redrawing only the frames whose candidate sits within
+  :data:`CLUTTER_CLEARANCE` (Chebyshev) of an earlier peak, for at most
+  :data:`PLACEMENT_TRIES` draws;
+* amplitudes: one ``(T, 1 + D)`` uniform draw;
+* noise: drawn in place into the ``(T, H, W)`` result and scaled by each
+  frame's sigma;
+* peaks: every peak centre is an integer cell, so a peak's 2-D Gaussian is
+  the outer product of a row profile and a column profile.  The profile
+  tables are read-only windows onto one 1-D kernel per axis (O(H + W)
+  memory, so even a 3 x 20000 map stays cheap), and the peaks of
+  :data:`BLOCK_FRAMES` frames are one batched ``(t, H, P) @ (t, P, W)``
+  product added to the result; no per-frame ``exp``.
+
+The result is clipped at zero in place and made read-only; each
+:class:`FrameObservation` holds a view of its frame.  It takes ``T*H*W*8``
+bytes, as the per-frame maps did; every temporary is O(T * D) or
+O(BLOCK_FRAMES * H * W).
+
+Equal seeds give byte-identical scenarios.  Splitting the one interleaved
+stream the simulator used before changed, once, which scenario each seed
+yields.
 """
 
 from __future__ import annotations
@@ -43,11 +69,16 @@ TRACK_JITTER_SIGMA = 0.5
 WALK_SIGMA = 3.0
 # Amplitude range shared by distractor peaks and the dimmed occluded target.
 CLUTTER_AMP = (0.25, 0.4)
-# Minimum Chebyshev cell distance between a distractor and the target peak.
+# Minimum Chebyshev cell distance between a distractor and the peaks placed
+# before it in its frame (the target only when it is in the window).
 CLUTTER_CLEARANCE = 3
 # Noise floor of a window that holds no real target: occluder or background
 # texture correlates weakly everywhere, flattening the map.
 CLUTTER_NOISE_SIGMA = 0.06
+# Draws per distractor slot before a clashing frame keeps its last candidate.
+PLACEMENT_TRIES = 100
+# Frames per batched peak product; bounds the synthesis temporaries.
+BLOCK_FRAMES = 64
 
 
 @dataclass(frozen=True)
@@ -146,32 +177,86 @@ def _profiles(shape, sharpness: float) -> tuple[np.ndarray, np.ndarray]:
     return tuple(tables)
 
 
-def _place_distractor(rng, shape, taken):
-    """Uniform random cell, rejection-sampled clear of already placed peaks."""
-    di = dj = 0
-    for _ in range(100):
-        di = int(rng.integers(0, shape[0]))
-        dj = int(rng.integers(0, shape[1]))
-        if all(
-            max(abs(di - ti), abs(dj - tj)) >= CLUTTER_CLEARANCE for ti, tj in taken
-        ):
-            return di, dj
-    return di, dj
+def _streams(seed: int) -> list[np.random.Generator]:
+    """The four independent PCG64 streams of a seed, spawned from
+    ``SeedSequence(seed)`` in a fixed order: walk and jitter steps,
+    distractor cells, amplitudes, pixel noise."""
+    return [
+        np.random.Generator(np.random.PCG64(child))
+        for child in np.random.SeedSequence(seed).spawn(4)
+    ]
 
 
-def _compose(rng, profiles, cells, amps, noise_sigma) -> np.ndarray:
-    """Sum of Gaussian peaks at integer ``cells`` with heights ``amps``, plus
-    optional noise, clipped at zero.
+def _place_distractors(rng, shape, cells, placed):
+    """Fill slots ``1:`` of the ``(T, P, 2)`` cell array with uniform random
+    cells, each at Chebyshev distance >= :data:`CLUTTER_CLEARANCE` from the
+    earlier slots of its frame that ``placed`` (``(T, P)``) marks.
+
+    A slot draws one cell for every frame, then redraws only the frames
+    whose candidate clashes, for at most :data:`PLACEMENT_TRIES` draws in
+    all; a frame that still clashes keeps its last candidate.
+    """
+    for slot in range(1, cells.shape[1]):
+        frames = np.arange(len(cells))
+        for _ in range(PLACEMENT_TRIES):
+            candidates = rng.integers(0, shape, size=(len(frames), 2))
+            cells[frames, slot] = candidates
+            gaps = np.abs(cells[frames, :slot] - candidates[:, None]).max(axis=2)
+            clash = ((gaps < CLUTTER_CLEARANCE) & placed[frames, :slot]).any(axis=1)
+            frames = frames[clash]
+            if not len(frames):
+                break
+        placed[:, slot] = True
+
+
+def _add_peaks(out, profiles, cells, amps):
+    """Add to each map ``out[t]`` the Gaussian peaks at the integer cells
+    ``cells[t]`` (``(P, 2)``) with heights ``amps[t]`` (``(P,)``).
 
     A 2-D Gaussian is the outer product of its row and column profiles, so
-    all peaks together are one ``(H, P) @ (P, W)`` product of rows taken
-    from the :func:`_profiles` tables.
+    a frame's peaks are one ``(H, P) @ (P, W)`` product of rows taken from
+    the :func:`_profiles` tables.  :data:`BLOCK_FRAMES` frames at a time
+    make one batched product, which bounds the temporaries at
+    O(BLOCK_FRAMES * H * W).
     """
     row_profiles, col_profiles = profiles
-    ci, cj = np.array(cells, dtype=np.intp).reshape(-1, 2).T
-    response = (row_profiles[ci].T * amps) @ col_profiles[cj]
-    if noise_sigma > 0:
-        response += rng.normal(0.0, noise_sigma, response.shape)
+    for start in range(0, len(out), BLOCK_FRAMES):
+        block = slice(start, start + BLOCK_FRAMES)
+        rows = row_profiles[cells[block, :, 0]]
+        rows *= amps[block, :, None]
+        out[block] += rows.transpose(0, 2, 1) @ col_profiles[cells[block, :, 1]]
+    return out
+
+
+def _synthesize(streams, profiles, target, in_window, occluded, distractors, noise_sigma):
+    """``(T, H, W)`` response maps of ``T`` frames, clipped at zero.
+
+    Frame ``t`` holds a target peak at cell ``target[t]`` of height 1 when
+    the target is seen (``in_window`` and not ``occluded``), a clutter-level
+    height when it is occluded inside the window and none outside it, plus
+    ``distractors`` clutter peaks placed clear of the peaks before them.
+    Pixel noise of sigma ``noise_sigma`` is drawn into the result itself;
+    frames without a seen target get at least :data:`CLUTTER_NOISE_SIGMA`.
+    ``streams`` are the cell, amplitude and noise generators.
+    """
+    cell_rng, amp_rng, noise_rng = streams
+    count = len(target)
+    shape = (len(profiles[0]), len(profiles[1]))
+    seen = in_window & ~occluded
+
+    cells = np.empty((count, 1 + distractors, 2), dtype=np.intp)
+    cells[:, 0] = np.where(in_window[:, None], target, 0)
+    placed = np.zeros((count, 1 + distractors), dtype=bool)
+    placed[:, 0] = in_window
+    _place_distractors(cell_rng, shape, cells, placed)
+
+    amps = amp_rng.uniform(*CLUTTER_AMP, size=(count, 1 + distractors))
+    amps[:, 0] = np.where(seen, 1.0, np.where(in_window, amps[:, 0], 0.0))
+
+    response = np.empty((count, *shape))
+    noise_rng.standard_normal(out=response)
+    response *= np.where(seen, noise_sigma, max(noise_sigma, CLUTTER_NOISE_SIGMA))[:, None, None]
+    _add_peaks(response, profiles, cells, amps)
     return np.maximum(response, 0.0, out=response)
 
 
@@ -187,7 +272,8 @@ def synthesize_response_map(
 
     Places an amplitude-1 Gaussian at ``center_cell``, adds ``distractors``
     weaker peaks (amplitude 0.25..0.4, kept clear of the target) and optional
-    Gaussian pixel noise, then clips at zero.
+    Gaussian pixel noise, then clips at zero.  This is the scenario
+    synthesis for one frame whose target is in view.
     """
     if map_size[0] < 3 or map_size[1] < 3:
         raise ValueError(f"map_size must be at least 3x3, got {map_size}")
@@ -200,13 +286,43 @@ def synthesize_response_map(
         raise ValueError(f"distractors must be >= 0, got {distractors}")
     if noise_sigma < 0:
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    taken = [(ci, cj)]
-    amps = [1.0]
-    for _ in range(distractors):
-        taken.append(_place_distractor(rng, map_size, taken))
-        amps.append(rng.uniform(*CLUTTER_AMP))
-    return _compose(rng, _profiles(map_size, sharpness), taken, amps, noise_sigma)
+    return _synthesize(
+        _streams(seed)[1:],
+        _profiles(map_size, sharpness),
+        np.array([center_cell], dtype=np.intp),
+        np.ones(1, dtype=bool),
+        np.zeros(1, dtype=bool),
+        distractors,
+        noise_sigma,
+    )[0]
+
+
+def _walk(gt_x, gt_y, occluded, steps, shape, cell_scale):
+    """The raw tracker's path and, per frame, the target's cell in its
+    window and whether that cell lies inside the map.
+
+    Frame ``k``'s window is centred on the raw position after frame
+    ``k - 1`` (frame 1's on the truth).  The raw box then locks onto the
+    truth plus ``steps[k]`` when the target is seen, and otherwise moves by
+    ``steps[k]`` from where it was.
+    """
+    half_rows, half_cols = shape[0] // 2, shape[1] // 2
+    raw_x, raw_y = float(gt_x[0]), float(gt_y[0])
+    path, cells, inside = [], [], []
+    for gx, gy, hidden, (dx, dy) in zip(
+        gt_x.tolist(), gt_y.tolist(), occluded.tolist(), steps.tolist()
+    ):
+        ci = half_rows + round((gy - raw_y) / cell_scale)
+        cj = half_cols + round((gx - raw_x) / cell_scale)
+        in_window = 0 <= ci < shape[0] and 0 <= cj < shape[1]
+        if in_window and not hidden:
+            raw_x, raw_y = gx + dx, gy + dy
+        else:
+            raw_x, raw_y = raw_x + dx, raw_y + dy
+        path.append((raw_x, raw_y))
+        cells.append((ci, cj))
+        inside.append(in_window)
+    return path, np.array(cells, dtype=np.intp), np.array(inside, dtype=bool)
 
 
 def generate_scenario(config: ScenarioConfig) -> list[FrameObservation]:
@@ -219,63 +335,46 @@ def generate_scenario(config: ScenarioConfig) -> list[FrameObservation]:
     target.  Distractors and noise are always added on top; frames without a
     real target additionally get the :data:`CLUTTER_NOISE_SIGMA` floor, since
     whatever fills the window then matches the template weakly everywhere.
+
+    The maps of all frames are one read-only ``(T, H, W)`` array; each
+    observation's ``response`` is a view of its frame.
     """
-    rng = np.random.Generator(np.random.PCG64(config.seed))
+    walk_rng, *streams = _streams(config.seed)
     frames = np.arange(1, config.frame_count + 1, dtype=float)
     gt_x = np.interp(frames, *zip(*((f, x) for f, x, _ in config.waypoints)))
     gt_y = np.interp(frames, *zip(*((f, y) for f, _, y in config.waypoints)))
-    occluded_flags = np.zeros(config.frame_count, dtype=bool)
+    occluded = np.zeros(config.frame_count, dtype=bool)
     for start, end in config.occlusions:
-        occluded_flags[start - 1 : end] = True
+        occluded[start - 1 : end] = True
 
     shape = tuple(config.map_size)
-    profiles = _profiles(shape, config.peak_sharpness)
+    steps = walk_rng.standard_normal((config.frame_count, 2))
+    steps *= np.where(occluded, WALK_SIGMA, TRACK_JITTER_SIGMA)[:, None]
+    path, target, in_window = _walk(gt_x, gt_y, occluded, steps, shape, config.cell_scale)
+    responses = _synthesize(
+        streams,
+        _profiles(shape, config.peak_sharpness),
+        target,
+        in_window,
+        occluded,
+        config.distractor_count,
+        config.noise_sigma,
+    )
+    responses.flags.writeable = False
+
     target_w, target_h = config.target_size
-    raw_x, raw_y = float(gt_x[0]), float(gt_y[0])
-    observations = []
-    for k in range(config.frame_count):
-        gx, gy = float(gt_x[k]), float(gt_y[k])
-        occluded = bool(occluded_flags[k])
-        ci = shape[0] // 2 + round((gy - raw_y) / config.cell_scale)
-        cj = shape[1] // 2 + round((gx - raw_x) / config.cell_scale)
-        in_window = 0 <= ci < shape[0] and 0 <= cj < shape[1]
-
-        target_seen = in_window and not occluded
-        taken = []
-        amps = []
-        if in_window:
-            taken.append((ci, cj))
-            amps.append(rng.uniform(*CLUTTER_AMP) if occluded else 1.0)
-        for _ in range(config.distractor_count):
-            taken.append(_place_distractor(rng, shape, taken))
-            amps.append(rng.uniform(*CLUTTER_AMP))
-        noise_sigma = (
-            config.noise_sigma
-            if target_seen
-            else max(config.noise_sigma, CLUTTER_NOISE_SIGMA)
+    return [
+        FrameObservation(
+            frame=k + 1,
+            gt_box=BoundingBox(gx, gy, target_w, target_h),
+            raw_model_box=BoundingBox(raw_x, raw_y, target_w, target_h),
+            response=responses[k],
+            occluded=hidden,
         )
-        response = _compose(rng, profiles, taken, amps, noise_sigma)
-
-        if occluded:
-            step = rng.normal(0.0, WALK_SIGMA, 2)
-            raw_x, raw_y = raw_x + step[0], raw_y + step[1]
-        elif in_window:
-            jitter = rng.normal(0.0, TRACK_JITTER_SIGMA, 2)
-            raw_x, raw_y = gx + jitter[0], gy + jitter[1]
-        else:
-            jitter = rng.normal(0.0, TRACK_JITTER_SIGMA, 2)
-            raw_x, raw_y = raw_x + jitter[0], raw_y + jitter[1]
-
-        observations.append(
-            FrameObservation(
-                frame=k + 1,
-                gt_box=BoundingBox(gx, gy, target_w, target_h),
-                raw_model_box=BoundingBox(raw_x, raw_y, target_w, target_h),
-                response=response,
-                occluded=occluded,
-            )
+        for k, (gx, gy, (raw_x, raw_y), hidden) in enumerate(
+            zip(gt_x.tolist(), gt_y.tolist(), path, occluded.tolist())
         )
-    return observations
+    ]
 
 
 def run_tracking(

@@ -395,6 +395,19 @@ def test_evaluate_perfect_file_pair(tmp_path):
     assert len(curves) == 1 + 51 + 51 + 21
 
 
+@pytest.mark.parametrize("attributes", ["groups.cfg", "does-not-exist.cfg"])
+def test_evaluate_rejects_attributes_in_file_mode(tmp_path, capsys, attributes):
+    gt = tmp_path / "gt.txt"
+    write_corner_file(gt, [(10 + k, 20, 8, 8) for k in range(12)])
+    (tmp_path / "groups.cfg").write_text("fast = gt\n")
+    out = tmp_path / "out"
+    code = main(["evaluate", "--pred", str(gt), "--gt", str(gt),
+                 "--attributes", str(tmp_path / attributes), "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --attributes needs directory mode")
+    assert not out.exists()
+
+
 def test_evaluate_counting_fixture(tmp_path):
     gt = tmp_path / "gt.txt"
     pred = tmp_path / "pred.txt"
@@ -697,6 +710,38 @@ def test_attention_demo_weights_file_and_gamma_override(tmp_path):
     # gamma from the file perturbs the features; the flag override restores identity
     assert (stored_out / "enhanced.bin").read_bytes() != search_path.read_bytes()
     assert (zeroed_out / "enhanced.bin").read_bytes() == search_path.read_bytes()
+
+
+def _weights_without_w_k(path):
+    weights = init_projection_weights(4, seed=3)
+    with open(path, "wb") as fh:
+        np.savez(fh, w_q=weights.w_q, w_v=weights.w_v, gamma=np.array(0.5))
+
+
+def _weights_with_vector_gamma(path):
+    weights = init_projection_weights(4, seed=3)
+    with open(path, "wb") as fh:
+        np.savez(fh, w_q=weights.w_q, w_k=weights.w_k, w_v=weights.w_v, gamma=np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        (_weights_without_w_k, "missing array 'w_k'"),
+        (lambda path: path.write_text("not a zip archive\n"), "not a weights .npz"),
+        (_weights_with_vector_gamma, "gamma must be a single number"),
+    ],
+)
+def test_attention_demo_rejects_bad_weights_file(tmp_path, capsys, write, message):
+    weights_path = tmp_path / "weights.npz"
+    write(weights_path)
+    out = tmp_path / "o"
+    code = main(["attention-demo", "--search-size", "4,5,5", "--weights", str(weights_path),
+                 "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {weights_path}: ") and message in err
+    assert not out.exists()
 
 
 def test_attention_demo_channel_mismatch(tmp_path, capsys):

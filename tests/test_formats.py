@@ -1,5 +1,6 @@
 """File format round-trips and configuration parsing errors."""
 
+import io
 import json
 
 import math
@@ -107,6 +108,23 @@ class TestTrajectoryIO:
         with pytest.raises(ConfigError, match=rf"pred\.csv:{bad_line}: frame"):
             read_trajectory(path)
 
+    @pytest.mark.parametrize(
+        "name, rows, message",
+        [
+            ("pred.csv", "frame,cx,cy,w,h\n1,10,20,4,6\n2,10,nan,4,6\n", "cy must be finite"),
+            ("pred.csv", "frame,cx,cy,w,h\n1,inf,20,4,6\n", "cx must be finite"),
+            ("pred.csv", "frame,cx,cy,w,h\n1,10,20,4,6\n2,10,20,0,6\n", "size must be positive"),
+            ("gt.txt", "10,20,4,6\n10,20,4,-6\n", "size must be positive"),
+            ("gt.txt", "10,20,4,6\n10,20,nan,6\n", "must be finite"),
+        ],
+    )
+    def test_invalid_box_reports_path_and_line(self, tmp_path, name, rows, message):
+        path = tmp_path / name
+        path.write_text(rows)
+        line = rows.count("\n")
+        with pytest.raises(ConfigError, match=rf"{name.replace('.', r'[.]')}:{line}: .*{message}"):
+            read_trajectory(path)
+
     def test_center_format_frame_numbers_skip_comment_lines(self, tmp_path):
         path = tmp_path / "pred.csv"
         path.write_text("frame,cx,cy,w,h\n1,10,20,4,6\n# note\n\n2,11,20,4,6\n")
@@ -132,6 +150,12 @@ class TestTraceAndGrids:
         path = tmp_path / "grid.csv"
         path.write_text("1,2,3\n4,5\n")
         with pytest.raises(ConfigError, match="ragged"):
+            read_grid_csv(path)
+
+    def test_non_numeric_cell_reports_path_and_line(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text("1,2,3\n\n4,x,6\n")
+        with pytest.raises(ConfigError, match=r"grid\.csv:3: non-numeric grid cell 'x'"):
             read_grid_csv(path)
 
     def test_pgm_layout(self, tmp_path):
@@ -195,6 +219,84 @@ class TestTensorIO:
         write_projection_weights(path, weights)
         loaded = read_projection_weights(path)
         assert loaded.b_q is None and loaded.b_k is None and loaded.b_v is None
+
+
+class TestWeightsValidation:
+    @pytest.fixture
+    def arrays(self):
+        weights = init_projection_weights(8, seed=5, use_bias=True, gamma=0.75)
+        return {
+            "w_q": weights.w_q, "w_k": weights.w_k, "w_v": weights.w_v,
+            "gamma": np.array(0.75), "b_q": weights.b_q, "b_k": weights.b_k, "b_v": weights.b_v,
+        }
+
+    def write(self, tmp_path, arrays):
+        path = tmp_path / "weights.npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        return path
+
+    def test_complete_bundle_loads(self, tmp_path, arrays):
+        assert read_projection_weights(self.write(tmp_path, arrays)).gamma == 0.75
+
+    @pytest.mark.parametrize("key", ["w_q", "w_k", "w_v", "gamma"])
+    def test_missing_array_rejected(self, tmp_path, arrays, key):
+        del arrays[key]
+        with pytest.raises(ConfigError, match=rf"weights\.npz: missing array '{key}'"):
+            read_projection_weights(self.write(tmp_path, arrays))
+
+    def test_unknown_array_rejected(self, tmp_path, arrays):
+        arrays["w_x"] = np.zeros(3)
+        with pytest.raises(ConfigError, match=r"weights\.npz: unknown array 'w_x'"):
+            read_projection_weights(self.write(tmp_path, arrays))
+
+    @pytest.mark.parametrize("gamma", [np.zeros(2), np.zeros((1, 1)), np.array(np.nan)])
+    def test_gamma_must_be_one_finite_number(self, tmp_path, arrays, gamma):
+        arrays["gamma"] = gamma
+        with pytest.raises(ConfigError, match=r"weights\.npz: .*gamma"):
+            read_projection_weights(self.write(tmp_path, arrays))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("w_k", np.zeros((3, 8))), ("w_v", np.zeros((8, 4))), ("b_v", np.zeros(3)),
+         ("w_q", np.array([["a"] * 8] * 2)), ("w_v", np.full((8, 8), np.inf))],
+    )
+    def test_bad_array_rejected(self, tmp_path, arrays, key, value):
+        arrays[key] = value
+        with pytest.raises(ConfigError, match=r"weights\.npz: "):
+            read_projection_weights(self.write(tmp_path, arrays))
+
+    @pytest.mark.parametrize(
+        "data", [b"", b"not a zip archive", b"PK\x03\x04 truncated", b"\x93NUMPY\x01\x00"]
+    )
+    def test_non_npz_file_rejected(self, tmp_path, data):
+        path = tmp_path / "weights.npz"
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match=r"weights\.npz: not a weights \.npz"):
+            read_projection_weights(path)
+
+    def test_every_single_byte_corruption_loads_or_is_config_error(self, tmp_path):
+        weights = init_projection_weights(4, seed=2, use_bias=True, gamma=0.5)
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, w_q=weights.w_q, w_k=weights.w_k, w_v=weights.w_v,
+                            gamma=np.array(0.5), b_v=weights.b_v)
+        intact = buffer.getvalue()
+        path = tmp_path / "weights.npz"
+        for offset in range(len(intact)):
+            corrupted = bytearray(intact)
+            corrupted[offset] ^= 0xFF
+            path.write_bytes(bytes(corrupted))
+            try:
+                read_projection_weights(path)
+            except ConfigError as exc:
+                assert str(exc).startswith(f"{path}: ")
+
+    def test_plain_npy_array_rejected(self, tmp_path):
+        path = tmp_path / "weights.npz"
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
+        with pytest.raises(ConfigError, match=r"weights\.npz: not a weights \.npz"):
+            read_projection_weights(path)
 
 
 class TestScenarioConfigFile:

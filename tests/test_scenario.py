@@ -1,5 +1,6 @@
 """Simulator behavior: determinism, occlusion dynamics, response-map shape."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,18 @@ from sattrack import (
     run_tracking,
     synthesize_response_map,
 )
-from sattrack.scenario import _compose, _profiles
+from sattrack.scenario import (
+    BLOCK_FRAMES,
+    CLUTTER_AMP,
+    CLUTTER_CLEARANCE,
+    CLUTTER_NOISE_SIGMA,
+    PLACEMENT_TRIES,
+    TRACK_JITTER_SIGMA,
+    WALK_SIGMA,
+    FrameObservation,
+    _add_peaks,
+    _profiles,
+)
 
 
 def clean_config(frames=120, seed=0, **overrides):
@@ -138,26 +150,36 @@ def map_shapes():
 
 class TestSeparablePeaks:
     @settings(max_examples=300, deadline=None)
-    @given(map_shapes(), st.floats(0.1, 5.0), st.data())
-    def test_composed_peaks_match_meshgrid_oracle(self, shape, sharpness, data):
-        peaks = data.draw(
-            st.lists(
-                st.tuples(
-                    st.integers(0, shape[0] - 1),
-                    st.integers(0, shape[1] - 1),
-                    st.floats(0.0, 1.0),
-                ),
-                max_size=6,
-            )
-        )
-        cells = [(ci, cj) for ci, cj, _ in peaks]
-        amps = [amp for _, _, amp in peaks]
-        composed = _compose(
-            np.random.default_rng(0), _profiles(shape, sharpness), cells, amps, 0.0
-        )
-        expected = brute_peaks(shape, cells, amps, sharpness)
-        assert composed.shape == shape
-        assert np.abs(composed - expected).max() <= 1e-15 * (1.0 + sum(amps))
+    @given(map_shapes(), st.floats(0.1, 5.0), st.integers(1, 3), st.integers(0, 6), st.data())
+    def test_added_peaks_match_meshgrid_oracle(self, shape, sharpness, count, peaks, data):
+        cells = np.array(
+            data.draw(
+                st.lists(
+                    st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1)),
+                    min_size=count * peaks,
+                    max_size=count * peaks,
+                )
+            ),
+            dtype=np.intp,
+        ).reshape(count, peaks, 2)
+        amps = np.array(
+            data.draw(st.lists(st.floats(0.0, 1.0), min_size=count * peaks, max_size=count * peaks))
+        ).reshape(count, peaks)
+        composed = _add_peaks(np.zeros((count, *shape)), _profiles(shape, sharpness), cells, amps)
+        assert composed.shape == (count, *shape)
+        for t in range(count):
+            expected = brute_peaks(shape, cells[t].tolist(), amps[t].tolist(), sharpness)
+            assert np.abs(composed[t] - expected).max() <= 1e-15 * (1.0 + amps[t].sum())
+
+    def test_added_peaks_span_several_blocks(self):
+        count = 2 * BLOCK_FRAMES + 5
+        rng = np.random.default_rng(71)
+        cells = rng.integers(0, (9, 13), size=(count, 3, 2))
+        amps = rng.uniform(0.0, 1.0, size=(count, 3))
+        composed = _add_peaks(np.zeros((count, 9, 13)), _profiles((9, 13), 1.3), cells, amps)
+        for t in range(count):
+            expected = brute_peaks((9, 13), cells[t].tolist(), amps[t].tolist(), 1.3)
+            assert np.abs(composed[t] - expected).max() <= 1e-15 * (1.0 + amps[t].sum())
 
     def test_profile_rows_are_centred_and_read_only(self):
         rows, cols = _profiles((7, 4), 1.5)
@@ -349,11 +371,99 @@ class TestDriftSeries:
             drift_series(boxes, boxes * 2)
 
 
-# Two configurations whose every frame was recorded before the peak synthesis
-# was made separable.  "walkout" occludes a fast target on a fine grid, so the
-# raw box walks out of its window and stays lost with four distractors drawn
-# per frame; "wide" uses a non-square map.  Recorded: exact gt/raw boxes, the
-# occluded flag and the argmax cell of each response.
+def reference_maps(streams, shape, sharpness, targets, inside, occluded, distractors, noise_sigma):
+    """Scalar reference of the batched synthesis: the same array draws from
+    the cell, amplitude and noise streams, then the clearance checks, the
+    meshgrid Gaussians and the noise scaling one frame at a time."""
+    cell_rng, amp_rng, noise_rng = streams
+    count = len(targets)
+    slots = [[None] * distractors for _ in range(count)]
+    for slot in range(distractors):
+        pending = list(range(count))
+        for _ in range(PLACEMENT_TRIES):
+            draws = cell_rng.integers(0, shape, size=(len(pending), 2)).tolist()
+            clashing = []
+            for t, (di, dj) in zip(pending, draws):
+                slots[t][slot] = (di, dj)
+                taken = ([targets[t]] if inside[t] else []) + slots[t][:slot]
+                if any(max(abs(di - ti), abs(dj - tj)) < CLUTTER_CLEARANCE for ti, tj in taken):
+                    clashing.append(t)
+            pending = clashing
+            if not pending:
+                break
+    amps = amp_rng.uniform(*CLUTTER_AMP, size=(count, 1 + distractors))
+    noise = noise_rng.standard_normal((count, *shape))
+    maps, heights = [], []
+    for t in range(count):
+        seen = inside[t] and not occluded[t]
+        cells, amp = list(slots[t]), [float(a) for a in amps[t, 1:]]
+        if inside[t]:
+            cells.insert(0, targets[t])
+            amp.insert(0, 1.0 if seen else float(amps[t, 0]))
+        sigma = noise_sigma if seen else max(noise_sigma, CLUTTER_NOISE_SIGMA)
+        peaks = brute_peaks(shape, cells, amp, sharpness)
+        maps.append(np.maximum(peaks + noise[t] * sigma, 0.0))
+        heights.append(sum(amp))
+    return maps, heights
+
+
+def reference_scenario(config):
+    """Scalar per-frame reference of generate_scenario: four streams spawned
+    from SeedSequence(seed) in the documented order (walk, cells,
+    amplitudes, noise), the raw-box walk, then :func:`reference_maps`.
+    Returns the observations and each frame's amplitude sum."""
+    walk, *streams = (
+        np.random.Generator(np.random.PCG64(child))
+        for child in np.random.SeedSequence(config.seed).spawn(4)
+    )
+    count = config.frame_count
+    rows, cols = config.map_size
+    frames = np.arange(1, count + 1, dtype=float)
+    gt_x = np.interp(frames, [f for f, _, _ in config.waypoints], [x for _, x, _ in config.waypoints])
+    gt_y = np.interp(frames, [f for f, _, _ in config.waypoints], [y for _, _, y in config.waypoints])
+    occluded = [any(a <= k <= b for a, b in config.occlusions) for k in range(1, count + 1)]
+    steps = walk.standard_normal((count, 2))
+    raw_x, raw_y = float(gt_x[0]), float(gt_y[0])
+    path, targets, inside = [], [], []
+    for k in range(count):
+        gx, gy = float(gt_x[k]), float(gt_y[k])
+        sigma = WALK_SIGMA if occluded[k] else TRACK_JITTER_SIGMA
+        dx, dy = float(steps[k, 0] * sigma), float(steps[k, 1] * sigma)
+        ci = rows // 2 + round((gy - raw_y) / config.cell_scale)
+        cj = cols // 2 + round((gx - raw_x) / config.cell_scale)
+        in_window = 0 <= ci < rows and 0 <= cj < cols
+        if occluded[k] or not in_window:
+            raw_x, raw_y = raw_x + dx, raw_y + dy
+        else:
+            raw_x, raw_y = gx + dx, gy + dy
+        path.append((gx, gy, raw_x, raw_y))
+        targets.append((ci, cj))
+        inside.append(in_window)
+    maps, heights = reference_maps(
+        streams, (rows, cols), config.peak_sharpness, targets, inside, occluded,
+        config.distractor_count, config.noise_sigma,
+    )
+    width, height = config.target_size
+    observations = [
+        FrameObservation(
+            frame=k + 1,
+            gt_box=BoundingBox(gx, gy, width, height),
+            raw_model_box=BoundingBox(rx, ry, width, height),
+            response=maps[k],
+            occluded=occluded[k],
+        )
+        for k, (gx, gy, rx, ry) in enumerate(path)
+    ]
+    return observations, heights
+
+
+# Configurations whose every frame is recorded in PIN_FILE.  "walkout"
+# occludes a fast target on a fine grid, so the raw box walks out of its
+# window and stays lost with four distractors drawn per frame; "wide" uses a
+# non-square map; "crowded" is a 3x3 map where no distractor can clear the
+# target, so every slot spends all its placement draws.  Recorded from the
+# batched synthesis and checked against the scalar reference above: exact
+# gt/raw boxes, the occluded flag and the argmax cell of each response.
 PIN_CONFIGS = {
     "walkout": dict(
         frame_count=160,
@@ -374,6 +484,16 @@ PIN_CONFIGS = {
         noise_sigma=0.05,
         map_size=(15, 19),
         seed=4,
+    ),
+    "crowded": dict(
+        frame_count=70,
+        waypoints=((1, 10.0, 20.0), (70, 40.0, 25.0)),
+        target_size=(6.0, 9.0),
+        occlusions=((20, 30),),
+        distractor_count=2,
+        noise_sigma=0.01,
+        map_size=(3, 3),
+        seed=8,
     ),
 }
 PIN_FILE = Path(__file__).parent / "data" / "scenario_pin.csv"
@@ -399,6 +519,20 @@ def pin_rows(name, scenario):
     return rows
 
 
+def pin_config(name):
+    return ScenarioConfig(**PIN_CONFIGS[name])
+
+
+def write_pin_file():
+    """Re-record PIN_FILE from the current generate_scenario, for a change
+    that means to change the scenarios:
+    ``PYTHONPATH=src:tests python -c "import test_scenario as t; t.write_pin_file()"``."""
+    rows = [PIN_HEADER]
+    for name in sorted(PIN_CONFIGS):
+        rows += pin_rows(name, generate_scenario(ScenarioConfig(**PIN_CONFIGS[name])))
+    PIN_FILE.write_text("\n".join(rows) + "\n")
+
+
 class TestDrawOrderPin:
     @pytest.fixture(scope="class")
     def recorded(self):
@@ -413,6 +547,12 @@ class TestDrawOrderPin:
         assert len(expected) == PIN_CONFIGS[name]["frame_count"]
         assert pin_rows(name, scenario) == expected
 
+    @pytest.mark.parametrize("name", sorted(PIN_CONFIGS))
+    def test_recording_matches_scalar_reference(self, name, recorded):
+        reference, _ = reference_scenario(ScenarioConfig(**PIN_CONFIGS[name]))
+        expected = [row for row in recorded if row.startswith(name + ",")]
+        assert pin_rows(name, reference) == expected
+
     def test_walkout_config_loses_the_window(self):
         config = ScenarioConfig(**PIN_CONFIGS["walkout"])
         scenario = generate_scenario(config)
@@ -425,3 +565,103 @@ class TestDrawOrderPin:
             outside += not (0 <= ci < rows and 0 <= cj < cols)
             raw = obs.raw_model_box
         assert outside > 50
+
+
+def pinned_against_reference(config):
+    """Assert generate_scenario equals the scalar reference: boxes, flags and
+    peak cells exactly, maps within 1e-15 of each frame's amplitude sum."""
+    scenario = generate_scenario(config)
+    reference, heights = reference_scenario(config)
+    assert pin_rows("c", scenario) == pin_rows("c", reference)
+    for obs, ref, total in zip(scenario, reference, heights):
+        assert np.abs(obs.response - ref.response).max() <= 1e-15 * (1.0 + total)
+
+
+class TestBatchedSynthesis:
+    @pytest.mark.parametrize("name", sorted(PIN_CONFIGS))
+    def test_pin_configs_match_scalar_reference(self, name):
+        pinned_against_reference(ScenarioConfig(**PIN_CONFIGS[name]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        frames=st.integers(1, 150),
+        shape=map_shapes(),
+        distractors=st.integers(0, 4),
+        noise=st.sampled_from([0.0, 0.02, 0.1]),
+        sharpness=st.floats(0.3, 3.0),
+        cell_scale=st.sampled_from([1.0, 2.0, 8.0]),
+    )
+    def test_generate_matches_scalar_reference(
+        self, seed, frames, shape, distractors, noise, sharpness, cell_scale
+    ):
+        occlusions = ((frames // 3 + 1, frames // 2 + 1),) if frames >= 4 else ()
+        pinned_against_reference(
+            ScenarioConfig(
+                frame_count=frames,
+                waypoints=((1, 0.0, 0.0), (frames, 3.0 * frames, -2.0 * frames))
+                if frames > 1
+                else ((1, 0.0, 0.0),),
+                target_size=(10.0, 6.0),
+                occlusions=occlusions,
+                peak_sharpness=sharpness,
+                distractor_count=distractors,
+                noise_sigma=noise,
+                map_size=shape,
+                cell_scale=cell_scale,
+                seed=seed,
+            )
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=map_shapes(),
+        distractors=st.integers(0, 5),
+        noise=st.sampled_from([0.0, 0.05]),
+        data=st.data(),
+    )
+    def test_standalone_map_is_one_reference_frame(self, seed, shape, distractors, noise, data):
+        cell = (data.draw(st.integers(0, shape[0] - 1)), data.draw(st.integers(0, shape[1] - 1)))
+        grid = synthesize_response_map(cell, 1.2, distractors, noise, shape, seed)
+        streams = [
+            np.random.Generator(np.random.PCG64(child))
+            for child in np.random.SeedSequence(seed).spawn(4)
+        ][1:]
+        (expected,), (total,) = reference_maps(
+            streams, shape, 1.2, [cell], [True], [False], distractors, noise
+        )
+        assert np.abs(grid - expected).max() <= 1e-15 * (1.0 + total)
+
+    def test_responses_are_views_of_one_read_only_array(self):
+        scenario = generate_scenario(pin_config("wide"))
+        stack = scenario[0].response.base
+        assert stack.shape == (80, 15, 19) and not stack.flags.writeable
+        for k, obs in enumerate(scenario):
+            assert obs.response.base is stack
+            assert np.shares_memory(obs.response, stack[k])
+            assert not obs.response.flags.writeable
+        with pytest.raises(ValueError):
+            scenario[3].response[0, 0] = 1.0
+
+    def test_equal_configs_give_equal_arrays(self):
+        config = pin_config("walkout")
+        first, second = generate_scenario(config), generate_scenario(config)
+        assert np.array_equal(first[0].response.base, second[0].response.base)
+        assert pin_rows("c", first) == pin_rows("c", second)
+
+    def test_temporaries_stay_within_a_few_blocks(self):
+        config = clean_config(frames=2000, distractor_count=4, noise_sigma=0.02, seed=3)
+        generate_scenario(config)  # warm the imports and caches
+        tracemalloc.start()
+        try:
+            scenario = generate_scenario(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        result = scenario[0].response.base.nbytes
+        rows, cols = config.map_size
+        # the maps plus 2000 observations, with room for a few blocks of
+        # temporaries but not for a second full-size array
+        assert peak - result < 8 * BLOCK_FRAMES * rows * cols * 8 + 2_000_000
+        assert peak < 1.5 * result
