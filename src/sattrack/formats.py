@@ -140,6 +140,14 @@ def read_trajectory(path) -> list[BoundingBox]:
                 BoundingBox(*values[1:]) if center_format else BoundingBox.from_corner(*values)
             )
         except ValueError as exc:  # a non-finite field or a size <= 0
+            if not center_format:
+                # from_corner folds w into cx and h into cy, so name the
+                # file's own field; any non-finite one fails the conversion
+                for name, value in zip("xywh", values):
+                    if not math.isfinite(value):
+                        raise ConfigError(
+                            f"{path}:{number}: box field {name} must be finite"
+                        ) from None
             raise ConfigError(f"{path}:{number}: {exc}") from None
     return boxes
 
@@ -209,8 +217,11 @@ def read_feature_map(path) -> np.ndarray:
         raise ConfigError(
             f"{path}: header says {c}x{h}x{w} ({expected} bytes), file has {len(data)}"
         )
-    values = np.frombuffer(data, dtype="<f4", offset=12)
-    return values.reshape(c, h, w).astype(float)
+    tensor = np.frombuffer(data, dtype="<f4", offset=12).reshape(c, h, w).astype(float)
+    if not np.isfinite(tensor).all():
+        cell = np.argwhere(~np.isfinite(tensor))[0].tolist()
+        raise ConfigError(f"{path}: feature-map cell {tuple(cell)} is not finite")
+    return tensor
 
 
 def write_projection_weights(path, weights: ProjectionWeights):

@@ -20,6 +20,24 @@ a real-time hot path, so the tracker state stores its history once, as
 ``capacity`` rows apart, so the recent window is always one contiguous slice
 and a push costs O(1).  ``TrackerState.history`` is a read-only view built
 from those rows.
+
+On a 25x25 map the cost of a step is numpy call overhead, not arithmetic,
+so each step makes as few array calls as it can and stays exact:
+
+* PSR takes one dot product of the map with a cached read-only ones vector
+  (the whole-map total: a finite total proves every cell finite, so the
+  cell-by-cell scan runs only when it is not; minus the 3x3 block, it
+  gives the sidelobe mean), one ``argmax``, a ``min`` only when the peak
+  is cell 0 (``argmax`` returns the first maximum, so only there can the
+  map be flat), the block summed in Python from ``tolist()``, and one dot
+  product of the centred map with the block zeroed in that copy (not the
+  whole-map squares minus the block's, which cancel under tall peaks).
+* Each branch is one dot product of a cached read-only ``(n1,)`` weight
+  vector with the ``(n1, 4)`` window (``_branch_weights``): the low branch
+  weights evaluate the least-squares line of each column at ``n1``, the
+  high branch weights are ``-1/n2**2`` on the older and ``+1/n2**2`` on the
+  newer half of the last ``2*n2`` rows.  ``linear_fit``, ``fit_value`` and
+  ``instantaneous_velocity`` stay the public forms they are pinned to.
 """
 
 from __future__ import annotations
@@ -108,6 +126,15 @@ class TrackerState:
         self._count = min(self._count + 1, self.capacity)
 
 
+@functools.lru_cache(maxsize=16)
+def _ones(size: int) -> np.ndarray:
+    """A read-only vector of ``size`` ones, built once per map size: a dot
+    product with it is the cheapest whole-map sum."""
+    ones = np.ones(size)
+    ones.flags.writeable = False
+    return ones
+
+
 def _check_response(response) -> tuple[np.ndarray, float]:
     """Validate a response map; return it as a float array with its cell sum.
 
@@ -119,7 +146,7 @@ def _check_response(response) -> tuple[np.ndarray, float]:
         raise ValueError(f"response map must be 2-D, got shape {response.shape}")
     if response.shape[0] < 3 or response.shape[1] < 3:
         raise ValueError(f"response map must be at least 3x3, got {response.shape}")
-    total = response.sum()
+    total = float(np.vdot(response, _ones(response.size)))
     if not math.isfinite(total) and not np.isfinite(response).all():
         raise ValueError("response map must be finite")
     return response, total
@@ -135,25 +162,26 @@ def psr(response) -> float:
     """
     response, total = _check_response(response)
     height, width = response.shape
-    flat = response.ravel()
-    peak_index = int(flat.argmax())
+    peak_index = int(response.argmax())
+    # argmax returns the first maximum, so a flat map peaks at cell 0 and a
+    # peak anywhere else proves the map is not flat.
+    if peak_index == 0 and response[0, 0] == response.min():
+        return 0.0  # flat map: peak equals the sidelobe mean exactly
     pi, pj = divmod(peak_index, width)
     i0, i1 = max(pi - 1, 0), min(pi + 2, height)
     j0, j1 = max(pj - 1, 0), min(pj + 2, width)
-    block = response[i0:i1, j0:j1]
-    sidelobe_count = flat.size - block.size
+    block = response[i0:i1, j0:j1].tolist()
+    sidelobe_count = response.size - len(block) * len(block[0])
     if sidelobe_count == 0:
         raise ValueError(f"map {response.shape} has no sidelobe outside the peak block")
-    peak = flat[peak_index]
-    if peak == flat.min():
-        return 0.0  # flat map: peak equals the sidelobe mean exactly
+    peak = block[pi - i0][pj - j0]
     # Sidelobe statistics without gathering: the mean is the whole-map sum
     # minus the block; the squares are summed with the block zeroed out.
-    mean = (total - block.sum()) / sidelobe_count
-    centered = flat - mean
-    centered.reshape(height, width)[i0:i1, j0:j1] = 0.0
-    std = math.sqrt(centered @ centered / sidelobe_count)
-    return float((peak - mean) / (std + PSR_EPS))
+    mean = (total - sum(map(sum, block))) / sidelobe_count
+    centered = response - mean
+    centered[i0:i1, j0:j1] = 0.0
+    std = math.sqrt(np.vdot(centered, centered) / sidelobe_count)
+    return (peak - mean) / (std + PSR_EPS)
 
 
 def _score(response, state: TrackerState) -> tuple[float, float]:
@@ -218,6 +246,28 @@ def instantaneous_velocity(centers, n2: int) -> np.ndarray:
     return (newer - older) / float(n2 * n2)
 
 
+@functools.lru_cache(maxsize=16)
+def _branch_weights(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(n1,)`` weights that turn each branch into one dot product
+    with the ``(n1, 4)`` history window, built once per ``(n1, n2)``.
+
+    ``low @ window`` is ``fit_value(*linear_fit(window), n1)``: the
+    least-squares line of every column evaluated one step past the window,
+    ``sum_i x_i (1/n1 + (i - mid)(n1 - mid)/norm)``.  ``high @ window`` holds
+    ``instantaneous_velocity(window[:, :2], n2)`` in its first two entries:
+    ``-1/n2**2`` on rows ``n1-2*n2 .. n1-n2-1``, ``+1/n2**2`` on the last
+    ``n2`` rows, zero elsewhere.
+    """
+    centered, norm, mid = _fit_indices(n1)
+    low = 1.0 / n1 + centered * ((n1 - mid) / norm)
+    high = np.zeros(n1)
+    high[n1 - 2 * n2 : n1 - n2] = -1.0 / (n2 * n2)
+    high[n1 - n2 :] = 1.0 / (n2 * n2)
+    low.flags.writeable = False
+    high.flags.writeable = False
+    return low, high
+
+
 def refine_step(
     state: TrackerState,
     model_box: BoundingBox,
@@ -247,16 +297,16 @@ def refine_step(
                 f"{state._count} boxes instead of {n1}"
             )
         window = state._window()
+        low, high = _branch_weights(n1, params.n2)
         lam = params.lambda_ema
         prev_cx, prev_cy, prev_w, prev_h = window[-1].tolist()
         if npsr < params.theta:
-            slope, intercept = linear_fit(window)
-            cx, cy, fit_w, fit_h = fit_value(slope, intercept, n1).tolist()
+            cx, cy, fit_w, fit_h = (low @ window).tolist()
             w = lam * fit_w + (1.0 - lam) * prev_w
             h = lam * fit_h + (1.0 - lam) * prev_h
             branch = LOW_CONFIDENCE
         else:
-            vx, vy = instantaneous_velocity(window[:, :2], params.n2).tolist()
+            vx, vy, _, _ = (high @ window).tolist()
             alpha = npsr * npsr
             cx = prev_cx + alpha * (model_box.cx - prev_cx) + (1.0 - alpha) * vx
             cy = prev_cy + alpha * (model_box.cy - prev_cy) + (1.0 - alpha) * vy

@@ -712,6 +712,24 @@ def test_attention_demo_weights_file_and_gamma_override(tmp_path):
     assert (zeroed_out / "enhanced.bin").read_bytes() == search_path.read_bytes()
 
 
+@pytest.mark.parametrize("flag", ["--search", "--template"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_attention_demo_rejects_non_finite_feature_map(tmp_path, capsys, flag, bad):
+    search = np.zeros((4, 6, 6), dtype=np.float32)
+    template = np.zeros((4, 2, 2), dtype=np.float32)
+    (search if flag == "--search" else template)[0, 1, 1] = bad
+    paths = {"--search": tmp_path / "search.bin", "--template": tmp_path / "template.bin"}
+    write_feature_map(paths["--search"], search)
+    write_feature_map(paths["--template"], template)
+    out = tmp_path / "o"
+    code = main(["attention-demo", "--search", str(paths["--search"]),
+                 "--template", str(paths["--template"]), "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[flag]}: ") and "not finite" in err
+    assert not out.exists()
+
+
 def _weights_without_w_k(path):
     weights = init_projection_weights(4, seed=3)
     with open(path, "wb") as fh:

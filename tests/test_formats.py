@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import math
 
@@ -125,6 +126,19 @@ class TestTrajectoryIO:
         with pytest.raises(ConfigError, match=rf"{name.replace('.', r'[.]')}:{line}: .*{message}"):
             read_trajectory(path)
 
+    @pytest.mark.parametrize(
+        "row, field",
+        [("10,20,inf,6", "w"), ("nan,20,4,6", "x"), ("10,-inf,4,6", "y"), ("10,20,4,nan", "h"),
+         ("-inf,20,inf,6", "x")],
+    )
+    def test_corner_row_names_the_file_field(self, tmp_path, row, field):
+        # from_corner folds w into cx and h into cy; the error must name the
+        # field as the file has it, not the derived centre
+        path = tmp_path / "c.txt"
+        path.write_text(f"10,20,4,6\n{row}\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:2: box field {field} must be finite$"):
+            read_trajectory(path)
+
     def test_center_format_frame_numbers_skip_comment_lines(self, tmp_path):
         path = tmp_path / "pred.csv"
         path.write_text("frame,cx,cy,w,h\n1,10,20,4,6\n# note\n\n2,11,20,4,6\n")
@@ -200,6 +214,15 @@ class TestTensorIO:
         path = tmp_path / "feat.bin"
         path.write_bytes(b"\x01\x02")
         with pytest.raises(ConfigError, match="header"):
+            read_feature_map(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_rejected(self, tmp_path, bad):
+        tensor = np.zeros((2, 3, 4), dtype=np.float32)
+        tensor[1, 2, 0] = bad
+        path = tmp_path / "feat.bin"
+        write_feature_map(path, tensor)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: .*\(1, 2, 0\).* not finite"):
             read_feature_map(path)
 
     def test_weights_round_trip_with_bias(self, tmp_path):

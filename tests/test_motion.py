@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import sattrack
 from sattrack import (
     BoundingBox,
     MotionParams,
@@ -20,7 +21,16 @@ from sattrack import (
     psr,
     refine_step,
 )
-from sattrack.motion import HIGH_CONFIDENCE, LOW_CONFIDENCE, WARMUP, _fit_indices
+from sattrack import motion
+from sattrack.motion import (
+    HIGH_CONFIDENCE,
+    LOW_CONFIDENCE,
+    WARMUP,
+    _branch_weights,
+    _check_response,
+    _fit_indices,
+    _ones,
+)
 
 
 def brute_psr(grid):
@@ -221,6 +231,65 @@ class TestPsrProperties:
             psr(grid)
 
 
+class TestPsrKernelPasses:
+    """The fewer-pass kernel: the whole-map total is one dot product with a
+    cached ones vector, and the flat-map ``min`` runs only when the peak is
+    cell 0 (constant maps: ``TestPsrProperties``)."""
+
+    @PROPERTY_SETTINGS
+    @given(dyadic_maps(), st.booleans())
+    def test_peak_at_cell_zero_matches_oracle(self, grid, tie_later):
+        # the lazy flat check must not confuse a first-cell peak with a flat map
+        grid.flat[0] = grid.max()
+        if tie_later:
+            grid.flat[-1] = grid.flat[0]
+        assert int(grid.argmax()) == 0
+        assert_matches_oracle(grid)
+
+    @PROPERTY_SETTINGS
+    @given(dyadic_maps())
+    def test_total_is_the_exact_cell_sum(self, grid):
+        # dyadic cells sum exactly in any order
+        checked, total = _check_response(grid)
+        assert checked is grid
+        assert type(total) is float
+        assert total == sum(grid.ravel().tolist())
+
+    @pytest.mark.parametrize("cells", [(np.nan,), (np.inf,), (-np.inf,), (np.inf, -np.inf)])
+    @pytest.mark.parametrize("where", [0, 17, 40])
+    def test_non_finite_total_triggers_the_scan(self, cells, where):
+        grid = np.zeros((6, 7))
+        for offset, bad in enumerate(cells):
+            grid.flat[where + offset] = bad
+        with pytest.raises(ValueError, match="response map must be finite"):
+            _check_response(grid)
+        with pytest.raises(ValueError, match="response map must be finite"):
+            psr(grid)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_total_is_accepted(self):
+        grid = np.full((5, 5), 1e308)
+        _, total = _check_response(grid)
+        assert total == math.inf
+        assert np.isfinite(grid).all()
+
+    def test_ones_vector_is_read_only_and_shared(self):
+        ones = _ones(625)
+        assert _ones(625) is ones
+        assert ones.shape == (625,) and (ones == 1.0).all()
+        with pytest.raises(ValueError, match="read-only"):
+            ones[0] = 2.0
+
+    def test_refine_step_scores_through_the_module_psr(self, monkeypatch):
+        # per-layer tracing wraps ``motion.psr``; the step must call it by name
+        calls = []
+        real = motion.psr
+        monkeypatch.setattr(motion, "psr", lambda response: calls.append(1) or real(response))
+        refine_step(TrackerState(5), BoundingBox(0.0, 0.0, 2.0, 2.0), map_with_score(4.0),
+                    MotionParams(n1=5, n2=2))
+        assert calls == [1]
+
+
 class TestNormalizedPsr:
     def test_first_frame_is_one(self):
         state = TrackerState(50)
@@ -329,6 +398,51 @@ class TestInstantaneousVelocity:
     def test_insufficient_history_rejected(self):
         with pytest.raises(ValueError, match="2"):
             instantaneous_velocity(np.zeros((7, 2)), 4)
+
+
+WINDOW_PARAMS = [(5, 2), (21, 10), (50, 10), (50, 24), (64, 1)]
+
+
+def windows(n1, bound=1e4):
+    return hnp.arrays(
+        np.float64, (n1, 4), elements=st.floats(-bound, bound, allow_nan=False)
+    )
+
+
+class TestBranchWeights:
+    """Each branch is one dot product with a cached weight vector, pinned to
+    the public fit and velocity forms."""
+
+    @PROPERTY_SETTINGS
+    @given(st.sampled_from(WINDOW_PARAMS).flatmap(lambda p: st.tuples(st.just(p), windows(p[0]))))
+    def test_low_weights_evaluate_the_fit_at_n1(self, case):
+        (n1, n2), window = case
+        low, _ = _branch_weights(n1, n2)
+        expected = fit_value(*linear_fit(window), n1)
+        scale = 1.0 + np.abs(window).max()
+        assert np.allclose(low @ window, expected, rtol=0.0, atol=1e-12 * scale)
+
+    @PROPERTY_SETTINGS
+    @given(st.sampled_from(WINDOW_PARAMS).flatmap(lambda p: st.tuples(st.just(p), windows(p[0]))))
+    def test_high_weights_give_the_instantaneous_velocity(self, case):
+        (n1, n2), window = case
+        _, high = _branch_weights(n1, n2)
+        expected = instantaneous_velocity(window[:, :2], n2)
+        scale = 1.0 + np.abs(window).max()
+        assert np.allclose((high @ window)[:2], expected, rtol=0.0, atol=1e-12 * scale)
+
+    def test_weights_are_read_only_and_shared(self):
+        low, high = _branch_weights(50, 10)
+        again = _branch_weights(50, 10)
+        assert again[0] is low and again[1] is high
+        for vector in (low, high):
+            with pytest.raises(ValueError, match="read-only"):
+                vector[0] = 1.0
+
+    def test_fit_and_velocity_forms_stay_public(self):
+        for name in ("linear_fit", "fit_value", "instantaneous_velocity"):
+            assert name in sattrack.__all__
+            assert getattr(sattrack, name) is getattr(motion, name)
 
 
 class TestParams:

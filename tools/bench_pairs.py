@@ -4,6 +4,7 @@
         --workload track_suite --pairs 10 --seed 9001 --seconds 10 --log runs.jsonl
     python3 tools/bench_pairs.py run ... --trace 1 --pairs 1      # per-layer metrics
     python3 tools/bench_pairs.py summarize --log runs.jsonl --out BENCH_6.json
+    python3 tools/bench_pairs.py compare BENCH_6.json BENCH_7.json
 
 ``run`` calls ``benchmarks/run.py`` of each checkout in a fresh process,
 parent first in even pairs and change first in odd ones, and appends one JSON
@@ -12,8 +13,12 @@ object and the unscaled wall-clock values.  ``summarize`` turns a log into
 the committed ``BENCH_<n>.json``: per workload and side, the number of runs
 and the median and quartiles of every end-to-end metric (scaled and wall
 clock), the pairs the change won on each metric, and the per-layer metrics
-of the traced runs; it also prints a table of the medians.  Nothing under
-``benchmarks/`` is changed or imported.
+of the traced runs; it also prints a table of the medians.  ``compare``
+prints the before/after table of two committed files: for every workload in
+both, the median and quartiles of each end-to-end metric on the ``change``
+side (the code each file was written for) and the ratio of the medians.  Scaling to the reference kernel makes files from different
+days comparable, but not exactly: a change is judged by the pairs inside one
+file.  Nothing under ``benchmarks/`` is changed or imported.
 """
 
 from __future__ import annotations
@@ -48,10 +53,22 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return record
 
 
+def next_pair(log_path: Path, workload: str, trace: int) -> int:
+    """The first pair number not yet used in the log for this workload and
+    trace setting, so a second ``run`` into one log adds pairs instead of
+    overwriting the first ones when ``summarize`` matches them up."""
+    if not log_path.exists():
+        return 0
+    used = [r["pair"] for r in map(json.loads, filter(str.strip, log_path.read_text().splitlines()))
+            if r["workload"] == workload and r["trace"] == trace]
+    return max(used, default=-1) + 1
+
+
 def cmd_run(args):
     checkouts = {"parent": Path(args.parent), "change": Path(args.change)}
+    first = next_pair(Path(args.log), args.workload, args.trace)
     with open(args.log, "a") as log:
-        for pair in range(args.pairs):
+        for pair in range(first, first + args.pairs):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                 record = run_once(checkouts[side], args.workload, args.seed, args.seconds, args.trace)
                 record.update(side=side, pair=pair, workload=args.workload, seed=args.seed,
@@ -113,6 +130,41 @@ def cmd_summarize(args):
     Path(args.out).write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
 
 
+def _cell(entry) -> str:
+    return f"{entry['median']:.6g} [{entry['q1']:.6g}-{entry['q3']:.6g}]"
+
+
+def compare_lines(before: dict, after: dict) -> list[str]:
+    """The before/after table of two summaries' change sides, one line per
+    workload metric."""
+    lines = []
+    for workload, new in after["workloads"].items():
+        old = before["workloads"].get(workload)
+        if old is None:
+            lines.append(f"{workload}: only in the second file")
+            continue
+        old, new = old["change"], new["change"]
+        lines.append(f"{workload}: {old['runs']} -> {new['runs']} runs, "
+                     f"failed {old['failed']} -> {new['failed']}")
+        if old["machine"] != new["machine"]:
+            lines.append(f"  machines differ: {old['machine']} vs {new['machine']}")
+        for name, now in new["end_to_end"].items():
+            then = old["end_to_end"].get(name)
+            if then is None:
+                continue
+            ratio = f"{now['median'] / then['median']:.3f}x" if then["median"] else "-"
+            lines.append(f"  {name:22s} {_cell(then):>40s} -> {_cell(now):40s} {ratio}")
+    lines.extend(f"{w}: only in the first file"
+                 for w in before["workloads"] if w not in after["workloads"])
+    return lines
+
+
+def cmd_compare(args):
+    before, after = (json.loads(Path(path).read_text()) for path in (args.before, args.after))
+    print(f"{args.before} -> {args.after}")
+    print("\n".join(compare_lines(before, after)))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -130,6 +182,10 @@ def main(argv=None):
     p.add_argument("--log", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_summarize)
+    p = sub.add_parser("compare", help="before/after table of two BENCH_*.json files")
+    p.add_argument("before")
+    p.add_argument("after")
+    p.set_defaults(handler=cmd_compare)
     args = parser.parse_args(argv)
     args.handler(args)
 
