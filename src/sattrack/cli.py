@@ -35,7 +35,10 @@ from .attention import (
 from .boxes import BoundingBox
 from .formats import ConfigError
 from .geometry import AspectRatioParams, GridGeometry, build_label_maps
-from .metrics import aggregate_results, evaluate
+from .metrics import aggregate_results
+# ``evaluate`` here scores (N, 4) rows; benchmarks/tracing.py wraps this name
+# and reports its time as ``metrics.evaluate``.
+from .metrics import evaluate_rows as evaluate
 from .motion import MotionParams, psr
 from .scenario import generate_scenario, run_tracking
 
@@ -209,7 +212,12 @@ def cmd_evaluate(args):
     out = _output_dir(args)
 
     if not pred_path.is_dir():
-        result = evaluate(formats.read_trajectory(pred_path), formats.read_trajectory(gt_path))
+        pred_rows = formats.read_trajectory_rows(pred_path)
+        gt_rows = formats.read_trajectory_rows(gt_path)
+        try:
+            result = evaluate(pred_rows, gt_rows)
+        except ValueError as exc:
+            raise ConfigError(f"{pred_path} and {gt_path}: {exc}") from exc
         formats.write_json(out / "summary.json", formats.result_summary(result))
         formats.write_curves_csv(out / "curves.csv", result)
         print(
@@ -222,7 +230,7 @@ def cmd_evaluate(args):
     for name, pred_file, gt_file in _discover_sequences(pred_path, gt_path):
         try:
             results[name] = evaluate(
-                formats.read_trajectory(pred_file), formats.read_trajectory(gt_file)
+                formats.read_trajectory_rows(pred_file), formats.read_trajectory_rows(gt_file)
             )
         except ValueError as exc:
             raise ConfigError(f"sequence {name!r}: {exc}") from exc

@@ -5,12 +5,19 @@ never leaves a truncated artifact behind.  Floats in CSV output use Python's
 shortest round-trip representation: files are byte-stable across runs and
 parse back to the exact values that were written.
 
+Text files are read as UTF-8, whatever the locale: every text reader goes
+through one line reader, which reports a byte that is not UTF-8 as a
+:class:`ConfigError` naming the file and the offset.
+
 Formats:
 
 * trajectory CSV -- header ``frame,cx,cy,w,h``, center-format boxes with
   frames numbered 1..N in order; the reader also accepts the common
   headerless benchmark layout ``x,y,w,h`` (top-left corner, comma or tab
-  separated)
+  separated).  :func:`read_trajectory_rows` parses either straight into
+  ``(N, 4)`` center-format rows, validating every row at once; the
+  first bad line in file order is the one reported.
+  :func:`read_trajectory` wraps it for a list of boxes
 * grid CSV -- one response/label map row per line
 * PGM (binary P5) -- grayscale heatmap export, value*255 rounded
 * feature tensor -- 12-byte header of C, H, W as little-endian uint32,
@@ -91,21 +98,66 @@ def write_trajectory(path, boxes: Sequence[BoundingBox]):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, whatever the locale; a byte that is
+    not UTF-8 is a :class:`ConfigError` naming the file and the offset."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{path}: not UTF-8 text (byte 0x{data[exc.start]:02x} at offset {exc.start})"
+        ) from None
+
+
 def _split_row(line: str) -> list[str]:
     line = line.replace("\t", ",")
     return [part.strip() for part in line.split(",") if part.strip()]
 
 
-def read_trajectory(path) -> list[BoundingBox]:
-    """Read boxes from our trajectory CSV or a headerless x,y,w,h file.
+def _row_numbers(raw: str) -> list[float]:
+    """The fields of one row, as ``float`` of each :func:`_split_row` part.
+    ``float`` skips the same surrounding whitespace that ``strip`` does, so
+    only a row with an empty part needs the stripping split; ``ValueError``
+    means a non-numeric field."""
+    try:
+        return list(map(float, raw.replace("\t", ",").split(",")))
+    except ValueError:
+        return list(map(float, _split_row(raw)))
 
-    The frame column of a trajectory CSV must count 1..N in file order.
+
+def _raise_box_error(where: str, fields: list[float], center_format: bool):
+    """Raise the error :class:`BoundingBox` gives for one parsed row, so the
+    reader's box messages have one source.  A corner row names the file's
+    own field: ``from_corner`` folds ``w`` into ``cx`` and ``h`` into ``cy``."""
+    if not center_format:
+        for name, value in zip("xywh", fields):
+            if not math.isfinite(value):
+                raise ConfigError(f"{where}: box field {name} must be finite")
+    try:
+        BoundingBox(*fields[1:]) if center_format else BoundingBox.from_corner(*fields)
+    except ValueError as exc:  # a non-finite field or a size <= 0
+        raise ConfigError(f"{where}: {exc}") from None
+    raise AssertionError(f"{where}: row flagged invalid but accepted: {fields}")
+
+
+def read_trajectory_rows(path) -> np.ndarray:
+    """Read our trajectory CSV or a headerless x,y,w,h file as ``(N, 4)``
+    float ``(cx, cy, w, h)`` rows.
+
+    Fields are parsed with Python's ``float``.  The frame column of a
+    trajectory CSV must count 1..N in file order.  Corner rows become
+    centres as ``x + w / 2``, the arithmetic of
+    :meth:`BoundingBox.from_corner`.  Every row must make a valid
+    :class:`BoundingBox` (finite fields, ``w, h > 0``); that is checked on
+    all rows at once.  Errors name ``path:line``, and the first bad line in
+    file order wins whatever the kind of error.
     """
     path = Path(path)
     rows = [
         (number, raw)
-        for number, raw in enumerate(path.read_text().splitlines(), start=1)
-        if raw.strip() and not raw.strip().startswith("#")
+        for number, raw in enumerate(_read_lines(path), start=1)
+        if (text := raw.strip()) and not text.startswith("#")
     ]
     if not rows:
         raise ConfigError(f"{path}: no box rows found")
@@ -114,42 +166,45 @@ def read_trajectory(path) -> list[BoundingBox]:
         rows = rows[1:]
         if not rows:
             raise ConfigError(f"{path}: header but no box rows")
-    boxes = []
-    for number, raw in rows:
-        parts = _split_row(raw)
+    width = 5 if center_format else 4
+    fields: list[float] = []
+    error = None  # the first parse error, raised after the rows before it are checked
+    for index, (number, raw) in enumerate(rows):
         try:
-            values = [float(p) for p in parts]
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{number}: non-numeric box field") from exc
-        if center_format:
-            if len(values) != 5:
-                raise ConfigError(
-                    f"{path}:{number}: expected frame,cx,cy,w,h, got {len(values)} fields"
-                )
-            if values[0] != len(boxes) + 1:
-                raise ConfigError(
-                    f"{path}:{number}: frame {parts[0]} out of sequence, "
-                    f"expected {len(boxes) + 1} (frames must be 1..N in order)"
-                )
-        elif len(values) != 4:
-            raise ConfigError(
-                f"{path}:{number}: expected x,y,w,h, got {len(values)} fields"
+            values = _row_numbers(raw)
+        except ValueError:
+            error = f"{path}:{number}: non-numeric box field"
+            break
+        if len(values) != width:
+            layout = "frame,cx,cy,w,h" if center_format else "x,y,w,h"
+            error = f"{path}:{number}: expected {layout}, got {len(values)} fields"
+            break
+        if center_format and values[0] != index + 1:
+            error = (
+                f"{path}:{number}: frame {_split_row(raw)[0]} out of sequence, "
+                f"expected {index + 1} (frames must be 1..N in order)"
             )
-        try:
-            boxes.append(
-                BoundingBox(*values[1:]) if center_format else BoundingBox.from_corner(*values)
-            )
-        except ValueError as exc:  # a non-finite field or a size <= 0
-            if not center_format:
-                # from_corner folds w into cx and h into cy, so name the
-                # file's own field; any non-finite one fails the conversion
-                for name, value in zip("xywh", values):
-                    if not math.isfinite(value):
-                        raise ConfigError(
-                            f"{path}:{number}: box field {name} must be finite"
-                        ) from None
-            raise ConfigError(f"{path}:{number}: {exc}") from None
+            break
+        fields += values
+    table = np.array(fields, dtype=float).reshape(-1, width)
+    if center_format:
+        boxes = np.ascontiguousarray(table[:, 1:])
+    else:
+        boxes = table.copy()
+        with np.errstate(over="ignore", invalid="ignore"):  # flagged below
+            boxes[:, :2] += table[:, 2:] / 2.0
+    valid = np.isfinite(boxes).all(axis=1) & (boxes[:, 2] > 0) & (boxes[:, 3] > 0)
+    if not valid.all():
+        first = int(valid.argmin())
+        _raise_box_error(f"{path}:{rows[first][0]}", table[first].tolist(), center_format)
+    if error is not None:
+        raise ConfigError(error)
     return boxes
+
+
+def read_trajectory(path) -> list[BoundingBox]:
+    """:func:`read_trajectory_rows` as one :class:`BoundingBox` per row."""
+    return [BoundingBox(*row) for row in read_trajectory_rows(path).tolist()]
 
 
 def write_trace(path, trace: Sequence[TraceRow]):
@@ -173,7 +228,7 @@ def write_grid_csv(path, grid: np.ndarray):
 
 def read_grid_csv(path) -> np.ndarray:
     rows = []
-    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for number, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
             continue
         row = []
@@ -298,7 +353,7 @@ def read_kv_file(path) -> list[tuple[int, str, str]]:
     """Parse a key = value file into (line, key, value) entries."""
     path = Path(path)
     entries = []
-    for number, raw in enumerate(path.read_text().splitlines(), start=1):
+    for number, raw in enumerate(_read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith(("#", ";")):
             continue

@@ -8,7 +8,9 @@ curves; the headline scalars are precision at 20 px (plus 5 px for the
 small-object regime), normalized precision at 0.5 and the success AUC.
 
 Each error has one kernel over ``(N, 4)`` center-format rows, which the
-per-pair :func:`cle`, :func:`normalized_cle` and :func:`iou` wrap.  IoU
+per-pair :func:`cle`, :func:`normalized_cle` and :func:`iou` wrap.
+:func:`evaluate_rows` scores such rows as the trajectory reader returns
+them; :func:`evaluate` is the same for two lists of boxes.  IoU
 areas come from corner differences (:func:`~sattrack.boxes.overlap_areas`),
 so equal boxes score exactly 1, never above: a perfect trajectory has a
 success AUC of 20/21, as IoU > 1 never holds.
@@ -47,13 +49,18 @@ class EvalResult:
     frame_count: int
 
 
+def _equal_lengths(pred_rows: np.ndarray, gt_rows: np.ndarray):
+    """The one length check of a scored pair: equal and nonzero."""
+    if len(pred_rows) != len(gt_rows) or len(pred_rows) == 0:
+        raise ValueError(
+            f"trajectories must have equal nonzero length, got {len(pred_rows)} and {len(gt_rows)}"
+        )
+    return pred_rows, gt_rows
+
+
 def paired_rows(pred: Sequence[BoundingBox], gt: Sequence[BoundingBox]):
     """Two trajectories of the same nonzero length as ``(N, 4)`` rows."""
-    if len(pred) != len(gt) or len(pred) == 0:
-        raise ValueError(
-            f"trajectories must have equal nonzero length, got {len(pred)} and {len(gt)}"
-        )
-    return box_rows(pred), box_rows(gt)
+    return _equal_lengths(box_rows(pred), box_rows(gt))
 
 
 def center_errors(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
@@ -89,9 +96,10 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return float(overlap_ratios(box_rows([a]), box_rows([b]))[0])
 
 
-def evaluate(pred: Sequence[BoundingBox], gt: Sequence[BoundingBox]) -> EvalResult:
-    """Score one predicted trajectory against ground truth of equal length."""
-    pred_rows, gt_rows = paired_rows(pred, gt)
+def evaluate_rows(pred_rows: np.ndarray, gt_rows: np.ndarray) -> EvalResult:
+    """Score ``(N, 4)`` predicted ``(cx, cy, w, h)`` rows against ground
+    truth rows of equal length."""
+    pred_rows, gt_rows = _equal_lengths(pred_rows, gt_rows)
     cles = center_errors(pred_rows, gt_rows)
     norm_cles = normalized_center_errors(pred_rows, gt_rows)
     ious = overlap_ratios(pred_rows, gt_rows)
@@ -107,8 +115,13 @@ def evaluate(pred: Sequence[BoundingBox], gt: Sequence[BoundingBox]) -> EvalResu
         p20=float(precision[20]),
         np05=float(norm_precision[50]),
         success_auc=float(success.mean()),
-        frame_count=len(pred),
+        frame_count=len(pred_rows),
     )
+
+
+def evaluate(pred: Sequence[BoundingBox], gt: Sequence[BoundingBox]) -> EvalResult:
+    """Score one predicted trajectory against ground truth of equal length."""
+    return evaluate_rows(box_rows(pred), box_rows(gt))
 
 
 def aggregate_results(

@@ -75,3 +75,14 @@ def test_next_pair_continues_the_log(bench_pairs, tmp_path):
     assert bench_pairs.next_pair(log, "refine_stream", 1) == 1
     assert bench_pairs.next_pair(log, "track_suite", 0) == 5
     assert bench_pairs.next_pair(log, "evaluate_suite", 0) == 0
+
+
+def test_compare_lines_show_each_files_in_file_verdict(bench_pairs):
+    before, after = summary(40.0), summary(60.0)
+    before["workloads"]["refine_stream"]["change_wins"] = {"frames_per_s": "3/5"}
+    after["workloads"]["refine_stream"]["change_wins"] = {"frames_per_s": "10/10"}
+    after["workloads"]["refine_stream"]["parent"]["end_to_end"]["frames_per_s"]["median"] = 42.0
+    lines = bench_pairs.compare_lines(before, after)
+    assert lines[1].split()[-1] == "1.500x"
+    assert lines[2] == "    in-file parent -> change: 1 -> 40 (wins 3/5) | 42 -> 60 (wins 10/10)"
+    assert len(lines) == 3

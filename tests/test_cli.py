@@ -534,6 +534,34 @@ def test_evaluate_length_mismatch_names_counts(tmp_path, capsys):
     assert "2" in err and "3" in err
 
 
+
+def test_evaluate_file_mode_length_mismatch_names_both_files(tmp_path, capsys):
+    gt, pred = tmp_path / "gt.txt", tmp_path / "pred.txt"
+    write_corner_file(gt, [(0, 0, 5, 5)] * 1)
+    write_corner_file(pred, [(0, 0, 5, 5)] * 2)
+    out = tmp_path / "o"
+    code = main(["evaluate", "--pred", str(pred), "--gt", str(gt), "--output", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {pred} and {gt}: trajectories must have equal nonzero length, got 2 and 1\n"
+    )
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "track", "simulate"])
+def test_undecodable_input_file_names_it(tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"10,20,4,6\n10,20,4,6\n# abc\xff\n")  # 0xff at offset 25
+    good = tmp_path / "good.txt"
+    write_corner_file(good, [(0, 0, 5, 5)] * 2)
+    argv = (["evaluate", "--pred", str(bad), "--gt", str(good)] if command == "evaluate"
+            else [command, "--scenario", str(bad)])
+    out = tmp_path / "o"
+    assert main(argv + ["--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (byte 0xff at offset 25)\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_evaluate_missing_gt_no_partial_output(tmp_path, capsys):
     pred = tmp_path / "pred.txt"
     write_corner_file(pred, [(0, 0, 5, 5)] * 2)

@@ -2,9 +2,9 @@
 
 import io
 import json
-import re
-
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,16 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sattrack import BoundingBox, evaluate, init_projection_weights
+from sattrack.boxes import box_rows
 from sattrack.formats import (
     ConfigError,
     _parse_numbers,
+    _split_row,
     atomic_write_text,
     motion_params_from_file,
     read_attribute_groups,
     read_feature_map,
     read_grid_csv,
+    read_kv_file,
     read_projection_weights,
     read_trajectory,
+    read_trajectory_rows,
     result_summary,
     scenario_from_file,
     write_curves_csv,
@@ -143,6 +147,218 @@ class TestTrajectoryIO:
         path = tmp_path / "pred.csv"
         path.write_text("frame,cx,cy,w,h\n1,10,20,4,6\n# note\n\n2,11,20,4,6\n")
         assert [b.cx for b in read_trajectory(path)] == [10.0, 11.0]
+
+
+
+def reference_read_trajectory(path) -> list[BoundingBox]:
+    """The per-row reader that read_trajectory_rows replaced: one validated
+    BoundingBox per row, checks in file order.  Kept as the oracle."""
+    path = Path(path)
+    rows = [
+        (number, raw)
+        for number, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if raw.strip() and not raw.strip().startswith("#")
+    ]
+    if not rows:
+        raise ConfigError(f"{path}: no box rows found")
+    center_format = rows[0][1].strip().lower().startswith("frame")
+    if center_format:
+        rows = rows[1:]
+        if not rows:
+            raise ConfigError(f"{path}: header but no box rows")
+    boxes = []
+    for number, raw in rows:
+        parts = _split_row(raw)
+        try:
+            values = [float(p) for p in parts]
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{number}: non-numeric box field") from exc
+        if center_format:
+            if len(values) != 5:
+                raise ConfigError(
+                    f"{path}:{number}: expected frame,cx,cy,w,h, got {len(values)} fields"
+                )
+            if values[0] != len(boxes) + 1:
+                raise ConfigError(
+                    f"{path}:{number}: frame {parts[0]} out of sequence, "
+                    f"expected {len(boxes) + 1} (frames must be 1..N in order)"
+                )
+        elif len(values) != 4:
+            raise ConfigError(
+                f"{path}:{number}: expected x,y,w,h, got {len(values)} fields"
+            )
+        try:
+            boxes.append(
+                BoundingBox(*values[1:]) if center_format else BoundingBox.from_corner(*values)
+            )
+        except ValueError as exc:
+            if not center_format:
+                for name, value in zip("xywh", values):
+                    if not math.isfinite(value):
+                        raise ConfigError(
+                            f"{path}:{number}: box field {name} must be finite"
+                        ) from None
+            raise ConfigError(f"{path}:{number}: {exc}") from None
+    return boxes
+
+
+def read_outcome(reader, path):
+    """Rows (as box rows) or the ConfigError message; any other exception
+    propagates and fails the calling test."""
+    try:
+        result = reader(path)
+    except ConfigError as exc:
+        return str(exc)
+    return result if isinstance(result, np.ndarray) else box_rows(result)
+
+
+def assert_same_outcome(path):
+    new, reference = read_outcome(read_trajectory_rows, path), read_outcome(
+        reference_read_trajectory, path
+    )
+    if isinstance(reference, str) or isinstance(new, str):
+        assert new == reference
+    else:
+        assert new.dtype == reference.dtype and new.shape == reference.shape
+        assert new.tobytes() == reference.tobytes()  # bitwise, -0.0 included
+
+
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+boxes_strategy = st.lists(st.builds(BoundingBox, finite, finite, positive, positive),
+                          min_size=1, max_size=20)
+# Field spellings: float reprs (nan/inf included), integers, and texts that
+# float() accepts or rejects in ways a reader must not change.
+field_text = st.one_of(
+    st.floats(width=64).map(repr),
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["1_0", " 1e3 ", "0x1p3", "nan", "-inf", "inf", "x", "1e999", "-0.0",
+                     "0", "-2", "1.7e308", "-1.7e308", "1e-320", "1__0", "."]),
+)
+text_tokens = st.sampled_from(
+    list("0123456789") + [",", " ", "\t", "#", ".", "-", "e", "\n", "nan", "inf", "frame"]
+)
+
+
+@st.composite
+def trajectory_texts(draw):
+    """Mostly well-formed trajectory files, header or corner, with a chance
+    of a bad field, a wrong field count, a wrong frame number, comments and
+    blank lines on every row."""
+    header = draw(st.booleans())
+    lines = ["frame,cx,cy,w,h"] if header else []
+    frame = 0
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row", "row", "row", "comment", "blank"]))
+        if kind == "comment":
+            lines.append("# " + draw(field_text))
+            continue
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        count = draw(st.sampled_from([4, 4, 4, 3, 5, 6]))
+        fields = [draw(st.one_of(
+            st.floats(0.5, 300.0).map(repr), st.integers(1, 40).map(str), field_text,
+        )) for _ in range(count)]
+        if header:
+            frame += 1
+            fields.insert(0, str(frame) if draw(st.integers(0, 9)) else draw(field_text))
+        lines.append(draw(st.sampled_from([",", "\t", ", ", " ,"])).join(fields))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+class TestTrajectoryRowsProperties:
+    """read_trajectory_rows against the per-row reference reader."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(boxes=boxes_strategy)
+    def test_round_trip_rows_equal_box_rows(self, tmp_path_factory, boxes):
+        path = tmp_path_factory.mktemp("round") / "traj.csv"
+        write_trajectory(path, boxes)
+        rows = read_trajectory_rows(path)
+        expected = box_rows(boxes)
+        assert np.array_equal(rows, expected)
+        assert rows.tobytes() == expected.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(header=st.booleans(), tokens=st.lists(text_tokens, max_size=80))
+    def test_any_token_text_matches_the_reference(self, tmp_path_factory, header, tokens):
+        path = tmp_path_factory.mktemp("tokens") / "t.txt"
+        path.write_bytes((("frame,cx,cy,w,h\n" if header else "") + "".join(tokens)).encode())
+        assert_same_outcome(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=trajectory_texts())
+    def test_structured_text_matches_the_reference(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("rows") / "t.csv"
+        path.write_bytes(text.encode())
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            # a box error before a parse error is reported first, whatever the kind
+            ("10,20,-4,6\n10,oops,4,6\n", 1),
+            ("10,20,4,6\n10,20,nan,6\n10,20,4\n", 2),
+            ("frame,cx,cy,w,h\n1,10,20,0,6\n3,10,20,4,6\n", 2),
+            ("frame,cx,cy,w,h\n1,10,20,4,6\n2,10,20,4\n3,1,1,-1,1\n", 3),
+            # finite corner fields whose centre overflows
+            ("10,20,4,6\n1.7e308,0,1.7e308,6\n", 2),
+        ],
+    )
+    def test_first_bad_line_wins(self, tmp_path, text, line):
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:{line}: "):
+            read_trajectory_rows(path)
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize("text", ["1_0,2,3,4\n", " 1e3 ,2,3,4\n", "nan,1,1,1\n",
+                                      "inf,1,1,1\n", "0x1p3,1,1,1\n"])
+    def test_spellings_follow_python_float(self, tmp_path, text):
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        assert_same_outcome(path)
+
+    def test_corner_centres_use_from_corner_arithmetic(self, tmp_path):
+        values = np.random.default_rng(53).uniform(-1e3, 1e3, (200, 4))
+        values[:, 2:] = np.abs(values[:, 2:]) + 0.1
+        path = tmp_path / "c.txt"
+        path.write_text("".join("\t".join(map(repr, row)) + "\n" for row in values.tolist()))
+        expected = box_rows(BoundingBox.from_corner(*row) for row in values.tolist())
+        assert read_trajectory_rows(path).tobytes() == expected.tobytes()
+
+    def test_returns_float_rows_and_boxes_wrap_them(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("frame,cx,cy,w,h\n1,10,20,4,6\n2,11,21,5,7\n")
+        rows = read_trajectory_rows(path)
+        assert rows.dtype == float and rows.shape == (2, 4)
+        assert read_trajectory(path) == [BoundingBox(*row) for row in rows.tolist()]
+
+
+NOT_UTF8 = b"10,20,4,6\n10,20,4,6\n# abc\xff\n"  # 0xff at offset 25
+
+
+class TestUtf8Text:
+    def expected(self, path):
+        return rf"^{re.escape(str(path))}: not UTF-8 text \(byte 0xff at offset 25\)$"
+
+    @pytest.mark.parametrize("reader", [read_trajectory_rows, read_trajectory, read_grid_csv,
+                                        read_kv_file, scenario_from_file,
+                                        motion_params_from_file, read_attribute_groups])
+    def test_undecodable_byte_is_config_error_naming_the_file(self, tmp_path, reader):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(NOT_UTF8)
+        with pytest.raises(ConfigError, match=self.expected(path)):
+            reader(path)
+
+    def test_non_ascii_utf8_comment_is_read(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        path.write_bytes("# caf\u00e9 \u2713\n10,20,4,6\n".encode("utf-8"))
+        assert read_trajectory(path) == [BoundingBox(12.0, 23.0, 4.0, 6.0)]
+        kv = tmp_path / "m.cfg"
+        kv.write_bytes("; r\u00e9glage\nn1 = 12\n".encode("utf-8"))
+        assert read_kv_file(kv) == [(2, "n1", "12")]
 
 
 class TestTraceAndGrids:

@@ -13,11 +13,12 @@ from sattrack import (
     aggregate_results,
     cle,
     evaluate,
+    evaluate_rows,
     iou,
     normalized_cle,
 )
 from sattrack.boxes import box_rows
-from sattrack.metrics import center_errors, normalized_center_errors, overlap_ratios
+from sattrack.metrics import center_errors, normalized_center_errors, overlap_ratios, paired_rows
 
 # Boxes whose sides stay far above the float spacing at their coordinates.
 boxes = st.builds(
@@ -240,6 +241,29 @@ class TestEvaluate:
             evaluate(gt[:2], gt)
         with pytest.raises(ValueError, match="length"):
             evaluate([], [])
+
+    def test_rows_score_as_the_boxes_they_hold(self):
+        rng = np.random.default_rng(45)
+        for _ in range(20):
+            pred, gt = random_trajectories(rng, int(rng.integers(1, 30)))
+            by_rows, by_boxes = evaluate_rows(box_rows(pred), box_rows(gt)), evaluate(pred, gt)
+            for name in ("precision", "norm_precision", "success"):
+                assert np.array_equal(getattr(by_rows, name), getattr(by_boxes, name))
+            for name in ("p5", "p20", "np05", "success_auc", "frame_count"):
+                assert getattr(by_rows, name) == getattr(by_boxes, name)
+
+    def test_rows_and_boxes_share_one_length_check(self):
+        rows = np.tile([0.0, 0.0, 4.0, 4.0], (3, 1))
+        message = r"^trajectories must have equal nonzero length, got 2 and 3$"
+        with pytest.raises(ValueError, match=message):
+            evaluate_rows(rows[:2], rows)
+        boxes = [BoundingBox(0.0, 0.0, 4.0, 4.0)] * 3
+        with pytest.raises(ValueError, match=message):
+            evaluate(boxes[:2], boxes)
+        with pytest.raises(ValueError, match=message):
+            paired_rows(boxes[:2], boxes)
+        with pytest.raises(ValueError, match="got 0 and 0"):
+            evaluate_rows(np.empty((0, 4)), np.empty((0, 4)))
 
 
 class TestAggregate:

@@ -16,7 +16,9 @@ clock), the pairs the change won on each metric, and the per-layer metrics
 of the traced runs; it also prints a table of the medians.  ``compare``
 prints the before/after table of two committed files: for every workload in
 both, the median and quartiles of each end-to-end metric on the ``change``
-side (the code each file was written for) and the ratio of the medians.  Scaling to the reference kernel makes files from different
+side (the code each file was written for) and the ratio of the medians,
+followed for frames_per_s by each file's own parent -> change medians and
+pair wins.  Scaling to the reference kernel makes files from different
 days comparable, but not exactly: a change is judged by the pairs inside one
 file.  Nothing under ``benchmarks/`` is changed or imported.
 """
@@ -134,16 +136,25 @@ def _cell(entry) -> str:
     return f"{entry['median']:.6g} [{entry['q1']:.6g}-{entry['q3']:.6g}]"
 
 
+def _in_file(entry) -> str:
+    """One file's own verdict on frames_per_s: parent -> change medians and
+    the pairs the change won."""
+    medians = [entry[side]["end_to_end"]["frames_per_s"]["median"] for side in SIDES]
+    return f"{medians[0]:.6g} -> {medians[1]:.6g} (wins {entry['change_wins']['frames_per_s']})"
+
+
 def compare_lines(before: dict, after: dict) -> list[str]:
     """The before/after table of two summaries' change sides, one line per
-    workload metric."""
+    workload metric.  Under frames_per_s, when both files hold pair
+    verdicts, each file's in-file parent -> change result follows the
+    cross-file ratio, since only the in-file pairs judge a change."""
     lines = []
-    for workload, new in after["workloads"].items():
-        old = before["workloads"].get(workload)
-        if old is None:
+    for workload, new_entry in after["workloads"].items():
+        old_entry = before["workloads"].get(workload)
+        if old_entry is None:
             lines.append(f"{workload}: only in the second file")
             continue
-        old, new = old["change"], new["change"]
+        old, new = old_entry["change"], new_entry["change"]
         lines.append(f"{workload}: {old['runs']} -> {new['runs']} runs, "
                      f"failed {old['failed']} -> {new['failed']}")
         if old["machine"] != new["machine"]:
@@ -154,6 +165,9 @@ def compare_lines(before: dict, after: dict) -> list[str]:
                 continue
             ratio = f"{now['median'] / then['median']:.3f}x" if then["median"] else "-"
             lines.append(f"  {name:22s} {_cell(then):>40s} -> {_cell(now):40s} {ratio}")
+            if name == "frames_per_s" and "change_wins" in old_entry and "change_wins" in new_entry:
+                lines.append(f"    in-file parent -> change: {_in_file(old_entry)} | "
+                             f"{_in_file(new_entry)}")
     lines.extend(f"{w}: only in the first file"
                  for w in before["workloads"] if w not in after["workloads"])
     return lines
