@@ -38,7 +38,6 @@ from .metrics import (
     aggregate_results,
     cle,
     evaluate,
-    evaluate_rows,
     iou,
     normalized_cle,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "drift_series",
     "enhance_features",
     "evaluate",
-    "evaluate_rows",
     "fit_value",
     "generate_scenario",
     "init_projection_weights",

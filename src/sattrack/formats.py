@@ -118,12 +118,9 @@ def _split_row(line: str) -> list[str]:
 def _row_numbers(raw: str) -> list[float]:
     """The fields of one row, as ``float`` of each :func:`_split_row` part.
     ``float`` skips the same surrounding whitespace that ``strip`` does, so
-    only a row with an empty part needs the stripping split; ``ValueError``
-    means a non-numeric field."""
-    try:
-        return list(map(float, raw.replace("\t", ",").split(",")))
-    except ValueError:
-        return list(map(float, _split_row(raw)))
+    the blank parts are dropped but the others need no stripping;
+    ``ValueError`` means a non-numeric field."""
+    return list(map(float, filter(str.strip, raw.replace("\t", ",").split(","))))
 
 
 def _raise_box_error(where: str, fields: list[float], center_format: bool):

@@ -50,10 +50,15 @@ class EvalResult:
 
 
 def _equal_lengths(pred_rows: np.ndarray, gt_rows: np.ndarray):
-    """The one length check of a scored pair: equal and nonzero."""
+    """The one shape check of a scored pair: equal nonzero lengths of
+    ``(N, 4)`` rows."""
     if len(pred_rows) != len(gt_rows) or len(pred_rows) == 0:
         raise ValueError(
             f"trajectories must have equal nonzero length, got {len(pred_rows)} and {len(gt_rows)}"
+        )
+    if np.ndim(pred_rows) != 2 or np.shape(pred_rows) != np.shape(gt_rows) or np.shape(pred_rows)[1] != 4:
+        raise ValueError(
+            f"trajectories must be (N, 4) rows, got shapes {np.shape(pred_rows)} and {np.shape(gt_rows)}"
         )
     return pred_rows, gt_rows
 

@@ -1,6 +1,7 @@
 """One-pass-evaluation metric tests against a frame-by-frame reference scorer."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,12 +14,17 @@ from sattrack import (
     aggregate_results,
     cle,
     evaluate,
-    evaluate_rows,
     iou,
     normalized_cle,
 )
 from sattrack.boxes import box_rows
-from sattrack.metrics import center_errors, normalized_center_errors, overlap_ratios, paired_rows
+from sattrack.metrics import (
+    center_errors,
+    evaluate_rows,
+    normalized_center_errors,
+    overlap_ratios,
+    paired_rows,
+)
 
 # Boxes whose sides stay far above the float spacing at their coordinates.
 boxes = st.builds(
@@ -264,6 +270,14 @@ class TestEvaluate:
             paired_rows(boxes[:2], boxes)
         with pytest.raises(ValueError, match="got 0 and 0"):
             evaluate_rows(np.empty((0, 4)), np.empty((0, 4)))
+
+    @pytest.mark.parametrize(
+        "pred_shape, gt_shape", [((3,), (3,)), ((3, 3), (3, 3)), ((3, 4), (3, 5)), ((3, 4, 1), (3, 4, 1))]
+    )
+    def test_rows_must_be_n_by_4(self, pred_shape, gt_shape):
+        message = f"trajectories must be (N, 4) rows, got shapes {pred_shape} and {gt_shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate_rows(np.ones(pred_shape), np.ones(gt_shape))
 
 
 class TestAggregate:
