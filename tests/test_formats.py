@@ -320,6 +320,13 @@ class TestTrajectoryRowsProperties:
         path.write_text(text)
         assert_same_outcome(path)
 
+    @pytest.mark.parametrize("text", ["10,,20, ,4,\t,6\n", "frame,cx,cy,w,h\n1, ,12,23,4,\t \t,6,\n"])
+    def test_empty_and_blank_fields_are_skipped(self, tmp_path, text):
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        assert read_trajectory_rows(path).tolist() == [[12.0, 23.0, 4.0, 6.0]]
+        assert_same_outcome(path)
+
     def test_corner_centres_use_from_corner_arithmetic(self, tmp_path):
         values = np.random.default_rng(53).uniform(-1e3, 1e3, (200, 4))
         values[:, 2:] = np.abs(values[:, 2:]) + 0.1
