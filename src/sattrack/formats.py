@@ -6,8 +6,9 @@ shortest round-trip representation: files are byte-stable across runs and
 parse back to the exact values that were written.
 
 Text files are read as UTF-8, whatever the locale: every text reader goes
-through one line reader, which reports a byte that is not UTF-8 as a
-:class:`ConfigError` naming the file and the offset.
+through one line reader, which skips a leading byte-order mark and reports a
+byte that is not UTF-8 as a :class:`ConfigError` naming the file and the
+offset.
 
 Formats:
 
@@ -37,7 +38,7 @@ import tokenize
 import zipfile
 import zlib
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -99,11 +100,13 @@ def write_trajectory(path, boxes: Sequence[BoundingBox]):
 
 
 def _read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, whatever the locale; a byte that is
-    not UTF-8 is a :class:`ConfigError` naming the file and the offset."""
+    """The lines of a UTF-8 text file, whatever the locale, without a leading
+    byte-order mark; a byte that is not UTF-8 is a :class:`ConfigError`
+    naming the file and its offset in the file."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8").splitlines()
+        # "utf-8-sig" would count error offsets from after the mark
+        return data.decode("utf-8").removeprefix("\ufeff").splitlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(
             f"{path}: not UTF-8 text (byte 0x{data[exc.start]:02x} at offset {exc.start})"

@@ -8,7 +8,9 @@ usable positives along their long axis.  The constrained variant flattens the
 decay along the principal axis by raising each side ratio to an exponent
 derived from the box aspect ratio, so supervision follows the object shape.
 A cell's horizontal side ratio depends only on its column and its vertical
-one only on its row, so a whole map is built from two 1-D profiles.
+one only on its row, so a whole map is built from two 1-D profiles.  The
+scalar scores are the same code at one cell, but take rho = (l+r)/(t+b)
+where the map takes w/h, so the two agree bitwise only where those do.
 
 The losses consume these targets: a soft-label cross entropy for the
 classification head, a centerness-weighted log-IoU loss for the regression
@@ -44,11 +46,6 @@ class RegressionTarget:
             raise ValueError("regression target sides must be finite")
         if min(sides) < 0:
             raise ValueError(f"regression target sides must be >= 0, got {sides}")
-
-    @property
-    def is_positive(self) -> bool:
-        """True when the point lies strictly inside the box."""
-        return min(self.l, self.r, self.t, self.b) > 0
 
 
 @dataclass(frozen=True)
@@ -135,18 +132,6 @@ def _check_nondegenerate(target: RegressionTarget):
         )
 
 
-def classic_centerness(target: RegressionTarget) -> float:
-    """Isotropic centerness: sqrt of the product of the two side ratios.
-
-    Equals 1 at the box center and falls to 0 on the boundary at the same
-    rate in both axes, regardless of the box shape.
-    """
-    _check_nondegenerate(target)
-    ratio_h = min(target.l, target.r) / max(target.l, target.r)
-    ratio_v = min(target.t, target.b) / max(target.t, target.b)
-    return math.sqrt(ratio_h * ratio_v)
-
-
 def modulation_factor(rho: float, gamma: float) -> float:
     """Exponent min(1, rho**gamma) applied to a side ratio.
 
@@ -160,6 +145,41 @@ def modulation_factor(rho: float, gamma: float) -> float:
     return min(1.0, rho**gamma)
 
 
+def _exponents(rho: float, params: AspectRatioParams | None) -> tuple[float, float]:
+    if params is None:
+        return 1.0, 1.0
+    return modulation_factor(1.0 / rho, params.gamma), modulation_factor(rho, params.gamma)
+
+
+def _side_ratios(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """min/max of the paired distances ``lo`` and ``hi`` to two opposite box
+    sides where both are > 0 (else 0), and the mask of those entries."""
+    near = np.minimum(lo, hi)
+    inside = near > 0
+    return np.divide(near, np.maximum(lo, hi), out=np.zeros(near.shape), where=inside), inside
+
+
+def _centerness(ratio_h, ratio_v, rho: float, params: AspectRatioParams | None) -> np.ndarray:
+    exp_h, exp_v = _exponents(rho, params)
+    return np.sqrt(np.multiply.outer(ratio_v**exp_v, ratio_h**exp_h))
+
+
+def _cell_centerness(target: RegressionTarget, params: AspectRatioParams | None) -> float:
+    _check_nondegenerate(target)
+    ratios, _ = _side_ratios(np.array([target.l, target.t]), np.array([target.r, target.b]))
+    rho = (target.l + target.r) / (target.t + target.b)
+    return float(_centerness(ratios[:1], ratios[1:], rho, params)[0, 0])
+
+
+def classic_centerness(target: RegressionTarget) -> float:
+    """Isotropic centerness: sqrt of the product of the two side ratios.
+
+    Equals 1 at the box center and falls to 0 on the boundary at the same
+    rate in both axes, regardless of the box shape.
+    """
+    return _cell_centerness(target, None)
+
+
 def constrained_centerness(target: RegressionTarget, params: AspectRatioParams) -> float:
     """Centerness with the decay flattened along the box principal axis.
 
@@ -169,13 +189,9 @@ def constrained_centerness(target: RegressionTarget, params: AspectRatioParams) 
     classic decay.  For square boxes both exponents are 1 and the score
     equals :func:`classic_centerness`.
     """
-    _check_nondegenerate(target)
-    rho = (target.l + target.r) / (target.t + target.b)
-    exp_h = modulation_factor(1.0 / rho, params.gamma)
-    exp_v = modulation_factor(rho, params.gamma)
-    ratio_h = min(target.l, target.r) / max(target.l, target.r)
-    ratio_v = min(target.t, target.b) / max(target.t, target.b)
-    return math.sqrt(ratio_h**exp_h * ratio_v**exp_v)
+    if params is None:
+        raise TypeError("constrained_centerness needs AspectRatioParams")
+    return _cell_centerness(target, params)
 
 
 def build_label_maps(
@@ -191,33 +207,18 @@ def build_label_maps(
     point yields all-negative maps and a warning.
     """
     x0, y0, x1, y1 = gt_box.corners
-    ratio_h, inside_x = _side_ratios(grid.point_xs(), x0, x1)
-    ratio_v, inside_y = _side_ratios(grid.point_ys(), y0, y1)
+    xs, ys = grid.point_xs(), grid.point_ys()
+    ratio_h, inside_x = _side_ratios(xs - x0, x1 - xs)
+    ratio_v, inside_y = _side_ratios(ys - y0, y1 - ys)
     if not (inside_x.any() and inside_y.any()):
         warnings.warn(
             "ground-truth box covers no grid point; all cells are negative",
             stacklevel=2,
         )
-
-    if params is None:
-        exp_h = exp_v = 1.0
-    else:
-        rho = gt_box.w / gt_box.h
-        exp_h = modulation_factor(1.0 / rho, params.gamma)
-        exp_v = modulation_factor(rho, params.gamma)
     # both profiles are zero outside the box, so negatives score zero
-    centerness = np.sqrt(np.multiply.outer(ratio_v**exp_v, ratio_h**exp_h))
+    centerness = _centerness(ratio_h, ratio_v, gt_box.w / gt_box.h, params)
     labels = np.multiply.outer(inside_y, inside_x).astype(np.uint8)
     return LabelMaps(centerness, labels, grid)
-
-
-def _side_ratios(coords: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """min/max of each coordinate's distances to ``lo`` and ``hi`` where it lies
-    strictly between them (else 0), and the mask of those coordinates."""
-    near = np.minimum(coords - lo, hi - coords)
-    inside = near > 0
-    far = np.maximum(coords - lo, hi - coords)
-    return np.divide(near, far, out=np.zeros(coords.shape), where=inside), inside
 
 
 def soft_cls_target(c_target: float, c_pred: float, label: int) -> float:

@@ -344,11 +344,12 @@ class TestTrajectoryRowsProperties:
 
 
 NOT_UTF8 = b"10,20,4,6\n10,20,4,6\n# abc\xff\n"  # 0xff at offset 25
+BOM = b"\xef\xbb\xbf"
 
 
 class TestUtf8Text:
-    def expected(self, path):
-        return rf"^{re.escape(str(path))}: not UTF-8 text \(byte 0xff at offset 25\)$"
+    def expected(self, path, offset=25):
+        return rf"^{re.escape(str(path))}: not UTF-8 text \(byte 0xff at offset {offset}\)$"
 
     @pytest.mark.parametrize("reader", [read_trajectory_rows, read_trajectory, read_grid_csv,
                                         read_kv_file, scenario_from_file,
@@ -358,6 +359,32 @@ class TestUtf8Text:
         path.write_bytes(NOT_UTF8)
         with pytest.raises(ConfigError, match=self.expected(path)):
             reader(path)
+        # a byte-order mark is skipped, but the offset still counts its 3 bytes
+        path.write_bytes(BOM + NOT_UTF8)
+        with pytest.raises(ConfigError, match=self.expected(path, 28)):
+            reader(path)
+
+    @pytest.mark.parametrize("reader, text", [
+        pytest.param(reader, text, id=reader.__name__) for reader, text in [
+            (read_trajectory_rows, "frame,cx,cy,w,h\n1,10,20,4,6\n"),
+            (read_trajectory, "10,20,4,6\n"),
+            (read_grid_csv, "1,2\n3,4\n"),
+            (read_kv_file, "n1 = 12\n"),
+            (scenario_from_file,
+             "frame_count = 5\nwaypoint = 1 1 1\nwaypoint = 5 9 1\ntarget_size = 4 4\n"),
+            (motion_params_from_file, "n1 = 30\n"),
+            (read_attribute_groups, "fast = a b\n"),
+        ]
+    ])
+    def test_byte_order_mark_is_skipped(self, tmp_path, reader, text):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(BOM + text.encode("utf-8"))
+        expected, result = reader(plain), reader(marked)
+        if isinstance(expected, np.ndarray):
+            assert result.tobytes() == expected.tobytes()
+        else:
+            assert result == expected
 
     def test_non_ascii_utf8_comment_is_read(self, tmp_path):
         path = tmp_path / "gt.txt"
@@ -366,6 +393,37 @@ class TestUtf8Text:
         kv = tmp_path / "m.cfg"
         kv.write_bytes("; r\u00e9glage\nn1 = 12\n".encode("utf-8"))
         assert read_kv_file(kv) == [(2, "n1", "12")]
+
+
+# Byte-level tokens for reader inputs: keys, headers, numbers, separators,
+# comments, a byte-order mark, a lone continuation byte and 0xff.
+input_tokens = st.sampled_from(
+    [b"=", b" ", b",", b"\t", b"\n", b"\r\n", b"#", b";", b"-", b".", b"e", b"nan", b"inf"]
+    + [b"n1", b"n2", b"theta", b"lambda_ema", b"frame_count", b"waypoint", b"occlusion"]
+    + [b"target_size", b"map_size", b"seed", b"overall", b"fast", b"a/b", b"frame,cx,cy,w,h"]
+    + [str(n).encode() for n in (0, 1, 2, 5, 12, 40, 10**30)]
+    + [BOM, b"\x80", b"\xff", "\u00e9".encode()]
+)
+input_bytes = st.one_of(
+    st.binary(max_size=120),
+    st.lists(input_tokens, max_size=60).map(b"".join),
+    st.text(max_size=60).map(lambda text: text.encode("utf-8")),
+)
+
+
+@pytest.mark.parametrize("reader", [read_trajectory_rows, read_grid_csv, read_kv_file,
+                                    scenario_from_file, motion_params_from_file,
+                                    read_attribute_groups, read_feature_map,
+                                    read_projection_weights])
+@settings(max_examples=150, deadline=None)
+@given(data=input_bytes)
+def test_any_bytes_parse_or_raise_config_error(tmp_path_factory, reader, data):
+    path = tmp_path_factory.getbasetemp() / f"any_bytes_{reader.__name__}.bin"
+    path.write_bytes(data)
+    try:
+        reader(path)
+    except ConfigError:
+        pass
 
 
 class TestTraceAndGrids:

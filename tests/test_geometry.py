@@ -95,8 +95,7 @@ class TestCenterness:
             r = 40 - l
             b = 40 - t  # l + r == t + b, rho = 1
             target = RegressionTarget(l, r, t, b)
-            delta = constrained_centerness(target, params) - classic_centerness(target)
-            assert abs(delta) < 1e-12
+            assert constrained_centerness(target, params) == classic_centerness(target)
 
     def test_range_and_symmetry_property(self):
         rng = np.random.default_rng(7)
@@ -108,7 +107,11 @@ class TestCenterness:
             assert 0.0 <= value <= 1.0
             assert 0.0 <= classic_centerness(RegressionTarget(l, r, t, b)) <= 1.0
             swapped = constrained_centerness(RegressionTarget(r, l, b, t), params)
-            assert value == pytest.approx(swapped, abs=1e-14)
+            assert value == swapped
+
+    def test_constrained_needs_params(self):
+        with pytest.raises(TypeError, match="AspectRatioParams"):
+            constrained_centerness(RegressionTarget(3, 3, 2, 2), None)
 
     def test_exponent_monotone_in_gamma(self):
         # for rho > 1 the long-axis exponent shrinks as gamma grows
@@ -179,6 +182,8 @@ class TestLabelMaps:
                     else:
                         expected = 0.0
                         assert maps.labels[i, j] == 0
+                    # the oracle exponentiates with Python's float ``**``, which differs
+                    # from numpy's array ``**`` in the last bits
                     assert abs(maps.centerness[i, j] - expected) < 1e-12
 
 
@@ -229,6 +234,26 @@ class TestLabelMapProperties:
         assert maps.labels.dtype == np.uint8
         assert maps.centerness.shape == (height, width)
         assert bool(caught) == (not expected_labels.any())
+
+        # the scalar scores are the map rule at one cell; they take rho as
+        # (l+r)/(t+b) where the map takes w/h, so they are bitwise equal to
+        # the map wherever those ratios are
+        cells = np.argwhere(expected_labels)
+        if not cells.size:
+            return
+        classic_map = build_label_maps(box, grid, None).centerness
+        x0, y0, x1, y1 = box.corners
+        for i, j in cells[:: math.ceil(len(cells) / 24)]:
+            px, py = grid.point_xs()[j], grid.point_ys()[i]
+            target = RegressionTarget(px - x0, x1 - px, py - y0, y1 - py)
+            assert classic_centerness(target) == classic_map[i, j]
+            if params is None:
+                continue
+            value, cell = constrained_centerness(target, params), maps.centerness[i, j]
+            if (target.l + target.r) / (target.t + target.b) == box.w / box.h:
+                assert value == cell
+            else:
+                assert abs(value - cell) <= 1e-14 * cell
 
 
 class TestSoftClsTarget:

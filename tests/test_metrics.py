@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from sattrack import (
     BoundingBox,
-    EvalResult,
     aggregate_results,
     cle,
     evaluate,
