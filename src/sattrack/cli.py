@@ -72,8 +72,9 @@ def _parse_ommr(text: str) -> bool:
 
 
 def _output_dir(args) -> Path:
-    output = _resolve(args.output, "OUTPUT", str, None)
-    if output is None:
+    # an empty --output or SATTRACK_OUTPUT is unset, not the current directory
+    output = _resolve(args.output or None, "OUTPUT", str, None)
+    if not output:
         raise ConfigError("no output directory: pass --output or set SATTRACK_OUTPUT")
     path = Path(output)
     path.mkdir(parents=True, exist_ok=True)

@@ -6,7 +6,7 @@ shortest round-trip representation: files are byte-stable across runs and
 parse back to the exact values that were written.
 
 Text files are read as UTF-8, whatever the locale: every text reader goes
-through one line reader, which skips a leading byte-order mark and reports a
+through one decoder, which skips a leading byte-order mark and reports a
 byte that is not UTF-8 as a :class:`ConfigError` naming the file and the
 offset.
 
@@ -16,8 +16,9 @@ Formats:
   frames numbered 1..N in order; the reader also accepts the common
   headerless benchmark layout ``x,y,w,h`` (top-left corner, comma or tab
   separated).  :func:`read_trajectory_rows` parses either straight into
-  ``(N, 4)`` center-format rows, validating every row at once; the
-  first bad line in file order is the one reported.
+  ``(N, 4)`` center-format rows: a well-formed file in one pass over its
+  whole text, any other file row by row, so that the first bad line in
+  file order is the one reported.
   :func:`read_trajectory` wraps it for a list of boxes
 * grid CSV -- one response/label map row per line
 * PGM (binary P5) -- grayscale heatmap export, value*255 rounded
@@ -37,6 +38,7 @@ import struct
 import tokenize
 import zipfile
 import zlib
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -99,14 +101,14 @@ def write_trajectory(path, boxes: Sequence[BoundingBox]):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, whatever the locale, without a leading
+def _read_text(path) -> str:
+    """The text of a UTF-8 file, whatever the locale, without a leading
     byte-order mark; a byte that is not UTF-8 is a :class:`ConfigError`
     naming the file and its offset in the file."""
     data = Path(path).read_bytes()
     try:
         # "utf-8-sig" would count error offsets from after the mark
-        return data.decode("utf-8").removeprefix("\ufeff").splitlines()
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigError(
             f"{path}: not UTF-8 text (byte 0x{data[exc.start]:02x} at offset {exc.start})"
@@ -120,9 +122,9 @@ def _split_row(line: str) -> list[str]:
 
 def _row_numbers(raw: str) -> list[float]:
     """The fields of one row, as ``float`` of each :func:`_split_row` part.
-    ``float`` skips the same surrounding whitespace that ``strip`` does, so
-    the blank parts are dropped but the others need no stripping;
-    ``ValueError`` means a non-numeric field."""
+    ``float`` skips the same surrounding whitespace that ``strip`` does
+    (but rejects U+001F), so the blank parts are dropped but the others
+    need no stripping; ``ValueError`` means a non-numeric field."""
     return list(map(float, filter(str.strip, raw.replace("\t", ",").split(","))))
 
 
@@ -141,22 +143,53 @@ def _raise_box_error(where: str, fields: list[float], center_format: bool):
     raise AssertionError(f"{where}: row flagged invalid but accepted: {fields}")
 
 
-def read_trajectory_rows(path) -> np.ndarray:
-    """Read our trajectory CSV or a headerless x,y,w,h file as ``(N, 4)``
-    float ``(cx, cy, w, h)`` rows.
+def _center_rows(table: np.ndarray, center_format: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Center ``(N, 4)`` rows of a parsed field table, and the mask of rows
+    that make a valid :class:`BoundingBox` (finite, ``w, h > 0``).  Corner
+    rows become centres as ``x + w / 2``, the arithmetic of
+    :meth:`BoundingBox.from_corner`."""
+    if center_format:
+        boxes = np.ascontiguousarray(table[:, 1:])
+    else:
+        boxes = table.copy()
+        with np.errstate(over="ignore", invalid="ignore"):  # flagged by the mask
+            boxes[:, :2] += table[:, 2:] / 2.0
+    valid = np.isfinite(boxes).all(axis=1) & (boxes[:, 2] > 0) & (boxes[:, 3] > 0)
+    return boxes, valid
 
-    Fields are parsed with Python's ``float``.  The frame column of a
-    trajectory CSV must count 1..N in file order.  Corner rows become
-    centres as ``x + w / 2``, the arithmetic of
-    :meth:`BoundingBox.from_corner`.  Every row must make a valid
-    :class:`BoundingBox` (finite fields, ``w, h > 0``); that is checked on
-    all rows at once.  Errors name ``path:line``, and the first bad line in
-    file order wins whatever the kind of error.
-    """
-    path = Path(path)
+
+def _parse_whole(text: str) -> np.ndarray | None:
+    """The rows of a well-formed file, parsed as one piece, or ``None`` when
+    the file needs :func:`_scan_rows`.
+
+    Well-formed means: a header line or none, then box rows only (no
+    comment, blank line or blank field), each with ``width - 1`` separators,
+    every field a Python ``float``, frames 1..N and every box valid.  Each
+    of those is one operation over the whole file.  A file that fails any of
+    them goes to the per-row scan, which finds the first bad line."""
+    lines = text.replace("\t", ",").splitlines()
+    center_format = bool(lines) and lines[0].lstrip().lower().startswith("frame")
+    body = lines[1:] if center_format else lines
+    width = 5 if center_format else 4
+    if not body or set(map(str.count, body, repeat(","))) != {width - 1}:
+        return None
+    try:
+        fields = np.fromiter(map(float, ",".join(body).split(",")), float, len(body) * width)
+    except ValueError:  # a blank or non-numeric field
+        return None
+    table = fields.reshape(-1, width)
+    if center_format and not (table[:, 0] == np.arange(1, len(body) + 1)).all():
+        return None
+    boxes, valid = _center_rows(table, center_format)
+    return boxes if valid.all() else None
+
+
+def _scan_rows(path: Path, lines: list[str]) -> np.ndarray:
+    """:func:`read_trajectory_rows` one row at a time: skips comments and
+    blank lines and fields, and raises the error of the first bad line."""
     rows = [
         (number, raw)
-        for number, raw in enumerate(_read_lines(path), start=1)
+        for number, raw in enumerate(lines, start=1)
         if (text := raw.strip()) and not text.startswith("#")
     ]
     if not rows:
@@ -187,19 +220,34 @@ def read_trajectory_rows(path) -> np.ndarray:
             break
         fields += values
     table = np.array(fields, dtype=float).reshape(-1, width)
-    if center_format:
-        boxes = np.ascontiguousarray(table[:, 1:])
-    else:
-        boxes = table.copy()
-        with np.errstate(over="ignore", invalid="ignore"):  # flagged below
-            boxes[:, :2] += table[:, 2:] / 2.0
-    valid = np.isfinite(boxes).all(axis=1) & (boxes[:, 2] > 0) & (boxes[:, 3] > 0)
+    boxes, valid = _center_rows(table, center_format)
     if not valid.all():
         first = int(valid.argmin())
         _raise_box_error(f"{path}:{rows[first][0]}", table[first].tolist(), center_format)
     if error is not None:
         raise ConfigError(error)
     return boxes
+
+
+def read_trajectory_rows(path) -> np.ndarray:
+    """Read our trajectory CSV or a headerless x,y,w,h file as ``(N, 4)``
+    float ``(cx, cy, w, h)`` rows.
+
+    Fields are parsed with Python's ``float``.  The frame column of a
+    trajectory CSV must count 1..N in file order.  Corner rows become
+    centres as ``x + w / 2``, the arithmetic of
+    :meth:`BoundingBox.from_corner`.  Every row must make a valid
+    :class:`BoundingBox` (finite fields, ``w, h > 0``).  A well-formed file
+    is parsed in one pass over the whole text (:func:`_parse_whole`); any
+    other file -- comments, blank lines or fields, a bad row -- is scanned
+    row by row (:func:`_scan_rows`), with the same rows as the result.
+    Errors name ``path:line``, and the first bad line in file order wins
+    whatever the kind of error.
+    """
+    path = Path(path)
+    text = _read_text(path)
+    rows = _parse_whole(text)
+    return rows if rows is not None else _scan_rows(path, text.splitlines())
 
 
 def read_trajectory(path) -> list[BoundingBox]:
@@ -228,7 +276,7 @@ def write_grid_csv(path, grid: np.ndarray):
 
 def read_grid_csv(path) -> np.ndarray:
     rows = []
-    for number, line in enumerate(_read_lines(path), start=1):
+    for number, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         row = []
@@ -353,7 +401,7 @@ def read_kv_file(path) -> list[tuple[int, str, str]]:
     """Parse a key = value file into (line, key, value) entries."""
     path = Path(path)
     entries = []
-    for number, raw in enumerate(_read_lines(path), start=1):
+    for number, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith(("#", ";")):
             continue
@@ -466,6 +514,7 @@ def read_attribute_groups(path) -> dict[str, list[str]]:
 
     Names are limited to ``[A-Za-z0-9_-]+`` so that they stay inside the
     output directory, and ``overall`` is reserved for the built-in group.
+    A group lists each member once, so no sequence weighs twice in it.
     """
     path = Path(path)
     groups: dict[str, list[str]] = {}
@@ -484,6 +533,11 @@ def read_attribute_groups(path) -> dict[str, list[str]]:
         members = value.replace(",", " ").split()
         if not members:
             raise ConfigError(f"{path}:{number}: group {key!r} has no members")
+        seen = set()
+        for member in members:
+            if member in seen:
+                raise ConfigError(f"{path}:{number}: group {key!r} lists {member!r} twice")
+            seen.add(member)
         groups[key] = members
     return groups
 

@@ -2,11 +2,15 @@
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "bench_pairs.py"
+# the committed benchmark files in numeric order (BENCH_10 after BENCH_9)
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"), key=lambda path: int(path.stem.split("_")[1]))
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +90,21 @@ def test_compare_lines_show_each_files_in_file_verdict(bench_pairs):
     assert lines[1].split()[-1] == "1.500x"
     assert lines[2] == "    in-file parent -> change: 1 -> 40 (wins 3/5) | 42 -> 60 (wins 10/10)"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("before, after", [
+    pytest.param(before, after, id=f"{before.stem}-{after.stem}")
+    for before, after in zip(BENCH_FILES, BENCH_FILES[1:])
+])
+def test_compare_reads_each_consecutive_committed_pair(bench_pairs, capsys, before, after):
+    bench_pairs.main(["compare", str(before), str(after)])
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"{before} -> {after}"
+    workloads = [json.loads(path.read_text())["workloads"].keys() for path in (before, after)]
+    shared = workloads[0] & workloads[1]
+    assert shared
+    for workload in shared:
+        header = re.compile(rf"{workload}: \d+ -> \d+ runs, failed \d+ -> \d+")
+        assert any(header.fullmatch(line) for line in out)
+    ratios = [line.split()[-1] for line in out if line.split()[:1] == ["frames_per_s"]]
+    assert len(ratios) == len(shared) and all(ratio.endswith("x") for ratio in ratios)

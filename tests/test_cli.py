@@ -140,6 +140,29 @@ def test_output_flag_required_without_env(scenario_file, capsys):
     assert "SATTRACK_OUTPUT" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, env", [("", None), (None, ""), ("", "")])
+def test_empty_output_is_unset_not_the_current_directory(
+    scenario_file, tmp_path, monkeypatch, capsys, flag, env
+):
+    config = scenario_file(CLEAN_SCENARIO)
+    work = tmp_path / "cwd"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    if env is not None:
+        monkeypatch.setenv("SATTRACK_OUTPUT", env)
+    argv = ["simulate", "--scenario", config] + ([] if flag is None else ["--output", flag])
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: no output directory")
+    assert list(work.iterdir()) == []
+
+
+def test_empty_output_flag_falls_back_to_the_environment(scenario_file, tmp_path, monkeypatch):
+    out = tmp_path / "env-out"
+    monkeypatch.setenv("SATTRACK_OUTPUT", str(out))
+    assert main(["simulate", "--scenario", scenario_file(CLEAN_SCENARIO), "--output", ""]) == 0
+    assert (out / "ground_truth.csv").exists()
+
+
 def test_output_env_variable_used(scenario_file, tmp_path, monkeypatch):
     out = tmp_path / "env-out"
     monkeypatch.setenv("SATTRACK_OUTPUT", str(out))

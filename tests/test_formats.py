@@ -8,14 +8,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sattrack import BoundingBox, evaluate, init_projection_weights
 from sattrack.boxes import box_rows
 from sattrack.formats import (
     ConfigError,
     _parse_numbers,
+    _parse_whole,
+    _read_text,
+    _scan_rows,
     _split_row,
     atomic_write_text,
     motion_params_from_file,
@@ -212,15 +216,24 @@ def read_outcome(reader, path):
     return result if isinstance(result, np.ndarray) else box_rows(result)
 
 
-def assert_same_outcome(path):
-    new, reference = read_outcome(read_trajectory_rows, path), read_outcome(
-        reference_read_trajectory, path
-    )
-    if isinstance(reference, str) or isinstance(new, str):
-        assert new == reference
-    else:
-        assert new.dtype == reference.dtype and new.shape == reference.shape
-        assert new.tobytes() == reference.tobytes()  # bitwise, -0.0 included
+def scan_trajectory_rows(path):
+    """read_trajectory_rows forced down the per-row scan."""
+    return _scan_rows(Path(path), _read_text(path).splitlines())
+
+
+def assert_same_outcome(path, reference=None):
+    """read_trajectory_rows and its per-row scan both give the reference
+    reader's rows, bitwise, or its ConfigError message.  ``reference`` is
+    the reference outcome when it cannot be read from ``path`` itself."""
+    if reference is None:
+        reference = read_outcome(reference_read_trajectory, path)
+    for reader in (read_trajectory_rows, scan_trajectory_rows):
+        new = read_outcome(reader, path)
+        if isinstance(reference, str) or isinstance(new, str):
+            assert new == reference
+        else:
+            assert new.dtype == reference.dtype and new.shape == reference.shape
+            assert new.tobytes() == reference.tobytes()  # bitwise, -0.0 included
 
 
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -264,7 +277,8 @@ def trajectory_texts(draw):
             frame += 1
             fields.insert(0, str(frame) if draw(st.integers(0, 9)) else draw(field_text))
         lines.append(draw(st.sampled_from([",", "\t", ", ", " ,"])).join(fields))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\u2028"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline, "\r\n"]))
 
 
 class TestTrajectoryRowsProperties:
@@ -343,8 +357,100 @@ class TestTrajectoryRowsProperties:
         assert read_trajectory(path) == [BoundingBox(*row) for row in rows.tolist()]
 
 
-NOT_UTF8 = b"10,20,4,6\n10,20,4,6\n# abc\xff\n"  # 0xff at offset 25
 BOM = b"\xef\xbb\xbf"
+
+
+def layout_text(rows: np.ndarray, layout: str) -> str:
+    """A trajectory file of ``rows`` (frames or corner boxes) in one layout."""
+    if layout == "header":
+        return "frame,cx,cy,w,h\n" + "".join(
+            f"{i},{cx!r},{cy!r},{w!r},{h!r}\n" for i, (cx, cy, w, h) in enumerate(rows.tolist(), 1)
+        )
+    separator = "\t" if layout == "corner-tab" else ","
+    return "".join(separator.join(map(repr, row)) + "\n" for row in rows.tolist())
+
+
+LAYOUTS = ["header", "corner-comma", "corner-tab"]
+ONE_PASS = [
+    # line breaks other than \n, and no final one
+    "frame,cx,cy,w,h\r\n1,10,20,4,6\r\n2,11,21,4,6\r\n",
+    "10,20,4,6\r\n11,21,4,6",
+    "10,20,4,6\x0b11,21,4,6\x0c12,22,4,6\u2028",
+    "frame,cx,cy,w,h\u20281,10,20,4,6\r2,11,21,4,6\x85",
+    # mixed tab and comma rows, whitespace around fields, a spelt-out header
+    "10\t20,4\t6\n11,21\t4,6\n",
+    " 10 ,\xa020\t 4 ,6 \n",
+    "  FRAME\tcx\tcy\tw\th\n1\t10\t20\t4\t6\n",
+]
+PER_ROW = [
+    # comments and blank lines
+    "# gt\n10,20,4,6\n",
+    "10,20,4,6\n\n11,21,4,6\n",
+    "10,20,4,6\n \t \n",
+    "\nframe,cx,cy,w,h\n1,10,20,4,6\n",
+    # blank and whitespace-only fields
+    "10,,20,4,6\n",
+    "10, ,20,4,6\n",
+    "10,20,4,6\n11,21\t\t4,6\n",
+    "frame,cx,cy,w,h\n1,10,20,4,6,\n",
+    # a header behind a tab, which the one-pass split turns into a field
+    "\tframe,cx,cy,w,h\n1,10,20,4,6\n",
+    # errors: count, non-number, frame, box; empty files
+    "10,20,4\n",
+    "10,20,4\n11,21,4,6,7\n",
+    "10,20,4,6\r\n10,20,4,6,7\r\n",
+    "10,20,4,6\u202810,x,4,6\u2028",
+    "frame,cx,cy,w,h\x0b1,10,20,4,6\x0b3,10,20,4,6\x0b",
+    "frame,cx,cy,w,h\n1,10,20,4,6\n2,10,20,0,6\n",
+    "10,20,4,6\x0c10,20,nan,6\x0c",
+    "",
+    "frame,cx,cy,w,h\r\n",
+]
+
+
+class TestOnePassParse:
+    """A well-formed file is parsed in one pass; any other goes to the
+    per-row scan.  Both give the reference reader's rows or message."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_thousand_row_files_take_the_one_pass_parse(self, tmp_path, layout):
+        rows = np.random.default_rng(54).uniform(-500.0, 500.0, (1000, 4))
+        rows[:, 2:] = np.abs(rows[:, 2:]) + 0.5
+        rows[::97, 0] = -0.0
+        text = layout_text(rows, layout)
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        assert _parse_whole(text) is not None
+        assert read_trajectory_rows(path).shape == (1000, 4)
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize("text", ONE_PASS)
+    def test_well_formed_text_takes_the_one_pass_parse(self, tmp_path, text):
+        path = tmp_path / "t.txt"
+        path.write_text(text, newline="")
+        assert _parse_whole(text) is not None
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize("text", PER_ROW)
+    def test_other_text_takes_the_per_row_scan(self, tmp_path, text):
+        path = tmp_path / "t.txt"
+        path.write_text(text, newline="")
+        assert _parse_whole(text) is None
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize("text", ONE_PASS + PER_ROW + [layout_text(
+        np.array([[10.0, 20.0, 4.0, 6.0], [11.0, 21.0, 5.0, 7.0]]), layout) for layout in LAYOUTS
+    ])
+    def test_byte_order_mark_changes_nothing(self, tmp_path, text):
+        # the reference reader keeps the mark, so it reads the same path unmarked
+        path = tmp_path / "t.txt"
+        path.write_bytes(text.encode())
+        reference = read_outcome(reference_read_trajectory, path)
+        path.write_bytes(BOM + text.encode())
+        assert_same_outcome(path, reference)
+
+
+NOT_UTF8 = b"10,20,4,6\n10,20,4,6\n# abc\xff\n"  # 0xff at offset 25
 
 
 class TestUtf8Text:
@@ -465,6 +571,34 @@ class TestTraceAndGrids:
         path = tmp_path / "map.pgm"
         write_pgm(path, np.array([[-0.5, 2.0]]))
         assert path.read_bytes().endswith(bytes([0, 255]))
+
+
+class TestRoundTripProperties:
+    """Exact round trips: what a writer writes, its reader gives back bitwise."""
+
+    @settings(max_examples=150, deadline=None)
+    @example(grid=np.array([[-0.0, 0.0, -np.inf], [np.inf, -5e-324, 1.7976931348623157e308]]))
+    @given(grid=hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                           elements=st.floats(allow_nan=False)))
+    def test_grid_csv_round_trip_is_bitwise(self, tmp_path_factory, grid):
+        path = tmp_path_factory.mktemp("grid") / "grid.csv"
+        write_grid_csv(path, grid)
+        loaded = read_grid_csv(path)
+        assert loaded.dtype == float and loaded.shape == grid.shape
+        assert loaded.tobytes() == grid.tobytes()  # -0.0 and inf included
+
+    @settings(max_examples=150, deadline=None)
+    @example(tensor=np.array([[[-0.0, 0.0, -1e-45]], [[1e-45, 3.4028235e38, -3.4028235e38]]],
+                             dtype=np.float32))
+    @given(tensor=hnp.arrays(np.float32, hnp.array_shapes(min_dims=3, max_dims=3, max_side=6),
+                             elements=st.floats(allow_nan=False, allow_infinity=False, width=32)))
+    def test_feature_map_round_trip_is_bitwise(self, tmp_path_factory, tensor):
+        path = tmp_path_factory.mktemp("feat") / "feat.bin"
+        values = tensor.astype(float)  # float32-representable float64 values
+        write_feature_map(path, values)
+        loaded = read_feature_map(path)
+        assert loaded.dtype == float and loaded.shape == values.shape
+        assert loaded.tobytes() == values.tobytes()  # -0.0 and subnormals included
 
 
 class TestTensorIO:
@@ -766,6 +900,12 @@ class TestAttributeGroups:
         with pytest.raises(ConfigError, match="no members"):
             read_attribute_groups(path)
 
+    @pytest.mark.parametrize("members", ["a a b", "a, b, a", "b a,a"])
+    def test_repeated_member_rejected(self, tmp_path, members):
+        path = tmp_path / "groups.cfg"
+        path.write_text(f"ok = a b\ngrp = {members}\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:2: group 'grp' lists 'a' twice$"):
+            read_attribute_groups(path)
 
     def test_overall_rejected(self, tmp_path):
         path = tmp_path / "groups.cfg"
