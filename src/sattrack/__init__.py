@@ -51,6 +51,7 @@ from .motion import (
     peak_to_box,
     psr,
     refine_step,
+    track_rows,
 )
 from .scenario import (
     FrameObservation,
@@ -58,6 +59,7 @@ from .scenario import (
     TraceRow,
     drift_series,
     generate_scenario,
+    generate_scenario_rows,
     run_tracking,
     synthesize_response_map,
 )
@@ -92,6 +94,7 @@ __all__ = [
     "evaluate",
     "fit_value",
     "generate_scenario",
+    "generate_scenario_rows",
     "init_projection_weights",
     "instantaneous_velocity",
     "iou",
@@ -109,5 +112,6 @@ __all__ = [
     "synthesize_response_map",
     "template_saliency",
     "total_loss",
+    "track_rows",
     "xcorr_depthwise",
 ]

@@ -1,5 +1,10 @@
 """Axis-aligned bounding boxes in center format (cx, cy, w, h), pixel units.
 
+Bulk code holds boxes as ``(N, 4)`` float rows instead of one
+:class:`BoundingBox` each; :func:`valid_rows` is the box's own validity
+rule over such rows, and :func:`check_rows` raises the box's own error for
+the first row that breaks it.
+
 :func:`overlap_areas` is the one definition of box overlap, shared by
 evaluation and the regression loss.  Every area comes from corner
 differences, so equal boxes give intersection == union exactly (IoU 1).
@@ -61,6 +66,20 @@ class BoundingBox:
 def box_rows(boxes: Iterable[BoundingBox]) -> np.ndarray:
     """``(N, 4)`` float array of ``(cx, cy, w, h)`` rows, one per box."""
     return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
+
+
+def valid_rows(rows: np.ndarray) -> np.ndarray:
+    """``(N,)`` mask of the ``(N, 4)`` rows that make a valid
+    :class:`BoundingBox`: every field finite, ``w, h > 0``."""
+    return np.isfinite(rows).all(axis=1) & (rows[:, 2] > 0) & (rows[:, 3] > 0)
+
+
+def check_rows(rows: np.ndarray):
+    """Raise the ``ValueError`` :class:`BoundingBox` gives for the first of
+    the ``(N, 4)`` rows that is not a valid box; return when all are."""
+    valid = valid_rows(rows)
+    if not valid.all():
+        BoundingBox(*rows[valid.argmin()].tolist())
 
 
 def overlap_areas(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -40,7 +40,11 @@ from .metrics import aggregate_results
 # and reports its time as ``metrics.evaluate``.
 from .metrics import evaluate_rows as evaluate
 from .motion import MotionParams, psr
-from .scenario import generate_scenario, run_tracking
+# ``track`` and ``simulate`` run on rows; benchmarks/tracing.py wraps these
+# two names and reports them as ``scenario.generate_scenario`` and
+# ``scenario.run_tracking``.
+from .motion import track_rows as run_tracking
+from .scenario import generate_scenario_rows as generate_scenario
 
 
 class UsageError(ConfigError):
@@ -132,20 +136,25 @@ def cmd_centerness_map(args):
 
 def cmd_simulate(args):
     config = _scenario_config(args)
-    observations = generate_scenario(config)
+    gt, raw, maps, occluded = generate_scenario(config)
+    flat = maps.reshape(len(maps), -1)
+    peaks = flat.argmax(axis=1)
+    peak_rows, peak_cols = np.divmod(peaks, maps.shape[2])
+    peak_values = flat[np.arange(len(flat)), peaks]
     summary_lines = ["frame,occluded,peak_row,peak_col,peak_value,psr"]
-    for obs in observations:
-        peak = np.unravel_index(int(np.argmax(obs.response)), obs.response.shape)
-        summary_lines.append(
-            f"{obs.frame},{int(obs.occluded)},{peak[0]},{peak[1]},"
-            f"{formats._fmt(obs.response[peak])},{formats._fmt(psr(obs.response))}"
+    summary_lines += [
+        f"{frame},{int(hidden)},{i},{j},{formats._fmt(value)},{formats._fmt(psr(response))}"
+        for frame, hidden, i, j, value, response in zip(
+            range(1, len(maps) + 1), occluded.tolist(), peak_rows.tolist(),
+            peak_cols.tolist(), peak_values.tolist(), maps,
         )
+    ]
 
     out = _output_dir(args)
-    formats.write_trajectory(out / "ground_truth.csv", [o.gt_box for o in observations])
-    formats.write_trajectory(out / "raw_model.csv", [o.raw_model_box for o in observations])
+    formats.write_trajectory(out / "ground_truth.csv", gt)
+    formats.write_trajectory(out / "raw_model.csv", raw)
     formats.atomic_write_text(out / "response_summary.csv", "\n".join(summary_lines) + "\n")
-    print(f"simulated {len(observations)} frames (seed {config.seed}) into {out}")
+    print(f"simulated {len(maps)} frames (seed {config.seed}) into {out}")
 
 
 def cmd_track(args):
@@ -163,14 +172,13 @@ def cmd_track(args):
             f"n1 ({params.n1}) must be below frame_count ({config.frame_count}) "
             f"for refinement to activate; lower --n1 or use --ommr off"
         )
-    observations = generate_scenario(config)
-    trace = []
-    trajectory = run_tracking(observations, params, refine, trace=trace)
+    gt, raw, maps, _ = generate_scenario(config)
+    trajectory, *trace = run_tracking(raw, maps, params, refine)
 
     out = _output_dir(args)
     formats.write_trajectory(out / "trajectory.csv", trajectory)
-    formats.write_trajectory(out / "ground_truth.csv", [o.gt_box for o in observations])
-    formats.write_trace(out / "trace.csv", trace)
+    formats.write_trajectory(out / "ground_truth.csv", gt)
+    formats.write_trace(out / "trace.csv", *trace)
     mode = "refined" if refine else "raw"
     print(f"tracked {len(trajectory)} frames ({mode}, seed {config.seed}) into {out}")
 

@@ -19,7 +19,10 @@ Formats:
   ``(N, 4)`` center-format rows: a well-formed file in one pass over its
   whole text, any other file row by row, so that the first bad line in
   file order is the one reported.
-  :func:`read_trajectory` wraps it for a list of boxes
+  :func:`read_trajectory` wraps it for a list of boxes, and
+  :func:`write_trajectory` writes such rows
+* trace CSV -- ``frame,psr,npsr,branch``, written from the per-frame
+  columns by :func:`write_trace`
 * grid CSV -- one response/label map row per line
 * PGM (binary P5) -- grayscale heatmap export, value*255 rounded
 * feature tensor -- 12-byte header of C, H, W as little-endian uint32,
@@ -45,7 +48,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .attention import ProjectionWeights
-from .boxes import BoundingBox
+from .boxes import BoundingBox, valid_rows
 from .metrics import (
     NORM_PRECISION_THRESHOLDS,
     PRECISION_THRESHOLDS,
@@ -54,7 +57,7 @@ from .metrics import (
     EvalResult,
 )
 from .motion import MotionParams
-from .scenario import ScenarioConfig, TraceRow
+from .scenario import ScenarioConfig
 
 
 class ConfigError(ValueError):
@@ -92,12 +95,17 @@ def _fmt(value) -> str:
 TRAJECTORY_HEADER = "frame,cx,cy,w,h"
 
 
-def write_trajectory(path, boxes: Sequence[BoundingBox]):
+def write_trajectory(path, rows: np.ndarray):
+    """Write ``(N, 4)`` ``(cx, cy, w, h)`` rows as a trajectory CSV with
+    frames 1..N; pass ``box_rows(boxes)`` for a list of boxes."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 4:
+        raise ValueError(f"trajectory rows must be (N, 4), got shape {rows.shape}")
     lines = [TRAJECTORY_HEADER]
-    for index, box in enumerate(boxes, start=1):
-        lines.append(
-            f"{index},{_fmt(box.cx)},{_fmt(box.cy)},{_fmt(box.w)},{_fmt(box.h)}"
-        )
+    lines += [
+        f"{frame},{cx!r},{cy!r},{w!r},{h!r}"
+        for frame, (cx, cy, w, h) in enumerate(rows.tolist(), start=1)
+    ]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -116,16 +124,12 @@ def _read_text(path) -> str:
 
 
 def _split_row(line: str) -> list[str]:
+    """The non-blank fields of one comma- or tab-separated row, stripped of
+    what ``str.strip`` removes.  That includes U+001F, which ``float``
+    alone rejects, so ``10\x1f`` is the field ``10`` as in every other
+    reader here."""
     line = line.replace("\t", ",")
     return [part.strip() for part in line.split(",") if part.strip()]
-
-
-def _row_numbers(raw: str) -> list[float]:
-    """The fields of one row, as ``float`` of each :func:`_split_row` part.
-    ``float`` skips the same surrounding whitespace that ``strip`` does
-    (but rejects U+001F), so the blank parts are dropped but the others
-    need no stripping; ``ValueError`` means a non-numeric field."""
-    return list(map(float, filter(str.strip, raw.replace("\t", ",").split(","))))
 
 
 def _raise_box_error(where: str, fields: list[float], center_format: bool):
@@ -154,8 +158,7 @@ def _center_rows(table: np.ndarray, center_format: bool) -> tuple[np.ndarray, np
         boxes = table.copy()
         with np.errstate(over="ignore", invalid="ignore"):  # flagged by the mask
             boxes[:, :2] += table[:, 2:] / 2.0
-    valid = np.isfinite(boxes).all(axis=1) & (boxes[:, 2] > 0) & (boxes[:, 3] > 0)
-    return boxes, valid
+    return boxes, valid_rows(boxes)
 
 
 def _parse_whole(text: str) -> np.ndarray | None:
@@ -203,8 +206,9 @@ def _scan_rows(path: Path, lines: list[str]) -> np.ndarray:
     fields: list[float] = []
     error = None  # the first parse error, raised after the rows before it are checked
     for index, (number, raw) in enumerate(rows):
+        parts = _split_row(raw)
         try:
-            values = _row_numbers(raw)
+            values = list(map(float, parts))
         except ValueError:
             error = f"{path}:{number}: non-numeric box field"
             break
@@ -214,7 +218,7 @@ def _scan_rows(path: Path, lines: list[str]) -> np.ndarray:
             break
         if center_format and values[0] != index + 1:
             error = (
-                f"{path}:{number}: frame {_split_row(raw)[0]} out of sequence, "
+                f"{path}:{number}: frame {parts[0]} out of sequence, "
                 f"expected {index + 1} (frames must be 1..N in order)"
             )
             break
@@ -233,7 +237,8 @@ def read_trajectory_rows(path) -> np.ndarray:
     """Read our trajectory CSV or a headerless x,y,w,h file as ``(N, 4)``
     float ``(cx, cy, w, h)`` rows.
 
-    Fields are parsed with Python's ``float``.  The frame column of a
+    Fields are parsed with Python's ``float`` after stripping what
+    ``str.strip`` removes (U+001F included).  The frame column of a
     trajectory CSV must count 1..N in file order.  Corner rows become
     centres as ``x + w / 2``, the arithmetic of
     :meth:`BoundingBox.from_corner`.  Every row must make a valid
@@ -255,10 +260,18 @@ def read_trajectory(path) -> list[BoundingBox]:
     return [BoundingBox(*row) for row in read_trajectory_rows(path).tolist()]
 
 
-def write_trace(path, trace: Sequence[TraceRow]):
+def write_trace(path, psr, npsr, branch: Sequence[str]):
+    """Write the per-frame trace columns, frames 1..N, as
+    ``frame,psr,npsr,branch``; the three columns must have equal lengths."""
+    psr = np.asarray(psr, dtype=float).tolist()
+    npsr = np.asarray(npsr, dtype=float).tolist()
     lines = ["frame,psr,npsr,branch"]
-    for row in trace:
-        lines.append(f"{row.frame},{_fmt(row.psr)},{_fmt(row.npsr)},{row.branch}")
+    lines += [
+        f"{frame},{value!r},{normalized!r},{label}"
+        for frame, (value, normalized, label) in enumerate(
+            zip(psr, npsr, branch, strict=True), start=1
+        )
+    ]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -15,11 +15,16 @@ overrides the raw model box:
   size follows an exponential moving average.
 
 All positions are pixel units, center-format boxes.  The per-frame step is
-a real-time hot path, so the tracker state stores its history once, as
-``(cx, cy, w, h)`` rows in a doubled ring buffer: every row is written twice,
-``capacity`` rows apart, so the recent window is always one contiguous slice
-and a push costs O(1).  ``TrackerState.history`` is a read-only view built
-from those rows.
+a real-time hot path, so it works on floats: one kernel scores the map,
+picks the branch and pushes the refined ``(cx, cy, w, h)`` row tuple into
+the tracker state, whose history is those rows in a doubled ring buffer:
+every row is written twice, ``capacity`` rows apart, so the recent window
+is always one contiguous slice and a push costs O(1).
+``TrackerState.history`` is a read-only view built from those rows.
+:func:`refine_step` runs the kernel for one :class:`BoundingBox`;
+:func:`track_rows` runs it over a whole sequence of ``(T, 4)`` rows and
+returns the refined rows and the trace as columns, with no per-frame
+object.  Both therefore give the same floats.
 
 On a 25x25 map the cost of a step is numpy call overhead, not arithmetic,
 so each step makes as few array calls as it can and stays exact:
@@ -48,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import BoundingBox
+from .boxes import BoundingBox, check_rows
 
 PSR_EPS = 1e-6
 MIN_SIZE = 1.0
@@ -120,8 +125,9 @@ class TrackerState:
         end = self._slot + self.capacity
         return self._ring[end - self._count : end]
 
-    def _push(self, box: BoundingBox):
-        self._ring[self._slot :: self.capacity] = (box.cx, box.cy, box.w, box.h)
+    def _push(self, row):
+        """Store one ``(cx, cy, w, h)`` row, a tuple or list of floats."""
+        self._ring[self._slot :: self.capacity] = row
         self._slot = (self._slot + 1) % self.capacity
         self._count = min(self._count + 1, self.capacity)
 
@@ -268,18 +274,16 @@ def _branch_weights(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
     return low, high
 
 
-def refine_step(
-    state: TrackerState,
-    model_box: BoundingBox,
-    response,
-    params: MotionParams,
-) -> BoundingBox:
-    """Advance the tracker by one frame and return the refined box.
+def _advance(state: TrackerState, row, response, params: MotionParams):
+    """Advance the tracker by one frame on floats; return the refined
+    ``(cx, cy, w, h)``, which is ``row`` itself during warm-up.
 
     Scores the response map, advances the frame counter, picks the branch
-    described in the module docstring and appends the result to the history.
-    Past warm-up the history must hold exactly ``n1`` boxes; a shorter one
-    means the state was fed inconsistently and is reported as an error.
+    described in the module docstring, pushes the result into the history
+    and sets ``last_psr``, ``last_npsr`` and ``last_branch``.  Past warm-up
+    the history must hold exactly ``n1`` rows; a shorter one means the state
+    was fed inconsistently and is reported as an error.  A refined row with
+    a non-finite field is rejected with :class:`BoundingBox`'s message.
     """
     n1 = params.n1
     if state.capacity != n1:
@@ -288,7 +292,7 @@ def refine_step(
     state.frame_index += 1
 
     if state.frame_index <= n1:
-        refined = model_box
+        refined = row
         branch = WARMUP
     else:
         if state._count < n1:
@@ -306,20 +310,81 @@ def refine_step(
             h = lam * fit_h + (1.0 - lam) * prev_h
             branch = LOW_CONFIDENCE
         else:
+            model_cx, model_cy, model_w, model_h = row
             vx, vy, _, _ = (high @ window).tolist()
             alpha = npsr * npsr
-            cx = prev_cx + alpha * (model_box.cx - prev_cx) + (1.0 - alpha) * vx
-            cy = prev_cy + alpha * (model_box.cy - prev_cy) + (1.0 - alpha) * vy
-            w = lam * model_box.w + (1.0 - lam) * prev_w
-            h = lam * model_box.h + (1.0 - lam) * prev_h
+            cx = prev_cx + alpha * (model_cx - prev_cx) + (1.0 - alpha) * vx
+            cy = prev_cy + alpha * (model_cy - prev_cy) + (1.0 - alpha) * vy
+            w = lam * model_w + (1.0 - lam) * prev_w
+            h = lam * model_h + (1.0 - lam) * prev_h
             branch = HIGH_CONFIDENCE
-        refined = BoundingBox(cx, cy, max(w, MIN_SIZE), max(h, MIN_SIZE))
+        w, h = max(w, MIN_SIZE), max(h, MIN_SIZE)
+        # a non-finite field makes the sum non-finite; a finite sum that
+        # overflows is let through by the box's own check
+        if not math.isfinite(cx + cy + w + h):
+            BoundingBox(cx, cy, w, h)
+        refined = (cx, cy, w, h)
 
     state._push(refined)
     state.last_psr = value
     state.last_npsr = npsr
     state.last_branch = branch
     return refined
+
+
+def refine_step(
+    state: TrackerState,
+    model_box: BoundingBox,
+    response,
+    params: MotionParams,
+) -> BoundingBox:
+    """Advance the tracker by one frame and return the refined box: the
+    per-frame kernel of :func:`track_rows` for one :class:`BoundingBox`.
+    During warm-up the model box itself is returned."""
+    row = (model_box.cx, model_box.cy, model_box.w, model_box.h)
+    refined = _advance(state, row, response, params)
+    return model_box if refined is row else BoundingBox(*refined)
+
+
+def track_rows(
+    raw_rows, maps, params: MotionParams, ommr_enabled: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """Run the online refinement (or the raw model verbatim) over a sequence.
+
+    ``raw_rows`` are the raw model's ``(T, 4)`` ``(cx, cy, w, h)`` rows and
+    ``maps`` its ``T`` response maps (a ``(T, H, W)`` array or a sequence of
+    ``(H, W)`` maps), frame ``k + 1`` at index ``k``.  Returns the ``(T, 4)``
+    trajectory rows and the trace as columns: ``(T,)`` PSR and normalized
+    PSR and the ``T`` branch labels.  With refinement on, every frame goes
+    through the kernel of :func:`refine_step`; off, the trajectory is a copy
+    of the raw rows and the maps are still scored, under branch label
+    ``"raw"``.
+    """
+    raw = np.asarray(raw_rows, dtype=float)
+    if raw.ndim != 2 or raw.shape[1] != 4:
+        raise ValueError(f"raw rows must be (T, 4), got shape {raw.shape}")
+    if len(raw) < 2:
+        raise ValueError(f"scenario must have at least 2 frames, got {len(raw)}")
+    if len(maps) != len(raw):
+        raise ValueError(f"{len(raw)} raw rows but {len(maps)} response maps")
+    check_rows(raw)
+    state = TrackerState(capacity=params.n1)
+    psrs, npsrs = [], []
+    if ommr_enabled:
+        rows, branches = [], []
+        for row, response in zip(raw.tolist(), maps):
+            rows.append(_advance(state, row, response, params))
+            psrs.append(state.last_psr)
+            npsrs.append(state.last_npsr)
+            branches.append(state.last_branch)
+        rows = np.array(rows, dtype=float)
+    else:
+        for response in maps:
+            value, npsr = _score(response, state)
+            psrs.append(value)
+            npsrs.append(npsr)
+        rows, branches = raw.copy(), ["raw"] * len(raw)
+    return rows, np.array(psrs, dtype=float), np.array(npsrs, dtype=float), branches
 
 
 def peak_to_box(response, scale: float, prev_size: tuple[float, float]) -> BoundingBox:

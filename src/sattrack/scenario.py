@@ -41,10 +41,16 @@ the window.  Then, over all frames at once:
   :data:`BLOCK_FRAMES` frames are one batched ``(t, H, P) @ (t, P, W)``
   product added to the result; no per-frame ``exp``.
 
-The result is clipped at zero in place and made read-only; each
-:class:`FrameObservation` holds a view of its frame.  It takes ``T*H*W*8``
-bytes, as the per-frame maps did; every temporary is O(T * D) or
-O(BLOCK_FRAMES * H * W).
+The result is clipped at zero in place and made read-only.  It takes
+``T*H*W*8`` bytes, as the per-frame maps did; every temporary is O(T * D)
+or O(BLOCK_FRAMES * H * W).
+
+:func:`generate_scenario_rows` returns a scenario as columns: the ``(T,
+4)`` ground-truth and raw ``(cx, cy, w, h)`` rows, the read-only ``(T, H,
+W)`` maps and the ``(T,)`` occlusion flags, with no per-frame object;
+``sattrack track`` and ``simulate`` run on those.
+:func:`generate_scenario` wraps them into one :class:`FrameObservation` per
+frame, whose ``response`` is a view of its map.
 
 Equal seeds give byte-identical scenarios.  Splitting the one interleaved
 stream the simulator used before changed, once, which scenario each seed
@@ -59,9 +65,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .boxes import BoundingBox
+from .boxes import BoundingBox, box_rows, check_rows
 from .metrics import center_errors, paired_rows
-from .motion import MotionParams, TrackerState, _score, refine_step
+from .motion import MotionParams, track_rows
+# Not called here: benchmarks/tracing.py wraps ``scenario.refine_step`` by name.
+from .motion import refine_step  # noqa: F401
 
 # Jitter of the raw box around the truth while the target is in view (px).
 TRACK_JITTER_SIGMA = 0.5
@@ -325,8 +333,14 @@ def _walk(gt_x, gt_y, occluded, steps, shape, cell_scale):
     return path, np.array(cells, dtype=np.intp), np.array(inside, dtype=bool)
 
 
-def generate_scenario(config: ScenarioConfig) -> list[FrameObservation]:
-    """Simulate every frame of a configured scenario.
+def generate_scenario_rows(
+    config: ScenarioConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Simulate every frame of a configured scenario, as columns.
+
+    Returns the ``(T, 4)`` ground-truth rows, the ``(T, 4)`` raw model rows
+    (both ``(cx, cy, w, h)``), the read-only ``(T, H, W)`` response maps and
+    the ``(T,)`` occlusion flags; frame ``k + 1`` is index ``k``.
 
     The raw tracker starts locked on the first ground-truth position.  Each
     frame its response map is built around its previous position: a unit
@@ -336,21 +350,30 @@ def generate_scenario(config: ScenarioConfig) -> list[FrameObservation]:
     real target additionally get the :data:`CLUTTER_NOISE_SIGMA` floor, since
     whatever fills the window then matches the template weakly everywhere.
 
-    The maps of all frames are one read-only ``(T, H, W)`` array; each
-    observation's ``response`` is a view of its frame.
+    Every row must make a valid :class:`BoundingBox`; the first that does
+    not (ground truth before raw within a frame) raises the box's error.
     """
     walk_rng, *streams = _streams(config.seed)
-    frames = np.arange(1, config.frame_count + 1, dtype=float)
+    count = config.frame_count
+    frames = np.arange(1, count + 1, dtype=float)
     gt_x = np.interp(frames, *zip(*((f, x) for f, x, _ in config.waypoints)))
     gt_y = np.interp(frames, *zip(*((f, y) for f, _, y in config.waypoints)))
-    occluded = np.zeros(config.frame_count, dtype=bool)
+    occluded = np.zeros(count, dtype=bool)
     for start, end in config.occlusions:
         occluded[start - 1 : end] = True
 
     shape = tuple(config.map_size)
-    steps = walk_rng.standard_normal((config.frame_count, 2))
+    steps = walk_rng.standard_normal((count, 2))
     steps *= np.where(occluded, WALK_SIGMA, TRACK_JITTER_SIGMA)[:, None]
     path, target, in_window = _walk(gt_x, gt_y, occluded, steps, shape, config.cell_scale)
+
+    # one (T, 2, 4) block: frame k's gt row, then its raw row
+    boxes = np.empty((count, 2, 4))
+    boxes[:, :, 2:] = config.target_size
+    boxes[:, 0, 0], boxes[:, 0, 1] = gt_x, gt_y
+    boxes[:, 1, :2] = path
+    check_rows(boxes.reshape(-1, 4))
+
     responses = _synthesize(
         streams,
         _profiles(shape, config.peak_sharpness),
@@ -361,18 +384,23 @@ def generate_scenario(config: ScenarioConfig) -> list[FrameObservation]:
         config.noise_sigma,
     )
     responses.flags.writeable = False
+    return boxes[:, 0], boxes[:, 1], responses, occluded
 
-    target_w, target_h = config.target_size
+
+def generate_scenario(config: ScenarioConfig) -> list[FrameObservation]:
+    """:func:`generate_scenario_rows` as one :class:`FrameObservation` per
+    frame; each observation's ``response`` is a view of its frame's map."""
+    gt, raw, responses, occluded = generate_scenario_rows(config)
     return [
         FrameObservation(
-            frame=k + 1,
-            gt_box=BoundingBox(gx, gy, target_w, target_h),
-            raw_model_box=BoundingBox(raw_x, raw_y, target_w, target_h),
-            response=responses[k],
+            frame=k,
+            gt_box=BoundingBox(*gt_row),
+            raw_model_box=BoundingBox(*raw_row),
+            response=response,
             occluded=hidden,
         )
-        for k, (gx, gy, (raw_x, raw_y), hidden) in enumerate(
-            zip(gt_x.tolist(), gt_y.tolist(), path, occluded.tolist())
+        for k, gt_row, raw_row, response, hidden in zip(
+            range(1, len(gt) + 1), gt.tolist(), raw.tolist(), responses, occluded.tolist()
         )
     ]
 
@@ -384,28 +412,22 @@ def run_tracking(
     *,
     trace: list[TraceRow] | None = None,
 ) -> list[BoundingBox]:
-    """Run the online refinement (or the raw model verbatim) over a scenario.
-
-    With refinement on, each frame goes through :func:`~sattrack.motion.refine_step`;
-    off, the trajectory is the raw model boxes and the response maps are
-    still scored, under branch label "raw".  One :class:`TraceRow` per frame
-    is appended to ``trace`` when it is a list.
+    """Run the online refinement (or the raw model verbatim) over a scenario:
+    :func:`~sattrack.motion.track_rows` on the observations' raw boxes and
+    maps, as one :class:`BoundingBox` per frame.  One :class:`TraceRow` per
+    frame is appended to ``trace`` when it is a list.
     """
-    if len(scenario) < 2:
-        raise ValueError(f"scenario must have at least 2 frames, got {len(scenario)}")
-    trajectory: list[BoundingBox] = []
-    state = TrackerState(capacity=params.n1)
-    for obs in scenario:
-        if ommr_enabled:
-            trajectory.append(refine_step(state, obs.raw_model_box, obs.response, params))
-            value, npsr, branch = state.last_psr, state.last_npsr, state.last_branch
-        else:
-            trajectory.append(obs.raw_model_box)
-            value, npsr = _score(obs.response, state)
-            branch = "raw"
-        if trace is not None:
-            trace.append(TraceRow(obs.frame, value, npsr, branch))
-    return trajectory
+    rows, psrs, npsrs, branches = track_rows(
+        box_rows(obs.raw_model_box for obs in scenario),
+        [obs.response for obs in scenario],
+        params,
+        ommr_enabled,
+    )
+    if trace is not None:
+        trace.extend(map(
+            TraceRow, (obs.frame for obs in scenario), psrs.tolist(), npsrs.tolist(), branches
+        ))
+    return [BoundingBox(*row) for row in rows.tolist()]
 
 
 def drift_series(trajectory, ground_truth) -> np.ndarray:

@@ -1,8 +1,10 @@
-"""The ``compare`` step of tools/bench_pairs.py."""
+"""The ``compare`` step and the run guard of tools/bench_pairs.py."""
 
 import importlib.util
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,3 +110,33 @@ def test_compare_reads_each_consecutive_committed_pair(bench_pairs, capsys, befo
         assert any(header.fullmatch(line) for line in out)
     ratios = [line.split()[-1] for line in out if line.split()[:1] == ["frames_per_s"]]
     assert len(ratios) == len(shared) and all(ratio.endswith("x") for ratio in ratios)
+
+
+@pytest.mark.parametrize("cached_side", ["parent", "change"])
+def test_run_refuses_one_sided_bytecode(bench_pairs, tmp_path, cached_side):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        (checkout / "src" / "sattrack").mkdir(parents=True)
+    ((parent if cached_side == "parent" else change) / bench_pairs.BYTECODE).mkdir()
+    log = tmp_path / "runs.jsonl"
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "run", "--parent", str(parent), "--change", str(change),
+         "--workload", "track_suite", "--pairs", "1", "--log", str(log)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    message = proc.stderr.strip()
+    assert message.startswith("bench_pairs: bytecode state differs")
+    assert f"parent {parent} " in message and f"change {change} " in message
+    assert f"{cached_side} {tmp_path / cached_side} has src/sattrack/__pycache__" in message
+    assert not log.exists()
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_equal_bytecode_states_pass_the_guard(bench_pairs, tmp_path, cached):
+    checkouts = {side: tmp_path / side for side in ("parent", "change")}
+    for checkout in checkouts.values():
+        (checkout / "src" / "sattrack").mkdir(parents=True)
+        if cached:
+            (checkout / bench_pairs.BYTECODE).mkdir()
+    assert bench_pairs.bytecode_mismatch(checkouts) is None

@@ -15,6 +15,12 @@ from sattrack import (
     template_saliency,
 )
 from sattrack.formats import write_projection_weights
+from sattrack import BoundingBox, MotionParams, ScenarioConfig, TrackerState, TraceRow
+from sattrack import generate_scenario, motion, psr
+from sattrack.formats import _fmt
+from sattrack.motion import _branch_weights, _score
+from test_formats import scenario_text
+from test_scenario import PIN_CONFIGS
 
 CLEAN_SCENARIO = """\
 frame_count = 120
@@ -394,6 +400,146 @@ def test_track_rejects_inconsistent_windows(scenario_file, tmp_path, capsys):
     )
     assert code == 1
     assert "n1" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# track and simulate against the object path they replaced
+
+
+TRACK_FILES = ("trajectory.csv", "ground_truth.csv", "trace.csv")
+SIMULATE_FILES = ("ground_truth.csv", "raw_model.csv", "response_summary.csv")
+
+
+def reference_refine_step(state, model_box, response, params):
+    """refine_step as it was written on BoundingBox objects, before the float
+    kernel: the same window, weights and arithmetic, the refined box built
+    (and validated) as a BoundingBox.  Kept as the oracle of the row path."""
+    value, npsr = _score(response, state)
+    state.frame_index += 1
+    if state.frame_index <= params.n1:
+        refined, branch = model_box, "warmup"
+    else:
+        window = state._window()
+        low, high = _branch_weights(params.n1, params.n2)
+        lam = params.lambda_ema
+        prev_cx, prev_cy, prev_w, prev_h = window[-1].tolist()
+        if npsr < params.theta:
+            cx, cy, fit_w, fit_h = (low @ window).tolist()
+            w = lam * fit_w + (1.0 - lam) * prev_w
+            h = lam * fit_h + (1.0 - lam) * prev_h
+            branch = "low"
+        else:
+            vx, vy, _, _ = (high @ window).tolist()
+            alpha = npsr * npsr
+            cx = prev_cx + alpha * (model_box.cx - prev_cx) + (1.0 - alpha) * vx
+            cy = prev_cy + alpha * (model_box.cy - prev_cy) + (1.0 - alpha) * vy
+            w = lam * model_box.w + (1.0 - lam) * prev_w
+            h = lam * model_box.h + (1.0 - lam) * prev_h
+            branch = "high"
+        refined = BoundingBox(cx, cy, max(w, 1.0), max(h, 1.0))
+    state._push((refined.cx, refined.cy, refined.w, refined.h))
+    state.last_psr, state.last_npsr, state.last_branch = value, npsr, branch
+    return refined
+
+
+def reference_trajectory_text(boxes):
+    lines = ["frame,cx,cy,w,h"]
+    for index, box in enumerate(boxes, start=1):
+        lines.append(f"{index},{_fmt(box.cx)},{_fmt(box.cy)},{_fmt(box.w)},{_fmt(box.h)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_track_files(config, params, refine):
+    """The files ``track`` wrote from one FrameObservation, BoundingBox and
+    TraceRow per frame."""
+    observations = generate_scenario(config)
+    state = TrackerState(params.n1)
+    trajectory, trace = [], []
+    for obs in observations:
+        if refine:
+            trajectory.append(reference_refine_step(state, obs.raw_model_box, obs.response, params))
+            value, npsr, branch = state.last_psr, state.last_npsr, state.last_branch
+        else:
+            trajectory.append(obs.raw_model_box)
+            value, npsr = _score(obs.response, state)
+            branch = "raw"
+        trace.append(TraceRow(obs.frame, value, npsr, branch))
+    trace_lines = ["frame,psr,npsr,branch"] + [
+        f"{row.frame},{_fmt(row.psr)},{_fmt(row.npsr)},{row.branch}" for row in trace
+    ]
+    return {
+        "trajectory.csv": reference_trajectory_text(trajectory),
+        "ground_truth.csv": reference_trajectory_text(o.gt_box for o in observations),
+        "trace.csv": "\n".join(trace_lines) + "\n",
+    }
+
+
+def reference_simulate_files(config):
+    """The files ``simulate`` wrote from one FrameObservation per frame."""
+    observations = generate_scenario(config)
+    summary = ["frame,occluded,peak_row,peak_col,peak_value,psr"]
+    for obs in observations:
+        peak = np.unravel_index(int(np.argmax(obs.response)), obs.response.shape)
+        summary.append(
+            f"{obs.frame},{int(obs.occluded)},{peak[0]},{peak[1]},"
+            f"{_fmt(obs.response[peak])},{_fmt(psr(obs.response))}"
+        )
+    return {
+        "ground_truth.csv": reference_trajectory_text(o.gt_box for o in observations),
+        "raw_model.csv": reference_trajectory_text(o.raw_model_box for o in observations),
+        "response_summary.csv": "\n".join(summary) + "\n",
+    }
+
+
+def run_outcome(argv, out, names, capsys):
+    """The files a command wrote, or its error line when it exits 1."""
+    code = main(argv)
+    if code == 1:
+        return capsys.readouterr().err
+    assert code == 0
+    return {name: (out / name).read_text() for name in names}
+
+
+def reference_outcome(make_files, *args):
+    """The oracle's files, or the error line the CLI prints for its error
+    (the crowded 3x3 pin config has frames whose centre peak leaves no
+    sidelobe, which PSR rejects)."""
+    try:
+        return make_files(*args)
+    except ValueError as exc:
+        return f"error: {exc}\n"
+
+
+@pytest.mark.parametrize("name", sorted(PIN_CONFIGS))
+@pytest.mark.parametrize("flags", [[], ["--n1", "12", "--n2", "4", "--theta", "0.7"],
+                                   ["--ommr", "off"]])
+def test_track_writes_the_object_path_bytes(scenario_file, tmp_path, capsys, name, flags):
+    config = ScenarioConfig(**PIN_CONFIGS[name])
+    params = MotionParams(n1=12, n2=4, theta=0.7) if "--n1" in flags else MotionParams()
+    expected = reference_outcome(reference_track_files, config, params, "off" not in flags)
+    out = tmp_path / "out"
+    argv = ["track", "--scenario", scenario_file(scenario_text(config)), "--output", str(out)]
+    assert run_outcome(argv + flags, out, TRACK_FILES, capsys) == expected
+    assert isinstance(expected, dict) == (name != "crowded")
+
+
+@pytest.mark.parametrize("name", sorted(PIN_CONFIGS))
+def test_simulate_writes_the_object_path_bytes(scenario_file, tmp_path, capsys, name):
+    config = ScenarioConfig(**PIN_CONFIGS[name])
+    expected = reference_outcome(reference_simulate_files, config)
+    out = tmp_path / "out"
+    argv = ["simulate", "--scenario", scenario_file(scenario_text(config)), "--output", str(out)]
+    assert run_outcome(argv, out, SIMULATE_FILES, capsys) == expected
+    assert isinstance(expected, dict) == (name != "crowded")
+
+
+def test_track_rejects_a_nan_refined_centre(scenario_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(motion, "_branch_weights", lambda n1, n2: (np.full(n1, np.nan),) * 2)
+    out = tmp_path / "out"
+    argv = ["track", "--scenario", scenario_file(CLEAN_SCENARIO), "--output", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: box field cx must be finite\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

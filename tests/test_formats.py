@@ -12,7 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sattrack import BoundingBox, evaluate, init_projection_weights
+from sattrack import (
+    BoundingBox,
+    MotionParams,
+    ProjectionWeights,
+    ScenarioConfig,
+    evaluate,
+    init_projection_weights,
+)
 from sattrack.boxes import box_rows
 from sattrack.formats import (
     ConfigError,
@@ -41,7 +48,6 @@ from sattrack.formats import (
     write_trace,
     write_trajectory,
 )
-from sattrack.scenario import TraceRow
 
 
 class TestTrajectoryIO:
@@ -52,20 +58,20 @@ class TestTrajectoryIO:
             for _ in range(20)
         ]
         path = tmp_path / "traj.csv"
-        write_trajectory(path, boxes)
+        write_trajectory(path, box_rows(boxes))
         assert read_trajectory(path) == boxes
 
     def test_output_is_byte_deterministic(self, tmp_path):
         boxes = [BoundingBox(1 / 3, 2 / 7, 9.25, np.pi)]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_trajectory(a, boxes)
-        write_trajectory(b, boxes)
+        write_trajectory(a, box_rows(boxes))
+        write_trajectory(b, box_rows(boxes))
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().splitlines()[0] == "frame,cx,cy,w,h"
 
     def test_frames_are_one_based(self, tmp_path):
         path = tmp_path / "traj.csv"
-        write_trajectory(path, [BoundingBox(1.0, 2.0, 3.0, 4.0)] * 2)
+        write_trajectory(path, [(1.0, 2.0, 3.0, 4.0)] * 2)
         lines = path.read_text().splitlines()
         assert lines[1].startswith("1,")
         assert lines[2].startswith("2,")
@@ -246,10 +252,11 @@ field_text = st.one_of(
     st.floats(width=64).map(repr),
     st.integers(-3, 40).map(str),
     st.sampled_from(["1_0", " 1e3 ", "0x1p3", "nan", "-inf", "inf", "x", "1e999", "-0.0",
-                     "0", "-2", "1.7e308", "-1.7e308", "1e-320", "1__0", "."]),
+                     "0", "-2", "1.7e308", "-1.7e308", "1e-320", "1__0", ".",
+                     "10\x1f", "\x1f2", "\x1f"]),
 )
 text_tokens = st.sampled_from(
-    list("0123456789") + [",", " ", "\t", "#", ".", "-", "e", "\n", "nan", "inf", "frame"]
+    list("0123456789") + [",", " ", "\t", "\x1f", "#", ".", "-", "e", "\n", "nan", "inf", "frame"]
 )
 
 
@@ -267,7 +274,7 @@ def trajectory_texts(draw):
             lines.append("# " + draw(field_text))
             continue
         if kind == "blank":
-            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\x1f"])))
             continue
         count = draw(st.sampled_from([4, 4, 4, 3, 5, 6]))
         fields = [draw(st.one_of(
@@ -276,7 +283,7 @@ def trajectory_texts(draw):
         if header:
             frame += 1
             fields.insert(0, str(frame) if draw(st.integers(0, 9)) else draw(field_text))
-        lines.append(draw(st.sampled_from([",", "\t", ", ", " ,"])).join(fields))
+        lines.append(draw(st.sampled_from([",", "\t", ", ", " ,", ",\x1f"])).join(fields))
     newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\u2028"]))
     return newline.join(lines) + draw(st.sampled_from(["", newline, "\r\n"]))
 
@@ -288,7 +295,7 @@ class TestTrajectoryRowsProperties:
     @given(boxes=boxes_strategy)
     def test_round_trip_rows_equal_box_rows(self, tmp_path_factory, boxes):
         path = tmp_path_factory.mktemp("round") / "traj.csv"
-        write_trajectory(path, boxes)
+        write_trajectory(path, box_rows(boxes))
         rows = read_trajectory_rows(path)
         expected = box_rows(boxes)
         assert np.array_equal(rows, expected)
@@ -332,6 +339,17 @@ class TestTrajectoryRowsProperties:
     def test_spellings_follow_python_float(self, tmp_path, text):
         path = tmp_path / "t.txt"
         path.write_text(text)
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize("text", ["10\x1f,20,4,6\n", "frame,cx,cy,w,h\n1,\x1f12,23\x1f,4,6\n",
+                                      "10,20,\x1f,4,6\n"])
+    def test_unit_separator_is_whitespace(self, tmp_path, text):
+        # str.strip removes U+001F and float alone rejects it: the field is
+        # stripped first, so it reads as the number it pads, on both paths
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        assert _parse_whole(text) is None
+        assert read_trajectory_rows(path)[0, 2:].tolist() == [4.0, 6.0]
         assert_same_outcome(path)
 
     @pytest.mark.parametrize("text", ["10,,20, ,4,\t,6\n", "frame,cx,cy,w,h\n1, ,12,23,4,\t \t,6,\n"])
@@ -535,11 +553,21 @@ def test_any_bytes_parse_or_raise_config_error(tmp_path_factory, reader, data):
 class TestTraceAndGrids:
     def test_trace_format(self, tmp_path):
         path = tmp_path / "trace.csv"
-        write_trace(path, [TraceRow(1, 9.25, 1.0, "warmup"), TraceRow(2, 4.5, 0.5, "low")])
+        write_trace(path, np.array([9.25, 4.5]), [1.0, 0.5], ["warmup", "low"])
         lines = path.read_text().splitlines()
         assert lines[0] == "frame,psr,npsr,branch"
         assert lines[1] == "1,9.25,1.0,warmup"
         assert lines[2] == "2,4.5,0.5,low"
+
+    def test_trace_columns_must_have_equal_lengths(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_trace(tmp_path / "trace.csv", [9.25, 4.5], [1.0], ["warmup", "low"])
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("rows", [np.zeros((3, 5)), np.zeros(4), np.zeros((2, 2, 4))])
+    def test_trajectory_rows_must_be_n_by_4(self, tmp_path, rows):
+        with pytest.raises(ValueError, match=r"must be \(N, 4\)"):
+            write_trajectory(tmp_path / "t.csv", rows)
 
     def test_grid_round_trip_exact(self, tmp_path):
         grid = np.random.default_rng(52).normal(size=(7, 9))
@@ -599,6 +627,120 @@ class TestRoundTripProperties:
         loaded = read_feature_map(path)
         assert loaded.dtype == float and loaded.shape == values.shape
         assert loaded.tobytes() == values.tobytes()  # -0.0 and subnormals included
+
+
+def scenario_text(config: ScenarioConfig) -> str:
+    """A scenario as a key = value file, every float in its repr."""
+    lines = [f"frame_count = {config.frame_count}"]
+    lines += [f"waypoint = {frame} {cx!r} {cy!r}" for frame, cx, cy in config.waypoints]
+    lines += [f"occlusion = {start} {end}" for start, end in config.occlusions]
+    lines += [
+        "target_size = {!r} {!r}".format(*config.target_size),
+        "map_size = {} {}".format(*config.map_size),
+        f"peak_sharpness = {config.peak_sharpness!r}",
+        f"distractor_count = {config.distractor_count}",
+        f"noise_sigma = {config.noise_sigma!r}",
+        f"cell_scale = {config.cell_scale!r}",
+        f"seed = {config.seed}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+finite_or_zero = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scenario_configs(draw):
+    frames = draw(st.integers(1, 10_000))
+    inner = draw(st.lists(st.integers(1, frames), max_size=4))
+    coordinates = st.tuples(finite_or_zero, finite_or_zero)
+    waypoints = tuple((f, *draw(coordinates)) for f in sorted({1, frames, *inner}))
+    cuts = sorted(draw(st.lists(st.integers(1, frames), unique=True, max_size=6)))
+    return ScenarioConfig(
+        frame_count=frames,
+        waypoints=waypoints,
+        target_size=(draw(positive), draw(positive)),
+        occlusions=tuple(zip(cuts[::2], cuts[1::2])),
+        peak_sharpness=draw(positive),
+        distractor_count=draw(st.integers(0, 10**6)),
+        noise_sigma=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        map_size=(draw(st.integers(3, 10**6)), draw(st.integers(3, 10**6))),
+        cell_scale=draw(positive),
+        seed=draw(st.integers(0, 2**64)),
+    )
+
+
+@st.composite
+def motion_params(draw):
+    n2 = draw(st.integers(1, 10**6))
+    return MotionParams(
+        n1=2 * n2 + draw(st.integers(1, 10**6)),
+        n2=n2,
+        theta=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        lambda_ema=draw(st.floats(0.0, 1.0)),
+    )
+
+
+@st.composite
+def projection_weights(draw):
+    reduced = draw(st.integers(1, 3))
+    channels = reduced * draw(st.integers(1, 3))
+
+    def array(*shape):
+        return draw(hnp.arrays(float, shape, elements=finite_or_zero))
+
+    def bias(size):
+        return draw(st.none() | st.just(size).map(array))
+
+    return ProjectionWeights(
+        w_q=array(reduced, channels), w_k=array(reduced, channels),
+        w_v=array(channels, channels), gamma=draw(finite_or_zero),
+        b_q=bias(reduced), b_k=bias(reduced), b_v=bias(channels),
+    )
+
+
+class TestConfigRoundTrips:
+    """Exact round trips of the key = value files and the weights bundle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(config=scenario_configs())
+    def test_scenario_file_round_trip(self, tmp_path_factory, config):
+        path = tmp_path_factory.mktemp("scenario") / "s.cfg"
+        path.write_text(scenario_text(config))
+        loaded = scenario_from_file(path)
+        assert loaded == config
+        assert repr(loaded) == repr(config)  # -0.0 and the int/float kinds included
+
+    @settings(max_examples=150, deadline=None)
+    @given(params=motion_params())
+    def test_motion_file_round_trip(self, tmp_path_factory, params):
+        path = tmp_path_factory.mktemp("motion") / "m.cfg"
+        path.write_text(
+            f"n1 = {params.n1}\nn2 = {params.n2}\n"
+            f"theta = {params.theta!r}\nlambda_ema = {params.lambda_ema!r}\n"
+        )
+        loaded = motion_params_from_file(path)
+        assert loaded == params and repr(loaded) == repr(params)
+
+    @settings(max_examples=100, deadline=None)
+    @example(weights=ProjectionWeights(
+        w_q=np.array([[-0.0, 5e-324]]), w_k=np.array([[1.7976931348623157e308, 0.0]]),
+        w_v=np.array([[-1.0, -0.0], [2.0, 3.0]]), gamma=-0.0, b_v=np.array([-0.0, 1.0]),
+    ))
+    @given(weights=projection_weights())
+    def test_weights_round_trip_is_bitwise(self, tmp_path_factory, weights):
+        path = tmp_path_factory.mktemp("weights") / "w.npz"
+        write_projection_weights(path, weights)
+        loaded = read_projection_weights(path)
+        assert type(loaded.gamma) is float
+        assert np.float64(loaded.gamma).tobytes() == np.float64(weights.gamma).tobytes()
+        for name in ("w_q", "w_k", "w_v", "b_q", "b_k", "b_v"):
+            ours, theirs = getattr(loaded, name), getattr(weights, name)
+            if theirs is None:
+                assert ours is None
+            else:
+                assert ours.dtype == float and ours.shape == theirs.shape
+                assert ours.tobytes() == theirs.tobytes()
 
 
 class TestTensorIO:

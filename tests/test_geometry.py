@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sattrack import (
@@ -208,8 +208,46 @@ def meshgrid_label_maps(box, grid, params):
     return centerness, positive.astype(np.uint8)
 
 
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def rho_gap_bound(target, box, gamma):
+    """Bound on the relative gap between constrained_centerness(target) and
+    its map cell, which take rho as (l+r)/(t+b) and as w/h.
+
+    The corners x0 = cx - w/2 and x1 = cx + w/2 are rounded, by at most
+    u|x0| and u|x1|; l = px - x0 and r = x1 - px are rounded again, by u*l
+    and u*r, and so is their sum.  So l+r is w up to
+    E_h = u(|x0| + |x1| + 2(l+r)), and t+b is h up to E_v likewise: a
+    cancellation error of about ulp(coordinate) / side.  With the two
+    divisions and the reciprocal 1/rho, the two rhos differ relatively by
+    d = E_h/(l+r) + E_v/(t+b) + 3u.  Each exponent e = min(1, rho**(+-gamma))
+    then moves by at most gamma*e*d (min is 1-Lipschitz), each side ratio's
+    power ratio**e = exp(e ln ratio) by |ln ratio| times that, and sqrt
+    halves the sum.  The bound doubles that first-order term for the
+    higher-order ones and adds 8u for the pow, product and sqrt roundings.
+    """
+    u = UNIT_ROUNDOFF
+    x0, y0, x1, y1 = box.corners
+    width, height = target.l + target.r, target.t + target.b
+    d = (
+        u * (abs(x0) + abs(x1) + 2.0 * width) / width
+        + u * (abs(y0) + abs(y1) + 2.0 * height) / height
+        + 3.0 * u
+    )
+    rho = box.w / box.h
+    exp_h, exp_v = min(1.0, (1.0 / rho) ** gamma), min(1.0, rho**gamma)
+    ratio_h = min(target.l, target.r) / max(target.l, target.r)
+    ratio_v = min(target.t, target.b) / max(target.t, target.b)
+    spread = exp_h * abs(math.log(ratio_h)) + exp_v * abs(math.log(ratio_v))
+    return 2.0 * 0.5 * gamma * d * spread + 8.0 * u
+
+
 class TestLabelMapProperties:
     @settings(max_examples=300, deadline=None)
+    # the scalar rho of a 0.01-high box at y = 94 is off w/h by about
+    # ulp(94)/0.01, and the cell values differ by 1.56e-14 relatively
+    @example(stride=7, height=14, width=1, cx=0.0, cy=94.0, w=8.0, h=0.01, gamma=0.5)
     @given(
         st.integers(1, 16),
         st.integers(1, 40),
@@ -253,7 +291,7 @@ class TestLabelMapProperties:
             if (target.l + target.r) / (target.t + target.b) == box.w / box.h:
                 assert value == cell
             else:
-                assert abs(value - cell) <= 1e-14 * cell
+                assert abs(value - cell) <= rho_gap_bound(target, box, gamma) * cell
 
 
 class TestSoftClsTarget:

@@ -491,14 +491,15 @@ class TestTrackerState:
         state = TrackerState(capacity)
         boxes = [numbered_box(k) for k in range(pushes)]
         for box in boxes:
-            state._push(box)
+            state._push((box.cx, box.cy, box.w, box.h))
         assert state.capacity == capacity
         assert state.history == tuple(boxes[max(pushes - capacity, 0) :])
 
     def test_history_cannot_be_mutated(self):
         state = TrackerState(3)
         for k in range(4):
-            state._push(numbered_box(k))
+            box = numbered_box(k)
+            state._push([box.cx, box.cy, box.w, box.h])
         history = state.history
         assert isinstance(history, tuple)
         with pytest.raises(TypeError):
@@ -607,6 +608,38 @@ class TestRefineStep:
                 map_with_score(5.0),
                 MotionParams(n1=50),
             )
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_refined_centre_rejected(self):
+        # n2 = 1 weighs the last two centres by -1 and +1, so a history
+        # ending -1.7e308, +1.7e308 gives vx = inf; the blend toward a model
+        # centre of -1.7e308 adds -inf, and the refined cx is inf - inf = nan
+        params = MotionParams(n1=3, n2=1)
+        state = TrackerState(params.n1)
+        for cx in (0.0, -1.7e308, 1.7e308):
+            refine_step(state, BoundingBox(cx, 0.0, 2.0, 2.0), map_with_score(8.0), params)
+        model = BoundingBox(-1.7e308, 0.0, 2.0, 2.0)
+        with pytest.raises(ValueError, match="^box field cx must be finite$"):
+            refine_step(state, model, map_with_score(6.0), params)
+
+    def test_nan_branch_output_rejected_with_the_box_message(self, monkeypatch):
+        params = MotionParams(n1=3, n2=1)
+        state = TrackerState(params.n1)
+        for k in range(3):
+            refine_step(state, BoundingBox(float(k), 0.0, 2.0, 2.0), map_with_score(8.0), params)
+        monkeypatch.setattr(motion, "_branch_weights", lambda n1, n2: (np.full(n1, np.nan),) * 2)
+        with pytest.raises(ValueError, match="^box field cx must be finite$"):
+            refine_step(state, BoundingBox(3.0, 0.0, 2.0, 2.0), map_with_score(2.0), params)
+
+    def test_overflowing_but_finite_refined_row_is_accepted(self):
+        # cx + cy overflows, yet every field is finite: the row is a valid box
+        params = MotionParams(n1=3, n2=1)
+        state = TrackerState(params.n1)
+        big = BoundingBox(1.5e308, 1.5e308, 2.0, 2.0)
+        for _ in range(3):
+            refine_step(state, big, map_with_score(8.0), params)
+        assert refine_step(state, big, map_with_score(8.0), params) == big
+        assert state.last_branch == HIGH_CONFIDENCE
 
     def test_trace_fields_populated(self):
         params = MotionParams(n1=5, n2=2)

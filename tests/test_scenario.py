@@ -17,12 +17,15 @@ from sattrack import (
     TrackerState,
     drift_series,
     generate_scenario,
+    generate_scenario_rows,
     normalized_psr,
     psr,
     refine_step,
     run_tracking,
     synthesize_response_map,
+    track_rows,
 )
+from sattrack.boxes import box_rows
 from sattrack.scenario import (
     BLOCK_FRAMES,
     CLUTTER_AMP,
@@ -273,6 +276,33 @@ class TestGenerateScenario:
             assert (obs.response >= 0).all()
 
 
+class TestScenarioRows:
+    def test_columns_are_the_observations(self):
+        config = clean_config(frames=50, occlusions=((20, 30),), distractor_count=2, seed=3)
+        gt, raw, maps, occluded = generate_scenario_rows(config)
+        scenario = generate_scenario(config)
+        assert gt.shape == raw.shape == (50, 4) and maps.shape == (50, 25, 25)
+        assert gt.tobytes() == box_rows(obs.gt_box for obs in scenario).tobytes()
+        assert raw.tobytes() == box_rows(obs.raw_model_box for obs in scenario).tobytes()
+        assert occluded.tolist() == [obs.occluded for obs in scenario]
+        assert [obs.frame for obs in scenario] == list(range(1, 51))
+        assert np.array_equal(maps, scenario[0].response.base)
+        assert not maps.flags.writeable
+
+    @pytest.mark.parametrize(
+        "target_size, message",
+        [((float("inf"), 4.0), "box field w must be finite"),
+         ((4.0, float("nan")), "box field h must be finite")],
+    )
+    def test_first_invalid_row_raises_the_box_error(self, target_size, message):
+        # ScenarioConfig lets a non-finite size through its ``> 0`` check;
+        # frame 1's gt row is the first row checked
+        config = clean_config(frames=5, target_size=target_size)
+        for generate in (generate_scenario_rows, generate_scenario):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                generate(config)
+
+
 class TestRunTracking:
     def test_raw_mode_returns_raw_boxes(self):
         scenario = generate_scenario(clean_config(frames=30))
@@ -335,6 +365,82 @@ class TestRunTracking:
                 assert box == obs.raw_model_box
                 expected = (psr(obs.response), normalized_psr(obs.response, state), "raw")
             assert row == TraceRow(obs.frame, *expected)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        frames=st.integers(2, 60),
+        # a 3x3 map has no sidelobe around a centre peak, so PSR rejects it
+        shape=map_shapes().filter(lambda shape: shape != (3, 3)),
+        distractors=st.integers(0, 3),
+        noise=st.sampled_from([0.0, 0.02, 0.1]),
+        cell_scale=st.sampled_from([1.0, 2.0, 8.0]),
+        n2=st.integers(1, 4),
+        extra=st.integers(1, 8),
+        theta=st.sampled_from([0.2, 0.5, 0.8]),
+        refine=st.booleans(),
+    )
+    def test_row_loop_run_tracking_and_refine_step_agree(
+        self, seed, frames, shape, distractors, noise, cell_scale, n2, extra, theta, refine
+    ):
+        occlusions = ((frames // 3 + 1, frames // 2 + 1),) if frames >= 4 else ()
+        config = ScenarioConfig(
+            frame_count=frames,
+            waypoints=((1, 0.0, 0.0), (frames, 2.5 * frames, -1.5 * frames)),
+            target_size=(10.0, 6.0),
+            occlusions=occlusions,
+            distractor_count=distractors,
+            noise_sigma=noise,
+            map_size=shape,
+            cell_scale=cell_scale,
+            seed=seed,
+        )
+        params = MotionParams(n1=2 * n2 + extra, n2=n2, theta=theta)
+        _, raw, maps, _ = generate_scenario_rows(config)
+        rows, psrs, npsrs, branches = track_rows(raw, maps, params, refine)
+
+        scenario = generate_scenario(config)
+        trace = []
+        boxes = run_tracking(scenario, params, refine, trace=trace)
+        state = TrackerState(params.n1)
+        hand, expected_trace = [], []
+        for obs in scenario:
+            if refine:
+                hand.append(refine_step(state, obs.raw_model_box, obs.response, params))
+                expected_trace.append(
+                    TraceRow(obs.frame, state.last_psr, state.last_npsr, state.last_branch)
+                )
+            else:
+                hand.append(obs.raw_model_box)
+                value = psr(obs.response)
+                expected_trace.append(
+                    TraceRow(obs.frame, value, normalized_psr(obs.response, state), "raw")
+                )
+
+        assert rows.shape == (frames, 4) and rows.dtype == float
+        assert rows.tobytes() == box_rows(boxes).tobytes() == box_rows(hand).tobytes()
+        assert trace == expected_trace
+        columns = list(map(TraceRow, range(1, frames + 1), psrs.tolist(), npsrs.tolist(), branches))
+        assert columns == expected_trace
+        assert psrs.dtype == npsrs.dtype == float
+
+    def test_row_loop_rejects_bad_inputs(self):
+        _, raw, maps, _ = generate_scenario_rows(clean_config(frames=30))
+        params = MotionParams(n1=9, n2=4)
+        with pytest.raises(ValueError, match=r"must be \(T, 4\)"):
+            track_rows(raw[:, :3], maps, params, True)
+        with pytest.raises(ValueError, match="30 raw rows but 29 response maps"):
+            track_rows(raw, maps[1:], params, True)
+        bad = raw.copy()
+        bad[7, 1] = np.nan
+        with pytest.raises(ValueError, match="^box field cy must be finite$"):
+            track_rows(bad, maps, params, False)
+
+    def test_raw_mode_rows_are_a_copy(self):
+        _, raw, maps, _ = generate_scenario_rows(clean_config(frames=30))
+        rows, _, _, branches = track_rows(raw, maps, MotionParams(n1=9, n2=4), False)
+        assert rows.tobytes() == raw.tobytes() and not np.shares_memory(rows, raw)
+        assert branches == ["raw"] * 30
 
     def test_too_short_scenario_rejected(self):
         scenario = generate_scenario(

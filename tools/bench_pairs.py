@@ -9,7 +9,8 @@
 ``run`` calls ``benchmarks/run.py`` of each checkout in a fresh process,
 parent first in even pairs and change first in odd ones, and appends one JSON
 record per run to the log: the side, the ``# machine`` line, the final JSON
-object and the unscaled wall-clock values.  ``summarize`` turns a log into
+object and the unscaled wall-clock values.  It refuses to start when only
+one checkout has ``src/sattrack/__pycache__``.  ``summarize`` turns a log into
 the committed ``BENCH_<n>.json``: per workload and side, the number of runs
 and the median and quartiles of every end-to-end metric (scaled and wall
 clock), the pairs the change won on each metric, and the per-layer metrics
@@ -66,8 +67,28 @@ def next_pair(log_path: Path, workload: str, trace: int) -> int:
     return max(used, default=-1) + 1
 
 
+BYTECODE = Path("src") / "sattrack" / "__pycache__"
+
+
+def bytecode_mismatch(checkouts: dict[str, Path]) -> str | None:
+    """Why the checkouts cannot be compared, when exactly one of them holds
+    compiled bytecode of the package: loading it skips compiling every
+    module, which moves ``setup_s`` on that side alone."""
+    cached = {side: (path / BYTECODE).is_dir() for side, path in checkouts.items()}
+    if len(set(cached.values())) == 1:
+        return None
+    listing = ", ".join(
+        f"{side} {path} {'has' if cached[side] else 'lacks'} {BYTECODE}"
+        for side, path in checkouts.items()
+    )
+    return f"bytecode state differs ({listing}); remove it or build it on both sides"
+
+
 def cmd_run(args):
     checkouts = {"parent": Path(args.parent), "change": Path(args.change)}
+    problem = bytecode_mismatch(checkouts)
+    if problem:
+        sys.exit(f"bench_pairs: {problem}")
     first = next_pair(Path(args.log), args.workload, args.trace)
     with open(args.log, "a") as log:
         for pair in range(first, first + args.pairs):
