@@ -8,7 +8,6 @@ tracker outputs, a synthetic scenario simulator, and one-pass evaluation.
 
 from .attention import (
     ProjectionWeights,
-    aggregate_values,
     attention_weights,
     enhance_features,
     init_projection_weights,
@@ -21,34 +20,24 @@ from .geometry import (
     AspectRatioParams,
     GridGeometry,
     LabelMaps,
-    LossWeights,
     RegressionTarget,
     build_label_maps,
     centerness_loss,
     classic_centerness,
     cls_loss,
     constrained_centerness,
-    modulation_factor,
     regression_loss,
     soft_cls_target,
-    total_loss,
 )
 from .metrics import (
     EvalResult,
     aggregate_results,
-    cle,
     evaluate,
-    iou,
-    normalized_cle,
 )
 from .motion import (
     MotionParams,
     TrackerState,
-    fit_value,
-    instantaneous_velocity,
-    linear_fit,
     normalized_psr,
-    peak_to_box,
     psr,
     refine_step,
     track_rows,
@@ -61,7 +50,6 @@ from .scenario import (
     generate_scenario,
     generate_scenario_rows,
     run_tracking,
-    synthesize_response_map,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +61,6 @@ __all__ = [
     "FrameObservation",
     "GridGeometry",
     "LabelMaps",
-    "LossWeights",
     "MotionParams",
     "ProjectionWeights",
     "RegressionTarget",
@@ -81,37 +68,26 @@ __all__ = [
     "TraceRow",
     "TrackerState",
     "aggregate_results",
-    "aggregate_values",
     "attention_weights",
     "build_label_maps",
     "centerness_loss",
     "classic_centerness",
-    "cle",
     "cls_loss",
     "constrained_centerness",
     "drift_series",
     "enhance_features",
     "evaluate",
-    "fit_value",
     "generate_scenario",
     "generate_scenario_rows",
     "init_projection_weights",
-    "instantaneous_velocity",
-    "iou",
-    "linear_fit",
-    "modulation_factor",
-    "normalized_cle",
     "normalized_psr",
-    "peak_to_box",
     "project_qkv",
     "psr",
     "refine_step",
     "regression_loss",
     "run_tracking",
     "soft_cls_target",
-    "synthesize_response_map",
     "template_saliency",
-    "total_loss",
     "track_rows",
     "xcorr_depthwise",
 ]

@@ -183,13 +183,22 @@ def attention_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     return _template_softmax(q, k).T
 
 
-def aggregate_values(v: np.ndarray, attn: np.ndarray) -> np.ndarray:
-    """Attention-weighted sum of value vectors, one per search location (C, Ns)."""
-    if v.ndim != 2 or attn.ndim != 2 or v.shape[1] != attn.shape[1]:
-        raise ValueError(
-            f"values (C, Nt) and attention (Ns, Nt) disagree: {v.shape} vs {attn.shape}"
-        )
-    return v @ attn.T
+def _attend(
+    search: np.ndarray, template: np.ndarray, weights: ProjectionWeights
+) -> tuple[np.ndarray, np.ndarray]:
+    """The attention block: the enhanced search features and the
+    template-major (Nt, Ns) attention they were mixed with.
+
+    The features are ``search + gamma * (v @ attention)`` in the search
+    layout; with gamma == 0 they are a copy of ``search``, bit for bit, as
+    adding ``0.0 * mixed`` would turn every -0.0 into +0.0.
+    """
+    q, k, v = project_qkv(search, template, weights)
+    search = np.asarray(search, dtype=float)
+    probs = _template_softmax(q, k)
+    if weights.gamma == 0.0:
+        return search.copy(), probs
+    return search + weights.gamma * (v @ probs).reshape(search.shape), probs
 
 
 def enhance_features(
@@ -200,17 +209,7 @@ def enhance_features(
     Returns search + gamma * aggregated, reshaped to the search layout.  With
     gamma == 0 the input is returned unchanged (bit for bit).
     """
-    q, k, v = project_qkv(search, template, weights)
-    search = np.asarray(search, dtype=float)
-    return _gated_residual(search, weights.gamma, v @ _template_softmax(q, k))
-
-
-def _gated_residual(search: np.ndarray, gamma: float, mixed: np.ndarray) -> np.ndarray:
-    """``search + gamma * mixed`` in the search layout; with gamma == 0 a copy
-    of ``search``, since adding ``0.0 * mixed`` turns every -0.0 into +0.0."""
-    if gamma == 0.0:
-        return search.copy()
-    return search + gamma * mixed.reshape(search.shape)
+    return _attend(search, template, weights)[0]
 
 
 def template_saliency(attn: np.ndarray, search_mask) -> np.ndarray:

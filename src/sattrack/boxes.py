@@ -40,10 +40,6 @@ class BoundingBox:
         """Build from top-left corner format (x, y, w, h)."""
         return cls(x + w / 2.0, y + h / 2.0, w, h)
 
-    def to_corner(self) -> tuple[float, float, float, float]:
-        """Return (x, y, w, h) with (x, y) the top-left corner."""
-        return (self.cx - self.w / 2.0, self.cy - self.h / 2.0, self.w, self.h)
-
     @property
     def corners(self) -> tuple[float, float, float, float]:
         """Edge coordinates (x0, y0, x1, y1)."""
@@ -53,14 +49,6 @@ class BoundingBox:
             self.cx + self.w / 2.0,
             self.cy + self.h / 2.0,
         )
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.cx, self.cy)
-
-    @property
-    def size(self) -> tuple[float, float]:
-        return (self.w, self.h)
 
 
 def box_rows(boxes: Iterable[BoundingBox]) -> np.ndarray:

@@ -24,14 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .attention import (
-    _gated_residual,
-    aggregate_values,
-    attention_weights,
-    init_projection_weights,
-    project_qkv,
-    template_saliency,
-)
+from .attention import _attend, init_projection_weights, template_saliency
 from .boxes import BoundingBox
 from .formats import ConfigError
 from .geometry import AspectRatioParams, GridGeometry, build_label_maps
@@ -286,9 +279,7 @@ def cmd_attention_demo(args):
     else:
         weights = init_projection_weights(search.shape[0], seed=seed, gamma=gamma)
 
-    q, k, v = project_qkv(search, template, weights)
-    attn = attention_weights(q, k)
-    enhanced = _gated_residual(search, weights.gamma, aggregate_values(v, attn))
+    enhanced, attention = _attend(search, template, weights)
     if args.mask:
         top, left, mask_h, mask_w = formats._parse_numbers(args.mask, (int,) * 4, "--mask")
         if mask_h <= 0 or mask_w <= 0:
@@ -304,7 +295,7 @@ def cmd_attention_demo(args):
         mask = (rows[:, None] * search.shape[2] + cols[None, :]).ravel()
     else:
         mask = np.arange(search.shape[1] * search.shape[2])
-    saliency = template_saliency(attn, mask).reshape(template.shape[1:])
+    saliency = template_saliency(attention.T, mask).reshape(template.shape[1:])
 
     out = _output_dir(args)
     formats.write_feature_map(out / "enhanced.bin", enhanced)

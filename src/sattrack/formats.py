@@ -18,9 +18,8 @@ Formats:
   separated).  :func:`read_trajectory_rows` parses either straight into
   ``(N, 4)`` center-format rows: a well-formed file in one pass over its
   whole text, any other file row by row, so that the first bad line in
-  file order is the one reported.
-  :func:`read_trajectory` wraps it for a list of boxes, and
-  :func:`write_trajectory` writes such rows
+  file order is the one reported.  :func:`write_trajectory` writes such
+  rows
 * trace CSV -- ``frame,psr,npsr,branch``, written from the per-frame
   columns by :func:`write_trace`
 * grid CSV -- one response/label map row per line
@@ -253,11 +252,6 @@ def read_trajectory_rows(path) -> np.ndarray:
     text = _read_text(path)
     rows = _parse_whole(text)
     return rows if rows is not None else _scan_rows(path, text.splitlines())
-
-
-def read_trajectory(path) -> list[BoundingBox]:
-    """:func:`read_trajectory_rows` as one :class:`BoundingBox` per row."""
-    return [BoundingBox(*row) for row in read_trajectory_rows(path).tolist()]
 
 
 def write_trace(path, psr, npsr, branch: Sequence[str]):

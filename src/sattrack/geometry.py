@@ -109,21 +109,6 @@ class LabelMaps:
         return int(self.labels.sum())
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    """Relative weights of the three training loss terms."""
-
-    lambda_cls: float = 1.0
-    lambda_reg: float = 2.0
-    lambda_cen: float = 1.0
-
-    def __post_init__(self):
-        for name in ("lambda_cls", "lambda_reg", "lambda_cen"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-
 def _check_nondegenerate(target: RegressionTarget):
     if target.l + target.r <= 0 or target.t + target.b <= 0:
         raise ValueError(
@@ -132,23 +117,18 @@ def _check_nondegenerate(target: RegressionTarget):
         )
 
 
-def modulation_factor(rho: float, gamma: float) -> float:
-    """Exponent min(1, rho**gamma) applied to a side ratio.
-
-    Values below 1 slow the centerness decay along the corresponding axis;
-    the factor saturates at 1 so compact axes keep the classic behaviour.
-    """
-    if not (math.isfinite(rho) and rho > 0):
-        raise ValueError(f"rho must be finite and > 0, got {rho}")
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
-    return min(1.0, rho**gamma)
-
-
 def _exponents(rho: float, params: AspectRatioParams | None) -> tuple[float, float]:
+    """Horizontal and vertical side-ratio exponents ``min(1, (1/rho)**gamma)``
+    and ``min(1, rho**gamma)`` of the aspect ratio ``rho = w/h``; both 1
+    without params.  Values below 1 slow the centerness decay along that
+    axis; they saturate at 1 so compact axes keep the classic behaviour."""
     if params is None:
         return 1.0, 1.0
-    return modulation_factor(1.0 / rho, params.gamma), modulation_factor(rho, params.gamma)
+    if not (0.0 < rho < math.inf and 1.0 / rho < math.inf):
+        raise ValueError(
+            f"aspect ratio w/h must be finite and > 0 with a finite reciprocal, got {rho}"
+        )
+    return min(1.0, (1.0 / rho) ** params.gamma), min(1.0, rho**params.gamma)
 
 
 def _side_ratios(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,19 +283,3 @@ def regression_loss(pred_boxes, gt_boxes, centerness_weights) -> float:
     per_sample = -np.log((intersection + 1.0) / (union + 1.0))
     return float((weights * per_sample).sum() / total_weight)
 
-
-def total_loss(
-    cls_value: float,
-    reg_value: float,
-    cen_value: float,
-    weights: LossWeights = LossWeights(),
-) -> float:
-    """Weighted sum of the three loss terms."""
-    for name, value in (("cls", cls_value), ("reg", reg_value), ("cen", cen_value)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} loss must be finite, got {value}")
-    return (
-        weights.lambda_cls * cls_value
-        + weights.lambda_reg * reg_value
-        + weights.lambda_cen * cen_value
-    )

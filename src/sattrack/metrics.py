@@ -7,8 +7,9 @@ turns these into the standard precision, normalized precision and success
 curves; the headline scalars are precision at 20 px (plus 5 px for the
 small-object regime), normalized precision at 0.5 and the success AUC.
 
-Each error has one kernel over ``(N, 4)`` center-format rows, which the
-per-pair :func:`cle`, :func:`normalized_cle` and :func:`iou` wrap.
+Each error has one kernel over ``(N, 4)`` center-format rows
+(:func:`center_errors`, :func:`normalized_center_errors`,
+:func:`overlap_ratios`); a single box pair is a one-row call.
 :func:`evaluate_rows` scores such rows as the trajectory reader returns
 them; :func:`evaluate` is the same for two lists of boxes.  IoU
 areas come from corner differences (:func:`~sattrack.boxes.overlap_areas`),
@@ -84,21 +85,6 @@ def overlap_ratios(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     to zero (boxes narrower than the float spacing at their coordinates)."""
     intersection, union = overlap_areas(pred, gt)
     return np.divide(intersection, union, out=np.zeros_like(union), where=union > 0)
-
-
-def cle(pred: BoundingBox, gt: BoundingBox) -> float:
-    """Center location error of one box pair, px."""
-    return float(center_errors(box_rows([pred]), box_rows([gt]))[0])
-
-
-def normalized_cle(pred: BoundingBox, gt: BoundingBox) -> float:
-    """Size-normalized center error of one box pair."""
-    return float(normalized_center_errors(box_rows([pred]), box_rows([gt]))[0])
-
-
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes."""
-    return float(overlap_ratios(box_rows([a]), box_rows([b]))[0])
 
 
 def evaluate_rows(pred_rows: np.ndarray, gt_rows: np.ndarray) -> EvalResult:

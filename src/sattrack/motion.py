@@ -20,7 +20,6 @@ picks the branch and pushes the refined ``(cx, cy, w, h)`` row tuple into
 the tracker state, whose history is those rows in a doubled ring buffer:
 every row is written twice, ``capacity`` rows apart, so the recent window
 is always one contiguous slice and a push costs O(1).
-``TrackerState.history`` is a read-only view built from those rows.
 :func:`refine_step` runs the kernel for one :class:`BoundingBox`;
 :func:`track_rows` runs it over a whole sequence of ``(T, 4)`` rows and
 returns the refined rows and the trace as columns, with no per-frame
@@ -41,8 +40,7 @@ so each step makes as few array calls as it can and stays exact:
   vector with the ``(n1, 4)`` window (``_branch_weights``): the low branch
   weights evaluate the least-squares line of each column at ``n1``, the
   high branch weights are ``-1/n2**2`` on the older and ``+1/n2**2`` on the
-  newer half of the last ``2*n2`` rows.  ``linear_fit``, ``fit_value`` and
-  ``instantaneous_velocity`` stay the public forms they are pinned to.
+  newer half of the last ``2*n2`` rows.
 """
 
 from __future__ import annotations
@@ -99,7 +97,7 @@ class TrackerState:
     PSR and branch label are kept for tracing.
 
     The history lives only in a ``(2 * capacity, 4)`` ring of ``(cx, cy, w,
-    h)`` rows; ``history`` rebuilds the boxes from it and cannot be mutated.
+    h)`` rows.
     """
 
     def __init__(self, capacity: int):
@@ -114,11 +112,6 @@ class TrackerState:
         self._ring = np.zeros((2 * capacity, 4))
         self._slot = 0  # ring row the next box goes to (and capacity rows on)
         self._count = 0
-
-    @property
-    def history(self) -> tuple[BoundingBox, ...]:
-        """The stored boxes, oldest first."""
-        return tuple(BoundingBox(*row) for row in self._window().tolist())
 
     def _window(self) -> np.ndarray:
         """The stored rows, oldest first, as one contiguous ``(count, 4)`` view."""
@@ -216,53 +209,16 @@ def _fit_indices(count: int) -> tuple[np.ndarray, float, float]:
     return centered, float(centered @ centered), mid
 
 
-def linear_fit(series) -> tuple[np.ndarray, np.ndarray]:
-    """Ordinary least-squares line through a (K, d) series sampled at
-    0, 1, ..., K-1.  Returns (slope, intercept), each shape (d,)."""
-    series = np.asarray(series, dtype=float)
-    if series.ndim == 1:
-        series = series[:, None]
-    count = series.shape[0]
-    if count < 2:
-        raise ValueError(f"linear fit needs at least 2 samples, got {count}")
-    centered, norm, mid = _fit_indices(count)
-    slope = (centered @ series) / norm
-    intercept = series.sum(axis=0) / count - slope * mid
-    return slope, intercept
-
-
-def fit_value(slope: np.ndarray, intercept: np.ndarray, index: float) -> np.ndarray:
-    """Evaluate a fitted line at the given sample index."""
-    return intercept + slope * index
-
-
-def instantaneous_velocity(centers, n2: int) -> np.ndarray:
-    """Mean per-frame velocity over the last 2*n2 center positions.
-
-    Averages the n2 displacements between the older and newer halves of the
-    window, each spanning n2 frames, hence the 1/n2**2 normalization.
-    """
-    centers = np.asarray(centers, dtype=float)
-    if n2 < 1:
-        raise ValueError(f"n2 must be >= 1, got {n2}")
-    if centers.ndim != 2 or centers.shape[0] < 2 * n2:
-        raise ValueError(f"need at least {2 * n2} centers, got shape {centers.shape}")
-    newer = centers[-n2:].sum(axis=0)
-    older = centers[-2 * n2 : -n2].sum(axis=0)
-    return (newer - older) / float(n2 * n2)
-
-
 @functools.lru_cache(maxsize=16)
 def _branch_weights(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ``(n1,)`` weights that turn each branch into one dot product
     with the ``(n1, 4)`` history window, built once per ``(n1, n2)``.
 
-    ``low @ window`` is ``fit_value(*linear_fit(window), n1)``: the
-    least-squares line of every column evaluated one step past the window,
-    ``sum_i x_i (1/n1 + (i - mid)(n1 - mid)/norm)``.  ``high @ window`` holds
-    ``instantaneous_velocity(window[:, :2], n2)`` in its first two entries:
-    ``-1/n2**2`` on rows ``n1-2*n2 .. n1-n2-1``, ``+1/n2**2`` on the last
-    ``n2`` rows, zero elsewhere.
+    ``low @ window`` is the least-squares line of every column evaluated
+    one step past the window, ``sum_i x_i (1/n1 + (i - mid)(n1 - mid)/norm)``.
+    ``high @ window`` holds the mean velocity of the last ``2*n2`` centres
+    in its first two entries: ``-1/n2**2`` on rows ``n1-2*n2 .. n1-n2-1``,
+    ``+1/n2**2`` on the last ``n2`` rows, zero elsewhere.
     """
     centered, norm, mid = _fit_indices(n1)
     low = 1.0 / n1 + centered * ((n1 - mid) / norm)
@@ -386,21 +342,3 @@ def track_rows(
         rows, branches = raw.copy(), ["raw"] * len(raw)
     return rows, np.array(psrs, dtype=float), np.array(npsrs, dtype=float), branches
 
-
-def peak_to_box(response, scale: float, prev_size: tuple[float, float]) -> BoundingBox:
-    """Convert the response peak cell to an image-space box.
-
-    Cell (i, j) maps to pixel (floor(scale/2) + j*scale, floor(scale/2) +
-    i*scale); the box keeps the previous size.
-    """
-    response, _ = _check_response(response)
-    if not (math.isfinite(scale) and scale > 0):
-        raise ValueError(f"scale must be positive, got {scale}")
-    pi, pj = np.unravel_index(int(np.argmax(response)), response.shape)
-    offset = math.floor(scale / 2.0)
-    return BoundingBox(
-        float(offset + pj * scale),
-        float(offset + pi * scale),
-        prev_size[0],
-        prev_size[1],
-    )

@@ -25,7 +25,9 @@ Each purpose draws whole arrays from its own stream, so all frames are
 synthesized in one batch.  Only the raw-box walk is a Python loop over
 pre-drawn ``(T, 2)`` steps, because each position depends on the one
 before; it yields each frame's target cell and whether the cell lies in
-the window.  Then, over all frames at once:
+the window.  An offset of a map or more, or a non-finite one, is outside
+the window and never rounded, so no valid config can overflow the walk.
+Then, over all frames at once:
 
 * distractor cells: one vectorised rejection pass per distractor slot,
   redrawing only the frames whose candidate sits within
@@ -123,8 +125,11 @@ class ScenarioConfig:
                 f"waypoints must start at frame 1 and end at frame "
                 f"{self.frame_count}, got {frames[0]}..{frames[-1]}"
             )
-        if self.target_size[0] <= 0 or self.target_size[1] <= 0:
-            raise ValueError(f"target_size must be positive, got {self.target_size}")
+        for waypoint in self.waypoints:
+            if not (math.isfinite(waypoint[1]) and math.isfinite(waypoint[2])):
+                raise ValueError(f"waypoint coordinates must be finite, got {waypoint}")
+        if not all(math.isfinite(s) and s > 0 for s in self.target_size):
+            raise ValueError(f"target_size must be finite and positive, got {self.target_size}")
         previous_end = 0
         for start, end in self.occlusions:
             if not (1 <= start <= end <= self.frame_count):
@@ -268,43 +273,6 @@ def _synthesize(streams, profiles, target, in_window, occluded, distractors, noi
     return np.maximum(response, 0.0, out=response)
 
 
-def synthesize_response_map(
-    center_cell: tuple[int, int],
-    sharpness: float = 1.0,
-    distractors: int = 0,
-    noise_sigma: float = 0.0,
-    map_size: tuple[int, int] = (25, 25),
-    seed: int = 0,
-) -> np.ndarray:
-    """One standalone response map: a unit peak plus clutter.
-
-    Places an amplitude-1 Gaussian at ``center_cell``, adds ``distractors``
-    weaker peaks (amplitude 0.25..0.4, kept clear of the target) and optional
-    Gaussian pixel noise, then clips at zero.  This is the scenario
-    synthesis for one frame whose target is in view.
-    """
-    if map_size[0] < 3 or map_size[1] < 3:
-        raise ValueError(f"map_size must be at least 3x3, got {map_size}")
-    ci, cj = center_cell
-    if not (0 <= ci < map_size[0] and 0 <= cj < map_size[1]):
-        raise ValueError(f"center_cell {center_cell} outside map {map_size}")
-    if not (math.isfinite(sharpness) and sharpness > 0):
-        raise ValueError(f"sharpness must be > 0, got {sharpness}")
-    if distractors < 0:
-        raise ValueError(f"distractors must be >= 0, got {distractors}")
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    return _synthesize(
-        _streams(seed)[1:],
-        _profiles(map_size, sharpness),
-        np.array([center_cell], dtype=np.intp),
-        np.ones(1, dtype=bool),
-        np.zeros(1, dtype=bool),
-        distractors,
-        noise_sigma,
-    )[0]
-
-
 def _walk(gt_x, gt_y, occluded, steps, shape, cell_scale):
     """The raw tracker's path and, per frame, the target's cell in its
     window and whether that cell lies inside the map.
@@ -312,17 +280,23 @@ def _walk(gt_x, gt_y, occluded, steps, shape, cell_scale):
     Frame ``k``'s window is centred on the raw position after frame
     ``k - 1`` (frame 1's on the truth).  The raw box then locks onto the
     truth plus ``steps[k]`` when the target is seen, and otherwise moves by
-    ``steps[k]`` from where it was.
+    ``steps[k]`` from where it was.  The cell of a frame outside the window
+    is unused, as :func:`_synthesize` places no target there.
     """
-    half_rows, half_cols = shape[0] // 2, shape[1] // 2
+    rows, cols = shape
     raw_x, raw_y = float(gt_x[0]), float(gt_y[0])
     path, cells, inside = [], [], []
     for gx, gy, hidden, (dx, dy) in zip(
         gt_x.tolist(), gt_y.tolist(), occluded.tolist(), steps.tolist()
     ):
-        ci = half_rows + round((gy - raw_y) / cell_scale)
-        cj = half_cols + round((gx - raw_x) / cell_scale)
-        in_window = 0 <= ci < shape[0] and 0 <= cj < shape[1]
+        di, dj = (gy - raw_y) / cell_scale, (gx - raw_x) / cell_scale
+        # an offset that is NaN, infinite or a map or more away lies outside
+        # the window; only the others are rounded to a cell
+        ci = cj = 0
+        in_window = abs(di) < rows and abs(dj) < cols
+        if in_window:
+            ci, cj = rows // 2 + round(di), cols // 2 + round(dj)
+            in_window = 0 <= ci < rows and 0 <= cj < cols
         if in_window and not hidden:
             raw_x, raw_y = gx + dx, gy + dy
         else:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from sattrack import (
     ProjectionWeights,
-    aggregate_values,
     attention_weights,
     enhance_features,
     init_projection_weights,
@@ -17,6 +16,7 @@ from sattrack import (
     template_saliency,
     xcorr_depthwise,
 )
+from sattrack.attention import _attend
 
 
 def identity_weights(channels, gamma=0.0):
@@ -172,34 +172,47 @@ class TestAttentionWeights:
 
 
 class TestAggregation:
+    """The value mixing of the block, read through the enhanced features:
+    ``enhanced - search`` at a search location is gamma times the
+    attention-weighted sum of the value vectors."""
+
     def test_uniform_attention_constant_values(self):
-        v = np.tile(np.array([[1.0], [2.0], [3.0]]), (1, 4))
-        attn = np.full((5, 4), 0.25)
-        out = aggregate_values(v, attn)
-        assert out.shape == (3, 5)
-        assert np.allclose(out, np.array([[1.0], [2.0], [3.0]]))
+        # zero queries score every template location 0: uniform attention
+        eye = np.eye(3)
+        weights = ProjectionWeights(w_q=np.zeros((3, 3)), w_k=eye, w_v=eye, gamma=1.0)
+        template = np.tile(np.array([1.0, 2.0, 3.0])[:, None, None], (1, 2, 2))
+        search = np.zeros((3, 5, 1))
+        out = enhance_features(search, template, weights)
+        assert out.shape == (3, 5, 1)
+        assert np.allclose(out[:, :, 0], np.array([[1.0], [2.0], [3.0]]))
 
     def test_one_hot_rows_select_columns(self):
+        # one-hot search and template columns scaled by 40 score 1600 on one
+        # template location and 0 elsewhere, and exp(-1600) is exactly 0
         rng = np.random.default_rng(6)
-        v = rng.normal(size=(3, 4))
-        attn = np.zeros((4, 4))
+        w_v = rng.normal(size=(4, 4))
         order = [2, 0, 3, 1]
+        weights = ProjectionWeights(w_q=40.0 * np.eye(4), w_k=40.0 * np.eye(4), w_v=w_v, gamma=1.0)
+        template = np.eye(4).reshape(4, 2, 2)
+        search = np.eye(4)[:, order].reshape(4, 2, 2)
+        out, attention = _attend(search, template, weights)
+        assert np.array_equal(attention.T, np.eye(4)[order])
+        flat_search, flat_out = search.reshape(4, 4), out.reshape(4, 4)
         for row, col in enumerate(order):
-            attn[row, col] = 1.0
-        out = aggregate_values(v, attn)
-        for row, col in enumerate(order):
-            assert np.array_equal(out[:, row], v[:, col])
+            assert np.array_equal(flat_out[:, row], flat_search[:, row] + w_v[:, col])
 
     def test_matches_matmul_oracle(self):
         rng = np.random.default_rng(7)
-        v = rng.normal(size=(3, 2))
-        raw = rng.uniform(0.1, 1.0, size=(2, 2))
-        attn = raw / raw.sum(axis=1, keepdims=True)
-        out = aggregate_values(v, attn)
-        oracle = np.empty((3, 2))
-        for c in range(3):
+        search, template = rng.normal(size=(4, 1, 2)), rng.normal(size=(4, 2, 1))
+        weights = init_projection_weights(4, seed=7, gamma=0.5)
+        q, k, v = project_qkv(search, template, weights)
+        attn = attention_weights(q, k)
+        out = enhance_features(search, template, weights).reshape(4, 2)
+        oracle = np.empty((4, 2))
+        for c in range(4):
             for i in range(2):
-                oracle[c, i] = sum(v[c, j] * attn[i, j] for j in range(2))
+                mixed = sum(v[c, j] * attn[i, j] for j in range(2))
+                oracle[c, i] = search.reshape(4, 2)[c, i] + 0.5 * mixed
         assert np.abs(out - oracle).max() < 1e-12
 
 
@@ -474,7 +487,11 @@ class TestAttentionWeightsProperties:
         search, template = rng.normal(size=(8, 6, 7)), rng.normal(size=(8, 3, 2))
         weights = init_projection_weights(8, seed=4, use_bias=True, gamma=0.3)
         q, k, v = project_qkv(search, template, weights)
-        mixed = aggregate_values(v, attention_weights(q, k)).reshape(search.shape)
+        attention = attention_weights(q, k)
+        mixed = (v @ attention.T).reshape(search.shape)
         assert np.array_equal(
             enhance_features(search, template, weights), search + 0.3 * mixed
         )
+        enhanced, template_major = _attend(search, template, weights)
+        assert np.array_equal(enhanced, search + 0.3 * mixed)
+        assert np.array_equal(template_major.T, attention)

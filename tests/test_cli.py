@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sattrack.cli import main
-from sattrack.formats import read_feature_map, read_grid_csv, read_trajectory, write_feature_map
+from sattrack.formats import read_feature_map, read_grid_csv, write_feature_map
 from sattrack import (
     attention_weights,
     enhance_features,
@@ -19,7 +19,7 @@ from sattrack import BoundingBox, MotionParams, ScenarioConfig, TrackerState, Tr
 from sattrack import generate_scenario, motion, psr
 from sattrack.formats import _fmt
 from sattrack.motion import _branch_weights, _score
-from test_formats import scenario_text
+from test_formats import read_trajectory, scenario_text
 from test_scenario import PIN_CONFIGS
 
 CLEAN_SCENARIO = """\
@@ -228,6 +228,37 @@ def test_simulate_seed_flag_and_env_agree(scenario_file, tmp_path, monkeypatch):
     assert main(["simulate", "--scenario", config, "--output", str(base_out)]) == 0
     assert (flag_out / "raw_model.csv").read_bytes() == (env_out / "raw_model.csv").read_bytes()
     assert (flag_out / "raw_model.csv").read_bytes() != (base_out / "raw_model.csv").read_bytes()
+
+
+@pytest.mark.parametrize("cell_scale", ["1e-20", "1e-310"])
+def test_tiny_cell_scale_loses_the_target_after_frame_one(scenario_file, tmp_path, cell_scale):
+    # every offset but frame 1's is more cells than the map holds (1e-310:
+    # an infinite number), so the window loses the target at once
+    config = scenario_file(
+        "frame_count = 20\nwaypoint = 1 10 10\nwaypoint = 20 30 10\ntarget_size = 6 6\n"
+        f"distractor_count = 0\nnoise_sigma = 0\ncell_scale = {cell_scale}\n"
+    )
+    sim, track = tmp_path / "sim", tmp_path / "track"
+    assert main(["simulate", "--scenario", config, "--output", str(sim)]) == 0
+    _, *rows = (sim / "response_summary.csv").read_text().splitlines()
+    peaks = [row.split(",") for row in rows]
+    assert peaks[0][:5] == ["1", "0", "12", "12", "1.0"]
+    assert len(peaks) == 20 and max(float(p[4]) for p in peaks[1:]) < 0.5
+    argv = ["track", "--scenario", config, "--n1", "12", "--n2", "4", "--output", str(track)]
+    assert main(argv) == 0
+    assert len(read_trajectory(track / "trajectory.csv")) == 20
+
+
+@pytest.mark.parametrize("command", ["simulate", "track"])
+def test_overflowing_waypoint_path_is_the_box_error(scenario_file, tmp_path, capsys, command):
+    # both waypoints are finite, but the path between them is not
+    config = scenario_file(
+        "frame_count = 5\nwaypoint = 1 1.7e308 0\nwaypoint = 5 -1.7e308 0\ntarget_size = 6 6\n"
+    )
+    argv = [command, "--scenario", config, "--output", str(tmp_path / "o")]
+    assert main(argv + (["--n1", "3", "--n2", "1"] if command == "track" else [])) == 1
+    assert capsys.readouterr().err == "error: box field cx must be finite\n"
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
 
 
 def test_simulate_rejects_overlapping_occlusions(scenario_file, tmp_path, capsys):

@@ -35,7 +35,6 @@ from sattrack.formats import (
     read_grid_csv,
     read_kv_file,
     read_projection_weights,
-    read_trajectory,
     read_trajectory_rows,
     result_summary,
     scenario_from_file,
@@ -48,6 +47,11 @@ from sattrack.formats import (
     write_trace,
     write_trajectory,
 )
+
+
+def read_trajectory(path) -> list[BoundingBox]:
+    """:func:`read_trajectory_rows` as one BoundingBox per row."""
+    return [BoundingBox(*row) for row in read_trajectory_rows(path).tolist()]
 
 
 class TestTrajectoryIO:
@@ -475,7 +479,7 @@ class TestUtf8Text:
     def expected(self, path, offset=25):
         return rf"^{re.escape(str(path))}: not UTF-8 text \(byte 0xff at offset {offset}\)$"
 
-    @pytest.mark.parametrize("reader", [read_trajectory_rows, read_trajectory, read_grid_csv,
+    @pytest.mark.parametrize("reader", [read_trajectory_rows, read_grid_csv,
                                         read_kv_file, scenario_from_file,
                                         motion_params_from_file, read_attribute_groups])
     def test_undecodable_byte_is_config_error_naming_the_file(self, tmp_path, reader):
@@ -491,7 +495,6 @@ class TestUtf8Text:
     @pytest.mark.parametrize("reader, text", [
         pytest.param(reader, text, id=reader.__name__) for reader, text in [
             (read_trajectory_rows, "frame,cx,cy,w,h\n1,10,20,4,6\n"),
-            (read_trajectory, "10,20,4,6\n"),
             (read_grid_csv, "1,2\n3,4\n"),
             (read_kv_file, "n1 = 12\n"),
             (scenario_from_file,

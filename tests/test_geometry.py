@@ -12,18 +12,17 @@ from sattrack import (
     AspectRatioParams,
     BoundingBox,
     GridGeometry,
-    LossWeights,
     RegressionTarget,
     build_label_maps,
     centerness_loss,
     classic_centerness,
     cls_loss,
     constrained_centerness,
-    modulation_factor,
     regression_loss,
     soft_cls_target,
-    total_loss,
 )
+from sattrack.cli import main
+from sattrack.geometry import _exponents
 
 
 def reference_constrained(l, r, t, b, gamma):
@@ -62,17 +61,21 @@ class TestCenterness:
             RegressionTarget(-1, 3, 2, 2)
 
     def test_modulation_factor_saturates(self):
-        assert modulation_factor(6.0, 0.5) == 1.0
+        # a tall box (rho = 1/6) keeps the classic horizontal exponent
+        assert _exponents(1 / 6, AspectRatioParams(gamma=0.5))[0] == 1.0
 
     def test_modulation_factor_below_one(self):
         # (1/6)^0.5
-        assert modulation_factor(1 / 6, 0.5) == pytest.approx(0.40825, abs=1e-4)
+        assert _exponents(1 / 6, AspectRatioParams(gamma=0.5))[1] == pytest.approx(
+            0.40825, abs=1e-4
+        )
 
     def test_modulation_factor_domain(self):
-        with pytest.raises(ValueError):
-            modulation_factor(0.0, 0.5)
-        with pytest.raises(ValueError):
-            modulation_factor(2.0, 0.0)
+        # 1e-310 is finite and > 0, but its reciprocal is inf
+        for rho in (0.0, -1.0, math.inf, math.nan, 1e-310):
+            with pytest.raises(ValueError, match="^aspect ratio w/h must be finite"):
+                _exponents(rho, AspectRatioParams())
+            assert _exponents(rho, None) == (1.0, 1.0)
 
     def test_constrained_flattens_principal_axis(self):
         # rho = 6 wide box, t = b, horizontal ratio 0.25:
@@ -117,7 +120,7 @@ class TestCenterness:
         # for rho > 1 the long-axis exponent shrinks as gamma grows
         gammas = [0.25, 0.5, 0.75, 1.0]
         for rho in (1.5, 3.0, 6.0):
-            exponents = [modulation_factor(1.0 / rho, g) for g in gammas]
+            exponents = [_exponents(rho, AspectRatioParams(gamma=g))[0] for g in gammas]
             assert all(a >= b for a, b in zip(exponents, exponents[1:]))
 
 
@@ -152,6 +155,22 @@ class TestLabelMaps:
         maps = build_label_maps(BoundingBox(12.0, 24.0, 16.0, 24.0), params=None)
         assert np.argwhere(maps.labels).tolist() == [[2, 1], [3, 1]]
         assert (maps.centerness[maps.labels == 0] == 0).all()
+
+    @pytest.mark.parametrize("w, h, rho", [(1e308, 1e-10, "inf"), (1e-300, 1e300, "0.0")])
+    def test_unrepresentable_aspect_ratio_rejected(self, tmp_path, capsys, w, h, rho):
+        # w/h overflows to inf or underflows to 0, so one exponent is undefined
+        message = f"aspect ratio w/h must be finite and > 0 with a finite reciprocal, got {rho}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build_label_maps(BoundingBox(100.0, 100.0, w, h))
+            # the classic map uses no aspect ratio and still builds
+            classic = build_label_maps(BoundingBox(100.0, 100.0, w, h), params=None)
+            assert classic.centerness.shape == (25, 25)
+            argv = ["centerness-map", "--box", f"100,100,{w!r},{h!r}", "--output", str(tmp_path)]
+            assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_brute_force_oracle(self):
         """Vectorized maps must match a per-point loop over the definition."""
@@ -200,8 +219,8 @@ def meshgrid_label_maps(box, grid, params):
             exp_h = exp_v = 1.0
         else:
             rho = box.w / box.h
-            exp_h = modulation_factor(1.0 / rho, params.gamma)
-            exp_v = modulation_factor(rho, params.gamma)
+            exp_h = min(1.0, (1.0 / rho) ** params.gamma)
+            exp_v = min(1.0, rho**params.gamma)
         ratio_h = np.minimum(left, right)[positive] / np.maximum(left, right)[positive]
         ratio_v = np.minimum(top, bottom)[positive] / np.maximum(top, bottom)[positive]
         centerness[positive] = np.sqrt(ratio_h**exp_h * ratio_v**exp_v)
@@ -412,15 +431,3 @@ class TestLosses:
         with pytest.raises(ValueError, match="not all be zero"):
             regression_loss(boxes, boxes, [0.0])
 
-    def test_total_loss_weighting(self):
-        assert total_loss(0.0, 0.0, 0.0) == 0.0
-        assert total_loss(1.0, 1.0, 1.0) == 4.0
-        assert total_loss(0.5, 0.25, 0.1) == pytest.approx(1.1)
-
-    def test_total_loss_custom_weights(self):
-        weights = LossWeights(lambda_cls=2.0, lambda_reg=0.0, lambda_cen=1.0)
-        assert total_loss(1.0, 9.0, 3.0, weights) == 5.0
-
-    def test_loss_weights_validated(self):
-        with pytest.raises(ValueError):
-            LossWeights(lambda_cls=-1.0)

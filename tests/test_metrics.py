@@ -8,14 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sattrack import (
-    BoundingBox,
-    aggregate_results,
-    cle,
-    evaluate,
-    iou,
-    normalized_cle,
-)
+from sattrack import BoundingBox, aggregate_results, evaluate
 from sattrack.boxes import box_rows
 from sattrack.metrics import (
     center_errors,
@@ -24,6 +17,21 @@ from sattrack.metrics import (
     overlap_ratios,
     paired_rows,
 )
+
+def cle(pred: BoundingBox, gt: BoundingBox) -> float:
+    """Center location error of one box pair: the row kernel on one row."""
+    return float(center_errors(box_rows([pred]), box_rows([gt]))[0])
+
+
+def normalized_cle(pred: BoundingBox, gt: BoundingBox) -> float:
+    """Size-normalized center error of one box pair, on one row."""
+    return float(normalized_center_errors(box_rows([pred]), box_rows([gt]))[0])
+
+
+def iou(a: BoundingBox, b: BoundingBox) -> float:
+    """Intersection over union of one box pair, on one row."""
+    return float(overlap_ratios(box_rows([a]), box_rows([b]))[0])
+
 
 # Boxes whose sides stay far above the float spacing at their coordinates.
 boxes = st.builds(

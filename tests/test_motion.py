@@ -8,16 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import sattrack
 from sattrack import (
     BoundingBox,
     MotionParams,
     TrackerState,
-    fit_value,
-    instantaneous_velocity,
-    linear_fit,
     normalized_psr,
-    peak_to_box,
     psr,
     refine_step,
 )
@@ -325,6 +320,48 @@ class TestNormalizedPsr:
             previous_max = state.psr_max
 
 
+def linear_fit(series) -> tuple[np.ndarray, np.ndarray]:
+    """Ordinary least-squares line through a (K, d) series sampled at
+    0, 1, ..., K-1.  Returns (slope, intercept), each shape (d,).  The low
+    branch's weights are pinned to this form."""
+    series = np.asarray(series, dtype=float)
+    if series.ndim == 1:
+        series = series[:, None]
+    count = series.shape[0]
+    if count < 2:
+        raise ValueError(f"linear fit needs at least 2 samples, got {count}")
+    mid = 0.5 * (count - 1)
+    centered = np.arange(count, dtype=float) - mid
+    slope = (centered @ series) / (centered @ centered)
+    intercept = series.sum(axis=0) / count - slope * mid
+    return slope, intercept
+
+
+def fit_value(slope: np.ndarray, intercept: np.ndarray, index: float) -> np.ndarray:
+    """Evaluate a fitted line at the given sample index."""
+    return intercept + slope * index
+
+
+def instantaneous_velocity(centers, n2: int) -> np.ndarray:
+    """Mean per-frame velocity over the last 2*n2 center positions: the n2
+    displacements between the older and newer halves of the window, each
+    spanning n2 frames, hence 1/n2**2.  The high branch's weights are
+    pinned to this form."""
+    centers = np.asarray(centers, dtype=float)
+    if n2 < 1:
+        raise ValueError(f"n2 must be >= 1, got {n2}")
+    if centers.ndim != 2 or centers.shape[0] < 2 * n2:
+        raise ValueError(f"need at least {2 * n2} centers, got shape {centers.shape}")
+    newer = centers[-n2:].sum(axis=0)
+    older = centers[-2 * n2 : -n2].sum(axis=0)
+    return (newer - older) / float(n2 * n2)
+
+
+def history(state: TrackerState) -> tuple[BoundingBox, ...]:
+    """The boxes stored in the tracker's ring, oldest first."""
+    return tuple(BoundingBox(*row) for row in state._window().tolist())
+
+
 class TestLinearFit:
     def test_exact_line(self):
         series = np.array([[2.0 * k, 3.0 * k] for k in range(50)])
@@ -411,7 +448,7 @@ def windows(n1, bound=1e4):
 
 class TestBranchWeights:
     """Each branch is one dot product with a cached weight vector, pinned to
-    the public fit and velocity forms."""
+    the fit and velocity forms above."""
 
     @PROPERTY_SETTINGS
     @given(st.sampled_from(WINDOW_PARAMS).flatmap(lambda p: st.tuples(st.just(p), windows(p[0]))))
@@ -438,11 +475,6 @@ class TestBranchWeights:
         for vector in (low, high):
             with pytest.raises(ValueError, match="read-only"):
                 vector[0] = 1.0
-
-    def test_fit_and_velocity_forms_stay_public(self):
-        for name in ("linear_fit", "fit_value", "instantaneous_velocity"):
-            assert name in sattrack.__all__
-            assert getattr(sattrack, name) is getattr(motion, name)
 
 
 class TestParams:
@@ -493,20 +525,18 @@ class TestTrackerState:
         for box in boxes:
             state._push((box.cx, box.cy, box.w, box.h))
         assert state.capacity == capacity
-        assert state.history == tuple(boxes[max(pushes - capacity, 0) :])
+        assert history(state) == tuple(boxes[max(pushes - capacity, 0) :])
 
     def test_history_cannot_be_mutated(self):
+        # a push copies the row: changing the pushed list afterwards changes
+        # nothing the tracker holds
         state = TrackerState(3)
         for k in range(4):
             box = numbered_box(k)
-            state._push([box.cx, box.cy, box.w, box.h])
-        history = state.history
-        assert isinstance(history, tuple)
-        with pytest.raises(TypeError):
-            history[0] = numbered_box(9)
-        with pytest.raises(AttributeError):
-            state.history = ()
-        assert state.history == (numbered_box(1), numbered_box(2), numbered_box(3))
+            row = [box.cx, box.cy, box.w, box.h]
+            state._push(row)
+            row[0] = 99.0
+        assert history(state) == (numbered_box(1), numbered_box(2), numbered_box(3))
 
     def test_capacity_below_one_rejected(self):
         with pytest.raises(ValueError, match="capacity"):
@@ -526,8 +556,8 @@ class TestRefineStep:
         boxes = [BoundingBox(float(k), 2.0 * k, 5.0, 5.0) for k in range(10)]
         state = warmed_state(params, boxes, map_with_score(8.0))
         assert state.frame_index == 10
-        assert len(state.history) == 10
-        assert list(state.history) == boxes
+        assert len(history(state)) == 10
+        assert list(history(state)) == boxes
 
     def test_high_confidence_stationary_equals_model(self):
         params = MotionParams()
@@ -586,9 +616,9 @@ class TestRefineStep:
         boxes = [BoundingBox(1.0 * k, 1.0 * k, 5.0, 5.0) for k in range(10)]
         state = warmed_state(params, boxes, grid)
         refined = refine_step(state, BoundingBox(11.0, 11.0, 5.0, 5.0), grid, params)
-        assert state.history[-1] == refined
-        assert len(state.history) == 10  # capacity bound: oldest evicted
-        assert state.history[0] == boxes[1]
+        assert history(state)[-1] == refined
+        assert len(history(state)) == 10  # capacity bound: oldest evicted
+        assert history(state)[0] == boxes[1]
         assert state.frame_index == 11
 
     def test_size_floor(self):
@@ -650,21 +680,3 @@ class TestRefineStep:
         assert state.last_npsr == 1.0
         assert state.last_branch == WARMUP
 
-
-class TestPeakToBox:
-    def test_interior_peak(self):
-        grid = np.zeros((25, 25))
-        grid[3, 4] = 1.0
-        box = peak_to_box(grid, 8.0, (10.0, 12.0))
-        assert (box.cx, box.cy) == (36.0, 28.0)
-        assert (box.w, box.h) == (10.0, 12.0)
-
-    def test_uniform_map_tie_break(self):
-        box = peak_to_box(np.zeros((25, 25)), 8.0, (5.0, 5.0))
-        assert (box.cx, box.cy) == (4.0, 4.0)
-
-    def test_last_cell(self):
-        grid = np.zeros((25, 25))
-        grid[24, 24] = 2.0
-        box = peak_to_box(grid, 8.0, (5.0, 5.0))
-        assert (box.cx, box.cy) == (196.0, 196.0)

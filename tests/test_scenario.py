@@ -1,5 +1,6 @@
 """Simulator behavior: determinism, occlusion dynamics, response-map shape."""
 
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -22,7 +23,6 @@ from sattrack import (
     psr,
     refine_step,
     run_tracking,
-    synthesize_response_map,
     track_rows,
 )
 from sattrack.boxes import box_rows
@@ -37,6 +37,9 @@ from sattrack.scenario import (
     FrameObservation,
     _add_peaks,
     _profiles,
+    _streams,
+    _synthesize,
+    _walk,
 )
 
 
@@ -52,6 +55,23 @@ def clean_config(frames=120, seed=0, **overrides):
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def synthesize_response_map(
+    center_cell, sharpness=1.0, distractors=0, noise_sigma=0.0, map_size=(25, 25), seed=0
+):
+    """One standalone response map: the scenario synthesis of one frame whose
+    target is in view at ``center_cell``, from the cell, amplitude and noise
+    streams of ``seed``."""
+    return _synthesize(
+        _streams(seed)[1:],
+        _profiles(map_size, sharpness),
+        np.array([center_cell], dtype=np.intp),
+        np.ones(1, dtype=bool),
+        np.zeros(1, dtype=bool),
+        distractors,
+        noise_sigma,
+    )[0]
 
 
 class TestConfigValidation:
@@ -88,6 +108,17 @@ class TestConfigValidation:
     def test_target_size_positive(self):
         with pytest.raises(ValueError, match="target_size"):
             clean_config(target_size=(0.0, 5.0))
+
+    @pytest.mark.parametrize("size", [(math.inf, 4.0), (4.0, math.nan), (-math.inf, 4.0)])
+    def test_target_size_finite(self, size):
+        with pytest.raises(ValueError, match=r"^target_size must be finite and positive, got \("):
+            clean_config(target_size=size)
+
+    @pytest.mark.parametrize("x, y", [(math.inf, 0.0), (0.0, math.nan), (-math.inf, 1.0)])
+    def test_waypoint_coordinates_finite(self, x, y):
+        waypoints = ((1, 0.0, 0.0), (60, x, y), (120, 9.0, 9.0))
+        with pytest.raises(ValueError, match=r"^waypoint coordinates must be finite, got \(60, "):
+            clean_config(waypoints=waypoints)
 
 
 class TestSynthesizeResponseMap:
@@ -127,8 +158,17 @@ class TestSynthesizeResponseMap:
         assert np.array_equal(a, b)
 
     def test_out_of_bounds_center_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            synthesize_response_map((25, 0))
+        # an offset a map or more away, or one too far to round to an
+        # integer, puts the target outside the window; its cell is unused
+        gt_x = np.array([0.0, 1e300, np.inf, 0.0, 200.0, 0.0])
+        gt_y = np.array([0.0, 0.0, 0.0, np.nan, 0.0, -96.0])
+        steps = np.zeros((6, 2))
+        _, cells, inside = _walk(gt_x, gt_y, np.zeros(6, dtype=bool), steps, (25, 25), 8.0)
+        assert inside.tolist() == [True, False, False, False, False, True]
+        assert cells[0].tolist() == [12, 12] and cells[5].tolist() == [0, 12]
+        _, cells, inside = _walk(gt_x[:2], gt_y[:2], np.zeros(2, dtype=bool),
+                                 steps[:2], (3, 3), 1e-310)
+        assert inside.tolist() == [True, False]
 
 
 def brute_peaks(shape, cells, amps, sharpness):
@@ -220,12 +260,12 @@ class TestGenerateScenario:
     def test_ground_truth_follows_waypoints(self):
         config = clean_config(frames=101, waypoints=((1, 0.0, 0.0), (101, 100.0, 50.0)))
         scenario = generate_scenario(config)
-        assert scenario[0].gt_box.center == (0.0, 0.0)
-        assert scenario[-1].gt_box.center == (100.0, 50.0)
+        assert (scenario[0].gt_box.cx, scenario[0].gt_box.cy) == (0.0, 0.0)
+        assert (scenario[-1].gt_box.cx, scenario[-1].gt_box.cy) == (100.0, 50.0)
         mid = scenario[50].gt_box
         assert mid.cx == pytest.approx(50.0)
         assert mid.cy == pytest.approx(25.0)
-        assert mid.size == (12.0, 8.0)
+        assert (mid.w, mid.h) == (12.0, 8.0)
 
     def test_clean_raw_track_stays_tight(self):
         scenario = generate_scenario(clean_config())
@@ -291,13 +331,15 @@ class TestScenarioRows:
 
     @pytest.mark.parametrize(
         "target_size, message",
-        [((float("inf"), 4.0), "box field w must be finite"),
-         ((4.0, float("nan")), "box field h must be finite")],
+        [((4.0, 4.0), "box field cx must be finite"),
+         ((1e308, 5e-324), "box field cx must be finite")],
     )
     def test_first_invalid_row_raises_the_box_error(self, target_size, message):
-        # ScenarioConfig lets a non-finite size through its ``> 0`` check;
-        # frame 1's gt row is the first row checked
-        config = clean_config(frames=5, target_size=target_size)
+        # finite waypoints whose gap overflows interpolate to non-finite
+        # ground truth from frame 2 on; its gt row is the first bad row,
+        # whatever the (valid) target size
+        waypoints = ((1, 1.7e308, 0.0), (5, -1.7e308, 0.0))
+        config = clean_config(frames=5, waypoints=waypoints, target_size=target_size)
         for generate in (generate_scenario_rows, generate_scenario):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 generate(config)
