@@ -83,10 +83,6 @@ class ProjectionWeights:
     def channels(self) -> int:
         return self.w_v.shape[0]
 
-    @property
-    def reduction(self) -> int:
-        return self.channels // self.w_q.shape[0]
-
 
 def init_projection_weights(
     channels: int,

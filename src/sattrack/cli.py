@@ -2,11 +2,11 @@
 
 Subcommands cover the main workflows: exporting centerness label maps,
 simulating scenarios, running the refinement over a simulated sequence,
-scoring trajectories, and a small attention demo.  The shared numeric flags
-can also be set through environment variables named SATTRACK_<FLAG>
-(SATTRACK_GAMMA, SATTRACK_N1, SATTRACK_N2, SATTRACK_THETA,
-SATTRACK_LAMBDA_EMA, SATTRACK_SEED, SATTRACK_OMMR, SATTRACK_OUTPUT);
-explicit flags win over the environment.
+scoring trajectories, and a small attention demo.  Every setting with a
+flag can also be set by SATTRACK_<FLAG>, the flag's name upper-cased with
+``-`` as ``_`` (SATTRACK_OUTPUT, SATTRACK_SEED, SATTRACK_GAMMA, SATTRACK_OMMR,
+SATTRACK_N1, SATTRACK_N2, SATTRACK_THETA, SATTRACK_LAMBDA_EMA).  A value comes
+from the flag, else the variable, else the config file, else the default.
 
 All outputs are written atomically (temp file, then rename), so an aborted
 run never leaves partial files; the exit code is 0 only when every output
@@ -16,8 +16,10 @@ was fully written, 1 on runtime or configuration errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,33 +46,26 @@ class UsageError(ConfigError):
     """A flag the other arguments rule out; exits 2, like argparse's errors."""
 
 
-def _env(name: str) -> str | None:
-    return os.environ.get("SATTRACK_" + name)
-
-
-def _resolve(flag_value, env_name: str, parse, fallback):
-    """Flag beats environment beats fallback."""
-    if flag_value is not None:
-        return flag_value
-    raw = _env(env_name)
-    if raw is not None:
-        try:
-            return parse(raw)
-        except ValueError as exc:
-            raise ConfigError(f"invalid SATTRACK_{env_name}={raw!r}") from exc
+def _resolve(args, name: str, parse, fallback):
+    """The setting ``name``: its flag ``--name`` (``_`` as ``-``), else
+    ``SATTRACK_<NAME>``, else ``fallback``.  ``parse`` reads the value; a
+    value it rejects is an error naming the flag or variable it came from."""
+    flag, env = "--" + name.replace("_", "-"), "SATTRACK_" + name.upper()
+    for source, value in ((flag, getattr(args, name)), (env, os.environ.get(env))):
+        if value is not None:
+            try:
+                return parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"invalid {source}={value!r}") from exc
     return fallback
 
 
-def _parse_ommr(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered not in ("on", "off"):
-        raise ValueError(text)
-    return lowered == "on"
+def _on_off(text: str) -> bool:
+    return bool(("off", "on").index(text.strip().lower()))  # ValueError if neither
 
 
 def _output_dir(args) -> Path:
-    # an empty --output or SATTRACK_OUTPUT is unset, not the current directory
-    output = _resolve(args.output or None, "OUTPUT", str, None)
+    output = _resolve(args, "output", str, None)
     if not output:
         raise ConfigError("no output directory: pass --output or set SATTRACK_OUTPUT")
     path = Path(output)
@@ -78,31 +73,21 @@ def _output_dir(args) -> Path:
     return path
 
 
-def _motion_params(args) -> MotionParams:
-    base = (
-        formats.motion_params_from_file(args.params)
-        if getattr(args, "params", None)
-        else MotionParams()
-    )
-    overrides = {}
-    for field, env_name, kind in (
-        ("n1", "N1", int),
-        ("n2", "N2", int),
-        ("theta", "THETA", float),
-        ("lambda_ema", "LAMBDA_EMA", float),
-    ):
-        value = _resolve(getattr(args, field), env_name, kind, None)
-        if value is not None:
-            overrides[field] = value
-    return replace(base, **overrides) if overrides else base
+def _overridden(args, config, kinds: dict):
+    """``config`` read from a file (or the defaults), with each setting in
+    ``kinds`` that its flag or variable sets replaced."""
+    values = {name: _resolve(args, name, kind, None) for name, kind in kinds.items()}
+    return replace(config, **{name: value for name, value in values.items() if value is not None})
 
 
 def _scenario_config(args):
     config = formats.scenario_from_file(args.scenario)
-    seed = _resolve(args.seed, "SEED", int, None)
-    if seed is not None:
-        config = replace(config, seed=seed)
-    return config
+    return _overridden(args, config, {"seed": formats._SCENARIO_KEYS["seed"]})
+
+
+def _motion_params(args) -> MotionParams:
+    params = formats.motion_params_from_file(args.params) if args.params else MotionParams()
+    return _overridden(args, params, formats._MOTION_KEYS)
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +97,15 @@ def _scenario_config(args):
 def cmd_centerness_map(args):
     cx, cy, w, h = formats._parse_numbers(args.box, (float,) * 4, "--box")
     grid_h, grid_w, stride = formats._parse_numbers(args.grid, (int,) * 3, "--grid")
-    gamma = _resolve(args.gamma, "GAMMA", float, 0.5)
+    gamma = _resolve(args, "gamma", float, 0.5)
     box = BoundingBox(cx, cy, w, h)
     grid = GridGeometry(stride=stride, height=grid_h, width=grid_w)
-    constrained = build_label_maps(box, grid, AspectRatioParams(gamma=gamma))
-    classic = build_label_maps(box, grid, None)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        constrained = build_label_maps(box, grid, AspectRatioParams(gamma=gamma))
+        classic = build_label_maps(box, grid, None)
+    for message in dict.fromkeys(str(warning.message) for warning in caught):  # say it once
+        print(f"warning: {message}", file=sys.stderr)
 
     out = _output_dir(args)
     formats.write_grid_csv(out / "constrained.csv", constrained.centerness)
@@ -153,13 +142,7 @@ def cmd_simulate(args):
 def cmd_track(args):
     config = _scenario_config(args)
     params = _motion_params(args)
-    refine_text = _resolve(args.ommr, "OMMR", str, "on")
-    try:
-        refine = _parse_ommr(refine_text)
-    except ValueError:
-        raise ConfigError(
-            f"--ommr/SATTRACK_OMMR must be 'on' or 'off', got {refine_text!r}"
-        ) from None
+    refine = _resolve(args, "ommr", _on_off, True)
     if refine and params.n1 >= config.frame_count:
         raise ConfigError(
             f"n1 ({params.n1}) must be below frame_count ({config.frame_count}) "
@@ -258,8 +241,8 @@ def cmd_evaluate(args):
 
 
 def cmd_attention_demo(args):
-    seed = _resolve(args.seed, "SEED", int, 0)
-    gamma = _resolve(args.gamma, "GAMMA", float, 0.0)
+    seed = _resolve(args, "seed", int, 0)
+    gamma = _resolve(args, "gamma", float, None)
     rng = np.random.Generator(np.random.PCG64(seed))
     if args.search:
         search = formats.read_feature_map(args.search)
@@ -274,10 +257,10 @@ def cmd_attention_demo(args):
 
     if args.weights:
         weights = formats.read_projection_weights(args.weights)
-        if args.gamma is not None or _env("GAMMA") is not None:
-            weights = replace(weights, gamma=gamma)
     else:
-        weights = init_projection_weights(search.shape[0], seed=seed, gamma=gamma)
+        weights = init_projection_weights(search.shape[0], seed=seed)
+    if gamma is not None:  # the flag or variable beats the file's gamma
+        weights = replace(weights, gamma=gamma)
 
     enhanced, attention = _attend(search, template, weights)
     if args.mask:
@@ -312,14 +295,19 @@ def cmd_attention_demo(args):
 
 
 def _add_output(parser):
-    parser.add_argument("--output", help="output directory (or SATTRACK_OUTPUT)")
+    # an empty --output is unset, so SATTRACK_OUTPUT still applies
+    parser.add_argument(
+        "--output", type=lambda text: text or None, help="output directory (or SATTRACK_OUTPUT)"
+    )
 
 
 def _add_seed(parser):
     parser.add_argument("--seed", type=int, help="random seed override")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; handlers look up what they call at call time."""
     parser = argparse.ArgumentParser(
         prog="sattrack",
         description="satellite-video tracking toolkit: label maps, simulation, "

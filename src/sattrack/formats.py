@@ -63,6 +63,14 @@ class ConfigError(ValueError):
     """A configuration file could not be parsed or validated."""
 
 
+def _build(path, cls, **fields):
+    """``cls(**fields)``; a validation error is a :class:`ConfigError` naming the file."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _atomic_write(path, writer: Callable[[Path], None]):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -392,12 +400,10 @@ def read_projection_weights(path) -> ProjectionWeights:
     gamma = arrays.pop("gamma")
     if gamma.shape != ():
         raise ConfigError(f"{path}: gamma must be a single number, got shape {gamma.shape}")
-    try:
-        return ProjectionWeights(
-            gamma=float(gamma), **{name: value.astype(float) for name, value in arrays.items()}
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return _build(
+        path, ProjectionWeights,
+        gamma=float(gamma), **{name: value.astype(float) for name, value in arrays.items()}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +448,28 @@ def _parse_numbers(text: str, kinds: tuple, where: str) -> tuple:
     return tuple(_parse(part, kind, where) for part, kind in zip(parts, kinds))
 
 
-_SCENARIO_SCALARS = {
+def _read_fields(path: Path, kinds: dict, what: str, repeatable=()) -> dict:
+    """A key = value file's values by key, each parsed as its kind in
+    ``kinds`` (int, float or a tuple of them).  A key in ``repeatable`` maps
+    to the list of its values; any other key may appear once."""
+    fields: dict = {}
+    for number, key, value in read_kv_file(path):
+        if key not in kinds:
+            raise ConfigError(f"{path}:{number}: unknown {what} key {key!r}")
+        if key in fields and key not in repeatable:
+            raise ConfigError(f"{path}:{number}: duplicate key {key!r}")
+        kind, where = kinds[key], f"{path}:{number}: key {key!r}"
+        parse = _parse_numbers if isinstance(kind, tuple) else _parse
+        fields.setdefault(key, []).append(parse(value, kind, where))
+    return {key: values if key in repeatable else values[0] for key, values in fields.items()}
+
+
+_SCENARIO_KEYS = {
     "frame_count": int,
+    "waypoint": (int, float, float),
+    "occlusion": (int, int),
+    "target_size": (float, float),
+    "map_size": (int, int),
     "peak_sharpness": float,
     "distractor_count": int,
     "noise_sigma": float,
@@ -460,56 +486,24 @@ def scenario_from_file(path) -> ScenarioConfig:
     target_size.
     """
     path = Path(path)
-    fields: dict = {}
-    waypoints = []
-    occlusions = []
-    for number, key, value in read_kv_file(path):
-        where = f"{path}:{number}: key {key!r}"
-        if key == "waypoint":
-            waypoints.append(_parse_numbers(value, (int, float, float), where))
-        elif key == "occlusion":
-            occlusions.append(_parse_numbers(value, (int, int), where))
-        elif key in ("target_size", "map_size"):
-            kinds = (float, float) if key == "target_size" else (int, int)
-            if key in fields:
-                raise ConfigError(f"{path}:{number}: duplicate key {key!r}")
-            fields[key] = _parse_numbers(value, kinds, where)
-        elif key in _SCENARIO_SCALARS:
-            if key in fields:
-                raise ConfigError(f"{path}:{number}: duplicate key {key!r}")
-            fields[key] = _parse(value, _SCENARIO_SCALARS[key], where)
-        else:
-            raise ConfigError(f"{path}:{number}: unknown scenario key {key!r}")
+    fields = _read_fields(path, _SCENARIO_KEYS, "scenario", ("waypoint", "occlusion"))
     for required in ("frame_count", "target_size"):
         if required not in fields:
             raise ConfigError(f"{path}: missing required key {required!r}")
-    if not waypoints:
+    if "waypoint" not in fields:
         raise ConfigError(f"{path}: at least one 'waypoint' entry is required")
-    try:
-        return ScenarioConfig(
-            waypoints=tuple(waypoints), occlusions=tuple(occlusions), **fields
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    waypoints, occlusions = tuple(fields.pop("waypoint")), tuple(fields.pop("occlusion", ()))
+    return _build(path, ScenarioConfig, waypoints=waypoints, occlusions=occlusions, **fields)
 
 
+# The motion settings and their kinds, for the file reader and the CLI.
 _MOTION_KEYS = {"n1": int, "n2": int, "theta": float, "lambda_ema": float}
 
 
 def motion_params_from_file(path) -> MotionParams:
     """Load refinement settings from a key = value file."""
     path = Path(path)
-    fields: dict = {}
-    for number, key, value in read_kv_file(path):
-        if key not in _MOTION_KEYS:
-            raise ConfigError(f"{path}:{number}: unknown motion key {key!r}")
-        if key in fields:
-            raise ConfigError(f"{path}:{number}: duplicate key {key!r}")
-        fields[key] = _parse(value, _MOTION_KEYS[key], f"{path}:{number}: key {key!r}")
-    try:
-        return MotionParams(**fields)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _build(path, MotionParams, **_read_fields(path, _MOTION_KEYS, "motion"))
 
 
 # Group names become part of output file names (curves_<group>.csv).

@@ -97,12 +97,10 @@ class LabelMaps:
 
     centerness -- (H, W) float64 scores in [0, 1], zero outside the box
     labels     -- (H, W) uint8, 1 where the cell is a positive sample
-    grid       -- geometry the maps were built on
     """
 
     centerness: np.ndarray
     labels: np.ndarray
-    grid: GridGeometry
 
     @property
     def positive_count(self) -> int:
@@ -198,7 +196,7 @@ def build_label_maps(
     # both profiles are zero outside the box, so negatives score zero
     centerness = _centerness(ratio_h, ratio_v, gt_box.w / gt_box.h, params)
     labels = np.multiply.outer(inside_y, inside_x).astype(np.uint8)
-    return LabelMaps(centerness, labels, grid)
+    return LabelMaps(centerness, labels)
 
 
 def soft_cls_target(c_target: float, c_pred: float, label: int) -> float:

@@ -147,6 +147,11 @@ class ScenarioConfig:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.map_size[0] < 3 or self.map_size[1] < 3:
             raise ValueError(f"map_size must be at least 3x3, got {self.map_size}")
+        if tuple(self.map_size) == (3, 3):
+            raise ValueError(
+                f"map_size must be larger than 3x3, got {self.map_size}: a peak at "
+                f"the centre cell would leave no sidelobe for PSR"
+            )
         if not (math.isfinite(self.cell_scale) and self.cell_scale > 0):
             raise ValueError(f"cell_scale must be > 0, got {self.cell_scale}")
         if self.seed < 0:

@@ -302,7 +302,6 @@ class TestInitialization:
         assert weights.b_q.shape == (2,)
         assert weights.b_v.shape == (8,)
         assert weights.channels == 8
-        assert weights.reduction == 4
 
 
 class TestSaliency:

@@ -1,10 +1,16 @@
 """End-to-end command-line tests, run in-process through main(argv)."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sattrack import cli
 from sattrack.cli import main
 from sattrack.formats import read_feature_map, read_grid_csv, write_feature_map
 from sattrack import (
@@ -58,6 +64,15 @@ def scenario_file(tmp_path):
         return str(path)
 
     return write
+
+
+def run_capturing_stderr(argv):
+    """(exit code, stderr) of one in-process command, for tests under
+    hypothesis, which cannot take the function-scoped capsys fixture."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
 
 
 def read_trace(path):
@@ -122,6 +137,16 @@ def test_centerness_bad_box_is_config_error(tmp_path, capsys):
     code = main(["centerness-map", "--box", "1,2,3", "--output", str(tmp_path / "o")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_centerness_box_off_the_grid_warns_once(tmp_path, capsys):
+    for _ in range(2):  # the second run in one process warns as well
+        argv = ["centerness-map", "--box", "1000,1000,10,10", "--output", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == (
+            "warning: ground-truth box covers no grid point; all cells are negative\n"
+        )
+    assert not read_grid_csv(tmp_path / "o" / "labels.csv").any()
 
 
 @pytest.mark.parametrize(
@@ -279,6 +304,125 @@ def test_invalid_env_value_reported(scenario_file, tmp_path, monkeypatch, capsys
     )
     assert code == 1
     assert "SATTRACK_SEED" in capsys.readouterr().err
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**63), command=st.sampled_from(["simulate", "track"]))
+def test_three_by_three_map_is_rejected_for_every_seed(seed, command):
+    with tempfile.TemporaryDirectory() as work:
+        config = Path(work) / "scenario.cfg"
+        config.write_text(CLEAN_SCENARIO.replace("seed = 0", f"seed = {seed}\nmap_size = 3 3"))
+        out = Path(work) / "out"
+        code, err = run_capturing_stderr([command, "--scenario", str(config), "--output", str(out)])
+        assert code == 1
+        assert err == (
+            f"error: {config}: map_size must be larger than 3x3, got (3, 3): a peak at "
+            f"the centre cell would leave no sidelobe for PSR\n"
+        )
+        assert not out.exists()
+
+
+# one setting's value from each source; every mix of them is a valid config
+ROUTED_SETTINGS = {
+    "n1": st.integers(21, 1000),
+    "n2": st.integers(1, 10),
+    "theta": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "lambda_ema": st.floats(0.0, 1.0),
+    "seed": st.integers(0, 2**63),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_each_setting_resolves_flag_then_env_then_file_then_default(data):
+    sources = {
+        name: {
+            source: data.draw(st.none() | values, label=f"{name} {source}")
+            for source in ("file", "env", "flag")
+        }
+        for name, values in ROUTED_SETTINGS.items()
+    }
+    with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as env:
+        scenario = Path(work) / "scenario.cfg"
+        params = Path(work) / "motion.cfg"
+        seed_line = "" if sources["seed"]["file"] is None else f"seed = {sources['seed']['file']}\n"
+        scenario.write_text(CLEAN_SCENARIO.replace("seed = 0\n", seed_line))
+        params.write_text("".join(
+            f"{name} = {by['file']!r}\n"
+            for name, by in sources.items() if name != "seed" and by["file"] is not None
+        ))
+        argv = ["track", "--scenario", str(scenario), "--params", str(params)]
+        for name, by in sources.items():
+            if by["env"] is not None:
+                env.setenv("SATTRACK_" + name.upper(), repr(by["env"]))
+            if by["flag"] is not None:
+                argv.append(f"--{name.replace('_', '-')}={by['flag']!r}")
+        args = cli.build_parser().parse_args(argv)
+        resolved = vars(cli._motion_params(args))
+        resolved["seed"] = cli._scenario_config(args).seed
+    defaults = {**vars(MotionParams()), "seed": 0}
+    for name, by in sources.items():
+        expected = next(
+            (by[source] for source in ("flag", "env", "file") if by[source] is not None),
+            defaults[name],
+        )
+        assert resolved[name] == expected and type(resolved[name]) is type(expected), name
+
+
+def on_off_spellings():
+    """``on`` or ``off`` in any letter case, padded with whitespace."""
+    word = st.sampled_from(["on", "off"]).flatmap(
+        lambda word: st.tuples(*(st.sampled_from([c, c.upper()]) for c in word)).map("".join)
+    )
+    pad = st.sampled_from(["", " ", "\t"])
+    return st.tuples(pad, word, pad).map("".join)
+
+
+def track_with_ommr(work: Path, value: str, source: str):
+    """(exit code, stderr) of ``track`` on CLEAN_SCENARIO into ``work / "o"``,
+    with ``value`` given as ``--ommr`` or as SATTRACK_OMMR."""
+    config = work / "scenario.cfg"
+    config.write_text(CLEAN_SCENARIO)
+    argv = ["track", "--scenario", str(config), "--output", str(work / "o")]
+    with pytest.MonkeyPatch.context() as env:
+        if source == "--ommr":
+            argv.append(f"--ommr={value}")
+        else:
+            env.setenv("SATTRACK_OMMR", value)
+        return run_capturing_stderr(argv)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spelling=on_off_spellings(), source=st.sampled_from(["--ommr", "SATTRACK_OMMR"]))
+def test_ommr_flag_and_env_share_one_on_off_parse(spelling, source):
+    with tempfile.TemporaryDirectory() as work:
+        assert track_with_ommr(Path(work), spelling, source) == (0, "")
+        branches = {row[3] for row in read_trace(Path(work) / "o" / "trace.csv")}
+    assert (branches == {"raw"}) == (spelling.strip().lower() == "off")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    value=st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"))
+    .filter(lambda text: text.strip().lower() not in ("on", "off")),
+    source=st.sampled_from(["--ommr", "SATTRACK_OMMR"]),
+)
+def test_ommr_rejects_any_other_value_naming_its_source(value, source):
+    with tempfile.TemporaryDirectory() as work:
+        assert track_with_ommr(Path(work), value, source) == (
+            1, f"error: invalid {source}={value!r}\n"
+        )
+        assert not (Path(work) / "o").exists()
+
+
+def test_parser_is_built_once_and_sees_wrapped_functions(scenario_file, tmp_path, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    calls = []
+    real = cli.generate_scenario
+    monkeypatch.setattr(cli, "generate_scenario", lambda config: calls.append(config) or real(config))
+    argv = ["simulate", "--scenario", scenario_file(CLEAN_SCENARIO), "--output", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -522,46 +666,27 @@ def reference_simulate_files(config):
     }
 
 
-def run_outcome(argv, out, names, capsys):
-    """The files a command wrote, or its error line when it exits 1."""
-    code = main(argv)
-    if code == 1:
-        return capsys.readouterr().err
-    assert code == 0
-    return {name: (out / name).read_text() for name in names}
-
-
-def reference_outcome(make_files, *args):
-    """The oracle's files, or the error line the CLI prints for its error
-    (the crowded 3x3 pin config has frames whose centre peak leaves no
-    sidelobe, which PSR rejects)."""
-    try:
-        return make_files(*args)
-    except ValueError as exc:
-        return f"error: {exc}\n"
-
-
 @pytest.mark.parametrize("name", sorted(PIN_CONFIGS))
 @pytest.mark.parametrize("flags", [[], ["--n1", "12", "--n2", "4", "--theta", "0.7"],
                                    ["--ommr", "off"]])
-def test_track_writes_the_object_path_bytes(scenario_file, tmp_path, capsys, name, flags):
+def test_track_writes_the_object_path_bytes(scenario_file, tmp_path, name, flags):
     config = ScenarioConfig(**PIN_CONFIGS[name])
     params = MotionParams(n1=12, n2=4, theta=0.7) if "--n1" in flags else MotionParams()
-    expected = reference_outcome(reference_track_files, config, params, "off" not in flags)
+    expected = reference_track_files(config, params, "off" not in flags)
     out = tmp_path / "out"
     argv = ["track", "--scenario", scenario_file(scenario_text(config)), "--output", str(out)]
-    assert run_outcome(argv + flags, out, TRACK_FILES, capsys) == expected
-    assert isinstance(expected, dict) == (name != "crowded")
+    assert main(argv + flags) == 0
+    assert {file: (out / file).read_text() for file in TRACK_FILES} == expected
 
 
 @pytest.mark.parametrize("name", sorted(PIN_CONFIGS))
-def test_simulate_writes_the_object_path_bytes(scenario_file, tmp_path, capsys, name):
+def test_simulate_writes_the_object_path_bytes(scenario_file, tmp_path, name):
     config = ScenarioConfig(**PIN_CONFIGS[name])
-    expected = reference_outcome(reference_simulate_files, config)
+    expected = reference_simulate_files(config)
     out = tmp_path / "out"
     argv = ["simulate", "--scenario", scenario_file(scenario_text(config)), "--output", str(out)]
-    assert run_outcome(argv, out, SIMULATE_FILES, capsys) == expected
-    assert isinstance(expected, dict) == (name != "crowded")
+    assert main(argv) == 0
+    assert {file: (out / file).read_text() for file in SIMULATE_FILES} == expected
 
 
 def test_track_rejects_a_nan_refined_centre(scenario_file, tmp_path, monkeypatch, capsys):

@@ -105,6 +105,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="3x3"):
             clean_config(map_size=(2, 25))
 
+    def test_three_by_three_map_rejected(self):
+        # PSR leaves out the 3x3 block around the peak: a centre peak has no sidelobe
+        with pytest.raises(ValueError, match="map_size must be larger than 3x3"):
+            clean_config(map_size=(3, 3))
+        assert clean_config(map_size=(3, 4)).map_size == (3, 4)
+
     def test_target_size_positive(self):
         with pytest.raises(ValueError, match="target_size"):
             clean_config(target_size=(0.0, 5.0))
@@ -189,6 +195,12 @@ def map_shapes():
     return st.one_of(
         st.tuples(side, side), st.tuples(st.just(3), side), st.tuples(side, st.just(3))
     )
+
+
+def scenario_shapes():
+    """The map shapes a :class:`ScenarioConfig` accepts: 3x3 leaves no PSR
+    sidelobe around a centre peak."""
+    return map_shapes().filter(lambda shape: shape != (3, 3))
 
 
 class TestSeparablePeaks:
@@ -412,8 +424,7 @@ class TestRunTracking:
     @given(
         seed=st.integers(0, 2**32 - 1),
         frames=st.integers(2, 60),
-        # a 3x3 map has no sidelobe around a centre peak, so PSR rejects it
-        shape=map_shapes().filter(lambda shape: shape != (3, 3)),
+        shape=scenario_shapes(),
         distractors=st.integers(0, 3),
         noise=st.sampled_from([0.0, 0.02, 0.1]),
         cell_scale=st.sampled_from([1.0, 2.0, 8.0]),
@@ -608,8 +619,9 @@ def reference_scenario(config):
 # Configurations whose every frame is recorded in PIN_FILE.  "walkout"
 # occludes a fast target on a fine grid, so the raw box walks out of its
 # window and stays lost with four distractors drawn per frame; "wide" uses a
-# non-square map; "crowded" is a 3x3 map where no distractor can clear the
-# target, so every slot spends all its placement draws.  Recorded from the
+# non-square map; "crowded" is the smallest map a config accepts (3x4), where
+# a distractor clears the target only from the opposite end column, so most
+# slots spend all their placement draws.  Recorded from the
 # batched synthesis and checked against the scalar reference above: exact
 # gt/raw boxes, the occluded flag and the argmax cell of each response.
 PIN_CONFIGS = {
@@ -640,7 +652,7 @@ PIN_CONFIGS = {
         occlusions=((20, 30),),
         distractor_count=2,
         noise_sigma=0.01,
-        map_size=(3, 3),
+        map_size=(3, 4),
         seed=8,
     ),
 }
@@ -734,7 +746,7 @@ class TestBatchedSynthesis:
     @given(
         seed=st.integers(0, 2**32 - 1),
         frames=st.integers(1, 150),
-        shape=map_shapes(),
+        shape=scenario_shapes(),
         distractors=st.integers(0, 4),
         noise=st.sampled_from([0.0, 0.02, 0.1]),
         sharpness=st.floats(0.3, 3.0),
@@ -764,7 +776,7 @@ class TestBatchedSynthesis:
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        shape=map_shapes(),
+        shape=scenario_shapes(),
         distractors=st.integers(0, 5),
         noise=st.sampled_from([0.0, 0.05]),
         data=st.data(),
