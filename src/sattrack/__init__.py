@@ -45,7 +45,6 @@ from .motion import (
 from .scenario import (
     FrameObservation,
     ScenarioConfig,
-    TraceRow,
     drift_series,
     generate_scenario,
     generate_scenario_rows,
@@ -65,7 +64,6 @@ __all__ = [
     "ProjectionWeights",
     "RegressionTarget",
     "ScenarioConfig",
-    "TraceRow",
     "TrackerState",
     "aggregate_results",
     "attention_weights",

@@ -35,11 +35,6 @@ class BoundingBox:
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box size must be positive, got w={self.w}, h={self.h}")
 
-    @classmethod
-    def from_corner(cls, x: float, y: float, w: float, h: float) -> "BoundingBox":
-        """Build from top-left corner format (x, y, w, h)."""
-        return cls(x + w / 2.0, y + h / 2.0, w, h)
-
     @property
     def corners(self) -> tuple[float, float, float, float]:
         """Edge coordinates (x0, y0, x1, y1)."""

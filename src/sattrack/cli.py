@@ -2,11 +2,15 @@
 
 Subcommands cover the main workflows: exporting centerness label maps,
 simulating scenarios, running the refinement over a simulated sequence,
-scoring trajectories, and a small attention demo.  Every setting with a
-flag can also be set by SATTRACK_<FLAG>, the flag's name upper-cased with
-``-`` as ``_`` (SATTRACK_OUTPUT, SATTRACK_SEED, SATTRACK_GAMMA, SATTRACK_OMMR,
-SATTRACK_N1, SATTRACK_N2, SATTRACK_THETA, SATTRACK_LAMBDA_EMA).  A value comes
-from the flag, else the variable, else the config file, else the default.
+scoring trajectories, and a small attention demo.  Eight settings can also
+be set by a variable, SATTRACK_<NAME>: SATTRACK_OUTPUT, SATTRACK_SEED,
+SATTRACK_GAMMA, SATTRACK_OMMR, SATTRACK_N1, SATTRACK_N2, SATTRACK_THETA and
+SATTRACK_LAMBDA_EMA.  A value comes from the flag, else the variable, else
+the config file, else the default.  Every number, from a flag, a variable
+or a config file, is read by one rule (:func:`formats._parse`: an int, or a
+finite float).  A value that does not parse, or that its settings class
+rejects, is an error opening with its source: ``--theta needs a float, got
+'inf'``, ``SATTRACK_N1: n1 must exceed 2*n2 ...``.
 
 All outputs are written atomically (temp file, then rename), so an aborted
 run never leaves partial files; the exit code is 0 only when every output
@@ -47,25 +51,33 @@ class UsageError(ConfigError):
 
 
 def _resolve(args, name: str, parse, fallback):
-    """The setting ``name``: its flag ``--name`` (``_`` as ``-``), else
-    ``SATTRACK_<NAME>``, else ``fallback``.  ``parse`` reads the value; a
-    value it rejects is an error naming the flag or variable it came from."""
+    """The setting ``name`` and its source: ``(value, source)`` from its
+    flag ``--name`` (``_`` as ``-``), else from ``SATTRACK_<NAME>``, else
+    ``(fallback, None)``.  ``parse(text, source)`` reads the value and
+    raises a :class:`ConfigError` opening with the source for a text it
+    rejects."""
     flag, env = "--" + name.replace("_", "-"), "SATTRACK_" + name.upper()
-    for source, value in ((flag, getattr(args, name)), (env, os.environ.get(env))):
-        if value is not None:
-            try:
-                return parse(value)
-            except ValueError as exc:
-                raise ConfigError(f"invalid {source}={value!r}") from exc
-    return fallback
+    for source, text in ((flag, getattr(args, name)), (env, os.environ.get(env))):
+        if text is not None:
+            return parse(text, source), source
+    return fallback, None
 
 
-def _on_off(text: str) -> bool:
-    return bool(("off", "on").index(text.strip().lower()))  # ValueError if neither
+def _number(kind):
+    """The ``parse`` of :func:`_resolve` for one ``kind`` number: the rule
+    of the config files, :func:`formats._parse`."""
+    return lambda text, where: formats._parse(text, kind, where)
+
+
+def _on_off(text: str, where: str) -> bool:
+    word = text.strip().lower()
+    if word not in ("on", "off"):
+        raise ConfigError(f"invalid {where}={text!r}")
+    return word == "on"
 
 
 def _output_dir(args) -> Path:
-    output = _resolve(args, "output", str, None)
+    output, _ = _resolve(args, "output", lambda text, where: text, None)
     if not output:
         raise ConfigError("no output directory: pass --output or set SATTRACK_OUTPUT")
     path = Path(output)
@@ -74,10 +86,17 @@ def _output_dir(args) -> Path:
 
 
 def _overridden(args, config, kinds: dict):
-    """``config`` read from a file (or the defaults), with each setting in
-    ``kinds`` that its flag or variable sets replaced."""
-    values = {name: _resolve(args, name, kind, None) for name, kind in kinds.items()}
-    return replace(config, **{name: value for name, value in values.items() if value is not None})
+    """``config`` (read from a file, or the defaults) with each number in
+    ``kinds`` that its flag or variable sets laid over it.  A value the
+    config's class rejects is an error opening with those flags and
+    variables, as a file's is with its path."""
+    values, sources = {}, []
+    for name, kind in kinds.items():
+        value, source = _resolve(args, name, _number(kind), None)
+        if source:
+            values[name] = value
+            sources.append(source)
+    return formats._build(", ".join(sources), replace, config, **values) if values else config
 
 
 def _scenario_config(args):
@@ -95,14 +114,15 @@ def _motion_params(args) -> MotionParams:
 
 
 def cmd_centerness_map(args):
-    cx, cy, w, h = formats._parse_numbers(args.box, (float,) * 4, "--box")
+    box = formats._build(
+        "--box", BoundingBox, *formats._parse_numbers(args.box, (float,) * 4, "--box")
+    )
     grid_h, grid_w, stride = formats._parse_numbers(args.grid, (int,) * 3, "--grid")
-    gamma = _resolve(args, "gamma", float, 0.5)
-    box = BoundingBox(cx, cy, w, h)
-    grid = GridGeometry(stride=stride, height=grid_h, width=grid_w)
+    grid = formats._build("--grid", GridGeometry, stride=stride, height=grid_h, width=grid_w)
+    params = _overridden(args, AspectRatioParams(), {"gamma": float})
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        constrained = build_label_maps(box, grid, AspectRatioParams(gamma=gamma))
+        constrained = build_label_maps(box, grid, params)
         classic = build_label_maps(box, grid, None)
     for message in dict.fromkeys(str(warning.message) for warning in caught):  # say it once
         print(f"warning: {message}", file=sys.stderr)
@@ -142,7 +162,7 @@ def cmd_simulate(args):
 def cmd_track(args):
     config = _scenario_config(args)
     params = _motion_params(args)
-    refine = _resolve(args, "ommr", _on_off, True)
+    refine, _ = _resolve(args, "ommr", _on_off, True)
     if refine and params.n1 >= config.frame_count:
         raise ConfigError(
             f"n1 ({params.n1}) must be below frame_count ({config.frame_count}) "
@@ -241,9 +261,8 @@ def cmd_evaluate(args):
 
 
 def cmd_attention_demo(args):
-    seed = _resolve(args, "seed", int, 0)
-    gamma = _resolve(args, "gamma", float, None)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    seed, source = _resolve(args, "seed", _number(int), 0)
+    rng = np.random.Generator(formats._build(source, np.random.PCG64, seed))
     if args.search:
         search = formats.read_feature_map(args.search)
     else:
@@ -259,8 +278,7 @@ def cmd_attention_demo(args):
         weights = formats.read_projection_weights(args.weights)
     else:
         weights = init_projection_weights(search.shape[0], seed=seed)
-    if gamma is not None:  # the flag or variable beats the file's gamma
-        weights = replace(weights, gamma=gamma)
+    weights = _overridden(args, weights, {"gamma": float})
 
     enhanced, attention = _attend(search, template, weights)
     if args.mask:
@@ -270,11 +288,12 @@ def cmd_attention_demo(args):
                 f"--mask {args.mask}: height and width must be positive, "
                 f"got {mask_h} and {mask_w}"
             )
+        # checked before any index array is built, so a huge mask costs nothing
+        if (top < 0 or top + mask_h > search.shape[1]
+                or left < 0 or left + mask_w > search.shape[2]):
+            raise ConfigError(f"--mask {args.mask} outside search grid {search.shape[1:]}")
         rows = np.arange(top, top + mask_h)
         cols = np.arange(left, left + mask_w)
-        if (rows.min() < 0 or rows.max() >= search.shape[1]
-                or cols.min() < 0 or cols.max() >= search.shape[2]):
-            raise ConfigError(f"--mask {args.mask} outside search grid {search.shape[1:]}")
         mask = (rows[:, None] * search.shape[2] + cols[None, :]).ravel()
     else:
         mask = np.arange(search.shape[1] * search.shape[2])
@@ -302,7 +321,7 @@ def _add_output(parser):
 
 
 def _add_seed(parser):
-    parser.add_argument("--seed", type=int, help="random seed override")
+    parser.add_argument("--seed", help="random seed override")
 
 
 @functools.cache
@@ -318,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("centerness-map", help="export centerness label maps for a box")
     p.add_argument("--box", required=True, help="ground-truth box as CX,CY,W,H")
     p.add_argument("--grid", default="25,25,8", help="grid as HEIGHT,WIDTH,STRIDE")
-    p.add_argument("--gamma", type=float, help="aspect-ratio exponent tuning")
+    p.add_argument("--gamma", help="aspect-ratio exponent tuning")
     _add_output(p)
     p.set_defaults(handler=cmd_centerness_map)
 
@@ -332,10 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="scenario config file")
     p.add_argument("--params", help="motion parameter config file")
     p.add_argument("--ommr", help="refinement on|off (default on)")
-    p.add_argument("--n1", type=int, help="history/warm-up length")
-    p.add_argument("--n2", type=int, help="velocity half-window")
-    p.add_argument("--theta", type=float, help="confidence threshold")
-    p.add_argument("--lambda-ema", dest="lambda_ema", type=float, help="size blend weight")
+    p.add_argument("--n1", help="history/warm-up length")
+    p.add_argument("--n2", help="velocity half-window")
+    p.add_argument("--theta", help="confidence threshold")
+    p.add_argument("--lambda-ema", dest="lambda_ema", help="size blend weight")
     _add_seed(p)
     _add_output(p)
     p.set_defaults(handler=cmd_track)
@@ -353,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--search-size", default="8,25,25", help="random search C,H,W")
     p.add_argument("--template-size", default="5,5", help="random template H,W")
     p.add_argument("--weights", help="projection weights (.npz)")
-    p.add_argument("--gamma", type=float, help="residual gate value")
+    p.add_argument("--gamma", help="residual gate value")
     p.add_argument("--mask", help="saliency mask TOP,LEFT,HEIGHT,WIDTH in search cells")
     _add_seed(p)
     _add_output(p)

@@ -47,7 +47,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .attention import ProjectionWeights
-from .boxes import BoundingBox, valid_rows
+from .boxes import check_rows, valid_rows
 from .metrics import (
     NORM_PRECISION_THRESHOLDS,
     PRECISION_THRESHOLDS,
@@ -63,12 +63,14 @@ class ConfigError(ValueError):
     """A configuration file could not be parsed or validated."""
 
 
-def _build(path, cls, **fields):
-    """``cls(**fields)``; a validation error is a :class:`ConfigError` naming the file."""
+def _build(where, build, *args, **fields):
+    """``build(*args, **fields)``; a ``ValueError`` it raises is a
+    :class:`ConfigError` opening with ``where``: the file the values came
+    from, or the CLI flags and variables that set them."""
     try:
-        return cls(**fields)
+        return build(*args, **fields)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _atomic_write(path, writer: Callable[[Path], None]):
@@ -139,16 +141,18 @@ def _split_row(line: str) -> list[str]:
     return [part.strip() for part in line.split(",") if part.strip()]
 
 
-def _raise_box_error(where: str, fields: list[float], center_format: bool):
-    """Raise the error :class:`BoundingBox` gives for one parsed row, so the
-    reader's box messages have one source.  A corner row names the file's
-    own field: ``from_corner`` folds ``w`` into ``cx`` and ``h`` into ``cy``."""
+def _raise_box_error(where: str, fields: list[float], row: np.ndarray, center_format: bool):
+    """Raise the error :class:`BoundingBox` gives for the centre ``row`` that
+    :func:`_center_rows` made of one parsed row's ``fields``, so the
+    reader's box messages have one source.  A corner row first names the
+    file's own field: the centre folds ``w`` into ``cx`` and ``h`` into
+    ``cy``."""
     if not center_format:
         for name, value in zip("xywh", fields):
             if not math.isfinite(value):
                 raise ConfigError(f"{where}: box field {name} must be finite")
     try:
-        BoundingBox(*fields[1:]) if center_format else BoundingBox.from_corner(*fields)
+        check_rows(row[None])
     except ValueError as exc:  # a non-finite field or a size <= 0
         raise ConfigError(f"{where}: {exc}") from None
     raise AssertionError(f"{where}: row flagged invalid but accepted: {fields}")
@@ -157,8 +161,7 @@ def _raise_box_error(where: str, fields: list[float], center_format: bool):
 def _center_rows(table: np.ndarray, center_format: bool) -> tuple[np.ndarray, np.ndarray]:
     """Center ``(N, 4)`` rows of a parsed field table, and the mask of rows
     that make a valid :class:`BoundingBox` (finite, ``w, h > 0``).  Corner
-    rows become centres as ``x + w / 2``, the arithmetic of
-    :meth:`BoundingBox.from_corner`."""
+    rows become centres as ``x + w / 2``, ``y + h / 2``."""
     if center_format:
         boxes = np.ascontiguousarray(table[:, 1:])
     else:
@@ -234,7 +237,9 @@ def _scan_rows(path: Path, lines: list[str]) -> np.ndarray:
     boxes, valid = _center_rows(table, center_format)
     if not valid.all():
         first = int(valid.argmin())
-        _raise_box_error(f"{path}:{rows[first][0]}", table[first].tolist(), center_format)
+        _raise_box_error(
+            f"{path}:{rows[first][0]}", table[first].tolist(), boxes[first], center_format
+        )
     if error is not None:
         raise ConfigError(error)
     return boxes
@@ -247,8 +252,7 @@ def read_trajectory_rows(path) -> np.ndarray:
     Fields are parsed with Python's ``float`` after stripping what
     ``str.strip`` removes (U+001F included).  The frame column of a
     trajectory CSV must count 1..N in file order.  Corner rows become
-    centres as ``x + w / 2``, the arithmetic of
-    :meth:`BoundingBox.from_corner`.  Every row must make a valid
+    centres as ``x + w / 2``, ``y + h / 2``.  Every row must make a valid
     :class:`BoundingBox` (finite fields, ``w, h > 0``).  A well-formed file
     is parsed in one pass over the whole text (:func:`_parse_whole`); any
     other file -- comments, blank lines or fields, a bad row -- is scanned
@@ -428,9 +432,12 @@ def read_kv_file(path) -> list[tuple[int, str, str]]:
 
 
 def _parse(text: str, kind, where: str):
-    """One int or finite float; ``where`` opens the error message."""
+    """One int or finite float, the rule for every number a user gives: a
+    config file entry, a CLI flag or a ``SATTRACK_*`` variable.  The text is
+    first stripped of what ``str.strip`` removes, as a file entry is;
+    ``where`` opens the error message."""
     try:
-        value = kind(text)
+        value = kind(text.strip())
         if kind is float and not math.isfinite(value):
             raise ValueError
         return value

@@ -119,14 +119,16 @@ def _exponents(rho: float, params: AspectRatioParams | None) -> tuple[float, flo
     """Horizontal and vertical side-ratio exponents ``min(1, (1/rho)**gamma)``
     and ``min(1, rho**gamma)`` of the aspect ratio ``rho = w/h``; both 1
     without params.  Values below 1 slow the centerness decay along that
-    axis; they saturate at 1 so compact axes keep the classic behaviour."""
+    axis; they saturate at 1 so compact axes keep the classic behaviour.
+    A base of 1 or more saturates without a power, which for a large
+    ``gamma`` would overflow."""
     if params is None:
         return 1.0, 1.0
     if not (0.0 < rho < math.inf and 1.0 / rho < math.inf):
         raise ValueError(
             f"aspect ratio w/h must be finite and > 0 with a finite reciprocal, got {rho}"
         )
-    return min(1.0, (1.0 / rho) ** params.gamma), min(1.0, rho**params.gamma)
+    return tuple(min(1.0, base**params.gamma) if base < 1.0 else 1.0 for base in (1.0 / rho, rho))
 
 
 def _side_ratios(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

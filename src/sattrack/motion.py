@@ -200,16 +200,6 @@ def normalized_psr(response, state: TrackerState) -> float:
 
 
 @functools.lru_cache(maxsize=16)
-def _fit_indices(count: int) -> tuple[np.ndarray, float, float]:
-    """Indices 0..count-1 minus their mean, their squared norm and the mean,
-    built once per length; the vector is read-only as every call shares it."""
-    mid = 0.5 * (count - 1)
-    centered = np.arange(count, dtype=float) - mid
-    centered.flags.writeable = False
-    return centered, float(centered @ centered), mid
-
-
-@functools.lru_cache(maxsize=16)
 def _branch_weights(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ``(n1,)`` weights that turn each branch into one dot product
     with the ``(n1, 4)`` history window, built once per ``(n1, n2)``.
@@ -220,8 +210,9 @@ def _branch_weights(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
     in its first two entries: ``-1/n2**2`` on rows ``n1-2*n2 .. n1-n2-1``,
     ``+1/n2**2`` on the last ``n2`` rows, zero elsewhere.
     """
-    centered, norm, mid = _fit_indices(n1)
-    low = 1.0 / n1 + centered * ((n1 - mid) / norm)
+    mid = 0.5 * (n1 - 1)
+    centered = np.arange(n1, dtype=float) - mid
+    low = 1.0 / n1 + centered * ((n1 - mid) / float(centered @ centered))
     high = np.zeros(n1)
     high[n1 - 2 * n2 : n1 - n2] = -1.0 / (n2 * n2)
     high[n1 - n2 :] = 1.0 / (n2 * n2)
@@ -324,7 +315,8 @@ def track_rows(
     if len(maps) != len(raw):
         raise ValueError(f"{len(raw)} raw rows but {len(maps)} response maps")
     check_rows(raw)
-    state = TrackerState(capacity=params.n1)
+    # off, only the running PSR maximum is read, so no n1-row history is kept
+    state = TrackerState(capacity=params.n1 if ommr_enabled else 1)
     psrs, npsrs = [], []
     if ommr_enabled:
         rows, branches = [], []

@@ -169,16 +169,6 @@ class FrameObservation:
     occluded: bool
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    """Per-frame diagnostics emitted alongside a tracking run."""
-
-    frame: int
-    psr: float
-    npsr: float
-    branch: str
-
-
 def _profiles(shape, sharpness: float) -> tuple[np.ndarray, np.ndarray]:
     """Row and column profile tables of a map: for an axis of length ``L``, a
     read-only ``(L, L)`` view whose row ``c`` is the 1-D Gaussian
@@ -385,27 +375,19 @@ def generate_scenario(config: ScenarioConfig) -> list[FrameObservation]:
 
 
 def run_tracking(
-    scenario: list[FrameObservation],
-    params: MotionParams,
-    ommr_enabled: bool,
-    *,
-    trace: list[TraceRow] | None = None,
+    scenario: list[FrameObservation], params: MotionParams, ommr_enabled: bool
 ) -> list[BoundingBox]:
     """Run the online refinement (or the raw model verbatim) over a scenario:
     :func:`~sattrack.motion.track_rows` on the observations' raw boxes and
-    maps, as one :class:`BoundingBox` per frame.  One :class:`TraceRow` per
-    frame is appended to ``trace`` when it is a list.
+    maps, as one :class:`BoundingBox` per frame.  The per-frame trace is
+    ``track_rows``' PSR, normalized PSR and branch columns.
     """
-    rows, psrs, npsrs, branches = track_rows(
+    rows, _, _, _ = track_rows(
         box_rows(obs.raw_model_box for obs in scenario),
         [obs.response for obs in scenario],
         params,
         ommr_enabled,
     )
-    if trace is not None:
-        trace.extend(map(
-            TraceRow, (obs.frame for obs in scenario), psrs.tolist(), npsrs.tolist(), branches
-        ))
     return [BoundingBox(*row) for row in rows.tolist()]
 
 

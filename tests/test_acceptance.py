@@ -26,6 +26,7 @@ from sattrack import (
     enhance_features,
     evaluate,
     generate_scenario,
+    generate_scenario_rows,
     init_projection_weights,
     normalized_psr,
     project_qkv,
@@ -33,6 +34,7 @@ from sattrack import (
     refine_step,
     regression_loss,
     run_tracking,
+    track_rows,
 )
 from sattrack.cli import main
 from sattrack.formats import read_grid_csv
@@ -296,12 +298,9 @@ def test_criterion_5_confidence_contract():
             occlusions=((60, 100),),
             seed=seed,
         )
-        observations = generate_scenario(config)
-        trace = []
-        run_tracking(observations, MotionParams(), False, trace=trace)
-        occluded = [row.npsr for row, obs in zip(trace, observations) if obs.occluded]
-        clean = [row.npsr for row, obs in zip(trace, observations) if not obs.occluded]
-        wins += np.mean(occluded) < np.mean(clean)
+        _, raw, maps, occluded = generate_scenario_rows(config)
+        _, _, npsrs, _ = track_rows(raw, maps, MotionParams(), False)
+        wins += npsrs[occluded].mean() < npsrs[~occluded].mean()
     pvalue = scipy.stats.binomtest(wins, 50, alternative="greater").pvalue
     assert pvalue < 0.01
 

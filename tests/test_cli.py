@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from sattrack import (
     template_saliency,
 )
 from sattrack.formats import write_projection_weights
-from sattrack import BoundingBox, MotionParams, ScenarioConfig, TrackerState, TraceRow
+from sattrack import BoundingBox, MotionParams, ScenarioConfig, TrackerState
 from sattrack import generate_scenario, motion, psr
 from sattrack.formats import _fmt
 from sattrack.motion import _branch_weights, _score
@@ -415,6 +416,139 @@ def test_ommr_rejects_any_other_value_naming_its_source(value, source):
         assert not (Path(work) / "o").exists()
 
 
+# Characters str.splitlines breaks a line at: a config file entry cannot hold them.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+TINY_SCENARIO = """\
+frame_count = 4
+waypoint = 1 30 40
+waypoint = 4 36 44
+target_size = 12 8
+map_size = 5 5
+"""
+
+# Each numeric setting by the command that reads it.  The motion settings are
+# read by ``track`` with refinement off, whose output does not show them, so
+# their resolved values are compared as well.
+NUMBER_SETTINGS = [
+    ("track", "n1"), ("track", "n2"), ("track", "theta"), ("track", "lambda_ema"),
+    ("simulate", "seed"), ("centerness-map", "gamma"),
+    ("attention-demo", "gamma"), ("attention-demo", "seed"),
+]
+COMMAND_ARGS = {
+    "track": ["--ommr", "off"],
+    "simulate": [],
+    "centerness-map": ["--box", "124,124,192,32"],
+    "attention-demo": ["--search-size", "4,5,5", "--template-size", "2,2"],
+}
+
+
+def number_texts():
+    """What a user might give for a number: int and float reprs, padded or
+    not, and texts that some reader or other takes for a number."""
+    odd = st.sampled_from([
+        "", "nan", "-nan", "inf", "-inf", "1e400", "-1e400", "0x10", "1_0", "_1", "+3",
+        "-0", "-0.0", "1e-3", "0.5", "1,5", "ten", "\u0663",
+    ])
+    numbers = st.one_of(
+        st.integers().map(str), st.integers(-3, 60).map(str),
+        st.floats().map(repr), st.floats(0.0, 1.0).map(repr),
+    )
+    words = st.text(
+        st.characters(blacklist_categories=("Cs",), blacklist_characters=LINE_BREAKS + "\x00"),
+        max_size=6,
+    )
+    pad = st.sampled_from(["", " ", "\t", "\x1f"])
+    return st.tuples(pad, st.one_of(odd, numbers, words), pad).map("".join)
+
+
+def run_with_setting(work: Path, command: str, name: str, text: str, source: str):
+    """Run ``command`` with ``name`` given the text ``text`` as its flag
+    (``source`` "flag"), its variable ("env") or its config file entry
+    ("file").  Returns the source's name as an error opens with it, the
+    exit code, stderr, and what a run that succeeds gives: stdout, the output
+    files (None when nothing was written) and the resolved motion setting
+    (``track`` only)."""
+    out, scenario = work / "out", work / "scenario.cfg"
+    shutil.rmtree(out, ignore_errors=True)
+    seed_line = f"seed = {text}\n" if (source, name) == ("file", "seed") else ""
+    scenario.write_text(TINY_SCENARIO + seed_line, encoding="utf-8")
+    argv = [command, *COMMAND_ARGS[command], "--output", str(out)]
+    if command in ("track", "simulate"):
+        argv += ["--scenario", str(scenario)]
+    named = {"flag": "--" + name.replace("_", "-"), "env": "SATTRACK_" + name.upper()}
+    named["file"] = str(scenario)
+    if command == "track" and source == "file":
+        named["file"] = str(work / "motion.cfg")
+        (work / "motion.cfg").write_text(f"{name} = {text}\n", encoding="utf-8")
+        argv += ["--params", named["file"]]
+    if source == "flag":
+        argv.append(f"{named['flag']}={text}")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as env:
+        if source == "env":
+            env.setenv(named["env"], text)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        value = None
+        if command == "track" and code == 0:
+            value = getattr(cli._motion_params(cli.build_parser().parse_args(argv)), name)
+    outputs = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else None
+    result = stdout.getvalue(), outputs, (value, type(value))
+    return named[source], code, stderr.getvalue(), result
+
+
+@settings(max_examples=200, deadline=None)
+@given(setting=st.sampled_from(NUMBER_SETTINGS), text=number_texts())
+def test_a_number_reads_alike_from_flag_variable_and_file(setting, text):
+    command, name = setting
+    # gamma has no text file entry: attention-demo's --weights holds an array
+    sources = ["flag", "env", "file"] if command in ("track", "simulate") else ["flag", "env"]
+    with tempfile.TemporaryDirectory() as work:
+        runs = [run_with_setting(Path(work), command, name, text, source) for source in sources]
+    assert {code for _, code, _, _ in runs} in ({0}, {1}), runs
+    for named, code, err, result in runs:
+        if code == 0:
+            assert result == runs[0][3]
+        else:
+            assert err.startswith(f"error: {named}") and err.count("\n") == 1, err
+            assert err.endswith("\n") and result[1] is None
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["track"], {"SATTRACK_THETA": "nan"}, "SATTRACK_THETA needs a float, got 'nan'"),
+        (["track", "--theta", "inf"], {}, "--theta needs a float, got 'inf'"),
+        (["track", "--n1", "abc"], {}, "--n1 needs a int, got 'abc'"),
+        (["track", "--n1", "10"], {},
+         "--n1: n1 must exceed 2*n2 so the velocity window fits the history, got n1=10, n2=10"),
+        (["track", "--n1", "30"], {"SATTRACK_N2": "15"}, "--n1, SATTRACK_N2: n1 must exceed"),
+        (["simulate", "--seed", "-1"], {}, "--seed: seed must be >= 0, got -1"),
+        (["centerness-map", "--box", "1,2,3,4", "--gamma", "-0.0"], {},
+         "--gamma: gamma must be > 0, got -0.0"),
+        (["attention-demo", "--gamma", "inf"], {}, "--gamma needs a float, got 'inf'"),
+        (["attention-demo", "--seed", "-1"], {}, "--seed: "),  # then numpy's own words
+        (["centerness-map", "--box", "1,2,3,4", "--grid", "25,25,0"], {},
+         "--grid: grid stride and shape must be positive"),
+        (["centerness-map", "--box", "1,2,0,4"], {},
+         "--box: box size must be positive, got w=0.0, h=4.0"),
+    ],
+)
+def test_a_rejected_value_is_one_error_line_naming_its_source(
+    scenario_file, tmp_path, monkeypatch, capsys, argv, env, message
+):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if argv[0] in ("track", "simulate"):
+        argv = argv + ["--scenario", scenario_file(CLEAN_SCENARIO)]
+    out = tmp_path / "o"
+    assert main(argv + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_parser_is_built_once_and_sees_wrapped_functions(scenario_file, tmp_path, monkeypatch):
     assert cli.build_parser() is cli.build_parser()
     calls = []
@@ -534,6 +668,17 @@ def test_track_ommr_env_with_flag_override(scenario_file, tmp_path, monkeypatch)
     assert "warmup" in {r[3] for r in read_trace(flag_out / "trace.csv")}
 
 
+def test_track_raw_mode_keeps_no_history(scenario_file, tmp_path):
+    # refinement off reads no history, so a huge n1 allocates nothing
+    config = scenario_file(CLEAN_SCENARIO)
+    default, huge = tmp_path / "default", tmp_path / "huge"
+    base = ["track", "--scenario", config, "--ommr", "off", "--output"]
+    assert main(base + [str(default)]) == 0
+    assert main(base + [str(huge), "--n1", "1000000000000"]) == 0
+    for name in TRACK_FILES:
+        assert (huge / name).read_bytes() == (default / name).read_bytes()
+
+
 def test_track_invalid_ommr_value(scenario_file, tmp_path, capsys):
     code = main(
         [
@@ -625,11 +770,11 @@ def reference_trajectory_text(boxes):
 
 
 def reference_track_files(config, params, refine):
-    """The files ``track`` wrote from one FrameObservation, BoundingBox and
-    TraceRow per frame."""
+    """The files ``track`` wrote from one FrameObservation and BoundingBox
+    per frame, each trace line written from the tracker state."""
     observations = generate_scenario(config)
     state = TrackerState(params.n1)
-    trajectory, trace = [], []
+    trajectory, trace_lines = [], ["frame,psr,npsr,branch"]
     for obs in observations:
         if refine:
             trajectory.append(reference_refine_step(state, obs.raw_model_box, obs.response, params))
@@ -638,10 +783,7 @@ def reference_track_files(config, params, refine):
             trajectory.append(obs.raw_model_box)
             value, npsr = _score(obs.response, state)
             branch = "raw"
-        trace.append(TraceRow(obs.frame, value, npsr, branch))
-    trace_lines = ["frame,psr,npsr,branch"] + [
-        f"{row.frame},{_fmt(row.psr)},{_fmt(row.npsr)},{row.branch}" for row in trace
-    ]
+        trace_lines.append(f"{obs.frame},{_fmt(value)},{_fmt(npsr)},{branch}")
     return {
         "trajectory.csv": reference_trajectory_text(trajectory),
         "ground_truth.csv": reference_trajectory_text(o.gt_box for o in observations),
@@ -1033,6 +1175,17 @@ def test_attention_demo_mask_out_of_bounds(tmp_path, capsys):
     )
     assert code == 1
     assert "--mask" in capsys.readouterr().err
+
+
+def test_attention_demo_huge_mask_is_outside_the_grid(tmp_path, capsys):
+    # checked before any index array is built: a 10**12-row mask allocates nothing
+    out = tmp_path / "o"
+    argv = ["attention-demo", "--search-size", "4,5,5", "--mask", "0,0,1000000000000,1"]
+    assert main(argv + ["--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: --mask 0,0,1000000000000,1 outside search grid (5, 5)\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mask", ["1,1,0,2", "1,1,2,0", "1,1,-1,2", "1,1,2,-3"])

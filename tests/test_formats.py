@@ -150,7 +150,7 @@ class TestTrajectoryIO:
          ("-inf,20,inf,6", "x")],
     )
     def test_corner_row_names_the_file_field(self, tmp_path, row, field):
-        # from_corner folds w into cx and h into cy; the error must name the
+        # the centre folds w into cx and h into cy; the error must name the
         # field as the file has it, not the derived centre
         path = tmp_path / "c.txt"
         path.write_text(f"10,20,4,6\n{row}\n")
@@ -202,9 +202,11 @@ def reference_read_trajectory(path) -> list[BoundingBox]:
                 f"{path}:{number}: expected x,y,w,h, got {len(values)} fields"
             )
         try:
-            boxes.append(
-                BoundingBox(*values[1:]) if center_format else BoundingBox.from_corner(*values)
-            )
+            if center_format:
+                boxes.append(BoundingBox(*values[1:]))
+            else:  # top-left corner to centre
+                x, y, w, h = values
+                boxes.append(BoundingBox(x + w / 2.0, y + h / 2.0, w, h))
         except ValueError as exc:
             if not center_format:
                 for name, value in zip("xywh", values):
@@ -363,12 +365,14 @@ class TestTrajectoryRowsProperties:
         assert read_trajectory_rows(path).tolist() == [[12.0, 23.0, 4.0, 6.0]]
         assert_same_outcome(path)
 
-    def test_corner_centres_use_from_corner_arithmetic(self, tmp_path):
+    def test_corner_centres_use_half_size_arithmetic(self, tmp_path):
         values = np.random.default_rng(53).uniform(-1e3, 1e3, (200, 4))
         values[:, 2:] = np.abs(values[:, 2:]) + 0.1
         path = tmp_path / "c.txt"
         path.write_text("".join("\t".join(map(repr, row)) + "\n" for row in values.tolist()))
-        expected = box_rows(BoundingBox.from_corner(*row) for row in values.tolist())
+        expected = box_rows(
+            BoundingBox(x + w / 2.0, y + h / 2.0, w, h) for x, y, w, h in values.tolist()
+        )
         assert read_trajectory_rows(path).tobytes() == expected.tobytes()
 
     def test_returns_float_rows_and_boxes_wrap_them(self, tmp_path):

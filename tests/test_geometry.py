@@ -77,6 +77,14 @@ class TestCenterness:
                 _exponents(rho, AspectRatioParams())
             assert _exponents(rho, None) == (1.0, 1.0)
 
+    @pytest.mark.parametrize("rho", [6.0, 1 / 6, 1e300])
+    def test_huge_gamma_saturates_without_overflow(self, rho):
+        # the exponent whose base is >= 1 saturates at 1 (its power, rho**1e300
+        # for rho > 1, would overflow a float); the other underflows to 0
+        saturated = 0 if rho < 1 else 1
+        exponents = _exponents(rho, AspectRatioParams(gamma=1e300))
+        assert exponents[saturated] == 1.0 and exponents[1 - saturated] == 0.0
+
     def test_constrained_flattens_principal_axis(self):
         # rho = 6 wide box, t = b, horizontal ratio 0.25:
         # 0.25 ** ((1/6)**0.5 / 2) = 0.7535

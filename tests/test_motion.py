@@ -23,7 +23,6 @@ from sattrack.motion import (
     WARMUP,
     _branch_weights,
     _check_response,
-    _fit_indices,
     _ones,
 )
 
@@ -402,12 +401,6 @@ class TestLinearFit:
         with pytest.raises(ValueError, match="2"):
             linear_fit(np.zeros((1, 2)))
 
-    def test_shared_index_vector_is_read_only(self):
-        centered, norm, mid = _fit_indices(7)
-        assert _fit_indices(7)[0] is centered
-        with pytest.raises(ValueError, match="read-only"):
-            centered[0] = 1.0
-        assert (norm, mid) == (28.0, 3.0)
 
 
 class TestInstantaneousVelocity:

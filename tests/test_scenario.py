@@ -14,7 +14,6 @@ from sattrack import (
     BoundingBox,
     MotionParams,
     ScenarioConfig,
-    TraceRow,
     TrackerState,
     drift_series,
     generate_scenario,
@@ -393,22 +392,22 @@ class TestRunTracking:
         assert refined[140:160].mean() < raw[140:160].mean()
 
     def test_trace_rows_cover_every_frame(self):
-        scenario = generate_scenario(clean_config(frames=60))
-        trace = []
-        run_tracking(scenario, MotionParams(n1=20, n2=8), True, trace=trace)
-        assert [row.frame for row in trace] == list(range(1, 61))
-        assert all(row.branch in ("warmup", "low", "high") for row in trace)
-        assert all(0.0 <= row.npsr <= 1.0 for row in trace)
+        _, raw, maps, _ = generate_scenario_rows(clean_config(frames=60))
+        _, psrs, npsrs, branches = track_rows(raw, maps, MotionParams(n1=20, n2=8), True)
+        assert len(psrs) == len(npsrs) == len(branches) == 60
+        assert set(branches) <= {"warmup", "low", "high"}
+        assert ((0.0 <= npsrs) & (npsrs <= 1.0)).all()
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**16), refine=st.booleans())
     def test_trace_rows_match_tracker_state(self, seed, refine):
-        scenario = generate_scenario(
-            clean_config(frames=40, seed=seed, occlusions=((15, 24),), distractor_count=2)
-        )
+        config = clean_config(frames=40, seed=seed, occlusions=((15, 24),), distractor_count=2)
+        scenario = generate_scenario(config)
         params = MotionParams(n1=12, n2=4)
-        trace = []
-        trajectory = run_tracking(scenario, params, refine, trace=trace)
+        trajectory = run_tracking(scenario, params, refine)
+        _, raw, maps, _ = generate_scenario_rows(config)
+        _, psrs, npsrs, branches = track_rows(raw, maps, params, refine)
+        trace = list(zip(psrs.tolist(), npsrs.tolist(), branches))
         assert len(trace) == len(trajectory) == len(scenario)
         state = TrackerState(capacity=params.n1)
         for obs, row, box in zip(scenario, trace, trajectory):
@@ -418,7 +417,7 @@ class TestRunTracking:
             else:
                 assert box == obs.raw_model_box
                 expected = (psr(obs.response), normalized_psr(obs.response, state), "raw")
-            assert row == TraceRow(obs.frame, *expected)
+            assert row == expected
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -453,28 +452,21 @@ class TestRunTracking:
         rows, psrs, npsrs, branches = track_rows(raw, maps, params, refine)
 
         scenario = generate_scenario(config)
-        trace = []
-        boxes = run_tracking(scenario, params, refine, trace=trace)
+        boxes = run_tracking(scenario, params, refine)
         state = TrackerState(params.n1)
         hand, expected_trace = [], []
         for obs in scenario:
             if refine:
                 hand.append(refine_step(state, obs.raw_model_box, obs.response, params))
-                expected_trace.append(
-                    TraceRow(obs.frame, state.last_psr, state.last_npsr, state.last_branch)
-                )
+                expected_trace.append((state.last_psr, state.last_npsr, state.last_branch))
             else:
                 hand.append(obs.raw_model_box)
                 value = psr(obs.response)
-                expected_trace.append(
-                    TraceRow(obs.frame, value, normalized_psr(obs.response, state), "raw")
-                )
+                expected_trace.append((value, normalized_psr(obs.response, state), "raw"))
 
         assert rows.shape == (frames, 4) and rows.dtype == float
         assert rows.tobytes() == box_rows(boxes).tobytes() == box_rows(hand).tobytes()
-        assert trace == expected_trace
-        columns = list(map(TraceRow, range(1, frames + 1), psrs.tolist(), npsrs.tolist(), branches))
-        assert columns == expected_trace
+        assert list(zip(psrs.tolist(), npsrs.tolist(), branches)) == expected_trace
         assert psrs.dtype == npsrs.dtype == float
 
     def test_row_loop_rejects_bad_inputs(self):
