@@ -89,7 +89,6 @@ def init_projection_weights(
     reduction: int = 4,
     *,
     seed: int = 0,
-    use_bias: bool = False,
     gamma: float = 0.0,
 ) -> ProjectionWeights:
     """Seeded uniform initialization in [-1/sqrt(C), 1/sqrt(C)].
@@ -114,9 +113,6 @@ def init_projection_weights(
         w_k=draw(reduced, channels),
         w_v=draw(channels, channels),
         gamma=gamma,
-        b_q=draw(reduced) if use_bias else None,
-        b_k=draw(reduced) if use_bias else None,
-        b_v=draw(channels) if use_bias else None,
     )
 
 

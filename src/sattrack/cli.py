@@ -143,19 +143,17 @@ def cmd_simulate(args):
     peaks = flat.argmax(axis=1)
     peak_rows, peak_cols = np.divmod(peaks, maps.shape[2])
     peak_values = flat[np.arange(len(flat)), peaks]
-    summary_lines = ["frame,occluded,peak_row,peak_col,peak_value,psr"]
-    summary_lines += [
-        f"{frame},{int(hidden)},{i},{j},{formats._fmt(value)},{formats._fmt(psr(response))}"
-        for frame, hidden, i, j, value, response in zip(
-            range(1, len(maps) + 1), occluded.tolist(), peak_rows.tolist(),
-            peak_cols.tolist(), peak_values.tolist(), maps,
-        )
+    summary = [
+        range(1, len(maps) + 1), occluded.astype(int), peak_rows, peak_cols,
+        peak_values, [psr(response) for response in maps],
     ]
 
     out = _output_dir(args)
     formats.write_trajectory(out / "ground_truth.csv", gt)
     formats.write_trajectory(out / "raw_model.csv", raw)
-    formats.atomic_write_text(out / "response_summary.csv", "\n".join(summary_lines) + "\n")
+    formats._write_table(
+        out / "response_summary.csv", "frame,occluded,peak_row,peak_col,peak_value,psr", summary
+    )
     print(f"simulated {len(maps)} frames (seed {config.seed}) into {out}")
 
 
@@ -164,8 +162,14 @@ def cmd_track(args):
     params = _motion_params(args)
     refine, _ = _resolve(args, "ommr", _on_off, True)
     if refine and params.n1 >= config.frame_count:
+        # n1's source: its flag or variable, else the --params file that sets
+        # it, else the scenario file, whose frame_count the default fails
+        _, where = _resolve(args, "n1", _number(int), None)
+        if where is None:
+            keys = [key for _, key, _ in formats.read_kv_file(args.params)] if args.params else ()
+            where = args.params if "n1" in keys else args.scenario
         raise ConfigError(
-            f"n1 ({params.n1}) must be below frame_count ({config.frame_count}) "
+            f"{where}: n1 ({params.n1}) must be below frame_count ({config.frame_count}) "
             f"for refinement to activate; lower --n1 or use --ommr off"
         )
     gt, raw, maps, _ = generate_scenario(config)

@@ -1,9 +1,10 @@
 """File formats and atomic output handling.
 
 Every writer here goes through a temp-file-plus-rename so a crash mid-write
-never leaves a truncated artifact behind.  Floats in CSV output use Python's
-shortest round-trip representation: files are byte-stable across runs and
-parse back to the exact values that were written.
+never leaves a truncated artifact behind.  Every CSV file is written by one
+table writer, :func:`_write_table`, from equal-length columns; its floats
+use Python's shortest round-trip representation, so files are byte-stable
+across runs and parse back to the exact values that were written.
 
 Text files are read as UTF-8, whatever the locale: every text reader goes
 through one decoder, which skips a leading byte-order mark and reports a
@@ -21,11 +22,11 @@ Formats:
   file order is the one reported.  :func:`write_trajectory` writes such
   rows
 * trace CSV -- ``frame,psr,npsr,branch``, written from the per-frame
-  columns by :func:`write_trace`
+  columns of :func:`~sattrack.motion.track_rows` by :func:`write_trace`
 * grid CSV -- one response/label map row per line
 * PGM (binary P5) -- grayscale heatmap export, value*255 rounded
 * feature tensor -- 12-byte header of C, H, W as little-endian uint32,
-  then C*H*W float32 values, row-major per channel
+  then C*H*W finite float32 values, row-major per channel
 * key = value config files -- ``#`` and ``;`` start comments; parse errors
   name the offending key and line
 """
@@ -49,6 +50,7 @@ import numpy as np
 from .attention import ProjectionWeights
 from .boxes import check_rows, valid_rows
 from .metrics import (
+    CURVE_NAMES,
     NORM_PRECISION_THRESHOLDS,
     PRECISION_THRESHOLDS,
     SUCCESS_THRESHOLDS,
@@ -93,9 +95,22 @@ def atomic_write_text(path, text: str):
     _atomic_write(path, lambda tmp: tmp.write_text(text))
 
 
-def _fmt(value) -> str:
-    """Shortest exact decimal form of a float (integers stay integers)."""
-    return repr(float(value))
+def _write_table(path, header: str | None, columns: Sequence):
+    """Write equal-length ``columns`` as comma-separated lines under
+    ``header`` (none when it is ``None``): the one CSV line builder.  A
+    float array column is written as the shortest round-trip ``repr`` of
+    each value; any other column as ``str`` prints its items (an array's
+    as Python values), so a Python float is its ``repr`` there too."""
+    cells = [
+        list(map(repr if c.dtype.kind == "f" else str, c.tolist()))
+        if isinstance(c, np.ndarray) else list(map(str, c))
+        for c in columns
+    ]
+    if len({len(column) for column in cells}) > 1:
+        raise ValueError(f"table columns must have equal lengths, got {[len(c) for c in cells]}")
+    lines = [] if header is None else [header]
+    lines += map(",".join, zip(*cells))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +125,7 @@ def write_trajectory(path, rows: np.ndarray):
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 4:
         raise ValueError(f"trajectory rows must be (N, 4), got shape {rows.shape}")
-    lines = [TRAJECTORY_HEADER]
-    lines += [
-        f"{frame},{cx!r},{cy!r},{w!r},{h!r}"
-        for frame, (cx, cy, w, h) in enumerate(rows.tolist(), start=1)
-    ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_table(path, TRAJECTORY_HEADER, [range(1, len(rows) + 1), *rows.T])
 
 
 def _read_text(path) -> str:
@@ -269,16 +279,9 @@ def read_trajectory_rows(path) -> np.ndarray:
 def write_trace(path, psr, npsr, branch: Sequence[str]):
     """Write the per-frame trace columns, frames 1..N, as
     ``frame,psr,npsr,branch``; the three columns must have equal lengths."""
-    psr = np.asarray(psr, dtype=float).tolist()
-    npsr = np.asarray(npsr, dtype=float).tolist()
-    lines = ["frame,psr,npsr,branch"]
-    lines += [
-        f"{frame},{value!r},{normalized!r},{label}"
-        for frame, (value, normalized, label) in enumerate(
-            zip(psr, npsr, branch, strict=True), start=1
-        )
-    ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    psr = np.asarray(psr, dtype=float)
+    columns = [range(1, len(psr) + 1), psr, np.asarray(npsr, dtype=float), branch]
+    _write_table(path, "frame,psr,npsr,branch", columns)
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +292,7 @@ def write_grid_csv(path, grid: np.ndarray):
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2:
         raise ValueError(f"grid must be 2-D, got shape {grid.shape}")
-    lines = [",".join(_fmt(v) for v in row) for row in grid]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_table(path, None, grid.T)
 
 
 def read_grid_csv(path) -> np.ndarray:
@@ -321,12 +323,18 @@ def write_pgm(path, grid: np.ndarray):
 
 
 def write_feature_map(path, tensor: np.ndarray):
-    """C, H, W as little-endian uint32, then float32 data row-major per channel."""
+    """C, H, W as little-endian uint32, then float32 data row-major per channel.
+    A cell not finite in float32 (beyond its range too) is a ``ValueError``
+    naming the first such cell, and no file is written."""
     tensor = np.asarray(tensor)
     if tensor.ndim != 3:
         raise ValueError(f"feature map must be (C, H, W), got shape {tensor.shape}")
-    header = struct.pack("<3I", *tensor.shape)
-    atomic_write_bytes(path, header + tensor.astype("<f4").tobytes())
+    with np.errstate(over="ignore"):  # an overflow is reported as its cell below
+        data = tensor.astype("<f4")
+    if not np.isfinite(data).all():
+        cell = np.argwhere(~np.isfinite(data))[0].tolist()
+        raise ValueError(f"{path}: feature-map cell {tuple(cell)} is not finite in float32")
+    atomic_write_bytes(path, struct.pack("<3I", *tensor.shape) + data.tobytes())
 
 
 def read_feature_map(path) -> np.ndarray:
@@ -559,15 +567,13 @@ def write_json(path, payload: dict):
 
 
 def write_curves_csv(path, result: EvalResult):
-    lines = ["curve,threshold,value"]
-    for name, thresholds, values in (
-        ("precision", PRECISION_THRESHOLDS, result.precision),
-        ("norm_precision", NORM_PRECISION_THRESHOLDS, result.norm_precision),
-        ("success", SUCCESS_THRESHOLDS, result.success),
-    ):
-        for tau, value in zip(thresholds, values):
-            lines.append(f"{name},{_fmt(tau)},{_fmt(value)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    thresholds = (PRECISION_THRESHOLDS, NORM_PRECISION_THRESHOLDS, SUCCESS_THRESHOLDS)
+    columns = [
+        [name for name, taus in zip(CURVE_NAMES, thresholds) for _ in taus],
+        np.concatenate(thresholds, dtype=float),
+        np.concatenate([getattr(result, name) for name in CURVE_NAMES], dtype=float),
+    ]
+    _write_table(path, "curve,threshold,value", columns)
 
 
 def result_summary(result: EvalResult) -> dict:

@@ -16,14 +16,14 @@ overrides the raw model box:
 
 All positions are pixel units, center-format boxes.  The per-frame step is
 a real-time hot path, so it works on floats: one kernel scores the map,
-picks the branch and pushes the refined ``(cx, cy, w, h)`` row tuple into
-the tracker state, whose history is those rows in a doubled ring buffer:
-every row is written twice, ``capacity`` rows apart, so the recent window
-is always one contiguous slice and a push costs O(1).
-:func:`refine_step` runs the kernel for one :class:`BoundingBox`;
-:func:`track_rows` runs it over a whole sequence of ``(T, 4)`` rows and
-returns the refined rows and the trace as columns, with no per-frame
-object.  Both therefore give the same floats.
+picks the branch, pushes the refined ``(cx, cy, w, h)`` row tuple into the
+tracker state and returns the frame's record ``(refined, psr, npsr,
+branch)``.  The history is those rows in a doubled ring buffer: every row
+is written twice, ``capacity`` rows apart, so the recent window is always
+one contiguous slice and a push costs O(1).  :func:`refine_step` runs the
+kernel for one :class:`BoundingBox`; :func:`track_rows` runs it over a
+whole sequence of ``(T, 4)`` rows and returns the records as columns, with
+no per-frame object.  Both therefore give the same floats.
 
 On a 25x25 map the cost of a step is numpy call overhead, not arithmetic,
 so each step makes as few array calls as it can and stays exact:
@@ -93,8 +93,8 @@ class MotionParams:
 class TrackerState:
     """Mutable per-sequence state: a bounded box history (chronological,
     oldest evicted first, at most ``capacity`` boxes), the running PSR
-    maximum and the current frame index.  The last scored PSR, normalized
-    PSR and branch label are kept for tracing.
+    maximum and the current frame index.  :func:`refine_step` keeps the
+    PSR, normalized PSR and branch label of its last frame on the state.
 
     The history lives only in a ``(2 * capacity, 4)`` ring of ``(cx, cy, w,
     h)`` rows.
@@ -222,15 +222,16 @@ def _branch_weights(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _advance(state: TrackerState, row, response, params: MotionParams):
-    """Advance the tracker by one frame on floats; return the refined
+    """Advance the tracker by one frame on floats; return the frame's
+    record ``(refined, psr, npsr, branch)``.  ``refined`` is the refined
     ``(cx, cy, w, h)``, which is ``row`` itself during warm-up.
 
     Scores the response map, advances the frame counter, picks the branch
-    described in the module docstring, pushes the result into the history
-    and sets ``last_psr``, ``last_npsr`` and ``last_branch``.  Past warm-up
-    the history must hold exactly ``n1`` rows; a shorter one means the state
-    was fed inconsistently and is reported as an error.  A refined row with
-    a non-finite field is rejected with :class:`BoundingBox`'s message.
+    described in the module docstring and pushes the result into the
+    history.  Past warm-up the history must hold exactly ``n1`` rows; a
+    shorter one means the state was fed inconsistently and is reported as
+    an error.  A refined row with a non-finite field is rejected with
+    :class:`BoundingBox`'s message.
     """
     n1 = params.n1
     if state.capacity != n1:
@@ -273,10 +274,7 @@ def _advance(state: TrackerState, row, response, params: MotionParams):
         refined = (cx, cy, w, h)
 
     state._push(refined)
-    state.last_psr = value
-    state.last_npsr = npsr
-    state.last_branch = branch
-    return refined
+    return refined, value, npsr, branch
 
 
 def refine_step(
@@ -287,9 +285,12 @@ def refine_step(
 ) -> BoundingBox:
     """Advance the tracker by one frame and return the refined box: the
     per-frame kernel of :func:`track_rows` for one :class:`BoundingBox`.
-    During warm-up the model box itself is returned."""
+    During warm-up the model box itself is returned.  The frame's trace is
+    kept as ``state.last_psr``, ``last_npsr`` and ``last_branch``."""
     row = (model_box.cx, model_box.cy, model_box.w, model_box.h)
-    refined = _advance(state, row, response, params)
+    refined, state.last_psr, state.last_npsr, state.last_branch = _advance(
+        state, row, response, params
+    )
     return model_box if refined is row else BoundingBox(*refined)
 
 
@@ -300,12 +301,12 @@ def track_rows(
 
     ``raw_rows`` are the raw model's ``(T, 4)`` ``(cx, cy, w, h)`` rows and
     ``maps`` its ``T`` response maps (a ``(T, H, W)`` array or a sequence of
-    ``(H, W)`` maps), frame ``k + 1`` at index ``k``.  Returns the ``(T, 4)``
-    trajectory rows and the trace as columns: ``(T,)`` PSR and normalized
-    PSR and the ``T`` branch labels.  With refinement on, every frame goes
-    through the kernel of :func:`refine_step`; off, the trajectory is a copy
-    of the raw rows and the maps are still scored, under branch label
-    ``"raw"``.
+    ``(H, W)`` maps), frame ``k + 1`` at index ``k``.  Returns the per-frame
+    records as columns: the ``(T, 4)`` trajectory rows, the ``(T,)`` PSR and
+    normalized PSR and the ``T`` branch labels.  With refinement on, every
+    frame goes through the kernel of :func:`refine_step`; off, the
+    trajectory is a copy of the raw rows and the maps are still scored,
+    under branch label ``"raw"``.
     """
     raw = np.asarray(raw_rows, dtype=float)
     if raw.ndim != 2 or raw.shape[1] != 4:
@@ -317,20 +318,11 @@ def track_rows(
     check_rows(raw)
     # off, only the running PSR maximum is read, so no n1-row history is kept
     state = TrackerState(capacity=params.n1 if ommr_enabled else 1)
-    psrs, npsrs = [], []
+    frames = zip(raw.tolist(), maps)
     if ommr_enabled:
-        rows, branches = [], []
-        for row, response in zip(raw.tolist(), maps):
-            rows.append(_advance(state, row, response, params))
-            psrs.append(state.last_psr)
-            npsrs.append(state.last_npsr)
-            branches.append(state.last_branch)
-        rows = np.array(rows, dtype=float)
+        records = [_advance(state, row, response, params) for row, response in frames]
     else:
-        for response in maps:
-            value, npsr = _score(response, state)
-            psrs.append(value)
-            npsrs.append(npsr)
-        rows, branches = raw.copy(), ["raw"] * len(raw)
-    return rows, np.array(psrs, dtype=float), np.array(npsrs, dtype=float), branches
+        records = [(row, *_score(response, state), "raw") for row, response in frames]
+    rows, psrs, npsrs, branches = zip(*records)
+    return np.array(rows, dtype=float), np.array(psrs), np.array(npsrs), list(branches)
 

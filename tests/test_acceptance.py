@@ -39,6 +39,7 @@ from sattrack import (
 from sattrack.cli import main
 from sattrack.formats import read_grid_csv
 from sattrack.geometry import GridGeometry
+from test_attention import with_biases
 
 
 def report(number, label, detail):
@@ -228,9 +229,9 @@ def test_criterion_4_attention_invariants():
     for trial in range(100):
         search = rng.normal(size=(8, 5, 5))
         template = rng.normal(size=(8, 3, 3))
-        weights = init_projection_weights(
-            8, seed=trial, use_bias=bool(trial % 2), gamma=0.7
-        )
+        weights = init_projection_weights(8, seed=trial, gamma=0.7)
+        if trial % 2:
+            weights = with_biases(weights, seed=trial)
 
         q, k, _ = project_qkv(search, template, weights)
         attn = attention_weights(q, k)

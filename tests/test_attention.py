@@ -1,6 +1,7 @@
 """Cross-frame attention tests, including a naive per-location reference forward."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,16 @@ from sattrack.attention import _attend
 def identity_weights(channels, gamma=0.0):
     eye = np.eye(channels)
     return ProjectionWeights(w_q=eye, w_k=eye, w_v=eye, gamma=gamma)
+
+
+def with_biases(weights, seed):
+    """``weights`` with seeded biases drawn from the initialization's range,
+    as a weights file may carry them."""
+    rng = np.random.default_rng(seed)
+    bound = 1.0 / math.sqrt(weights.channels)
+    b_q, b_k = rng.uniform(-bound, bound, size=(2, weights.w_q.shape[0]))
+    b_v = rng.uniform(-bound, bound, size=weights.channels)
+    return replace(weights, b_q=b_q, b_k=b_k, b_v=b_v)
 
 
 def reference_forward(search, template, weights):
@@ -268,7 +279,7 @@ class TestEnhancement:
         rng = np.random.default_rng(14)
         search = rng.normal(size=(8, 5, 5))
         template = rng.normal(size=(8, 3, 3))
-        weights = init_projection_weights(8, seed=15, use_bias=True, gamma=0.9)
+        weights = with_biases(init_projection_weights(8, seed=15, gamma=0.9), seed=15)
         fast = enhance_features(search, template, weights)
         slow = reference_forward(search, template, weights)
         assert np.abs(fast - slow).max() < 1e-10
@@ -295,13 +306,15 @@ class TestInitialization:
             assert np.abs(matrix).max() <= bound
 
     def test_shapes_and_bias(self):
-        weights = init_projection_weights(8, reduction=4, seed=5, use_bias=True)
+        weights = init_projection_weights(8, reduction=4, seed=5)
         assert weights.w_q.shape == (2, 8)
         assert weights.w_k.shape == (2, 8)
         assert weights.w_v.shape == (8, 8)
-        assert weights.b_q.shape == (2,)
-        assert weights.b_v.shape == (8,)
+        assert weights.b_q is None and weights.b_k is None and weights.b_v is None
         assert weights.channels == 8
+        biased = with_biases(weights, seed=5)  # as read from a weights file
+        assert biased.b_q.shape == biased.b_k.shape == (2,)
+        assert biased.b_v.shape == (8,)
 
 
 class TestSaliency:
@@ -484,7 +497,7 @@ class TestAttentionWeightsProperties:
     def test_enhancement_uses_the_same_attention(self):
         rng = np.random.default_rng(26)
         search, template = rng.normal(size=(8, 6, 7)), rng.normal(size=(8, 3, 2))
-        weights = init_projection_weights(8, seed=4, use_bias=True, gamma=0.3)
+        weights = with_biases(init_projection_weights(8, seed=4, gamma=0.3), seed=4)
         q, k, v = project_qkv(search, template, weights)
         attention = attention_weights(q, k)
         mixed = (v @ attention.T).reshape(search.shape)

@@ -5,6 +5,7 @@ import io
 import json
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,9 @@ from sattrack import (
 from sattrack.formats import write_projection_weights
 from sattrack import BoundingBox, MotionParams, ScenarioConfig, TrackerState
 from sattrack import generate_scenario, motion, psr
-from sattrack.formats import _fmt
 from sattrack.motion import _branch_weights, _score
-from test_formats import read_trajectory, scenario_text
+from test_attention import with_biases
+from test_formats import feature_map_bytes, read_trajectory, scenario_text
 from test_scenario import PIN_CONFIGS
 
 CLEAN_SCENARIO = """\
@@ -706,6 +707,36 @@ def test_track_rejects_warmup_longer_than_scenario(scenario_file, tmp_path, caps
     assert "frame_count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, env, params, n1, where",
+    [
+        (["--n1", "45"], {}, None, 45, "--n1"),
+        ([], {"SATTRACK_N1": "200"}, None, 200, "SATTRACK_N1"),
+        ([], {}, "n1 = 60\n", 60, "params"),
+        ([], {}, "n2 = 5\n", 50, "scenario"),  # the file leaves n1 at its default
+        ([], {}, None, 50, "scenario"),
+    ],
+)
+def test_warmup_error_opens_with_the_source_of_n1(
+    scenario_file, tmp_path, monkeypatch, capsys, flags, env, params, n1, where
+):
+    scenario = scenario_file(
+        "frame_count = 40\nwaypoint = 1 0 0\nwaypoint = 40 10 10\ntarget_size = 6 6\n"
+    )
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if params is not None:
+        flags = flags + ["--params", scenario_file(params, name="motion.cfg")]
+    where = {"params": str(tmp_path / "motion.cfg"), "scenario": scenario}.get(where, where)
+    out = tmp_path / "o"
+    assert main(["track", "--scenario", scenario, *flags, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {where}: n1 ({n1}) must be below frame_count (40) for refinement to "
+        f"activate; lower --n1 or use --ommr off\n"
+    )
+    assert not out.exists()
+
+
 def test_track_rejects_inconsistent_windows(scenario_file, tmp_path, capsys):
     code = main(
         [
@@ -760,6 +791,11 @@ def reference_refine_step(state, model_box, response, params):
     state._push((refined.cx, refined.cy, refined.w, refined.h))
     state.last_psr, state.last_npsr, state.last_branch = value, npsr, branch
     return refined
+
+
+def _fmt(value) -> str:
+    """A number as the writers print a float: its shortest round-trip repr."""
+    return repr(float(value))
 
 
 def reference_trajectory_text(boxes):
@@ -1140,7 +1176,7 @@ def test_attention_demo_outputs_match_library_calls(tmp_path, mask):
     search_path, template_path = tmp_path / "search.bin", tmp_path / "template.bin"
     write_feature_map(search_path, search)
     write_feature_map(template_path, template)
-    weights = init_projection_weights(8, seed=5, use_bias=True, gamma=0.7)
+    weights = with_biases(init_projection_weights(8, seed=5, gamma=0.7), seed=5)
     weights_path = tmp_path / "weights.npz"
     write_projection_weights(weights_path, weights)
     out = tmp_path / "out"
@@ -1188,6 +1224,19 @@ def test_attention_demo_huge_mask_is_outside_the_grid(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_attention_demo_float32_overflow_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's cast warning would raise here
+        code = main(["attention-demo", "--search-size", "4,5,5", "--gamma", "1e40",
+                     "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'enhanced.bin'}: feature-map cell (")
+    assert err.endswith(") is not finite in float32\n") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("mask", ["1,1,0,2", "1,1,2,0", "1,1,-1,2", "1,1,2,-3"])
 def test_attention_demo_mask_needs_positive_extent(tmp_path, capsys, mask):
     code = main(
@@ -1225,8 +1274,8 @@ def test_attention_demo_rejects_non_finite_feature_map(tmp_path, capsys, flag, b
     template = np.zeros((4, 2, 2), dtype=np.float32)
     (search if flag == "--search" else template)[0, 1, 1] = bad
     paths = {"--search": tmp_path / "search.bin", "--template": tmp_path / "template.bin"}
-    write_feature_map(paths["--search"], search)
-    write_feature_map(paths["--template"], template)
+    paths["--search"].write_bytes(feature_map_bytes(search))
+    paths["--template"].write_bytes(feature_map_bytes(template))
     out = tmp_path / "o"
     code = main(["attention-demo", "--search", str(paths["--search"]),
                  "--template", str(paths["--template"]), "--output", str(out)])

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import re
+import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from sattrack import (
 from sattrack.boxes import box_rows
 from sattrack.formats import (
     ConfigError,
+    _write_table,
     _parse_numbers,
     _parse_whole,
     _read_text,
@@ -47,6 +50,20 @@ from sattrack.formats import (
     write_trace,
     write_trajectory,
 )
+from sattrack.metrics import (
+    NORM_PRECISION_THRESHOLDS,
+    PRECISION_THRESHOLDS,
+    SUCCESS_THRESHOLDS,
+    EvalResult,
+)
+from test_attention import with_biases
+
+
+def feature_map_bytes(tensor) -> bytes:
+    """A feature-map file built by hand, whatever its values: how a test
+    makes a file holding a cell that ``write_feature_map`` refuses."""
+    tensor = np.asarray(tensor, dtype="<f4")
+    return struct.pack("<3I", *tensor.shape) + tensor.tobytes()
 
 
 def read_trajectory(path) -> list[BoundingBox]:
@@ -608,6 +625,133 @@ class TestTraceAndGrids:
         assert path.read_bytes().endswith(bytes([0, 255]))
 
 
+# The line builders each CSV writer had of its own before they shared
+# ``formats._write_table``: the oracles of the bytes the writers write.
+
+
+def oracle_trajectory_text(rows) -> str:
+    lines = ["frame,cx,cy,w,h"]
+    lines += [
+        f"{frame},{cx!r},{cy!r},{w!r},{h!r}"
+        for frame, (cx, cy, w, h) in enumerate(np.asarray(rows, dtype=float).tolist(), start=1)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def oracle_trace_text(psr, npsr, branch) -> str:
+    psr = np.asarray(psr, dtype=float).tolist()
+    npsr = np.asarray(npsr, dtype=float).tolist()
+    lines = ["frame,psr,npsr,branch"]
+    lines += [
+        f"{frame},{value!r},{normalized!r},{label}"
+        for frame, (value, normalized, label) in enumerate(zip(psr, npsr, branch), start=1)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def oracle_grid_text(grid) -> str:
+    lines = [",".join(repr(float(v)) for v in row) for row in np.asarray(grid, dtype=float)]
+    return "\n".join(lines) + "\n"
+
+
+def oracle_curves_text(result) -> str:
+    lines = ["curve,threshold,value"]
+    for name, thresholds, values in (
+        ("precision", PRECISION_THRESHOLDS, result.precision),
+        ("norm_precision", NORM_PRECISION_THRESHOLDS, result.norm_precision),
+        ("success", SUCCESS_THRESHOLDS, result.success),
+    ):
+        for tau, value in zip(thresholds, values):
+            lines.append(f"{name},{float(tau)!r},{float(value)!r}")
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 3.0, -7.0, 1e16, 1e-5, 0.1)
+any_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False))
+finite_floats = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+sizes = st.one_of(  # a box's w and h: finite and > 0
+    st.sampled_from((5e-324, 1e308, 3.0, 0.1)),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+BRANCHES = st.sampled_from(["warmup", "low", "high", "raw"])
+
+
+def float_bytes(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestTableWriters:
+    """Each CSV writer writes the bytes of its old line builder, and what it
+    writes reads back bitwise; columns of unequal lengths are an error."""
+
+    @settings(max_examples=100, deadline=None)
+    @example(rows=[])
+    @example(rows=[(-0.0, 1e308, 5e-324, 3.0), (1e16, -5e-324, 1e308, 0.1)])
+    @given(rows=st.lists(st.tuples(finite_floats, finite_floats, sizes, sizes), max_size=8))
+    def test_trajectory_bytes_match_the_oracle(self, tmp_path_factory, rows):
+        rows = np.array(rows, dtype=float).reshape(-1, 4)
+        path = tmp_path_factory.mktemp("traj") / "t.csv"
+        write_trajectory(path, rows)
+        assert path.read_bytes() == oracle_trajectory_text(rows).encode()
+        if len(rows):  # a file of no rows is not a trajectory
+            assert read_trajectory_rows(path).tobytes() == rows.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @example(trace=[])
+    @example(trace=[(-0.0, 5e-324, "warmup"), (1e308, 3.0, "high")])
+    @given(trace=st.lists(st.tuples(any_floats, any_floats, BRANCHES), max_size=8))
+    def test_trace_bytes_match_the_oracle(self, tmp_path_factory, trace):
+        psr, npsr, branch = ([row[k] for row in trace] for k in range(3))
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        write_trace(path, psr, npsr, branch)
+        assert path.read_bytes() == oracle_trace_text(psr, npsr, branch).encode()
+        header, *lines = path.read_text().splitlines()
+        fields = [line.split(",") for line in lines]
+        assert header == "frame,psr,npsr,branch"
+        assert [f[0] for f in fields] == [str(k) for k in range(1, len(trace) + 1)]
+        assert float_bytes([float(f[1]) for f in fields]) == float_bytes(psr)
+        assert float_bytes([float(f[2]) for f in fields]) == float_bytes(npsr)
+        assert [f[3] for f in fields] == branch
+
+    @settings(max_examples=50, deadline=None)
+    @given(curves=st.tuples(*(hnp.arrays(float, n, elements=any_floats) for n in (51, 51, 21))))
+    def test_curves_bytes_match_the_oracle(self, tmp_path_factory, curves):
+        result = EvalResult(*curves, p5=0.0, p20=0.0, np05=0.0, success_auc=0.0, frame_count=1)
+        path = tmp_path_factory.mktemp("curves") / "curves.csv"
+        write_curves_csv(path, result)
+        assert path.read_bytes() == oracle_curves_text(result).encode()
+        fields = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        thresholds = np.concatenate(
+            (PRECISION_THRESHOLDS, NORM_PRECISION_THRESHOLDS, SUCCESS_THRESHOLDS)
+        )
+        assert float_bytes([float(f[1]) for f in fields]) == float_bytes(thresholds)
+        assert float_bytes([float(f[2]) for f in fields]) == float_bytes(np.concatenate(curves))
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: _write_table(path, None, [[1.0, 2.0], [3.0]]),
+            lambda path: _write_table(path, "a,b", [range(3), np.zeros(2)]),
+            lambda path: write_trace(path, [9.25, 4.5], [1.0, 0.5], ["warmup"]),
+            lambda path: write_curves_csv(  # a 50-point precision curve
+                path, EvalResult(np.zeros(50), np.zeros(51), np.zeros(21), 0.0, 0.0, 0.0, 0.0, 1)
+            ),
+        ],
+    )
+    def test_unequal_columns_raise_and_write_nothing(self, tmp_path, write):
+        with pytest.raises(ValueError, match="equal lengths"):
+            write(tmp_path / "t.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_float_arrays_as_repr_other_columns_as_str(self, tmp_path):
+        path = tmp_path / "t.csv"
+        columns = [np.arange(2), np.array([3.0, -0.0]), [5e-324, 1e16], ["a", "b"]]
+        _write_table(path, "i,x,y,label", columns)
+        assert path.read_text() == "i,x,y,label\n0,3.0,5e-324,a\n1,-0.0,1e+16,b\n"
+
+
 class TestRoundTripProperties:
     """Exact round trips: what a writer writes, its reader gives back bitwise."""
 
@@ -618,6 +762,7 @@ class TestRoundTripProperties:
     def test_grid_csv_round_trip_is_bitwise(self, tmp_path_factory, grid):
         path = tmp_path_factory.mktemp("grid") / "grid.csv"
         write_grid_csv(path, grid)
+        assert path.read_bytes() == oracle_grid_text(grid).encode()
         loaded = read_grid_csv(path)
         assert loaded.dtype == float and loaded.shape == grid.shape
         assert loaded.tobytes() == grid.tobytes()  # -0.0 and inf included
@@ -788,12 +933,24 @@ class TestTensorIO:
         tensor = np.zeros((2, 3, 4), dtype=np.float32)
         tensor[1, 2, 0] = bad
         path = tmp_path / "feat.bin"
-        write_feature_map(path, tensor)
+        path.write_bytes(feature_map_bytes(tensor))
         with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: .*\(1, 2, 0\).* not finite"):
             read_feature_map(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39, -3.5e38])
+    def test_writer_refuses_a_cell_not_finite_in_float32(self, tmp_path, bad):
+        tensor = np.zeros((2, 3, 4))
+        tensor[1, 2, 0] = bad
+        path = tmp_path / "feat.bin"
+        message = rf"^{re.escape(str(path))}: feature-map cell \(1, 2, 0\) is not finite in float32"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy cast warning either
+            with pytest.raises(ValueError, match=message):
+                write_feature_map(path, tensor)
+        assert list(tmp_path.iterdir()) == []
+
     def test_weights_round_trip_with_bias(self, tmp_path):
-        weights = init_projection_weights(8, seed=5, use_bias=True, gamma=0.75)
+        weights = with_biases(init_projection_weights(8, seed=5, gamma=0.75), seed=5)
         path = tmp_path / "weights.npz"
         write_projection_weights(path, weights)
         loaded = read_projection_weights(path)
@@ -814,7 +971,7 @@ class TestTensorIO:
 class TestWeightsValidation:
     @pytest.fixture
     def arrays(self):
-        weights = init_projection_weights(8, seed=5, use_bias=True, gamma=0.75)
+        weights = with_biases(init_projection_weights(8, seed=5, gamma=0.75), seed=5)
         return {
             "w_q": weights.w_q, "w_k": weights.w_k, "w_v": weights.w_v,
             "gamma": np.array(0.75), "b_q": weights.b_q, "b_k": weights.b_k, "b_v": weights.b_v,
@@ -866,7 +1023,7 @@ class TestWeightsValidation:
             read_projection_weights(path)
 
     def test_every_single_byte_corruption_loads_or_is_config_error(self, tmp_path):
-        weights = init_projection_weights(4, seed=2, use_bias=True, gamma=0.5)
+        weights = with_biases(init_projection_weights(4, seed=2, gamma=0.5), seed=2)
         buffer = io.BytesIO()
         np.savez_compressed(buffer, w_q=weights.w_q, w_k=weights.w_k, w_v=weights.w_v,
                             gamma=np.array(0.5), b_v=weights.b_v)
