@@ -303,8 +303,15 @@ def cmd_attention_demo(args):
         mask = np.arange(search.shape[1] * search.shape[2])
     saliency = template_saliency(attention.T, mask).reshape(template.shape[1:])
 
+    # the features are search + gamma * mixed: a cell beyond float32 is
+    # charged to what set gamma, and found before the output directory is made
+    _, gamma_source = _resolve(args, "gamma", _number(float), None)
+    enhanced_bytes = formats._feature_map_bytes(
+        enhanced, gamma_source or args.weights or "enhanced features"
+    )
+
     out = _output_dir(args)
-    formats.write_feature_map(out / "enhanced.bin", enhanced)
+    formats.atomic_write_bytes(out / "enhanced.bin", enhanced_bytes)
     formats.write_grid_csv(out / "saliency.csv", saliency)
     peak = saliency.max()
     formats.write_pgm(out / "saliency.pgm", saliency / peak if peak > 0 else saliency)

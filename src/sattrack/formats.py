@@ -322,10 +322,10 @@ def write_pgm(path, grid: np.ndarray):
     atomic_write_bytes(path, header + pixels.tobytes())
 
 
-def write_feature_map(path, tensor: np.ndarray):
-    """C, H, W as little-endian uint32, then float32 data row-major per channel.
-    A cell not finite in float32 (beyond its range too) is a ``ValueError``
-    naming the first such cell, and no file is written."""
+def _feature_map_bytes(tensor: np.ndarray, where) -> bytes:
+    """The bytes :func:`write_feature_map` writes.  A cell not finite in
+    float32 (beyond its range too) is a ``ValueError`` opening with ``where``
+    and naming the first such cell."""
     tensor = np.asarray(tensor)
     if tensor.ndim != 3:
         raise ValueError(f"feature map must be (C, H, W), got shape {tensor.shape}")
@@ -333,8 +333,15 @@ def write_feature_map(path, tensor: np.ndarray):
         data = tensor.astype("<f4")
     if not np.isfinite(data).all():
         cell = np.argwhere(~np.isfinite(data))[0].tolist()
-        raise ValueError(f"{path}: feature-map cell {tuple(cell)} is not finite in float32")
-    atomic_write_bytes(path, struct.pack("<3I", *tensor.shape) + data.tobytes())
+        raise ValueError(f"{where}: feature-map cell {tuple(cell)} is not finite in float32")
+    return struct.pack("<3I", *tensor.shape) + data.tobytes()
+
+
+def write_feature_map(path, tensor: np.ndarray):
+    """C, H, W as little-endian uint32, then float32 data row-major per channel.
+    A cell not finite in float32 is a ``ValueError`` naming ``path`` and the
+    cell, and no file is written."""
+    atomic_write_bytes(path, _feature_map_bytes(tensor, path))
 
 
 def read_feature_map(path) -> np.ndarray:

@@ -1224,17 +1224,28 @@ def test_attention_demo_huge_mask_is_outside_the_grid(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_attention_demo_float32_overflow_is_one_error_line(tmp_path, capsys):
+@pytest.mark.parametrize("source", ["--gamma", "SATTRACK_GAMMA", "weights"])
+def test_attention_demo_float32_overflow_is_one_error_line(tmp_path, monkeypatch, capsys, source):
     out = tmp_path / "o"
+    argv = ["attention-demo", "--search-size", "4,5,5", "--output", str(out)]
+    if source == "--gamma":
+        argv += ["--gamma", "1e40"]
+    elif source == "SATTRACK_GAMMA":
+        monkeypatch.setenv("SATTRACK_GAMMA", "1e40")
+    else:  # no flag or variable sets gamma: the weights file that does is named
+        write_projection_weights(
+            tmp_path / "w.npz", init_projection_weights(4, seed=0, gamma=1e40)
+        )
+        argv += ["--weights", str(tmp_path / "w.npz")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's cast warning would raise here
-        code = main(["attention-demo", "--search-size", "4,5,5", "--gamma", "1e40",
-                     "--output", str(out)])
+        code = main(argv)
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {out / 'enhanced.bin'}: feature-map cell (")
+    where = tmp_path / "w.npz" if source == "weights" else source
+    assert err.startswith(f"error: {where}: feature-map cell (")
     assert err.endswith(") is not finite in float32\n") and err.count("\n") == 1
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mask", ["1,1,0,2", "1,1,2,0", "1,1,-1,2", "1,1,2,-3"])
