@@ -15,6 +15,13 @@ rejects, is an error opening with its source: ``--theta needs a float, got
 All outputs are written atomically (temp file, then rename), so an aborted
 run never leaves partial files; the exit code is 0 only when every output
 was fully written, 1 on runtime or configuration errors, 2 on usage errors.
+
+Directory-mode ``evaluate`` scores its sequences in worker processes, one
+per CPU this process may run on (no more than there are sequences), forked
+from this one; with one CPU, or where "fork" is not a start method, it
+scores them in this process.  Both ways run :func:`_score_sequence` in
+sorted sequence order and write the same bytes, and the first sequence
+that fails in that order is the one reported.
 """
 
 from __future__ import annotations
@@ -76,11 +83,15 @@ def _on_off(text: str, where: str) -> bool:
     return word == "on"
 
 
-def _output_dir(args) -> Path:
+def _output_path(args) -> Path:
     output, _ = _resolve(args, "output", lambda text, where: text, None)
     if not output:
         raise ConfigError("no output directory: pass --output or set SATTRACK_OUTPUT")
-    path = Path(output)
+    return Path(output)
+
+
+def _output_dir(args) -> Path:
+    path = _output_path(args)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -208,6 +219,46 @@ def _discover_sequences(pred_dir: Path, gt_dir: Path) -> list[tuple[str, Path, P
     return [(stem, pred_file, gts[stem]) for stem, pred_file in preds.items()]
 
 
+def _score_sequence(sequence: tuple[str, Path, Path]):
+    """``(name, result)`` of one ``(name, pred_file, gt_file)`` sequence: the
+    one scoring path of directory mode, in this process or in a worker."""
+    name, pred_file, gt_file = sequence
+    try:
+        return name, evaluate(
+            formats.read_trajectory_rows(pred_file), formats.read_trajectory_rows(gt_file)
+        )
+    except ValueError as exc:
+        raise ConfigError(f"sequence {name!r}: {exc}") from exc
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _score_sequences(sequences: list[tuple[str, Path, Path]]) -> dict:
+    """Every sequence's result by name, in the order given.  The sequences
+    are independent, so they are scored in forked worker processes when
+    there is more than one CPU and more than one sequence."""
+    workers = min(_cpu_count(), len(sequences))
+    if workers == 1 or not hasattr(os, "fork"):  # no "fork" start method
+        return dict(map(_score_sequence, sequences))
+    # imported here: they take about 25 ms, which no other path should pay
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    context = multiprocessing.get_context("fork")
+    chunksize = -(-len(sequences) // (2 * workers))  # two chunks per worker
+    try:
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            return dict(pool.map(_score_sequence, sequences, chunksize=chunksize))
+    except BrokenProcessPool as exc:
+        raise ConfigError(f"a worker process scoring the sequences died: {exc}") from None
+
+
 def cmd_evaluate(args):
     pred_path = Path(args.pred)
     gt_path = Path(args.gt)
@@ -218,7 +269,7 @@ def cmd_evaluate(args):
             "--attributes needs directory mode (--pred and --gt directories); "
             "a single sequence has no attribute groups"
         )
-    out = _output_dir(args)
+    out = _output_path(args)  # made once every input is read and scored
 
     if not pred_path.is_dir():
         pred_rows = formats.read_trajectory_rows(pred_path)
@@ -227,6 +278,7 @@ def cmd_evaluate(args):
             result = evaluate(pred_rows, gt_rows)
         except ValueError as exc:
             raise ConfigError(f"{pred_path} and {gt_path}: {exc}") from exc
+        out.mkdir(parents=True, exist_ok=True)
         formats.write_json(out / "summary.json", formats.result_summary(result))
         formats.write_curves_csv(out / "curves.csv", result)
         print(
@@ -235,19 +287,13 @@ def cmd_evaluate(args):
         )
         return
 
-    results = {}
-    for name, pred_file, gt_file in _discover_sequences(pred_path, gt_path):
-        try:
-            results[name] = evaluate(
-                formats.read_trajectory_rows(pred_file), formats.read_trajectory_rows(gt_file)
-            )
-        except ValueError as exc:
-            raise ConfigError(f"sequence {name!r}: {exc}") from exc
+    results = _score_sequences(_discover_sequences(pred_path, gt_path))
     groups = {"overall": list(results)}
     if args.attributes:
         groups.update(formats.read_attribute_groups(args.attributes))
     aggregated = aggregate_results(results, groups)
 
+    out.mkdir(parents=True, exist_ok=True)
     formats.write_json(
         out / "summary.json",
         {

@@ -292,6 +292,8 @@ def write_grid_csv(path, grid: np.ndarray):
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2:
         raise ValueError(f"grid must be 2-D, got shape {grid.shape}")
+    if not grid.size:  # read_grid_csv rejects the file an empty grid would make
+        raise ValueError(f"grid must have a row and a column, got shape {grid.shape}")
     _write_table(path, None, grid.T)
 
 

@@ -1,8 +1,10 @@
 """End-to-end command-line tests, run in-process through main(argv)."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
+import os
 import shutil
 import tempfile
 import warnings
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sattrack import cli
+from sattrack import cli, formats
 from sattrack.cli import main
 from sattrack.formats import read_feature_map, read_grid_csv, write_feature_map
 from sattrack import (
@@ -1062,7 +1064,7 @@ def test_undecodable_input_file_names_it(tmp_path, capsys, command):
     out = tmp_path / "o"
     assert main(argv + ["--output", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (byte 0xff at offset 25)\n"
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_evaluate_missing_gt_no_partial_output(tmp_path, capsys):
@@ -1074,8 +1076,7 @@ def test_evaluate_missing_gt_no_partial_output(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
-    assert not (out / "summary.json").exists()
-    assert not (out / "curves.csv").exists()
+    assert not out.exists()
 
 
 def test_evaluate_mixed_file_and_directory(tmp_path, capsys):
@@ -1086,6 +1087,109 @@ def test_evaluate_mixed_file_and_directory(tmp_path, capsys):
     )
     assert code == 1
     assert "both" in capsys.readouterr().err
+
+
+def write_mixed_suite(root: Path):
+    """Five sequences of different lengths under ``root/pred`` and
+    ``root/gt``, trajectory CSVs and corner .txt files mixed, and an
+    attribute groups file ``root/groups.cfg``."""
+    pred_dir, gt_dir = root / "pred", root / "gt"
+    pred_dir.mkdir(), gt_dir.mkdir()
+    rng = np.random.default_rng(16)
+    for k, name in enumerate("abcde"):
+        frames = 20 + 7 * k
+        gt = np.column_stack([
+            40 + 2.5 * np.arange(frames), 30 + 0.5 * np.arange(frames),
+            np.full(frames, 12.0), np.full(frames, 8.0),
+        ])
+        pred = gt + rng.normal(scale=4.0, size=gt.shape) * [1, 1, 0.1, 0.1]
+        for directory, rows in ((pred_dir, pred), (gt_dir, gt)):
+            if k % 2:
+                formats.write_trajectory(directory / f"{name}.csv", rows)
+            else:
+                corners = np.column_stack([rows[:, :2] - rows[:, 2:] / 2, rows[:, 2:]])
+                write_corner_file(directory / f"{name}.txt", corners.tolist())
+    (root / "groups.cfg").write_text("odd = b d\neven = a c e\n")
+
+
+def run_evaluate_suite(root: Path, workers: int, monkeypatch, capsys, *flags):
+    """(exit code, stdout, stderr, output directory) of directory-mode
+    evaluate over ``root``, with the CPU count set to ``workers``."""
+    monkeypatch.setattr(cli, "_cpu_count", lambda: workers)
+    out = root / f"out-{workers}"
+    code = main(["evaluate", "--pred", str(root / "pred"), "--gt", str(root / "gt"),
+                 *flags, "--output", str(out)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, out
+
+
+def test_evaluate_workers_write_the_in_process_bytes(tmp_path, monkeypatch, capsys):
+    write_mixed_suite(tmp_path)
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    flags = ("--attributes", str(tmp_path / "groups.cfg"))
+    code, stdout, err, serial = run_evaluate_suite(tmp_path, 1, monkeypatch, capsys, *flags)
+    assert (code, err, pools) == (0, "", [])
+    assert run_evaluate_suite(tmp_path, 2, monkeypatch, capsys, *flags)[:3] == (0, stdout, "")
+    assert pools == [(2,)]
+    names = sorted(path.name for path in serial.iterdir())
+    assert names == [
+        "curves_even.csv", "curves_odd.csv", "curves_overall.csv", "summary.json"
+    ]
+    for name in names:
+        assert (tmp_path / "out-2" / name).read_bytes() == (serial / name).read_bytes()
+    assert list(json.loads((serial / "summary.json").read_text())["sequences"]) == list("abcde")
+
+
+def _break_sequences(pred_dir: Path):
+    (pred_dir / "b.csv").write_text("frame,cx,cy,w,h\n1,x,2,3,4\n")  # non-numeric field
+    lines = (pred_dir / "d.csv").read_text().splitlines(keepends=True)
+    (pred_dir / "d.csv").write_text("".join(lines[:-1]))  # one frame short
+
+
+def _directory_named_like_a_sequence(pred_dir: Path):
+    (pred_dir / "c.txt").unlink()
+    (pred_dir / "c.txt").mkdir()
+
+
+@pytest.mark.parametrize("damage, opening", [
+    (_break_sequences, "error: sequence 'b': "),
+    (_directory_named_like_a_sequence, "error: [Errno 21] Is a directory: "),
+])
+def test_evaluate_workers_report_the_in_process_error(
+    tmp_path, monkeypatch, capsys, damage, opening
+):
+    write_mixed_suite(tmp_path)
+    damage(tmp_path / "pred")
+    runs = [run_evaluate_suite(tmp_path, workers, monkeypatch, capsys) for workers in (1, 2)]
+    for code, stdout, err, out in runs:
+        assert (code, stdout, err) == runs[0][:3]
+        assert not out.exists()
+    code, _, err, _ = runs[0]
+    assert code == 1 and err.startswith(opening) and err.count("\n") == 1
+
+
+def test_evaluate_worker_death_is_one_error_line(tmp_path, monkeypatch, capfd):
+    write_mixed_suite(tmp_path)
+    parent, read = os.getpid(), formats.read_trajectory_rows
+
+    def read_or_die(path):
+        if os.getpid() != parent:
+            os._exit(3)
+        return read(path)
+
+    monkeypatch.setattr(formats, "read_trajectory_rows", read_or_die)
+    code, stdout, err, out = run_evaluate_suite(tmp_path, 2, monkeypatch, capfd)
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: a worker process scoring the sequences died: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -599,6 +599,13 @@ class TestTraceAndGrids:
         write_grid_csv(path, grid)
         assert np.array_equal(read_grid_csv(path), grid)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_grid_is_not_written(self, tmp_path, shape):
+        path = tmp_path / "grid.csv"
+        with pytest.raises(ValueError, match=rf"got shape \({shape[0]}, {shape[1]}\)"):
+            write_grid_csv(path, np.zeros(shape))
+        assert not path.exists()
+
     def test_ragged_grid_rejected(self, tmp_path):
         path = tmp_path / "grid.csv"
         path.write_text("1,2,3\n4,5\n")
