@@ -12,9 +12,10 @@ finite float).  A value that does not parse, or that its settings class
 rejects, is an error opening with its source: ``--theta needs a float, got
 'inf'``, ``SATTRACK_N1: n1 must exceed 2*n2 ...``.
 
-All outputs are written atomically (temp file, then rename), so an aborted
-run never leaves partial files; the exit code is 0 only when every output
-was fully written, 1 on runtime or configuration errors, 2 on usage errors.
+All outputs are written atomically (temp file, then a swap with the old
+file or a rename; see :mod:`sattrack.formats`), so a failed or killed run
+never leaves partial files; the exit code is 0 only when every output was
+fully written, 1 on runtime or configuration errors, 2 on usage errors.
 
 Directory-mode ``evaluate`` scores its sequences in worker processes, one
 per CPU this process may run on (no more than there are sequences), forked

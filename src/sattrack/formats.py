@@ -1,10 +1,19 @@
 """File formats and atomic output handling.
 
-Every writer here goes through a temp-file-plus-rename so a crash mid-write
-never leaves a truncated artifact behind.  Every CSV file is written by one
-table writer, :func:`_write_table`, from equal-length columns; its floats
-use Python's shortest round-trip representation, so files are byte-stable
-across runs and parse back to the exact values that were written.
+Every writer here writes a temp file beside its target and then moves it
+into place, so a failed or killed run never leaves a truncated artifact
+behind: the target names the complete old file or the complete new one.
+An existing regular file is swapped with the temp file in one
+``renameat2(RENAME_EXCHANGE)`` call, and the temp file, which then holds
+the old bytes, is unlinked.  Everything else (a new target, a symlink or a
+directory at the target, a platform or filesystem without the swap) goes
+to ``os.replace``.  No writer calls ``fsync``, so a file is not guaranteed
+to survive a power loss.
+
+Every CSV file is written by one table writer, :func:`_write_table`, from
+equal-length columns; its floats use Python's shortest round-trip
+representation, so files are byte-stable across runs and parse back to the
+exact values that were written.
 
 Text files are read as UTF-8, whatever the locale: every text reader goes
 through one decoder, which skips a leading byte-order mark and reports a
@@ -33,10 +42,13 @@ Formats:
 
 from __future__ import annotations
 
+import ctypes
+import errno
 import json
 import math
 import os
 import re
+import stat
 import struct
 import tokenize
 import zipfile
@@ -75,13 +87,59 @@ def _build(where, build, *args, **fields):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _find_renameat2():
+    """The C library's ``renameat2``, or ``None`` where it has none."""
+    try:
+        fn = ctypes.CDLL(None, use_errno=True).renameat2
+    except (AttributeError, OSError, TypeError):  # no symbol; no process handle (Windows)
+        return None
+    fn.argtypes = (ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p, ctypes.c_uint)
+    fn.restype = ctypes.c_int
+    return fn
+
+
+_RENAMEAT2 = _find_renameat2()
+_AT_FDCWD = -100
+_RENAME_EXCHANGE = 2
+# What renameat2 fails with on a kernel or filesystem without the swap, or
+# when the target vanished after it was found to be a regular file.
+_NO_EXCHANGE = frozenset({errno.EINVAL, errno.ENOSYS, errno.EOPNOTSUPP, errno.ENOENT})
+
+
+def _swapped(tmp: Path, path: Path) -> bool:
+    """Swap ``tmp`` with ``path`` if ``path`` is an existing regular file
+    and this platform and filesystem can: ``True`` if swapped.  Any failure
+    but "the swap is unavailable" is an ``OSError`` naming ``path``.
+
+    Replacing a file this way rather than with ``os.replace`` matters on
+    ext4: with its default ``auto_da_alloc``, a rename over an existing file
+    starts writeback of the new file's data inside the syscall, and a swap
+    followed by an unlink does not."""
+    if _RENAMEAT2 is None:
+        return False
+    try:
+        if not stat.S_ISREG(os.lstat(path).st_mode):
+            return False
+    except OSError:  # missing or unreachable: os.replace reports it as ever
+        return False
+    if _RENAMEAT2(_AT_FDCWD, os.fsencode(tmp), _AT_FDCWD, os.fsencode(path), _RENAME_EXCHANGE) == 0:
+        return True
+    code = ctypes.get_errno()
+    if code in _NO_EXCHANGE:
+        return False
+    raise OSError(code, os.strerror(code), str(path))
+
+
 def _atomic_write(path, writer: Callable[[Path], None]):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
     try:
         writer(tmp)
-        os.replace(tmp, path)
+        if _swapped(tmp, path):
+            tmp.unlink()  # it holds the old bytes now
+        else:
+            os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -325,7 +383,8 @@ def write_pgm(path, grid: np.ndarray):
 
 
 def _feature_map_bytes(tensor: np.ndarray, where) -> bytes:
-    """The bytes :func:`write_feature_map` writes.  A cell not finite in
+    """The feature-tensor file of ``tensor``: C, H, W as little-endian
+    uint32, then float32 data row-major per channel.  A cell not finite in
     float32 (beyond its range too) is a ``ValueError`` opening with ``where``
     and naming the first such cell."""
     tensor = np.asarray(tensor)
@@ -337,13 +396,6 @@ def _feature_map_bytes(tensor: np.ndarray, where) -> bytes:
         cell = np.argwhere(~np.isfinite(data))[0].tolist()
         raise ValueError(f"{where}: feature-map cell {tuple(cell)} is not finite in float32")
     return struct.pack("<3I", *tensor.shape) + data.tobytes()
-
-
-def write_feature_map(path, tensor: np.ndarray):
-    """C, H, W as little-endian uint32, then float32 data row-major per channel.
-    A cell not finite in float32 is a ``ValueError`` naming ``path`` and the
-    cell, and no file is written."""
-    atomic_write_bytes(path, _feature_map_bytes(tensor, path))
 
 
 def read_feature_map(path) -> np.ndarray:

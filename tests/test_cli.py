@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from sattrack import cli, formats
 from sattrack.cli import main
-from sattrack.formats import read_feature_map, read_grid_csv, write_feature_map
+from sattrack.formats import read_feature_map, read_grid_csv
 from sattrack import (
     attention_weights,
     enhance_features,
@@ -29,7 +29,7 @@ from sattrack import BoundingBox, MotionParams, ScenarioConfig, TrackerState
 from sattrack import generate_scenario, motion, psr
 from sattrack.motion import _branch_weights, _score
 from test_attention import with_biases
-from test_formats import feature_map_bytes, read_trajectory, scenario_text
+from test_formats import feature_map_bytes, read_trajectory, scenario_text, write_feature_map
 from test_scenario import PIN_CONFIGS
 
 CLEAN_SCENARIO = """\

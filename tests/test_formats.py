@@ -1,7 +1,10 @@
 """File format round-trips and configuration parsing errors."""
 
+import ctypes
+import errno
 import io
 import json
+import os
 import math
 import re
 import struct
@@ -22,15 +25,18 @@ from sattrack import (
     evaluate,
     init_projection_weights,
 )
+from sattrack import formats
 from sattrack.boxes import box_rows
 from sattrack.formats import (
     ConfigError,
+    _feature_map_bytes,
     _write_table,
     _parse_numbers,
     _parse_whole,
     _read_text,
     _scan_rows,
     _split_row,
+    atomic_write_bytes,
     atomic_write_text,
     motion_params_from_file,
     read_attribute_groups,
@@ -42,7 +48,6 @@ from sattrack.formats import (
     result_summary,
     scenario_from_file,
     write_curves_csv,
-    write_feature_map,
     write_grid_csv,
     write_json,
     write_pgm,
@@ -57,6 +62,14 @@ from sattrack.metrics import (
     EvalResult,
 )
 from test_attention import with_biases
+
+
+def write_feature_map(path, tensor):
+    """Write ``tensor`` as a feature-tensor file through the encoder and the
+    writer ``attention-demo`` uses: the round-trip helper of the tests.  A
+    cell not finite in float32 is a ``ValueError`` naming ``path`` and the
+    cell, and no file is written."""
+    atomic_write_bytes(path, _feature_map_bytes(tensor, path))
 
 
 def feature_map_bytes(tensor) -> bytes:
@@ -1270,7 +1283,92 @@ class TestEvalOutputs:
         assert names == {"precision", "norm_precision", "success"}
 
 
+@pytest.fixture(params=["swap", "replace"])
+def replace_way(request, monkeypatch):
+    """Run a test with both ways of replacing an existing file: the
+    ``renameat2`` swap (skipped where the C library has none), and
+    ``os.replace`` alone, with the handle set to ``None``."""
+    if request.param == "replace":
+        monkeypatch.setattr(formats, "_RENAMEAT2", None)
+    elif formats._RENAMEAT2 is None:
+        pytest.skip("the C library has no renameat2")
+    return request.param
+
+
+def failing_renameat2(code):
+    """A stand-in for the ``renameat2`` handle that fails with ``code``."""
+    def renameat2(*args):
+        ctypes.set_errno(code)
+        return -1
+    return renameat2
+
+
 class TestAtomicWrites:
+    def test_overwrite_gives_new_bytes_and_no_temp(self, tmp_path, replace_way):
+        path = tmp_path / "out.bin"
+        atomic_write_bytes(path, b"first, and longer\n")
+        atomic_write_bytes(path, b"second\n")
+        assert path.read_bytes() == b"second\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_directory_target_is_refused_and_kept(self, tmp_path, replace_way):
+        path = tmp_path / "out"
+        path.mkdir()
+        (path / "inside.txt").write_text("keep\n")
+        with pytest.raises(IsADirectoryError) as info:
+            atomic_write_text(path, "new\n")
+        assert info.value.errno == errno.EISDIR
+        assert (path / "inside.txt").read_text() == "keep\n"
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_symlink_target_is_replaced_not_followed(self, tmp_path, replace_way):
+        target = tmp_path / "target.txt"
+        target.write_text("pointed to\n")
+        path = tmp_path / "out.txt"
+        path.symlink_to(target)
+        atomic_write_text(path, "new\n")
+        assert not path.is_symlink() and path.read_text() == "new\n"
+        assert target.read_text() == "pointed to\n"
+        assert sorted(tmp_path.iterdir()) == [path, target]
+
+    def test_failed_swap_raises_naming_the_path_and_keeps_original(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        path.write_text("keep me\n")
+        monkeypatch.setattr(formats, "_RENAMEAT2", failing_renameat2(errno.EACCES))
+        with pytest.raises(PermissionError) as info:
+            atomic_write_text(path, "new\n")
+        assert info.value.errno == errno.EACCES and info.value.filename == str(path)
+        assert path.read_text() == "keep me\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("code", ["EINVAL", "ENOSYS", "EOPNOTSUPP", "ENOENT"])
+    def test_unavailable_swap_falls_back_to_replace(self, tmp_path, monkeypatch, code):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        monkeypatch.setattr(formats, "_RENAMEAT2", failing_renameat2(getattr(errno, code)))
+        atomic_write_text(path, "new\n")
+        assert path.read_text() == "new\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.skipif(formats._RENAMEAT2 is None, reason="the C library has no renameat2")
+    def test_existing_regular_file_is_swapped(self, tmp_path, monkeypatch):
+        real, calls = formats._RENAMEAT2, []
+
+        def spy(*args):
+            result = real(*args)
+            calls.append((os.fsdecode(args[1]), os.fsdecode(args[3]), args[4], result))
+            return result
+
+        monkeypatch.setattr(formats, "_RENAMEAT2", spy)
+        path = tmp_path / "out.txt"
+        atomic_write_text(path, "first\n")
+        assert calls == []  # a new name is an os.replace
+        atomic_write_text(path, "second\n")
+        tmp = str(path.with_name(f".out.txt.tmp{os.getpid()}"))
+        assert calls == [(tmp, str(path), formats._RENAME_EXCHANGE, 0)]
+        assert path.read_text() == "second\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_no_temp_residue(self, tmp_path):
         path = tmp_path / "out.txt"
         atomic_write_text(path, "hello\n")
