@@ -2,13 +2,19 @@
 
 Every writer here writes a temp file beside its target and then moves it
 into place, so a failed or killed run never leaves a truncated artifact
-behind: the target names the complete old file or the complete new one.
-An existing regular file is swapped with the temp file in one
-``renameat2(RENAME_EXCHANGE)`` call, and the temp file, which then holds
-the old bytes, is unlinked.  Everything else (a new target, a symlink or a
-directory at the target, a platform or filesystem without the swap) goes
-to ``os.replace``.  No writer calls ``fsync``, so a file is not guaranteed
-to survive a power loss.
+behind: while the machine stays up, the target names the complete old file
+or the complete new one.  What is at the target is swapped with the temp
+file in one ``renameat2(RENAME_EXCHANGE)`` call, and the temp file, which
+then holds the old bytes, is unlinked.  A new target, or a platform or
+filesystem without the swap, goes to ``os.replace``; so does a directory
+at the target, swapped back first, for ``os.replace`` to refuse.
+
+No writer calls ``fsync``.  A rename over an existing file on ext4 (with
+its default ``auto_da_alloc``) flushes the new data, so that after a power
+loss the target holds the old file or the new one; the swap skips that
+flush to return sooner.  A power loss within the writeback window can
+therefore leave a rewritten file empty, its old bytes already deleted, as
+it could always leave a new one.
 
 Every CSV file is written by one table writer, :func:`_write_table`, from
 equal-length columns; its floats use Python's shortest round-trip
@@ -48,7 +54,6 @@ import json
 import math
 import os
 import re
-import stat
 import struct
 import tokenize
 import zipfile
@@ -102,26 +107,14 @@ _RENAMEAT2 = _find_renameat2()
 _AT_FDCWD = -100
 _RENAME_EXCHANGE = 2
 # What renameat2 fails with on a kernel or filesystem without the swap, or
-# when the target vanished after it was found to be a regular file.
+# when there is nothing at the target to swap with.
 _NO_EXCHANGE = frozenset({errno.EINVAL, errno.ENOSYS, errno.EOPNOTSUPP, errno.ENOENT})
 
 
-def _swapped(tmp: Path, path: Path) -> bool:
-    """Swap ``tmp`` with ``path`` if ``path`` is an existing regular file
-    and this platform and filesystem can: ``True`` if swapped.  Any failure
-    but "the swap is unavailable" is an ``OSError`` naming ``path``.
-
-    Replacing a file this way rather than with ``os.replace`` matters on
-    ext4: with its default ``auto_da_alloc``, a rename over an existing file
-    starts writeback of the new file's data inside the syscall, and a swap
-    followed by an unlink does not."""
-    if _RENAMEAT2 is None:
-        return False
-    try:
-        if not stat.S_ISREG(os.lstat(path).st_mode):
-            return False
-    except OSError:  # missing or unreachable: os.replace reports it as ever
-        return False
+def _exchange(tmp: Path, path: Path) -> bool:
+    """Swap the names ``tmp`` and ``path`` in one call: ``True`` if
+    swapped, ``False`` where the swap is unavailable or nothing is at
+    ``path``.  Any other failure is an ``OSError`` naming ``path``."""
     if _RENAMEAT2(_AT_FDCWD, os.fsencode(tmp), _AT_FDCWD, os.fsencode(path), _RENAME_EXCHANGE) == 0:
         return True
     code = ctypes.get_errno()
@@ -130,15 +123,35 @@ def _swapped(tmp: Path, path: Path) -> bool:
     raise OSError(code, os.strerror(code), str(path))
 
 
+def _swapped_in(tmp: Path, path: Path) -> bool:
+    """Put ``tmp`` at ``path`` by swapping it with what is there and then
+    deleting that, now at ``tmp``: ``True`` if done.  ``False`` leaves both
+    names as they were, for ``os.replace``: where the swap is unavailable,
+    nothing is at ``path``, or what was there cannot be deleted (a
+    directory, which is swapped back so that ``os.replace`` refuses it).
+
+    On ext4 with its default ``auto_da_alloc``, a rename over an existing
+    file starts writeback of the new file's data inside the syscall; a swap
+    and an unlink do not, so a rewrite returns sooner and the kernel writes
+    the data back later."""
+    if _RENAMEAT2 is None or not _exchange(tmp, path):
+        return False
+    try:
+        os.unlink(tmp)
+    except OSError:  # a directory: swap it back, for os.replace to refuse
+        if not _exchange(tmp, path):
+            raise
+        return False
+    return True
+
+
 def _atomic_write(path, writer: Callable[[Path], None]):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
     try:
         writer(tmp)
-        if _swapped(tmp, path):
-            tmp.unlink()  # it holds the old bytes now
-        else:
+        if not _swapped_in(tmp, path):
             os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

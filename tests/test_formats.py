@@ -1350,8 +1350,10 @@ class TestAtomicWrites:
         assert path.read_text() == "new\n"
         assert list(tmp_path.iterdir()) == [path]
 
-    @pytest.mark.skipif(formats._RENAMEAT2 is None, reason="the C library has no renameat2")
-    def test_existing_regular_file_is_swapped(self, tmp_path, monkeypatch):
+    @staticmethod
+    def spy_on_renameat2(monkeypatch):
+        """The calls to the real ``renameat2`` handle, recorded from now on
+        as (old, new, flags, result)."""
         real, calls = formats._RENAMEAT2, []
 
         def spy(*args):
@@ -1360,14 +1362,34 @@ class TestAtomicWrites:
             return result
 
         monkeypatch.setattr(formats, "_RENAMEAT2", spy)
+        return calls
+
+    @pytest.mark.skipif(formats._RENAMEAT2 is None, reason="the C library has no renameat2")
+    def test_existing_regular_file_is_swapped(self, tmp_path, monkeypatch):
+        calls = self.spy_on_renameat2(monkeypatch)
         path = tmp_path / "out.txt"
-        atomic_write_text(path, "first\n")
-        assert calls == []  # a new name is an os.replace
-        atomic_write_text(path, "second\n")
         tmp = str(path.with_name(f".out.txt.tmp{os.getpid()}"))
-        assert calls == [(tmp, str(path), formats._RENAME_EXCHANGE, 0)]
+        atomic_write_text(path, "first\n")
+        swap = (tmp, str(path), formats._RENAME_EXCHANGE)
+        assert calls == [(*swap, -1)]  # nothing to swap with: os.replace moves it
+        atomic_write_text(path, "second\n")
+        assert calls[1:] == [(*swap, 0)]
         assert path.read_text() == "second\n"
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.skipif(formats._RENAMEAT2 is None, reason="the C library has no renameat2")
+    def test_swapped_directory_is_swapped_back_before_the_refusal(self, tmp_path, monkeypatch):
+        calls = self.spy_on_renameat2(monkeypatch)
+        path = tmp_path / "out"
+        path.mkdir()
+        (path / "inside.txt").write_text("keep\n")
+        with pytest.raises(IsADirectoryError) as info:
+            atomic_write_text(path, "new\n")
+        tmp = str(path.with_name(f".out.tmp{os.getpid()}"))
+        assert info.value.errno == errno.EISDIR and info.value.filename2 == str(path)
+        assert calls == [(tmp, str(path), formats._RENAME_EXCHANGE, 0)] * 2
+        assert (path / "inside.txt").read_text() == "keep\n"
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_no_temp_residue(self, tmp_path):
         path = tmp_path / "out.txt"
