@@ -12,9 +12,10 @@ finite float).  A value that does not parse, or that its settings class
 rejects, is an error opening with its source: ``--theta needs a float, got
 'inf'``, ``SATTRACK_N1: n1 must exceed 2*n2 ...``.
 
-All outputs are written atomically (temp file, then a swap with the old
-file or a rename; see :mod:`sattrack.formats`), so a failed or killed run
-never leaves partial files; the exit code is 0 only when every output was
+Handlers compute and return their files' bytes; :func:`main` resolves the
+output directory first and writes the files atomically once the handler
+returns (see :mod:`sattrack.formats`), so an error leaves no output and a
+killed run no partial file.  The exit code is 0 only when every output was
 fully written, 1 on runtime or configuration errors, 2 on usage errors.
 
 Directory-mode ``evaluate`` scores its sequences in worker processes, one
@@ -84,19 +85,6 @@ def _on_off(text: str, where: str) -> bool:
     return word == "on"
 
 
-def _output_path(args) -> Path:
-    output, _ = _resolve(args, "output", lambda text, where: text, None)
-    if not output:
-        raise ConfigError("no output directory: pass --output or set SATTRACK_OUTPUT")
-    return Path(output)
-
-
-def _output_dir(args) -> Path:
-    path = _output_path(args)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _overridden(args, config, kinds: dict):
     """``config`` (read from a file, or the defaults) with each number in
     ``kinds`` that its flag or variable sets laid over it.  A value the
@@ -125,7 +113,7 @@ def _motion_params(args) -> MotionParams:
 # subcommands
 
 
-def cmd_centerness_map(args):
+def cmd_centerness_map(args, out: Path):
     box = formats._build(
         "--box", BoundingBox, *formats._parse_numbers(args.box, (float,) * 4, "--box")
     )
@@ -139,16 +127,17 @@ def cmd_centerness_map(args):
     for message in dict.fromkeys(str(warning.message) for warning in caught):  # say it once
         print(f"warning: {message}", file=sys.stderr)
 
-    out = _output_dir(args)
-    formats.write_grid_csv(out / "constrained.csv", constrained.centerness)
-    formats.write_grid_csv(out / "classic.csv", classic.centerness)
-    formats.write_grid_csv(out / "labels.csv", constrained.labels)
-    formats.write_pgm(out / "constrained.pgm", constrained.centerness)
-    formats.write_pgm(out / "classic.pgm", classic.centerness)
-    print(f"wrote label maps for {box} to {out} ({constrained.positive_count} positives)")
+    files = {
+        "constrained.csv": formats.grid_csv(constrained.centerness),
+        "classic.csv": formats.grid_csv(classic.centerness),
+        "labels.csv": formats.grid_csv(constrained.labels),
+        "constrained.pgm": formats.pgm(constrained.centerness),
+        "classic.pgm": formats.pgm(classic.centerness),
+    }
+    return files, f"wrote label maps for {box} to {out} ({constrained.positive_count} positives)"
 
 
-def cmd_simulate(args):
+def cmd_simulate(args, out: Path):
     config = _scenario_config(args)
     gt, raw, maps, occluded = generate_scenario(config)
     flat = maps.reshape(len(maps), -1)
@@ -160,16 +149,17 @@ def cmd_simulate(args):
         peak_values, [psr(response) for response in maps],
     ]
 
-    out = _output_dir(args)
-    formats.write_trajectory(out / "ground_truth.csv", gt)
-    formats.write_trajectory(out / "raw_model.csv", raw)
-    formats._write_table(
-        out / "response_summary.csv", "frame,occluded,peak_row,peak_col,peak_value,psr", summary
-    )
-    print(f"simulated {len(maps)} frames (seed {config.seed}) into {out}")
+    files = {
+        "ground_truth.csv": formats.trajectory_csv(gt),
+        "raw_model.csv": formats.trajectory_csv(raw),
+        "response_summary.csv": formats._table(
+            "frame,occluded,peak_row,peak_col,peak_value,psr", summary
+        ),
+    }
+    return files, f"simulated {len(maps)} frames (seed {config.seed}) into {out}"
 
 
-def cmd_track(args):
+def cmd_track(args, out: Path):
     config = _scenario_config(args)
     params = _motion_params(args)
     refine, _ = _resolve(args, "ommr", _on_off, True)
@@ -187,12 +177,13 @@ def cmd_track(args):
     gt, raw, maps, _ = generate_scenario(config)
     trajectory, *trace = run_tracking(raw, maps, params, refine)
 
-    out = _output_dir(args)
-    formats.write_trajectory(out / "trajectory.csv", trajectory)
-    formats.write_trajectory(out / "ground_truth.csv", gt)
-    formats.write_trace(out / "trace.csv", *trace)
+    files = {
+        "trajectory.csv": formats.trajectory_csv(trajectory),
+        "ground_truth.csv": formats.trajectory_csv(gt),
+        "trace.csv": formats.trace_csv(*trace),
+    }
     mode = "refined" if refine else "raw"
-    print(f"tracked {len(trajectory)} frames ({mode}, seed {config.seed}) into {out}")
+    return files, f"tracked {len(trajectory)} frames ({mode}, seed {config.seed}) into {out}"
 
 
 def _sequence_files(directory: Path) -> dict[str, Path]:
@@ -260,7 +251,7 @@ def _score_sequences(sequences: list[tuple[str, Path, Path]]) -> dict:
         raise ConfigError(f"a worker process scoring the sequences died: {exc}") from None
 
 
-def cmd_evaluate(args):
+def cmd_evaluate(args, out: Path):
     pred_path = Path(args.pred)
     gt_path = Path(args.gt)
     if pred_path.is_dir() != gt_path.is_dir():
@@ -270,7 +261,6 @@ def cmd_evaluate(args):
             "--attributes needs directory mode (--pred and --gt directories); "
             "a single sequence has no attribute groups"
         )
-    out = _output_path(args)  # made once every input is read and scored
 
     if not pred_path.is_dir():
         pred_rows = formats.read_trajectory_rows(pred_path)
@@ -279,14 +269,14 @@ def cmd_evaluate(args):
             result = evaluate(pred_rows, gt_rows)
         except ValueError as exc:
             raise ConfigError(f"{pred_path} and {gt_path}: {exc}") from exc
-        out.mkdir(parents=True, exist_ok=True)
-        formats.write_json(out / "summary.json", formats.result_summary(result))
-        formats.write_curves_csv(out / "curves.csv", result)
-        print(
+        files = {
+            "summary.json": formats.json_bytes(formats.result_summary(result)),
+            "curves.csv": formats.curves_csv(result),
+        }
+        return files, (
             f"p5={result.p5:.4f} p20={result.p20:.4f} np05={result.np05:.4f} "
             f"auc={result.success_auc:.4f} ({result.frame_count} frames)"
         )
-        return
 
     results = _score_sequences(_discover_sequences(pred_path, gt_path))
     groups = {"overall": list(results)}
@@ -294,24 +284,20 @@ def cmd_evaluate(args):
         groups.update(formats.read_attribute_groups(args.attributes))
     aggregated = aggregate_results(results, groups)
 
-    out.mkdir(parents=True, exist_ok=True)
-    formats.write_json(
-        out / "summary.json",
-        {
-            "sequences": {k: formats.result_summary(r) for k, r in results.items()},
-            "groups": {k: formats.result_summary(r) for k, r in aggregated.items()},
-        },
-    )
+    files = {"summary.json": formats.json_bytes({
+        "sequences": {k: formats.result_summary(r) for k, r in results.items()},
+        "groups": {k: formats.result_summary(r) for k, r in aggregated.items()},
+    })}
     for name, result in aggregated.items():
-        formats.write_curves_csv(out / f"curves_{name}.csv", result)
+        files[f"curves_{name}.csv"] = formats.curves_csv(result)
     overall = aggregated["overall"]
-    print(
+    return files, (
         f"{len(results)} sequences: p20={overall.p20:.4f} "
         f"np05={overall.np05:.4f} auc={overall.success_auc:.4f}"
     )
 
 
-def cmd_attention_demo(args):
+def cmd_attention_demo(args, out: Path):
     seed, source = _resolve(args, "seed", _number(int), 0)
     rng = np.random.Generator(formats._build(source, np.random.PCG64, seed))
     if args.search:
@@ -351,20 +337,17 @@ def cmd_attention_demo(args):
     saliency = template_saliency(attention.T, mask).reshape(template.shape[1:])
 
     # the features are search + gamma * mixed: a cell beyond float32 is
-    # charged to what set gamma, and found before the output directory is made
+    # charged to what set gamma
     _, gamma_source = _resolve(args, "gamma", _number(float), None)
-    enhanced_bytes = formats._feature_map_bytes(
-        enhanced, gamma_source or args.weights or "enhanced features"
-    )
-
-    out = _output_dir(args)
-    formats.atomic_write_bytes(out / "enhanced.bin", enhanced_bytes)
-    formats.write_grid_csv(out / "saliency.csv", saliency)
     peak = saliency.max()
-    formats.write_pgm(out / "saliency.pgm", saliency / peak if peak > 0 else saliency)
-    print(
-        f"enhanced {search.shape} search features (gamma={weights.gamma}) into {out}"
-    )
+    files = {
+        "enhanced.bin": formats._feature_map_bytes(
+            enhanced, gamma_source or args.weights or "enhanced features"
+        ),
+        "saliency.csv": formats.grid_csv(saliency),
+        "saliency.pgm": formats.pgm(saliency / peak if peak > 0 else saliency),
+    }
+    return files, f"enhanced {search.shape} search features (gamma={weights.gamma}) into {out}"
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +425,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.handler(args)
+        out, source = _resolve(args, "output", lambda text, where: text, None)
+        if not out:
+            raise ConfigError("no output directory: pass --output or set SATTRACK_OUTPUT")
+        files, line = args.handler(args, Path(out))
+        formats.write_outputs(out, files, source)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(line)
     return 0
 
 

@@ -1,25 +1,27 @@
 """File formats and atomic output handling.
 
-Every writer here writes a temp file beside its target and then moves it
-into place, so a failed or killed run never leaves a truncated artifact
-behind: while the machine stays up, the target names the complete old file
-or the complete new one.  What is at the target is swapped with the temp
-file in one ``renameat2(RENAME_EXCHANGE)`` call, and the temp file, which
-then holds the old bytes, is unlinked.  A new target, or a platform or
-filesystem without the swap, goes to ``os.replace``; so does a directory
-at the target, swapped back first, for ``os.replace`` to refuse.
+Each output format has an encoder that returns the file's bytes, and
+:func:`write_outputs` writes a command's files by one writer,
+:func:`atomic_write_bytes`: a temp file beside the target, then moved into
+place, so a failed or killed run never leaves a truncated artifact behind:
+while the machine stays up, the target names the complete old file or the
+complete new one.  What is at the target is swapped with the temp file in
+one ``renameat2(RENAME_EXCHANGE)`` call, and the temp file, which then
+holds the old bytes, is unlinked.  A new target, or a platform or filesystem
+without the swap, goes to ``os.replace``; so does a directory at the
+target, swapped back first, for ``os.replace`` to refuse.
 
-No writer calls ``fsync``.  A rename over an existing file on ext4 (with
-its default ``auto_da_alloc``) flushes the new data, so that after a power
-loss the target holds the old file or the new one; the swap skips that
-flush to return sooner.  A power loss within the writeback window can
+The writer does not call ``fsync``.  A rename over an existing file on ext4
+(with its default ``auto_da_alloc``) flushes the new data, so that after a
+power loss the target holds the old file or the new one; the swap skips
+that flush to return sooner.  A power loss within the writeback window can
 therefore leave a rewritten file empty, its old bytes already deleted, as
 it could always leave a new one.
 
-Every CSV file is written by one table writer, :func:`_write_table`, from
+Every CSV file is built by one table encoder, :func:`_table`, from
 equal-length columns; its floats use Python's shortest round-trip
 representation, so files are byte-stable across runs and parse back to the
-exact values that were written.
+exact values that were written.  Every output is encoded as ASCII.
 
 Text files are read as UTF-8, whatever the locale: every text reader goes
 through one decoder, which skips a leading byte-order mark and reports a
@@ -34,10 +36,10 @@ Formats:
   separated).  :func:`read_trajectory_rows` parses either straight into
   ``(N, 4)`` center-format rows: a well-formed file in one pass over its
   whole text, any other file row by row, so that the first bad line in
-  file order is the one reported.  :func:`write_trajectory` writes such
+  file order is the one reported.  :func:`trajectory_csv` encodes such
   rows
 * trace CSV -- ``frame,psr,npsr,branch``, written from the per-frame
-  columns of :func:`~sattrack.motion.track_rows` by :func:`write_trace`
+  columns of :func:`~sattrack.motion.track_rows` by :func:`trace_csv`
 * grid CSV -- one response/label map row per line
 * PGM (binary P5) -- grayscale heatmap export, value*255 rounded
 * feature tensor -- 12-byte header of C, H, W as little-endian uint32,
@@ -60,7 +62,7 @@ import zipfile
 import zlib
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -145,12 +147,13 @@ def _swapped_in(tmp: Path, path: Path) -> bool:
     return True
 
 
-def _atomic_write(path, writer: Callable[[Path], None]):
+def atomic_write_bytes(path, data: bytes):
+    """Write ``data`` to ``path``, in an existing directory, by a temp file
+    beside it; on any failure ``path`` is left as it was."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
     try:
-        writer(tmp)
+        tmp.write_bytes(data)
         if not _swapped_in(tmp, path):
             os.replace(tmp, path)
     except BaseException:
@@ -158,20 +161,27 @@ def _atomic_write(path, writer: Callable[[Path], None]):
         raise
 
 
-def atomic_write_bytes(path, data: bytes):
-    _atomic_write(path, lambda tmp: tmp.write_bytes(data))
+def write_outputs(directory, files: dict[str, bytes], source: str):
+    """Make ``directory`` and write ``files``, name -> bytes, into it in
+    order.  An ``OSError`` is a :class:`ConfigError` opening with ``source``
+    (what named ``directory``) and naming the target, not the temp file;
+    the files before it stay written."""
+    directory = target = Path(directory)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        for name, data in files.items():
+            target = directory / name
+            atomic_write_bytes(target, data)
+    except OSError as exc:
+        raise ConfigError(f"{source}: cannot write {target}: {exc.strerror or exc}") from None
 
 
-def atomic_write_text(path, text: str):
-    _atomic_write(path, lambda tmp: tmp.write_text(text))
-
-
-def _write_table(path, header: str | None, columns: Sequence):
-    """Write equal-length ``columns`` as comma-separated lines under
-    ``header`` (none when it is ``None``): the one CSV line builder.  A
-    float array column is written as the shortest round-trip ``repr`` of
-    each value; any other column as ``str`` prints its items (an array's
-    as Python values), so a Python float is its ``repr`` there too."""
+def _table(header: str | None, columns: Sequence) -> bytes:
+    """Equal-length ``columns`` as comma-separated lines under ``header``
+    (none when it is ``None``): the one CSV line builder.  A float array
+    column is written as the shortest round-trip ``repr`` of each value;
+    any other column as ``str`` prints its items (an array's as Python
+    values), so a Python float is its ``repr`` there too."""
     cells = [
         list(map(repr if c.dtype.kind == "f" else str, c.tolist()))
         if isinstance(c, np.ndarray) else list(map(str, c))
@@ -181,7 +191,7 @@ def _write_table(path, header: str | None, columns: Sequence):
         raise ValueError(f"table columns must have equal lengths, got {[len(c) for c in cells]}")
     lines = [] if header is None else [header]
     lines += map(",".join, zip(*cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +200,13 @@ def _write_table(path, header: str | None, columns: Sequence):
 TRAJECTORY_HEADER = "frame,cx,cy,w,h"
 
 
-def write_trajectory(path, rows: np.ndarray):
-    """Write ``(N, 4)`` ``(cx, cy, w, h)`` rows as a trajectory CSV with
-    frames 1..N; pass ``box_rows(boxes)`` for a list of boxes."""
+def trajectory_csv(rows: np.ndarray) -> bytes:
+    """``(N, 4)`` ``(cx, cy, w, h)`` rows as a trajectory CSV with frames
+    1..N; pass ``box_rows(boxes)`` for a list of boxes."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 4:
         raise ValueError(f"trajectory rows must be (N, 4), got shape {rows.shape}")
-    _write_table(path, TRAJECTORY_HEADER, [range(1, len(rows) + 1), *rows.T])
+    return _table(TRAJECTORY_HEADER, [range(1, len(rows) + 1), *rows.T])
 
 
 def _read_text(path) -> str:
@@ -347,25 +357,25 @@ def read_trajectory_rows(path) -> np.ndarray:
     return rows if rows is not None else _scan_rows(path, text.splitlines())
 
 
-def write_trace(path, psr, npsr, branch: Sequence[str]):
-    """Write the per-frame trace columns, frames 1..N, as
-    ``frame,psr,npsr,branch``; the three columns must have equal lengths."""
+def trace_csv(psr, npsr, branch: Sequence[str]) -> bytes:
+    """The per-frame trace columns, frames 1..N, as ``frame,psr,npsr,branch``;
+    the three columns must have equal lengths."""
     psr = np.asarray(psr, dtype=float)
     columns = [range(1, len(psr) + 1), psr, np.asarray(npsr, dtype=float), branch]
-    _write_table(path, "frame,psr,npsr,branch", columns)
+    return _table("frame,psr,npsr,branch", columns)
 
 
 # ---------------------------------------------------------------------------
 # grids, heatmaps, tensors
 
 
-def write_grid_csv(path, grid: np.ndarray):
+def grid_csv(grid: np.ndarray) -> bytes:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2:
         raise ValueError(f"grid must be 2-D, got shape {grid.shape}")
     if not grid.size:  # read_grid_csv rejects the file an empty grid would make
         raise ValueError(f"grid must have a row and a column, got shape {grid.shape}")
-    _write_table(path, None, grid.T)
+    return _table(None, grid.T)
 
 
 def read_grid_csv(path) -> np.ndarray:
@@ -385,14 +395,14 @@ def read_grid_csv(path) -> np.ndarray:
     return np.array(rows)
 
 
-def write_pgm(path, grid: np.ndarray):
+def pgm(grid: np.ndarray) -> bytes:
     """Binary P5 heatmap of a [0, 1] map, one byte per cell."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2:
         raise ValueError(f"heatmap must be 2-D, got shape {grid.shape}")
     pixels = np.clip(np.rint(grid * 255.0), 0, 255).astype(np.uint8)
     header = f"P5\n{grid.shape[1]} {grid.shape[0]}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + pixels.tobytes())
+    return header + pixels.tobytes()
 
 
 def _feature_map_bytes(tensor: np.ndarray, where) -> bytes:
@@ -428,26 +438,6 @@ def read_feature_map(path) -> np.ndarray:
     return tensor
 
 
-def write_projection_weights(path, weights: ProjectionWeights):
-    arrays = {
-        "w_q": weights.w_q,
-        "w_k": weights.w_k,
-        "w_v": weights.w_v,
-        "gamma": np.array(weights.gamma),
-    }
-    for name in ("b_q", "b_k", "b_v"):
-        bias = getattr(weights, name)
-        if bias is not None:
-            arrays[name] = bias
-
-    def save(tmp: Path):
-        # savez appends ".npz" to bare paths; an open handle is used as-is.
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
-
-    _atomic_write(path, save)
-
-
 _REQUIRED_WEIGHTS = ("w_q", "w_k", "w_v", "gamma")
 _WEIGHT_ARRAYS = (*_REQUIRED_WEIGHTS, "b_q", "b_k", "b_v")
 # What numpy and zipfile raise on an open file that is not an intact .npz
@@ -459,7 +449,8 @@ _ARCHIVE_ERRORS = (
 
 
 def read_projection_weights(path) -> ProjectionWeights:
-    """Load the ``.npz`` bundle :func:`write_projection_weights` writes.
+    """Load a ``.npz`` bundle of ``w_q``, ``w_k``, ``w_v``, a scalar ``gamma``
+    and optionally ``b_q``, ``b_k``, ``b_v``.
 
     A file that is not such a bundle -- not an intact ``.npz`` archive, a
     missing or unknown array, a non-numeric or non-finite array, a
@@ -636,18 +627,18 @@ def read_attribute_groups(path) -> dict[str, list[str]]:
 # evaluation output
 
 
-def write_json(path, payload: dict):
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def json_bytes(payload: dict) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii")
 
 
-def write_curves_csv(path, result: EvalResult):
+def curves_csv(result: EvalResult) -> bytes:
     thresholds = (PRECISION_THRESHOLDS, NORM_PRECISION_THRESHOLDS, SUCCESS_THRESHOLDS)
     columns = [
         [name for name, taus in zip(CURVE_NAMES, thresholds) for _ in taus],
         np.concatenate(thresholds, dtype=float),
         np.concatenate([getattr(result, name) for name in CURVE_NAMES], dtype=float),
     ]
-    _write_table(path, "curve,threshold,value", columns)
+    return _table("curve,threshold,value", columns)
 
 
 def result_summary(result: EvalResult) -> dict:

@@ -24,12 +24,13 @@ from sattrack import (
     project_qkv,
     template_saliency,
 )
-from sattrack.formats import write_projection_weights
 from sattrack import BoundingBox, MotionParams, ScenarioConfig, TrackerState
 from sattrack import generate_scenario, motion, psr
 from sattrack.motion import _branch_weights, _score
 from test_attention import with_biases
-from test_formats import feature_map_bytes, read_trajectory, scenario_text, write_feature_map
+from test_formats import (
+    feature_map_bytes, read_trajectory, scenario_text, write_feature_map, write_projection_weights,
+)
 from test_scenario import PIN_CONFIGS
 
 CLEAN_SCENARIO = """\
@@ -203,6 +204,111 @@ def test_output_env_variable_used(scenario_file, tmp_path, monkeypatch):
     monkeypatch.setenv("SATTRACK_OUTPUT", str(out))
     assert main(["simulate", "--scenario", scenario_file(CLEAN_SCENARIO)]) == 0
     assert (out / "ground_truth.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# the output step
+
+# Per subcommand, the first file it writes and a later one that a test puts
+# a directory at.
+OUTPUTS = {
+    "centerness-map": ("constrained.csv", "classic.csv"),
+    "simulate": ("ground_truth.csv", "raw_model.csv"),
+    "track": ("trajectory.csv", "trace.csv"),
+    "evaluate": ("summary.json", "curves.csv"),
+    "attention-demo": ("enhanced.bin", "saliency.csv"),
+}
+COMMANDS = sorted(OUTPUTS)
+
+
+@pytest.fixture
+def commands(tmp_path, scenario_file):
+    """Per subcommand, its arguments but ``--output``: ``(succeeds, fails on
+    an input)``."""
+    config, missing = scenario_file(CLEAN_SCENARIO), str(tmp_path / "missing.cfg")
+    truth = tmp_path / "truth.csv"
+    truth.write_bytes(formats.trajectory_csv([(30.0, 40.0, 12.0, 8.0)] * 3))
+    return {
+        "centerness-map": (["--box", "100,100,24,8"], ["--box", "1,2,3"]),
+        "simulate": (["--scenario", config], ["--scenario", missing]),
+        "track": (["--scenario", config], ["--scenario", config, "--n1", "500"]),
+        "evaluate": (["--pred", str(truth), "--gt", str(truth)],
+                     ["--pred", str(truth), "--gt", missing]),
+        "attention-demo": (["--seed", "3"], ["--mask", "1,1,0,2"]),
+    }
+
+
+def assert_one_error_line(capsys, opening: str):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(opening) and captured.err.count("\n") == 1, captured.err
+    assert ".tmp" not in captured.err
+
+
+@pytest.mark.parametrize("source", ["--output", "SATTRACK_OUTPUT"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_an_output_at_or_under_a_regular_file_is_one_error_line(
+    commands, tmp_path, monkeypatch, capsys, command, source
+):
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    argv = [command, *commands[command][0]]
+    if source == "--output":
+        out = afile
+        argv += ["--output", str(out)]
+    else:
+        out = afile / "sub"
+        monkeypatch.setenv("SATTRACK_OUTPUT", str(out))
+    assert main(argv) == 1
+    assert_one_error_line(capsys, f"error: {source}: cannot write {out}: ")
+    assert afile.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_directory_at_an_output_name_is_one_error_line(commands, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    written, target = OUTPUTS[command]
+    (out / target).mkdir(parents=True)
+    (out / target / "inside.txt").write_text("keep\n")
+    assert main([command, *commands[command][0], "--output", str(out)]) == 1
+    assert_one_error_line(capsys, f"error: --output: cannot write {out / target}: ")
+    assert (out / target / "inside.txt").read_text() == "keep\n"
+    assert (out / written).is_file()  # the files before the failed one stay written
+    assert [path.name for path in out.iterdir() if ".tmp" in path.name] == []
+
+
+@pytest.mark.skipif(
+    hasattr(os, "geteuid") and os.geteuid() == 0, reason="permission bits do not stop root"
+)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_an_unwritable_output_directory_is_one_error_line(commands, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    out.chmod(0o500)
+    try:
+        assert main([command, *commands[command][0], "--output", str(out)]) == 1
+        first = out / OUTPUTS[command][0]
+        assert_one_error_line(capsys, f"error: --output: cannot write {first}: ")
+        assert list(out.iterdir()) == []
+    finally:
+        out.chmod(0o700)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_failing_input_leaves_no_output_directory(commands, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, *commands[command][1], "--output", str(out)]) == 1
+    assert_one_error_line(capsys, "error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "track"])
+def test_no_output_directory_fails_before_synthesis(commands, monkeypatch, capsys, command):
+    calls = []
+    monkeypatch.setattr(cli, "generate_scenario", calls.append)
+    assert main([command, *commands[command][0]]) == 1
+    assert_one_error_line(capsys, "error: no output directory: ")
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -1105,7 +1211,7 @@ def write_mixed_suite(root: Path):
         pred = gt + rng.normal(scale=4.0, size=gt.shape) * [1, 1, 0.1, 0.1]
         for directory, rows in ((pred_dir, pred), (gt_dir, gt)):
             if k % 2:
-                formats.write_trajectory(directory / f"{name}.csv", rows)
+                (directory / f"{name}.csv").write_bytes(formats.trajectory_csv(rows))
             else:
                 corners = np.column_stack([rows[:, :2] - rows[:, 2:] / 2, rows[:, 2:]])
                 write_corner_file(directory / f"{name}.txt", corners.tolist())

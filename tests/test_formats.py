@@ -30,15 +30,18 @@ from sattrack.boxes import box_rows
 from sattrack.formats import (
     ConfigError,
     _feature_map_bytes,
-    _write_table,
+    _table,
     _parse_numbers,
     _parse_whole,
     _read_text,
     _scan_rows,
     _split_row,
     atomic_write_bytes,
-    atomic_write_text,
+    curves_csv,
+    grid_csv,
+    json_bytes,
     motion_params_from_file,
+    pgm,
     read_attribute_groups,
     read_feature_map,
     read_grid_csv,
@@ -47,13 +50,8 @@ from sattrack.formats import (
     read_trajectory_rows,
     result_summary,
     scenario_from_file,
-    write_curves_csv,
-    write_grid_csv,
-    write_json,
-    write_pgm,
-    write_projection_weights,
-    write_trace,
-    write_trajectory,
+    trace_csv,
+    trajectory_csv,
 )
 from sattrack.metrics import (
     NORM_PRECISION_THRESHOLDS,
@@ -70,6 +68,19 @@ def write_feature_map(path, tensor):
     cell not finite in float32 is a ``ValueError`` naming ``path`` and the
     cell, and no file is written."""
     atomic_write_bytes(path, _feature_map_bytes(tensor, path))
+
+
+def write_projection_weights(path, weights: ProjectionWeights):
+    """Write ``weights`` as the ``.npz`` bundle ``--weights`` reads: ``w_q``,
+    ``w_k``, ``w_v``, a scalar ``gamma`` and each bias that is set."""
+    arrays = {"w_q": weights.w_q, "w_k": weights.w_k, "w_v": weights.w_v,
+              "gamma": np.array(weights.gamma)}
+    for name in ("b_q", "b_k", "b_v"):
+        if getattr(weights, name) is not None:
+            arrays[name] = getattr(weights, name)
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    atomic_write_bytes(path, buffer.getvalue())
 
 
 def feature_map_bytes(tensor) -> bytes:
@@ -92,21 +103,17 @@ class TestTrajectoryIO:
             for _ in range(20)
         ]
         path = tmp_path / "traj.csv"
-        write_trajectory(path, box_rows(boxes))
+        path.write_bytes(trajectory_csv(box_rows(boxes)))
         assert read_trajectory(path) == boxes
 
-    def test_output_is_byte_deterministic(self, tmp_path):
+    def test_output_is_byte_deterministic(self):
         boxes = [BoundingBox(1 / 3, 2 / 7, 9.25, np.pi)]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_trajectory(a, box_rows(boxes))
-        write_trajectory(b, box_rows(boxes))
-        assert a.read_bytes() == b.read_bytes()
-        assert a.read_text().splitlines()[0] == "frame,cx,cy,w,h"
+        a, b = trajectory_csv(box_rows(boxes)), trajectory_csv(box_rows(boxes))
+        assert a == b
+        assert a.decode().splitlines()[0] == "frame,cx,cy,w,h"
 
-    def test_frames_are_one_based(self, tmp_path):
-        path = tmp_path / "traj.csv"
-        write_trajectory(path, [(1.0, 2.0, 3.0, 4.0)] * 2)
-        lines = path.read_text().splitlines()
+    def test_frames_are_one_based(self):
+        lines = trajectory_csv([(1.0, 2.0, 3.0, 4.0)] * 2).decode().splitlines()
         assert lines[1].startswith("1,")
         assert lines[2].startswith("2,")
 
@@ -331,7 +338,7 @@ class TestTrajectoryRowsProperties:
     @given(boxes=boxes_strategy)
     def test_round_trip_rows_equal_box_rows(self, tmp_path_factory, boxes):
         path = tmp_path_factory.mktemp("round") / "traj.csv"
-        write_trajectory(path, box_rows(boxes))
+        path.write_bytes(trajectory_csv(box_rows(boxes)))
         rows = read_trajectory_rows(path)
         expected = box_rows(boxes)
         assert np.array_equal(rows, expected)
@@ -588,36 +595,32 @@ def test_any_bytes_parse_or_raise_config_error(tmp_path_factory, reader, data):
 
 
 class TestTraceAndGrids:
-    def test_trace_format(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        write_trace(path, np.array([9.25, 4.5]), [1.0, 0.5], ["warmup", "low"])
-        lines = path.read_text().splitlines()
+    def test_trace_format(self):
+        data = trace_csv(np.array([9.25, 4.5]), [1.0, 0.5], ["warmup", "low"])
+        lines = data.decode().splitlines()
         assert lines[0] == "frame,psr,npsr,branch"
         assert lines[1] == "1,9.25,1.0,warmup"
         assert lines[2] == "2,4.5,0.5,low"
 
-    def test_trace_columns_must_have_equal_lengths(self, tmp_path):
+    def test_trace_columns_must_have_equal_lengths(self):
         with pytest.raises(ValueError):
-            write_trace(tmp_path / "trace.csv", [9.25, 4.5], [1.0], ["warmup", "low"])
-        assert not (tmp_path / "trace.csv").exists()
+            trace_csv([9.25, 4.5], [1.0], ["warmup", "low"])
 
     @pytest.mark.parametrize("rows", [np.zeros((3, 5)), np.zeros(4), np.zeros((2, 2, 4))])
-    def test_trajectory_rows_must_be_n_by_4(self, tmp_path, rows):
+    def test_trajectory_rows_must_be_n_by_4(self, rows):
         with pytest.raises(ValueError, match=r"must be \(N, 4\)"):
-            write_trajectory(tmp_path / "t.csv", rows)
+            trajectory_csv(rows)
 
     def test_grid_round_trip_exact(self, tmp_path):
         grid = np.random.default_rng(52).normal(size=(7, 9))
         path = tmp_path / "grid.csv"
-        write_grid_csv(path, grid)
+        path.write_bytes(grid_csv(grid))
         assert np.array_equal(read_grid_csv(path), grid)
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
-    def test_empty_grid_is_not_written(self, tmp_path, shape):
-        path = tmp_path / "grid.csv"
+    def test_empty_grid_is_not_written(self, shape):
         with pytest.raises(ValueError, match=rf"got shape \({shape[0]}, {shape[1]}\)"):
-            write_grid_csv(path, np.zeros(shape))
-        assert not path.exists()
+            grid_csv(np.zeros(shape))
 
     def test_ragged_grid_rejected(self, tmp_path):
         path = tmp_path / "grid.csv"
@@ -631,22 +634,17 @@ class TestTraceAndGrids:
         with pytest.raises(ConfigError, match=r"grid\.csv:3: non-numeric grid cell 'x'"):
             read_grid_csv(path)
 
-    def test_pgm_layout(self, tmp_path):
-        grid = np.array([[0.0, 1.0], [0.5, 0.25]])
-        path = tmp_path / "map.pgm"
-        write_pgm(path, grid)
-        data = path.read_bytes()
+    def test_pgm_layout(self):
+        data = pgm(np.array([[0.0, 1.0], [0.5, 0.25]]))
         assert data.startswith(b"P5\n2 2\n255\n")
         assert data[len(b"P5\n2 2\n255\n") :] == bytes([0, 255, 128, 64])
 
-    def test_pgm_clips_out_of_range(self, tmp_path):
-        path = tmp_path / "map.pgm"
-        write_pgm(path, np.array([[-0.5, 2.0]]))
-        assert path.read_bytes().endswith(bytes([0, 255]))
+    def test_pgm_clips_out_of_range(self):
+        assert pgm(np.array([[-0.5, 2.0]])).endswith(bytes([0, 255]))
 
 
 # The line builders each CSV writer had of its own before they shared
-# ``formats._write_table``: the oracles of the bytes the writers write.
+# ``formats._table``: the oracles of the bytes the encoders return.
 
 
 def oracle_trajectory_text(rows) -> str:
@@ -703,8 +701,8 @@ def float_bytes(values) -> bytes:
 
 
 class TestTableWriters:
-    """Each CSV writer writes the bytes of its old line builder, and what it
-    writes reads back bitwise; columns of unequal lengths are an error."""
+    """Each CSV encoder returns the bytes of its old line builder, and what
+    it returns reads back bitwise; columns of unequal lengths are an error."""
 
     @settings(max_examples=100, deadline=None)
     @example(rows=[])
@@ -712,22 +710,22 @@ class TestTableWriters:
     @given(rows=st.lists(st.tuples(finite_floats, finite_floats, sizes, sizes), max_size=8))
     def test_trajectory_bytes_match_the_oracle(self, tmp_path_factory, rows):
         rows = np.array(rows, dtype=float).reshape(-1, 4)
-        path = tmp_path_factory.mktemp("traj") / "t.csv"
-        write_trajectory(path, rows)
-        assert path.read_bytes() == oracle_trajectory_text(rows).encode()
+        data = trajectory_csv(rows)
+        assert data == oracle_trajectory_text(rows).encode()
         if len(rows):  # a file of no rows is not a trajectory
+            path = tmp_path_factory.mktemp("traj") / "t.csv"
+            path.write_bytes(data)
             assert read_trajectory_rows(path).tobytes() == rows.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @example(trace=[])
     @example(trace=[(-0.0, 5e-324, "warmup"), (1e308, 3.0, "high")])
     @given(trace=st.lists(st.tuples(any_floats, any_floats, BRANCHES), max_size=8))
-    def test_trace_bytes_match_the_oracle(self, tmp_path_factory, trace):
+    def test_trace_bytes_match_the_oracle(self, trace):
         psr, npsr, branch = ([row[k] for row in trace] for k in range(3))
-        path = tmp_path_factory.mktemp("trace") / "trace.csv"
-        write_trace(path, psr, npsr, branch)
-        assert path.read_bytes() == oracle_trace_text(psr, npsr, branch).encode()
-        header, *lines = path.read_text().splitlines()
+        data = trace_csv(psr, npsr, branch)
+        assert data == oracle_trace_text(psr, npsr, branch).encode()
+        header, *lines = data.decode().splitlines()
         fields = [line.split(",") for line in lines]
         assert header == "frame,psr,npsr,branch"
         assert [f[0] for f in fields] == [str(k) for k in range(1, len(trace) + 1)]
@@ -737,12 +735,11 @@ class TestTableWriters:
 
     @settings(max_examples=50, deadline=None)
     @given(curves=st.tuples(*(hnp.arrays(float, n, elements=any_floats) for n in (51, 51, 21))))
-    def test_curves_bytes_match_the_oracle(self, tmp_path_factory, curves):
+    def test_curves_bytes_match_the_oracle(self, curves):
         result = EvalResult(*curves, p5=0.0, p20=0.0, np05=0.0, success_auc=0.0, frame_count=1)
-        path = tmp_path_factory.mktemp("curves") / "curves.csv"
-        write_curves_csv(path, result)
-        assert path.read_bytes() == oracle_curves_text(result).encode()
-        fields = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        data = curves_csv(result)
+        assert data == oracle_curves_text(result).encode()
+        fields = [line.split(",") for line in data.decode().splitlines()[1:]]
         thresholds = np.concatenate(
             (PRECISION_THRESHOLDS, NORM_PRECISION_THRESHOLDS, SUCCESS_THRESHOLDS)
         )
@@ -750,26 +747,24 @@ class TestTableWriters:
         assert float_bytes([float(f[2]) for f in fields]) == float_bytes(np.concatenate(curves))
 
     @pytest.mark.parametrize(
-        "write",
+        "encode",
         [
-            lambda path: _write_table(path, None, [[1.0, 2.0], [3.0]]),
-            lambda path: _write_table(path, "a,b", [range(3), np.zeros(2)]),
-            lambda path: write_trace(path, [9.25, 4.5], [1.0, 0.5], ["warmup"]),
-            lambda path: write_curves_csv(  # a 50-point precision curve
-                path, EvalResult(np.zeros(50), np.zeros(51), np.zeros(21), 0.0, 0.0, 0.0, 0.0, 1)
+            lambda: _table(None, [[1.0, 2.0], [3.0]]),
+            lambda: _table("a,b", [range(3), np.zeros(2)]),
+            lambda: trace_csv([9.25, 4.5], [1.0, 0.5], ["warmup"]),
+            lambda: curves_csv(  # a 50-point precision curve
+                EvalResult(np.zeros(50), np.zeros(51), np.zeros(21), 0.0, 0.0, 0.0, 0.0, 1)
             ),
         ],
     )
-    def test_unequal_columns_raise_and_write_nothing(self, tmp_path, write):
+    def test_unequal_columns_raise_and_write_nothing(self, encode):
         with pytest.raises(ValueError, match="equal lengths"):
-            write(tmp_path / "t.csv")
-        assert list(tmp_path.iterdir()) == []
+            encode()
 
-    def test_float_arrays_as_repr_other_columns_as_str(self, tmp_path):
-        path = tmp_path / "t.csv"
+    def test_float_arrays_as_repr_other_columns_as_str(self):
         columns = [np.arange(2), np.array([3.0, -0.0]), [5e-324, 1e16], ["a", "b"]]
-        _write_table(path, "i,x,y,label", columns)
-        assert path.read_text() == "i,x,y,label\n0,3.0,5e-324,a\n1,-0.0,1e+16,b\n"
+        data = _table("i,x,y,label", columns)
+        assert data == b"i,x,y,label\n0,3.0,5e-324,a\n1,-0.0,1e+16,b\n"
 
 
 class TestRoundTripProperties:
@@ -780,9 +775,10 @@ class TestRoundTripProperties:
     @given(grid=hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
                            elements=st.floats(allow_nan=False)))
     def test_grid_csv_round_trip_is_bitwise(self, tmp_path_factory, grid):
+        data = grid_csv(grid)
+        assert data == oracle_grid_text(grid).encode()
         path = tmp_path_factory.mktemp("grid") / "grid.csv"
-        write_grid_csv(path, grid)
-        assert path.read_bytes() == oracle_grid_text(grid).encode()
+        path.write_bytes(data)
         loaded = read_grid_csv(path)
         assert loaded.dtype == float and loaded.shape == grid.shape
         assert loaded.tobytes() == grid.tobytes()  # -0.0 and inf included
@@ -1265,17 +1261,13 @@ class TestEvalOutputs:
         summary = result_summary(self.result())
         assert sorted(summary) == ["frame_count", "np05", "p20", "p5", "success_auc"]
 
-    def test_json_is_sorted_and_parseable(self, tmp_path):
-        path = tmp_path / "summary.json"
-        write_json(path, result_summary(self.result()))
-        loaded = json.loads(path.read_text())
+    def test_json_is_sorted_and_parseable(self):
+        loaded = json.loads(json_bytes(result_summary(self.result())))
         assert list(loaded) == sorted(loaded)
         assert loaded["p5"] == 1.0
 
-    def test_curves_csv_has_all_rows(self, tmp_path):
-        path = tmp_path / "curves.csv"
-        write_curves_csv(path, self.result())
-        lines = path.read_text().splitlines()
+    def test_curves_csv_has_all_rows(self):
+        lines = curves_csv(self.result()).decode().splitlines()
         assert lines[0] == "curve,threshold,value"
         assert len(lines) == 1 + 51 + 51 + 21
         assert lines[1].startswith("precision,0.0,")
@@ -1316,7 +1308,7 @@ class TestAtomicWrites:
         path.mkdir()
         (path / "inside.txt").write_text("keep\n")
         with pytest.raises(IsADirectoryError) as info:
-            atomic_write_text(path, "new\n")
+            atomic_write_bytes(path, b"new\n")
         assert info.value.errno == errno.EISDIR
         assert (path / "inside.txt").read_text() == "keep\n"
         assert sorted(tmp_path.iterdir()) == [path]
@@ -1326,7 +1318,7 @@ class TestAtomicWrites:
         target.write_text("pointed to\n")
         path = tmp_path / "out.txt"
         path.symlink_to(target)
-        atomic_write_text(path, "new\n")
+        atomic_write_bytes(path, b"new\n")
         assert not path.is_symlink() and path.read_text() == "new\n"
         assert target.read_text() == "pointed to\n"
         assert sorted(tmp_path.iterdir()) == [path, target]
@@ -1336,7 +1328,7 @@ class TestAtomicWrites:
         path.write_text("keep me\n")
         monkeypatch.setattr(formats, "_RENAMEAT2", failing_renameat2(errno.EACCES))
         with pytest.raises(PermissionError) as info:
-            atomic_write_text(path, "new\n")
+            atomic_write_bytes(path, b"new\n")
         assert info.value.errno == errno.EACCES and info.value.filename == str(path)
         assert path.read_text() == "keep me\n"
         assert list(tmp_path.iterdir()) == [path]
@@ -1346,7 +1338,7 @@ class TestAtomicWrites:
         path = tmp_path / "out.txt"
         path.write_text("old\n")
         monkeypatch.setattr(formats, "_RENAMEAT2", failing_renameat2(getattr(errno, code)))
-        atomic_write_text(path, "new\n")
+        atomic_write_bytes(path, b"new\n")
         assert path.read_text() == "new\n"
         assert list(tmp_path.iterdir()) == [path]
 
@@ -1369,10 +1361,10 @@ class TestAtomicWrites:
         calls = self.spy_on_renameat2(monkeypatch)
         path = tmp_path / "out.txt"
         tmp = str(path.with_name(f".out.txt.tmp{os.getpid()}"))
-        atomic_write_text(path, "first\n")
+        atomic_write_bytes(path, b"first\n")
         swap = (tmp, str(path), formats._RENAME_EXCHANGE)
         assert calls == [(*swap, -1)]  # nothing to swap with: os.replace moves it
-        atomic_write_text(path, "second\n")
+        atomic_write_bytes(path, b"second\n")
         assert calls[1:] == [(*swap, 0)]
         assert path.read_text() == "second\n"
         assert list(tmp_path.iterdir()) == [path]
@@ -1384,7 +1376,7 @@ class TestAtomicWrites:
         path.mkdir()
         (path / "inside.txt").write_text("keep\n")
         with pytest.raises(IsADirectoryError) as info:
-            atomic_write_text(path, "new\n")
+            atomic_write_bytes(path, b"new\n")
         tmp = str(path.with_name(f".out.tmp{os.getpid()}"))
         assert info.value.errno == errno.EISDIR and info.value.filename2 == str(path)
         assert calls == [(tmp, str(path), formats._RENAME_EXCHANGE, 0)] * 2
@@ -1393,20 +1385,20 @@ class TestAtomicWrites:
 
     def test_no_temp_residue(self, tmp_path):
         path = tmp_path / "out.txt"
-        atomic_write_text(path, "hello\n")
+        atomic_write_bytes(path, b"hello\n")
         assert path.read_text() == "hello\n"
         assert list(tmp_path.iterdir()) == [path]
 
     def test_overwrite_replaces_content(self, tmp_path):
         path = tmp_path / "out.txt"
-        atomic_write_text(path, "first\n")
-        atomic_write_text(path, "second\n")
+        atomic_write_bytes(path, b"first\n")
+        atomic_write_bytes(path, b"second\n")
         assert path.read_text() == "second\n"
 
     def test_failed_write_keeps_original(self, tmp_path):
         path = tmp_path / "out.csv"
-        atomic_write_text(path, "keep me\n")
+        atomic_write_bytes(path, b"keep me\n")
         with pytest.raises(ValueError):
-            write_grid_csv(path, np.zeros((2, 2, 2)))  # 3-D grid is invalid
+            atomic_write_bytes(path, grid_csv(np.zeros((2, 2, 2))))  # 3-D grid is invalid
         assert path.read_text() == "keep me\n"
         assert list(tmp_path.iterdir()) == [path]
