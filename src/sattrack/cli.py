@@ -47,7 +47,7 @@ from .metrics import aggregate_results
 # ``evaluate`` here scores (N, 4) rows; benchmarks/tracing.py wraps this name
 # and reports its time as ``metrics.evaluate``.
 from .metrics import evaluate_rows as evaluate
-from .motion import MotionParams, psr
+from .motion import MotionParams, _psr_maps
 # ``track`` and ``simulate`` run on rows; benchmarks/tracing.py wraps these
 # two names and reports them as ``scenario.generate_scenario`` and
 # ``scenario.run_tracking``.
@@ -99,13 +99,27 @@ def _overridden(args, config, kinds: dict):
     return formats._build(", ".join(sources), replace, config, **values) if values else config
 
 
+def _read(flag: str, read, path):
+    """``read(path)`` for the input ``flag`` names.  An ``OSError`` opening
+    or reading it (no such file, a directory) is one ``OSError`` line,
+    ``<flag>: cannot read <path>: <reason>``; an ``OSError`` still, so the
+    handlers that add context to a file's ``ValueError`` leave it as it is."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise OSError(f"{flag}: cannot read {path}: {exc.strerror or exc}") from None
+
+
 def _scenario_config(args):
-    config = formats.scenario_from_file(args.scenario)
+    config = _read("--scenario", formats.scenario_from_file, args.scenario)
     return _overridden(args, config, {"seed": formats._SCENARIO_KEYS["seed"]})
 
 
 def _motion_params(args) -> MotionParams:
-    params = formats.motion_params_from_file(args.params) if args.params else MotionParams()
+    params = (
+        _read("--params", formats.motion_params_from_file, args.params)
+        if args.params else MotionParams()
+    )
     return _overridden(args, params, formats._MOTION_KEYS)
 
 
@@ -146,7 +160,7 @@ def cmd_simulate(args, out: Path):
     peak_values = flat[np.arange(len(flat)), peaks]
     summary = [
         range(1, len(maps) + 1), occluded.astype(int), peak_rows, peak_cols,
-        peak_values, [psr(response) for response in maps],
+        peak_values, _psr_maps(maps),
     ]
 
     files = {
@@ -201,10 +215,10 @@ def _sequence_files(directory: Path) -> dict[str, Path]:
 
 
 def _discover_sequences(pred_dir: Path, gt_dir: Path) -> list[tuple[str, Path, Path]]:
-    preds = _sequence_files(pred_dir)
+    preds = _read("--pred", _sequence_files, pred_dir)
     if not preds:
         raise ConfigError(f"{pred_dir}: no .csv or .txt trajectories found")
-    gts = _sequence_files(gt_dir)
+    gts = _read("--gt", _sequence_files, gt_dir)
     missing = [stem for stem in preds if stem not in gts]
     if missing:
         raise ConfigError(f"no ground truth for sequence {missing[0]!r} in {gt_dir}")
@@ -217,7 +231,8 @@ def _score_sequence(sequence: tuple[str, Path, Path]):
     name, pred_file, gt_file = sequence
     try:
         return name, evaluate(
-            formats.read_trajectory_rows(pred_file), formats.read_trajectory_rows(gt_file)
+            _read("--pred", formats.read_trajectory_rows, pred_file),
+            _read("--gt", formats.read_trajectory_rows, gt_file),
         )
     except ValueError as exc:
         raise ConfigError(f"sequence {name!r}: {exc}") from exc
@@ -263,8 +278,8 @@ def cmd_evaluate(args, out: Path):
         )
 
     if not pred_path.is_dir():
-        pred_rows = formats.read_trajectory_rows(pred_path)
-        gt_rows = formats.read_trajectory_rows(gt_path)
+        pred_rows = _read("--pred", formats.read_trajectory_rows, pred_path)
+        gt_rows = _read("--gt", formats.read_trajectory_rows, gt_path)
         try:
             result = evaluate(pred_rows, gt_rows)
         except ValueError as exc:
@@ -281,7 +296,7 @@ def cmd_evaluate(args, out: Path):
     results = _score_sequences(_discover_sequences(pred_path, gt_path))
     groups = {"overall": list(results)}
     if args.attributes:
-        groups.update(formats.read_attribute_groups(args.attributes))
+        groups.update(_read("--attributes", formats.read_attribute_groups, args.attributes))
     aggregated = aggregate_results(results, groups)
 
     files = {"summary.json": formats.json_bytes({
@@ -301,18 +316,18 @@ def cmd_attention_demo(args, out: Path):
     seed, source = _resolve(args, "seed", _number(int), 0)
     rng = np.random.Generator(formats._build(source, np.random.PCG64, seed))
     if args.search:
-        search = formats.read_feature_map(args.search)
+        search = _read("--search", formats.read_feature_map, args.search)
     else:
         c, h, w = formats._parse_numbers(args.search_size, (int,) * 3, "--search-size")
         search = rng.standard_normal((c, h, w))
     if args.template:
-        template = formats.read_feature_map(args.template)
+        template = _read("--template", formats.read_feature_map, args.template)
     else:
         h, w = formats._parse_numbers(args.template_size, (int,) * 2, "--template-size")
         template = rng.standard_normal((search.shape[0], h, w))
 
     if args.weights:
-        weights = formats.read_projection_weights(args.weights)
+        weights = _read("--weights", formats.read_projection_weights, args.weights)
     else:
         weights = init_projection_weights(search.shape[0], seed=seed)
     weights = _overridden(args, weights, {"gamma": float})

@@ -20,10 +20,11 @@ picks the branch, pushes the refined ``(cx, cy, w, h)`` row tuple into the
 tracker state and returns the frame's record ``(refined, psr, npsr,
 branch)``.  The history is those rows in a doubled ring buffer: every row
 is written twice, ``capacity`` rows apart, so the recent window is always
-one contiguous slice and a push costs O(1).  :func:`refine_step` runs the
-kernel for one :class:`BoundingBox`; :func:`track_rows` runs it over a
-whole sequence of ``(T, 4)`` rows and returns the records as columns, with
-no per-frame object.  Both therefore give the same floats.
+one contiguous slice and a push costs O(1).  :func:`refine_step` scores
+its map with :func:`psr` and runs the kernel for one
+:class:`BoundingBox`; :func:`track_rows` scores the whole sequence's maps
+first and runs the kernel over its ``(T, 4)`` rows, returning the records
+as columns, with no per-frame object.  Both give the same floats.
 
 On a 25x25 map the cost of a step is numpy call overhead, not arithmetic,
 so each step makes as few array calls as it can and stays exact:
@@ -36,6 +37,15 @@ so each step makes as few array calls as it can and stays exact:
   map be flat), the block summed in Python from ``tolist()``, and one dot
   product of the centred map with the block zeroed in that copy (not the
   whole-map squares minus the block's, which cancel under tall peaks).
+* A whole sequence is scored ``_SCORE_BLOCK`` maps per pass
+  (:func:`_psr_maps`), with the operations of :func:`psr` in the same
+  order, so bit for bit the same values: each sum is one ``ddot`` per map,
+  a ``(1, N) @ (N, 1)`` product in a stacked ``matmul``, never a
+  matrix-vector product, which sums in another order; the clipped 3x3
+  block, padded with exact zeros, is summed by Python's ``sum`` as in
+  :func:`psr`.  A block's temporaries are a few blocks of maps in size,
+  never the sequence's.  One map per call (:func:`refine_step`) stays on
+  :func:`psr`: a batched pass over a single map costs several times more.
 * Each branch is one dot product of a cached read-only ``(n1,)`` weight
   vector with the ``(n1, 4)`` window (``_branch_weights``): the low branch
   weights evaluate the least-squares line of each column at ``n1``, the
@@ -183,11 +193,79 @@ def psr(response) -> float:
     return (peak - mean) / (std + PSR_EPS)
 
 
-def _score(response, state: TrackerState) -> tuple[float, float]:
-    """Score a response map, raise ``state.psr_max`` and return (psr, npsr)."""
-    value = psr(response)
+# Maps scored per batched pass: temporaries stay a few blocks of maps in size.
+_SCORE_BLOCK = 64
+# Row and column offsets of the 3x3 block around a peak.
+_BLOCK_OFFSETS = np.array([-1, 0, 1])
+
+
+def _psr_maps(maps) -> list[float]:
+    """``[psr(m) for m in maps]`` bit for bit, ``_SCORE_BLOCK`` maps per
+    batched pass.  ``maps`` is a ``(T, H, W)`` array or a sequence of
+    ``(H, W)`` maps; a block whose maps do not stack into one ``(n, H, W)``
+    array (mixed shapes, maps that are not 2-D) is scored map by map."""
+    values = []
+    for start in range(0, len(maps), _SCORE_BLOCK):
+        chunk = maps[start : start + _SCORE_BLOCK]
+        try:
+            block = np.asarray(chunk, dtype=float)
+        except (TypeError, ValueError):
+            block = None
+        if block is None or block.ndim != 3:
+            values += map(psr, chunk)
+        else:
+            values += _psr_block(block)
+    return values
+
+
+def _psr_block(block: np.ndarray) -> list[float]:
+    """``psr`` of each map of an ``(n, H, W)`` block: :func:`psr`'s float
+    operations in :func:`psr`'s order, as the module docstring sets out.
+    Each ``(1, N) @ (N, 1)`` product of a stacked ``matmul`` runs numpy's
+    dot loop (BLAS ``ddot``) on one map, as ``vdot`` does."""
+    count, height, width = block.shape
+    if height < 3 or width < 3:
+        raise ValueError(f"response map must be at least 3x3, got {(height, width)}")
+    size = height * width
+    flat = block.reshape(count, size)  # a view, for a contiguous block
+    index = np.arange(count)
+    with np.errstate(all="ignore"):  # as in psr, an overflow or a nan gives no warning
+        totals = (flat[:, None, :] @ _ones(size)[:, None])[:, 0, 0]
+        finite = np.isfinite(totals)
+        if not finite.all() and not np.isfinite(flat[~finite]).all():
+            raise ValueError("response map must be finite")
+        peaks = flat.argmax(axis=1)
+        at_zero = index[peaks == 0]
+        flat_maps = at_zero[flat[at_zero, 0] == flat[at_zero].min(axis=1)]
+        # (n, 3, 3): the block's cells, as indices into the flattened block,
+        # clipped into the map, and which of them the clipping left in place
+        pi, pj = np.divmod(peaks, width)
+        rows, cols = pi[:, None] + _BLOCK_OFFSETS, pj[:, None] + _BLOCK_OFFSETS
+        clipped_rows, clipped_cols = np.clip(rows, 0, height - 1), np.clip(cols, 0, width - 1)
+        first = clipped_rows * width + index[:, None] * size  # each block row's cell in column 0
+        cells = first[:, :, None] + clipped_cols[:, None, :]
+        inside = (clipped_rows == rows)[:, :, None] & (clipped_cols == cols)[:, None, :]
+        sidelobe_counts = size - inside.sum(axis=(1, 2))
+        if (height, width) == (3, 3) and np.setdiff1d(index[sidelobe_counts == 0], flat_maps).size:
+            raise ValueError(f"map {(height, width)} has no sidelobe outside the peak block")
+        gathered = np.where(inside, flat.reshape(-1)[cells], 0.0)
+        # Python's sum, as in psr, whose rounding changed in Python 3.12; a
+        # padded 0.0 changes neither its naive nor its compensated sum
+        sums = np.array([sum(map(sum, block_rows)) for block_rows in gathered.tolist()])
+        means = (totals - sums) / sidelobe_counts
+        centered = flat - means[:, None]
+        centered.reshape(-1)[cells] = 0.0
+        squares = (centered[:, None, :] @ centered[:, :, None])[:, 0, 0]
+        values = (flat[index, peaks] - means) / (np.sqrt(squares / sidelobe_counts) + PSR_EPS)
+    values[flat_maps] = 0.0
+    return values.tolist()
+
+
+def _normalize(value: float, state: TrackerState) -> float:
+    """Raise ``state.psr_max`` to a frame's PSR ``value`` and return the
+    normalized PSR, ``value / state.psr_max``."""
     state.psr_max = max(state.psr_max, value)
-    return value, (value / state.psr_max if state.psr_max > 0.0 else 0.0)
+    return value / state.psr_max if state.psr_max > 0.0 else 0.0
 
 
 def normalized_psr(response, state: TrackerState) -> float:
@@ -196,7 +274,7 @@ def normalized_psr(response, state: TrackerState) -> float:
     The maximum is raised first, so the result always lies in [0, 1]; while
     the maximum is still zero the score is defined as 0.
     """
-    return _score(response, state)[1]
+    return _normalize(psr(response), state)
 
 
 @functools.lru_cache(maxsize=16)
@@ -221,12 +299,13 @@ def _branch_weights(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
     return low, high
 
 
-def _advance(state: TrackerState, row, response, params: MotionParams):
-    """Advance the tracker by one frame on floats; return the frame's
-    record ``(refined, psr, npsr, branch)``.  ``refined`` is the refined
-    ``(cx, cy, w, h)``, which is ``row`` itself during warm-up.
+def _advance(state: TrackerState, row, value: float, params: MotionParams):
+    """Advance the tracker by one frame on floats, given the frame's PSR
+    ``value``; return the frame's record ``(refined, psr, npsr, branch)``.
+    ``refined`` is the refined ``(cx, cy, w, h)``, which is ``row`` itself
+    during warm-up.
 
-    Scores the response map, advances the frame counter, picks the branch
+    Normalizes the PSR, advances the frame counter, picks the branch
     described in the module docstring and pushes the result into the
     history.  Past warm-up the history must hold exactly ``n1`` rows; a
     shorter one means the state was fed inconsistently and is reported as
@@ -236,7 +315,7 @@ def _advance(state: TrackerState, row, response, params: MotionParams):
     n1 = params.n1
     if state.capacity != n1:
         raise ValueError(f"state history capacity {state.capacity} does not match n1={n1}")
-    value, npsr = _score(response, state)
+    npsr = _normalize(value, state)
     state.frame_index += 1
 
     if state.frame_index <= n1:
@@ -289,7 +368,7 @@ def refine_step(
     kept as ``state.last_psr``, ``last_npsr`` and ``last_branch``."""
     row = (model_box.cx, model_box.cy, model_box.w, model_box.h)
     refined, state.last_psr, state.last_npsr, state.last_branch = _advance(
-        state, row, response, params
+        state, row, psr(response), params
     )
     return model_box if refined is row else BoundingBox(*refined)
 
@@ -307,6 +386,11 @@ def track_rows(
     frame goes through the kernel of :func:`refine_step`; off, the
     trajectory is a copy of the raw rows and the maps are still scored,
     under branch label ``"raw"``.
+
+    Every map is scored before the first frame is refined, in one batched
+    pass that gives :func:`psr`'s floats (:func:`_psr_maps`).  So a map
+    :func:`psr` rejects is reported before an error of any refinement step,
+    even one of an earlier frame.
     """
     raw = np.asarray(raw_rows, dtype=float)
     if raw.ndim != 2 or raw.shape[1] != 4:
@@ -318,11 +402,11 @@ def track_rows(
     check_rows(raw)
     # off, only the running PSR maximum is read, so no n1-row history is kept
     state = TrackerState(capacity=params.n1 if ommr_enabled else 1)
-    frames = zip(raw.tolist(), maps)
+    frames = zip(raw.tolist(), _psr_maps(maps))
     if ommr_enabled:
-        records = [_advance(state, row, response, params) for row, response in frames]
+        records = [_advance(state, row, value, params) for row, value in frames]
     else:
-        records = [(row, *_score(response, state), "raw") for row, response in frames]
+        records = [(row, value, _normalize(value, state), "raw") for row, value in frames]
     rows, psrs, npsrs, branches = zip(*records)
     return np.array(rows, dtype=float), np.array(psrs), np.array(npsrs), list(branches)
 

@@ -25,8 +25,8 @@ from sattrack import (
     template_saliency,
 )
 from sattrack import BoundingBox, MotionParams, ScenarioConfig, TrackerState
-from sattrack import generate_scenario, motion, psr
-from sattrack.motion import _branch_weights, _score
+from sattrack import generate_scenario, motion, normalized_psr, psr
+from sattrack.motion import _branch_weights
 from test_attention import with_biases
 from test_formats import (
     feature_map_bytes, read_trajectory, scenario_text, write_feature_map, write_projection_weights,
@@ -299,6 +299,48 @@ def test_a_failing_input_leaves_no_output_directory(commands, tmp_path, capsys, 
     out = tmp_path / "out"
     assert main([command, *commands[command][1], "--output", str(out)]) == 1
     assert_one_error_line(capsys, "error: ")
+    assert not out.exists()
+
+
+INPUT_FLAGS = ["--scenario", "--params", "--pred", "--gt", "--attributes", "--search",
+               "--template", "--weights"]
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("flag", INPUT_FLAGS)
+def test_an_unreadable_input_is_one_error_line_naming_its_flag(
+    tmp_path, scenario_file, capsys, flag, kind
+):
+    config = scenario_file(CLEAN_SCENARIO)
+    truth = formats.trajectory_csv([(30.0, 40.0, 12.0, 8.0)] * 3)
+    (tmp_path / "truth.csv").write_bytes(truth)
+    suite = {}
+    for name in ("pred", "gt"):
+        suite[name] = tmp_path / name
+        suite[name].mkdir()
+        (suite[name] / "c.csv").write_bytes(truth)
+    bad = tmp_path / "unreadable.cfg"
+    argv = {
+        "--scenario": ["track"],
+        "--params": ["track", "--scenario", config],
+        "--pred": ["evaluate", "--gt", str(tmp_path / "truth.csv")],
+        "--gt": ["evaluate", "--pred", str(tmp_path / "truth.csv")],
+        "--attributes": ["evaluate", "--pred", str(suite["pred"]), "--gt", str(suite["gt"])],
+        "--search": ["attention-demo"],
+        "--template": ["attention-demo"],
+        "--weights": ["attention-demo"],
+    }[flag] + [flag, str(bad)]
+    if kind == "directory" and flag in ("--pred", "--gt"):
+        # directory mode: a directory where one sequence's file should be
+        bad = suite[flag[2:]] / "c.csv"
+        bad.unlink()
+        argv = ["evaluate", "--pred", str(suite["pred"]), "--gt", str(suite["gt"])]
+    if kind == "directory":
+        bad.mkdir()
+    out = tmp_path / "out"
+    assert main([*argv, "--output", str(out)]) == 1
+    reason = "No such file or directory" if kind == "missing" else "Is a directory"
+    assert capsys.readouterr().err == f"error: {flag}: cannot read {bad}: {reason}\n"
     assert not out.exists()
 
 
@@ -873,7 +915,7 @@ def reference_refine_step(state, model_box, response, params):
     """refine_step as it was written on BoundingBox objects, before the float
     kernel: the same window, weights and arithmetic, the refined box built
     (and validated) as a BoundingBox.  Kept as the oracle of the row path."""
-    value, npsr = _score(response, state)
+    value, npsr = psr(response), normalized_psr(response, state)
     state.frame_index += 1
     if state.frame_index <= params.n1:
         refined, branch = model_box, "warmup"
@@ -925,7 +967,7 @@ def reference_track_files(config, params, refine):
             value, npsr, branch = state.last_psr, state.last_npsr, state.last_branch
         else:
             trajectory.append(obs.raw_model_box)
-            value, npsr = _score(obs.response, state)
+            value, npsr = psr(obs.response), normalized_psr(obs.response, state)
             branch = "raw"
         trace_lines.append(f"{obs.frame},{_fmt(value)},{_fmt(npsr)},{branch}")
     return {
@@ -1266,7 +1308,7 @@ def _directory_named_like_a_sequence(pred_dir: Path):
 
 @pytest.mark.parametrize("damage, opening", [
     (_break_sequences, "error: sequence 'b': "),
-    (_directory_named_like_a_sequence, "error: [Errno 21] Is a directory: "),
+    (_directory_named_like_a_sequence, "error: --pred: cannot read "),
 ])
 def test_evaluate_workers_report_the_in_process_error(
     tmp_path, monkeypatch, capsys, damage, opening

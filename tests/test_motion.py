@@ -1,6 +1,7 @@
 """Confidence scoring and online refinement tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,9 +22,12 @@ from sattrack.motion import (
     HIGH_CONFIDENCE,
     LOW_CONFIDENCE,
     WARMUP,
+    _SCORE_BLOCK,
     _branch_weights,
     _check_response,
     _ones,
+    _psr_maps,
+    track_rows,
 )
 
 
@@ -673,3 +677,208 @@ class TestRefineStep:
         assert state.last_npsr == 1.0
         assert state.last_branch == WARMUP
 
+
+
+# ---------------------------------------------------------------------------
+# whole-sequence scoring: the batched kernel against psr, map by map
+
+
+def assert_maps_score_as_psr(maps):
+    """``_psr_maps`` gives ``psr`` of every map bit for bit, on the stack and
+    on a list of its maps."""
+    expected = np.array([psr(grid) for grid in maps])
+    for given_maps in (maps, list(maps)):
+        assert np.array(_psr_maps(given_maps)).tobytes() == expected.tobytes()
+
+
+def assert_same_error(maps):
+    """``_psr_maps`` raises the error ``psr`` raises on the first map it
+    rejects, word for word."""
+    for grid in maps:
+        try:
+            psr(grid)
+        except ValueError as exc:
+            expected = str(exc)
+            break
+    else:
+        raise AssertionError("psr accepts every map")
+    for given_maps in (maps, list(maps)):
+        with pytest.raises(ValueError) as caught:
+            _psr_maps(given_maps)
+        assert str(caught.value) == expected
+
+
+# stacks of 1-150 maps, so that block edges are crossed, of one shape from
+# 3x4 to 30x30 (odd and even cell counts; never 3x3, which can have no sidelobe)
+STACK_SIZES = st.integers(1, 150)
+STACK_SHAPES = st.tuples(st.integers(3, 30), st.integers(3, 30)).filter(lambda s: s != (3, 3))
+SEEDS = st.integers(0, 2**32 - 1)
+BATCH_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def stack(seed, count, shape, low=-(2**20), high=2**20):
+    """``count`` maps of dyadic cells (multiples of 2**-10) in ``[low, high)``
+    units."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(low, high, size=(count, *shape)) / 1024.0, rng
+
+
+class TestPsrMaps:
+    def test_stacks_cross_block_edges(self):
+        assert 1 < _SCORE_BLOCK < 150
+
+    @BATCH_SETTINGS
+    @given(SEEDS, STACK_SIZES, STACK_SHAPES)
+    def test_dyadic_stacks(self, seed, count, shape):
+        maps, _ = stack(seed, count, shape)
+        assert_maps_score_as_psr(maps)
+
+    @BATCH_SETTINGS
+    @given(SEEDS, STACK_SIZES, STACK_SHAPES, st.floats(1.0, 1e3))
+    def test_random_stacks_with_tall_peaks(self, seed, count, shape, peak_gain):
+        rng = np.random.default_rng(seed)
+        maps = rng.uniform(0.0, 1.0, size=(count, *shape))
+        cells = maps.reshape(count, -1)
+        cells[np.arange(count), rng.integers(cells.shape[1], size=count)] *= peak_gain
+        assert_maps_score_as_psr(maps)
+
+    @BATCH_SETTINGS
+    @given(SEEDS, STACK_SIZES, STACK_SHAPES)
+    def test_tied_plateaus_first_peak_wins(self, seed, count, shape):
+        maps, _ = stack(seed, count, shape, -4, 5)  # 9 values: the maximum is tied
+        assert_maps_score_as_psr(maps)
+
+    @BATCH_SETTINGS
+    @given(SEEDS, STACK_SIZES, STACK_SHAPES)
+    def test_border_and_corner_peaks(self, seed, count, shape):
+        maps, rng = stack(seed, count, shape, -1023, 1024)
+        rows, cols = shape
+        corners = [(0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1)]
+        border = corners + [(0, j) for j in range(cols)] + [(i, 0) for i in range(rows)]
+        border += [(rows - 1, j) for j in range(cols)] + [(i, cols - 1) for i in range(rows)]
+        for grid, pick in zip(maps, rng.integers(len(border), size=count)):
+            grid[border[pick]] = 2.0  # above every other cell, on the border
+        assert_maps_score_as_psr(maps)
+
+    @BATCH_SETTINGS
+    @given(SEEDS, STACK_SIZES, STACK_SHAPES)
+    def test_peak_at_cell_zero_and_constant_maps(self, seed, count, shape):
+        # the flat check runs on the maps that peak at cell 0, constant or not
+        maps, rng = stack(seed, count, shape)
+        cells = maps.reshape(count, -1)
+        cells[:, 0] = cells.max(axis=1)
+        constant = rng.random(count) < 0.5
+        cells[constant] = rng.uniform(-1e300, 1e300, size=(int(constant.sum()), 1))
+        assert_maps_score_as_psr(maps)
+
+    def test_three_by_three_maps(self):
+        maps = np.zeros((4, 3, 3))
+        maps[1, 0, 0] = maps[2, 2, 1] = 1.0  # corner and edge peaks; two flat maps
+        assert_maps_score_as_psr(maps)
+        maps[3, 1, 1] = 1.0  # a centre peak leaves no sidelobe
+        assert_same_error(maps)
+
+    def test_maps_of_mixed_shapes_are_scored_one_by_one(self):
+        rng = np.random.default_rng(7)
+        maps = [rng.uniform(size=shape) for shape in [(5, 5), (7, 4), (5, 5), (30, 3)] * 20]
+        assert np.array(_psr_maps(maps)).tobytes() == np.array([psr(m) for m in maps]).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("frame", [0, 63, 64, 99])
+    def test_non_finite_cells_rejected(self, bad, frame):
+        maps, _ = stack(11, 100, (6, 7))
+        maps[frame, 4, 2] = bad
+        assert_same_error(maps)
+
+    @pytest.mark.parametrize("shape", [(2, 5), (5, 2), (0, 4)])
+    def test_maps_under_three_by_three_rejected(self, shape):
+        assert_same_error(np.zeros((3, *shape)))
+
+    @pytest.mark.parametrize("maps", [np.zeros((4, 25)), np.zeros((4, 1, 5, 5)), [np.zeros(9)] * 3])
+    def test_maps_that_are_not_two_d_rejected(self, maps):
+        assert_same_error(maps)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_total_of_finite_cells_is_accepted(self):
+        # every cell is finite, only the totals overflow: psr's value (nan) is kept
+        maps = np.full((70, 5, 5), 1e308)
+        maps[:, 2, 2] = 1.5e308
+        maps[1::2] *= -1.0
+        assert_maps_score_as_psr(maps)
+
+    def test_no_warning_where_psr_gives_none(self, recwarn):
+        maps = np.full((3, 5, 5), 1e308)
+        maps[:, 2, 2] = 1.5e308
+        expected = [psr(grid) for grid in maps]
+        recwarn.clear()
+        assert np.array(_psr_maps(maps)).tobytes() == np.array(expected).tobytes()
+        assert len(recwarn) == 0
+
+
+def random_sequence(seed, frames, shape):
+    """Raw rows of a wandering box and its response maps."""
+    rng = np.random.default_rng(seed)
+    raw = np.column_stack([
+        np.cumsum(rng.normal(0.0, 2.0, frames)), np.cumsum(rng.normal(0.0, 2.0, frames)),
+        rng.uniform(4.0, 12.0, frames), rng.uniform(4.0, 12.0, frames),
+    ])
+    maps = rng.uniform(0.0, 1.0, size=(frames, *shape))
+    maps[:, shape[0] // 2, shape[1] // 2] += rng.uniform(0.0, 20.0, frames)
+    return raw, maps
+
+
+class TestTrackRowsScoring:
+    """``track_rows`` scores the whole sequence first, then refines frame by
+    frame: the same floats as a ``refine_step`` loop."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(SEEDS, st.integers(2, 150), STACK_SHAPES, st.booleans(), st.booleans())
+    def test_matches_a_refine_step_loop(self, seed, frames, shape, refine, as_list):
+        raw, maps = random_sequence(seed, frames, shape)
+        params = MotionParams(n1=12, n2=4)
+        given_maps = list(maps) if as_list else maps
+        rows, psrs, npsrs, branches = track_rows(raw, given_maps, params, refine)
+        state = TrackerState(params.n1)
+        hand, trace = [], []
+        for row, grid in zip(raw.tolist(), maps):
+            if refine:
+                box = refine_step(state, BoundingBox(*row), grid, params)
+                hand.append((box.cx, box.cy, box.w, box.h))
+                trace.append((state.last_psr, state.last_npsr, state.last_branch))
+            else:
+                hand.append(tuple(row))
+                trace.append((psr(grid), normalized_psr(grid, state), "raw"))
+        assert rows.tobytes() == np.array(hand).tobytes()
+        assert np.array([psrs, npsrs]).tobytes() == np.array([t[:2] for t in trace]).T.tobytes()
+        assert branches == [t[2] for t in trace]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_non_finite_map_is_reported_before_any_frame_is_refined(self):
+        # frame 4's refined cx is nan (see test_non_finite_refined_centre_rejected);
+        # a non-finite map at frame 5 is still the error reported
+        params = MotionParams(n1=3, n2=1)
+        raw = [[cx, 0.0, 2.0, 2.0] for cx in (0.0, -1.7e308, 1.7e308, -1.7e308, 0.0)]
+        maps = [map_with_score(8.0)] * 3 + [map_with_score(6.0)] * 2
+        with pytest.raises(ValueError, match="^box field cx must be finite$"):
+            track_rows(raw, maps, params, True)
+        maps[4] = np.full((11, 11), np.nan)
+        with pytest.raises(ValueError, match="^response map must be finite$"):
+            track_rows(raw, maps, params, True)
+
+    @pytest.mark.parametrize("as_list", [False, True])
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_memory_stays_within_a_few_blocks(self, as_list, refine):
+        # 2,000 25x25 maps are 10 MB; the scoring works a block at a time,
+        # so no temporary the size of the sequence (a stacked copy, a
+        # (T, H*W) product) may appear
+        raw, maps = random_sequence(3, 2000, (25, 25))
+        given_maps = list(maps) if as_list else maps
+        params = MotionParams()
+        track_rows(raw[:100], given_maps[:100], params, refine)  # caches built outside the trace
+        tracemalloc.start()
+        try:
+            track_rows(raw, given_maps, params, refine)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * _SCORE_BLOCK * maps[0].nbytes
