@@ -8,9 +8,11 @@ SATTRACK_GAMMA, SATTRACK_OMMR, SATTRACK_N1, SATTRACK_N2, SATTRACK_THETA and
 SATTRACK_LAMBDA_EMA.  A value comes from the flag, else the variable, else
 the config file, else the default.  Every number, from a flag, a variable
 or a config file, is read by one rule (:func:`formats._parse`: an int, or a
-finite float).  A value that does not parse, or that its settings class
-rejects, is an error opening with its source: ``--theta needs a float, got
-'inf'``, ``SATTRACK_N1: n1 must exceed 2*n2 ...``.
+finite float).  One settings step, :func:`_settings`, lays the flags and
+variables over a settings object's file values or defaults and builds it
+once.  A value that does not parse is an error opening with its source
+(``--theta needs a float, got 'inf'``); an object its class rejects, with
+every source that set one of its values, file first: ``p.cfg, --n2: ...``.
 
 Handlers compute and return their files' bytes; :func:`main` resolves the
 output directory first and writes the files atomically once the handler
@@ -29,11 +31,11 @@ that fails in that order is the one reported.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -59,23 +61,19 @@ class UsageError(ConfigError):
     """A flag the other arguments rule out; exits 2, like argparse's errors."""
 
 
-def _resolve(args, name: str, parse, fallback):
+def _resolve(args, name: str, fallback=None):
     """The setting ``name`` and its source: ``(value, source)`` from its
     flag ``--name`` (``_`` as ``-``), else from ``SATTRACK_<NAME>``, else
-    ``(fallback, None)``.  ``parse(text, source)`` reads the value and
-    raises a :class:`ConfigError` opening with the source for a text it
-    rejects."""
+    ``(fallback, None)``.  The value is read as :data:`_KINDS` says, and a
+    text it rejects is a :class:`ConfigError` opening with the source."""
+    kind = _KINDS[name]
     flag, env = "--" + name.replace("_", "-"), "SATTRACK_" + name.upper()
     for source, text in ((flag, getattr(args, name)), (env, os.environ.get(env))):
         if text is not None:
-            return parse(text, source), source
+            if kind in (int, float):
+                return formats._parse(text, kind, source), source
+            return kind(text, source), source
     return fallback, None
-
-
-def _number(kind):
-    """The ``parse`` of :func:`_resolve` for one ``kind`` number: the rule
-    of the config files, :func:`formats._parse`."""
-    return lambda text, where: formats._parse(text, kind, where)
 
 
 def _on_off(text: str, where: str) -> bool:
@@ -85,18 +83,34 @@ def _on_off(text: str, where: str) -> bool:
     return word == "on"
 
 
-def _overridden(args, config, kinds: dict):
-    """``config`` (read from a file, or the defaults) with each number in
-    ``kinds`` that its flag or variable sets laid over it.  A value the
-    config's class rejects is an error opening with those flags and
-    variables, as a file's is with its path."""
-    values, sources = {}, []
-    for name, kind in kinds.items():
-        value, source = _resolve(args, name, _number(kind), None)
+# How each setting a flag or variable sets is read: a number kind by the
+# config files' rule (formats._parse), else a parse(text, source) of its own.
+_KINDS = {"output": lambda text, where: text, "ommr": _on_off, "gamma": float,
+          "seed": formats._SCENARIO_KEYS["seed"], **formats._MOTION_KEYS}
+
+
+def _settings(args, settings, path=None, fields=None):
+    """``(settings, sources)``: ``settings`` (an object as read, whole from
+    the file ``path`` or the defaults, or its class with ``fields`` read
+    from ``path``) with each field a flag or variable sets laid over, built
+    once; with none, an object comes back as read.  ``sources`` maps those
+    fields to their flag or variable, else ``path`` where it set them (all,
+    if read whole), else ``None``.  A rejected value's error opens with each
+    source that set one: the file, then flags and variables in field order."""
+    whole = not isinstance(settings, type)
+    values = dict(fields or {})
+    names = [field.name for field in dataclasses.fields(settings) if field.name in _KINDS]
+    sources = {name: path if whole or name in values else None for name in names}
+    for name in names:
+        value, source = _resolve(args, name)
         if source:
-            values[name] = value
-            sources.append(source)
-    return formats._build(", ".join(sources), replace, config, **values) if values else config
+            values[name], sources[name] = value, source
+    if whole and not values:
+        return settings, sources
+    opening = [path] if path and path in sources.values() else []
+    where = ", ".join(opening + [s for s in sources.values() if s not in (None, path)])
+    build = functools.partial(dataclasses.replace, settings) if whole else settings
+    return formats._build(where, build, **values), sources
 
 
 def _read(flag: str, read, path):
@@ -110,17 +124,23 @@ def _read(flag: str, read, path):
         raise OSError(f"{flag}: cannot read {path}: {exc.strerror or exc}") from None
 
 
+def _sizes(text: str, count: int, flag: str) -> tuple:
+    """The ``count`` sizes a size flag gives, each a positive int."""
+    sizes = formats._parse_numbers(text, (int,) * count, flag)
+    if min(sizes) < 1:
+        raise ConfigError(f"{flag} {text}: sizes must be positive, got {sizes}")
+    return sizes
+
+
 def _scenario_config(args):
     config = _read("--scenario", formats.scenario_from_file, args.scenario)
-    return _overridden(args, config, {"seed": formats._SCENARIO_KEYS["seed"]})
+    return _settings(args, config, args.scenario)
 
 
-def _motion_params(args) -> MotionParams:
-    params = (
-        _read("--params", formats.motion_params_from_file, args.params)
-        if args.params else MotionParams()
-    )
-    return _overridden(args, params, formats._MOTION_KEYS)
+def _motion_params(args):
+    read = functools.partial(formats._read_fields, kinds=formats._MOTION_KEYS, what="motion")
+    fields = _read("--params", read, args.params) if args.params else {}
+    return _settings(args, MotionParams, args.params, fields)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +153,7 @@ def cmd_centerness_map(args, out: Path):
     )
     grid_h, grid_w, stride = formats._parse_numbers(args.grid, (int,) * 3, "--grid")
     grid = formats._build("--grid", GridGeometry, stride=stride, height=grid_h, width=grid_w)
-    params = _overridden(args, AspectRatioParams(), {"gamma": float})
+    params, _ = _settings(args, AspectRatioParams())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         constrained = build_label_maps(box, grid, params)
@@ -152,7 +172,7 @@ def cmd_centerness_map(args, out: Path):
 
 
 def cmd_simulate(args, out: Path):
-    config = _scenario_config(args)
+    config, _ = _scenario_config(args)
     gt, raw, maps, occluded = generate_scenario(config)
     flat = maps.reshape(len(maps), -1)
     peaks = flat.argmax(axis=1)
@@ -174,19 +194,17 @@ def cmd_simulate(args, out: Path):
 
 
 def cmd_track(args, out: Path):
-    config = _scenario_config(args)
-    params = _motion_params(args)
-    refine, _ = _resolve(args, "ommr", _on_off, True)
+    config, _ = _scenario_config(args)
+    params, sources = _motion_params(args)
+    refine, _ = _resolve(args, "ommr", True)
     if refine and params.n1 >= config.frame_count:
-        # n1's source: its flag or variable, else the --params file that sets
-        # it, else the scenario file, whose frame_count the default fails
-        _, where = _resolve(args, "n1", _number(int), None)
-        if where is None:
-            keys = [key for _, key, _ in formats.read_kv_file(args.params)] if args.params else ()
-            where = args.params if "n1" in keys else args.scenario
+        raise ConfigError(  # a default n1 fails on the scenario's frame_count
+            f"{sources['n1'] or args.scenario}: n1 ({params.n1}) must be below frame_count "
+            f"({config.frame_count}) for refinement to activate; lower --n1 or use --ommr off"
+        )
+    if config.frame_count < 2:  # track_rows needs two frames; simulate takes one
         raise ConfigError(
-            f"{where}: n1 ({params.n1}) must be below frame_count ({config.frame_count}) "
-            f"for refinement to activate; lower --n1 or use --ommr off"
+            f"{args.scenario}: scenario must have at least 2 frames, got {config.frame_count}"
         )
     gt, raw, maps, _ = generate_scenario(config)
     trajectory, *trace = run_tracking(raw, maps, params, refine)
@@ -269,6 +287,8 @@ def _score_sequences(sequences: list[tuple[str, Path, Path]]) -> dict:
 def cmd_evaluate(args, out: Path):
     pred_path = Path(args.pred)
     gt_path = Path(args.gt)
+    for flag, path in (("--pred", pred_path), ("--gt", gt_path)):
+        _read(flag, os.stat, path)  # a missing input is named before the modes are compared
     if pred_path.is_dir() != gt_path.is_dir():
         raise ConfigError("--pred and --gt must both be files or both be directories")
     if args.attributes and not pred_path.is_dir():
@@ -313,26 +333,31 @@ def cmd_evaluate(args, out: Path):
 
 
 def cmd_attention_demo(args, out: Path):
-    seed, source = _resolve(args, "seed", _number(int), 0)
+    seed, source = _resolve(args, "seed", 0)
     rng = np.random.Generator(formats._build(source, np.random.PCG64, seed))
     if args.search:
         search = _read("--search", formats.read_feature_map, args.search)
     else:
-        c, h, w = formats._parse_numbers(args.search_size, (int,) * 3, "--search-size")
-        search = rng.standard_normal((c, h, w))
+        search = rng.standard_normal(_sizes(args.search_size, 3, "--search-size"))
     if args.template:
         template = _read("--template", formats.read_feature_map, args.template)
     else:
-        h, w = formats._parse_numbers(args.template_size, (int,) * 2, "--template-size")
-        template = rng.standard_normal((search.shape[0], h, w))
+        template = rng.standard_normal(
+            (search.shape[0], *_sizes(args.template_size, 2, "--template-size"))
+        )
 
+    # what set the channel counts: a random template and weights take the search's
+    channels_from = args.search or "--search-size"
     if args.weights:
         weights = _read("--weights", formats.read_projection_weights, args.weights)
     else:
-        weights = init_projection_weights(search.shape[0], seed=seed)
-    weights = _overridden(args, weights, {"gamma": float})
+        weights = formats._build(
+            channels_from, init_projection_weights, search.shape[0], seed=seed
+        )
+    weights, sources = _settings(args, weights, args.weights)
 
-    enhanced, attention = _attend(search, template, weights)
+    where = ", ".join(dict.fromkeys(filter(None, (channels_from, args.template, args.weights))))
+    enhanced, attention = formats._build(where, _attend, search, template, weights)
     if args.mask:
         top, left, mask_h, mask_w = formats._parse_numbers(args.mask, (int,) * 4, "--mask")
         if mask_h <= 0 or mask_w <= 0:
@@ -353,11 +378,10 @@ def cmd_attention_demo(args, out: Path):
 
     # the features are search + gamma * mixed: a cell beyond float32 is
     # charged to what set gamma
-    _, gamma_source = _resolve(args, "gamma", _number(float), None)
     peak = saliency.max()
     files = {
         "enhanced.bin": formats._feature_map_bytes(
-            enhanced, gamma_source or args.weights or "enhanced features"
+            enhanced, sources["gamma"] or "enhanced features"
         ),
         "saliency.csv": formats.grid_csv(saliency),
         "saliency.pgm": formats.pgm(saliency / peak if peak > 0 else saliency),
@@ -440,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        out, source = _resolve(args, "output", lambda text, where: text, None)
+        out, source = _resolve(args, "output")
         if not out:
             raise ConfigError("no output directory: pass --output or set SATTRACK_OUTPUT")
         files, line = args.handler(args, Path(out))

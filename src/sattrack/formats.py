@@ -76,7 +76,6 @@ from .metrics import (
     SUMMARY_NAMES,
     EvalResult,
 )
-from .motion import MotionParams
 from .scenario import ScenarioConfig
 
 
@@ -528,10 +527,11 @@ def _parse_numbers(text: str, kinds: tuple, where: str) -> tuple:
     return tuple(_parse(part, kind, where) for part, kind in zip(parts, kinds))
 
 
-def _read_fields(path: Path, kinds: dict, what: str, repeatable=()) -> dict:
+def _read_fields(path, kinds: dict, what: str, repeatable=()) -> dict:
     """A key = value file's values by key, each parsed as its kind in
     ``kinds`` (int, float or a tuple of them).  A key in ``repeatable`` maps
     to the list of its values; any other key may appear once."""
+    path = Path(path)
     fields: dict = {}
     for number, key, value in read_kv_file(path):
         if key not in kinds:
@@ -576,14 +576,8 @@ def scenario_from_file(path) -> ScenarioConfig:
     return _build(path, ScenarioConfig, waypoints=waypoints, occlusions=occlusions, **fields)
 
 
-# The motion settings and their kinds, for the file reader and the CLI.
+# The motion settings and their kinds, for a --params file and the CLI.
 _MOTION_KEYS = {"n1": int, "n2": int, "theta": float, "lambda_ema": float}
-
-
-def motion_params_from_file(path) -> MotionParams:
-    """Load refinement settings from a key = value file."""
-    path = Path(path)
-    return _build(path, MotionParams, **_read_fields(path, _MOTION_KEYS, "motion"))
 
 
 # Group names become part of output file names (curves_<group>.csv).

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from sattrack import cli, formats
 from sattrack.cli import main
-from sattrack.formats import read_feature_map, read_grid_csv
+from sattrack.formats import ConfigError, read_feature_map, read_grid_csv
 from sattrack import (
     attention_weights,
     enhance_features,
@@ -24,7 +24,7 @@ from sattrack import (
     project_qkv,
     template_saliency,
 )
-from sattrack import BoundingBox, MotionParams, ScenarioConfig, TrackerState
+from sattrack import AspectRatioParams, BoundingBox, MotionParams, ScenarioConfig, TrackerState
 from sattrack import generate_scenario, motion, normalized_psr, psr
 from sattrack.motion import _branch_weights
 from test_attention import with_biases
@@ -510,8 +510,8 @@ def test_each_setting_resolves_flag_then_env_then_file_then_default(data):
             if by["flag"] is not None:
                 argv.append(f"--{name.replace('_', '-')}={by['flag']!r}")
         args = cli.build_parser().parse_args(argv)
-        resolved = vars(cli._motion_params(args))
-        resolved["seed"] = cli._scenario_config(args).seed
+        resolved = vars(cli._motion_params(args)[0])
+        resolved["seed"] = cli._scenario_config(args)[0].seed
     defaults = {**vars(MotionParams()), "seed": 0}
     for name, by in sources.items():
         expected = next(
@@ -519,6 +519,86 @@ def test_each_setting_resolves_flag_then_env_then_file_then_default(data):
             defaults[name],
         )
         assert resolved[name] == expected and type(resolved[name]) is type(expected), name
+
+
+WINDOW_RULE = "n1 must exceed 2*n2 so the velocity window fits the history"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n1=st.integers(3, 20), n2=st.integers(1, 12),
+    source=st.sampled_from(["--n2", "SATTRACK_N2"]),
+)
+def test_a_params_file_is_validated_once_with_the_flags_and_variables(n1, n2, source):
+    # n1 <= 20 fails against the default n2 = 10: only the layered n2 decides
+    with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as env:
+        params = Path(work) / "p.cfg"
+        params.write_text(f"n1 = {n1}\n")
+        argv = ["track", "--scenario", "s.cfg", "--params", str(params)]
+        if source == "--n2":
+            argv.append(f"--n2={n2}")
+        else:
+            env.setenv("SATTRACK_N2", str(n2))
+        parse = cli.build_parser().parse_args
+        flags = ["track", "--scenario", "s.cfg", f"--n1={n1}", f"--n2={n2}"]
+        if n1 > 2 * n2:
+            mixed, sources = cli._motion_params(parse(argv))
+            assert mixed == cli._motion_params(parse(flags))[0] == MotionParams(n1=n1, n2=n2)
+            assert sources == {"n1": str(params), "n2": source, "theta": None, "lambda_ema": None}
+        else:
+            with pytest.raises(ConfigError) as info:
+                cli._motion_params(parse(argv))
+            assert str(info.value) == f"{params}, {source}: {WINDOW_RULE}, got n1={n1}, n2={n2}"
+
+
+def test_a_mixed_settings_error_opens_with_the_file_then_the_flags(
+    scenario_file, tmp_path, monkeypatch, capsys
+):
+    params = scenario_file("n1 = 15\n", name="p.cfg")
+    monkeypatch.setenv("SATTRACK_THETA", "0.4")
+    argv = ["track", "--scenario", scenario_file(CLEAN_SCENARIO), "--params", params]
+    out = tmp_path / "o"
+    assert main([*argv, "--n2", "8", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {params}, --n2, SATTRACK_THETA: {WINDOW_RULE}, got n1=15, n2=8\n"
+    )
+    assert not out.exists()
+
+
+def test_params_file_and_flag_give_the_all_flags_bytes(scenario_file, tmp_path):
+    scenario = scenario_file(CLEAN_SCENARIO)
+    params = scenario_file("n1 = 15\n", name="p.cfg")
+    mixed, flags = tmp_path / "mixed", tmp_path / "flags"
+    assert main(["track", "--scenario", scenario, "--params", params, "--n2", "5",
+                 "--output", str(mixed)]) == 0
+    assert main(["track", "--scenario", scenario, "--n1", "15", "--n2", "5",
+                 "--output", str(flags)]) == 0
+    for name in TRACK_FILES:
+        assert (mixed / name).read_bytes() == (flags / name).read_bytes()
+
+
+@pytest.mark.parametrize("frames", ["120", "12"])  # 12: n1 = 15 fails the warm-up check
+def test_track_reads_the_params_file_once(scenario_file, tmp_path, monkeypatch, capsys, frames):
+    scenario = scenario_file(CLEAN_SCENARIO.replace("120", frames))
+    params = scenario_file("n1 = 15\nn2 = 5\n", name="p.cfg")
+    reads, real = [], formats._read_text
+    monkeypatch.setattr(formats, "_read_text", lambda path: reads.append(str(path)) or real(path))
+    argv = ["track", "--scenario", scenario, "--params", params, "--output", str(tmp_path / "o")]
+    assert main(argv) == (0 if frames == "120" else 1)
+    assert reads.count(params) == 1 and reads.count(scenario) == 1
+    if frames == "12":
+        assert capsys.readouterr().err.startswith(f"error: {params}: n1 (15) must be below")
+
+
+def test_settings_come_back_as_read_when_nothing_is_laid_over(scenario_file):
+    scenario = scenario_file(CLEAN_SCENARIO)
+    args = cli.build_parser().parse_args(["track", "--scenario", scenario])
+    config = formats.scenario_from_file(scenario)
+    assert cli._settings(args, config, scenario) == (config, {"seed": scenario})
+    assert cli._settings(args, config, scenario)[0] is config
+    defaults = AspectRatioParams()
+    args = cli.build_parser().parse_args(["centerness-map", "--box", "1,2,3,4"])
+    assert cli._settings(args, defaults)[0] is defaults
 
 
 def on_off_spellings():
@@ -643,7 +723,7 @@ def run_with_setting(work: Path, command: str, name: str, text: str, source: str
             code = main(argv)
         value = None
         if command == "track" and code == 0:
-            value = getattr(cli._motion_params(cli.build_parser().parse_args(argv)), name)
+            value = getattr(cli._motion_params(cli.build_parser().parse_args(argv))[0], name)
     outputs = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else None
     result = stdout.getvalue(), outputs, (value, type(value))
     return named[source], code, stderr.getvalue(), result
@@ -884,6 +964,24 @@ def test_warmup_error_opens_with_the_source_of_n1(
         f"error: {where}: n1 ({n1}) must be below frame_count (40) for refinement to "
         f"activate; lower --n1 or use --ommr off\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ommr", ["off", "on"])
+def test_a_one_frame_scenario_is_an_error_naming_the_scenario_file(
+    scenario_file, tmp_path, capsys, ommr
+):
+    scenario = scenario_file("frame_count = 1\nwaypoint = 1 30 40\ntarget_size = 12 8\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--scenario", scenario, "--output", str(tmp_path / "sim")]) == 0
+    capsys.readouterr()
+    assert main(["track", "--scenario", scenario, "--ommr", ommr, "--output", str(out)]) == 1
+    if ommr == "off":
+        message = "scenario must have at least 2 frames, got 1"
+    else:  # n1 >= 3 > 1 frame: the warm-up check comes first
+        message = ("n1 (50) must be below frame_count (1) for refinement to activate; "
+                   "lower --n1 or use --ommr off")
+    assert capsys.readouterr().err == f"error: {scenario}: {message}\n"
     assert not out.exists()
 
 
@@ -1224,6 +1322,20 @@ def test_evaluate_missing_gt_no_partial_output(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("missing", ["--pred", "--gt"])
+def test_evaluate_names_a_missing_input_before_the_mode(tmp_path, capsys, missing):
+    (tmp_path / "dir").mkdir()
+    paths = {"--pred": str(tmp_path / "dir"), "--gt": str(tmp_path / "dir")}
+    paths[missing] = str(tmp_path / "missing.csv")
+    out = tmp_path / "o"
+    argv = ["evaluate", "--pred", paths["--pred"], "--gt", paths["--gt"], "--output", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {missing}: cannot read {paths[missing]}: No such file or directory\n"
+    )
     assert not out.exists()
 
 
@@ -1597,7 +1709,40 @@ def test_attention_demo_channel_mismatch(tmp_path, capsys):
         ]
     )
     assert code == 1
-    assert "channel" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {search_path}, {template_path}: feature maps must have 4 channels, "
+        f"got 4 and 8\n"
+    )
+
+
+def test_attention_demo_channel_errors_open_with_what_set_the_counts(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["attention-demo", "--search-size", "6,4,4", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: --search-size: channels must be a positive multiple of reduction, got C=6, r=4\n"
+    )
+    weights = tmp_path / "w.npz"
+    write_projection_weights(weights, init_projection_weights(8, seed=1))
+    argv = ["attention-demo", "--search-size", "6,5,5", "--weights", str(weights)]
+    assert main([*argv, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --search-size, {weights}: feature maps must have 8 channels, got 6 and 6\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--search-size", "4,0,5"), ("--search-size", "0,5,5"), ("--search-size", "4,-1,5"),
+    ("--template-size", "0,5"), ("--template-size", "5,-2"),
+])
+def test_attention_demo_sizes_must_be_positive(tmp_path, capsys, flag, text):
+    out = tmp_path / "o"
+    assert main(["attention-demo", flag, text, "--output", str(out)]) == 1
+    sizes = tuple(int(size) for size in text.split(","))
+    assert capsys.readouterr().err == (
+        f"error: {flag} {text}: sizes must be positive, got {sizes}\n"
+    )
+    assert not out.exists()
 
 
 def test_usage_error_exits_two():

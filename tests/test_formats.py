@@ -40,7 +40,6 @@ from sattrack.formats import (
     curves_csv,
     grid_csv,
     json_bytes,
-    motion_params_from_file,
     pgm,
     read_attribute_groups,
     read_feature_map,
@@ -81,6 +80,15 @@ def write_projection_weights(path, weights: ProjectionWeights):
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
     atomic_write_bytes(path, buffer.getvalue())
+
+
+def motion_params_from_file(path) -> MotionParams:
+    """Refinement settings from a ``--params`` key = value file alone, over
+    the defaults: the tests' reader of that layout (``track`` lays its flags
+    and variables over the file's fields before it builds them)."""
+    path = Path(path)
+    fields = formats._read_fields(path, formats._MOTION_KEYS, "motion")
+    return formats._build(path, MotionParams, **fields)
 
 
 def feature_map_bytes(tensor) -> bytes:
