@@ -54,6 +54,7 @@ from .motion import MotionParams, _psr_maps
 # two names and reports them as ``scenario.generate_scenario`` and
 # ``scenario.run_tracking``.
 from .motion import track_rows as run_tracking
+from .scenario import ScenarioConfig
 from .scenario import generate_scenario_rows as generate_scenario
 
 
@@ -89,18 +90,29 @@ _KINDS = {"output": lambda text, where: text, "ommr": _on_off, "gamma": float,
           "seed": formats._SCENARIO_KEYS["seed"], **formats._MOTION_KEYS}
 
 
+def _named(path) -> str | None:
+    """An input file as every error line names it, the way the formats
+    readers do: ``str(Path(path))``; ``None`` for no file."""
+    return str(Path(path)) if path else None
+
+
 def _settings(args, settings, path=None, fields=None):
-    """``(settings, sources)``: ``settings`` (an object as read, whole from
-    the file ``path`` or the defaults, or its class with ``fields`` read
-    from ``path``) with each field a flag or variable sets laid over, built
-    once; with none, an object comes back as read.  ``sources`` maps those
-    fields to their flag or variable, else ``path`` where it set them (all,
-    if read whole), else ``None``.  A rejected value's error opens with each
-    source that set one: the file, then flags and variables in field order."""
+    """``(settings, sources)``: ``settings`` with each field a flag or
+    variable sets laid over, built once.  ``settings`` is an object (the
+    defaults, or built from the file ``path``) or its class, which is built
+    from ``fields``; an object with nothing laid over comes back as read.
+    ``fields`` are the values the file set, which an object already holds;
+    an object read from ``path`` without them had every field set there.
+    ``sources`` maps those fields to their flag or variable, else the file
+    where it set them, else ``None``.  A rejected value's error opens with
+    each source that set one: the file, then flags and variables in field
+    order."""
     whole = not isinstance(settings, type)
-    values = dict(fields or {})
+    path = _named(path)
+    values = {} if whole else dict(fields or {})
     names = [field.name for field in dataclasses.fields(settings) if field.name in _KINDS]
-    sources = {name: path if whole or name in values else None for name in names}
+    from_file = names if fields is None else fields
+    sources = {name: path if name in from_file else None for name in names}
     for name in names:
         value, source = _resolve(args, name)
         if source:
@@ -117,7 +129,10 @@ def _read(flag: str, read, path):
     """``read(path)`` for the input ``flag`` names.  An ``OSError`` opening
     or reading it (no such file, a directory) is one ``OSError`` line,
     ``<flag>: cannot read <path>: <reason>``; an ``OSError`` still, so the
-    handlers that add context to a file's ``ValueError`` leave it as it is."""
+    handlers that add context to a file's ``ValueError`` leave it as it is.
+    ``read`` gets ``path`` as a ``Path``, so every line naming the file
+    spells it one way."""
+    path = Path(path)
     try:
         return read(path)
     except OSError as exc:
@@ -133,8 +148,9 @@ def _sizes(text: str, count: int, flag: str) -> tuple:
 
 
 def _scenario_config(args):
-    config = _read("--scenario", formats.scenario_from_file, args.scenario)
-    return _settings(args, config, args.scenario)
+    path = Path(args.scenario)
+    fields = _read("--scenario", formats.read_scenario_fields, path)
+    return _settings(args, formats._build(path, ScenarioConfig, **fields), path, fields)
 
 
 def _motion_params(args):
@@ -197,14 +213,15 @@ def cmd_track(args, out: Path):
     config, _ = _scenario_config(args)
     params, sources = _motion_params(args)
     refine, _ = _resolve(args, "ommr", True)
+    scenario = _named(args.scenario)
     if refine and params.n1 >= config.frame_count:
         raise ConfigError(  # a default n1 fails on the scenario's frame_count
-            f"{sources['n1'] or args.scenario}: n1 ({params.n1}) must be below frame_count "
+            f"{sources['n1'] or scenario}: n1 ({params.n1}) must be below frame_count "
             f"({config.frame_count}) for refinement to activate; lower --n1 or use --ommr off"
         )
     if config.frame_count < 2:  # track_rows needs two frames; simulate takes one
         raise ConfigError(
-            f"{args.scenario}: scenario must have at least 2 frames, got {config.frame_count}"
+            f"{scenario}: scenario must have at least 2 frames, got {config.frame_count}"
         )
     gt, raw, maps, _ = generate_scenario(config)
     trajectory, *trace = run_tracking(raw, maps, params, refine)
@@ -347,7 +364,7 @@ def cmd_attention_demo(args, out: Path):
         )
 
     # what set the channel counts: a random template and weights take the search's
-    channels_from = args.search or "--search-size"
+    channels_from = _named(args.search) or "--search-size"
     if args.weights:
         weights = _read("--weights", formats.read_projection_weights, args.weights)
     else:
@@ -356,7 +373,8 @@ def cmd_attention_demo(args, out: Path):
         )
     weights, sources = _settings(args, weights, args.weights)
 
-    where = ", ".join(dict.fromkeys(filter(None, (channels_from, args.template, args.weights))))
+    inputs = (channels_from, _named(args.template), _named(args.weights))
+    where = ", ".join(dict.fromkeys(filter(None, inputs)))
     enhanced, attention = formats._build(where, _attend, search, template, weights)
     if args.mask:
         top, left, mask_h, mask_w = formats._parse_numbers(args.mask, (int,) * 4, "--mask")

@@ -19,9 +19,13 @@ therefore leave a rewritten file empty, its old bytes already deleted, as
 it could always leave a new one.
 
 Every CSV file is built by one table encoder, :func:`_table`, from
-equal-length columns; its floats use Python's shortest round-trip
-representation, so files are byte-stable across runs and parse back to the
-exact values that were written.  Every output is encoded as ASCII.
+equal-length columns; its floats are Python's shortest round-trip
+``repr``, so files are byte-stable across runs and parse back to the exact
+values that were written.  orjson produces the digits, all of a table's
+floats in one :func:`_float_texts` call; a value whose orjson notation is
+not ``repr``'s (nan, +-inf, and any nonzero magnitude outside
+``[1e-4, 1e16)``) is written by ``repr`` itself.  Every output is encoded
+as ASCII.
 
 Text files are read as UTF-8, whatever the locale: every text reader goes
 through one decoder, which skips a leading byte-order mark and reports a
@@ -65,6 +69,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import orjson
 
 from .attention import ProjectionWeights
 from .boxes import check_rows, valid_rows
@@ -76,7 +81,6 @@ from .metrics import (
     SUMMARY_NAMES,
     EvalResult,
 )
-from .scenario import ScenarioConfig
 
 
 class ConfigError(ValueError):
@@ -175,17 +179,47 @@ def write_outputs(directory, files: dict[str, bytes], source: str):
         raise ConfigError(f"{source}: cannot write {target}: {exc.strerror or exc}") from None
 
 
+def _float_texts(values) -> list[str]:
+    """The shortest round-trip ``repr`` of each of ``values``, widened to
+    float64 first, so a float32 value is written as its float64 value.
+
+    orjson writes the digits (Ryu) for the whole array in one call, several
+    times faster than a ``repr`` per value.  Its notation is ``repr``'s for zero and for every magnitude in
+    ``[1e-4, 1e16)``.  Every other value is written by ``repr``: nan and
+    +-inf, which orjson writes as ``null``, and the magnitudes ``repr``
+    writes with an exponent.  So is any token with an ``e`` in it, though
+    orjson writes none inside that range."""
+    values = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    if not values.size:
+        return []
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode("ascii")
+    texts = text.split(",")
+    magnitude = np.abs(values)
+    redo = ~(((magnitude >= 1e-4) & (magnitude < 1e16)) | (values == 0))
+    if "e" in text:
+        redo |= np.array(["e" in token for token in texts])
+    for index in np.flatnonzero(redo).tolist():
+        texts[index] = repr(values[index].item())
+    return texts
+
+
 def _table(header: str | None, columns: Sequence) -> bytes:
     """Equal-length ``columns`` as comma-separated lines under ``header``
-    (none when it is ``None``): the one CSV line builder.  A float array
-    column is written as the shortest round-trip ``repr`` of each value;
-    any other column as ``str`` prints its items (an array's as Python
-    values), so a Python float is its ``repr`` there too."""
-    cells = [
-        list(map(repr if c.dtype.kind == "f" else str, c.tolist()))
-        if isinstance(c, np.ndarray) else list(map(str, c))
-        for c in columns
-    ]
+    (none when it is ``None``): the one CSV line builder.  Every float
+    array column is written as the shortest round-trip ``repr`` of each
+    value, all of them by one :func:`_float_texts` call; any other column
+    as ``str`` prints its items (an array's as Python values), so a Python
+    float is its ``repr`` there too."""
+    floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
+    texts = _float_texts(np.concatenate([c for c, f in zip(columns, floats) if f] or [[]]))
+    cells, start = [], 0
+    for column, is_float in zip(columns, floats):
+        if is_float:
+            cells.append(texts[start:start + len(column)])
+            start += len(column)
+        else:
+            items = column.tolist() if isinstance(column, np.ndarray) else column
+            cells.append(list(map(str, items)))
     if len({len(column) for column in cells}) > 1:
         raise ValueError(f"table columns must have equal lengths, got {[len(c) for c in cells]}")
     lines = [] if header is None else [header]
@@ -558,8 +592,11 @@ _SCENARIO_KEYS = {
 }
 
 
-def scenario_from_file(path) -> ScenarioConfig:
-    """Build a scenario from a key = value file.
+def read_scenario_fields(path) -> dict:
+    """The :class:`~sattrack.scenario.ScenarioConfig` fields a scenario
+    file sets, by name: ``waypoints`` and ``occlusions`` as tuples, every
+    other key as read.  The CLI builds the scenario from them, and takes
+    the seed's source from whether they hold one.
 
     ``waypoint = frame cx cy`` and ``occlusion = start end`` may repeat;
     everything else appears at most once.  Required: frame_count, waypoint,
@@ -572,8 +609,9 @@ def scenario_from_file(path) -> ScenarioConfig:
             raise ConfigError(f"{path}: missing required key {required!r}")
     if "waypoint" not in fields:
         raise ConfigError(f"{path}: at least one 'waypoint' entry is required")
-    waypoints, occlusions = tuple(fields.pop("waypoint")), tuple(fields.pop("occlusion", ()))
-    return _build(path, ScenarioConfig, waypoints=waypoints, occlusions=occlusions, **fields)
+    fields["waypoints"] = tuple(fields.pop("waypoint"))
+    fields["occlusions"] = tuple(fields.pop("occlusion", ()))
+    return fields
 
 
 # The motion settings and their kinds, for a --params file and the CLI.

@@ -29,7 +29,8 @@ from sattrack import generate_scenario, motion, normalized_psr, psr
 from sattrack.motion import _branch_weights
 from test_attention import with_biases
 from test_formats import (
-    feature_map_bytes, read_trajectory, scenario_text, write_feature_map, write_projection_weights,
+    feature_map_bytes, read_trajectory, scenario_from_file, scenario_text, write_feature_map,
+    write_projection_weights,
 )
 from test_scenario import PIN_CONFIGS
 
@@ -593,12 +594,68 @@ def test_track_reads_the_params_file_once(scenario_file, tmp_path, monkeypatch, 
 def test_settings_come_back_as_read_when_nothing_is_laid_over(scenario_file):
     scenario = scenario_file(CLEAN_SCENARIO)
     args = cli.build_parser().parse_args(["track", "--scenario", scenario])
-    config = formats.scenario_from_file(scenario)
+    config = scenario_from_file(scenario)
     assert cli._settings(args, config, scenario) == (config, {"seed": scenario})
     assert cli._settings(args, config, scenario)[0] is config
     defaults = AspectRatioParams()
     args = cli.build_parser().parse_args(["centerness-map", "--box", "1,2,3,4"])
     assert cli._settings(args, defaults)[0] is defaults
+
+
+@pytest.mark.parametrize("seed_line, flags, env, expected", [
+    ("", [], {}, None),  # the default seed
+    ("seed = 4\n", [], {}, "scenario.cfg"),
+    ("", ["--seed", "3"], {}, "--seed"),
+    ("seed = 4\n", ["--seed", "3"], {}, "--seed"),
+    ("", [], {"SATTRACK_SEED": "3"}, "SATTRACK_SEED"),
+])
+def test_the_seed_comes_from_the_file_only_where_it_has_a_seed_line(
+    scenario_file, monkeypatch, seed_line, flags, env, expected
+):
+    scenario = scenario_file(CLEAN_SCENARIO.replace("seed = 0\n", seed_line))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    args = cli.build_parser().parse_args(["simulate", "--scenario", scenario, *flags])
+    config, sources = cli._scenario_config(args)
+    assert sources == {"seed": scenario if expected == "scenario.cfg" else expected}
+    assert config.seed == {None: 0, "scenario.cfg": 4}.get(expected, 3)
+
+
+SHORT_SCENARIO = "frame_count = 1\nwaypoint = 1 30 40\ntarget_size = 12 8\n"
+
+
+@pytest.mark.parametrize("command, files, flags, line", [
+    ("track", {}, ["--params", "./n3.cfg"], "n3.cfg:1: unknown motion key 'n3'"),
+    ("track", {}, ["--params", "./bad.cfg"], f"bad.cfg: {WINDOW_RULE}, got n1=3, n2=10"),
+    ("track", {}, ["--params", "./sub/../missing.cfg"],
+     "--params: cannot read sub/../missing.cfg: No such file or directory"),
+    ("track", {"s.cfg": SHORT_SCENARIO}, ["--ommr", "off"],
+     "s.cfg: scenario must have at least 2 frames, got 1"),
+    ("track", {"s.cfg": SHORT_SCENARIO}, [],
+     "s.cfg: n1 (50) must be below frame_count (1) for refinement to activate; "
+     "lower --n1 or use --ommr off"),
+    ("track", {"s.cfg": "frame_count = 0\n"}, [], "s.cfg: missing required key 'target_size'"),
+    ("simulate", {"s.cfg": CLEAN_SCENARIO + "cell_scale = 0\n"}, [],
+     "s.cfg: cell_scale must be > 0, got 0.0"),
+    ("simulate", {"s.cfg": CLEAN_SCENARIO}, ["--seed", "-1"],
+     "--seed: seed must be >= 0, got -1"),
+    ("simulate", {}, ["--scenario", ".//missing.cfg"],
+     "--scenario: cannot read missing.cfg: No such file or directory"),
+])
+def test_an_error_line_names_an_input_file_as_the_readers_do(
+    tmp_path, monkeypatch, capsys, command, files, flags, line
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scenario.cfg").write_text(CLEAN_SCENARIO)
+    (tmp_path / "n3.cfg").write_text("n3 = 3\n")
+    (tmp_path / "bad.cfg").write_text("n1 = 3\n")
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    scenario = ["--scenario", "./" + next(iter(files), "scenario.cfg")]
+    argv = [command, *scenario, *flags, "--output", "out"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def on_off_spellings():

@@ -30,6 +30,7 @@ from sattrack.boxes import box_rows
 from sattrack.formats import (
     ConfigError,
     _feature_map_bytes,
+    _float_texts,
     _table,
     _parse_numbers,
     _parse_whole,
@@ -48,7 +49,6 @@ from sattrack.formats import (
     read_projection_weights,
     read_trajectory_rows,
     result_summary,
-    scenario_from_file,
     trace_csv,
     trajectory_csv,
 )
@@ -89,6 +89,14 @@ def motion_params_from_file(path) -> MotionParams:
     path = Path(path)
     fields = formats._read_fields(path, formats._MOTION_KEYS, "motion")
     return formats._build(path, MotionParams, **fields)
+
+
+def scenario_from_file(path) -> ScenarioConfig:
+    """The scenario a key = value file describes, validated alone: the
+    tests' reader of that layout (``track`` and ``simulate`` read its
+    fields, to tell which ones the file set)."""
+    path = Path(path)
+    return formats._build(path, ScenarioConfig, **formats.read_scenario_fields(path))
 
 
 def feature_map_bytes(tensor) -> bytes:
@@ -773,6 +781,86 @@ class TestTableWriters:
         columns = [np.arange(2), np.array([3.0, -0.0]), [5e-324, 1e16], ["a", "b"]]
         data = _table("i,x,y,label", columns)
         assert data == b"i,x,y,label\n0,3.0,5e-324,a\n1,-0.0,1e+16,b\n"
+
+
+# Where the encoder's notation switches: the ends of [1e-4, 1e16), their
+# neighbours, zeros, subnormals, the extremes and the non-finite values.
+ENCODER_EDGES = (
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+    1e-5, 9.999999999999999e-05, 1e-4, 1.0000000000000002e-4, -1e-4, 0.1, 1.0, -1.5,
+    1e15, 1e16, -1e16, 9999999999999998.0, -9999999999999998.0, 1.0000000000000002e16,
+    123456789012345.67, 0.30000000000000004,
+)
+
+
+def repr_texts(values) -> list[str]:
+    """The oracle: Python's shortest round-trip ``repr`` of each value."""
+    return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+
+
+def from_bits(bits) -> np.ndarray:
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+class TestFloatTexts:
+    """``_float_texts`` writes each value as ``repr`` does, whatever its bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @example(bits=[])
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), max_size=40))
+    def test_any_bit_pattern_is_its_repr(self, bits):
+        values = from_bits(bits)
+        assert _float_texts(values) == repr_texts(values)
+
+    def test_a_seeded_sweep_is_repr(self):
+        rng = np.random.default_rng(24)
+        # random bit patterns are mostly far outside [1e-4, 1e16); the
+        # log-uniform magnitudes put most values inside it
+        bits = from_bits(rng.integers(0, 2**64 - 1, 200_000, dtype=np.uint64, endpoint=True))
+        scaled = 10.0 ** rng.uniform(-6.0, 18.0, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+        for values in (bits, scaled, np.round(scaled, 3)):
+            assert _float_texts(values) == repr_texts(values)
+
+    def test_edges_are_repr(self):
+        values = np.array(ENCODER_EDGES)
+        assert _float_texts(values) == repr_texts(values)
+        assert _float_texts(values[::-1]) == repr_texts(values[::-1])
+        for value in ENCODER_EDGES:  # alone, and beside an in-range value
+            assert _float_texts(np.array([value])) == [repr(value)]
+            assert _float_texts(np.array([value, 0.5])) == [repr(value), "0.5"]
+
+    def test_float32_is_written_as_its_float64_value(self):
+        values = np.array([0.1, 1e-5, 3.4028235e38, -0.0], dtype=np.float32)
+        assert _float_texts(values) == repr_texts(values.astype(np.float64))
+        assert _float_texts(values)[0] == "0.10000000149011612"
+
+    def test_a_non_contiguous_view_is_read_as_its_values(self):
+        grid = np.arange(12, dtype=float).reshape(3, 4) / 7.0
+        for view in (grid[:, 1], grid.T[2], grid[::2, ::-1].ravel(), grid.T):
+            assert _float_texts(view) == repr_texts(np.ravel(view))
+
+    def test_table_of_mixed_columns_is_the_repr_oracle(self):
+        rng = np.random.default_rng(7)
+        columns = [
+            range(1, 7),
+            from_bits(rng.integers(0, 2**64 - 1, 6, dtype=np.uint64, endpoint=True)),
+            ["a", "b", "c", "d", "e", "f"],
+            np.array(ENCODER_EDGES[:6], dtype=np.float32),
+            np.arange(6, dtype=np.int64),
+            [0.5, -0.0, 1e-7, 2.0, math.nan, 1e17],  # a list of floats: str is repr
+            rng.uniform(0, 500, (6, 2))[:, 1],  # a non-contiguous view
+            np.array(ENCODER_EDGES[-6:]),
+        ]
+        cells = [
+            repr_texts(c) if isinstance(c, np.ndarray) and c.dtype.kind == "f"
+            else [str(v) for v in (c.tolist() if isinstance(c, np.ndarray) else c)]
+            for c in columns
+        ]
+        expected = "".join(",".join(row) + "\n" for row in zip(*cells))
+        assert _table(None, columns) == expected.encode()
+        assert _table("h", [np.array([], dtype=float), []]) == b"h\n"
+        assert _table("h", [range(2), ["x", "y"]]) == b"h\n0,x\n1,y\n"
 
 
 class TestRoundTripProperties:
