@@ -125,6 +125,14 @@ def _settings(args, settings, path=None, fields=None):
     return formats._build(where, build, **values), sources
 
 
+def _input_path(flag: str, text: str) -> Path:
+    """The path an input flag gives.  An empty text, which ``Path`` reads
+    as the current directory, is an error naming the flag."""
+    if not text:
+        raise ConfigError(f"{flag}: empty path")
+    return Path(text)
+
+
 def _read(flag: str, read, path):
     """``read(path)`` for the input ``flag`` names.  An ``OSError`` opening
     or reading it (no such file, a directory) is one ``OSError`` line,
@@ -148,7 +156,7 @@ def _sizes(text: str, count: int, flag: str) -> tuple:
 
 
 def _scenario_config(args):
-    path = Path(args.scenario)
+    path = _input_path("--scenario", args.scenario)
     fields = _read("--scenario", formats.read_scenario_fields, path)
     return _settings(args, formats._build(path, ScenarioConfig, **fields), path, fields)
 
@@ -302,8 +310,8 @@ def _score_sequences(sequences: list[tuple[str, Path, Path]]) -> dict:
 
 
 def cmd_evaluate(args, out: Path):
-    pred_path = Path(args.pred)
-    gt_path = Path(args.gt)
+    pred_path = _input_path("--pred", args.pred)
+    gt_path = _input_path("--gt", args.gt)
     for flag, path in (("--pred", pred_path), ("--gt", gt_path)):
         _read(flag, os.stat, path)  # a missing input is named before the modes are compared
     if pred_path.is_dir() != gt_path.is_dir():

@@ -18,11 +18,12 @@ that flush to return sooner.  A power loss within the writeback window can
 therefore leave a rewritten file empty, its old bytes already deleted, as
 it could always leave a new one.
 
-Every CSV file is built by one table encoder, :func:`_table`, from
-equal-length columns; its floats are Python's shortest round-trip
-``repr``, so files are byte-stable across runs and parse back to the exact
-values that were written.  orjson produces the digits, all of a table's
-floats in one :func:`_float_texts` call; a value whose orjson notation is
+Every CSV file but a grid is built by one table encoder, :func:`_table`,
+from equal-length columns; a grid is built line by grid row.  Their floats
+are Python's shortest round-trip ``repr``, so files are byte-stable across
+runs and parse back to the exact values that were written.  orjson
+produces the digits, all of a file's floats in one :func:`_float_texts`
+call; a value whose orjson notation is
 not ``repr``'s (nan, +-inf, and any nonzero magnitude outside
 ``[1e-4, 1e16)``) is written by ``repr`` itself.  Every output is encoded
 as ASCII.
@@ -39,9 +40,12 @@ Formats:
   headerless benchmark layout ``x,y,w,h`` (top-left corner, comma or tab
   separated).  :func:`read_trajectory_rows` parses either straight into
   ``(N, 4)`` center-format rows: a well-formed file in one pass over its
-  whole text, any other file row by row, so that the first bad line in
-  file order is the one reported.  :func:`trajectory_csv` encodes such
-  rows
+  whole text, all of its fields by one ``orjson.loads`` call; any other
+  file row by row with ``float``, so that the first bad line in file order
+  is the one reported.  A field that JSON spells differently from
+  ``float`` (``+1``, ``.5``, ``1_0``, ``nan``, ``-0`` and the like) sends
+  its file to the row scan, which reads it as before.
+  :func:`trajectory_csv` encodes such rows
 * trace CSV -- ``frame,psr,npsr,branch``, written from the per-frame
   columns of :func:`~sattrack.motion.track_rows` by :func:`trace_csv`
 * grid CSV -- one response/label map row per line
@@ -295,24 +299,40 @@ def _center_rows(table: np.ndarray, center_format: bool) -> tuple[np.ndarray, np
     return boxes, valid_rows(boxes)
 
 
+# Body text that orjson reads, but not as ``float`` does: a JSON string,
+# array or object, or true, false or null, which ``np.array`` would turn
+# silently into a number; and the integer ``-0``, which orjson reads as 0.
+_NON_NUMBER_CHARS = '"[]{}tfn'
+_NEGATIVE_ZERO = re.compile(r"(?<![eE])-0(?![.eE\d])")  # not in an exponent: 1e-05
+
+
 def _parse_whole(text: str) -> np.ndarray | None:
     """The rows of a well-formed file, parsed as one piece, or ``None`` when
     the file needs :func:`_scan_rows`.
 
     Well-formed means: a header line or none, then box rows only (no
     comment, blank line or blank field), each with ``width - 1`` separators,
-    every field a Python ``float``, frames 1..N and every box valid.  Each
-    of those is one operation over the whole file.  A file that fails any of
-    them goes to the per-row scan, which finds the first bad line."""
+    every field a JSON number, all read by one ``orjson.loads`` call,
+    frames 1..N and every box valid.  Each of those is one operation over
+    the whole file.  JSON's numbers are a subset of ``float``'s spellings,
+    and orjson reads each to ``float``'s double but for the integer ``-0``.
+    A file that fails any check, holds ``-0`` or a spelling only ``float``
+    reads goes to the per-row scan, which reads it as ``float`` does and
+    finds the first bad line."""
     lines = text.replace("\t", ",").splitlines()
     center_format = bool(lines) and lines[0].lstrip().lower().startswith("frame")
     body = lines[1:] if center_format else lines
     width = 5 if center_format else 4
     if not body or set(map(str.count, body, repeat(","))) != {width - 1}:
         return None
+    joined = ",".join(body)
+    if any(char in joined for char in _NON_NUMBER_CHARS):
+        return None
     try:
-        fields = np.fromiter(map(float, ",".join(body).split(",")), float, len(body) * width)
-    except ValueError:  # a blank or non-numeric field
+        fields = np.array(orjson.loads("[" + joined + "]"), dtype=float)
+    except orjson.JSONDecodeError:  # a blank field or a spelling JSON does not have
+        return None
+    if not fields.all() and _NEGATIVE_ZERO.search(joined):  # a zero that may be -0
         return None
     table = fields.reshape(-1, width)
     if center_format and not (table[:, 0] == np.arange(1, len(body) + 1)).all():
@@ -378,9 +398,13 @@ def read_trajectory_rows(path) -> np.ndarray:
     trajectory CSV must count 1..N in file order.  Corner rows become
     centres as ``x + w / 2``, ``y + h / 2``.  Every row must make a valid
     :class:`BoundingBox` (finite fields, ``w, h > 0``).  A well-formed file
-    is parsed in one pass over the whole text (:func:`_parse_whole`); any
-    other file -- comments, blank lines or fields, a bad row -- is scanned
-    row by row (:func:`_scan_rows`), with the same rows as the result.
+    whose fields are all JSON numbers is parsed in one pass over the whole
+    text, by one ``orjson.loads`` call (:func:`_parse_whole`).  Any other
+    file is scanned row by row with ``float`` (:func:`_scan_rows`), with the
+    same rows as the result: one with comments, blank lines or fields, a
+    bad row, or a field only ``float`` spells (``+1``, ``.5``, ``5.``,
+    ``01``, ``1_0``, ``nan``, ``inf``, ``1e400``, the integer ``-0``, a
+    non-ASCII space around a field).
     Errors name ``path:line``, and the first bad line in file order wins
     whatever the kind of error.
     """
@@ -403,12 +427,15 @@ def trace_csv(psr, npsr, branch: Sequence[str]) -> bytes:
 
 
 def grid_csv(grid: np.ndarray) -> bytes:
+    """A 2-D grid as one line per grid row, its floats from one
+    :func:`_float_texts` call."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2:
         raise ValueError(f"grid must be 2-D, got shape {grid.shape}")
     if not grid.size:  # read_grid_csv rejects the file an empty grid would make
         raise ValueError(f"grid must have a row and a column, got shape {grid.shape}")
-    return _table(None, grid.T)
+    rows = zip(*[iter(_float_texts(grid))] * grid.shape[1])  # the texts, one grid row at a time
+    return ("\n".join(map(",".join, rows)) + "\n").encode("ascii")
 
 
 def read_grid_csv(path) -> np.ndarray:

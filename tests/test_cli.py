@@ -345,6 +345,27 @@ def test_an_unreadable_input_is_one_error_line_naming_its_flag(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--scenario", "--pred", "--gt"])
+def test_an_empty_input_path_is_an_error_naming_its_flag(
+    tmp_path, monkeypatch, capsys, flag
+):
+    # Path("") is ".": the working directory must not be read in its place
+    truth = tmp_path / "truth.csv"
+    truth.write_bytes(formats.trajectory_csv([(30.0, 40.0, 12.0, 8.0)] * 3))
+    work = tmp_path / "cwd"
+    work.mkdir()
+    (work / "c.csv").write_bytes(truth.read_bytes())
+    monkeypatch.chdir(work)
+    argv = {
+        "--scenario": ["track"],
+        "--pred": ["evaluate", "--gt", str(truth)],
+        "--gt": ["evaluate", "--pred", str(truth)],
+    }[flag]
+    assert main([*argv, flag, "", "--output", "out"]) == 1
+    assert capsys.readouterr() == ("", f"error: {flag}: empty path\n")
+    assert [path.name for path in work.iterdir()] == ["c.csv"]
+
+
 @pytest.mark.parametrize("command", ["simulate", "track"])
 def test_no_output_directory_fails_before_synthesis(commands, monkeypatch, capsys, command):
     calls = []

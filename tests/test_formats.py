@@ -305,6 +305,14 @@ positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 finite = st.floats(allow_nan=False, allow_infinity=False)
 boxes_strategy = st.lists(st.builds(BoundingBox, finite, finite, positive, positive),
                           min_size=1, max_size=20)
+# Where orjson and float() disagree, or JSON has no such number: spelling ->
+# whether a file holding it as a field takes the one-pass parse.
+JSON_EDGES = {
+    "-0": False, " -0 ": False, "-0.0": True, "-0e5": True,
+    "true": False, "null": False, '"1"': False, "[1": False, "{}": False,
+    "01": False, "+1": False, ".5": False, "5.": False, "1e400": False,
+    "9007199254740993": True, "18446744073709551617": True,
+}
 # Field spellings: float reprs (nan/inf included), integers, and texts that
 # float() accepts or rejects in ways a reader must not change.
 field_text = st.one_of(
@@ -312,10 +320,11 @@ field_text = st.one_of(
     st.integers(-3, 40).map(str),
     st.sampled_from(["1_0", " 1e3 ", "0x1p3", "nan", "-inf", "inf", "x", "1e999", "-0.0",
                      "0", "-2", "1.7e308", "-1.7e308", "1e-320", "1__0", ".",
-                     "10\x1f", "\x1f2", "\x1f"]),
+                     "10\x1f", "\x1f2", "\x1f", *JSON_EDGES]),
 )
 text_tokens = st.sampled_from(
-    list("0123456789") + [",", " ", "\t", "\x1f", "#", ".", "-", "e", "\n", "nan", "inf", "frame"]
+    list("0123456789") + [",", " ", "\t", "\x1f", "#", ".", "-", "e", "\n", "nan", "inf", "frame",
+                          *JSON_EDGES]
 )
 
 
@@ -450,6 +459,17 @@ def layout_text(rows: np.ndarray, layout: str) -> str:
 
 
 LAYOUTS = ["header", "corner-comma", "corner-tab"]
+# JSON numbers of every shape: float reprs, long decimals with exponents
+# (subnormal and overflowing ones included), halfway cases and big integers.
+json_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds("{}{}.{}e{}".format, st.sampled_from(["", "-"]), st.integers(0, 10**20),
+              st.integers(0, 10**25), st.integers(-340, 310)),
+    st.integers(-2**70, 2**70).map(str),
+    st.sampled_from(["2.4703282292062327e-324", "2.4703282292062328e-324",
+                     "2.2250738585072011e-308", "1.7976931348623158e308",
+                     "1.7976931348623159e308", "9007199254740993", "-0.0", "-0e5"]),
+)
 ONE_PASS = [
     # line breaks other than \n, and no final one
     "frame,cx,cy,w,h\r\n1,10,20,4,6\r\n2,11,21,4,6\r\n",
@@ -458,7 +478,6 @@ ONE_PASS = [
     "frame,cx,cy,w,h\u20281,10,20,4,6\r2,11,21,4,6\x85",
     # mixed tab and comma rows, whitespace around fields, a spelt-out header
     "10\t20,4\t6\n11,21\t4,6\n",
-    " 10 ,\xa020\t 4 ,6 \n",
     "  FRAME\tcx\tcy\tw\th\n1\t10\t20\t4\t6\n",
 ]
 PER_ROW = [
@@ -474,6 +493,8 @@ PER_ROW = [
     "frame,cx,cy,w,h\n1,10,20,4,6,\n",
     # a header behind a tab, which the one-pass split turns into a field
     "\tframe,cx,cy,w,h\n1,10,20,4,6\n",
+    # a non-ASCII space (NBSP) around a field, which float() strips and JSON has not
+    " 10 ,\xa020\t 4 ,6 \n",
     # errors: count, non-number, frame, box; empty files
     "10,20,4\n",
     "10,20,4\n11,21,4,6,7\n",
@@ -501,6 +522,42 @@ class TestOnePassParse:
         path.write_text(text)
         assert _parse_whole(text) is not None
         assert read_trajectory_rows(path).shape == (1000, 4)
+        assert_same_outcome(path)
+
+    def test_integer_frames_and_exponent_fields_take_the_one_pass_parse(self, tmp_path):
+        rows = np.random.default_rng(55).uniform(1.0, 9.0, (1000, 4))
+        rows[::2] *= 1e-5  # repr writes these with an exponent: 1.234e-05
+        rows[::97, :2] = 0.0  # so the -0 check reads the exponents too
+        text = layout_text(rows, "header")
+        assert "e-05," in text and "\n1000," in text
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        assert _parse_whole(text) is not None
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize("layout", ["frame,cx,cy,w,h\n1,{},20,4,6\n2,-1,21,4,6\n",
+                                        "{}\t20\t4\t6\n-1\t21\t4\t6\n"])
+    @pytest.mark.parametrize("spelling, one_pass", JSON_EDGES.items())
+    def test_where_json_and_float_differ_the_reference_reads(
+        self, tmp_path, layout, spelling, one_pass
+    ):
+        text = layout.format(spelling)
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        assert (_parse_whole(text) is not None) == one_pass
+        assert_same_outcome(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(numbers=st.lists(json_numbers, min_size=2, max_size=40))
+    def test_json_numbers_read_as_float_reads_them(self, tmp_path_factory, numbers):
+        pairs = zip(numbers[::2], numbers[1::2])
+        text = "frame,cx,cy,w,h\n" + "".join(
+            f"{frame},{cx},{cy},4,6\n" for frame, (cx, cy) in enumerate(pairs, start=1)
+        )
+        path = tmp_path_factory.mktemp("json") / "t.csv"
+        path.write_text(text)
+        if all(math.isfinite(float(number)) for number in numbers[:len(numbers) // 2 * 2]):
+            assert _parse_whole(text) is not None
         assert_same_outcome(path)
 
     @pytest.mark.parametrize("text", ONE_PASS)
@@ -761,6 +818,12 @@ class TestTableWriters:
         )
         assert float_bytes([float(f[1]) for f in fields]) == float_bytes(thresholds)
         assert float_bytes([float(f[2]) for f in fields]) == float_bytes(np.concatenate(curves))
+
+    @pytest.mark.parametrize("shape", [(3, 20000), (20000, 3), (1, 5000), (5000, 1), (1, 1)])
+    def test_wide_and_tall_grid_bytes_match_the_oracle(self, shape):
+        grid = np.random.default_rng(57).standard_normal(shape)
+        grid.flat[::11] = np.resize(EDGE_FLOATS + (np.inf, -np.inf, np.nan), grid.flat[::11].size)
+        assert grid_csv(grid) == oracle_grid_text(grid).encode()
 
     @pytest.mark.parametrize(
         "encode",
