@@ -49,12 +49,12 @@ from .metrics import aggregate_results
 # ``evaluate`` here scores (N, 4) rows; benchmarks/tracing.py wraps this name
 # and reports its time as ``metrics.evaluate``.
 from .metrics import evaluate_rows as evaluate
-from .motion import MotionParams, _psr_maps
-# ``track`` and ``simulate`` run on rows; benchmarks/tracing.py wraps these
-# two names and reports them as ``scenario.generate_scenario`` and
-# ``scenario.run_tracking``.
-from .motion import track_rows as run_tracking
-from .scenario import ScenarioConfig
+from .motion import MotionParams
+# ``track`` and ``simulate`` run on rows and the scenario's PSR column;
+# benchmarks/tracing.py wraps these two names and reports them as
+# ``scenario.generate_scenario`` and ``scenario.run_tracking``.
+from .motion import _refine_rows as run_tracking
+from .scenario import ScenarioConfig, _cpu_count
 from .scenario import generate_scenario_rows as generate_scenario
 
 
@@ -125,9 +125,12 @@ def _settings(args, settings, path=None, fields=None):
     return formats._build(where, build, **values), sources
 
 
-def _input_path(flag: str, text: str) -> Path:
-    """The path an input flag gives.  An empty text, which ``Path`` reads
-    as the current directory, is an error naming the flag."""
+def _input_path(flag: str, text: str | None) -> Path | None:
+    """The path an input flag gives, ``None`` for a flag not given.  An
+    empty text, which ``Path`` reads as the current directory, is an error
+    naming the flag."""
+    if text is None:
+        return None
     if not text:
         raise ConfigError(f"{flag}: empty path")
     return Path(text)
@@ -163,8 +166,9 @@ def _scenario_config(args):
 
 def _motion_params(args):
     read = functools.partial(formats._read_fields, kinds=formats._MOTION_KEYS, what="motion")
-    fields = _read("--params", read, args.params) if args.params else {}
-    return _settings(args, MotionParams, args.params, fields)
+    path = _input_path("--params", args.params)
+    fields = _read("--params", read, path) if path else {}
+    return _settings(args, MotionParams, path, fields)
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +201,14 @@ def cmd_centerness_map(args, out: Path):
 
 def cmd_simulate(args, out: Path):
     config, _ = _scenario_config(args)
-    gt, raw, maps, occluded = generate_scenario(config)
+    gt, raw, maps, occluded, psrs = generate_scenario(config)
     flat = maps.reshape(len(maps), -1)
     peaks = flat.argmax(axis=1)
     peak_rows, peak_cols = np.divmod(peaks, maps.shape[2])
     peak_values = flat[np.arange(len(flat)), peaks]
     summary = [
         range(1, len(maps) + 1), occluded.astype(int), peak_rows, peak_cols,
-        peak_values, _psr_maps(maps),
+        peak_values, psrs,
     ]
 
     files = {
@@ -231,8 +235,8 @@ def cmd_track(args, out: Path):
         raise ConfigError(
             f"{scenario}: scenario must have at least 2 frames, got {config.frame_count}"
         )
-    gt, raw, maps, _ = generate_scenario(config)
-    trajectory, *trace = run_tracking(raw, maps, params, refine)
+    gt, raw, _, _, psrs = generate_scenario(config)
+    trajectory, *trace = run_tracking(raw, psrs, params, refine)
 
     files = {
         "trajectory.csv": formats.trajectory_csv(trajectory),
@@ -281,13 +285,6 @@ def _score_sequence(sequence: tuple[str, Path, Path]):
         raise ConfigError(f"sequence {name!r}: {exc}") from exc
 
 
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _score_sequences(sequences: list[tuple[str, Path, Path]]) -> dict:
     """Every sequence's result by name, in the order given.  The sequences
     are independent, so they are scored in forked worker processes when
@@ -312,11 +309,12 @@ def _score_sequences(sequences: list[tuple[str, Path, Path]]) -> dict:
 def cmd_evaluate(args, out: Path):
     pred_path = _input_path("--pred", args.pred)
     gt_path = _input_path("--gt", args.gt)
+    attributes = _input_path("--attributes", args.attributes)
     for flag, path in (("--pred", pred_path), ("--gt", gt_path)):
         _read(flag, os.stat, path)  # a missing input is named before the modes are compared
     if pred_path.is_dir() != gt_path.is_dir():
         raise ConfigError("--pred and --gt must both be files or both be directories")
-    if args.attributes and not pred_path.is_dir():
+    if attributes and not pred_path.is_dir():
         raise UsageError(
             "--attributes needs directory mode (--pred and --gt directories); "
             "a single sequence has no attribute groups"
@@ -340,8 +338,8 @@ def cmd_evaluate(args, out: Path):
 
     results = _score_sequences(_discover_sequences(pred_path, gt_path))
     groups = {"overall": list(results)}
-    if args.attributes:
-        groups.update(_read("--attributes", formats.read_attribute_groups, args.attributes))
+    if attributes:
+        groups.update(_read("--attributes", formats.read_attribute_groups, attributes))
     aggregated = aggregate_results(results, groups)
 
     files = {"summary.json": formats.json_bytes({
@@ -360,28 +358,31 @@ def cmd_evaluate(args, out: Path):
 def cmd_attention_demo(args, out: Path):
     seed, source = _resolve(args, "seed", 0)
     rng = np.random.Generator(formats._build(source, np.random.PCG64, seed))
-    if args.search:
-        search = _read("--search", formats.read_feature_map, args.search)
+    search_path = _input_path("--search", args.search)
+    template_path = _input_path("--template", args.template)
+    weights_path = _input_path("--weights", args.weights)
+    if search_path:
+        search = _read("--search", formats.read_feature_map, search_path)
     else:
         search = rng.standard_normal(_sizes(args.search_size, 3, "--search-size"))
-    if args.template:
-        template = _read("--template", formats.read_feature_map, args.template)
+    if template_path:
+        template = _read("--template", formats.read_feature_map, template_path)
     else:
         template = rng.standard_normal(
             (search.shape[0], *_sizes(args.template_size, 2, "--template-size"))
         )
 
     # what set the channel counts: a random template and weights take the search's
-    channels_from = _named(args.search) or "--search-size"
-    if args.weights:
-        weights = _read("--weights", formats.read_projection_weights, args.weights)
+    channels_from = _named(search_path) or "--search-size"
+    if weights_path:
+        weights = _read("--weights", formats.read_projection_weights, weights_path)
     else:
         weights = formats._build(
             channels_from, init_projection_weights, search.shape[0], seed=seed
         )
-    weights, sources = _settings(args, weights, args.weights)
+    weights, sources = _settings(args, weights, weights_path)
 
-    inputs = (channels_from, _named(args.template), _named(args.weights))
+    inputs = (channels_from, _named(template_path), _named(weights_path))
     where = ", ".join(dict.fromkeys(filter(None, inputs)))
     enhanced, attention = formats._build(where, _attend, search, template, weights)
     if args.mask:

@@ -15,16 +15,22 @@ overrides the raw model box:
   size follows an exponential moving average.
 
 All positions are pixel units, center-format boxes.  The per-frame step is
-a real-time hot path, so it works on floats: one kernel scores the map,
-picks the branch, pushes the refined ``(cx, cy, w, h)`` row tuple into the
-tracker state and returns the frame's record ``(refined, psr, npsr,
-branch)``.  The history is those rows in a doubled ring buffer: every row
-is written twice, ``capacity`` rows apart, so the recent window is always
-one contiguous slice and a push costs O(1).  :func:`refine_step` scores
-its map with :func:`psr` and runs the kernel for one
-:class:`BoundingBox`; :func:`track_rows` scores the whole sequence's maps
-first and runs the kernel over its ``(T, 4)`` rows, returning the records
-as columns, with no per-frame object.  Both give the same floats.
+a real-time hot path, so it works on floats.  One branch kernel
+(:func:`_branch_row`) turns the ``(n1, 4)`` history window, the frame's
+raw row and its nPSR into the refined ``(cx, cy, w, h)`` row tuple.
+:func:`refine_step` scores its map with :func:`psr`, normalizes it, picks
+the branch, runs the kernel on the tracker state's history and pushes the
+result there.  That history is a doubled ring buffer: every row is written
+twice, ``capacity`` rows apart, so the recent window is always one
+contiguous slice and a push costs O(1).
+
+:func:`track_rows` does a whole sequence with no per-frame object.  It
+scores every map first, then decides nPSR, warm-up and branch for all
+frames as arrays (:func:`_normalized`: the running maximum is one
+``accumulate``); only the history recurrence is looped, the kernel run on
+each frame's window of the refined ``(T, 4)`` output.  It returns the
+records as columns, the same floats and labels as a :func:`refine_step`
+loop.
 
 On a 25x25 map the cost of a step is numpy call overhead, not arithmetic,
 so each step makes as few array calls as it can and stays exact:
@@ -299,18 +305,47 @@ def _branch_weights(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
     return low, high
 
 
+def _branch_row(window: np.ndarray, row, npsr: float, low: bool, params: MotionParams):
+    """The refined ``(cx, cy, w, h)`` of one frame past warm-up: the low
+    branch (``low``) or the high one, as the module docstring describes,
+    from the ``(n1, 4)`` history ``window``, the frame's raw ``row`` and its
+    nPSR.  A refined row with a non-finite field is rejected with
+    :class:`BoundingBox`'s message.  The one branch kernel of
+    :func:`refine_step` and :func:`track_rows`."""
+    weights_low, weights_high = _branch_weights(params.n1, params.n2)
+    lam = params.lambda_ema
+    prev_cx, prev_cy, prev_w, prev_h = window[-1].tolist()
+    if low:
+        cx, cy, fit_w, fit_h = (weights_low @ window).tolist()
+        w = lam * fit_w + (1.0 - lam) * prev_w
+        h = lam * fit_h + (1.0 - lam) * prev_h
+    else:
+        model_cx, model_cy, model_w, model_h = row
+        vx, vy, _, _ = (weights_high @ window).tolist()
+        alpha = npsr * npsr
+        cx = prev_cx + alpha * (model_cx - prev_cx) + (1.0 - alpha) * vx
+        cy = prev_cy + alpha * (model_cy - prev_cy) + (1.0 - alpha) * vy
+        w = lam * model_w + (1.0 - lam) * prev_w
+        h = lam * model_h + (1.0 - lam) * prev_h
+    w, h = max(w, MIN_SIZE), max(h, MIN_SIZE)
+    # a non-finite field makes the sum non-finite; a finite sum that
+    # overflows is let through by the box's own check
+    if not math.isfinite(cx + cy + w + h):
+        BoundingBox(cx, cy, w, h)
+    return cx, cy, w, h
+
+
 def _advance(state: TrackerState, row, value: float, params: MotionParams):
     """Advance the tracker by one frame on floats, given the frame's PSR
     ``value``; return the frame's record ``(refined, psr, npsr, branch)``.
     ``refined`` is the refined ``(cx, cy, w, h)``, which is ``row`` itself
     during warm-up.
 
-    Normalizes the PSR, advances the frame counter, picks the branch
-    described in the module docstring and pushes the result into the
+    Normalizes the PSR, advances the frame counter, picks the branch, runs
+    :func:`_branch_row` on the ring's window and pushes the result into the
     history.  Past warm-up the history must hold exactly ``n1`` rows; a
     shorter one means the state was fed inconsistently and is reported as
-    an error.  A refined row with a non-finite field is rejected with
-    :class:`BoundingBox`'s message.
+    an error.
     """
     n1 = params.n1
     if state.capacity != n1:
@@ -327,30 +362,9 @@ def _advance(state: TrackerState, row, value: float, params: MotionParams):
                 f"frame {state.frame_index} is past warm-up but history holds "
                 f"{state._count} boxes instead of {n1}"
             )
-        window = state._window()
-        low, high = _branch_weights(n1, params.n2)
-        lam = params.lambda_ema
-        prev_cx, prev_cy, prev_w, prev_h = window[-1].tolist()
-        if npsr < params.theta:
-            cx, cy, fit_w, fit_h = (low @ window).tolist()
-            w = lam * fit_w + (1.0 - lam) * prev_w
-            h = lam * fit_h + (1.0 - lam) * prev_h
-            branch = LOW_CONFIDENCE
-        else:
-            model_cx, model_cy, model_w, model_h = row
-            vx, vy, _, _ = (high @ window).tolist()
-            alpha = npsr * npsr
-            cx = prev_cx + alpha * (model_cx - prev_cx) + (1.0 - alpha) * vx
-            cy = prev_cy + alpha * (model_cy - prev_cy) + (1.0 - alpha) * vy
-            w = lam * model_w + (1.0 - lam) * prev_w
-            h = lam * model_h + (1.0 - lam) * prev_h
-            branch = HIGH_CONFIDENCE
-        w, h = max(w, MIN_SIZE), max(h, MIN_SIZE)
-        # a non-finite field makes the sum non-finite; a finite sum that
-        # overflows is let through by the box's own check
-        if not math.isfinite(cx + cy + w + h):
-            BoundingBox(cx, cy, w, h)
-        refined = (cx, cy, w, h)
+        low = npsr < params.theta
+        refined = _branch_row(state._window(), row, npsr, low, params)
+        branch = LOW_CONFIDENCE if low else HIGH_CONFIDENCE
 
     state._push(refined)
     return refined, value, npsr, branch
@@ -382,15 +396,14 @@ def track_rows(
     ``maps`` its ``T`` response maps (a ``(T, H, W)`` array or a sequence of
     ``(H, W)`` maps), frame ``k + 1`` at index ``k``.  Returns the per-frame
     records as columns: the ``(T, 4)`` trajectory rows, the ``(T,)`` PSR and
-    normalized PSR and the ``T`` branch labels.  With refinement on, every
-    frame goes through the kernel of :func:`refine_step`; off, the
-    trajectory is a copy of the raw rows and the maps are still scored,
-    under branch label ``"raw"``.
+    normalized PSR and the ``T`` branch labels, the floats and labels of a
+    :func:`refine_step` loop.  Off, the trajectory is a copy of the raw rows
+    and the maps are still scored, under branch label ``"raw"``.
 
     Every map is scored before the first frame is refined, in one batched
     pass that gives :func:`psr`'s floats (:func:`_psr_maps`).  So a map
     :func:`psr` rejects is reported before an error of any refinement step,
-    even one of an earlier frame.
+    even one of an earlier frame.  The refinement is :func:`_refine_rows`.
     """
     raw = np.asarray(raw_rows, dtype=float)
     if raw.ndim != 2 or raw.shape[1] != 4:
@@ -400,13 +413,41 @@ def track_rows(
     if len(maps) != len(raw):
         raise ValueError(f"{len(raw)} raw rows but {len(maps)} response maps")
     check_rows(raw)
-    # off, only the running PSR maximum is read, so no n1-row history is kept
-    state = TrackerState(capacity=params.n1 if ommr_enabled else 1)
-    frames = zip(raw.tolist(), _psr_maps(maps))
-    if ommr_enabled:
-        records = [_advance(state, row, value, params) for row, value in frames]
-    else:
-        records = [(row, value, _normalize(value, state), "raw") for row, value in frames]
-    rows, psrs, npsrs, branches = zip(*records)
-    return np.array(rows, dtype=float), np.array(psrs), np.array(npsrs), list(branches)
+    return _refine_rows(raw, np.array(_psr_maps(maps)), params, ommr_enabled)
 
+
+def _normalized(values: np.ndarray) -> np.ndarray:
+    """The nPSR column of a sequence's ``(T,)`` PSR column: a loop of
+    :func:`_normalize` from a fresh state, bit for bit, as arrays.  The
+    running maximum starts at the state's 0.0 and, like ``max``, passes
+    over a NaN (``fmax``); ``max`` and one IEEE division per frame give
+    ``_normalize``'s doubles."""
+    peak = np.fmax.accumulate(np.fmax(values, 0.0))
+    with np.errstate(all="ignore"):  # as in _normalize, inf / inf gives nan without a warning
+        return np.divide(values, peak, out=np.zeros_like(values), where=peak > 0.0)
+
+
+def _refine_rows(
+    raw: np.ndarray, values: np.ndarray, params: MotionParams, ommr_enabled: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """:func:`track_rows` on checked ``(T, 4)`` raw rows and their maps'
+    ``(T,)`` PSR column ``values``.
+
+    nPSR, warm-up and branch are decided as arrays: the first ``n1``
+    refined rows are the raw rows, a later frame takes the low branch where
+    its nPSR is below ``theta``.  Only the history recurrence is a loop:
+    each later frame runs :func:`_branch_row` on the ``n1`` refined rows
+    before it, read as one slice of the output.
+    """
+    npsr = _normalized(values)
+    out = raw.copy()
+    if not ommr_enabled:
+        return out, values, npsr, ["raw"] * len(raw)
+    n1 = params.n1
+    low = (npsr[n1:] < params.theta).tolist()
+    frames = zip(range(n1, len(raw)), raw[n1:].tolist(), npsr[n1:].tolist(), low)
+    for k, row, value, is_low in frames:
+        out[k] = _branch_row(out[k - n1 : k], row, value, is_low, params)
+    branches = [WARMUP] * min(n1, len(raw))
+    branches += [LOW_CONFIDENCE if is_low else HIGH_CONFIDENCE for is_low in low]
+    return out, values, npsr, branches

@@ -22,20 +22,26 @@ Randomness comes from four independent PCG64 streams, spawned once from
 3. pixel noise.
 
 Each purpose draws whole arrays from its own stream, so all frames are
-synthesized in one batch.  Only the raw-box walk is a Python loop over
-pre-drawn ``(T, 2)`` steps, because each position depends on the one
-before; it yields each frame's target cell and whether the cell lies in
-the window.  An offset of a map or more, or a non-finite one, is outside
-the window and never rounded, so no valid config can overflow the walk.
-Then, over all frames at once:
+synthesized in one batch.  The pixel noise, the largest draw, is drawn
+block by block on a second thread while the rest runs (see noise below).
+Only the raw-box walk is a Python loop over pre-drawn ``(T, 2)`` steps,
+because each position depends on the one before; it yields each frame's
+target cell and whether the cell lies in the window.  An offset of a map
+or more, or a non-finite one, is outside the window and never rounded, so
+no valid config can overflow the walk.  Then, over all frames at once:
 
 * distractor cells: one vectorised rejection pass per distractor slot,
   redrawing only the frames whose candidate sits within
   :data:`CLUTTER_CLEARANCE` (Chebyshev) of an earlier peak, for at most
   :data:`PLACEMENT_TRIES` draws;
 * amplitudes: one ``(T, 1 + D)`` uniform draw;
-* noise: drawn in place into the ``(T, H, W)`` result and scaled by each
-  frame's sigma;
+* noise: drawn in place into the ``(T, H, W)`` result, one
+  :data:`BLOCK_FRAMES` block at a time in block order, from the one noise
+  stream.  With two or more CPUs in the affinity mask a second thread
+  draws it, starting before the walk (a ``Generator`` fill releases the
+  GIL); with one, the same fill runs inline.  One thread draws the one
+  stream in the same order either way, so every seed keeps its bytes.
+  The thread is joined before the scenario returns or raises.
 * peaks: every peak centre is an integer cell, so a peak's 2-D Gaussian is
   the outer product of a row profile and a column profile.  The profile
   tables are read-only windows onto one 1-D kernel per axis (O(H + W)
@@ -43,14 +49,18 @@ Then, over all frames at once:
   :data:`BLOCK_FRAMES` frames are one batched ``(t, H, P) @ (t, P, W)``
   product added to the result; no per-frame ``exp``.
 
-The result is clipped at zero in place and made read-only.  It takes
-``T*H*W*8`` bytes, as the per-frame maps did; every temporary is O(T * D)
-or O(BLOCK_FRAMES * H * W).
+Each block is made as soon as its noise is drawn: scaled by each frame's
+sigma, its peaks added, clipped at zero in place and scored
+(:func:`~sattrack.motion._psr_block`, :func:`~sattrack.motion.psr`'s
+floats), while the thread draws the next block.  The result is made
+read-only.  It takes ``T*H*W*8`` bytes, as the per-frame maps did; every
+temporary is O(T * D) or O(BLOCK_FRAMES * H * W).
 
 :func:`generate_scenario_rows` returns a scenario as columns: the ``(T,
 4)`` ground-truth and raw ``(cx, cy, w, h)`` rows, the read-only ``(T, H,
-W)`` maps and the ``(T,)`` occlusion flags, with no per-frame object;
-``sattrack track`` and ``simulate`` run on those.
+W)`` maps, the ``(T,)`` occlusion flags and the ``(T,)`` PSR of each map,
+with no per-frame object; ``sattrack track`` and ``simulate`` run on
+those.
 :func:`generate_scenario` wraps them into one :class:`FrameObservation` per
 frame, whose ``response`` is a view of its map.
 
@@ -61,7 +71,10 @@ yields.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +82,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .boxes import BoundingBox, box_rows, check_rows
 from .metrics import center_errors, paired_rows
-from .motion import MotionParams, track_rows
+from .motion import MotionParams, _psr_block, track_rows
 # Not called here: benchmarks/tracing.py wraps ``scenario.refine_step`` by name.
 from .motion import refine_step  # noqa: F401
 
@@ -87,8 +100,15 @@ CLUTTER_CLEARANCE = 3
 CLUTTER_NOISE_SIGMA = 0.06
 # Draws per distractor slot before a clashing frame keeps its last candidate.
 PLACEMENT_TRIES = 100
-# Frames per batched peak product; bounds the synthesis temporaries.
+# Frames per noise block and batched peak product; bounds the synthesis temporaries.
 BLOCK_FRAMES = 64
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -236,20 +256,75 @@ def _add_peaks(out, profiles, cells, amps):
     return out
 
 
-def _synthesize(streams, profiles, target, in_window, occluded, distractors, noise_sigma):
-    """``(T, H, W)`` response maps of ``T`` frames, clipped at zero.
+@contextlib.contextmanager
+def _noise_blocks(rng, out):
+    """Draw ``rng``'s standard normals into ``out`` one
+    :data:`BLOCK_FRAMES` block of frames at a time, in block order, and
+    yield ``ready``: ``ready(b)`` returns once block ``b`` is drawn.
+
+    With two or more CPUs to run on, a second thread draws while the caller
+    works (a ``Generator`` fill releases the GIL); with one, the same fill
+    runs inline before the caller starts.  Either way one thread draws the
+    one stream in block order, so the bytes do not depend on the CPU count.
+    A fill that raises releases every block, and ``ready`` re-raises its
+    error.  The thread is joined before the context exits, however it
+    exits; it stops after the block it is drawing.
+    """
+    starts = range(0, len(out), BLOCK_FRAMES)
+    drawn = [threading.Event() for _ in starts]
+    stop = threading.Event()
+    errors = []
+
+    def fill():
+        try:
+            for start, event in zip(starts, drawn):
+                if stop.is_set():
+                    break
+                rng.standard_normal(out=out[start : start + BLOCK_FRAMES])
+                event.set()
+        except BaseException as exc:  # re-raised by ready, on the caller's thread
+            errors.append(exc)
+        finally:
+            for event in drawn:
+                event.set()
+
+    def ready(block: int):
+        drawn[block].wait()
+        if errors:
+            raise errors[0]
+
+    thread = threading.Thread(target=fill, name="sattrack-noise") if _cpu_count() > 1 else None
+    if thread:
+        thread.start()
+    else:
+        fill()
+    try:
+        yield ready
+    finally:
+        stop.set()
+        if thread:
+            thread.join()
+
+
+def _synthesize(
+    streams, ready, out, profiles, target, in_window, occluded, distractors, noise_sigma
+) -> list[float]:
+    """Make the ``(T, H, W)`` response maps of ``T`` frames in ``out``,
+    clipped at zero, and return their PSRs.
 
     Frame ``t`` holds a target peak at cell ``target[t]`` of height 1 when
     the target is seen (``in_window`` and not ``occluded``), a clutter-level
     height when it is occluded inside the window and none outside it, plus
     ``distractors`` clutter peaks placed clear of the peaks before them.
-    Pixel noise of sigma ``noise_sigma`` is drawn into the result itself;
+    ``out`` holds pixel noise once ``ready`` (see :func:`_noise_blocks`)
+    says so, block by block; it is scaled to sigma ``noise_sigma``, and
     frames without a seen target get at least :data:`CLUTTER_NOISE_SIGMA`.
-    ``streams`` are the cell, amplitude and noise generators.
+    Each block is scored (:func:`~sattrack.motion._psr_block`) as soon as it
+    is made.  ``streams`` are the cell and amplitude generators.
     """
-    cell_rng, amp_rng, noise_rng = streams
+    cell_rng, amp_rng = streams
     count = len(target)
-    shape = (len(profiles[0]), len(profiles[1]))
+    shape = out.shape[1:]
     seen = in_window & ~occluded
 
     cells = np.empty((count, 1 + distractors, 2), dtype=np.intp)
@@ -260,12 +335,17 @@ def _synthesize(streams, profiles, target, in_window, occluded, distractors, noi
 
     amps = amp_rng.uniform(*CLUTTER_AMP, size=(count, 1 + distractors))
     amps[:, 0] = np.where(seen, 1.0, np.where(in_window, amps[:, 0], 0.0))
+    sigmas = np.where(seen, noise_sigma, max(noise_sigma, CLUTTER_NOISE_SIGMA))
 
-    response = np.empty((count, *shape))
-    noise_rng.standard_normal(out=response)
-    response *= np.where(seen, noise_sigma, max(noise_sigma, CLUTTER_NOISE_SIGMA))[:, None, None]
-    _add_peaks(response, profiles, cells, amps)
-    return np.maximum(response, 0.0, out=response)
+    values = []
+    for block, start in enumerate(range(0, count, BLOCK_FRAMES)):
+        frames = slice(start, start + BLOCK_FRAMES)
+        maps = out[frames]
+        ready(block)
+        maps *= sigmas[frames, None, None]
+        _add_peaks(maps, profiles, cells[frames], amps[frames])
+        values += _psr_block(np.maximum(maps, 0.0, out=maps))
+    return values
 
 
 def _walk(gt_x, gt_y, occluded, steps, shape, cell_scale):
@@ -304,12 +384,13 @@ def _walk(gt_x, gt_y, occluded, steps, shape, cell_scale):
 
 def generate_scenario_rows(
     config: ScenarioConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate every frame of a configured scenario, as columns.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Simulate and score every frame of a configured scenario, as columns.
 
     Returns the ``(T, 4)`` ground-truth rows, the ``(T, 4)`` raw model rows
-    (both ``(cx, cy, w, h)``), the read-only ``(T, H, W)`` response maps and
-    the ``(T,)`` occlusion flags; frame ``k + 1`` is index ``k``.
+    (both ``(cx, cy, w, h)``), the read-only ``(T, H, W)`` response maps,
+    the ``(T,)`` occlusion flags and the ``(T,)`` PSR of each map, equal to
+    :func:`~sattrack.motion.psr`'s; frame ``k + 1`` is index ``k``.
 
     The raw tracker starts locked on the first ground-truth position.  Each
     frame its response map is built around its previous position: a unit
@@ -322,44 +403,48 @@ def generate_scenario_rows(
     Every row must make a valid :class:`BoundingBox`; the first that does
     not (ground truth before raw within a frame) raises the box's error.
     """
-    walk_rng, *streams = _streams(config.seed)
+    walk_rng, cell_rng, amp_rng, noise_rng = _streams(config.seed)
     count = config.frame_count
-    frames = np.arange(1, count + 1, dtype=float)
-    gt_x = np.interp(frames, *zip(*((f, x) for f, x, _ in config.waypoints)))
-    gt_y = np.interp(frames, *zip(*((f, y) for f, _, y in config.waypoints)))
-    occluded = np.zeros(count, dtype=bool)
-    for start, end in config.occlusions:
-        occluded[start - 1 : end] = True
-
     shape = tuple(config.map_size)
-    steps = walk_rng.standard_normal((count, 2))
-    steps *= np.where(occluded, WALK_SIGMA, TRACK_JITTER_SIGMA)[:, None]
-    path, target, in_window = _walk(gt_x, gt_y, occluded, steps, shape, config.cell_scale)
+    responses = np.empty((count, *shape))
+    with _noise_blocks(noise_rng, responses) as ready:
+        frames = np.arange(1, count + 1, dtype=float)
+        gt_x = np.interp(frames, *zip(*((f, x) for f, x, _ in config.waypoints)))
+        gt_y = np.interp(frames, *zip(*((f, y) for f, _, y in config.waypoints)))
+        occluded = np.zeros(count, dtype=bool)
+        for start, end in config.occlusions:
+            occluded[start - 1 : end] = True
 
-    # one (T, 2, 4) block: frame k's gt row, then its raw row
-    boxes = np.empty((count, 2, 4))
-    boxes[:, :, 2:] = config.target_size
-    boxes[:, 0, 0], boxes[:, 0, 1] = gt_x, gt_y
-    boxes[:, 1, :2] = path
-    check_rows(boxes.reshape(-1, 4))
+        steps = walk_rng.standard_normal((count, 2))
+        steps *= np.where(occluded, WALK_SIGMA, TRACK_JITTER_SIGMA)[:, None]
+        path, target, in_window = _walk(gt_x, gt_y, occluded, steps, shape, config.cell_scale)
 
-    responses = _synthesize(
-        streams,
-        _profiles(shape, config.peak_sharpness),
-        target,
-        in_window,
-        occluded,
-        config.distractor_count,
-        config.noise_sigma,
-    )
+        # one (T, 2, 4) block: frame k's gt row, then its raw row
+        boxes = np.empty((count, 2, 4))
+        boxes[:, :, 2:] = config.target_size
+        boxes[:, 0, 0], boxes[:, 0, 1] = gt_x, gt_y
+        boxes[:, 1, :2] = path
+        check_rows(boxes.reshape(-1, 4))
+
+        values = _synthesize(
+            (cell_rng, amp_rng),
+            ready,
+            responses,
+            _profiles(shape, config.peak_sharpness),
+            target,
+            in_window,
+            occluded,
+            config.distractor_count,
+            config.noise_sigma,
+        )
     responses.flags.writeable = False
-    return boxes[:, 0], boxes[:, 1], responses, occluded
+    return boxes[:, 0], boxes[:, 1], responses, occluded, np.array(values)
 
 
 def generate_scenario(config: ScenarioConfig) -> list[FrameObservation]:
     """:func:`generate_scenario_rows` as one :class:`FrameObservation` per
     frame; each observation's ``response`` is a view of its frame's map."""
-    gt, raw, responses, occluded = generate_scenario_rows(config)
+    gt, raw, responses, occluded, _ = generate_scenario_rows(config)
     return [
         FrameObservation(
             frame=k,

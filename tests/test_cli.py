@@ -7,6 +7,7 @@ import json
 import os
 import shutil
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -345,11 +346,16 @@ def test_an_unreadable_input_is_one_error_line_naming_its_flag(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--scenario", "--pred", "--gt"])
+@pytest.mark.parametrize(
+    "flag",
+    ["--scenario", "--pred", "--gt", "--params", "--attributes", "--search", "--template",
+     "--weights"],
+)
 def test_an_empty_input_path_is_an_error_naming_its_flag(
-    tmp_path, monkeypatch, capsys, flag
+    scenario_file, tmp_path, monkeypatch, capsys, flag
 ):
-    # Path("") is ".": the working directory must not be read in its place
+    # Path("") is ".": the working directory must not be read in its place,
+    # and an optional input given as "" is not the same as no input
     truth = tmp_path / "truth.csv"
     truth.write_bytes(formats.trajectory_csv([(30.0, 40.0, 12.0, 8.0)] * 3))
     work = tmp_path / "cwd"
@@ -360,6 +366,11 @@ def test_an_empty_input_path_is_an_error_naming_its_flag(
         "--scenario": ["track"],
         "--pred": ["evaluate", "--gt", str(truth)],
         "--gt": ["evaluate", "--pred", str(truth)],
+        "--params": ["track", "--scenario", scenario_file(CLEAN_SCENARIO)],
+        "--attributes": ["evaluate", "--pred", str(truth), "--gt", str(truth)],
+        "--search": ["attention-demo"],
+        "--template": ["attention-demo"],
+        "--weights": ["attention-demo"],
     }[flag]
     assert main([*argv, flag, "", "--output", "out"]) == 1
     assert capsys.readouterr() == ("", f"error: {flag}: empty path\n")
@@ -415,6 +426,34 @@ def test_simulate_deterministic_outputs(scenario_file, tmp_path):
         outs.append(out)
     for filename in ("ground_truth.csv", "raw_model.csv", "response_summary.csv"):
         assert (outs[0] / filename).read_bytes() == (outs[1] / filename).read_bytes()
+
+
+def test_the_noise_thread_changes_no_byte(scenario_file, tmp_path, monkeypatch):
+    # one CPU draws the noise inline, two on a second thread; simulate and
+    # track (refinement on and off) write the same bytes, and every thread
+    # is joined before the command returns
+    config = scenario_file(OCCLUSION_SCENARIO)  # 400 frames: seven noise blocks
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    before = threading.active_count()
+    outputs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr("sattrack.scenario._cpu_count", lambda: cpus)
+        for name, argv in (("simulate", ["simulate"]), ("on", ["track"]),
+                           ("off", ["track", "--ommr", "off"])):
+            out = tmp_path / f"{name}-{cpus}"
+            assert main([*argv, "--scenario", config, "--output", str(out)]) == 0
+            assert threading.active_count() == before
+            outputs[name, cpus] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert len(started) == (0 if cpus == 1 else 3)
+    for name in ("simulate", "on", "off"):
+        assert outputs[name, 1] == outputs[name, 2]
 
 
 def test_simulate_seed_flag_and_env_agree(scenario_file, tmp_path, monkeypatch):

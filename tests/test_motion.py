@@ -23,10 +23,14 @@ from sattrack.motion import (
     LOW_CONFIDENCE,
     WARMUP,
     _SCORE_BLOCK,
+    _advance,
     _branch_weights,
     _check_response,
+    _normalize,
+    _normalized,
     _ones,
     _psr_maps,
+    _refine_rows,
     track_rows,
 )
 
@@ -882,3 +886,70 @@ class TestTrackRowsScoring:
         finally:
             tracemalloc.stop()
         assert peak < 8 * _SCORE_BLOCK * maps[0].nbytes
+
+
+def psr_columns(allow_infinity=True):
+    """Non-negative PSR columns: an all-zero prefix (``0.0`` and ``-0.0``),
+    then runs of equal values, zeros (and infinity) among them."""
+    zero = st.sampled_from([0.0, -0.0])
+    value = st.one_of(
+        zero, st.floats(min_value=0.0, allow_infinity=allow_infinity), st.sampled_from([1.0, 7.5])
+    )
+    runs = st.lists(st.tuples(value, st.integers(1, 40)), max_size=12)
+    return st.tuples(st.lists(zero, max_size=30), runs).map(
+        lambda parts: parts[0] + [v for v, count in parts[1] for _ in range(count)]
+    )
+
+
+def loop_normalized(values) -> np.ndarray:
+    state = TrackerState(1)
+    return np.array([_normalize(value, state) for value in values], dtype=float)
+
+
+class TestArrayDecisions:
+    """nPSR, warm-up and branch decided as arrays give the loop's floats and
+    labels: only the history recurrence is looped."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(psr_columns())
+    def test_array_npsr_is_a_normalize_loop_bit_for_bit(self, values):
+        column = np.array(values, dtype=float)
+        assert _normalized(column).tobytes() == loop_normalized(values).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), max_size=60))
+    def test_any_float_column_too(self, values):
+        # a PSR can round below zero, and an overflowing map scores nan
+        column = np.array(values, dtype=float)
+        assert _normalized(column).tobytes() == loop_normalized(values).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        SEEDS,
+        st.integers(2, 90),
+        psr_columns(allow_infinity=False),
+        st.floats(0.05, 0.95),
+        st.sampled_from([(9, 4), (12, 4), (30, 2)]),
+    )
+    def test_rows_and_labels_are_an_advance_loop(self, seed, frames, column, theta, windows):
+        n1, n2 = windows
+        params = MotionParams(n1=n1, n2=n2, theta=theta)
+        raw, _ = random_sequence(seed, frames, (3, 4))
+        values = np.resize(np.array(column or [0.0]), frames)
+        state = TrackerState(n1)
+        frames_in = zip(raw.tolist(), values.tolist())
+        records = [_advance(state, row, value, params) for row, value in frames_in]
+        rows, psrs, npsrs, branches = _refine_rows(raw, values, params, True)
+        assert rows.tobytes() == np.array([r[0] for r in records], dtype=float).tobytes()
+        assert npsrs.tobytes() == np.array([r[2] for r in records]).tobytes()
+        assert psrs is values and branches == [r[3] for r in records]
+        assert branches[:n1] == [WARMUP] * min(n1, frames)
+        assert set(branches[n1:]) <= {LOW_CONFIDENCE, HIGH_CONFIDENCE}
+
+    def test_refinement_off_copies_the_raw_rows(self):
+        raw, _ = random_sequence(5, 40, (3, 4))
+        values = np.linspace(0.0, 9.0, 40)
+        rows, psrs, npsrs, branches = _refine_rows(raw, values, MotionParams(), False)
+        assert rows.tobytes() == raw.tobytes() and rows is not raw
+        assert npsrs.tobytes() == loop_normalized(values.tolist()).tobytes()
+        assert branches == ["raw"] * 40

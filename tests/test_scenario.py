@@ -1,6 +1,7 @@
 """Simulator behavior: determinism, occlusion dynamics, response-map shape."""
 
 import math
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from sattrack.scenario import (
     WALK_SIGMA,
     FrameObservation,
     _add_peaks,
+    _noise_blocks,
     _profiles,
     _streams,
     _synthesize,
@@ -62,15 +64,21 @@ def synthesize_response_map(
     """One standalone response map: the scenario synthesis of one frame whose
     target is in view at ``center_cell``, from the cell, amplitude and noise
     streams of ``seed``."""
-    return _synthesize(
-        _streams(seed)[1:],
-        _profiles(map_size, sharpness),
-        np.array([center_cell], dtype=np.intp),
-        np.ones(1, dtype=bool),
-        np.zeros(1, dtype=bool),
-        distractors,
-        noise_sigma,
-    )[0]
+    _, cell_rng, amp_rng, noise_rng = _streams(seed)
+    maps = np.empty((1, *map_size))
+    with _noise_blocks(noise_rng, maps) as ready:
+        _synthesize(
+            (cell_rng, amp_rng),
+            ready,
+            maps,
+            _profiles(map_size, sharpness),
+            np.array([center_cell], dtype=np.intp),
+            np.ones(1, dtype=bool),
+            np.zeros(1, dtype=bool),
+            distractors,
+            noise_sigma,
+        )
+    return maps[0]
 
 
 class TestConfigValidation:
@@ -330,7 +338,7 @@ class TestGenerateScenario:
 class TestScenarioRows:
     def test_columns_are_the_observations(self):
         config = clean_config(frames=50, occlusions=((20, 30),), distractor_count=2, seed=3)
-        gt, raw, maps, occluded = generate_scenario_rows(config)
+        gt, raw, maps, occluded, psrs = generate_scenario_rows(config)
         scenario = generate_scenario(config)
         assert gt.shape == raw.shape == (50, 4) and maps.shape == (50, 25, 25)
         assert gt.tobytes() == box_rows(obs.gt_box for obs in scenario).tobytes()
@@ -339,6 +347,8 @@ class TestScenarioRows:
         assert [obs.frame for obs in scenario] == list(range(1, 51))
         assert np.array_equal(maps, scenario[0].response.base)
         assert not maps.flags.writeable
+        # each block is scored as it is made: psr of every map, bit for bit
+        assert psrs.tobytes() == np.array([psr(m) for m in maps]).tobytes()
 
     @pytest.mark.parametrize(
         "target_size, message",
@@ -392,7 +402,7 @@ class TestRunTracking:
         assert refined[140:160].mean() < raw[140:160].mean()
 
     def test_trace_rows_cover_every_frame(self):
-        _, raw, maps, _ = generate_scenario_rows(clean_config(frames=60))
+        _, raw, maps, _, _ = generate_scenario_rows(clean_config(frames=60))
         _, psrs, npsrs, branches = track_rows(raw, maps, MotionParams(n1=20, n2=8), True)
         assert len(psrs) == len(npsrs) == len(branches) == 60
         assert set(branches) <= {"warmup", "low", "high"}
@@ -405,7 +415,7 @@ class TestRunTracking:
         scenario = generate_scenario(config)
         params = MotionParams(n1=12, n2=4)
         trajectory = run_tracking(scenario, params, refine)
-        _, raw, maps, _ = generate_scenario_rows(config)
+        _, raw, maps, _, _ = generate_scenario_rows(config)
         _, psrs, npsrs, branches = track_rows(raw, maps, params, refine)
         trace = list(zip(psrs.tolist(), npsrs.tolist(), branches))
         assert len(trace) == len(trajectory) == len(scenario)
@@ -448,7 +458,7 @@ class TestRunTracking:
             seed=seed,
         )
         params = MotionParams(n1=2 * n2 + extra, n2=n2, theta=theta)
-        _, raw, maps, _ = generate_scenario_rows(config)
+        _, raw, maps, _, _ = generate_scenario_rows(config)
         rows, psrs, npsrs, branches = track_rows(raw, maps, params, refine)
 
         scenario = generate_scenario(config)
@@ -470,7 +480,7 @@ class TestRunTracking:
         assert psrs.dtype == npsrs.dtype == float
 
     def test_row_loop_rejects_bad_inputs(self):
-        _, raw, maps, _ = generate_scenario_rows(clean_config(frames=30))
+        _, raw, maps, _, _ = generate_scenario_rows(clean_config(frames=30))
         params = MotionParams(n1=9, n2=4)
         with pytest.raises(ValueError, match=r"must be \(T, 4\)"):
             track_rows(raw[:, :3], maps, params, True)
@@ -482,7 +492,7 @@ class TestRunTracking:
             track_rows(bad, maps, params, False)
 
     def test_raw_mode_rows_are_a_copy(self):
-        _, raw, maps, _ = generate_scenario_rows(clean_config(frames=30))
+        _, raw, maps, _, _ = generate_scenario_rows(clean_config(frames=30))
         rows, _, _, branches = track_rows(raw, maps, MotionParams(n1=9, n2=4), False)
         assert rows.tobytes() == raw.tobytes() and not np.shares_memory(rows, raw)
         assert branches == ["raw"] * 30
@@ -817,3 +827,100 @@ class TestBatchedSynthesis:
         # temporaries but not for a second full-size array
         assert peak - result < 8 * BLOCK_FRAMES * rows * cols * 8 + 2_000_000
         assert peak < 1.5 * result
+
+
+def call_with_deadline(fn, seconds=60.0):
+    """``fn()``'s result or error, from a helper thread that must finish
+    within ``seconds``: a wait that never ends fails the test, not the run."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["result"] = fn()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    helper = threading.Thread(target=run, daemon=True)
+    helper.start()
+    helper.join(seconds)
+    assert not helper.is_alive(), f"no return within {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
+class TestNoiseThread:
+    """The noise is drawn on a second thread only with two or more CPUs;
+    either way every byte is the same, and no thread outlives the call."""
+
+    @pytest.mark.parametrize("name", sorted(PIN_CONFIGS))
+    def test_pins_do_not_depend_on_the_cpu_count(self, name, monkeypatch):
+        columns = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr("sattrack.scenario._cpu_count", lambda: cpus)
+            columns[cpus] = [a.tobytes() for a in generate_scenario_rows(pin_config(name))]
+        assert columns[1] == columns[2]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_main_side_error_joins_the_thread(self, cpus, monkeypatch):
+        monkeypatch.setattr("sattrack.scenario._cpu_count", lambda: cpus)
+        started, calls = [], []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        def add_peaks(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("peaks failed")
+            return _add_peaks(*args)
+
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        monkeypatch.setattr("sattrack.scenario._add_peaks", add_peaks)
+        before = threading.active_count()
+        config = clean_config(frames=40 * BLOCK_FRAMES, distractor_count=3, noise_sigma=0.02)
+        with pytest.raises(RuntimeError, match="^peaks failed$"):
+            call_with_deadline(lambda: generate_scenario_rows(config))
+        assert len(calls) == 2 and threading.active_count() == before
+        # the helper thread, and the noise thread with two CPUs
+        assert len(started) == cpus and not any(t.is_alive() for t in started)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_fill_error_is_raised_on_the_caller_thread(self, cpus, monkeypatch):
+        monkeypatch.setattr("sattrack.scenario._cpu_count", lambda: cpus)
+        # on a thread, the third block fails only once the caller has made
+        # the second, so the caller is waiting on a block never drawn
+        second_made = threading.Event()
+
+        class FailingNoise:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def standard_normal(self, out):
+                self.calls += 1
+                if self.calls == 3:
+                    if cpus > 1:
+                        second_made.wait(30.0)
+                    raise RuntimeError("fill failed")
+                return self.rng.standard_normal(out=out)
+
+        made = []
+
+        def add_peaks(*args):
+            made.append(args)
+            if len(made) == 2:
+                second_made.set()
+            return _add_peaks(*args)
+
+        monkeypatch.setattr(
+            "sattrack.scenario._streams",
+            lambda seed: [*_streams(seed)[:3], FailingNoise(_streams(seed)[3])],
+        )
+        monkeypatch.setattr("sattrack.scenario._add_peaks", add_peaks)
+        before = threading.active_count()
+        config = clean_config(frames=5 * BLOCK_FRAMES, noise_sigma=0.02)
+        with pytest.raises(RuntimeError, match="^fill failed$"):
+            call_with_deadline(lambda: generate_scenario_rows(config), seconds=30.0)
+        assert threading.active_count() == before
