@@ -54,7 +54,7 @@ from .motion import MotionParams
 # benchmarks/tracing.py wraps these two names and reports them as
 # ``scenario.generate_scenario`` and ``scenario.run_tracking``.
 from .motion import _refine_rows as run_tracking
-from .scenario import ScenarioConfig, _cpu_count
+from .scenario import ScenarioConfig
 from .scenario import generate_scenario_rows as generate_scenario
 
 
@@ -283,6 +283,13 @@ def _score_sequence(sequence: tuple[str, Path, Path]):
         )
     except ValueError as exc:
         raise ConfigError(f"sequence {name!r}: {exc}") from exc
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _score_sequences(sequences: list[tuple[str, Path, Path]]) -> dict:

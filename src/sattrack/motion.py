@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,6 +204,10 @@ def psr(response) -> float:
 _SCORE_BLOCK = 64
 # Row and column offsets of the 3x3 block around a peak.
 _BLOCK_OFFSETS = np.array([-1, 0, 1])
+# Before Python 3.12 a float sum is plain left-to-right addition from 0.0,
+# which numpy repeats across a block's maps at once; from 3.12 it is
+# compensated, and the block path calls it per map.
+_PLAIN_SUM = sys.version_info < (3, 12)
 
 
 def _psr_maps(maps) -> list[float]:
@@ -247,7 +252,9 @@ def _psr_block(block: np.ndarray) -> list[float]:
         # clipped into the map, and which of them the clipping left in place
         pi, pj = np.divmod(peaks, width)
         rows, cols = pi[:, None] + _BLOCK_OFFSETS, pj[:, None] + _BLOCK_OFFSETS
-        clipped_rows, clipped_cols = np.clip(rows, 0, height - 1), np.clip(cols, 0, width - 1)
+        # np.clip's Python wrapper costs several times these two calls
+        clipped_rows = np.minimum(np.maximum(rows, 0), height - 1)
+        clipped_cols = np.minimum(np.maximum(cols, 0), width - 1)
         first = clipped_rows * width + index[:, None] * size  # each block row's cell in column 0
         cells = first[:, :, None] + clipped_cols[:, None, :]
         inside = (clipped_rows == rows)[:, :, None] & (clipped_cols == cols)[:, None, :]
@@ -257,7 +264,15 @@ def _psr_block(block: np.ndarray) -> list[float]:
         gathered = np.where(inside, flat.reshape(-1)[cells], 0.0)
         # Python's sum, as in psr, whose rounding changed in Python 3.12; a
         # padded 0.0 changes neither its naive nor its compensated sum
-        sums = np.array([sum(map(sum, block_rows)) for block_rows in gathered.tolist()])
+        if _PLAIN_SUM:
+            row_sums = 0.0 + gathered[:, :, 0]
+            row_sums += gathered[:, :, 1]
+            row_sums += gathered[:, :, 2]
+            sums = 0.0 + row_sums[:, 0]
+            sums += row_sums[:, 1]
+            sums += row_sums[:, 2]
+        else:
+            sums = np.array([sum(map(sum, block_rows)) for block_rows in gathered.tolist()])
         means = (totals - sums) / sidelobe_counts
         centered = flat - means[:, None]
         centered.reshape(-1)[cells] = 0.0
@@ -305,16 +320,16 @@ def _branch_weights(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
     return low, high
 
 
-def _branch_row(window: np.ndarray, row, npsr: float, low: bool, params: MotionParams):
+def _branch_row(window: np.ndarray, prev, row, npsr: float, low: bool, params: MotionParams):
     """The refined ``(cx, cy, w, h)`` of one frame past warm-up: the low
     branch (``low``) or the high one, as the module docstring describes,
-    from the ``(n1, 4)`` history ``window``, the frame's raw ``row`` and its
-    nPSR.  A refined row with a non-finite field is rejected with
-    :class:`BoundingBox`'s message.  The one branch kernel of
-    :func:`refine_step` and :func:`track_rows`."""
+    from the ``(n1, 4)`` history ``window``, whose last row is ``prev`` as
+    floats, the frame's raw ``row`` and its nPSR.  A refined row with a
+    non-finite field is rejected with :class:`BoundingBox`'s message.  The
+    one branch kernel of :func:`refine_step` and :func:`track_rows`."""
     weights_low, weights_high = _branch_weights(params.n1, params.n2)
     lam = params.lambda_ema
-    prev_cx, prev_cy, prev_w, prev_h = window[-1].tolist()
+    prev_cx, prev_cy, prev_w, prev_h = prev
     if low:
         cx, cy, fit_w, fit_h = (weights_low @ window).tolist()
         w = lam * fit_w + (1.0 - lam) * prev_w
@@ -363,7 +378,8 @@ def _advance(state: TrackerState, row, value: float, params: MotionParams):
                 f"{state._count} boxes instead of {n1}"
             )
         low = npsr < params.theta
-        refined = _branch_row(state._window(), row, npsr, low, params)
+        window = state._window()
+        refined = _branch_row(window, window[-1].tolist(), row, npsr, low, params)
         branch = LOW_CONFIDENCE if low else HIGH_CONFIDENCE
 
     state._push(refined)
@@ -437,7 +453,8 @@ def _refine_rows(
     refined rows are the raw rows, a later frame takes the low branch where
     its nPSR is below ``theta``.  Only the history recurrence is a loop:
     each later frame runs :func:`_branch_row` on the ``n1`` refined rows
-    before it, read as one slice of the output.
+    before it, read as one slice of the output, and on the last of them as
+    the floats the loop made.
     """
     npsr = _normalized(values)
     out = raw.copy()
@@ -446,8 +463,9 @@ def _refine_rows(
     n1 = params.n1
     low = (npsr[n1:] < params.theta).tolist()
     frames = zip(range(n1, len(raw)), raw[n1:].tolist(), npsr[n1:].tolist(), low)
+    prev = raw[n1 - 1].tolist() if len(raw) > n1 else None  # the last warm-up row
     for k, row, value, is_low in frames:
-        out[k] = _branch_row(out[k - n1 : k], row, value, is_low, params)
+        prev = out[k] = _branch_row(out[k - n1 : k], prev, row, value, is_low, params)
     branches = [WARMUP] * min(n1, len(raw))
     branches += [LOW_CONFIDENCE if is_low else HIGH_CONFIDENCE for is_low in low]
     return out, values, npsr, branches

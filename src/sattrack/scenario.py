@@ -22,13 +22,15 @@ Randomness comes from four independent PCG64 streams, spawned once from
 3. pixel noise.
 
 Each purpose draws whole arrays from its own stream, so all frames are
-synthesized in one batch.  The pixel noise, the largest draw, is drawn
-block by block on a second thread while the rest runs (see noise below).
-Only the raw-box walk is a Python loop over pre-drawn ``(T, 2)`` steps,
-because each position depends on the one before; it yields each frame's
-target cell and whether the cell lies in the window.  An offset of a map
-or more, or a non-finite one, is outside the window and never rounded, so
-no valid config can overflow the walk.  Then, over all frames at once:
+synthesized in one batch.  Only the raw-box walk over pre-drawn ``(T, 2)``
+steps is partly a Python loop, because each position depends on the one
+before; it yields each frame's target cell and whether the cell lies in
+the window.  A frame after one that locked on starts from that frame's
+truth plus step, so runs of locked frames are decided as arrays and only
+the frames after a lost one are stepped one at a time.  An offset of a
+map or more, or a non-finite one, is outside the window and never
+rounded, so no valid config can overflow the walk.  Then, over all frames
+at once:
 
 * distractor cells: one vectorised rejection pass per distractor slot,
   redrawing only the frames whose candidate sits within
@@ -37,11 +39,10 @@ no valid config can overflow the walk.  Then, over all frames at once:
 * amplitudes: one ``(T, 1 + D)`` uniform draw;
 * noise: drawn in place into the ``(T, H, W)`` result, one
   :data:`BLOCK_FRAMES` block at a time in block order, from the one noise
-  stream.  With two or more CPUs in the affinity mask a second thread
-  draws it, starting before the walk (a ``Generator`` fill releases the
-  GIL); with one, the same fill runs inline.  One thread draws the one
-  stream in the same order either way, so every seed keeps its bytes.
-  The thread is joined before the scenario returns or raises.
+  stream, so every seed keeps the bytes of a single whole-array draw.
+  Everything runs on the calling thread: a second one drawing the noise
+  would make the time of a scenario depend on whether another core is
+  free.
 * peaks: every peak centre is an integer cell, so a peak's 2-D Gaussian is
   the outer product of a row profile and a column profile.  The profile
   tables are read-only windows onto one 1-D kernel per axis (O(H + W)
@@ -49,12 +50,12 @@ no valid config can overflow the walk.  Then, over all frames at once:
   :data:`BLOCK_FRAMES` frames are one batched ``(t, H, P) @ (t, P, W)``
   product added to the result; no per-frame ``exp``.
 
-Each block is made as soon as its noise is drawn: scaled by each frame's
-sigma, its peaks added, clipped at zero in place and scored
-(:func:`~sattrack.motion._psr_block`, :func:`~sattrack.motion.psr`'s
-floats), while the thread draws the next block.  The result is made
-read-only.  It takes ``T*H*W*8`` bytes, as the per-frame maps did; every
-temporary is O(T * D) or O(BLOCK_FRAMES * H * W).
+Each block is made as soon as its noise is drawn, while it is still in
+cache: scaled by each frame's sigma, its peaks added, clipped at zero in
+place and scored (:func:`~sattrack.motion._psr_block`,
+:func:`~sattrack.motion.psr`'s floats).  The result is made read-only.
+It takes ``T*H*W*8`` bytes, as the per-frame maps did; every temporary is
+O(T * D) or O(BLOCK_FRAMES * H * W).
 
 :func:`generate_scenario_rows` returns a scenario as columns: the ``(T,
 4)`` ground-truth and raw ``(cx, cy, w, h)`` rows, the read-only ``(T, H,
@@ -71,10 +72,7 @@ yields.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,13 +100,6 @@ CLUTTER_NOISE_SIGMA = 0.06
 PLACEMENT_TRIES = 100
 # Frames per noise block and batched peak product; bounds the synthesis temporaries.
 BLOCK_FRAMES = 64
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -256,75 +247,25 @@ def _add_peaks(out, profiles, cells, amps):
     return out
 
 
-@contextlib.contextmanager
-def _noise_blocks(rng, out):
-    """Draw ``rng``'s standard normals into ``out`` one
-    :data:`BLOCK_FRAMES` block of frames at a time, in block order, and
-    yield ``ready``: ``ready(b)`` returns once block ``b`` is drawn.
-
-    With two or more CPUs to run on, a second thread draws while the caller
-    works (a ``Generator`` fill releases the GIL); with one, the same fill
-    runs inline before the caller starts.  Either way one thread draws the
-    one stream in block order, so the bytes do not depend on the CPU count.
-    A fill that raises releases every block, and ``ready`` re-raises its
-    error.  The thread is joined before the context exits, however it
-    exits; it stops after the block it is drawing.
-    """
-    starts = range(0, len(out), BLOCK_FRAMES)
-    drawn = [threading.Event() for _ in starts]
-    stop = threading.Event()
-    errors = []
-
-    def fill():
-        try:
-            for start, event in zip(starts, drawn):
-                if stop.is_set():
-                    break
-                rng.standard_normal(out=out[start : start + BLOCK_FRAMES])
-                event.set()
-        except BaseException as exc:  # re-raised by ready, on the caller's thread
-            errors.append(exc)
-        finally:
-            for event in drawn:
-                event.set()
-
-    def ready(block: int):
-        drawn[block].wait()
-        if errors:
-            raise errors[0]
-
-    thread = threading.Thread(target=fill, name="sattrack-noise") if _cpu_count() > 1 else None
-    if thread:
-        thread.start()
-    else:
-        fill()
-    try:
-        yield ready
-    finally:
-        stop.set()
-        if thread:
-            thread.join()
-
-
 def _synthesize(
-    streams, ready, out, profiles, target, in_window, occluded, distractors, noise_sigma
-) -> list[float]:
-    """Make the ``(T, H, W)`` response maps of ``T`` frames in ``out``,
-    clipped at zero, and return their PSRs.
+    streams, profiles, target, in_window, occluded, distractors, noise_sigma
+) -> tuple[np.ndarray, list[float]]:
+    """The ``(T, H, W)`` response maps of ``T`` frames, clipped at zero, and
+    their PSRs.
 
     Frame ``t`` holds a target peak at cell ``target[t]`` of height 1 when
     the target is seen (``in_window`` and not ``occluded``), a clutter-level
     height when it is occluded inside the window and none outside it, plus
     ``distractors`` clutter peaks placed clear of the peaks before them.
-    ``out`` holds pixel noise once ``ready`` (see :func:`_noise_blocks`)
-    says so, block by block; it is scaled to sigma ``noise_sigma``, and
-    frames without a seen target get at least :data:`CLUTTER_NOISE_SIGMA`.
-    Each block is scored (:func:`~sattrack.motion._psr_block`) as soon as it
-    is made.  ``streams`` are the cell and amplitude generators.
+    Pixel noise of sigma ``noise_sigma`` is drawn into the result itself,
+    one :data:`BLOCK_FRAMES` block at a time; frames without a seen target
+    get at least :data:`CLUTTER_NOISE_SIGMA`.  Each block is made and
+    scored (:func:`~sattrack.motion._psr_block`) right after its noise is
+    drawn.  ``streams`` are the cell, amplitude and noise generators.
     """
-    cell_rng, amp_rng = streams
+    cell_rng, amp_rng, noise_rng = streams
     count = len(target)
-    shape = out.shape[1:]
+    shape = (len(profiles[0]), len(profiles[1]))
     seen = in_window & ~occluded
 
     cells = np.empty((count, 1 + distractors, 2), dtype=np.intp)
@@ -337,49 +278,91 @@ def _synthesize(
     amps[:, 0] = np.where(seen, 1.0, np.where(in_window, amps[:, 0], 0.0))
     sigmas = np.where(seen, noise_sigma, max(noise_sigma, CLUTTER_NOISE_SIGMA))
 
+    response = np.empty((count, *shape))
     values = []
-    for block, start in enumerate(range(0, count, BLOCK_FRAMES)):
+    for start in range(0, count, BLOCK_FRAMES):
         frames = slice(start, start + BLOCK_FRAMES)
-        maps = out[frames]
-        ready(block)
+        maps = noise_rng.standard_normal(out=response[frames])
         maps *= sigmas[frames, None, None]
         _add_peaks(maps, profiles, cells[frames], amps[frames])
         values += _psr_block(np.maximum(maps, 0.0, out=maps))
-    return values
+    return response, values
 
 
 def _walk(gt_x, gt_y, occluded, steps, shape, cell_scale):
-    """The raw tracker's path and, per frame, the target's cell in its
-    window and whether that cell lies inside the map.
+    """The raw tracker's ``(T, 2)`` path and, per frame, the target's cell
+    in its window and whether that cell lies inside the map.
 
     Frame ``k``'s window is centred on the raw position after frame
     ``k - 1`` (frame 1's on the truth).  The raw box then locks onto the
     truth plus ``steps[k]`` when the target is seen, and otherwise moves by
     ``steps[k]`` from where it was.  The cell of a frame outside the window
     is unused, as :func:`_synthesize` places no target there.
+
+    A frame whose predecessor locked on has its window centred on that
+    predecessor's truth plus step, so such runs of frames are decided as
+    arrays; only the frames after one that did not lock on are walked one
+    by one, until one locks on again.  Both give the same floats.
     """
     rows, cols = shape
-    raw_x, raw_y = float(gt_x[0]), float(gt_y[0])
-    path, cells, inside = [], [], []
-    for gx, gy, hidden, (dx, dy) in zip(
-        gt_x.tolist(), gt_y.tolist(), occluded.tolist(), steps.tolist()
-    ):
-        di, dj = (gy - raw_y) / cell_scale, (gx - raw_x) / cell_scale
-        # an offset that is NaN, infinite or a map or more away lies outside
-        # the window; only the others are rounded to a cell
-        ci = cj = 0
-        in_window = abs(di) < rows and abs(dj) < cols
-        if in_window:
-            ci, cj = rows // 2 + round(di), cols // 2 + round(dj)
-            in_window = 0 <= ci < rows and 0 <= cj < cols
-        if in_window and not hidden:
-            raw_x, raw_y = gx + dx, gy + dy
-        else:
+    with np.errstate(all="ignore"):  # overflow gives inf, as with Python floats
+        locked = gt_x + steps[:, 0], gt_y + steps[:, 1]
+    path = np.stack(locked, axis=1)
+    # each frame's window centre were its predecessor locked on
+    centre_x = np.concatenate((gt_x[:1], locked[0][:-1]))
+    centre_y = np.concatenate((gt_y[:1], locked[1][:-1]))
+    cells, inside = _window_cells(gt_x, gt_y, centre_x, centre_y, shape, cell_scale)
+    locks = inside & ~occluded
+
+    truth = np.stack((gt_x, gt_y), axis=1).tolist()
+    steps_list, hidden = steps.tolist(), occluded.tolist()
+    frame = 0
+    while True:
+        misses = np.flatnonzero(~locks[frame:])
+        if not len(misses):
+            break
+        # this frame's window is right, but it does not lock on: the next
+        # frames are walked from here until one locks on
+        frame += int(misses[0])
+        raw_x, raw_y = centre_x[frame].item(), centre_y[frame].item()
+        while frame < len(truth):
+            (gx, gy), (dx, dy) = truth[frame], steps_list[frame]
+            if frame > 0 and not locks[frame - 1]:
+                di, dj = (gy - raw_y) / cell_scale, (gx - raw_x) / cell_scale
+                # an offset that is NaN, infinite or a map or more away lies
+                # outside the window; only the others are rounded to a cell
+                ci = cj = 0
+                in_window = abs(di) < rows and abs(dj) < cols
+                if in_window:
+                    ci, cj = rows // 2 + round(di), cols // 2 + round(dj)
+                    in_window = 0 <= ci < rows and 0 <= cj < cols
+                cells[frame] = ci, cj
+                inside[frame] = in_window
+                locks[frame] = in_window and not hidden[frame]
+            if locks[frame]:
+                break
             raw_x, raw_y = raw_x + dx, raw_y + dy
-        path.append((raw_x, raw_y))
-        cells.append((ci, cj))
-        inside.append(in_window)
-    return path, np.array(cells, dtype=np.intp), np.array(inside, dtype=bool)
+            path[frame] = raw_x, raw_y
+            frame += 1
+        frame += 1
+    return path, cells, inside
+
+
+def _window_cells(gt_x, gt_y, centre_x, centre_y, shape, cell_scale):
+    """Per frame, the truth's cell in a map of ``shape`` cells of
+    ``cell_scale`` pixels centred on ``(centre_x, centre_y)``, and whether
+    it lies inside the map.  An offset that is NaN, infinite or a map or
+    more away lies outside and is never rounded; its cell is ``(0, 0)``.
+    Rounding is half to even, as :func:`round`'s."""
+    rows, cols = shape
+    with np.errstate(all="ignore"):  # inf and NaN offsets, as with Python floats
+        di, dj = (gt_y - centre_y) / cell_scale, (gt_x - centre_x) / cell_scale
+        inside = (np.abs(di) < rows) & (np.abs(dj) < cols)
+    cells = np.zeros((len(di), 2), dtype=np.intp)
+    cells[inside, 0] = rows // 2 + np.round(di[inside])
+    cells[inside, 1] = cols // 2 + np.round(dj[inside])
+    inside &= ((cells >= 0) & (cells < shape)).all(axis=1)
+    return cells, inside
 
 
 def generate_scenario_rows(
@@ -406,37 +389,33 @@ def generate_scenario_rows(
     walk_rng, cell_rng, amp_rng, noise_rng = _streams(config.seed)
     count = config.frame_count
     shape = tuple(config.map_size)
-    responses = np.empty((count, *shape))
-    with _noise_blocks(noise_rng, responses) as ready:
-        frames = np.arange(1, count + 1, dtype=float)
-        gt_x = np.interp(frames, *zip(*((f, x) for f, x, _ in config.waypoints)))
-        gt_y = np.interp(frames, *zip(*((f, y) for f, _, y in config.waypoints)))
-        occluded = np.zeros(count, dtype=bool)
-        for start, end in config.occlusions:
-            occluded[start - 1 : end] = True
+    frames = np.arange(1, count + 1, dtype=float)
+    gt_x = np.interp(frames, *zip(*((f, x) for f, x, _ in config.waypoints)))
+    gt_y = np.interp(frames, *zip(*((f, y) for f, _, y in config.waypoints)))
+    occluded = np.zeros(count, dtype=bool)
+    for start, end in config.occlusions:
+        occluded[start - 1 : end] = True
 
-        steps = walk_rng.standard_normal((count, 2))
-        steps *= np.where(occluded, WALK_SIGMA, TRACK_JITTER_SIGMA)[:, None]
-        path, target, in_window = _walk(gt_x, gt_y, occluded, steps, shape, config.cell_scale)
+    steps = walk_rng.standard_normal((count, 2))
+    steps *= np.where(occluded, WALK_SIGMA, TRACK_JITTER_SIGMA)[:, None]
+    path, target, in_window = _walk(gt_x, gt_y, occluded, steps, shape, config.cell_scale)
 
-        # one (T, 2, 4) block: frame k's gt row, then its raw row
-        boxes = np.empty((count, 2, 4))
-        boxes[:, :, 2:] = config.target_size
-        boxes[:, 0, 0], boxes[:, 0, 1] = gt_x, gt_y
-        boxes[:, 1, :2] = path
-        check_rows(boxes.reshape(-1, 4))
+    # one (T, 2, 4) block: frame k's gt row, then its raw row
+    boxes = np.empty((count, 2, 4))
+    boxes[:, :, 2:] = config.target_size
+    boxes[:, 0, 0], boxes[:, 0, 1] = gt_x, gt_y
+    boxes[:, 1, :2] = path
+    check_rows(boxes.reshape(-1, 4))
 
-        values = _synthesize(
-            (cell_rng, amp_rng),
-            ready,
-            responses,
-            _profiles(shape, config.peak_sharpness),
-            target,
-            in_window,
-            occluded,
-            config.distractor_count,
-            config.noise_sigma,
-        )
+    responses, values = _synthesize(
+        (cell_rng, amp_rng, noise_rng),
+        _profiles(shape, config.peak_sharpness),
+        target,
+        in_window,
+        occluded,
+        config.distractor_count,
+        config.noise_sigma,
+    )
     responses.flags.writeable = False
     return boxes[:, 0], boxes[:, 1], responses, occluded, np.array(values)
 

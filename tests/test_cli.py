@@ -428,10 +428,10 @@ def test_simulate_deterministic_outputs(scenario_file, tmp_path):
         assert (outs[0] / filename).read_bytes() == (outs[1] / filename).read_bytes()
 
 
-def test_the_noise_thread_changes_no_byte(scenario_file, tmp_path, monkeypatch):
-    # one CPU draws the noise inline, two on a second thread; simulate and
-    # track (refinement on and off) write the same bytes, and every thread
-    # is joined before the command returns
+def test_the_noise_block_size_changes_no_byte(scenario_file, tmp_path, monkeypatch):
+    # the noise is drawn block by block on the calling thread; simulate and
+    # track (refinement on and off) write the same bytes whatever the block
+    # size, and start no thread
     config = scenario_file(OCCLUSION_SCENARIO)  # 400 frames: seven noise blocks
     started = []
 
@@ -443,17 +443,16 @@ def test_the_noise_thread_changes_no_byte(scenario_file, tmp_path, monkeypatch):
     monkeypatch.setattr(threading, "Thread", Recorded)
     before = threading.active_count()
     outputs = {}
-    for cpus in (1, 2):
-        monkeypatch.setattr("sattrack.scenario._cpu_count", lambda: cpus)
+    for frames in (1, 64):
+        monkeypatch.setattr("sattrack.scenario.BLOCK_FRAMES", frames)
         for name, argv in (("simulate", ["simulate"]), ("on", ["track"]),
                            ("off", ["track", "--ommr", "off"])):
-            out = tmp_path / f"{name}-{cpus}"
+            out = tmp_path / f"{name}-{frames}"
             assert main([*argv, "--scenario", config, "--output", str(out)]) == 0
-            assert threading.active_count() == before
-            outputs[name, cpus] = {path.name: path.read_bytes() for path in out.iterdir()}
-        assert len(started) == (0 if cpus == 1 else 3)
+            outputs[name, frames] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert threading.active_count() == before and not started
     for name in ("simulate", "on", "off"):
-        assert outputs[name, 1] == outputs[name, 2]
+        assert outputs[name, 1] == outputs[name, 64]
 
 
 def test_simulate_seed_flag_and_env_agree(scenario_file, tmp_path, monkeypatch):

@@ -766,6 +766,17 @@ class TestPsrMaps:
 
     @BATCH_SETTINGS
     @given(SEEDS, STACK_SIZES, STACK_SHAPES)
+    def test_peak_blocks_are_summed_in_psrs_order(self, seed, count, shape):
+        # cells of mixed magnitudes and signed zeros: a block's sum depends on
+        # the order of its additions, which must be psr's
+        rng = np.random.default_rng(seed)
+        maps = rng.uniform(0.0, 1.0, size=(count, *shape))
+        maps *= 10.0 ** rng.integers(-18, 18, size=maps.shape)
+        maps[rng.random(maps.shape) < 0.2] = -0.0
+        assert_maps_score_as_psr(maps)
+
+    @BATCH_SETTINGS
+    @given(SEEDS, STACK_SIZES, STACK_SHAPES)
     def test_peak_at_cell_zero_and_constant_maps(self, seed, count, shape):
         # the flat check runs on the maps that peak at cell 0, constant or not
         maps, rng = stack(seed, count, shape)

@@ -36,7 +36,6 @@ from sattrack.scenario import (
     WALK_SIGMA,
     FrameObservation,
     _add_peaks,
-    _noise_blocks,
     _profiles,
     _streams,
     _synthesize,
@@ -64,20 +63,15 @@ def synthesize_response_map(
     """One standalone response map: the scenario synthesis of one frame whose
     target is in view at ``center_cell``, from the cell, amplitude and noise
     streams of ``seed``."""
-    _, cell_rng, amp_rng, noise_rng = _streams(seed)
-    maps = np.empty((1, *map_size))
-    with _noise_blocks(noise_rng, maps) as ready:
-        _synthesize(
-            (cell_rng, amp_rng),
-            ready,
-            maps,
-            _profiles(map_size, sharpness),
-            np.array([center_cell], dtype=np.intp),
-            np.ones(1, dtype=bool),
-            np.zeros(1, dtype=bool),
-            distractors,
-            noise_sigma,
-        )
+    maps, _ = _synthesize(
+        _streams(seed)[1:],
+        _profiles(map_size, sharpness),
+        np.array([center_cell], dtype=np.intp),
+        np.ones(1, dtype=bool),
+        np.zeros(1, dtype=bool),
+        distractors,
+        noise_sigma,
+    )
     return maps[0]
 
 
@@ -182,6 +176,72 @@ class TestSynthesizeResponseMap:
         _, cells, inside = _walk(gt_x[:2], gt_y[:2], np.zeros(2, dtype=bool),
                                  steps[:2], (3, 3), 1e-310)
         assert inside.tolist() == [True, False]
+
+
+def reference_walk(gt_x, gt_y, occluded, steps, shape, cell_scale):
+    """The raw-box walk one frame at a time on Python floats: the oracle of
+    ``_walk``, which decides runs of locked frames as arrays."""
+    rows, cols = shape
+    raw_x, raw_y = float(gt_x[0]), float(gt_y[0])
+    path, cells, inside = [], [], []
+    for gx, gy, hidden, (dx, dy) in zip(
+        gt_x.tolist(), gt_y.tolist(), occluded.tolist(), steps.tolist()
+    ):
+        di, dj = (gy - raw_y) / cell_scale, (gx - raw_x) / cell_scale
+        ci = cj = 0
+        in_window = abs(di) < rows and abs(dj) < cols
+        if in_window:
+            ci, cj = rows // 2 + round(di), cols // 2 + round(dj)
+            in_window = 0 <= ci < rows and 0 <= cj < cols
+        if in_window and not hidden:
+            raw_x, raw_y = gx + dx, gy + dy
+        else:
+            raw_x, raw_y = raw_x + dx, raw_y + dy
+        path.append((raw_x, raw_y))
+        cells.append((ci, cj))
+        inside.append(in_window)
+    return (
+        np.array(path, dtype=float).reshape(-1, 2),
+        np.array(cells, dtype=np.intp).reshape(-1, 2),
+        np.array(inside, dtype=bool),
+    )
+
+
+class TestWalk:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        frames=st.integers(1, 200),
+        shape=st.tuples(st.integers(3, 9), st.integers(3, 9)),
+        cell_scale=st.sampled_from([0.5, 1.0, 2.0, 8.0]),
+        step_sigma=st.sampled_from([0.0, 0.5, 3.0, 20.0]),
+        occluded_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    )
+    def test_matches_a_frame_by_frame_walk(
+        self, seed, frames, shape, cell_scale, step_sigma, occluded_share
+    ):
+        # the target drifts, is hidden at random and is lost and found again
+        rng = np.random.default_rng(seed)
+        gt_x = np.cumsum(rng.normal(0.0, 4.0, frames))
+        gt_y = np.cumsum(rng.normal(0.0, 4.0, frames))
+        occluded = rng.random(frames) < occluded_share
+        steps = rng.normal(0.0, step_sigma, (frames, 2))
+        got = _walk(gt_x, gt_y, occluded, steps, shape, cell_scale)
+        expected = reference_walk(gt_x, gt_y, occluded, steps, shape, cell_scale)
+        for column, reference in zip(got, expected):
+            assert column.shape == reference.shape and column.dtype == reference.dtype
+            assert column.tobytes() == reference.tobytes()
+
+    def test_non_finite_offsets_match_a_frame_by_frame_walk(self):
+        gt_x = np.array([0.0, 1e300, np.inf, 0.0, 200.0, 0.0, 3.0, -1e308, 5.0])
+        gt_y = np.array([0.0, 0.0, 0.0, np.nan, 0.0, -96.0, 1.0, 1e308, 2.0])
+        occluded = np.array([False, False, True, False, False, False, True, False, False])
+        steps = np.full((9, 2), 0.25)
+        for shape, cell_scale in (((25, 25), 8.0), ((3, 3), 1e-310), ((5, 4), 1.0)):
+            got = _walk(gt_x, gt_y, occluded, steps, shape, cell_scale)
+            expected = reference_walk(gt_x, gt_y, occluded, steps, shape, cell_scale)
+            for column, reference in zip(got, expected):
+                assert column.tobytes() == reference.tobytes()
 
 
 def brute_peaks(shape, cells, amps, sharpness):
@@ -829,41 +889,20 @@ class TestBatchedSynthesis:
         assert peak < 1.5 * result
 
 
-def call_with_deadline(fn, seconds=60.0):
-    """``fn()``'s result or error, from a helper thread that must finish
-    within ``seconds``: a wait that never ends fails the test, not the run."""
-    outcome = {}
-
-    def run():
-        try:
-            outcome["result"] = fn()
-        except BaseException as exc:
-            outcome["error"] = exc
-
-    helper = threading.Thread(target=run, daemon=True)
-    helper.start()
-    helper.join(seconds)
-    assert not helper.is_alive(), f"no return within {seconds} s"
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["result"]
-
-
-class TestNoiseThread:
-    """The noise is drawn on a second thread only with two or more CPUs;
-    either way every byte is the same, and no thread outlives the call."""
+class TestNoiseBlocks:
+    """The noise is drawn one block at a time from the one stream, on the
+    calling thread: the bytes do not depend on the block size, and an error
+    in any step propagates with no thread started."""
 
     @pytest.mark.parametrize("name", sorted(PIN_CONFIGS))
-    def test_pins_do_not_depend_on_the_cpu_count(self, name, monkeypatch):
+    def test_pins_do_not_depend_on_the_block_size(self, name, monkeypatch):
         columns = {}
-        for cpus in (1, 2):
-            monkeypatch.setattr("sattrack.scenario._cpu_count", lambda: cpus)
-            columns[cpus] = [a.tobytes() for a in generate_scenario_rows(pin_config(name))]
-        assert columns[1] == columns[2]
+        for frames in (1, 7, BLOCK_FRAMES):
+            monkeypatch.setattr("sattrack.scenario.BLOCK_FRAMES", frames)
+            columns[frames] = [a.tobytes() for a in generate_scenario_rows(pin_config(name))]
+        assert columns[1] == columns[7] == columns[BLOCK_FRAMES]
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_a_main_side_error_joins_the_thread(self, cpus, monkeypatch):
-        monkeypatch.setattr("sattrack.scenario._cpu_count", lambda: cpus)
+    def test_a_peak_error_propagates_and_starts_no_thread(self, monkeypatch):
         started, calls = [], []
 
         class Recorded(threading.Thread):
@@ -882,18 +921,10 @@ class TestNoiseThread:
         before = threading.active_count()
         config = clean_config(frames=40 * BLOCK_FRAMES, distractor_count=3, noise_sigma=0.02)
         with pytest.raises(RuntimeError, match="^peaks failed$"):
-            call_with_deadline(lambda: generate_scenario_rows(config))
-        assert len(calls) == 2 and threading.active_count() == before
-        # the helper thread, and the noise thread with two CPUs
-        assert len(started) == cpus and not any(t.is_alive() for t in started)
+            generate_scenario_rows(config)
+        assert len(calls) == 2 and threading.active_count() == before and not started
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_a_fill_error_is_raised_on_the_caller_thread(self, cpus, monkeypatch):
-        monkeypatch.setattr("sattrack.scenario._cpu_count", lambda: cpus)
-        # on a thread, the third block fails only once the caller has made
-        # the second, so the caller is waiting on a block never drawn
-        second_made = threading.Event()
-
+    def test_a_noise_error_stops_at_its_block(self, monkeypatch):
         class FailingNoise:
             def __init__(self, rng):
                 self.rng, self.calls = rng, 0
@@ -901,17 +932,13 @@ class TestNoiseThread:
             def standard_normal(self, out):
                 self.calls += 1
                 if self.calls == 3:
-                    if cpus > 1:
-                        second_made.wait(30.0)
-                    raise RuntimeError("fill failed")
+                    raise RuntimeError("noise failed")
                 return self.rng.standard_normal(out=out)
 
         made = []
 
         def add_peaks(*args):
             made.append(args)
-            if len(made) == 2:
-                second_made.set()
             return _add_peaks(*args)
 
         monkeypatch.setattr(
@@ -921,6 +948,7 @@ class TestNoiseThread:
         monkeypatch.setattr("sattrack.scenario._add_peaks", add_peaks)
         before = threading.active_count()
         config = clean_config(frames=5 * BLOCK_FRAMES, noise_sigma=0.02)
-        with pytest.raises(RuntimeError, match="^fill failed$"):
-            call_with_deadline(lambda: generate_scenario_rows(config), seconds=30.0)
-        assert threading.active_count() == before
+        with pytest.raises(RuntimeError, match="^noise failed$"):
+            generate_scenario_rows(config)
+        # the two blocks drawn before it were made, no later one
+        assert len(made) == 2 and threading.active_count() == before
