@@ -164,6 +164,14 @@ def _scenario_config(args):
     return _settings(args, formats._build(path, ScenarioConfig, **fields), path, fields)
 
 
+def _scenario_rows(args, config):
+    """``generate_scenario(config)``; its config errors open with the scenario file."""
+    try:
+        return generate_scenario(config)
+    except ConfigError as exc:  # a value the synthesis rejects: an overflowing noise_sigma
+        raise ConfigError(f"{_named(args.scenario)}: {exc}") from None
+
+
 def _motion_params(args):
     read = functools.partial(formats._read_fields, kinds=formats._MOTION_KEYS, what="motion")
     path = _input_path("--params", args.params)
@@ -201,7 +209,7 @@ def cmd_centerness_map(args, out: Path):
 
 def cmd_simulate(args, out: Path):
     config, _ = _scenario_config(args)
-    gt, raw, maps, occluded, psrs = generate_scenario(config)
+    gt, raw, maps, occluded, psrs = _scenario_rows(args, config)
     flat = maps.reshape(len(maps), -1)
     peaks = flat.argmax(axis=1)
     peak_rows, peak_cols = np.divmod(peaks, maps.shape[2])
@@ -235,7 +243,7 @@ def cmd_track(args, out: Path):
         raise ConfigError(
             f"{scenario}: scenario must have at least 2 frames, got {config.frame_count}"
         )
-    gt, raw, _, _, psrs = generate_scenario(config)
+    gt, raw, _, _, psrs = _scenario_rows(args, config)
     trajectory, *trace = run_tracking(raw, psrs, params, refine)
 
     files = {

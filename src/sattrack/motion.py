@@ -40,18 +40,18 @@ so each step makes as few array calls as it can and stays exact:
   cell-by-cell scan runs only when it is not; minus the 3x3 block, it
   gives the sidelobe mean), one ``argmax``, a ``min`` only when the peak
   is cell 0 (``argmax`` returns the first maximum, so only there can the
-  map be flat), the block summed in Python from ``tolist()``, and one dot
+  map be flat), the block's rows summed left to right from 0.0, then the
+  row sums (not by ``sum``, compensated from Python 3.12), and one dot
   product of the centred map with the block zeroed in that copy (not the
   whole-map squares minus the block's, which cancel under tall peaks).
-* A whole sequence is scored ``_SCORE_BLOCK`` maps per pass
+* A whole sequence is scored :data:`BLOCK_FRAMES` maps per pass
   (:func:`_psr_maps`), with the operations of :func:`psr` in the same
   order, so bit for bit the same values: each sum is one ``ddot`` per map,
   a ``(1, N) @ (N, 1)`` product in a stacked ``matmul``, never a
   matrix-vector product, which sums in another order; the clipped 3x3
-  block, padded with exact zeros, is summed by Python's ``sum`` as in
-  :func:`psr`.  A block's temporaries are a few blocks of maps in size,
-  never the sequence's.  One map per call (:func:`refine_step`) stays on
-  :func:`psr`: a batched pass over a single map costs several times more.
+  block, padded with exact zeros, is summed a column at a time in
+  :func:`psr`'s order.  A chunk :func:`psr` rejects goes to it map by map,
+  and one map (:func:`refine_step`) to :func:`psr`, several times faster.
 * Each branch is one dot product of a cached read-only ``(n1,)`` weight
   vector with the ``(n1, 4)`` window (``_branch_weights``): the low branch
   weights evaluate the least-squares line of each column at ``n1``, the
@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,63 +190,53 @@ def psr(response) -> float:
     if sidelobe_count == 0:
         raise ValueError(f"map {response.shape} has no sidelobe outside the peak block")
     peak = block[pi - i0][pj - j0]
+    block_sum = 0.0  # each row left to right from 0.0, then the row sums
+    for block_row in block:
+        row_sum = 0.0
+        for cell in block_row:
+            row_sum += cell
+        block_sum += row_sum
     # Sidelobe statistics without gathering: the mean is the whole-map sum
     # minus the block; the squares are summed with the block zeroed out.
-    mean = (total - sum(map(sum, block))) / sidelobe_count
+    mean = (total - block_sum) / sidelobe_count
     centered = response - mean
     centered[i0:i1, j0:j1] = 0.0
     std = math.sqrt(np.vdot(centered, centered) / sidelobe_count)
     return (peak - mean) / (std + PSR_EPS)
 
 
-# Maps scored per batched pass: temporaries stay a few blocks of maps in size.
-_SCORE_BLOCK = 64
-# Row and column offsets of the 3x3 block around a peak.
-_BLOCK_OFFSETS = np.array([-1, 0, 1])
-# Before Python 3.12 a float sum is plain left-to-right addition from 0.0,
-# which numpy repeats across a block's maps at once; from 3.12 it is
-# compensated, and the block path calls it per map.
-_PLAIN_SUM = sys.version_info < (3, 12)
+# Maps per batched pass, scored or synthesized: temporaries stay a few blocks in size.
+BLOCK_FRAMES = 64
+_BLOCK_OFFSETS = np.array([-1, 0, 1])  # row and column offsets of a peak's 3x3 block
 
 
 def _psr_maps(maps) -> list[float]:
-    """``[psr(m) for m in maps]`` bit for bit, ``_SCORE_BLOCK`` maps per
-    batched pass.  ``maps`` is a ``(T, H, W)`` array or a sequence of
-    ``(H, W)`` maps; a block whose maps do not stack into one ``(n, H, W)``
-    array (mixed shapes, maps that are not 2-D) is scored map by map."""
+    """``[psr(m) for m in maps]`` for a ``(T, H, W)`` array or a sequence of
+    ``(H, W)`` maps: :func:`_psr_block` on each :data:`BLOCK_FRAMES` maps."""
     values = []
-    for start in range(0, len(maps), _SCORE_BLOCK):
-        chunk = maps[start : start + _SCORE_BLOCK]
-        try:
-            block = np.asarray(chunk, dtype=float)
-        except (TypeError, ValueError):
-            block = None
-        if block is None or block.ndim != 3:
-            values += map(psr, chunk)
-        else:
-            values += _psr_block(block)
+    for start in range(0, len(maps), BLOCK_FRAMES):
+        values += _psr_block(maps[start : start + BLOCK_FRAMES])
     return values
 
 
-def _psr_block(block: np.ndarray) -> list[float]:
-    """``psr`` of each map of an ``(n, H, W)`` block: :func:`psr`'s float
-    operations in :func:`psr`'s order, as the module docstring sets out.
-    Each ``(1, N) @ (N, 1)`` product of a stacked ``matmul`` runs numpy's
-    dot loop (BLAS ``ddot``) on one map, as ``vdot`` does."""
-    count, height, width = block.shape
-    if height < 3 or width < 3:
-        raise ValueError(f"response map must be at least 3x3, got {(height, width)}")
+def _psr_block(maps) -> list[float]:
+    """``[psr(m) for m in maps]`` for a chunk: :func:`psr`'s float operations
+    in its order, as the module docstring sets out; each ``(1, N) @ (N, 1)``
+    product of a stacked ``matmul`` is numpy's dot loop (BLAS ``ddot``) on
+    one map, as in ``vdot``.  A chunk that is not one float ``(n, H, W)``
+    block with finite sidelobe means goes to :func:`psr` map by map."""
+    try:
+        count, height, width = (block := np.asarray(maps, dtype=float)).shape
+    except (TypeError, ValueError):  # maps of mixed shapes, or not 2-D
+        height = width = 0
+    if min(height, width) < 3:
+        return list(map(psr, maps))
     size = height * width
     flat = block.reshape(count, size)  # a view, for a contiguous block
     index = np.arange(count)
     with np.errstate(all="ignore"):  # as in psr, an overflow or a nan gives no warning
         totals = (flat[:, None, :] @ _ones(size)[:, None])[:, 0, 0]
-        finite = np.isfinite(totals)
-        if not finite.all() and not np.isfinite(flat[~finite]).all():
-            raise ValueError("response map must be finite")
         peaks = flat.argmax(axis=1)
-        at_zero = index[peaks == 0]
-        flat_maps = at_zero[flat[at_zero, 0] == flat[at_zero].min(axis=1)]
         # (n, 3, 3): the block's cells, as indices into the flattened block,
         # clipped into the map, and which of them the clipping left in place
         pi, pj = np.divmod(peaks, width)
@@ -259,21 +248,20 @@ def _psr_block(block: np.ndarray) -> list[float]:
         cells = first[:, :, None] + clipped_cols[:, None, :]
         inside = (clipped_rows == rows)[:, :, None] & (clipped_cols == cols)[:, None, :]
         sidelobe_counts = size - inside.sum(axis=(1, 2))
-        if (height, width) == (3, 3) and np.setdiff1d(index[sidelobe_counts == 0], flat_maps).size:
-            raise ValueError(f"map {(height, width)} has no sidelobe outside the peak block")
+        # psr's sum; a padded 0.0 adds nothing to a sum that starts at 0.0
         gathered = np.where(inside, flat.reshape(-1)[cells], 0.0)
-        # Python's sum, as in psr, whose rounding changed in Python 3.12; a
-        # padded 0.0 changes neither its naive nor its compensated sum
-        if _PLAIN_SUM:
-            row_sums = 0.0 + gathered[:, :, 0]
-            row_sums += gathered[:, :, 1]
-            row_sums += gathered[:, :, 2]
-            sums = 0.0 + row_sums[:, 0]
-            sums += row_sums[:, 1]
-            sums += row_sums[:, 2]
-        else:
-            sums = np.array([sum(map(sum, block_rows)) for block_rows in gathered.tolist()])
+        row_sums = 0.0 + gathered[:, :, 0]
+        row_sums += gathered[:, :, 1]
+        row_sums += gathered[:, :, 2]
+        sums = 0.0 + row_sums[:, 0]
+        sums += row_sums[:, 1]
+        sums += row_sums[:, 2]
         means = (totals - sums) / sidelobe_counts
+        # a non-finite map, a 3x3 one peaking at its centre, a total that overflows
+        if not np.isfinite(means).all():
+            return list(map(psr, maps))
+        at_zero = index[peaks == 0]
+        flat_maps = at_zero[flat[at_zero, 0] == flat[at_zero].min(axis=1)]
         centered = flat - means[:, None]
         centered.reshape(-1)[cells] = 0.0
         squares = (centered[:, None, :] @ centered[:, :, None])[:, 0, 0]

@@ -37,18 +37,18 @@ at once:
   :data:`CLUTTER_CLEARANCE` (Chebyshev) of an earlier peak, for at most
   :data:`PLACEMENT_TRIES` draws;
 * amplitudes: one ``(T, 1 + D)`` uniform draw;
-* noise: drawn in place into the ``(T, H, W)`` result, one
-  :data:`BLOCK_FRAMES` block at a time in block order, from the one noise
-  stream, so every seed keeps the bytes of a single whole-array draw.
+* noise: drawn in place into the ``(T, H, W)`` result, one scoring block
+  (:data:`~sattrack.motion.BLOCK_FRAMES`) at a time in block order, from
+  the one noise stream: the bytes of a single whole-array draw.
   Everything runs on the calling thread: a second one drawing the noise
   would make the time of a scenario depend on whether another core is
   free.
 * peaks: every peak centre is an integer cell, so a peak's 2-D Gaussian is
   the outer product of a row profile and a column profile.  The profile
   tables are read-only windows onto one 1-D kernel per axis (O(H + W)
-  memory, so even a 3 x 20000 map stays cheap), and the peaks of
-  :data:`BLOCK_FRAMES` frames are one batched ``(t, H, P) @ (t, P, W)``
-  product added to the result; no per-frame ``exp``.
+  memory, so even a 3 x 20000 map stays cheap), and a block's peaks are
+  one batched ``(t, H, P) @ (t, P, W)`` product added to the result; no
+  per-frame ``exp``.
 
 Each block is made as soon as its noise is drawn, while it is still in
 cache: scaled by each frame's sigma, its peaks added, clipped at zero in
@@ -79,8 +79,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .boxes import BoundingBox, box_rows, check_rows
+from .formats import ConfigError
 from .metrics import center_errors, paired_rows
-from .motion import MotionParams, _psr_block, track_rows
+from .motion import BLOCK_FRAMES, MotionParams, _psr_block, track_rows
 # Not called here: benchmarks/tracing.py wraps ``scenario.refine_step`` by name.
 from .motion import refine_step  # noqa: F401
 
@@ -98,8 +99,6 @@ CLUTTER_CLEARANCE = 3
 CLUTTER_NOISE_SIGMA = 0.06
 # Draws per distractor slot before a clashing frame keeps its last candidate.
 PLACEMENT_TRIES = 100
-# Frames per noise block and batched peak product; bounds the synthesis temporaries.
-BLOCK_FRAMES = 64
 
 
 @dataclass(frozen=True)
@@ -150,8 +149,9 @@ class ScenarioConfig:
             if start <= previous_end:
                 raise ValueError("occlusion intervals must be sorted and disjoint")
             previous_end = end
-        if not (math.isfinite(self.peak_sharpness) and self.peak_sharpness > 0):
-            raise ValueError(f"peak_sharpness must be > 0, got {self.peak_sharpness}")
+        sharpness = self.peak_sharpness  # 2 * s * s divides in _profiles: not 0 either
+        if not (math.isfinite(sharpness) and sharpness > 0 and 2.0 * sharpness * sharpness > 0):
+            raise ValueError(f"peak_sharpness must be > 0 with 2 * s * s > 0, got {sharpness}")
         if self.distractor_count < 0:
             raise ValueError(f"distractor_count must be >= 0, got {self.distractor_count}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
@@ -191,7 +191,8 @@ def _profiles(shape, sharpness: float) -> tuple[np.ndarray, np.ndarray]:
     tables = []
     for length in shape:
         offsets = np.arange(1 - length, length, dtype=float)
-        kernel = np.exp(-(offsets * offsets) / (2.0 * sharpness * sharpness))
+        with np.errstate(over="ignore"):  # an exponent of -inf: exp gives the exact 0.0
+            kernel = np.exp(-(offsets * offsets) / (2.0 * sharpness * sharpness))
         tables.append(sliding_window_view(kernel, length)[::-1])
     return tuple(tables)
 
@@ -229,21 +230,17 @@ def _place_distractors(rng, shape, cells, placed):
 
 
 def _add_peaks(out, profiles, cells, amps):
-    """Add to each map ``out[t]`` the Gaussian peaks at the integer cells
-    ``cells[t]`` (``(P, 2)``) with heights ``amps[t]`` (``(P,)``).
+    """Add to each map ``out[t]`` of a block the Gaussian peaks at the
+    integer cells ``cells[t]`` (``(P, 2)``) with heights ``amps[t]``.
 
     A 2-D Gaussian is the outer product of its row and column profiles, so
     a frame's peaks are one ``(H, P) @ (P, W)`` product of rows taken from
-    the :func:`_profiles` tables.  :data:`BLOCK_FRAMES` frames at a time
-    make one batched product, which bounds the temporaries at
-    O(BLOCK_FRAMES * H * W).
+    the :func:`_profiles` tables, and a block's one batched product.
     """
     row_profiles, col_profiles = profiles
-    for start in range(0, len(out), BLOCK_FRAMES):
-        block = slice(start, start + BLOCK_FRAMES)
-        rows = row_profiles[cells[block, :, 0]]
-        rows *= amps[block, :, None]
-        out[block] += rows.transpose(0, 2, 1) @ col_profiles[cells[block, :, 1]]
+    rows = row_profiles[cells[:, :, 0]]
+    rows *= amps[:, :, None]
+    out += rows.transpose(0, 2, 1) @ col_profiles[cells[:, :, 1]]
     return out
 
 
@@ -261,7 +258,9 @@ def _synthesize(
     one :data:`BLOCK_FRAMES` block at a time; frames without a seen target
     get at least :data:`CLUTTER_NOISE_SIGMA`.  Each block is made and
     scored (:func:`~sattrack.motion._psr_block`) right after its noise is
-    drawn.  ``streams`` are the cell, amplitude and noise generators.
+    drawn; a non-finite map is a ``ConfigError`` on ``noise_sigma``, which
+    alone can overflow a cell.  ``streams`` are the cell, amplitude and
+    noise generators.
     """
     cell_rng, amp_rng, noise_rng = streams
     count = len(target)
@@ -283,9 +282,13 @@ def _synthesize(
     for start in range(0, count, BLOCK_FRAMES):
         frames = slice(start, start + BLOCK_FRAMES)
         maps = noise_rng.standard_normal(out=response[frames])
-        maps *= sigmas[frames, None, None]
+        with np.errstate(over="ignore"):  # an inf cell is reported by the scoring
+            maps *= sigmas[frames, None, None]
         _add_peaks(maps, profiles, cells[frames], amps[frames])
-        values += _psr_block(np.maximum(maps, 0.0, out=maps))
+        try:
+            values += _psr_block(np.maximum(maps, 0.0, out=maps))
+        except ValueError:  # a non-finite map
+            raise ConfigError(f"noise_sigma {noise_sigma!r} overflows the response maps") from None
     return response, values
 
 

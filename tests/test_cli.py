@@ -487,6 +487,27 @@ def test_tiny_cell_scale_loses_the_target_after_frame_one(scenario_file, tmp_pat
 
 
 @pytest.mark.parametrize("command", ["simulate", "track"])
+@pytest.mark.parametrize("line, message", [
+    ("noise_sigma = 1e308", "noise_sigma 1e+308 overflows the response maps"),
+    ("peak_sharpness = 1e-162", "peak_sharpness must be > 0 with 2 * s * s > 0, got 1e-162"),
+])
+def test_a_value_that_breaks_the_maps_is_one_error_line(
+    scenario_file, tmp_path, capsys, command, line, message
+):
+    # finite values the synthesis cannot use: one line opening with the
+    # file, naming the key, with no numpy warning and no output directory
+    config = scenario_file(
+        f"frame_count = 20\nwaypoint = 1 30 40\nwaypoint = 20 60 50\ntarget_size = 12 8\n{line}\n"
+    )
+    argv = [command, "--scenario", config, "--output", str(tmp_path / "o")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + (["--n1", "12", "--n2", "4"] if command == "track" else [])) == 1
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "track"])
 def test_overflowing_waypoint_path_is_the_box_error(scenario_file, tmp_path, capsys, command):
     # both waypoints are finite, but the path between them is not
     config = scenario_file(

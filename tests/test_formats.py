@@ -988,7 +988,8 @@ def scenario_configs(draw):
         waypoints=waypoints,
         target_size=(draw(positive), draw(positive)),
         occlusions=tuple(zip(cuts[::2], cuts[1::2])),
-        peak_sharpness=draw(positive),
+        # a config rejects a sharpness whose 2 * s * s, the profiles' divisor, is 0
+        peak_sharpness=draw(positive.filter(lambda s: 2.0 * s * s > 0)),
         distractor_count=draw(st.integers(0, 10**6)),
         noise_sigma=draw(st.floats(min_value=0.0, allow_infinity=False)),
         # a config rejects 3x3: a centre peak leaves no PSR sidelobe

@@ -19,10 +19,10 @@ from sattrack import (
 )
 from sattrack import motion
 from sattrack.motion import (
+    BLOCK_FRAMES,
     HIGH_CONFIDENCE,
     LOW_CONFIDENCE,
     WARMUP,
-    _SCORE_BLOCK,
     _advance,
     _branch_weights,
     _check_response,
@@ -695,6 +695,15 @@ def assert_maps_score_as_psr(maps):
         assert np.array(_psr_maps(given_maps)).tobytes() == expected.tobytes()
 
 
+def psr_outcome(score, maps):
+    """``score(maps)``'s values as bytes, or the message of the
+    ``ValueError`` it raises."""
+    try:
+        return np.array(score(maps)).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
 def assert_same_error(maps):
     """``_psr_maps`` raises the error ``psr`` raises on the first map it
     rejects, word for word."""
@@ -716,6 +725,8 @@ def assert_same_error(maps):
 # 3x4 to 30x30 (odd and even cell counts; never 3x3, which can have no sidelobe)
 STACK_SIZES = st.integers(1, 150)
 STACK_SHAPES = st.tuples(st.integers(3, 30), st.integers(3, 30)).filter(lambda s: s != (3, 3))
+# shapes psr may reject: under 3x3, and 3x3 (often), where a centre peak has no sidelobe
+SMALL_SHAPES = st.one_of(st.just((3, 3)), st.tuples(st.integers(0, 5), st.integers(0, 5)))
 SEEDS = st.integers(0, 2**32 - 1)
 BATCH_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -729,7 +740,7 @@ def stack(seed, count, shape, low=-(2**20), high=2**20):
 
 class TestPsrMaps:
     def test_stacks_cross_block_edges(self):
-        assert 1 < _SCORE_BLOCK < 150
+        assert 1 < BLOCK_FRAMES < 150
 
     @BATCH_SETTINGS
     @given(SEEDS, STACK_SIZES, STACK_SHAPES)
@@ -787,11 +798,50 @@ class TestPsrMaps:
         assert_maps_score_as_psr(maps)
 
     def test_three_by_three_maps(self):
-        maps = np.zeros((4, 3, 3))
+        maps = np.zeros((5, 3, 3))
         maps[1, 0, 0] = maps[2, 2, 1] = 1.0  # corner and edge peaks; two flat maps
-        assert_maps_score_as_psr(maps)
+        assert_maps_score_as_psr(maps[:4])
         maps[3, 1, 1] = 1.0  # a centre peak leaves no sidelobe
-        assert_same_error(maps)
+        assert_same_error(maps[:4])
+        maps[4, 0, 0] = np.nan  # a nan after it: the centre peak's error still
+        assert_same_error(maps[3:])
+
+    @BATCH_SETTINGS
+    @given(SEEDS, STACK_SIZES, SMALL_SHAPES, st.data())
+    def test_chunks_psr_rejects_or_scores_alone(self, seed, count, shape, data):
+        # maps under 3x3, 3x3 maps flat or not, nan cells: each chunk gives
+        # psr's values, or the error psr raises on its first rejected map
+        maps, rng = stack(seed, count, shape, -2, 3)  # five values: ties, centre peaks
+        maps[rng.random(count) < 0.3] = 1.0  # flat maps
+        if maps.size and data.draw(st.booleans()):
+            maps.flat[rng.integers(maps.size)] = np.nan
+        expected = psr_outcome(lambda chunk: [psr(grid) for grid in chunk], maps)
+        for given_maps in (maps, list(maps)):
+            assert psr_outcome(_psr_maps, given_maps) == expected
+
+    def test_block_sum_is_left_to_right(self):
+        # one block row sums to 0.0 left to right and to 1.0 compensated
+        # (math.fsum, as Python 3.12's sum does here): psr takes the first,
+        # on the one map and in a batched pass
+        grid = np.zeros((5, 5))
+        grid[2, 1:4] = [1.0, 1e16, -1e16]  # the peak 1e16 at (2, 2)
+        block = grid[1:4, 1:4].tolist()
+        plain = 0.0
+        for row in block:
+            row_sum = 0.0
+            for cell in row:
+                row_sum += cell
+            plain += row_sum
+        assert plain == 0.0 and math.fsum(grid[2, 1:4]) == 1.0
+
+        def psr_with_block_sum(block_sum):
+            mean = (float(np.vdot(grid, np.ones(25))) - block_sum) / 16
+            centered = grid - mean
+            centered[1:4, 1:4] = 0.0
+            return (1e16 - mean) / (math.sqrt(np.vdot(centered, centered) / 16) + 1e-6)
+
+        assert psr(grid) == psr_with_block_sum(plain) != psr_with_block_sum(1.0)
+        assert_maps_score_as_psr(np.stack([grid, grid.T, grid]))
 
     def test_maps_of_mixed_shapes_are_scored_one_by_one(self):
         rng = np.random.default_rng(7)
@@ -896,7 +946,7 @@ class TestTrackRowsScoring:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * _SCORE_BLOCK * maps[0].nbytes
+        assert peak < 8 * BLOCK_FRAMES * maps[0].nbytes
 
 
 def psr_columns(allow_infinity=True):

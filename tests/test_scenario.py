@@ -3,6 +3,7 @@
 import math
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from sattrack import (
     track_rows,
 )
 from sattrack.boxes import box_rows
+from sattrack.formats import ConfigError
 from sattrack.scenario import (
     BLOCK_FRAMES,
     CLUTTER_AMP,
@@ -101,6 +103,21 @@ class TestConfigValidation:
     def test_sharpness_positive(self):
         with pytest.raises(ValueError, match="sharpness"):
             clean_config(peak_sharpness=0.0)
+
+    @pytest.mark.parametrize("sharpness", [1e-162, 1e-300, 5e-324])
+    def test_sharpness_whose_square_underflows_rejected(self, sharpness):
+        # 2 * s * s is 0.0: the profiles would divide 0 by 0
+        with pytest.raises(ValueError, match=r"^peak_sharpness must be > 0 with 2 \* s \* s > 0, got "):
+            clean_config(peak_sharpness=sharpness)
+
+    def test_tiny_sharpness_is_a_one_cell_peak_without_warning(self):
+        # 2 * s * s is subnormal: every offset's exponent overflows to -inf,
+        # and exp gives the exact 0.0 off the peak cell
+        config = clean_config(frames=3, peak_sharpness=1e-160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, maps, _, _ = generate_scenario_rows(config)
+        assert np.count_nonzero(maps[0]) == 1 and maps[0].max() == 1.0
 
     def test_map_size_minimum(self):
         with pytest.raises(ValueError, match="3x3"):
@@ -293,8 +310,8 @@ class TestSeparablePeaks:
             expected = brute_peaks(shape, cells[t].tolist(), amps[t].tolist(), sharpness)
             assert np.abs(composed[t] - expected).max() <= 1e-15 * (1.0 + amps[t].sum())
 
-    def test_added_peaks_span_several_blocks(self):
-        count = 2 * BLOCK_FRAMES + 5
+    def test_added_peaks_of_a_whole_block(self):
+        count = BLOCK_FRAMES  # the block _synthesize passes
         rng = np.random.default_rng(71)
         cells = rng.integers(0, (9, 13), size=(count, 3, 2))
         amps = rng.uniform(0.0, 1.0, size=(count, 3))
@@ -901,6 +918,15 @@ class TestNoiseBlocks:
             monkeypatch.setattr("sattrack.scenario.BLOCK_FRAMES", frames)
             columns[frames] = [a.tobytes() for a in generate_scenario_rows(pin_config(name))]
         assert columns[1] == columns[7] == columns[BLOCK_FRAMES]
+
+    def test_overflowing_noise_is_an_error_naming_noise_sigma(self):
+        # noise_sigma is finite, sigma times a draw is not: the scoring finds
+        # the inf cell, and the error names the key, with no warning
+        config = clean_config(frames=3 * BLOCK_FRAMES, noise_sigma=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"^noise_sigma 1e\+308 overflows the response maps$"):
+                generate_scenario_rows(config)
 
     def test_a_peak_error_propagates_and_starts_no_thread(self, monkeypatch):
         started, calls = [], []
