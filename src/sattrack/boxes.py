@@ -29,9 +29,16 @@ class BoundingBox:
     h: float
 
     def __post_init__(self):
-        for name in ("cx", "cy", "w", "h"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"box field {name} must be finite")
+        # one call per field, in field order: cheaper than a loop over the
+        # names, and a box is made on every refined frame
+        if not math.isfinite(self.cx):
+            raise ValueError("box field cx must be finite")
+        if not math.isfinite(self.cy):
+            raise ValueError("box field cy must be finite")
+        if not math.isfinite(self.w):
+            raise ValueError("box field w must be finite")
+        if not math.isfinite(self.h):
+            raise ValueError("box field h must be finite")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box size must be positive, got w={self.w}, h={self.h}")
 

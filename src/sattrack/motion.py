@@ -22,7 +22,8 @@ raw row and its nPSR into the refined ``(cx, cy, w, h)`` row tuple.
 the branch, runs the kernel on the tracker state's history and pushes the
 result there.  That history is a doubled ring buffer: every row is written
 twice, ``capacity`` rows apart, so the recent window is always one
-contiguous slice and a push costs O(1).
+contiguous slice and a push costs O(1): eight cells set through a
+``memoryview`` of the ring, not a strided slice assignment.
 
 :func:`track_rows` does a whole sequence with no per-frame object.  It
 scores every map first, then decides nPSR, warm-up and branch for all
@@ -35,6 +36,13 @@ loop.
 On a 25x25 map the cost of a step is numpy call overhead, not arithmetic,
 so each step makes as few array calls as it can and stays exact:
 
+* A map is scored as its C-contiguous float copy (no copy for a map that
+  is one already), so each dot product below runs BLAS ``ddot`` over one
+  stride-1 buffer, in one summation order, whatever the layout it came in.
+  PSR's products are ``np.vdot``: ``ndarray.dot`` is the same ``ddot`` at a
+  lower call cost, but it warns where a sum overflows or is invalid, and
+  ``np.vdot`` does not.  The clipped block bounds are comparisons, not
+  ``max``/``min`` calls.
 * PSR takes one dot product of the map with a cached read-only ones vector
   (the whole-map total: a finite total proves every cell finite, so the
   cell-by-cell scan runs only when it is not; minus the 3x3 block, it
@@ -53,7 +61,9 @@ so each step makes as few array calls as it can and stays exact:
   :func:`psr`'s order.  A chunk :func:`psr` rejects goes to it map by map,
   and one map (:func:`refine_step`) to :func:`psr`, several times faster.
 * Each branch is one dot product of a cached read-only ``(n1,)`` weight
-  vector with the ``(n1, 4)`` window (``_branch_weights``): the low branch
+  vector with the ``(n1, 4)`` window (``_branch_weights``), taken as
+  ``weights.dot(window)``: the ``dgemv`` of ``weights @ window`` at about
+  half the call cost, with the same floating-point warnings.  The low branch
   weights evaluate the least-squares line of each column at ``n1``, the
   high branch weights are ``-1/n2**2`` on the older and ``+1/n2**2`` on the
   newer half of the last ``2*n2`` rows.
@@ -126,8 +136,18 @@ class TrackerState:
         self.last_npsr = 0.0
         self.last_branch = ""
         self._ring = np.zeros((2 * capacity, 4))
+        self._cells = memoryview(self._ring.reshape(-1))  # the ring's cells, written by _push
         self._slot = 0  # ring row the next box goes to (and capacity rows on)
         self._count = 0
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_cells"]  # a memoryview does not pickle or copy; a copy makes its own
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._cells = memoryview(self._ring.reshape(-1))
 
     def _window(self) -> np.ndarray:
         """The stored rows, oldest first, as one contiguous ``(count, 4)`` view."""
@@ -136,7 +156,12 @@ class TrackerState:
 
     def _push(self, row):
         """Store one ``(cx, cy, w, h)`` row, a tuple or list of floats."""
-        self._ring[self._slot :: self.capacity] = row
+        # two rows of four cells each, set one by one through the memoryview:
+        # a third to half the cost of a strided slice assignment
+        cells, first = self._cells, 4 * self._slot
+        second = first + 4 * self.capacity
+        cells[first], cells[first + 1], cells[first + 2], cells[first + 3] = row
+        cells[second], cells[second + 1], cells[second + 2], cells[second + 3] = row
         self._slot = (self._slot + 1) % self.capacity
         self._count = min(self._count + 1, self.capacity)
 
@@ -151,12 +176,16 @@ def _ones(size: int) -> np.ndarray:
 
 
 def _check_response(response) -> tuple[np.ndarray, float]:
-    """Validate a response map; return it as a float array with its cell sum.
+    """Validate a response map; return it as a C-contiguous float array with
+    its cell sum.
 
     A finite sum proves every cell finite, so the cell-by-cell scan only runs
     when the sum is not (non-finite cells, or finite cells that overflow).
     """
-    response = np.asarray(response, dtype=float)
+    # order="C" copies a strided, transposed or Fortran-ordered map, so its
+    # dot products run over one stride-1 buffer, in one summation order;
+    # unlike np.ascontiguousarray it keeps a 0-d input 0-d for the message
+    response = np.asarray(response, dtype=float, order="C")
     if response.ndim != 2:
         raise ValueError(f"response map must be 2-D, got shape {response.shape}")
     if response.shape[0] < 3 or response.shape[1] < 3:
@@ -173,7 +202,9 @@ def psr(response) -> float:
     The sidelobe is every cell outside the 3x3 block around the global peak
     (ties resolved to the first peak in row-major order; the block is clipped
     at the borders).  Returns (peak - mean) / (std + eps) with the population
-    standard deviation of the sidelobe, so a constant map scores 0.
+    standard deviation of the sidelobe, so a constant map scores 0.  A map
+    is scored as its C-contiguous float copy, so a strided, transposed or
+    Fortran-ordered map scores as ``np.ascontiguousarray(map)`` does.
     """
     response, total = _check_response(response)
     height, width = response.shape
@@ -183,8 +214,11 @@ def psr(response) -> float:
     if peak_index == 0 and response[0, 0] == response.min():
         return 0.0  # flat map: peak equals the sidelobe mean exactly
     pi, pj = divmod(peak_index, width)
-    i0, i1 = max(pi - 1, 0), min(pi + 2, height)
-    j0, j1 = max(pj - 1, 0), min(pj + 2, width)
+    # the block clipped into the map, by comparisons (cheaper than max/min calls)
+    i0 = pi - 1 if pi else 0
+    i1 = pi + 2 if pi + 2 < height else height
+    j0 = pj - 1 if pj else 0
+    j1 = pj + 2 if pj + 2 < width else width
     block = response[i0:i1, j0:j1].tolist()
     sidelobe_count = response.size - len(block) * len(block[0])
     if sidelobe_count == 0:
@@ -221,18 +255,20 @@ def _psr_maps(maps) -> list[float]:
 
 def _psr_block(maps) -> list[float]:
     """``[psr(m) for m in maps]`` for a chunk: :func:`psr`'s float operations
-    in its order, as the module docstring sets out; each ``(1, N) @ (N, 1)``
-    product of a stacked ``matmul`` is numpy's dot loop (BLAS ``ddot``) on
-    one map, as in ``vdot``.  A chunk that is not one float ``(n, H, W)``
-    block with finite sidelobe means goes to :func:`psr` map by map."""
+    in its order, as the module docstring sets out; the chunk is stacked as
+    one C-contiguous block, and each ``(1, N) @ (N, 1)`` product of a
+    stacked ``matmul`` is the stride-1 BLAS ``ddot`` that :func:`psr`'s
+    ``np.vdot`` runs on the map's C-contiguous copy.  A chunk that is not one
+    float ``(n, H, W)`` block with finite sidelobe means goes to :func:`psr`
+    map by map."""
     try:
-        count, height, width = (block := np.asarray(maps, dtype=float)).shape
+        count, height, width = (block := np.asarray(maps, dtype=float, order="C")).shape
     except (TypeError, ValueError):  # maps of mixed shapes, or not 2-D
         height = width = 0
     if min(height, width) < 3:
         return list(map(psr, maps))
     size = height * width
-    flat = block.reshape(count, size)  # a view, for a contiguous block
+    flat = block.reshape(count, size)  # a view: the block is C-contiguous, as psr's maps
     index = np.arange(count)
     with np.errstate(all="ignore"):  # as in psr, an overflow or a nan gives no warning
         totals = (flat[:, None, :] @ _ones(size)[:, None])[:, 0, 0]
@@ -319,12 +355,12 @@ def _branch_row(window: np.ndarray, prev, row, npsr: float, low: bool, params: M
     lam = params.lambda_ema
     prev_cx, prev_cy, prev_w, prev_h = prev
     if low:
-        cx, cy, fit_w, fit_h = (weights_low @ window).tolist()
+        cx, cy, fit_w, fit_h = weights_low.dot(window).tolist()
         w = lam * fit_w + (1.0 - lam) * prev_w
         h = lam * fit_h + (1.0 - lam) * prev_h
     else:
         model_cx, model_cy, model_w, model_h = row
-        vx, vy, _, _ = (weights_high @ window).tolist()
+        vx, vy, _, _ = weights_high.dot(window).tolist()
         alpha = npsr * npsr
         cx = prev_cx + alpha * (model_cx - prev_cx) + (1.0 - alpha) * vx
         cy = prev_cy + alpha * (model_cy - prev_cy) + (1.0 - alpha) * vy

@@ -140,3 +140,67 @@ def test_equal_bytecode_states_pass_the_guard(bench_pairs, tmp_path, cached):
         if cached:
             (checkout / bench_pairs.BYTECODE).mkdir()
     assert bench_pairs.bytecode_mismatch(checkouts) is None
+
+
+# verdict(parent runs, change runs, pairs won, pairs, direction, bound)
+@pytest.mark.parametrize("parent, change, wins, pairs, better, expected", [
+    # 10/10 pairs and a median gap (10) over the parent's IQR (4.5)
+    pytest.param(list(range(100, 110)), list(range(110, 120)), 10, 10, "higher", "gain",
+                 id="gain"),
+    # 9/10, the tenth pair a tie, still a gain; lower is better here
+    pytest.param(list(range(100, 110)), list(range(90, 100)), 9, 10, "lower", "gain",
+                 id="gain-lower-with-a-tie"),
+    # 8/10 pairs is no gain, however large the gap
+    pytest.param(list(range(100, 110)), list(range(110, 120)), 8, 10, "higher", "no worse",
+                 id="too-few-wins"),
+    # nor is 9/9: a gain needs ten pairs at least
+    pytest.param(list(range(100, 109)), list(range(110, 119)), 9, 9, "higher", "no worse",
+                 id="too-few-pairs"),
+    # every pair won, but a gap (5) inside the parent's IQR (10)
+    pytest.param(list(range(90, 111, 2)), list(range(95, 116, 2)), 11, 11, "higher",
+                 "no worse", id="gap-inside-iqr"),
+    # the change's median 30% below the parent's, bound 25%
+    pytest.param([100.0] * 5, [70.0] * 5, 0, 5, "higher", "worse", id="worse-higher"),
+    # a time 30% above the parent's, bound 25%
+    pytest.param([10.0] * 5, [13.0] * 5, 0, 5, "lower", "worse", id="worse-lower"),
+    # the parent's own IQR (41) is wider than the bound (25): no verdict
+    pytest.param([50, 60, 100, 101, 102], [99, 103, 103, 103, 103], 3, 5, "higher",
+                 "unresolved", id="unresolved"),
+    # the same spread, but every change run beats every parent run
+    pytest.param([50, 60, 100, 101, 102], [103] * 5, 5, 5, "higher", "no worse",
+                 id="wide-but-all-better"),
+    # a wide change side is unresolved too
+    pytest.param([100.0] * 5, [60, 70, 100, 130, 140], 2, 5, "higher", "unresolved",
+                 id="unresolved-change-spread"),
+    pytest.param([100, 101, 102, 103, 104], [99, 100, 101, 102, 103], 0, 5, "higher",
+                 "no worse", id="no-worse"),
+])
+def test_verdicts(bench_pairs, parent, change, wins, pairs, better, expected):
+    assert bench_pairs.verdict(parent, change, wins, pairs, better, 0.25) == expected
+
+
+def run_record(side, pair, fps):
+    """One ``run`` log record: each higher-is-better end-to-end metric reads
+    ``fps``, each lower-is-better one ``1 / fps``."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: {"value": fps if m["better"] == "higher" else 1.0 / fps}
+               for m in spec["end_to_end"]}
+    return {"side": side, "pair": pair, "workload": "refine_stream", "seed": 9001,
+            "seconds": 10.0, "trace": 0, "machine": "box", "failed": 0,
+            "wall": {"frames_per_s": fps}, "metrics": metrics}
+
+
+def test_summarize_records_each_metrics_verdict(bench_pairs, tmp_path, capsys):
+    log, out = tmp_path / "runs.jsonl", tmp_path / "BENCH_1.json"
+    records = [run_record(side, pair, 100.0 + pair + (20.0 if side == "change" else 0.0))
+               for pair in range(10) for side in ("parent", "change")]
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    bench_pairs.main(["summarize", "--log", str(log), "--out", str(out)])
+    entry = json.loads(out.read_text())["workloads"]["refine_stream"]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert entry["verdicts"] == {m["name"]: "gain" for m in spec["end_to_end"]}
+    assert "wins 10/10, gain" in capsys.readouterr().out
+    before = summary(40.0)
+    before["workloads"]["refine_stream"]["change_wins"] = {"frames_per_s": "3/5"}
+    lines = bench_pairs.compare_lines(before, json.loads(out.read_text()))
+    assert lines[2].endswith("| 104.5 -> 124.5 (wins 10/10, gain)")

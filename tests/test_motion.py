@@ -1,6 +1,8 @@
 """Confidence scoring and online refinement tests."""
 
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -539,6 +541,19 @@ class TestTrackerState:
             row[0] = 99.0
         assert history(state) == (numbered_box(1), numbered_box(2), numbered_box(3))
 
+    @pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))])
+    def test_a_copied_state_runs_on_alone(self, duplicate):
+        # the copy has its own ring: both go on to the same boxes, and
+        # pushing into one leaves the other as it was
+        params = MotionParams(n1=5, n2=2)
+        state = warmed_state(params, [numbered_box(k) for k in range(5)], map_with_score(8.0))
+        refine_step(state, numbered_box(5), map_with_score(6.0), params)
+        twin = duplicate(state)
+        box, grid = numbered_box(7), map_with_score(3.0)
+        assert refine_step(twin, box, grid, params) == refine_step(state, box, grid, params)
+        twin._push((0.0, 0.0, 1.0, 1.0))
+        assert history(state)[-1] != history(twin)[-1] == BoundingBox(0.0, 0.0, 1.0, 1.0)
+
     def test_capacity_below_one_rejected(self):
         with pytest.raises(ValueError, match="capacity"):
             TrackerState(0)
@@ -947,6 +962,94 @@ class TestTrackRowsScoring:
         finally:
             tracemalloc.stop()
         assert peak < 8 * BLOCK_FRAMES * maps[0].nbytes
+
+
+# a (T, H, W) stack of C-contiguous maps in other memory layouts; each is
+# scored as its C-contiguous copy, whose dot products run in one order
+LAYOUTS = {
+    "strided": lambda maps: maps[:, :, ::2],
+    "transposed": lambda maps: maps.transpose(0, 2, 1),
+    "fortran": np.asfortranarray,
+    "reversed": lambda maps: maps[:, ::-1, ::-1],
+}
+
+
+class TestMapLayout:
+    """A map's memory layout does not change its PSR: ``psr``, ``_psr_maps``,
+    ``track_rows`` and a ``refine_step`` loop all score the C-contiguous copy."""
+
+    @pytest.fixture(scope="class")
+    def sequence(self):
+        raw, _ = random_sequence(7, 200, (3, 4))
+        maps = np.random.default_rng(7).uniform(size=(200, 25, 50))
+        return raw, maps
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_psr_scores_the_contiguous_copy(self, layout, sequence):
+        views = LAYOUTS[layout](sequence[1])
+        copies = np.ascontiguousarray(views)
+        expected = np.array([psr(grid) for grid in copies])
+        assert np.array([psr(grid) for grid in views]).tobytes() == expected.tobytes()
+        assert np.array([psr(np.asfortranarray(grid)) for grid in copies]).tobytes() == (
+            expected.tobytes()
+        )
+        for given_maps in (views, list(views)):
+            assert np.array(_psr_maps(given_maps)).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_tracking_scores_the_contiguous_copy(self, layout, sequence):
+        raw, maps = sequence
+        views = LAYOUTS[layout](maps)
+        params = MotionParams(n1=12, n2=4)
+        expected = track_rows(raw, np.ascontiguousarray(views), params, True)
+        for given_maps in (views, list(views)):
+            columns = track_rows(raw, given_maps, params, True)
+            assert [np.asarray(c).tobytes() for c in columns[:3]] == [
+                np.asarray(c).tobytes() for c in expected[:3]
+            ]
+            assert columns[3] == expected[3]
+        state = TrackerState(params.n1)
+        loop = [
+            (refine_step(state, BoundingBox(*row), grid, params), state.last_psr, state.last_npsr)
+            for row, grid in zip(raw.tolist(), views)
+        ]
+        boxes = np.array([(b.cx, b.cy, b.w, b.h) for b, _, _ in loop])
+        assert boxes.tobytes() == expected[0].tobytes()
+        assert np.array([r[1:] for r in loop]).T.tobytes() == np.array(expected[1:3]).tobytes()
+
+
+# cells of one (n1, 4) history window: magnitudes from 1e-300 to 1e300 of
+# either sign, signed zeros and subnormals
+WINDOW_CELLS = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310]),
+)
+
+
+class TestBlasIdentities:
+    """The products the step relies on, bit for bit.  If a numpy release
+    routes one of these calls to another kernel, these tests name it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(dyadic_maps(), st.integers(0, 2**32 - 1))
+    def test_dot_on_a_contiguous_map_is_vdot(self, grid, seed):
+        # psr's whole-map total and sidelobe squares take np.vdot, which
+        # reports no floating-point error; ndarray.dot is the same ddot
+        cells = grid * np.random.default_rng(seed).uniform(0.5, 2.0, grid.shape)
+        flat = cells.ravel()
+        ones = _ones(flat.size)
+        assert flat.dot(ones).tobytes() == np.float64(np.vdot(cells, ones)).tobytes()
+        assert flat.dot(flat).tobytes() == np.float64(np.vdot(cells, cells)).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(WINDOW_PARAMS), st.data())
+    def test_branch_dot_is_matmul(self, case, data):
+        n1, n2 = case
+        window = data.draw(hnp.arrays(np.float64, (n1, 4), elements=WINDOW_CELLS))
+        with np.errstate(all="ignore"):  # products past the float range overflow alike
+            for weights in _branch_weights(n1, n2):
+                assert weights.dot(window).tobytes() == (weights @ window).tobytes()
 
 
 def psr_columns(allow_infinity=True):

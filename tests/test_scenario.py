@@ -806,6 +806,84 @@ class TestDrawOrderPin:
         assert outside > 50
 
 
+# The tracker's records on the PIN_CONFIGS scenarios and on "long", which
+# takes both branches after warm-up, under the default MotionParams: every
+# frame's refined row, PSR, nPSR and branch, recorded in REFINE_PIN_FILE.
+REFINE_PIN_CONFIGS = {
+    **PIN_CONFIGS,
+    "long": dict(
+        frame_count=400,
+        waypoints=((1, 100.0, 120.0), (200, 260.0, 180.0), (400, 210.0, 330.0)),
+        target_size=(12.0, 7.0),
+        occlusions=((120, 170), (260, 290)),
+        distractor_count=3,
+        seed=13,
+    ),
+}
+REFINE_PIN_FILE = Path(__file__).parent / "data" / "refine_pin.csv"
+REFINE_PIN_HEADER = "config,frame,cx,cy,w,h,psr,npsr,branch"
+
+
+def refine_pin_rows(name, rows, psrs, npsrs, branches):
+    """One exact text row per frame of a sequence's record columns."""
+    return [
+        ",".join([name, str(frame), *map(repr, row), repr(value), repr(npsr), branch])
+        for frame, (row, value, npsr, branch) in enumerate(zip(rows, psrs, npsrs, branches), 1)
+    ]
+
+
+def refine_loop_columns(config):
+    """A ``refine_step`` loop over ``generate_scenario``'s frames, as the
+    record columns of ``track_rows``, in Python floats."""
+    params = MotionParams()
+    state = TrackerState(params.n1)
+    columns = [], [], [], []
+    for obs in generate_scenario(config):
+        box = refine_step(state, obs.raw_model_box, obs.response, params)
+        record = (box.cx, box.cy, box.w, box.h), state.last_psr, state.last_npsr, state.last_branch
+        for column, value in zip(columns, record):
+            column.append(value)
+    return columns
+
+
+def track_rows_columns(config):
+    """``track_rows`` on ``generate_scenario_rows``' rows and maps, in Python floats."""
+    _, raw, maps, _, _ = generate_scenario_rows(config)
+    rows, psrs, npsrs, branches = track_rows(raw, maps, MotionParams(), True)
+    return rows.tolist(), psrs.tolist(), npsrs.tolist(), branches
+
+
+def write_refine_pin_file():
+    """Re-record REFINE_PIN_FILE from the current ``refine_step``, for a
+    change that means to change the tracker's floats:
+    ``PYTHONPATH=src:tests python -c "import test_scenario as t; t.write_refine_pin_file()"``."""
+    rows = [REFINE_PIN_HEADER]
+    for name in sorted(REFINE_PIN_CONFIGS):
+        config = ScenarioConfig(**REFINE_PIN_CONFIGS[name])
+        rows += refine_pin_rows(name, *refine_loop_columns(config))
+    REFINE_PIN_FILE.write_text("\n".join(rows) + "\n")
+
+
+class TestRefinePin:
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        lines = REFINE_PIN_FILE.read_text().splitlines()
+        assert lines[0] == REFINE_PIN_HEADER
+        return lines[1:]
+
+    @pytest.mark.parametrize("columns", [refine_loop_columns, track_rows_columns])
+    @pytest.mark.parametrize("name", sorted(REFINE_PIN_CONFIGS))
+    def test_records_match_recording(self, name, columns, recorded):
+        config = ScenarioConfig(**REFINE_PIN_CONFIGS[name])
+        expected = [row for row in recorded if row.startswith(name + ",")]
+        assert len(expected) == config.frame_count
+        assert refine_pin_rows(name, *columns(config)) == expected
+
+    def test_long_config_takes_both_branches(self, recorded):
+        branches = [row.rsplit(",", 1)[1] for row in recorded if row.startswith("long,")]
+        assert {"low", "high"} <= set(branches[MotionParams().n1 :])
+
+
 def pinned_against_reference(config):
     """Assert generate_scenario equals the scalar reference: boxes, flags and
     peak cells exactly, maps within 1e-15 of each frame's amplitude sum."""

@@ -13,15 +13,17 @@ object and the unscaled wall-clock values.  It refuses to start when only
 one checkout has ``src/sattrack/__pycache__``.  ``summarize`` turns a log into
 the committed ``BENCH_<n>.json``: per workload and side, the number of runs
 and the median and quartiles of every end-to-end metric (scaled and wall
-clock), the pairs the change won on each metric, and the per-layer metrics
-of the traced runs; it also prints a table of the medians.  ``compare``
-prints the before/after table of two committed files: for every workload in
-both, the median and quartiles of each end-to-end metric on the ``change``
-side (the code each file was written for) and the ratio of the medians,
-followed for frames_per_s by each file's own parent -> change medians and
-pair wins.  Scaling to the reference kernel makes files from different
-days comparable, but not exactly: a change is judged by the pairs inside one
-file.  Nothing under ``benchmarks/`` is changed or imported.
+clock), the pairs the change won on each metric, each metric's verdict
+(``gain``, ``worse``, ``unresolved`` or ``no worse``; see :func:`verdict`),
+and the per-layer metrics of the traced runs; it also prints a table of the
+medians.  ``compare`` prints the before/after table of two committed files:
+for every workload in both, the median and quartiles of each end-to-end
+metric on the ``change`` side (the code each file was written for) and the
+ratio of the medians, followed for frames_per_s by each file's own parent ->
+change medians, pair wins and, in files that record one, verdict.  Scaling
+to the reference kernel makes files from different days comparable, but not
+exactly: a change is judged by the pairs inside one file.  Nothing under
+``benchmarks/`` is changed or imported.
 """
 
 from __future__ import annotations
@@ -107,10 +109,38 @@ def stats(values) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3), "iqr": float(q3 - q1)}
 
 
+def verdict(parent, change, wins: int, pairs: int, better: str, bound: float) -> str:
+    """One end-to-end metric's verdict on a workload, from each side's run
+    values, the pairs the change won (ties count for neither) and the
+    metric's direction and relative bound from ``BENCHMARK.json``:
+
+    - ``gain``: of at least ten pairs, the change won 9/10 or more, and its
+      median is better than the parent's by more than the parent's IQR;
+    - ``worse``: the change's median is worse than the parent's by more than
+      ``bound`` times the parent's median;
+    - ``unresolved``: either side's IQR is wider than that bound, and not
+      every run of the change is better than every run of the parent;
+    - ``no worse`` otherwise.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    base, ours = stats(parent), stats(change)
+    gap = sign * (ours["median"] - base["median"])  # > 0: the change is better
+    allowed = bound * abs(base["median"])
+    if pairs >= 10 and 10 * wins >= 9 * pairs and gap > base["iqr"]:
+        return "gain"
+    if -gap > allowed:
+        return "worse"
+    all_better = min(sign * v for v in change) > max(sign * v for v in parent)
+    if max(base["iqr"], ours["iqr"]) > allowed and not all_better:
+        return "unresolved"
+    return "no worse"
+
+
 def cmd_summarize(args):
     spec = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    records = [json.loads(line) for line in open(args.log) if line.strip()]
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    records = [json.loads(line) for line in Path(args.log).read_text().splitlines() if line.strip()]
     summary = {"source": "tools/bench_pairs.py", "workloads": {}}
     for workload in dict.fromkeys(r["workload"] for r in records):
         untraced = [r for r in records if r["workload"] == workload and not r["trace"]]
@@ -136,20 +166,25 @@ def cmd_summarize(args):
         pairs = {}
         for r in untraced:
             pairs.setdefault(r["pair"], {})[r["side"]] = r["metrics"]
-        wins = {}
+        wins, verdicts = {}, {}
         for name, direction in better.items():
             sign = 1 if direction == "higher" else -1
             diffs = [sign * (p["change"][name]["value"] - p["parent"][name]["value"])
                      for p in pairs.values() if len(p) == 2]
-            wins[name] = f"{sum(d > 0 for d in diffs)}/{len(diffs)}"
+            won = sum(d > 0 for d in diffs)
+            wins[name] = f"{won}/{len(diffs)}"
+            if by_side["parent"] and by_side["change"]:
+                values = [[r["metrics"][name]["value"] for r in by_side[s]] for s in SIDES]
+                verdicts[name] = verdict(*values, won, len(diffs), direction, bounds[name])
         entry["change_wins"] = wins
+        entry["verdicts"] = verdicts
         summary["workloads"][workload] = entry
         print(f"{workload}: parent {len(by_side['parent'])} runs, change {len(by_side['change'])} runs")
-        for name in better:
-            if by_side["parent"] and by_side["change"]:
-                p, c = entry["parent"]["end_to_end"][name], entry["change"]["end_to_end"][name]
-                print(f"  {name:22s} {p['median']:12.6g} [{p['q1']:.6g}-{p['q3']:.6g}] -> "
-                      f"{c['median']:12.6g} [{c['q1']:.6g}-{c['q3']:.6g}]  wins {wins[name]}")
+        for name in verdicts:
+            p, c = entry["parent"]["end_to_end"][name], entry["change"]["end_to_end"][name]
+            print(f"  {name:22s} {p['median']:12.6g} [{p['q1']:.6g}-{p['q3']:.6g}] -> "
+                  f"{c['median']:12.6g} [{c['q1']:.6g}-{c['q3']:.6g}]  wins {wins[name]}, "
+                  f"{verdicts[name]}")
     Path(args.out).write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
 
 
@@ -158,16 +193,19 @@ def _cell(entry) -> str:
 
 
 def _in_file(entry) -> str:
-    """One file's own verdict on frames_per_s: parent -> change medians and
-    the pairs the change won."""
+    """One file's own verdict on frames_per_s: parent -> change medians, the
+    pairs the change won and, in files that record it, the verdict."""
     medians = [entry[side]["end_to_end"]["frames_per_s"]["median"] for side in SIDES]
-    return f"{medians[0]:.6g} -> {medians[1]:.6g} (wins {entry['change_wins']['frames_per_s']})"
+    recorded = entry.get("verdicts", {}).get("frames_per_s")
+    verdict_note = f", {recorded}" if recorded else ""
+    return (f"{medians[0]:.6g} -> {medians[1]:.6g} "
+            f"(wins {entry['change_wins']['frames_per_s']}{verdict_note})")
 
 
 def compare_lines(before: dict, after: dict) -> list[str]:
     """The before/after table of two summaries' change sides, one line per
     workload metric.  Under frames_per_s, when both files hold pair
-    verdicts, each file's in-file parent -> change result follows the
+    wins, each file's in-file parent -> change result follows the
     cross-file ratio, since only the in-file pairs judge a change."""
     lines = []
     for workload, new_entry in after["workloads"].items():
