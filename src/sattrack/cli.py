@@ -20,12 +20,13 @@ returns (see :mod:`sattrack.formats`), so an error leaves no output and a
 killed run no partial file.  The exit code is 0 only when every output was
 fully written, 1 on runtime or configuration errors, 2 on usage errors.
 
-Directory-mode ``evaluate`` scores its sequences in worker processes, one
-per CPU this process may run on (no more than there are sequences), forked
-from this one; with one CPU, or where "fork" is not a start method, it
-scores them in this process.  Both ways run :func:`_score_sequence` in
-sorted sequence order and write the same bytes, and the first sequence
-that fails in that order is the one reported.
+Directory-mode ``evaluate`` cuts its sorted sequences into contiguous
+shares, one per CPU this process may run on (no more than there are
+sequences).  It scores the first share itself and forks one child per other
+share, which sends its results back as one pickle through a pipe; with one
+CPU, or without ``os.fork``, it scores them all itself.  Both ways run
+:func:`_score_sequence` in sorted sequence order and write the same bytes,
+and the first sequence that fails in that order is the one reported.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import argparse
 import dataclasses
 import functools
 import os
+import pickle
 import sys
 import warnings
 from pathlib import Path
@@ -282,7 +284,7 @@ def _discover_sequences(pred_dir: Path, gt_dir: Path) -> list[tuple[str, Path, P
 
 def _score_sequence(sequence: tuple[str, Path, Path]):
     """``(name, result)`` of one ``(name, pred_file, gt_file)`` sequence: the
-    one scoring path of directory mode, in this process or in a worker."""
+    one scoring path of directory mode, in this process or in a forked child."""
     name, pred_file, gt_file = sequence
     try:
         return name, evaluate(
@@ -300,25 +302,92 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def _fork_share(share: list, readers: list[int]) -> tuple[int, int]:
+    """Fork a child that scores ``share`` and writes one pickle to a pipe,
+    ``("ok", results)`` or ``("error", exc)`` at its first exception; the
+    child's pid and the pipe's read end.  ``readers`` are the read ends of
+    earlier children's pipes.  The child closes them, so that this process
+    holds the only copy and closing it frees a child blocked on a full
+    pipe."""
+    reader, writer = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # numpy's OpenBLAS keeps idle threads, which Python >= 3.12 counts
+            # and warns about at a fork; OpenBLAS resets its pool in the child
+            warnings.filterwarnings(
+                "ignore", r"This process .* is multi-threaded", DeprecationWarning
+            )
+            pid = os.fork()
+    except OSError:
+        os.close(reader)
+        os.close(writer)
+        raise
+    if pid == 0:  # the child: leaves only through os._exit, whatever it raises
+        code = 1
+        try:
+            for fd in (reader, *readers):
+                os.close(fd)
+            try:
+                payload = ("ok", list(map(_score_sequence, share)))
+            except Exception as exc:
+                payload = ("error", exc)
+            data = pickle.dumps(payload)  # in full before a byte is written
+            with open(writer, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(writer)
+    return pid, reader
+
+
+def _read_pipe(reader: int) -> bytes:
+    """Everything a child writes to the pipe ``reader`` until it closes it."""
+    chunks = []
+    while chunk := os.read(reader, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _share_results(data: bytes, status: int) -> list:
+    """The results a child's pipe held, or the exception it raised there; a
+    child that wrote nothing or exited other than 0 is one error."""
+    code = os.waitstatus_to_exitcode(status)
+    if code or not data:
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise ConfigError(f"a worker process scoring the sequences died: {how}")
+    outcome, value = pickle.loads(data)  # written by the child forked above
+    if outcome == "error":
+        raise value
+    return value
+
+
 def _score_sequences(sequences: list[tuple[str, Path, Path]]) -> dict:
     """Every sequence's result by name, in the order given.  The sequences
-    are independent, so they are scored in forked worker processes when
-    there is more than one CPU and more than one sequence."""
+    are independent, so with more than one CPU and sequence they are cut
+    into one contiguous share per CPU: this process scores the first and a
+    forked child each other.  The first share's error wins, so the error
+    raised is the first failing sequence's in the order given."""
     workers = min(_cpu_count(), len(sequences))
-    if workers == 1 or not hasattr(os, "fork"):  # no "fork" start method
+    if workers == 1 or not hasattr(os, "fork"):
         return dict(map(_score_sequence, sequences))
-    # imported here: they take about 25 ms, which no other path should pay
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    context = multiprocessing.get_context("fork")
-    chunksize = -(-len(sequences) // (2 * workers))  # two chunks per worker
+    cuts = [len(sequences) * k // workers for k in range(workers + 1)]
+    shares = [sequences[start:stop] for start, stop in zip(cuts, cuts[1:])]
+    children: list[tuple[int, int]] = []  # (pid, read end) per forked share
     try:
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            return dict(pool.map(_score_sequence, sequences, chunksize=chunksize))
-    except BrokenProcessPool as exc:
-        raise ConfigError(f"a worker process scoring the sequences died: {exc}") from None
+        for share in shares[1:]:
+            children.append(_fork_share(share, [reader for _, reader in children]))
+        results = list(map(_score_sequence, shares[0]))
+        written = [_read_pipe(reader) for _, reader in children]
+    finally:
+        # every read end closed before any wait: a child still writing then
+        # fails and exits rather than blocking on a full pipe
+        for _, reader in children:
+            os.close(reader)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for data, status in zip(written, statuses):
+        results += _share_results(data, status)
+    return dict(results)
 
 
 def cmd_evaluate(args, out: Path):

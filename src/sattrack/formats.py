@@ -68,7 +68,6 @@ import struct
 import tokenize
 import zipfile
 import zlib
-from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -304,6 +303,9 @@ def _center_rows(table: np.ndarray, center_format: bool) -> tuple[np.ndarray, np
 # silently into a number; and the integer ``-0``, which orjson reads as 0.
 _NON_NUMBER_CHARS = '"[]{}tfn'
 _NEGATIVE_ZERO = re.compile(r"(?<![eE])-0(?![.eE\d])")  # not in an exponent: 1e-05
+# The line breaks of str.splitlines other than \n, looked for one ``in`` at
+# a time: each is a fast search, where a regex class steps char by char.
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def _parse_whole(text: str) -> np.ndarray | None:
@@ -314,18 +316,35 @@ def _parse_whole(text: str) -> np.ndarray | None:
     comment, blank line or blank field), each with ``width - 1`` separators,
     every field a JSON number, all read by one ``orjson.loads`` call,
     frames 1..N and every box valid.  Each of those is one operation over
-    the whole file.  JSON's numbers are a subset of ``float``'s spellings,
+    the whole file.  Lines are those of ``str.splitlines``: a text with a
+    break other than ``\n`` is first rejoined with ``\n``.  The separator
+    count is one array check on the byte positions of the commas (tabs are
+    commas) and the ``\n`` breaks: ``(width - 1) * lines`` commas, each
+    break after its line's last comma and before the next line's first.
+    The body's breaks then become commas, and its fields one JSON array.
+    JSON's numbers are a subset of ``float``'s spellings,
     and orjson reads each to ``float``'s double but for the integer ``-0``.
     A file that fails any check, holds ``-0`` or a spelling only ``float``
     reads goes to the per-row scan, which reads it as ``float`` does and
     finds the first bad line."""
-    lines = text.replace("\t", ",").splitlines()
-    center_format = bool(lines) and lines[0].lstrip().lower().startswith("frame")
-    body = lines[1:] if center_format else lines
+    text = text.replace("\t", ",")
+    if any(char in text for char in _OTHER_BREAKS):
+        text = "\n".join(text.splitlines())
+    else:
+        text = text.removesuffix("\n")  # as splitlines drops a last break
+    head, _, rest = text.partition("\n")
+    center_format = head.lstrip().lower().startswith("frame")
+    body = rest if center_format else text
     width = 5 if center_format else 4
-    if not body or set(map(str.count, body, repeat(","))) != {width - 1}:
+    chars = np.frombuffer(body.encode(), dtype=np.uint8)
+    commas = np.flatnonzero(chars == ord(","))
+    breaks = np.flatnonzero(chars == ord("\n"))
+    if len(commas) != (width - 1) * (len(breaks) + 1):
         return None
-    joined = ",".join(body)
+    commas = commas.reshape(-1, width - 1)  # one row per line, if each has width - 1
+    if not ((commas[:-1, -1] < breaks) & (breaks < commas[1:, 0])).all():
+        return None
+    joined = body.replace("\n", ",")
     if any(char in joined for char in _NON_NUMBER_CHARS):
         return None
     try:
@@ -335,7 +354,7 @@ def _parse_whole(text: str) -> np.ndarray | None:
     if not fields.all() and _NEGATIVE_ZERO.search(joined):  # a zero that may be -0
         return None
     table = fields.reshape(-1, width)
-    if center_format and not (table[:, 0] == np.arange(1, len(body) + 1)).all():
+    if center_format and not (table[:, 0] == np.arange(1, len(table) + 1)).all():
         return None
     boxes, valid = _center_rows(table, center_format)
     return boxes if valid.all() else None

@@ -11,7 +11,9 @@ Each error has one kernel over ``(N, 4)`` center-format rows
 (:func:`center_errors`, :func:`normalized_center_errors`,
 :func:`overlap_ratios`); a single box pair is a one-row call.
 :func:`evaluate_rows` scores such rows as the trajectory reader returns
-them; :func:`evaluate` is the same for two lists of boxes.  IoU
+them; :func:`evaluate` is the same for two lists of boxes.  It sorts
+each error once and reads every curve point as one ``searchsorted`` count,
+the same doubles as the mean of a threshold-by-frame comparison.  IoU
 areas come from corner differences (:func:`~sattrack.boxes.overlap_areas`),
 so equal boxes score exactly 1, never above: a perfect trajectory has a
 success AUC of 20/21, as IoU > 1 never holds.
@@ -89,15 +91,27 @@ def overlap_ratios(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
 
 def evaluate_rows(pred_rows: np.ndarray, gt_rows: np.ndarray) -> EvalResult:
     """Score ``(N, 4)`` predicted ``(cx, cy, w, h)`` rows against ground
-    truth rows of equal length."""
+    truth rows of equal length.
+
+    Each curve point is a count over the sorted errors, divided by ``N``:
+    the errors ``<= tau`` are ``searchsorted(..., side="right")``, and the
+    IoUs ``> tau`` are ``N`` less that.  That is the comparison mean bit for
+    bit (a bool mean adds exact 0/1 doubles and divides once by ``N``)
+    because no error is NaN, which would sort last and count as above every
+    ``tau``: on valid rows (finite, ``w, h > 0``) the two center errors are
+    finite or ``inf``, and :func:`overlap_ratios` is 0 wherever its union is
+    not a positive number, on any rows."""
     pred_rows, gt_rows = _equal_lengths(pred_rows, gt_rows)
+    n = len(pred_rows)
     cles = center_errors(pred_rows, gt_rows)
     norm_cles = normalized_center_errors(pred_rows, gt_rows)
     ious = overlap_ratios(pred_rows, gt_rows)
+    for errors in (cles, norm_cles, ious):
+        errors.sort()
 
-    precision = (cles[None, :] <= PRECISION_THRESHOLDS[:, None]).mean(axis=1)
-    norm_precision = (norm_cles[None, :] <= NORM_PRECISION_THRESHOLDS[:, None]).mean(axis=1)
-    success = (ious[None, :] > SUCCESS_THRESHOLDS[:, None]).mean(axis=1)
+    precision = np.searchsorted(cles, PRECISION_THRESHOLDS, side="right") / n
+    norm_precision = np.searchsorted(norm_cles, NORM_PRECISION_THRESHOLDS, side="right") / n
+    success = (n - np.searchsorted(ious, SUCCESS_THRESHOLDS, side="right")) / n
     return EvalResult(
         precision=precision,
         norm_precision=norm_precision,

@@ -1,11 +1,12 @@
 """End-to-end command-line tests, run in-process through main(argv)."""
 
-import concurrent.futures
 import contextlib
 import io
 import json
 import os
+import pickle
 import shutil
+import signal
 import tempfile
 import threading
 import warnings
@@ -1520,28 +1521,37 @@ def run_evaluate_suite(root: Path, workers: int, monkeypatch, capsys, *flags):
     return code, captured.out, captured.err, out
 
 
-def test_evaluate_workers_write_the_in_process_bytes(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("workers", [2, 3])
+def test_evaluate_workers_write_the_in_process_bytes(tmp_path, monkeypatch, capsys, workers):
     write_mixed_suite(tmp_path)
-    pools = []
+    parent, fork, forks = os.getpid(), os.fork, []
 
-    class CountedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(args)
-            super().__init__(*args, **kwargs)
+    def counted_fork():
+        if os.getpid() == parent:
+            forks.append(None)
+            # what Python >= 3.12 says at a fork beside numpy's BLAS threads
+            warnings.warn(f"This process (pid={parent}) is multi-threaded, use of fork() "
+                          "may lead to deadlocks in the child.", DeprecationWarning)
+        return fork()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(os, "fork", counted_fork)
     flags = ("--attributes", str(tmp_path / "groups.cfg"))
     code, stdout, err, serial = run_evaluate_suite(tmp_path, 1, monkeypatch, capsys, *flags)
-    assert (code, err, pools) == (0, "", [])
-    assert run_evaluate_suite(tmp_path, 2, monkeypatch, capsys, *flags)[:3] == (0, stdout, "")
-    assert pools == [(2,)]
+    assert (code, err, forks) == (0, "", [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = run_evaluate_suite(tmp_path, workers, monkeypatch, capsys, *flags)
+    assert run[:3] == (0, stdout, "")
+    assert len(forks) == workers - 1  # this process scores the first share
     names = sorted(path.name for path in serial.iterdir())
     assert names == [
         "curves_even.csv", "curves_odd.csv", "curves_overall.csv", "summary.json"
     ]
     for name in names:
-        assert (tmp_path / "out-2" / name).read_bytes() == (serial / name).read_bytes()
+        assert (run[3] / name).read_bytes() == (serial / name).read_bytes()
     assert list(json.loads((serial / "summary.json").read_text())["sequences"]) == list("abcde")
+    with pytest.raises(ChildProcessError):  # every child reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _break_sequences(pred_dir: Path):
@@ -1564,7 +1574,8 @@ def test_evaluate_workers_report_the_in_process_error(
 ):
     write_mixed_suite(tmp_path)
     damage(tmp_path / "pred")
-    runs = [run_evaluate_suite(tmp_path, workers, monkeypatch, capsys) for workers in (1, 2)]
+    # three shares, a | b c | d e: b and d fail in two children, b is reported
+    runs = [run_evaluate_suite(tmp_path, workers, monkeypatch, capsys) for workers in (1, 2, 3)]
     for code, stdout, err, out in runs:
         assert (code, stdout, err) == runs[0][:3]
         assert not out.exists()
@@ -1572,21 +1583,77 @@ def test_evaluate_workers_report_the_in_process_error(
     assert code == 1 and err.startswith(opening) and err.count("\n") == 1
 
 
-def test_evaluate_worker_death_is_one_error_line(tmp_path, monkeypatch, capfd):
+@pytest.mark.parametrize("die, detail", [
+    (lambda: os._exit(3), "exit status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {signal.SIGKILL.value}"),
+])
+def test_evaluate_worker_death_is_one_error_line(tmp_path, monkeypatch, capfd, die, detail):
     write_mixed_suite(tmp_path)
     parent, read = os.getpid(), formats.read_trajectory_rows
 
     def read_or_die(path):
         if os.getpid() != parent:
-            os._exit(3)
+            die()
         return read(path)
 
     monkeypatch.setattr(formats, "read_trajectory_rows", read_or_die)
     code, stdout, err, out = run_evaluate_suite(tmp_path, 2, monkeypatch, capfd)
     assert (code, stdout) == (1, "")
     assert err.startswith("error: a worker process scoring the sequences died: ")
-    assert err.count("\n") == 1
+    assert err == f"error: a worker process scoring the sequences died: {detail}\n"
     assert not out.exists()
+
+
+class SequenceCrash(Exception):
+    """An exception no handler expects, raised only in a child."""
+
+
+def test_evaluate_child_exception_comes_back_as_its_type(tmp_path, monkeypatch, capsys):
+    write_mixed_suite(tmp_path)
+    parent, read = os.getpid(), formats.read_trajectory_rows
+
+    def read_or_crash(path):
+        if os.getpid() != parent:
+            raise SequenceCrash(f"no reading {Path(path).name} here")
+        return read(path)
+
+    monkeypatch.setattr(formats, "read_trajectory_rows", read_or_crash)
+    with pytest.raises(SequenceCrash, match=r"^no reading c\.(csv|txt) here$"):
+        run_evaluate_suite(tmp_path, 2, monkeypatch, capsys)  # shares a b | c d e
+    assert not (tmp_path / "out-2").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_evaluate_own_share_error_frees_a_child_on_a_full_pipe(tmp_path, monkeypatch, capsys):
+    # 160 short sequences: this process scores the first 80, a child the
+    # other 80, whose results fill more than a 64 KiB pipe; the first fails
+    pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+    pred_dir.mkdir(), gt_dir.mkdir()
+    rows = np.column_stack([np.arange(1.0, 9.0), np.ones(8), np.full(8, 4.0), np.full(8, 3.0)])
+    for k in range(160):
+        for directory in (pred_dir, gt_dir):
+            (directory / f"s{k:03}.csv").write_bytes(formats.trajectory_csv(rows + k))
+    child_share = cli._discover_sequences(pred_dir, gt_dir)[80:]
+    results = list(map(cli._score_sequence, child_share))
+    assert len(pickle.dumps(("ok", results))) > 65536
+    (pred_dir / "s000.csv").write_text("frame,cx,cy,w,h\n1,x,2,3,4\n")
+
+    def stuck(*_):
+        pytest.fail("evaluate is still waiting for a child blocked on its pipe")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(60)
+    try:
+        code, stdout, err, out = run_evaluate_suite(tmp_path, 2, monkeypatch, capsys)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: sequence 's000': ") and err.count("\n") == 1
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):  # the child was freed and reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------

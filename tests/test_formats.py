@@ -498,6 +498,10 @@ PER_ROW = [
     # errors: count, non-number, frame, box; empty files
     "10,20,4\n",
     "10,20,4\n11,21,4,6,7\n",
+    # separators shifted between lines, the file's total still 3 per line
+    "10,20,4,6,7\n11,21,4\n",
+    # a lone \r, which splitlines breaks at and JSON reads as whitespace
+    "10,20,4\r,6\n",
     "10,20,4,6\r\n10,20,4,6,7\r\n",
     "10,20,4,6\u202810,x,4,6\u2028",
     "frame,cx,cy,w,h\x0b1,10,20,4,6\x0b3,10,20,4,6\x0b",
@@ -512,14 +516,15 @@ class TestOnePassParse:
     """A well-formed file is parsed in one pass; any other goes to the
     per-row scan.  Both give the reference reader's rows or message."""
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_thousand_row_files_take_the_one_pass_parse(self, tmp_path, layout):
+    def test_thousand_row_files_take_the_one_pass_parse(self, tmp_path, layout, newline):
         rows = np.random.default_rng(54).uniform(-500.0, 500.0, (1000, 4))
         rows[:, 2:] = np.abs(rows[:, 2:]) + 0.5
         rows[::97, 0] = -0.0
-        text = layout_text(rows, layout)
+        text = layout_text(rows, layout).replace("\n", newline)
         path = tmp_path / "t.txt"
-        path.write_text(text)
+        path.write_text(text, newline="")
         assert _parse_whole(text) is not None
         assert read_trajectory_rows(path).shape == (1000, 4)
         assert_same_outcome(path)

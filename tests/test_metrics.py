@@ -1,7 +1,9 @@
 """One-pass-evaluation metric tests against a frame-by-frame reference scorer."""
 
+import contextlib
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sattrack import BoundingBox, aggregate_results, evaluate
+from sattrack import metrics
 from sattrack.boxes import box_rows
 from sattrack.metrics import (
+    NORM_PRECISION_THRESHOLDS,
+    PRECISION_THRESHOLDS,
+    SUCCESS_THRESHOLDS,
     center_errors,
     evaluate_rows,
     normalized_center_errors,
@@ -75,6 +81,51 @@ def brute_force_evaluate(pred, gt):
     ]
     success = [sum(o > tau / 20 for o in overlaps) / n for tau in range(21)]
     return precision, norm_precision, success
+
+
+def comparison_curves(cles, norm_cles, ious):
+    """The three curves as the mean of each threshold-by-frame comparison:
+    the oracle for evaluate_rows' counts over sorted errors."""
+    return (
+        (cles[None, :] <= PRECISION_THRESHOLDS[:, None]).mean(axis=1),
+        (norm_cles[None, :] <= NORM_PRECISION_THRESHOLDS[:, None]).mean(axis=1),
+        (ious[None, :] > SUCCESS_THRESHOLDS[:, None]).mean(axis=1),
+    )
+
+
+def assert_curves_are_the_oracle(result, errors):
+    """result's curves and scalars are those of comparison_curves(*errors), bitwise."""
+    precision, norm_precision, success = comparison_curves(*errors)
+    assert result.precision.tobytes() == precision.tobytes()
+    assert result.norm_precision.tobytes() == norm_precision.tobytes()
+    assert result.success.tobytes() == success.tobytes()
+    scalars = (result.p5, result.p20, result.np05, result.success_auc)
+    assert scalars == (precision[5], precision[20], norm_precision[50], success.mean())
+
+
+# Every threshold and its neighbours one ulp either side, signed zeros,
+# subnormals, the smallest normal and infinity, then any other float.
+_EDGES = sorted({
+    value
+    for tau in {*PRECISION_THRESHOLDS, *NORM_PRECISION_THRESHOLDS, *SUCCESS_THRESHOLDS}
+    for value in (np.nextafter(tau, -np.inf), tau, np.nextafter(tau, np.inf))
+} | {-0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, np.inf})
+error_values = st.one_of(st.sampled_from(_EDGES), st.floats(allow_nan=False))
+# Fields of finite rows at the extremes: overflowing sums and spans,
+# subnormal sizes that vanish beside their centre.
+extreme_fields = st.one_of(
+    st.sampled_from([1.7e308, -1.7e308, 1.7976931348623157e308, -1.7976931348623157e308,
+                     0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0, 8.98846567431158e307]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+extreme_sizes = st.one_of(
+    st.sampled_from([1.7e308, 1.7976931348623157e308, 5e-324, 1e-310, 1.0]),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+extreme_rows = st.lists(
+    st.tuples(extreme_fields, extreme_fields, extreme_sizes, extreme_sizes),
+    min_size=1, max_size=12,
+)
 
 
 def random_trajectories(rng, frames):
@@ -264,6 +315,36 @@ class TestEvaluate:
                 assert np.array_equal(getattr(by_rows, name), getattr(by_boxes, name))
             for name in ("p5", "p20", "np05", "success_auc", "frame_count"):
                 assert getattr(by_rows, name) == getattr(by_boxes, name)
+
+    @settings(max_examples=200, deadline=None)
+    @given(errors=st.integers(1, 30).flatmap(
+        lambda n: st.tuples(*[st.lists(error_values, min_size=n, max_size=n)] * 3)
+    ))
+    def test_sorted_counts_are_the_comparison_mean(self, errors):
+        errors = [np.array(values, dtype=float) for values in errors]
+        kernels = ("center_errors", "normalized_center_errors", "overlap_ratios")
+        with contextlib.ExitStack() as patches:
+            for name, values in zip(kernels, errors):
+                patches.enter_context(
+                    mock.patch.object(metrics, name, lambda p, g, values=values: values.copy())
+                )
+            rows = np.zeros((len(errors[0]), 4))
+            result = evaluate_rows(rows, rows)
+        assert result.frame_count == len(errors[0])
+        assert_curves_are_the_oracle(result, errors)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pred=extreme_rows, gt=extreme_rows)
+    def test_extreme_finite_rows_give_no_nan_error(self, pred, gt):
+        n = min(len(pred), len(gt))
+        pred, gt = np.array(pred[:n]), np.array(gt[:n])
+        with np.errstate(all="ignore"):  # spans and areas overflow on purpose
+            errors = [kernel(pred, gt) for kernel in
+                      (center_errors, normalized_center_errors, overlap_ratios)]
+            result = evaluate_rows(pred, gt)
+        for values in errors:
+            assert not np.isnan(values).any()
+        assert_curves_are_the_oracle(result, errors)
 
     def test_rows_and_boxes_share_one_length_check(self):
         rows = np.tile([0.0, 0.0, 4.0, 4.0], (3, 1))
