@@ -29,11 +29,7 @@ from .geometry import (
     regression_loss,
     soft_cls_target,
 )
-from .metrics import (
-    EvalResult,
-    aggregate_results,
-    evaluate,
-)
+from .metrics import EvalResult, aggregate_results
 from .motion import (
     MotionParams,
     TrackerState,
@@ -45,7 +41,6 @@ from .motion import (
 from .scenario import (
     FrameObservation,
     ScenarioConfig,
-    drift_series,
     generate_scenario,
     generate_scenario_rows,
     run_tracking,
@@ -72,9 +67,7 @@ __all__ = [
     "classic_centerness",
     "cls_loss",
     "constrained_centerness",
-    "drift_series",
     "enhance_features",
-    "evaluate",
     "generate_scenario",
     "generate_scenario_rows",
     "init_projection_weights",

@@ -24,9 +24,11 @@ Directory-mode ``evaluate`` cuts its sorted sequences into contiguous
 shares, one per CPU this process may run on (no more than there are
 sequences).  It scores the first share itself and forks one child per other
 share, which sends its results back as one pickle through a pipe; with one
-CPU, or without ``os.fork``, it scores them all itself.  Both ways run
-:func:`_score_sequence` in sorted sequence order and write the same bytes,
-and the first sequence that fails in that order is the one reported.
+CPU, or without ``os.fork``, there is one share and no child.  Every share
+runs :func:`_score_sequence` in sorted sequence order, so any count of
+shares writes the same bytes, and the first sequence that fails in that
+order is the one reported.  An ``--attributes`` group is checked against
+the discovered sequences before any is scored.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .attention import _attend, init_projection_weights, template_saliency
 from .boxes import BoundingBox
 from .formats import ConfigError
 from .geometry import AspectRatioParams, GridGeometry, build_label_maps
-from .metrics import aggregate_results
+from .metrics import _checked_groups, aggregate_results
 # ``evaluate`` here scores (N, 4) rows; benchmarks/tracing.py wraps this name
 # and reports its time as ``metrics.evaluate``.
 from .metrics import evaluate_rows as evaluate
@@ -364,13 +366,11 @@ def _share_results(data: bytes, status: int) -> list:
 
 def _score_sequences(sequences: list[tuple[str, Path, Path]]) -> dict:
     """Every sequence's result by name, in the order given.  The sequences
-    are independent, so with more than one CPU and sequence they are cut
-    into one contiguous share per CPU: this process scores the first and a
-    forked child each other.  The first share's error wins, so the error
-    raised is the first failing sequence's in the order given."""
-    workers = min(_cpu_count(), len(sequences))
-    if workers == 1 or not hasattr(os, "fork"):
-        return dict(map(_score_sequence, sequences))
+    are independent, so they are cut into one contiguous share per CPU (one
+    share without ``os.fork``): this process scores the first and a forked
+    child each other.  The first share's error wins, so the error raised is
+    the first failing sequence's in the order given."""
+    workers = min(_cpu_count(), len(sequences)) if hasattr(os, "fork") else 1
     cuts = [len(sequences) * k // workers for k in range(workers + 1)]
     shares = [sequences[start:stop] for start, stop in zip(cuts, cuts[1:])]
     children: list[tuple[int, int]] = []  # (pid, read end) per forked share
@@ -420,10 +420,12 @@ def cmd_evaluate(args, out: Path):
             f"auc={result.success_auc:.4f} ({result.frame_count} frames)"
         )
 
-    results = _score_sequences(_discover_sequences(pred_path, gt_path))
-    groups = {"overall": list(results)}
+    sequences = _discover_sequences(pred_path, gt_path)
+    groups = {"overall": [name for name, _, _ in sequences]}
     if attributes:
         groups.update(_read("--attributes", formats.read_attribute_groups, attributes))
+        formats._build(attributes, _checked_groups, groups, set(groups["overall"]))
+    results = _score_sequences(sequences)
     aggregated = aggregate_results(results, groups)
 
     files = {"summary.json": formats.json_bytes({

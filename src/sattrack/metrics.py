@@ -11,22 +11,23 @@ Each error has one kernel over ``(N, 4)`` center-format rows
 (:func:`center_errors`, :func:`normalized_center_errors`,
 :func:`overlap_ratios`); a single box pair is a one-row call.
 :func:`evaluate_rows` scores such rows as the trajectory reader returns
-them; :func:`evaluate` is the same for two lists of boxes.  It sorts
-each error once and reads every curve point as one ``searchsorted`` count,
-the same doubles as the mean of a threshold-by-frame comparison.  IoU
-areas come from corner differences (:func:`~sattrack.boxes.overlap_areas`),
-so equal boxes score exactly 1, never above: a perfect trajectory has a
-success AUC of 20/21, as IoU > 1 never holds.
+them (:func:`~sattrack.boxes.box_rows` makes them from a list of boxes).
+It sorts each error once and reads every curve point as one
+``searchsorted`` count, the same doubles as the mean of a
+threshold-by-frame comparison.  IoU areas come from corner differences
+(:func:`~sattrack.boxes.overlap_areas`), so equal boxes score exactly 1,
+never above: a perfect trajectory has a success AUC of 20/21, as IoU > 1
+never holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .boxes import BoundingBox, box_rows, overlap_areas
+from .boxes import overlap_areas
 
 # Threshold grids for the three curves.
 PRECISION_THRESHOLDS = np.arange(51, dtype=float)  # px, 0..50 step 1
@@ -52,25 +53,6 @@ class EvalResult:
     frame_count: int
 
 
-def _equal_lengths(pred_rows: np.ndarray, gt_rows: np.ndarray):
-    """The one shape check of a scored pair: equal nonzero lengths of
-    ``(N, 4)`` rows."""
-    if len(pred_rows) != len(gt_rows) or len(pred_rows) == 0:
-        raise ValueError(
-            f"trajectories must have equal nonzero length, got {len(pred_rows)} and {len(gt_rows)}"
-        )
-    if np.ndim(pred_rows) != 2 or np.shape(pred_rows) != np.shape(gt_rows) or np.shape(pred_rows)[1] != 4:
-        raise ValueError(
-            f"trajectories must be (N, 4) rows, got shapes {np.shape(pred_rows)} and {np.shape(gt_rows)}"
-        )
-    return pred_rows, gt_rows
-
-
-def paired_rows(pred: Sequence[BoundingBox], gt: Sequence[BoundingBox]):
-    """Two trajectories of the same nonzero length as ``(N, 4)`` rows."""
-    return _equal_lengths(box_rows(pred), box_rows(gt))
-
-
 def center_errors(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     """Per-row center location error: Euclidean distance between centers, px."""
     return np.hypot(pred[:, 0] - gt[:, 0], pred[:, 1] - gt[:, 1])
@@ -91,7 +73,8 @@ def overlap_ratios(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
 
 def evaluate_rows(pred_rows: np.ndarray, gt_rows: np.ndarray) -> EvalResult:
     """Score ``(N, 4)`` predicted ``(cx, cy, w, h)`` rows against ground
-    truth rows of equal length.
+    truth rows of equal length; unequal or zero lengths, or rows of another
+    shape, are an error.
 
     Each curve point is a count over the sorted errors, divided by ``N``:
     the errors ``<= tau`` are ``searchsorted(..., side="right")``, and the
@@ -101,7 +84,14 @@ def evaluate_rows(pred_rows: np.ndarray, gt_rows: np.ndarray) -> EvalResult:
     ``tau``: on valid rows (finite, ``w, h > 0``) the two center errors are
     finite or ``inf``, and :func:`overlap_ratios` is 0 wherever its union is
     not a positive number, on any rows."""
-    pred_rows, gt_rows = _equal_lengths(pred_rows, gt_rows)
+    if len(pred_rows) != len(gt_rows) or len(pred_rows) == 0:
+        raise ValueError(
+            f"trajectories must have equal nonzero length, got {len(pred_rows)} and {len(gt_rows)}"
+        )
+    if np.ndim(pred_rows) != 2 or np.shape(pred_rows) != np.shape(gt_rows) or np.shape(pred_rows)[1] != 4:
+        raise ValueError(
+            f"trajectories must be (N, 4) rows, got shapes {np.shape(pred_rows)} and {np.shape(gt_rows)}"
+        )
     n = len(pred_rows)
     cles = center_errors(pred_rows, gt_rows)
     norm_cles = normalized_center_errors(pred_rows, gt_rows)
@@ -124,9 +114,19 @@ def evaluate_rows(pred_rows: np.ndarray, gt_rows: np.ndarray) -> EvalResult:
     )
 
 
-def evaluate(pred: Sequence[BoundingBox], gt: Sequence[BoundingBox]) -> EvalResult:
-    """Score one predicted trajectory against ground truth of equal length."""
-    return evaluate_rows(box_rows(pred), box_rows(gt))
+def _checked_groups(groups: Mapping[str, Iterable[str]], names) -> dict[str, list[str]]:
+    """Each group's members as a list, checked by the one rule a group of
+    sequences keeps: it is not empty and names only sequences in ``names``."""
+    checked = {}
+    for group, members in groups.items():
+        ids = list(members)
+        if not ids:
+            raise ValueError(f"group {group!r} is empty")
+        missing = [i for i in ids if i not in names]
+        if missing:
+            raise ValueError(f"group {group!r} names unknown sequences: {missing}")
+        checked[group] = ids
+    return checked
 
 
 def aggregate_results(
@@ -135,13 +135,7 @@ def aggregate_results(
     """Average per-sequence results over named groups, every sequence with
     equal weight.  Unknown sequence ids are an error."""
     aggregated = {}
-    for group, members in groups.items():
-        ids = list(members)
-        if not ids:
-            raise ValueError(f"group {group!r} is empty")
-        missing = [i for i in ids if i not in results]
-        if missing:
-            raise ValueError(f"group {group!r} names unknown sequences: {missing}")
+    for group, ids in _checked_groups(groups, results).items():
         members = [results[i] for i in ids]
         means = {n: np.mean([getattr(r, n) for r in members], axis=0) for n in CURVE_NAMES}
         means.update({n: float(np.mean([getattr(r, n) for r in members])) for n in SUMMARY_NAMES})

@@ -20,10 +20,8 @@ a real-time hot path, so it works on floats.  One branch kernel
 raw row and its nPSR into the refined ``(cx, cy, w, h)`` row tuple.
 :func:`refine_step` scores its map with :func:`psr`, normalizes it, picks
 the branch, runs the kernel on the tracker state's history and pushes the
-result there.  That history is a doubled ring buffer: every row is written
-twice, ``capacity`` rows apart, so the recent window is always one
-contiguous slice and a push costs O(1): eight cells set through a
-``memoryview`` of the ring, not a strided slice assignment.
+result there.  That history is a row buffer (:class:`TrackerState`) whose
+window is one contiguous slice, as :func:`track_rows`' is of its output.
 
 :func:`track_rows` does a whole sequence with no per-frame object.  It
 scores every map first, then decides nPSR, warm-up and branch for all
@@ -122,8 +120,11 @@ class TrackerState:
     maximum and the current frame index.  :func:`refine_step` keeps the
     PSR, normalized PSR and branch label of its last frame on the state.
 
-    The history lives only in a ``(2 * capacity, 4)`` ring of ``(cx, cy, w,
-    h)`` rows.
+    The history lives only in a ``(2 * capacity, 4)`` array of ``(cx, cy,
+    w, h)`` rows: the window is ``rows[_end - _count : _end]``, a push
+    writes one row at ``_end``, and a push that finds ``_end`` at the last
+    row first copies the newest ``capacity - 1`` rows to the front, once
+    every ``capacity + 1`` pushes.
     """
 
     def __init__(self, capacity: int):
@@ -135,35 +136,23 @@ class TrackerState:
         self.last_psr = 0.0
         self.last_npsr = 0.0
         self.last_branch = ""
-        self._ring = np.zeros((2 * capacity, 4))
-        self._cells = memoryview(self._ring.reshape(-1))  # the ring's cells, written by _push
-        self._slot = 0  # ring row the next box goes to (and capacity rows on)
+        self._rows = np.zeros((2 * capacity, 4))
+        self._end = 0  # the row the next box goes to
         self._count = 0
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_cells"]  # a memoryview does not pickle or copy; a copy makes its own
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._cells = memoryview(self._ring.reshape(-1))
 
     def _window(self) -> np.ndarray:
         """The stored rows, oldest first, as one contiguous ``(count, 4)`` view."""
-        end = self._slot + self.capacity
-        return self._ring[end - self._count : end]
+        return self._rows[self._end - self._count : self._end]
 
     def _push(self, row):
         """Store one ``(cx, cy, w, h)`` row, a tuple or list of floats."""
-        # two rows of four cells each, set one by one through the cached
-        # memoryview: about 0.3 us, where two row assignments, a strided
-        # slice or a memoryview made per call each take about 0.7 us
-        cells, first = self._cells, 4 * self._slot
-        second = first + 4 * self.capacity
-        cells[first], cells[first + 1], cells[first + 2], cells[first + 3] = row
-        cells[second], cells[second + 1], cells[second + 2], cells[second + 3] = row
-        self._slot = (self._slot + 1) % self.capacity
+        rows, end = self._rows, self._end
+        if end == len(rows):
+            keep = self.capacity - 1
+            rows[:keep] = rows[end - keep : end]
+            end = keep
+        rows[end] = row
+        self._end = end + 1
         self._count = min(self._count + 1, self.capacity)
 
 
@@ -375,42 +364,6 @@ def _branch_row(window: np.ndarray, prev, row, npsr: float, low: bool, params: M
     return cx, cy, w, h
 
 
-def _advance(state: TrackerState, row, value: float, params: MotionParams):
-    """Advance the tracker by one frame on floats, given the frame's PSR
-    ``value``; return the frame's record ``(refined, psr, npsr, branch)``.
-    ``refined`` is the refined ``(cx, cy, w, h)``, which is ``row`` itself
-    during warm-up.
-
-    Normalizes the PSR, advances the frame counter, picks the branch, runs
-    :func:`_branch_row` on the ring's window and pushes the result into the
-    history.  Past warm-up the history must hold exactly ``n1`` rows; a
-    shorter one means the state was fed inconsistently and is reported as
-    an error.
-    """
-    n1 = params.n1
-    if state.capacity != n1:
-        raise ValueError(f"state history capacity {state.capacity} does not match n1={n1}")
-    npsr = _normalize(value, state)
-    state.frame_index += 1
-
-    if state.frame_index <= n1:
-        refined = row
-        branch = WARMUP
-    else:
-        if state._count < n1:
-            raise ValueError(
-                f"frame {state.frame_index} is past warm-up but history holds "
-                f"{state._count} boxes instead of {n1}"
-            )
-        low = npsr < params.theta
-        window = state._window()
-        refined = _branch_row(window, window[-1].tolist(), row, npsr, low, params)
-        branch = LOW_CONFIDENCE if low else HIGH_CONFIDENCE
-
-    state._push(refined)
-    return refined, value, npsr, branch
-
-
 def refine_step(
     state: TrackerState,
     model_box: BoundingBox,
@@ -419,13 +372,39 @@ def refine_step(
 ) -> BoundingBox:
     """Advance the tracker by one frame and return the refined box: the
     per-frame kernel of :func:`track_rows` for one :class:`BoundingBox`.
-    During warm-up the model box itself is returned.  The frame's trace is
-    kept as ``state.last_psr``, ``last_npsr`` and ``last_branch``."""
+
+    Scores the map with :func:`psr`, normalizes it, advances the frame
+    counter, picks the branch, runs :func:`_branch_row` on the history's
+    window and pushes the result there.  During warm-up the model box
+    itself is returned.  Past warm-up the history must hold exactly ``n1``
+    rows; a shorter one means the state was fed inconsistently and is an
+    error.  The frame's trace is kept as ``state.last_psr``, ``last_npsr``
+    and ``last_branch``.
+    """
+    value = psr(response)
+    n1 = params.n1
+    if state.capacity != n1:
+        raise ValueError(f"state history capacity {state.capacity} does not match n1={n1}")
+    npsr = _normalize(value, state)
+    state.frame_index += 1
     row = (model_box.cx, model_box.cy, model_box.w, model_box.h)
-    refined, state.last_psr, state.last_npsr, state.last_branch = _advance(
-        state, row, psr(response), params
-    )
-    return model_box if refined is row else BoundingBox(*refined)
+
+    if state.frame_index <= n1:
+        refined, branch = model_box, WARMUP
+    else:
+        if state._count < n1:
+            raise ValueError(
+                f"frame {state.frame_index} is past warm-up but history holds "
+                f"{state._count} boxes instead of {n1}"
+            )
+        low = npsr < params.theta
+        window = state._window()
+        row = _branch_row(window, window[-1].tolist(), row, npsr, low, params)
+        refined, branch = BoundingBox(*row), LOW_CONFIDENCE if low else HIGH_CONFIDENCE
+
+    state._push(row)
+    state.last_psr, state.last_npsr, state.last_branch = value, npsr, branch
+    return refined
 
 
 def track_rows(

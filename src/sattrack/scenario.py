@@ -80,7 +80,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .boxes import BoundingBox, box_rows, check_rows
 from .formats import ConfigError
-from .metrics import center_errors, paired_rows
 from .motion import BLOCK_FRAMES, MotionParams, _psr_block, track_rows
 # Not called here: benchmarks/tracing.py wraps ``scenario.refine_step`` by name.
 from .motion import refine_step  # noqa: F401
@@ -457,7 +456,3 @@ def run_tracking(
     )
     return [BoundingBox(*row) for row in rows.tolist()]
 
-
-def drift_series(trajectory, ground_truth) -> np.ndarray:
-    """Per-frame center distance between a trajectory and the ground truth."""
-    return center_errors(*paired_rows(trajectory, ground_truth))

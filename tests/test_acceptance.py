@@ -22,9 +22,7 @@ from sattrack import (
     build_label_maps,
     centerness_loss,
     cls_loss,
-    drift_series,
     enhance_features,
-    evaluate,
     generate_scenario,
     generate_scenario_rows,
     init_projection_weights,
@@ -36,9 +34,11 @@ from sattrack import (
     run_tracking,
     track_rows,
 )
+from sattrack.boxes import box_rows
 from sattrack.cli import main
 from sattrack.formats import read_grid_csv
 from sattrack.geometry import GridGeometry
+from sattrack.metrics import center_errors, evaluate_rows
 from test_attention import with_biases
 
 
@@ -385,9 +385,9 @@ def test_criterion_7_occlusion_recovery():
             seed=seed,
         )
         observations = generate_scenario(config)
-        gt = [obs.gt_box for obs in observations]
-        refined = drift_series(run_tracking(observations, MotionParams(), True), gt)
-        raw = drift_series(run_tracking(observations, MotionParams(), False), gt)
+        gt = box_rows(obs.gt_box for obs in observations)
+        refined = center_errors(box_rows(run_tracking(observations, MotionParams(), True)), gt)
+        raw = center_errors(box_rows(run_tracking(observations, MotionParams(), False)), gt)
 
         ommr_mean = refined[275:300].mean()
         raw_mean = raw[275:300].mean()
@@ -452,7 +452,7 @@ def test_criterion_8_evaluation_oracle():
                     max(1.0, h + rng.normal(scale=3.0)),
                 )
             )
-        result = evaluate(pred, gt)
+        result = evaluate_rows(box_rows(pred), box_rows(gt))
         for ours, expected in zip(
             (result.p5, result.p20, result.np05, result.success_auc), brute_ope(pred, gt)
         ):
@@ -460,12 +460,12 @@ def test_criterion_8_evaluation_oracle():
     assert worst < 1e-12
 
     gt = [BoundingBox(10.0 + k, 20.0, 6.0, 6.0) for k in range(8)]
-    perfect = evaluate(gt, gt)
+    perfect = evaluate_rows(box_rows(gt), box_rows(gt))
     assert perfect.p5 == perfect.p20 == perfect.np05 == 1.0
 
     gt = [BoundingBox(0.0, 0.0, 30.0, 30.0)] * 10
     pred = [BoundingBox(3.0, 0.0, 30.0, 30.0)] * 4 + [BoundingBox(12.0, 0.0, 30.0, 30.0)] * 6
-    fixture = evaluate(pred, gt)
+    fixture = evaluate_rows(box_rows(pred), box_rows(gt))
     assert fixture.p5 == pytest.approx(0.4)
     assert fixture.p20 == pytest.approx(1.0)
 

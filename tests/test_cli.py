@@ -1393,6 +1393,16 @@ def run_evaluate_with_groups(tmp_path, groups_text):
     return code, attrs, out
 
 
+def test_evaluate_checks_groups_before_scoring_any_sequence(tmp_path, monkeypatch, capsys):
+    scored = []
+    monkeypatch.setattr(cli, "_score_sequence", scored.append)
+    code, attrs, out = run_evaluate_with_groups(tmp_path, "good = seq1\ngrp = seq1 nope\n")
+    assert (code, scored) == (1, [])
+    err = capsys.readouterr().err
+    assert err == f"error: {attrs}: group 'grp' names unknown sequences: ['nope']\n"
+    assert not out.parent.exists()
+
+
 def test_evaluate_rejects_group_named_overall(tmp_path, capsys):
     code, attrs, out = run_evaluate_with_groups(tmp_path, "good = seq1\noverall = seq1\n")
     assert code == 1
@@ -1550,6 +1560,13 @@ def test_evaluate_workers_write_the_in_process_bytes(tmp_path, monkeypatch, caps
     for name in names:
         assert (run[3] / name).read_bytes() == (serial / name).read_bytes()
     assert list(json.loads((serial / "summary.json").read_text())["sequences"]) == list("abcde")
+    # without os.fork every CPU count is one share, scored here
+    monkeypatch.delattr(os, "fork")
+    shutil.rmtree(run[3])
+    assert run_evaluate_suite(tmp_path, workers, monkeypatch, capsys, *flags)[:3] == run[:3]
+    assert len(forks) == workers - 1
+    for name in names:
+        assert (run[3] / name).read_bytes() == (serial / name).read_bytes()
     with pytest.raises(ChildProcessError):  # every child reaped
         os.waitpid(-1, os.WNOHANG)
 

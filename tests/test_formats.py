@@ -22,7 +22,6 @@ from sattrack import (
     MotionParams,
     ProjectionWeights,
     ScenarioConfig,
-    evaluate,
     init_projection_weights,
 )
 from sattrack import formats
@@ -57,6 +56,7 @@ from sattrack.metrics import (
     PRECISION_THRESHOLDS,
     SUCCESS_THRESHOLDS,
     EvalResult,
+    evaluate_rows,
 )
 from test_attention import with_biases
 
@@ -1420,7 +1420,7 @@ class TestEvalOutputs:
     def result(self):
         gt = [BoundingBox(10.0 + k, 20.0, 6.0, 6.0) for k in range(10)]
         pred = [BoundingBox(12.0 + k, 20.0, 6.0, 6.0) for k in range(10)]
-        return evaluate(pred, gt)
+        return evaluate_rows(box_rows(pred), box_rows(gt))
 
     def test_summary_keys(self):
         summary = result_summary(self.result())

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sattrack import BoundingBox, aggregate_results, evaluate
+from sattrack import BoundingBox, aggregate_results
 from sattrack import metrics
 from sattrack.boxes import box_rows
 from sattrack.metrics import (
@@ -21,7 +21,6 @@ from sattrack.metrics import (
     evaluate_rows,
     normalized_center_errors,
     overlap_ratios,
-    paired_rows,
 )
 
 def cle(pred: BoundingBox, gt: BoundingBox) -> float:
@@ -196,7 +195,7 @@ class TestKernelProperties:
     @settings(max_examples=100, deadline=None)
     @given(gt=st.lists(boxes, min_size=1, max_size=20))
     def test_perfect_trajectory_scores_twenty_of_twenty_one(self, gt):
-        result = evaluate(gt, gt)
+        result = evaluate_rows(box_rows(gt), box_rows(gt))
         assert result.success[20] == 0.0
         assert np.array_equal(result.success[:20], np.ones(20))
         assert result.success_auc == 20 / 21
@@ -227,7 +226,7 @@ class TestKernelProperties:
 class TestEvaluate:
     def test_perfect_prediction(self):
         gt = [BoundingBox(10.0 + k, 20.0, 6.0, 6.0) for k in range(8)]
-        result = evaluate(gt, gt)
+        result = evaluate_rows(box_rows(gt), box_rows(gt))
         assert result.p5 == 1.0
         assert result.p20 == 1.0
         assert result.np05 == 1.0
@@ -237,7 +236,7 @@ class TestEvaluate:
     def test_hopeless_prediction(self):
         gt = [BoundingBox(10.0, 10.0, 4.0, 4.0)] * 6
         pred = [BoundingBox(500.0, 500.0, 4.0, 4.0)] * 6
-        result = evaluate(pred, gt)
+        result = evaluate_rows(box_rows(pred), box_rows(gt))
         assert result.p5 == 0.0
         assert result.p20 == 0.0
         assert result.np05 == 0.0
@@ -249,26 +248,26 @@ class TestEvaluate:
         pred = [BoundingBox(3.0, 0.0, 30.0, 30.0)] * 4 + [
             BoundingBox(12.0, 0.0, 30.0, 30.0)
         ] * 6
-        result = evaluate(pred, gt)
+        result = evaluate_rows(box_rows(pred), box_rows(gt))
         assert result.p5 == pytest.approx(0.4)
         assert result.p20 == pytest.approx(1.0)
 
     def test_threshold_boundary_inclusive(self):
         gt = [BoundingBox(0.0, 0.0, 40.0, 40.0)]
         pred = [BoundingBox(5.0, 0.0, 40.0, 40.0)]
-        assert evaluate(pred, gt).p5 == 1.0
+        assert evaluate_rows(box_rows(pred), box_rows(gt)).p5 == 1.0
 
     def test_success_strictly_greater(self):
         # identical boxes have IoU exactly 1.0 > 0.95 but not > 1.0
         gt = [BoundingBox(0.0, 0.0, 10.0, 10.0)]
-        result = evaluate(gt, gt)
+        result = evaluate_rows(box_rows(gt), box_rows(gt))
         assert result.success[20] == 0.0
         assert result.success_auc == pytest.approx(20 / 21)
 
     def test_curve_monotonicity(self):
         rng = np.random.default_rng(42)
         pred, gt = random_trajectories(rng, 40)
-        result = evaluate(pred, gt)
+        result = evaluate_rows(box_rows(pred), box_rows(gt))
         assert (np.diff(result.precision) >= 0).all()
         assert (np.diff(result.norm_precision) >= 0).all()
         assert (np.diff(result.success) <= 0).all()
@@ -279,7 +278,7 @@ class TestEvaluate:
         rng = np.random.default_rng(43)
         for _ in range(50):
             pred, gt = random_trajectories(rng, int(rng.integers(1, 30)))
-            result = evaluate(pred, gt)
+            result = evaluate_rows(box_rows(pred), box_rows(gt))
             precision, norm_precision, success = brute_force_evaluate(pred, gt)
             assert np.abs(result.precision - precision).max() < 1e-12
             assert np.abs(result.norm_precision - norm_precision).max() < 1e-12
@@ -302,19 +301,9 @@ class TestEvaluate:
     def test_length_mismatch_rejected(self):
         gt = [BoundingBox(0.0, 0.0, 4.0, 4.0)] * 3
         with pytest.raises(ValueError, match="length"):
-            evaluate(gt[:2], gt)
+            evaluate_rows(box_rows(gt[:2]), box_rows(gt))
         with pytest.raises(ValueError, match="length"):
-            evaluate([], [])
-
-    def test_rows_score_as_the_boxes_they_hold(self):
-        rng = np.random.default_rng(45)
-        for _ in range(20):
-            pred, gt = random_trajectories(rng, int(rng.integers(1, 30)))
-            by_rows, by_boxes = evaluate_rows(box_rows(pred), box_rows(gt)), evaluate(pred, gt)
-            for name in ("precision", "norm_precision", "success"):
-                assert np.array_equal(getattr(by_rows, name), getattr(by_boxes, name))
-            for name in ("p5", "p20", "np05", "success_auc", "frame_count"):
-                assert getattr(by_rows, name) == getattr(by_boxes, name)
+            evaluate_rows(box_rows([]), box_rows([]))
 
     @settings(max_examples=200, deadline=None)
     @given(errors=st.integers(1, 30).flatmap(
@@ -346,16 +335,11 @@ class TestEvaluate:
             assert not np.isnan(values).any()
         assert_curves_are_the_oracle(result, errors)
 
-    def test_rows_and_boxes_share_one_length_check(self):
+    def test_length_error_names_both_lengths(self):
         rows = np.tile([0.0, 0.0, 4.0, 4.0], (3, 1))
         message = r"^trajectories must have equal nonzero length, got 2 and 3$"
         with pytest.raises(ValueError, match=message):
             evaluate_rows(rows[:2], rows)
-        boxes = [BoundingBox(0.0, 0.0, 4.0, 4.0)] * 3
-        with pytest.raises(ValueError, match=message):
-            evaluate(boxes[:2], boxes)
-        with pytest.raises(ValueError, match=message):
-            paired_rows(boxes[:2], boxes)
         with pytest.raises(ValueError, match="got 0 and 0"):
             evaluate_rows(np.empty((0, 4)), np.empty((0, 4)))
 
@@ -371,7 +355,7 @@ class TestEvaluate:
 class TestAggregate:
     def build(self, seed, frames=12):
         pred, gt = random_trajectories(np.random.default_rng(seed), frames)
-        return evaluate(pred, gt)
+        return evaluate_rows(box_rows(pred), box_rows(gt))
 
     def test_single_sequence_group(self):
         result = self.build(1)
@@ -389,7 +373,7 @@ class TestAggregate:
         pred_b = [BoundingBox(3.0, 0.0, 30.0, 30.0)] * 8 + [
             BoundingBox(40.0, 0.0, 30.0, 30.0)
         ] * 2
-        results = {"a": evaluate(pred_a, gt), "b": evaluate(pred_b, gt)}
+        results = {"a": evaluate_rows(box_rows(pred_a), box_rows(gt)), "b": evaluate_rows(box_rows(pred_b), box_rows(gt))}
         assert results["a"].p5 == pytest.approx(0.2)
         assert results["b"].p5 == pytest.approx(0.8)
         grouped = aggregate_results(results, {"both": ["a", "b"]})

@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from sattrack.motion import (
     HIGH_CONFIDENCE,
     LOW_CONFIDENCE,
     WARMUP,
-    _advance,
     _branch_weights,
     _check_response,
     _normalize,
@@ -367,7 +367,7 @@ def instantaneous_velocity(centers, n2: int) -> np.ndarray:
 
 
 def history(state: TrackerState) -> tuple[BoundingBox, ...]:
-    """The boxes stored in the tracker's ring, oldest first."""
+    """The boxes stored in the tracker's history, oldest first."""
     return tuple(BoundingBox(*row) for row in state._window().tolist())
 
 
@@ -519,16 +519,18 @@ def numbered_box(k):
 
 class TestTrackerState:
     @settings(deadline=None)
-    @given(st.sampled_from([1, 2, 50]), st.data())
+    @given(st.integers(1, 6) | st.just(50), st.data())
     def test_history_is_last_capacity_boxes(self, capacity, data):
-        around_capacity = st.sampled_from([capacity - 1, capacity, capacity + 1])
-        pushes = data.draw(around_capacity | st.integers(0, 3 * capacity + 2))
+        # up to five buffer lengths of pushes, so the newest rows are copied
+        # to the front several times; checked after every push
+        pushes = data.draw(st.integers(0, 5 * 2 * capacity))
         state = TrackerState(capacity)
         boxes = [numbered_box(k) for k in range(pushes)]
-        for box in boxes:
+        for k, box in enumerate(boxes, start=1):
             state._push((box.cx, box.cy, box.w, box.h))
+            assert history(state) == tuple(boxes[max(k - capacity, 0) : k])
+            assert state._window().flags.c_contiguous
         assert state.capacity == capacity
-        assert history(state) == tuple(boxes[max(pushes - capacity, 0) :])
 
     def test_history_cannot_be_mutated(self):
         # a push copies the row: changing the pushed list afterwards changes
@@ -542,15 +544,19 @@ class TestTrackerState:
         assert history(state) == (numbered_box(1), numbered_box(2), numbered_box(3))
 
     @pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))])
-    def test_a_copied_state_runs_on_alone(self, duplicate):
-        # the copy has its own ring: both go on to the same boxes, and
-        # pushing into one leaves the other as it was
+    @pytest.mark.parametrize("frames, end", [(6, 6), (11, 5)])  # 11: right after a shift
+    def test_a_copied_state_runs_on_alone(self, duplicate, frames, end):
+        # the copy has its own rows: both go on to the same boxes, past the
+        # next shift, and pushing into one leaves the other as it was
         params = MotionParams(n1=5, n2=2)
         state = warmed_state(params, [numbered_box(k) for k in range(5)], map_with_score(8.0))
-        refine_step(state, numbered_box(5), map_with_score(6.0), params)
+        for k in range(5, frames):
+            refine_step(state, numbered_box(k), map_with_score(6.0), params)
+        assert state._end == end
         twin = duplicate(state)
-        box, grid = numbered_box(7), map_with_score(3.0)
-        assert refine_step(twin, box, grid, params) == refine_step(state, box, grid, params)
+        for k in range(frames, frames + 8):
+            box, grid = numbered_box(k + 2), map_with_score(3.0 + k % 4)
+            assert refine_step(twin, box, grid, params) == refine_step(state, box, grid, params)
         twin._push((0.0, 0.0, 1.0, 1.0))
         assert history(state)[-1] != history(twin)[-1] == BoundingBox(0.0, 0.0, 1.0, 1.0)
 
@@ -932,6 +938,25 @@ class TestTrackRowsScoring:
         assert np.array([psrs, npsrs]).tobytes() == np.array([t[:2] for t in trace]).T.tobytes()
         assert branches == [t[2] for t in trace]
 
+    @pytest.mark.parametrize("n1, n2", [(3, 1), (5, 2)])
+    def test_a_refine_step_loop_over_four_shifts(self, n1, n2):
+        # the history's rows are copied to the front once every n1 + 1
+        # pushes after the first 2 * n1: 60 frames hold at least four copies
+        raw, maps = random_sequence(7, 60, (9, 9))
+        params = MotionParams(n1=n1, n2=n2)
+        rows, psrs, npsrs, branches = track_rows(raw, maps, params, True)
+        state, hand, trace, shifts = TrackerState(n1), [], [], 0
+        for row, grid in zip(raw.tolist(), maps):
+            end = state._end
+            box = refine_step(state, BoundingBox(*row), grid, params)
+            shifts += state._end < end
+            hand.append((box.cx, box.cy, box.w, box.h))
+            trace.append((state.last_psr, state.last_npsr, state.last_branch))
+        assert shifts >= 4 and {LOW_CONFIDENCE, HIGH_CONFIDENCE} <= set(branches)
+        assert rows.tobytes() == np.array(hand).tobytes()
+        assert np.array([psrs, npsrs]).tobytes() == np.array([t[:2] for t in trace]).T.tobytes()
+        assert branches == [t[2] for t in trace]
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_a_non_finite_map_is_reported_before_any_frame_is_refined(self):
         # frame 4's refined cx is nan (see test_non_finite_refined_centre_rejected);
@@ -1085,18 +1110,21 @@ class TestArrayDecisions:
         st.floats(0.05, 0.95),
         st.sampled_from([(9, 4), (12, 4), (30, 2)]),
     )
-    def test_rows_and_labels_are_an_advance_loop(self, seed, frames, column, theta, windows):
+    def test_rows_and_labels_are_a_refine_step_loop(self, seed, frames, column, theta, windows):
         n1, n2 = windows
         params = MotionParams(n1=n1, n2=n2, theta=theta)
         raw, _ = random_sequence(seed, frames, (3, 4))
         values = np.resize(np.array(column or [0.0]), frames)
-        state = TrackerState(n1)
-        frames_in = zip(raw.tolist(), values.tolist())
-        records = [_advance(state, row, value, params) for row, value in frames_in]
+        state, records = TrackerState(n1), []
+        # each frame's "map" is its PSR value, which psr passes through
+        with mock.patch.object(motion, "psr", lambda value: value):
+            for row, value in zip(raw.tolist(), values.tolist()):
+                box = refine_step(state, BoundingBox(*row), value, params)
+                records.append(((box.cx, box.cy, box.w, box.h), state.last_npsr, state.last_branch))
         rows, psrs, npsrs, branches = _refine_rows(raw, values, params, True)
         assert rows.tobytes() == np.array([r[0] for r in records], dtype=float).tobytes()
-        assert npsrs.tobytes() == np.array([r[2] for r in records]).tobytes()
-        assert psrs is values and branches == [r[3] for r in records]
+        assert npsrs.tobytes() == np.array([r[1] for r in records]).tobytes()
+        assert psrs is values and branches == [r[2] for r in records]
         assert branches[:n1] == [WARMUP] * min(n1, frames)
         assert set(branches[n1:]) <= {LOW_CONFIDENCE, HIGH_CONFIDENCE}
 

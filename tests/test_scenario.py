@@ -17,7 +17,6 @@ from sattrack import (
     MotionParams,
     ScenarioConfig,
     TrackerState,
-    drift_series,
     generate_scenario,
     generate_scenario_rows,
     normalized_psr,
@@ -28,6 +27,7 @@ from sattrack import (
 )
 from sattrack.boxes import box_rows
 from sattrack.formats import ConfigError
+from sattrack.metrics import center_errors
 from sattrack.scenario import (
     BLOCK_FRAMES,
     CLUTTER_AMP,
@@ -389,8 +389,9 @@ class TestGenerateScenario:
     def test_occlusion_sends_raw_box_walking(self):
         config = clean_config(frames=100, occlusions=((30, 70),), seed=5)
         scenario = generate_scenario(config)
-        drift = drift_series(
-            [obs.raw_model_box for obs in scenario], [obs.gt_box for obs in scenario]
+        drift = center_errors(
+            box_rows(obs.raw_model_box for obs in scenario),
+            box_rows(obs.gt_box for obs in scenario),
         )
         assert drift[:29].max() < 2.0
         assert drift[69] > 5.0  # random walk has wandered off by occlusion end
@@ -458,10 +459,10 @@ class TestRunTracking:
 
     def test_clean_scenario_both_modes_tight(self):
         scenario = generate_scenario(clean_config(frames=120))
-        gt = [obs.gt_box for obs in scenario]
+        gt = box_rows(obs.gt_box for obs in scenario)
         for enabled in (False, True):
             trajectory = run_tracking(scenario, MotionParams(), ommr_enabled=enabled)
-            assert drift_series(trajectory, gt).max() < 2.0
+            assert center_errors(box_rows(trajectory), gt).max() < 2.0
 
     def test_occlusion_refinement_beats_raw(self):
         config = clean_config(
@@ -472,9 +473,9 @@ class TestRunTracking:
             seed=2,
         )
         scenario = generate_scenario(config)
-        gt = [obs.gt_box for obs in scenario]
-        refined = drift_series(run_tracking(scenario, MotionParams(), True), gt)
-        raw = drift_series(run_tracking(scenario, MotionParams(), False), gt)
+        gt = box_rows(obs.gt_box for obs in scenario)
+        refined = center_errors(box_rows(run_tracking(scenario, MotionParams(), True)), gt)
+        raw = center_errors(box_rows(run_tracking(scenario, MotionParams(), False)), gt)
         assert refined[99:140].mean() < raw[99:140].mean()
         assert refined[140:160].mean() < raw[140:160].mean()
 
@@ -586,27 +587,6 @@ class TestRunTracking:
         a = run_tracking(generate_scenario(config), MotionParams(), True)
         b = run_tracking(generate_scenario(config), MotionParams(), True)
         assert a == b
-
-
-class TestDriftSeries:
-    def test_identical_is_zero(self):
-        boxes = [BoundingBox(float(k), float(k), 3.0, 3.0) for k in range(5)]
-        assert np.array_equal(drift_series(boxes, boxes), np.zeros(5))
-
-    def test_constant_offset(self):
-        gt = [BoundingBox(10.0, 10.0, 3.0, 3.0)] * 4
-        shifted = [BoundingBox(13.0, 14.0, 3.0, 3.0)] * 4
-        assert np.allclose(drift_series(shifted, gt), 5.0)
-
-    def test_single_frame(self):
-        assert drift_series(
-            [BoundingBox(1.0, 0.0, 2.0, 2.0)], [BoundingBox(0.0, 0.0, 2.0, 2.0)]
-        ) == pytest.approx([1.0])
-
-    def test_length_mismatch_rejected(self):
-        boxes = [BoundingBox(0.0, 0.0, 1.0, 1.0)]
-        with pytest.raises(ValueError, match="length"):
-            drift_series(boxes, boxes * 2)
 
 
 def reference_maps(streams, shape, sharpness, targets, inside, occluded, distractors, noise_sigma):
