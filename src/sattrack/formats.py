@@ -3,20 +3,12 @@
 Each output format has an encoder that returns the file's bytes, and
 :func:`write_outputs` writes a command's files by one writer,
 :func:`atomic_write_bytes`: a temp file beside the target, then moved into
-place, so a failed or killed run never leaves a truncated artifact behind:
-while the machine stays up, the target names the complete old file or the
-complete new one.  What is at the target is swapped with the temp file in
-one ``renameat2(RENAME_EXCHANGE)`` call, and the temp file, which then
-holds the old bytes, is unlinked.  A new target, or a platform or filesystem
-without the swap, goes to ``os.replace``; so does a directory at the
-target, swapped back first, for ``os.replace`` to refuse.
-
-The writer does not call ``fsync``.  A rename over an existing file on ext4
-(with its default ``auto_da_alloc``) flushes the new data, so that after a
-power loss the target holds the old file or the new one; the swap skips
-that flush to return sooner.  A power loss within the writeback window can
-therefore leave a rewritten file empty, its old bytes already deleted, as
-it could always leave a new one.
+place by one ``os.replace``, so a failed or killed run never leaves a
+truncated artifact behind: the target names the complete old file or the
+complete new one.  The writer does not call ``fsync``: on ext4 (with its
+default ``auto_da_alloc``) a rename over an existing file forces the new
+data to disk before the rename is committed, so after a power loss too a
+rewritten target holds the old file or the new one.
 
 Every CSV file but a grid is built by one table encoder, :func:`_table`,
 from equal-length columns; a grid is built line by grid row.  Their floats
@@ -58,8 +50,6 @@ Formats:
 
 from __future__ import annotations
 
-import ctypes
-import errno
 import json
 import math
 import os
@@ -100,59 +90,6 @@ def _build(where, build, *args, **fields):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _find_renameat2():
-    """The C library's ``renameat2``, or ``None`` where it has none."""
-    try:
-        fn = ctypes.CDLL(None, use_errno=True).renameat2
-    except (AttributeError, OSError, TypeError):  # no symbol; no process handle (Windows)
-        return None
-    fn.argtypes = (ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p, ctypes.c_uint)
-    fn.restype = ctypes.c_int
-    return fn
-
-
-_RENAMEAT2 = _find_renameat2()
-_AT_FDCWD = -100
-_RENAME_EXCHANGE = 2
-# What renameat2 fails with on a kernel or filesystem without the swap, or
-# when there is nothing at the target to swap with.
-_NO_EXCHANGE = frozenset({errno.EINVAL, errno.ENOSYS, errno.EOPNOTSUPP, errno.ENOENT})
-
-
-def _exchange(tmp: Path, path: Path) -> bool:
-    """Swap the names ``tmp`` and ``path`` in one call: ``True`` if
-    swapped, ``False`` where the swap is unavailable or nothing is at
-    ``path``.  Any other failure is an ``OSError`` naming ``path``."""
-    if _RENAMEAT2(_AT_FDCWD, os.fsencode(tmp), _AT_FDCWD, os.fsencode(path), _RENAME_EXCHANGE) == 0:
-        return True
-    code = ctypes.get_errno()
-    if code in _NO_EXCHANGE:
-        return False
-    raise OSError(code, os.strerror(code), str(path))
-
-
-def _swapped_in(tmp: Path, path: Path) -> bool:
-    """Put ``tmp`` at ``path`` by swapping it with what is there and then
-    deleting that, now at ``tmp``: ``True`` if done.  ``False`` leaves both
-    names as they were, for ``os.replace``: where the swap is unavailable,
-    nothing is at ``path``, or what was there cannot be deleted (a
-    directory, which is swapped back so that ``os.replace`` refuses it).
-
-    On ext4 with its default ``auto_da_alloc``, a rename over an existing
-    file starts writeback of the new file's data inside the syscall; a swap
-    and an unlink do not, so a rewrite returns sooner and the kernel writes
-    the data back later."""
-    if _RENAMEAT2 is None or not _exchange(tmp, path):
-        return False
-    try:
-        os.unlink(tmp)
-    except OSError:  # a directory: swap it back, for os.replace to refuse
-        if not _exchange(tmp, path):
-            raise
-        return False
-    return True
-
-
 def atomic_write_bytes(path, data: bytes):
     """Write ``data`` to ``path``, in an existing directory, by a temp file
     beside it; on any failure ``path`` is left as it was."""
@@ -160,8 +97,7 @@ def atomic_write_bytes(path, data: bytes):
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
     try:
         tmp.write_bytes(data)
-        if not _swapped_in(tmp, path):
-            os.replace(tmp, path)
+        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -118,13 +118,14 @@ class TrackerState:
     """Mutable per-sequence state: a bounded box history (chronological,
     oldest evicted first, at most ``capacity`` boxes), the running PSR
     maximum and the current frame index.  :func:`refine_step` keeps the
-    PSR, normalized PSR and branch label of its last frame on the state.
+    PSR, normalized PSR and branch label of its last accepted frame on the
+    state; a frame it rejects leaves every field as it was.
 
     The history lives only in a ``(2 * capacity, 4)`` array of ``(cx, cy,
-    w, h)`` rows: the window is ``rows[_end - _count : _end]``, a push
-    writes one row at ``_end``, and a push that finds ``_end`` at the last
-    row first copies the newest ``capacity - 1`` rows to the front, once
-    every ``capacity + 1`` pushes.
+    w, h)`` rows: the window is the last ``min(_end, capacity)`` rows before
+    ``_end``, a push writes one row at ``_end``, and a push that finds
+    ``_end`` at the last row first copies the newest ``capacity - 1`` rows
+    to the front, once every ``capacity + 1`` pushes.
     """
 
     def __init__(self, capacity: int):
@@ -138,11 +139,10 @@ class TrackerState:
         self.last_branch = ""
         self._rows = np.zeros((2 * capacity, 4))
         self._end = 0  # the row the next box goes to
-        self._count = 0
 
     def _window(self) -> np.ndarray:
         """The stored rows, oldest first, as one contiguous ``(count, 4)`` view."""
-        return self._rows[self._end - self._count : self._end]
+        return self._rows[max(self._end - self.capacity, 0) : self._end]
 
     def _push(self, row):
         """Store one ``(cx, cy, w, h)`` row, a tuple or list of floats."""
@@ -153,7 +153,6 @@ class TrackerState:
             end = keep
         rows[end] = row
         self._end = end + 1
-        self._count = min(self._count + 1, self.capacity)
 
 
 @functools.lru_cache(maxsize=16)
@@ -296,11 +295,12 @@ def _psr_block(maps) -> list[float]:
     return values.tolist()
 
 
-def _normalize(value: float, state: TrackerState) -> float:
-    """Raise ``state.psr_max`` to a frame's PSR ``value`` and return the
-    normalized PSR, ``value / state.psr_max``."""
-    state.psr_max = max(state.psr_max, value)
-    return value / state.psr_max if state.psr_max > 0.0 else 0.0
+def _normalize(value: float, psr_max: float) -> tuple[float, float]:
+    """The running PSR maximum ``psr_max`` raised to a frame's PSR
+    ``value``, and the normalized PSR, ``value`` over that maximum.  ``max``
+    keeps the old maximum against a NaN ``value``."""
+    psr_max = max(psr_max, value)
+    return psr_max, value / psr_max if psr_max > 0.0 else 0.0
 
 
 def normalized_psr(response, state: TrackerState) -> float:
@@ -309,7 +309,8 @@ def normalized_psr(response, state: TrackerState) -> float:
     The maximum is raised first, so the result always lies in [0, 1]; while
     the maximum is still zero the score is defined as 0.
     """
-    return _normalize(psr(response), state)
+    state.psr_max, npsr = _normalize(psr(response), state.psr_max)
+    return npsr
 
 
 @functools.lru_cache(maxsize=16)
@@ -373,35 +374,38 @@ def refine_step(
     """Advance the tracker by one frame and return the refined box: the
     per-frame kernel of :func:`track_rows` for one :class:`BoundingBox`.
 
-    Scores the map with :func:`psr`, normalizes it, advances the frame
-    counter, picks the branch, runs :func:`_branch_row` on the history's
-    window and pushes the result there.  During warm-up the model box
-    itself is returned.  Past warm-up the history must hold exactly ``n1``
-    rows; a shorter one means the state was fed inconsistently and is an
-    error.  The frame's trace is kept as ``state.last_psr``, ``last_npsr``
-    and ``last_branch``.
+    Scores the map with :func:`psr`, normalizes it, picks the branch, runs
+    :func:`_branch_row` on the history's window and, once the refined row
+    is accepted, advances the frame counter and the running maximum and
+    pushes the row; a frame rejected with an error leaves the state as it
+    was.  During warm-up the model box itself is returned.  Past warm-up
+    the history must hold exactly ``n1`` rows; a shorter one means the
+    state was fed inconsistently and is an error.  The frame's trace is
+    kept as ``state.last_psr``, ``last_npsr`` and ``last_branch``.
     """
     value = psr(response)
     n1 = params.n1
     if state.capacity != n1:
         raise ValueError(f"state history capacity {state.capacity} does not match n1={n1}")
-    npsr = _normalize(value, state)
-    state.frame_index += 1
+    psr_max, npsr = _normalize(value, state.psr_max)
+    frame_index = state.frame_index + 1
     row = (model_box.cx, model_box.cy, model_box.w, model_box.h)
 
-    if state.frame_index <= n1:
+    if frame_index <= n1:
         refined, branch = model_box, WARMUP
     else:
-        if state._count < n1:
+        end = state._end
+        if end < n1:
             raise ValueError(
-                f"frame {state.frame_index} is past warm-up but history holds "
-                f"{state._count} boxes instead of {n1}"
+                f"frame {frame_index} is past warm-up but history holds "
+                f"{end} boxes instead of {n1}"
             )
         low = npsr < params.theta
-        window = state._window()
+        window = state._rows[end - n1 : end]
         row = _branch_row(window, window[-1].tolist(), row, npsr, low, params)
         refined, branch = BoundingBox(*row), LOW_CONFIDENCE if low else HIGH_CONFIDENCE
 
+    state.psr_max, state.frame_index = psr_max, frame_index
     state._push(row)
     state.last_psr, state.last_npsr, state.last_branch = value, npsr, branch
     return refined

@@ -1,11 +1,10 @@
 """File format round-trips and configuration parsing errors."""
 
-import ctypes
 import errno
 import io
 import json
-import os
 import math
+import os
 import re
 import struct
 import warnings
@@ -1440,35 +1439,15 @@ class TestEvalOutputs:
         assert names == {"precision", "norm_precision", "success"}
 
 
-@pytest.fixture(params=["swap", "replace"])
-def replace_way(request, monkeypatch):
-    """Run a test with both ways of replacing an existing file: the
-    ``renameat2`` swap (skipped where the C library has none), and
-    ``os.replace`` alone, with the handle set to ``None``."""
-    if request.param == "replace":
-        monkeypatch.setattr(formats, "_RENAMEAT2", None)
-    elif formats._RENAMEAT2 is None:
-        pytest.skip("the C library has no renameat2")
-    return request.param
-
-
-def failing_renameat2(code):
-    """A stand-in for the ``renameat2`` handle that fails with ``code``."""
-    def renameat2(*args):
-        ctypes.set_errno(code)
-        return -1
-    return renameat2
-
-
 class TestAtomicWrites:
-    def test_overwrite_gives_new_bytes_and_no_temp(self, tmp_path, replace_way):
+    def test_overwrite_gives_new_bytes_and_no_temp(self, tmp_path):
         path = tmp_path / "out.bin"
         atomic_write_bytes(path, b"first, and longer\n")
         atomic_write_bytes(path, b"second\n")
         assert path.read_bytes() == b"second\n"
         assert list(tmp_path.iterdir()) == [path]
 
-    def test_directory_target_is_refused_and_kept(self, tmp_path, replace_way):
+    def test_directory_target_is_refused_and_kept(self, tmp_path):
         path = tmp_path / "out"
         path.mkdir()
         (path / "inside.txt").write_text("keep\n")
@@ -1478,7 +1457,7 @@ class TestAtomicWrites:
         assert (path / "inside.txt").read_text() == "keep\n"
         assert sorted(tmp_path.iterdir()) == [path]
 
-    def test_symlink_target_is_replaced_not_followed(self, tmp_path, replace_way):
+    def test_symlink_target_is_replaced_not_followed(self, tmp_path):
         target = tmp_path / "target.txt"
         target.write_text("pointed to\n")
         path = tmp_path / "out.txt"
@@ -1488,65 +1467,27 @@ class TestAtomicWrites:
         assert target.read_text() == "pointed to\n"
         assert sorted(tmp_path.iterdir()) == [path, target]
 
-    def test_failed_swap_raises_naming_the_path_and_keeps_original(self, tmp_path, monkeypatch):
-        path = tmp_path / "out.txt"
-        path.write_text("keep me\n")
-        monkeypatch.setattr(formats, "_RENAMEAT2", failing_renameat2(errno.EACCES))
-        with pytest.raises(PermissionError) as info:
-            atomic_write_bytes(path, b"new\n")
-        assert info.value.errno == errno.EACCES and info.value.filename == str(path)
-        assert path.read_text() == "keep me\n"
-        assert list(tmp_path.iterdir()) == [path]
-
-    @pytest.mark.parametrize("code", ["EINVAL", "ENOSYS", "EOPNOTSUPP", "ENOENT"])
-    def test_unavailable_swap_falls_back_to_replace(self, tmp_path, monkeypatch, code):
+    def test_one_replace_moves_the_temp_file_in(self, tmp_path, monkeypatch):
         path = tmp_path / "out.txt"
         path.write_text("old\n")
-        monkeypatch.setattr(formats, "_RENAMEAT2", failing_renameat2(getattr(errno, code)))
+        calls, replace = [], os.replace
+        monkeypatch.setattr(os, "replace", lambda *args: calls.append(args) or replace(*args))
         atomic_write_bytes(path, b"new\n")
+        assert calls == [(path.with_name(f".out.txt.tmp{os.getpid()}"), path)]
         assert path.read_text() == "new\n"
-        assert list(tmp_path.iterdir()) == [path]
 
-    @staticmethod
-    def spy_on_renameat2(monkeypatch):
-        """The calls to the real ``renameat2`` handle, recorded from now on
-        as (old, new, flags, result)."""
-        real, calls = formats._RENAMEAT2, []
-
-        def spy(*args):
-            result = real(*args)
-            calls.append((os.fsdecode(args[1]), os.fsdecode(args[3]), args[4], result))
-            return result
-
-        monkeypatch.setattr(formats, "_RENAMEAT2", spy)
-        return calls
-
-    @pytest.mark.skipif(formats._RENAMEAT2 is None, reason="the C library has no renameat2")
-    def test_existing_regular_file_is_swapped(self, tmp_path, monkeypatch):
-        calls = self.spy_on_renameat2(monkeypatch)
+    def test_failed_replace_keeps_original_and_leaves_no_temp(self, tmp_path, monkeypatch):
         path = tmp_path / "out.txt"
-        tmp = str(path.with_name(f".out.txt.tmp{os.getpid()}"))
-        atomic_write_bytes(path, b"first\n")
-        swap = (tmp, str(path), formats._RENAME_EXCHANGE)
-        assert calls == [(*swap, -1)]  # nothing to swap with: os.replace moves it
-        atomic_write_bytes(path, b"second\n")
-        assert calls[1:] == [(*swap, 0)]
-        assert path.read_text() == "second\n"
-        assert list(tmp_path.iterdir()) == [path]
+        path.write_text("keep me\n")
 
-    @pytest.mark.skipif(formats._RENAMEAT2 is None, reason="the C library has no renameat2")
-    def test_swapped_directory_is_swapped_back_before_the_refusal(self, tmp_path, monkeypatch):
-        calls = self.spy_on_renameat2(monkeypatch)
-        path = tmp_path / "out"
-        path.mkdir()
-        (path / "inside.txt").write_text("keep\n")
-        with pytest.raises(IsADirectoryError) as info:
+        def refuse(src, dst):
+            raise PermissionError(errno.EACCES, "Permission denied", str(src), None, str(dst))
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(PermissionError):
             atomic_write_bytes(path, b"new\n")
-        tmp = str(path.with_name(f".out.tmp{os.getpid()}"))
-        assert info.value.errno == errno.EISDIR and info.value.filename2 == str(path)
-        assert calls == [(tmp, str(path), formats._RENAME_EXCHANGE, 0)] * 2
-        assert (path / "inside.txt").read_text() == "keep\n"
-        assert sorted(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "keep me\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_no_temp_residue(self, tmp_path):
         path = tmp_path / "out.txt"

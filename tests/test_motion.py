@@ -219,8 +219,7 @@ class TestPsrProperties:
     def test_overflowing_sum_is_not_non_finite(self):
         # every cell is finite, only the sum overflows: the map is accepted,
         # and the refined box's own validation rejects the score it yields
-        grid = np.full((5, 5), 1e308)
-        grid[2, 2] = 1.5e308
+        grid = overflowing_map()
         psr(grid)
         params = MotionParams(n1=5, n2=2)
         boxes = [BoundingBox(float(k), 0.0, 4.0, 4.0) for k in range(params.n1)]
@@ -568,8 +567,36 @@ class TestTrackerState:
         params = MotionParams(n1=10, n2=4)
         state = TrackerState(params.n1)
         state.frame_index = params.n1
+        before = state_fields(state)
         with pytest.raises(ValueError, match="past warm-up but history holds 0 boxes"):
             refine_step(state, BoundingBox(0.0, 0.0, 2.0, 2.0), map_with_score(5.0), params)
+        assert state_fields(state) == before
+
+
+def state_fields(state: TrackerState) -> dict:
+    """Every field of ``state``, its row buffer as bytes."""
+    return {
+        name: value.tobytes() if isinstance(value, np.ndarray) else value
+        for name, value in vars(state).items()
+    }
+
+
+def overflowing_map():
+    """Finite cells whose total overflows: ``psr`` accepts the map and scores
+    it nan, so the high branch blends the refined centre to nan."""
+    grid = np.full((5, 5), 1e308)
+    grid[2, 2] = 1.5e308
+    return grid
+
+
+# a frame refine_step rejects on a warmed state, as (map, params)
+REJECTED_FRAMES = {
+    "non-finite row": lambda params: (overflowing_map(), params),
+    "map psr rejects": lambda params: (np.full((5, 5), np.nan), params),
+    "capacity mismatch": lambda params: (
+        map_with_score(8.0), MotionParams(n1=params.n1 + 1, n2=params.n2)
+    ),
+}
 
 
 class TestRefineStep:
@@ -671,8 +698,35 @@ class TestRefineStep:
         for cx in (0.0, -1.7e308, 1.7e308):
             refine_step(state, BoundingBox(cx, 0.0, 2.0, 2.0), map_with_score(8.0), params)
         model = BoundingBox(-1.7e308, 0.0, 2.0, 2.0)
+        before = state_fields(state)
         with pytest.raises(ValueError, match="^box field cx must be finite$"):
-            refine_step(state, model, map_with_score(6.0), params)
+            refine_step(state, model, map_with_score(60.0), params)
+        assert state_fields(state) == before  # no frame counted, no new maximum
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(3, 1), (5, 2), (9, 4)]),
+        st.integers(9, 40),
+        st.sampled_from(sorted(REJECTED_FRAMES)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_a_rejected_frame_changes_nothing(self, windows, frames, rejection, seed):
+        # the frame after a rejected one goes on as if it had never been given
+        n1, n2 = windows
+        params = MotionParams(n1=n1, n2=n2)
+        raw, maps = random_sequence(seed, frames + 2, (5, 5))
+        boxes = [BoundingBox(*row) for row in raw.tolist()]
+        state = TrackerState(n1)
+        for box, grid in zip(boxes[:frames], maps):
+            refine_step(state, box, grid, params)
+        twin, before = copy.deepcopy(state), state_fields(state)
+        grid, step_params = REJECTED_FRAMES[rejection](params)
+        with np.errstate(all="ignore"), pytest.raises(ValueError):
+            refine_step(state, boxes[frames], grid, step_params)
+        assert state_fields(state) == before
+        box, grid = boxes[frames + 1], maps[frames + 1]
+        assert refine_step(state, box, grid, params) == refine_step(twin, box, grid, params)
+        assert state_fields(state) == state_fields(twin)
 
     def test_nan_branch_output_rejected_with_the_box_message(self, monkeypatch):
         params = MotionParams(n1=3, n2=1)
@@ -1081,8 +1135,11 @@ def psr_columns(allow_infinity=True):
 
 
 def loop_normalized(values) -> np.ndarray:
-    state = TrackerState(1)
-    return np.array([_normalize(value, state) for value in values], dtype=float)
+    psr_max, npsrs = 0.0, []
+    for value in values:
+        psr_max, npsr = _normalize(value, psr_max)
+        npsrs.append(npsr)
+    return np.array(npsrs, dtype=float)
 
 
 class TestArrayDecisions:
