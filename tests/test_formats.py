@@ -49,6 +49,7 @@ from sattrack.formats import (
     result_summary,
     trace_csv,
     trajectory_csv,
+    write_outputs,
 )
 from sattrack.metrics import (
     NORM_PRECISION_THRESHOLDS,
@@ -1489,6 +1490,77 @@ class TestAtomicWrites:
         assert path.read_text() == "keep me\n"
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_interrupt_during_replace_keeps_original_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        path.write_text("keep me\n")
+
+        def interrupt(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            atomic_write_bytes(path, b"new\n")
+        assert path.read_text() == "keep me\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_temp_write_keeps_original_and_never_replaces(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        path.write_text("keep me\n")
+        write_bytes, calls = Path.write_bytes, []
+
+        def disk_full(self, data):
+            write_bytes(self, data[:2])
+            raise OSError(errno.ENOSPC, "No space left on device", str(self))
+
+        monkeypatch.setattr(Path, "write_bytes", disk_full)
+        monkeypatch.setattr(os, "replace", lambda *args: calls.append(args))
+        with pytest.raises(OSError) as info:
+            atomic_write_bytes(path, b"new\n")
+        assert info.value.errno == errno.ENOSPC and calls == []
+        assert path.read_text() == "keep me\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_missing_directory_is_refused_and_not_made(self, tmp_path):
+        path = tmp_path / "absent" / "out.txt"
+        with pytest.raises(FileNotFoundError):
+            atomic_write_bytes(path, b"new\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_stale_temp_file_is_overwritten_and_moved_in(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.with_name(f".out.txt.tmp{os.getpid()}").write_text("left by a crash, and longer\n")
+        atomic_write_bytes(path, b"new\n")
+        assert path.read_text() == "new\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_open_reader_keeps_reading_the_old_bytes(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old, and longer\n")
+        with open(path, "rb") as reader:
+            atomic_write_bytes(path, b"new\n")
+            assert reader.read() == b"old, and longer\n"
+        assert path.read_text() == "new\n"
+
+    def test_hard_linked_target_leaves_the_other_name_alone(self, tmp_path):
+        path, other = tmp_path / "out.txt", tmp_path / "other.txt"
+        path.write_text("old\n")
+        os.link(path, other)
+        atomic_write_bytes(path, b"new\n")
+        assert path.read_text() == "new\n" and other.read_text() == "old\n"
+        assert not path.samefile(other)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"", b"\x00\r\n\xff\r\x00", bytes(range(256)) * 4096],
+        ids=["empty", "nul_and_crlf", "one_mebibyte"],
+    )
+    def test_bytes_are_kept_exactly(self, tmp_path, data):
+        path = tmp_path / "out.bin"
+        atomic_write_bytes(path, b"old\n")
+        atomic_write_bytes(path, data)
+        assert path.read_bytes() == data
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_no_temp_residue(self, tmp_path):
         path = tmp_path / "out.txt"
         atomic_write_bytes(path, b"hello\n")
@@ -1508,3 +1580,22 @@ class TestAtomicWrites:
             atomic_write_bytes(path, grid_csv(np.zeros((2, 2, 2))))  # 3-D grid is invalid
         assert path.read_text() == "keep me\n"
         assert list(tmp_path.iterdir()) == [path]
+
+
+class TestWriteOutputs:
+    def test_nested_directory_is_made_and_files_written(self, tmp_path):
+        directory = tmp_path / "a" / "b"
+        write_outputs(directory, {"x.txt": b"x\n", "y.bin": b"\x00y"}, "--output")
+        assert sorted(p.name for p in directory.iterdir()) == ["x.txt", "y.bin"]
+        assert (directory / "x.txt").read_bytes() == b"x\n"
+        assert (directory / "y.bin").read_bytes() == b"\x00y"
+
+    def test_error_names_the_target_and_keeps_the_files_before_it(self, tmp_path):
+        (tmp_path / "second.txt").mkdir()
+        files = {"first.txt": b"1\n", "second.txt": b"2\n", "third.txt": b"3\n"}
+        with pytest.raises(ConfigError) as info:
+            write_outputs(tmp_path, files, "--output")
+        assert str(info.value).startswith(f"--output: cannot write {tmp_path / 'second.txt'}: ")
+        assert ".tmp" not in str(info.value)
+        assert (tmp_path / "first.txt").read_text() == "1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["first.txt", "second.txt"]
