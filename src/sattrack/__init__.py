@@ -20,14 +20,10 @@ from .geometry import (
     AspectRatioParams,
     GridGeometry,
     LabelMaps,
-    RegressionTarget,
     build_label_maps,
     centerness_loss,
-    classic_centerness,
     cls_loss,
-    constrained_centerness,
     regression_loss,
-    soft_cls_target,
 )
 from .metrics import EvalResult, aggregate_results
 from .motion import (
@@ -57,16 +53,13 @@ __all__ = [
     "LabelMaps",
     "MotionParams",
     "ProjectionWeights",
-    "RegressionTarget",
     "ScenarioConfig",
     "TrackerState",
     "aggregate_results",
     "attention_weights",
     "build_label_maps",
     "centerness_loss",
-    "classic_centerness",
     "cls_loss",
-    "constrained_centerness",
     "enhance_features",
     "generate_scenario",
     "generate_scenario_rows",
@@ -77,7 +70,6 @@ __all__ = [
     "refine_step",
     "regression_loss",
     "run_tracking",
-    "soft_cls_target",
     "template_saliency",
     "track_rows",
     "xcorr_depthwise",

@@ -528,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("centerness-map", help="export centerness label maps for a box")
-    p.add_argument("--box", required=True, help="ground-truth box as CX,CY,W,H")
+    p.add_argument("--box", required=True,
+                   help="ground-truth box as CX,CY,W,H (a negative CX as --box=-5,10,40,40)")
     p.add_argument("--grid", default="25,25,8", help="grid as HEIGHT,WIDTH,STRIDE")
     p.add_argument("--gamma", help="aspect-ratio exponent tuning")
     _add_output(p)

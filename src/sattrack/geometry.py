@@ -8,9 +8,7 @@ usable positives along their long axis.  The constrained variant flattens the
 decay along the principal axis by raising each side ratio to an exponent
 derived from the box aspect ratio, so supervision follows the object shape.
 A cell's horizontal side ratio depends only on its column and its vertical
-one only on its row, so a whole map is built from two 1-D profiles.  The
-scalar scores are the same code at one cell, but take rho = (l+r)/(t+b)
-where the map takes w/h, so the two agree bitwise only where those do.
+one only on its row, so a whole map is built from two 1-D profiles.
 
 The losses consume these targets: a soft-label cross entropy for the
 classification head, a centerness-weighted log-IoU loss for the regression
@@ -29,23 +27,6 @@ from .boxes import BoundingBox, overlap_areas
 
 # Predictions are clamped to [LOG_EPS, 1 - LOG_EPS] before any logarithm.
 LOG_EPS = 1e-7
-
-
-@dataclass(frozen=True)
-class RegressionTarget:
-    """Distances from a grid point to the left/right/top/bottom box sides."""
-
-    l: float
-    r: float
-    t: float
-    b: float
-
-    def __post_init__(self):
-        sides = (self.l, self.r, self.t, self.b)
-        if not all(math.isfinite(s) for s in sides):
-            raise ValueError("regression target sides must be finite")
-        if min(sides) < 0:
-            raise ValueError(f"regression target sides must be >= 0, got {sides}")
 
 
 @dataclass(frozen=True)
@@ -107,14 +88,6 @@ class LabelMaps:
         return int(self.labels.sum())
 
 
-def _check_nondegenerate(target: RegressionTarget):
-    if target.l + target.r <= 0 or target.t + target.b <= 0:
-        raise ValueError(
-            "degenerate box: l+r and t+b must both be positive, "
-            f"got l+r={target.l + target.r}, t+b={target.t + target.b}"
-        )
-
-
 def _exponents(rho: float, params: AspectRatioParams | None) -> tuple[float, float]:
     """Horizontal and vertical side-ratio exponents ``min(1, (1/rho)**gamma)``
     and ``min(1, rho**gamma)`` of the aspect ratio ``rho = w/h``; both 1
@@ -139,41 +112,6 @@ def _side_ratios(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.divide(near, np.maximum(lo, hi), out=np.zeros(near.shape), where=inside), inside
 
 
-def _centerness(ratio_h, ratio_v, rho: float, params: AspectRatioParams | None) -> np.ndarray:
-    exp_h, exp_v = _exponents(rho, params)
-    return np.sqrt(np.multiply.outer(ratio_v**exp_v, ratio_h**exp_h))
-
-
-def _cell_centerness(target: RegressionTarget, params: AspectRatioParams | None) -> float:
-    _check_nondegenerate(target)
-    ratios, _ = _side_ratios(np.array([target.l, target.t]), np.array([target.r, target.b]))
-    rho = (target.l + target.r) / (target.t + target.b)
-    return float(_centerness(ratios[:1], ratios[1:], rho, params)[0, 0])
-
-
-def classic_centerness(target: RegressionTarget) -> float:
-    """Isotropic centerness: sqrt of the product of the two side ratios.
-
-    Equals 1 at the box center and falls to 0 on the boundary at the same
-    rate in both axes, regardless of the box shape.
-    """
-    return _cell_centerness(target, None)
-
-
-def constrained_centerness(target: RegressionTarget, params: AspectRatioParams) -> float:
-    """Centerness with the decay flattened along the box principal axis.
-
-    The aspect ratio rho = (l+r)/(t+b) selects the exponents: a wide box
-    (rho > 1) gets a horizontal exponent below one, so moving off-center
-    along the width costs less score; the perpendicular axis keeps the
-    classic decay.  For square boxes both exponents are 1 and the score
-    equals :func:`classic_centerness`.
-    """
-    if params is None:
-        raise TypeError("constrained_centerness needs AspectRatioParams")
-    return _cell_centerness(target, params)
-
-
 def build_label_maps(
     gt_box: BoundingBox,
     grid: GridGeometry = GridGeometry(),
@@ -181,10 +119,13 @@ def build_label_maps(
 ) -> LabelMaps:
     """Label every grid cell against one ground-truth box.
 
-    Cells strictly inside the box are positive and scored with
-    :func:`constrained_centerness` (or :func:`classic_centerness` when
-    ``params`` is None); everything else is zero.  A box that covers no grid
-    point yields all-negative maps and a warning.
+    Cells strictly inside the box are positive; everything else is zero.  A
+    positive cell at distances l, r, t, b from the left, right, top and
+    bottom sides scores sqrt((min(l, r)/max(l, r))**e_h *
+    (min(t, b)/max(t, b))**e_v), the FCOS centerness when both exponents are
+    1 (``params`` None) and otherwise the exponents of :func:`_exponents` at
+    rho = w/h.  A box that covers no grid point yields all-negative maps and
+    a warning.
     """
     x0, y0, x1, y1 = gt_box.corners
     xs, ys = grid.point_xs(), grid.point_ys()
@@ -195,30 +136,11 @@ def build_label_maps(
             "ground-truth box covers no grid point; all cells are negative",
             stacklevel=2,
         )
+    exp_h, exp_v = _exponents(gt_box.w / gt_box.h, params)
     # both profiles are zero outside the box, so negatives score zero
-    centerness = _centerness(ratio_h, ratio_v, gt_box.w / gt_box.h, params)
+    centerness = np.sqrt(np.multiply.outer(ratio_v**exp_v, ratio_h**exp_h))
     labels = np.multiply.outer(inside_y, inside_x).astype(np.uint8)
     return LabelMaps(centerness, labels)
-
-
-def soft_cls_target(c_target: float, c_pred: float, label: int) -> float:
-    """Soft classification label from centerness agreement.
-
-    Negative samples stay 0.  A positive sample is labelled by the ratio
-    min/max of the target and predicted centerness, so the classification
-    head is rewarded in proportion to how consistent the two heads are.
-    Two exact zeros count as perfect agreement.
-    """
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label}")
-    for name, value in (("c_target", c_target), ("c_pred", c_pred)):
-        if not (math.isfinite(value) and 0.0 <= value <= 1.0):
-            raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    if label == 0:
-        return 0.0
-    if c_target == c_pred:
-        return 1.0
-    return min(c_target, c_pred) / max(c_target, c_pred)
 
 
 def _soft_binary_cross_entropy(preds, targets) -> float:
@@ -253,7 +175,9 @@ def regression_loss(pred_boxes, gt_boxes, centerness_weights) -> float:
     Boxes are (N, 4) arrays in center format.  Each sample contributes
     -log((intersection + 1) / (union + 1)), the +1 smoothing keeping the
     term finite for disjoint boxes; contributions are averaged with the
-    given non-negative weights, which must not all be zero.
+    given non-negative weights, which must not all be zero.  A weight sum
+    or a loss beyond float range (areas or weights near the float maximum)
+    is a ``ValueError``.
     """
     pred = np.asarray(pred_boxes, dtype=float)
     gt = np.asarray(gt_boxes, dtype=float)
@@ -274,12 +198,17 @@ def regression_loss(pred_boxes, gt_boxes, centerness_weights) -> float:
         raise ValueError("box sizes must be positive")
     if weights.min() < 0:
         raise ValueError("centerness weights must be >= 0")
-    total_weight = weights.sum()
-    if total_weight <= 0:
-        raise ValueError("centerness weights must not all be zero")
-
-    # an exact prediction gives intersection == union and a loss of exactly 0
-    intersection, union = overlap_areas(pred, gt)
-    per_sample = -np.log((intersection + 1.0) / (union + 1.0))
-    return float((weights * per_sample).sum() / total_weight)
+    with np.errstate(all="ignore"):  # an overflow is reported below
+        total_weight = weights.sum()
+        if total_weight <= 0:
+            raise ValueError("centerness weights must not all be zero")
+        if total_weight == math.inf:
+            raise ValueError("centerness weights must have a finite sum")
+        # an exact prediction gives intersection == union and a loss of exactly 0
+        intersection, union = overlap_areas(pred, gt)
+        per_sample = -np.log((intersection + 1.0) / (union + 1.0))
+        loss = float((weights * per_sample).sum() / total_weight)
+    if not math.isfinite(loss):
+        raise ValueError("regression loss is not finite: a box area or a weighted term overflows")
+    return loss
 

@@ -179,14 +179,14 @@ def test_verdicts(bench_pairs, parent, change, wins, pairs, better, expected):
     assert bench_pairs.verdict(parent, change, wins, pairs, better, 0.25) == expected
 
 
-def run_record(side, pair, fps):
+def run_record(side, pair, fps, workload="refine_stream", seed=9001, seconds=10.0):
     """One ``run`` log record: each higher-is-better end-to-end metric reads
     ``fps``, each lower-is-better one ``1 / fps``."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: {"value": fps if m["better"] == "higher" else 1.0 / fps}
                for m in spec["end_to_end"]}
-    return {"side": side, "pair": pair, "workload": "refine_stream", "seed": 9001,
-            "seconds": 10.0, "trace": 0, "machine": "box", "failed": 0,
+    return {"side": side, "pair": pair, "workload": workload, "seed": seed,
+            "seconds": seconds, "trace": 0, "machine": "box", "failed": 0,
             "wall": {"frames_per_s": fps}, "metrics": metrics}
 
 
@@ -204,3 +204,25 @@ def test_summarize_records_each_metrics_verdict(bench_pairs, tmp_path, capsys):
     before["workloads"]["refine_stream"]["change_wins"] = {"frames_per_s": "3/5"}
     lines = bench_pairs.compare_lines(before, json.loads(out.read_text()))
     assert lines[2].endswith("| 104.5 -> 124.5 (wins 10/10, gain)")
+
+
+def test_summarize_records_each_workloads_own_settings(bench_pairs, tmp_path, capsys):
+    log, out = tmp_path / "runs.jsonl", tmp_path / "BENCH_1.json"
+    records = [run_record(side, 0, 100.0, "track_suite", 9001, 10.0) for side in ("parent", "change")]
+    records += [run_record(side, 0, 100.0, "refine_stream", 7, 3.0) for side in ("parent", "change")]
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    bench_pairs.main(["summarize", "--log", str(log), "--out", str(out)])
+    workloads = json.loads(out.read_text())["workloads"]
+    settings = {name: (entry["seed"], entry["seconds"]) for name, entry in workloads.items()}
+    assert settings == {"track_suite": (9001, 10.0), "refine_stream": (7, 3.0)}
+    # pairs from different settings cannot be compared: no file is written
+    records.append(run_record("parent", 1, 100.0, "refine_stream", 7, 10.0))
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    mixed = tmp_path / "BENCH_2.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["summarize", "--log", str(log), "--out", str(mixed)])
+    assert exit_info.value.code == (
+        "bench_pairs: refine_stream runs differ in their settings "
+        "(seed 7 for 3.0 s, seed 7 for 10.0 s); pairs from different settings cannot be compared"
+    )
+    assert not mixed.exists()

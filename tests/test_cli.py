@@ -147,6 +147,19 @@ def test_centerness_bad_box_is_config_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_centerness_negative_cx_takes_the_equals_form(tmp_path, capsys):
+    # after a space argparse reads "-5,10,40,40" as a flag, so --box has no value
+    with pytest.raises(SystemExit) as exit_info:
+        main(["centerness-map", "--box", "-5,10,40,40", "--output", str(tmp_path / "space")])
+    assert exit_info.value.code == 2
+    assert "argument --box: expected one argument" in capsys.readouterr().err
+    out = tmp_path / "equals"
+    assert main(["centerness-map", "--box=-5,10,40,40", "--output", str(out)]) == 0
+    assert "BoundingBox(cx=-5.0, cy=10.0, w=40.0, h=40.0)" in capsys.readouterr().out
+    assert read_grid_csv(out / "labels.csv").any()
+    assert not (tmp_path / "space").exists()
+
+
 def test_centerness_box_off_the_grid_warns_once(tmp_path, capsys):
     for _ in range(2):  # the second run in one process warns as well
         argv = ["centerness-map", "--box", "1000,1000,10,10", "--output", str(tmp_path / "o")]
@@ -1282,6 +1295,27 @@ def test_evaluate_perfect_file_pair(tmp_path):
     assert summary["frame_count"] == 12
     curves = (out / "curves.csv").read_text().splitlines()
     assert len(curves) == 1 + 51 + 51 + 21
+
+
+def test_evaluate_box_area_beyond_float_range_is_silent(tmp_path, capsys):
+    # the 1e200 box's area overflows to inf and its union to nan, without a
+    # warning; that frame scores IoU 0, so the success AUC is 2/3 of 20/21
+    rows = "frame,cx,cy,w,h\n1,10,10,8,8\n2,0,0,1e200,1e200\n3,12,10,8,8\n"
+    (tmp_path / "pred").mkdir(), (tmp_path / "gt").mkdir()
+    for path in (tmp_path / "big.csv", tmp_path / "pred" / "s.csv", tmp_path / "gt" / "s.csv"):
+        path.write_text(rows)
+    big = str(tmp_path / "big.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evaluate", "--pred", big, "--gt", big, "--output", str(tmp_path / "f")]) == 0
+        assert main(["evaluate", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                     "--output", str(tmp_path / "d")]) == 0
+    assert capsys.readouterr().err == ""
+    file_mode = json.loads((tmp_path / "f" / "summary.json").read_text())
+    directory_mode = json.loads((tmp_path / "d" / "summary.json").read_text())
+    for summary in (file_mode, directory_mode["sequences"]["s"]):
+        assert summary["p20"] == 1.0
+        assert summary["success_auc"] == pytest.approx(40 / 63)
 
 
 @pytest.mark.parametrize("attributes", ["groups.cfg", "does-not-exist.cfg"])

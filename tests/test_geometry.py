@@ -5,21 +5,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sattrack import (
     AspectRatioParams,
     BoundingBox,
     GridGeometry,
-    RegressionTarget,
     build_label_maps,
     centerness_loss,
-    classic_centerness,
     cls_loss,
-    constrained_centerness,
     regression_loss,
-    soft_cls_target,
 )
 from sattrack.cli import main
 from sattrack.geometry import _exponents
@@ -40,26 +36,6 @@ def reference_constrained(l, r, t, b, gamma):
 
 
 class TestCenterness:
-    def test_center_point_scores_one(self):
-        assert classic_centerness(RegressionTarget(5, 5, 5, 5)) == 1.0
-
-    def test_classic_known_value(self):
-        # ratios 3/12 and 5/5: sqrt(0.25) = 0.5
-        assert classic_centerness(RegressionTarget(3, 12, 5, 5)) == pytest.approx(0.5)
-
-    def test_boundary_point_scores_zero(self):
-        assert classic_centerness(RegressionTarget(0, 10, 5, 5)) == 0.0
-
-    def test_degenerate_box_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            classic_centerness(RegressionTarget(0, 0, 5, 5))
-        with pytest.raises(ValueError, match="degenerate"):
-            constrained_centerness(RegressionTarget(3, 3, 0, 0), AspectRatioParams())
-
-    def test_negative_side_rejected(self):
-        with pytest.raises(ValueError):
-            RegressionTarget(-1, 3, 2, 2)
-
     def test_modulation_factor_saturates(self):
         # a tall box (rho = 1/6) keeps the classic horizontal exponent
         assert _exponents(1 / 6, AspectRatioParams(gamma=0.5))[0] == 1.0
@@ -85,45 +61,6 @@ class TestCenterness:
         exponents = _exponents(rho, AspectRatioParams(gamma=1e300))
         assert exponents[saturated] == 1.0 and exponents[1 - saturated] == 0.0
 
-    def test_constrained_flattens_principal_axis(self):
-        # rho = 6 wide box, t = b, horizontal ratio 0.25:
-        # 0.25 ** ((1/6)**0.5 / 2) = 0.7535
-        target = RegressionTarget(l=18, r=72, t=7.5, b=7.5)
-        value = constrained_centerness(target, AspectRatioParams(gamma=0.5))
-        assert value == pytest.approx(0.7535, abs=1e-3)
-        assert value == pytest.approx(reference_constrained(18, 72, 7.5, 7.5, 0.5))
-
-    def test_constrained_keeps_short_axis_classic(self):
-        # rho = 6, l = r, vertical ratio 0.25: alpha(6) = 1, sqrt(0.25) = 0.5
-        target = RegressionTarget(l=45, r=45, t=3, b=12)
-        assert constrained_centerness(target, AspectRatioParams(gamma=0.5)) == pytest.approx(0.5)
-
-    def test_square_box_equals_classic(self):
-        rng = np.random.default_rng(11)
-        params = AspectRatioParams(gamma=0.5)
-        for _ in range(200):
-            l, t = rng.uniform(0.1, 40, size=2)
-            r = 40 - l
-            b = 40 - t  # l + r == t + b, rho = 1
-            target = RegressionTarget(l, r, t, b)
-            assert constrained_centerness(target, params) == classic_centerness(target)
-
-    def test_range_and_symmetry_property(self):
-        rng = np.random.default_rng(7)
-        for _ in range(300):
-            l, r, t, b = rng.uniform(0.01, 100, size=4)
-            gamma = rng.uniform(0.1, 2.0)
-            params = AspectRatioParams(gamma=gamma)
-            value = constrained_centerness(RegressionTarget(l, r, t, b), params)
-            assert 0.0 <= value <= 1.0
-            assert 0.0 <= classic_centerness(RegressionTarget(l, r, t, b)) <= 1.0
-            swapped = constrained_centerness(RegressionTarget(r, l, b, t), params)
-            assert value == swapped
-
-    def test_constrained_needs_params(self):
-        with pytest.raises(TypeError, match="AspectRatioParams"):
-            constrained_centerness(RegressionTarget(3, 3, 2, 2), None)
-
     def test_exponent_monotone_in_gamma(self):
         # for rho > 1 the long-axis exponent shrinks as gamma grows
         gammas = [0.25, 0.5, 0.75, 1.0]
@@ -133,6 +70,27 @@ class TestCenterness:
 
 
 class TestLabelMaps:
+    @pytest.mark.parametrize(
+        "box, gamma, expected, tolerance",
+        [
+            # l = r = t = b = 5: the center scores 1 with or without the constraint
+            (BoundingBox(100.0, 100.0, 10.0, 10.0), None, 1.0, 0.0),
+            (BoundingBox(100.0, 100.0, 10.0, 10.0), 0.5, 1.0, 0.0),
+            # l, r = 3, 12 and t = b: sqrt(3/12) = 0.5
+            (BoundingBox(104.5, 100.0, 15.0, 10.0), None, 0.5, 0.0),
+            # rho = 6, l, r = 18, 72 and t = b: 0.25 ** ((1/6)**0.5 / 2) = 0.7535
+            (BoundingBox(127.0, 100.0, 90.0, 15.0), 0.5, 0.7535, 1e-3),
+            # rho = 6, l = r and t, b = 3, 12: the short axis keeps the classic
+            # decay, sqrt(3/12) = 0.5
+            (BoundingBox(100.0, 104.5, 90.0, 15.0), 0.5, 0.5, 0.0),
+        ],
+    )
+    def test_hand_derived_cell_values(self, box, gamma, expected, tolerance):
+        # cell (12, 12) of the default grid sits at pixel (100, 100)
+        params = None if gamma is None else AspectRatioParams(gamma)
+        value = build_label_maps(box, params=params).centerness[12, 12]
+        assert abs(value - expected) <= tolerance
+
     def test_one_cell_box_has_one_positive(self):
         grid = GridGeometry()
         maps = build_label_maps(BoundingBox(100.0, 100.0, 7.0, 7.0), grid)
@@ -235,46 +193,8 @@ def meshgrid_label_maps(box, grid, params):
     return centerness, positive.astype(np.uint8)
 
 
-UNIT_ROUNDOFF = 2.0**-53
-
-
-def rho_gap_bound(target, box, gamma):
-    """Bound on the relative gap between constrained_centerness(target) and
-    its map cell, which take rho as (l+r)/(t+b) and as w/h.
-
-    The corners x0 = cx - w/2 and x1 = cx + w/2 are rounded, by at most
-    u|x0| and u|x1|; l = px - x0 and r = x1 - px are rounded again, by u*l
-    and u*r, and so is their sum.  So l+r is w up to
-    E_h = u(|x0| + |x1| + 2(l+r)), and t+b is h up to E_v likewise: a
-    cancellation error of about ulp(coordinate) / side.  With the two
-    divisions and the reciprocal 1/rho, the two rhos differ relatively by
-    d = E_h/(l+r) + E_v/(t+b) + 3u.  Each exponent e = min(1, rho**(+-gamma))
-    then moves by at most gamma*e*d (min is 1-Lipschitz), each side ratio's
-    power ratio**e = exp(e ln ratio) by |ln ratio| times that, and sqrt
-    halves the sum.  The bound doubles that first-order term for the
-    higher-order ones and adds 8u for the pow, product and sqrt roundings.
-    """
-    u = UNIT_ROUNDOFF
-    x0, y0, x1, y1 = box.corners
-    width, height = target.l + target.r, target.t + target.b
-    d = (
-        u * (abs(x0) + abs(x1) + 2.0 * width) / width
-        + u * (abs(y0) + abs(y1) + 2.0 * height) / height
-        + 3.0 * u
-    )
-    rho = box.w / box.h
-    exp_h, exp_v = min(1.0, (1.0 / rho) ** gamma), min(1.0, rho**gamma)
-    ratio_h = min(target.l, target.r) / max(target.l, target.r)
-    ratio_v = min(target.t, target.b) / max(target.t, target.b)
-    spread = exp_h * abs(math.log(ratio_h)) + exp_v * abs(math.log(ratio_v))
-    return 2.0 * 0.5 * gamma * d * spread + 8.0 * u
-
-
 class TestLabelMapProperties:
     @settings(max_examples=300, deadline=None)
-    # the scalar rho of a 0.01-high box at y = 94 is off w/h by about
-    # ulp(94)/0.01, and the cell values differ by 1.56e-14 relatively
-    @example(stride=7, height=14, width=1, cx=0.0, cy=94.0, w=8.0, h=0.01, gamma=0.5)
     @given(
         st.integers(1, 16),
         st.integers(1, 40),
@@ -299,52 +219,7 @@ class TestLabelMapProperties:
         assert maps.labels.dtype == np.uint8
         assert maps.centerness.shape == (height, width)
         assert bool(caught) == (not expected_labels.any())
-
-        # the scalar scores are the map rule at one cell; they take rho as
-        # (l+r)/(t+b) where the map takes w/h, so they are bitwise equal to
-        # the map wherever those ratios are
-        cells = np.argwhere(expected_labels)
-        if not cells.size:
-            return
-        classic_map = build_label_maps(box, grid, None).centerness
-        x0, y0, x1, y1 = box.corners
-        for i, j in cells[:: math.ceil(len(cells) / 24)]:
-            px, py = grid.point_xs()[j], grid.point_ys()[i]
-            target = RegressionTarget(px - x0, x1 - px, py - y0, y1 - py)
-            assert classic_centerness(target) == classic_map[i, j]
-            if params is None:
-                continue
-            value, cell = constrained_centerness(target, params), maps.centerness[i, j]
-            if (target.l + target.r) / (target.t + target.b) == box.w / box.h:
-                assert value == cell
-            else:
-                assert abs(value - cell) <= rho_gap_bound(target, box, gamma) * cell
-
-
-class TestSoftClsTarget:
-    def test_equal_centerness_scores_one(self):
-        assert soft_cls_target(0.8, 0.8, 1) == 1.0
-
-    def test_ratio(self):
-        assert soft_cls_target(0.9, 0.3, 1) == pytest.approx(1 / 3)
-
-    def test_negative_sample_is_zero(self):
-        assert soft_cls_target(0.9, 0.3, 0) == 0.0
-
-    def test_double_zero_defined_as_one(self):
-        assert soft_cls_target(0.0, 0.0, 1) == 1.0
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            a, b = rng.uniform(0.001, 1.0, size=2)
-            assert soft_cls_target(a, b, 1) == pytest.approx(soft_cls_target(b, a, 1))
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            soft_cls_target(1.2, 0.5, 1)
-        with pytest.raises(ValueError):
-            soft_cls_target(0.5, 0.5, 2)
+        assert maps.centerness.min() >= 0.0 and maps.centerness.max() <= 1.0
 
 
 class TestLosses:
@@ -438,4 +313,22 @@ class TestLosses:
         boxes = np.array([[10.0, 10.0, 4.0, 4.0]])
         with pytest.raises(ValueError, match="not all be zero"):
             regression_loss(boxes, boxes, [0.0])
+
+    @pytest.mark.parametrize("weight", [1e308, 1.7e308])
+    def test_regression_loss_rejects_an_overflowing_weight_sum(self, weight):
+        # the sum is inf: the loss would read 0 or nan
+        pred = np.array([[10.0, 10.0, 4.0, 6.0], [50.0, 40.0, 8.0, 8.0]])
+        gt = pred + [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
+        with pytest.raises(ValueError, match="^centerness weights must have a finite sum$"):
+            regression_loss(pred, gt, [weight, weight])
+
+    @pytest.mark.parametrize("pred, gt, weights", [
+        # the weight sum is finite, but 1e308 times the disjoint term -log(1/201) is not
+        ([[5.0, 5.0, 10.0, 10.0]], [[50.0, 50.0, 10.0, 10.0]], [1e308]),
+        # a 1e200 x 1e200 box's area overflows, so even an exact pair has no loss
+        ([[0.0, 0.0, 1e200, 1e200]], [[0.0, 0.0, 1e200, 1e200]], [1.0]),
+    ])
+    def test_regression_loss_rejects_a_loss_beyond_float_range(self, pred, gt, weights):
+        with pytest.raises(ValueError, match="^regression loss is not finite"):
+            regression_loss(np.array(pred), np.array(gt), weights)
 

@@ -9,15 +9,6 @@ import sattrack
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "sattrack").glob("*.py"))
 
-# Public without a caller: the paper's label assignment as (H, W) maps (a
-# soft classification target and side distances per cell) builds on these.
-AWAITING_LABEL_MAPS = {
-    "RegressionTarget",
-    "classic_centerness",
-    "constrained_centerness",
-    "soft_cls_target",
-}
-
 
 def _name_lines(path: Path) -> dict[str, list[int]]:
     """Line numbers of every name a file uses: each NAME token, and each
@@ -61,11 +52,10 @@ def test_every_public_name_resolves_and_has_a_user():
     unused = [
         f"{home.stem}.{name}"
         for name, home, own in defs
-        if name not in AWAITING_LABEL_MAPS and not any(
+        if not any(
             line not in own or path != home
             for path, lines in uses.items()
             for line in lines.get(name, ())
         )
     ]
     assert unused == []
-    assert AWAITING_LABEL_MAPS <= set(names)

@@ -11,9 +11,10 @@ parent first in even pairs and change first in odd ones, and appends one JSON
 record per run to the log: the side, the ``# machine`` line, the final JSON
 object and the unscaled wall-clock values.  It refuses to start when only
 one checkout has ``src/sattrack/__pycache__``.  ``summarize`` turns a log into
-the committed ``BENCH_<n>.json``: per workload and side, the number of runs
-and the median and quartiles of every end-to-end metric (scaled and wall
-clock), the pairs the change won on each metric, each metric's verdict
+the committed ``BENCH_<n>.json``: per workload, the seed and seconds of its
+runs (an error when they differ), and per side, the number of runs and the
+median and quartiles of every end-to-end metric (scaled and wall clock), the
+pairs the change won on each metric, each metric's verdict
 (``gain``, ``worse``, ``unresolved`` or ``no worse``; see :func:`verdict`),
 and the per-layer metrics of the traced runs; it also prints a table of the
 medians.  ``compare`` prints the before/after table of two committed files:
@@ -143,9 +144,15 @@ def cmd_summarize(args):
     records = [json.loads(line) for line in Path(args.log).read_text().splitlines() if line.strip()]
     summary = {"source": "tools/bench_pairs.py", "workloads": {}}
     for workload in dict.fromkeys(r["workload"] for r in records):
-        untraced = [r for r in records if r["workload"] == workload and not r["trace"]]
-        traced = [r for r in records if r["workload"] == workload and r["trace"]]
-        entry = {"seed": records[0]["seed"], "seconds": records[0]["seconds"]}
+        runs_of = [r for r in records if r["workload"] == workload]
+        settings = {(r["seed"], r["seconds"]) for r in runs_of}
+        if len(settings) > 1:
+            found = ", ".join(f"seed {seed} for {seconds} s" for seed, seconds in sorted(settings))
+            sys.exit(f"bench_pairs: {workload} runs differ in their settings ({found}); "
+                     "pairs from different settings cannot be compared")
+        untraced = [r for r in runs_of if not r["trace"]]
+        traced = [r for r in runs_of if r["trace"]]
+        entry = {"seed": runs_of[0]["seed"], "seconds": runs_of[0]["seconds"]}
         by_side = {s: [r for r in untraced if r["side"] == s] for s in SIDES}
         for side, runs in by_side.items():
             entry[side] = {
