@@ -91,6 +91,12 @@ class TestLabelMaps:
         value = build_label_maps(box, params=params).centerness[12, 12]
         assert abs(value - expected) <= tolerance
 
+    @pytest.mark.parametrize("w, h", [(0.0, 10.0), (10.0, 0.0), (-1.0, 10.0)])
+    def test_degenerate_box_rejected(self, w, h):
+        # a box without area never reaches the map
+        with pytest.raises(ValueError, match="box size must be positive"):
+            build_label_maps(BoundingBox(100.0, 100.0, w, h))
+
     def test_one_cell_box_has_one_positive(self):
         grid = GridGeometry()
         maps = build_label_maps(BoundingBox(100.0, 100.0, 7.0, 7.0), grid)
@@ -220,6 +226,81 @@ class TestLabelMapProperties:
         assert maps.centerness.shape == (height, width)
         assert bool(caught) == (not expected_labels.any())
         assert maps.centerness.min() >= 0.0 and maps.centerness.max() <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 16),
+        st.integers(1, 40),
+        st.integers(1, 40),
+        # quarter-pixel boxes keep every corner and distance exact, so the
+        # mirrored distances are the same floats
+        st.integers(-100, 1400).map(lambda n: n / 2.0),
+        st.integers(-100, 1400).map(lambda n: n / 2.0),
+        st.integers(1, 1600).map(lambda n: n / 2.0),
+        st.integers(1, 1600).map(lambda n: n / 2.0),
+        st.none() | st.floats(0.01, 4.0),
+    )
+    def test_mirrored_box_mirrors_the_maps(self, stride, height, width, cx, cy, w, h, gamma):
+        # mirroring about the grid centre swaps l with r and t with b, which
+        # leaves every side ratio, and so every score, unchanged
+        grid = GridGeometry(stride=stride, height=height, width=width)
+        params = None if gamma is None else AspectRatioParams(gamma)
+        xs, ys = grid.point_xs(), grid.point_ys()
+        mirrored = BoundingBox(xs[0] + xs[-1] - cx, ys[0] + ys[-1] - cy, w, h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            maps = build_label_maps(BoundingBox(cx, cy, w, h), grid, params)
+            flipped = build_label_maps(mirrored, grid, params)
+        assert np.array_equal(flipped.centerness, maps.centerness[::-1, ::-1])
+        assert np.array_equal(flipped.labels, maps.labels[::-1, ::-1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 16),
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.floats(-50.0, 700.0),
+        st.floats(-50.0, 700.0),
+        st.floats(0.01, 800.0),
+        st.floats(0.01, 800.0),
+        st.none() | st.floats(0.01, 4.0),
+    )
+    def test_transposed_box_transposes_the_maps(self, stride, height, width, cx, cy, w, h, gamma):
+        # swapping the axes turns rho into 1/rho, which swaps the exponents
+        grid = GridGeometry(stride=stride, height=height, width=width)
+        swapped_grid = GridGeometry(stride=stride, height=width, width=height)
+        params = None if gamma is None else AspectRatioParams(gamma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            maps = build_label_maps(BoundingBox(cx, cy, w, h), grid, params)
+            swapped = build_label_maps(BoundingBox(cy, cx, h, w), swapped_grid, params)
+        assert np.array_equal(swapped.labels, maps.labels.T)
+        if params is None:
+            assert np.array_equal(swapped.centerness, maps.centerness.T)
+        else:
+            # 1/(h/w) and w/h may differ in the last bit
+            np.testing.assert_allclose(swapped.centerness, maps.centerness.T, rtol=1e-12, atol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-50.0, 300.0),
+        st.floats(-50.0, 300.0),
+        st.floats(0.01, 400.0),
+        st.floats(0.01, 400.0),
+        st.floats(0.01, 4.0),
+    )
+    def test_constraint_never_lowers_a_score(self, cx, cy, w, h, gamma):
+        # exponents are at most 1 and side ratios lie in [0, 1], so the
+        # constrained score is at least the classic one, on the same cells
+        box = BoundingBox(cx, cy, w, h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            constrained = build_label_maps(box, params=AspectRatioParams(gamma))
+            classic = build_label_maps(box, params=None)
+        assert np.array_equal(constrained.labels, classic.labels)
+        # allow for the last bits of the power, which need not round exactly
+        assert (constrained.centerness >= classic.centerness * (1.0 - 1e-12)).all()
+        assert constrained.centerness.max() <= 1.0
 
 
 class TestLosses:
