@@ -61,7 +61,8 @@ def box_rows(boxes: Iterable[BoundingBox]) -> np.ndarray:
 def valid_rows(rows: np.ndarray) -> np.ndarray:
     """``(N,)`` mask of the ``(N, 4)`` rows that make a valid
     :class:`BoundingBox`: every field finite, ``w, h > 0``."""
-    return np.isfinite(rows).all(axis=1) & (rows[:, 2] > 0) & (rows[:, 3] > 0)
+    finite = np.isfinite(rows)  # by column: all(axis=1) over four fields is slower
+    return finite[:, 0] & finite[:, 1] & finite[:, 2] & finite[:, 3] & (rows[:, 2] > 0) & (rows[:, 3] > 0)
 
 
 def check_rows(rows: np.ndarray):

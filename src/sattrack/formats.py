@@ -21,9 +21,10 @@ not ``repr``'s (nan, +-inf, and any nonzero magnitude outside
 as ASCII.
 
 Text files are read as UTF-8, whatever the locale: every text reader goes
-through one decoder, which skips a leading byte-order mark and reports a
-byte that is not UTF-8 as a :class:`ConfigError` naming the file and the
-offset.
+through one decoder, :func:`_decoded`, which skips a leading byte-order
+mark and reports a byte that is not UTF-8 as a :class:`ConfigError` naming
+the file and the offset.  A trajectory is read from disk once, as bytes,
+and decoded only when it takes the row scan.
 
 Formats:
 
@@ -32,7 +33,7 @@ Formats:
   headerless benchmark layout ``x,y,w,h`` (top-left corner, comma or tab
   separated).  :func:`read_trajectory_rows` parses either straight into
   ``(N, 4)`` center-format rows: a well-formed file in one pass over its
-  whole text, all of its fields by one ``orjson.loads`` call; any other
+  whole bytes, all of its fields by one ``orjson.loads`` call; any other
   file row by row with ``float``, so that the first bad line in file order
   is the one reported.  A field that JSON spells differently from
   ``float`` (``+1``, ``.5``, ``1_0``, ``nan``, ``-0`` and the like) sends
@@ -181,11 +182,10 @@ def trajectory_csv(rows: np.ndarray) -> bytes:
     return _table(TRAJECTORY_HEADER, [range(1, len(rows) + 1), *rows.T])
 
 
-def _read_text(path) -> str:
-    """The text of a UTF-8 file, whatever the locale, without a leading
-    byte-order mark; a byte that is not UTF-8 is a :class:`ConfigError`
-    naming the file and its offset in the file."""
-    data = Path(path).read_bytes()
+def _decoded(path, data: bytes) -> str:
+    """The text of the UTF-8 bytes ``data`` read from ``path``, without a
+    leading byte-order mark; a byte that is not UTF-8 is a
+    :class:`ConfigError` naming the file and its offset in the file."""
     try:
         # "utf-8-sig" would count error offsets from after the mark
         return data.decode("utf-8").removeprefix("\ufeff")
@@ -193,6 +193,11 @@ def _read_text(path) -> str:
         raise ConfigError(
             f"{path}: not UTF-8 text (byte 0x{data[exc.start]:02x} at offset {exc.start})"
         ) from None
+
+
+def _read_text(path) -> str:
+    """The text of a UTF-8 file, whatever the locale, by :func:`_decoded`."""
+    return _decoded(path, Path(path).read_bytes())
 
 
 def _split_row(line: str) -> list[str]:
@@ -234,45 +239,54 @@ def _center_rows(table: np.ndarray, center_format: bool) -> tuple[np.ndarray, np
     return boxes, valid_rows(boxes)
 
 
-# Body text that orjson reads, but not as ``float`` does: a JSON string,
+_BYTE_ORDER_MARK = "\ufeff".encode()
+# Body bytes that orjson reads, but not as ``float`` does: a JSON string,
 # array or object, or true, false or null, which ``np.array`` would turn
 # silently into a number; and the integer ``-0``, which orjson reads as 0.
-_NON_NUMBER_CHARS = '"[]{}tfn'
-_NEGATIVE_ZERO = re.compile(r"(?<![eE])-0(?![.eE\d])")  # not in an exponent: 1e-05
-# The line breaks of str.splitlines other than \n, looked for one ``in`` at
-# a time: each is a fast search, where a regex class steps char by char.
-_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_NON_NUMBER_BYTES = (b'"', b"[", b"]", b"{", b"}", b"t", b"f", b"n")
+_NEGATIVE_ZERO = re.compile(rb"(?<![eE])-0(?![.eE\d])")  # not in an exponent: 1e-05
+# The ASCII line breaks of str.splitlines other than \n, looked for one ``in``
+# at a time: each is a fast byte search, where a regex class steps byte by byte.
+_OTHER_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
 
-def _parse_whole(text: str) -> np.ndarray | None:
-    """The rows of a well-formed file, parsed as one piece, or ``None`` when
-    the file needs :func:`_scan_rows`.
+def _parse_whole(data: bytes) -> np.ndarray | None:
+    """The rows of a well-formed file, parsed as one piece from its bytes,
+    or ``None`` when the file needs :func:`_scan_rows`.
 
     Well-formed means: a header line or none, then box rows only (no
     comment, blank line or blank field), each with ``width - 1`` separators,
     every field a JSON number, all read by one ``orjson.loads`` call,
     frames 1..N and every box valid.  Each of those is one operation over
-    the whole file.  Lines are those of ``str.splitlines``: a text with a
-    break other than ``\n`` is first rejoined with ``\n``.  The separator
-    count is one array check on the byte positions of the commas (tabs are
-    commas) and the ``\n`` breaks: ``(width - 1) * lines`` commas, each
-    break after its line's last comma and before the next line's first.
+    the whole file.  Lines are those of ``str.splitlines``.  An ASCII file
+    whose only breaks are ``\n`` (after a leading byte-order mark) is
+    checked as it is, with no decode; any other is decoded, its lines
+    rejoined with ``\n`` and encoded again, and bytes that are not UTF-8
+    give ``None``, so that the scan reports them.  The header test decodes
+    the first line alone, so ``str.lstrip`` strips U+001F there too.  The
+    separator count is one array check on the byte positions of the commas
+    (tabs are commas) and the ``\n`` breaks: ``(width - 1) * lines`` commas,
+    each break after its line's last comma and before the next line's first.
     The body's breaks then become commas, and its fields one JSON array.
     JSON's numbers are a subset of ``float``'s spellings,
     and orjson reads each to ``float``'s double but for the integer ``-0``.
     A file that fails any check, holds ``-0`` or a spelling only ``float``
     reads goes to the per-row scan, which reads it as ``float`` does and
     finds the first bad line."""
-    text = text.replace("\t", ",")
-    if any(char in text for char in _OTHER_BREAKS):
-        text = "\n".join(text.splitlines())
+    data = data.removeprefix(_BYTE_ORDER_MARK).replace(b"\t", b",")
+    if data.isascii() and not any(char in data for char in _OTHER_BREAKS):
+        data = data.removesuffix(b"\n")  # as splitlines drops a last break
     else:
-        text = text.removesuffix("\n")  # as splitlines drops a last break
-    head, _, rest = text.partition("\n")
-    center_format = head.lstrip().lower().startswith("frame")
-    body = rest if center_format else text
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        data = "\n".join(text.splitlines()).encode()
+    head, _, rest = data.partition(b"\n")
+    center_format = head.decode().lstrip().lower().startswith("frame")
+    body = rest if center_format else data
     width = 5 if center_format else 4
-    chars = np.frombuffer(body.encode(), dtype=np.uint8)
+    chars = np.frombuffer(body, dtype=np.uint8)
     commas = np.flatnonzero(chars == ord(","))
     breaks = np.flatnonzero(chars == ord("\n"))
     if len(commas) != (width - 1) * (len(breaks) + 1):
@@ -280,13 +294,16 @@ def _parse_whole(text: str) -> np.ndarray | None:
     commas = commas.reshape(-1, width - 1)  # one row per line, if each has width - 1
     if not ((commas[:-1, -1] < breaks) & (breaks < commas[1:, 0])).all():
         return None
-    joined = body.replace("\n", ",")
-    if any(char in joined for char in _NON_NUMBER_CHARS):
+    joined = body.replace(b"\n", b",")
+    if any(char in joined for char in _NON_NUMBER_BYTES):
         return None
     try:
-        fields = np.array(orjson.loads("[" + joined + "]"), dtype=float)
+        values = orjson.loads(b"[" + joined + b"]")
     except orjson.JSONDecodeError:  # a blank field or a spelling JSON does not have
         return None
+    # fromiter converts each int or float as np.array does, without first
+    # walking the list to find its shape and type: half the time on a frame column
+    fields = np.fromiter(values, dtype=float, count=len(values))
     if not fields.all() and _NEGATIVE_ZERO.search(joined):  # a zero that may be -0
         return None
     table = fields.reshape(-1, width)
@@ -352,21 +369,23 @@ def read_trajectory_rows(path) -> np.ndarray:
     ``str.strip`` removes (U+001F included).  The frame column of a
     trajectory CSV must count 1..N in file order.  Corner rows become
     centres as ``x + w / 2``, ``y + h / 2``.  Every row must make a valid
-    :class:`BoundingBox` (finite fields, ``w, h > 0``).  A well-formed file
-    whose fields are all JSON numbers is parsed in one pass over the whole
-    text, by one ``orjson.loads`` call (:func:`_parse_whole`).  Any other
-    file is scanned row by row with ``float`` (:func:`_scan_rows`), with the
-    same rows as the result: one with comments, blank lines or fields, a
-    bad row, or a field only ``float`` spells (``+1``, ``.5``, ``5.``,
-    ``01``, ``1_0``, ``nan``, ``inf``, ``1e400``, the integer ``-0``, a
-    non-ASCII space around a field).
-    Errors name ``path:line``, and the first bad line in file order wins
-    whatever the kind of error.
+    :class:`BoundingBox` (finite fields, ``w, h > 0``).  The file is read
+    from disk once, as bytes.  A well-formed file whose fields are all JSON
+    numbers is parsed in one pass over those bytes, by one ``orjson.loads``
+    call (:func:`_parse_whole`), with no decode when it is ASCII with
+    ``\n`` breaks.  Any other file is decoded (:func:`_decoded`) and scanned
+    row by row with ``float`` (:func:`_scan_rows`), with the same rows as
+    the result: one with comments, blank lines or fields, a bad row, or a
+    field only ``float`` spells (``+1``, ``.5``, ``5.``, ``01``, ``1_0``,
+    ``nan``, ``inf``, ``1e400``, the integer ``-0``, a non-ASCII space
+    around a field).  Errors name ``path:line``, and the first bad line in
+    file order wins whatever the kind of error; a byte that is not UTF-8 is
+    the decoder's error, whichever path the file would take.
     """
     path = Path(path)
-    text = _read_text(path)
-    rows = _parse_whole(text)
-    return rows if rows is not None else _scan_rows(path, text.splitlines())
+    data = path.read_bytes()
+    rows = _parse_whole(data)
+    return rows if rows is not None else _scan_rows(path, _decoded(path, data).splitlines())
 
 
 def trace_csv(psr, npsr, branch: Sequence[str]) -> bytes:

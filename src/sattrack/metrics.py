@@ -17,7 +17,9 @@ It sorts each error once and reads every curve point as one
 threshold-by-frame comparison.  IoU areas come from corner differences
 (:func:`~sattrack.boxes.overlap_areas`), so equal boxes score exactly 1,
 never above: a perfect trajectory has a success AUC of 20/21, as IoU > 1
-never holds.
+never holds.  That holds for boxes whose areas overflow a float too:
+:func:`overlap_ratios` scores such a pair again on boxes scaled by a power
+of two.
 """
 
 from __future__ import annotations
@@ -66,8 +68,23 @@ def normalized_center_errors(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
 
 def overlap_ratios(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     """Per-row intersection over union in [0, 1]; 0 where the union rounds
-    to zero (boxes narrower than the float spacing at their coordinates)."""
+    to zero (boxes narrower than the float spacing at their coordinates).
+
+    A row whose union is finite is ``intersection / union`` as
+    :func:`~sattrack.boxes.overlap_areas` gives them.  A row whose union is
+    not (an area beyond float range) is computed again with both boxes
+    scaled by one power of two, chosen from the pair's largest field so
+    that every field is below 1 and no area can overflow.  The scale
+    cancels in the ratio, bit for bit unless a scaled value is subnormal,
+    so equal boxes score 1 at any size; rows holding ``inf`` or ``nan``
+    still score 0."""
     intersection, union = overlap_areas(pred, gt)
+    redo = ~np.isfinite(union)
+    if redo.any():
+        a, b = pred[redo], gt[redo]
+        largest = np.maximum(np.abs(a).max(axis=1), np.abs(b).max(axis=1))
+        scale = np.ldexp(1.0, -np.frexp(largest)[1])[:, None]  # largest * scale < 1
+        intersection[redo], union[redo] = overlap_areas(a * scale, b * scale)
     return np.divide(intersection, union, out=np.zeros_like(union), where=union > 0)
 
 
@@ -82,8 +99,9 @@ def evaluate_rows(pred_rows: np.ndarray, gt_rows: np.ndarray) -> EvalResult:
     bit (a bool mean adds exact 0/1 doubles and divides once by ``N``)
     because no error is NaN, which would sort last and count as above every
     ``tau``: on valid rows (finite, ``w, h > 0``) the two center errors are
-    finite or ``inf``, and :func:`overlap_ratios` is 0 wherever its union is
-    not a positive number, on any rows."""
+    finite or ``inf``, and :func:`overlap_ratios` is 0 wherever its union,
+    after the rescale of an overflowing pair, is not a positive number, on
+    any rows."""
     if len(pred_rows) != len(gt_rows) or len(pred_rows) == 0:
         raise ValueError(
             f"trajectories must have equal nonzero length, got {len(pred_rows)} and {len(gt_rows)}"

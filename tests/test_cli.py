@@ -1299,7 +1299,8 @@ def test_evaluate_perfect_file_pair(tmp_path):
 
 def test_evaluate_box_area_beyond_float_range_is_silent(tmp_path, capsys):
     # the 1e200 box's area overflows to inf and its union to nan, without a
-    # warning; that frame scores IoU 0, so the success AUC is 2/3 of 20/21
+    # warning; that frame is scored again on scaled boxes, so it has IoU 1
+    # as the others do and the success AUC is a perfect trajectory's 20/21
     rows = "frame,cx,cy,w,h\n1,10,10,8,8\n2,0,0,1e200,1e200\n3,12,10,8,8\n"
     (tmp_path / "pred").mkdir(), (tmp_path / "gt").mkdir()
     for path in (tmp_path / "big.csv", tmp_path / "pred" / "s.csv", tmp_path / "gt" / "s.csv"):
@@ -1315,7 +1316,7 @@ def test_evaluate_box_area_beyond_float_range_is_silent(tmp_path, capsys):
     directory_mode = json.loads((tmp_path / "d" / "summary.json").read_text())
     for summary in (file_mode, directory_mode["sequences"]["s"]):
         assert summary["p20"] == 1.0
-        assert summary["success_auc"] == pytest.approx(40 / 63)
+        assert summary["success_auc"] == pytest.approx(20 / 21)
 
 
 @pytest.mark.parametrize("attributes", ["groups.cfg", "does-not-exist.cfg"])

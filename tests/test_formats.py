@@ -1,5 +1,6 @@
 """File format round-trips and configuration parsing errors."""
 
+import builtins
 import errno
 import io
 import json
@@ -416,7 +417,7 @@ class TestTrajectoryRowsProperties:
         # stripped first, so it reads as the number it pads, on both paths
         path = tmp_path / "t.txt"
         path.write_text(text)
-        assert _parse_whole(text) is None
+        assert _parse_whole(text.encode()) is None
         assert read_trajectory_rows(path)[0, 2:].tolist() == [4.0, 6.0]
         assert_same_outcome(path)
 
@@ -479,6 +480,10 @@ ONE_PASS = [
     # mixed tab and comma rows, whitespace around fields, a spelt-out header
     "10\t20,4\t6\n11,21\t4,6\n",
     "  FRAME\tcx\tcy\tw\th\n1\t10\t20\t4\t6\n",
+    # a header behind what str.lstrip strips but bytes.lstrip keeps: U+001F,
+    # and a non-ASCII space, which sends the file down the decoding path
+    "\x1fframe,cx,cy,w,h\n1,10,20,4,6\n",
+    "\xa0frame,cx,cy,w,h\n1,10,20,4,6\n",
 ]
 PER_ROW = [
     # comments and blank lines
@@ -525,7 +530,7 @@ class TestOnePassParse:
         text = layout_text(rows, layout).replace("\n", newline)
         path = tmp_path / "t.txt"
         path.write_text(text, newline="")
-        assert _parse_whole(text) is not None
+        assert _parse_whole(text.encode()) is not None
         assert read_trajectory_rows(path).shape == (1000, 4)
         assert_same_outcome(path)
 
@@ -537,7 +542,7 @@ class TestOnePassParse:
         assert "e-05," in text and "\n1000," in text
         path = tmp_path / "t.csv"
         path.write_text(text)
-        assert _parse_whole(text) is not None
+        assert _parse_whole(text.encode()) is not None
         assert_same_outcome(path)
 
     @pytest.mark.parametrize("layout", ["frame,cx,cy,w,h\n1,{},20,4,6\n2,-1,21,4,6\n",
@@ -549,7 +554,7 @@ class TestOnePassParse:
         text = layout.format(spelling)
         path = tmp_path / "t.txt"
         path.write_text(text)
-        assert (_parse_whole(text) is not None) == one_pass
+        assert (_parse_whole(text.encode()) is not None) == one_pass
         assert_same_outcome(path)
 
     @settings(max_examples=200, deadline=None)
@@ -562,21 +567,21 @@ class TestOnePassParse:
         path = tmp_path_factory.mktemp("json") / "t.csv"
         path.write_text(text)
         if all(math.isfinite(float(number)) for number in numbers[:len(numbers) // 2 * 2]):
-            assert _parse_whole(text) is not None
+            assert _parse_whole(text.encode()) is not None
         assert_same_outcome(path)
 
     @pytest.mark.parametrize("text", ONE_PASS)
     def test_well_formed_text_takes_the_one_pass_parse(self, tmp_path, text):
         path = tmp_path / "t.txt"
         path.write_text(text, newline="")
-        assert _parse_whole(text) is not None
+        assert _parse_whole(text.encode()) is not None
         assert_same_outcome(path)
 
     @pytest.mark.parametrize("text", PER_ROW)
     def test_other_text_takes_the_per_row_scan(self, tmp_path, text):
         path = tmp_path / "t.txt"
         path.write_text(text, newline="")
-        assert _parse_whole(text) is None
+        assert _parse_whole(text.encode()) is None
         assert_same_outcome(path)
 
     @pytest.mark.parametrize("text", ONE_PASS + PER_ROW + [layout_text(
@@ -589,6 +594,7 @@ class TestOnePassParse:
         reference = read_outcome(reference_read_trajectory, path)
         path.write_bytes(BOM + text.encode())
         assert_same_outcome(path, reference)
+        assert (_parse_whole(BOM + text.encode()) is None) == (_parse_whole(text.encode()) is None)
 
 
 NOT_UTF8 = b"10,20,4,6\n10,20,4,6\n# abc\xff\n"  # 0xff at offset 25
@@ -639,6 +645,73 @@ class TestUtf8Text:
         kv = tmp_path / "m.cfg"
         kv.write_bytes("; r\u00e9glage\nn1 = 12\n".encode("utf-8"))
         assert read_kv_file(kv) == [(2, "n1", "12")]
+
+
+# The line breaks of str.splitlines, ASCII and not, that a trajectory may use.
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x85", "\u2028"]
+
+
+class TestByteRead:
+    """read_trajectory_rows reads a file's bytes once and parses them, with
+    no decode on the one-pass path, as the reference reader reads its text."""
+
+    @pytest.mark.parametrize("data, path_taken, offset", [
+        (b"frame,cx,cy,w,h\n1,10,20,4,6\n2,11,21,4,6\n", "one pass", None),
+        (b"# gt\n10,20,4,6\n", "row scan", None),
+        (NOT_UTF8, "not UTF-8", 25),
+        (BOM + NOT_UTF8, "not UTF-8", 28),  # the offset counts the mark
+    ])
+    def test_a_trajectory_is_read_from_disk_once(
+        self, tmp_path, monkeypatch, data, path_taken, offset
+    ):
+        path = tmp_path / "t.txt"
+        path.write_bytes(data)
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(path):
+                opened.append(args)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        outcome = read_outcome(read_trajectory_rows, path)
+        assert len(opened) == 1
+        monkeypatch.undo()
+        assert (_parse_whole(data) is not None) == (path_taken == "one pass")
+        if offset is None:
+            assert isinstance(outcome, np.ndarray) and outcome.shape[1] == 4
+        else:
+            assert outcome == f"{path}: not UTF-8 text (byte 0xff at offset {offset})"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(finite, finite, positive, positive), min_size=1, max_size=6),
+        layout=st.sampled_from(LAYOUTS),
+        mark=st.booleans(),
+        newline=st.sampled_from(BREAKS),
+        trailing=st.booleans(),
+        padding=st.sampled_from(["", "\xa0", "\x1f"]),
+        padded_line=st.integers(0, 6),
+    )
+    def test_layout_mark_break_and_padding_read_as_the_reference(
+        self, tmp_path_factory, rows, layout, mark, newline, trailing, padding, padded_line
+    ):
+        lines = layout_text(np.array(rows), layout).splitlines()
+        if padded_line < len(lines):  # a padded line takes the row scan
+            separator = "\t" if layout == "corner-tab" else ","
+            padded = separator.join(padding + field + padding
+                                    for field in lines[padded_line].split(separator))
+            lines[padded_line] = padded
+        data = (newline.join(lines) + (newline if trailing else "")).encode()
+        path = tmp_path_factory.mktemp("bytes") / "t.txt"
+        # the reference reader keeps the mark, so it reads the same path unmarked
+        path.write_bytes(data)
+        reference = read_outcome(reference_read_trajectory, path)
+        if mark:
+            path.write_bytes(BOM + data)
+        assert_same_outcome(path, reference)
 
 
 # Byte-level tokens for reader inputs: keys, headers, numbers, separators,

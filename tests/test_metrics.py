@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sattrack import BoundingBox, aggregate_results
 from sattrack import metrics
-from sattrack.boxes import box_rows
+from sattrack.boxes import box_rows, overlap_areas
 from sattrack.metrics import (
     NORM_PRECISION_THRESHOLDS,
     PRECISION_THRESHOLDS,
@@ -43,6 +43,14 @@ boxes = st.builds(
     BoundingBox,
     st.floats(-1e4, 1e4),
     st.floats(-1e4, 1e4),
+    st.floats(1e-2, 1e3),
+    st.floats(1e-2, 1e3),
+)
+# The same boxes with no subnormal centre.
+normal_boxes = st.builds(
+    BoundingBox,
+    st.floats(-1e4, 1e4, allow_subnormal=False),
+    st.floats(-1e4, 1e4, allow_subnormal=False),
     st.floats(1e-2, 1e3),
     st.floats(1e-2, 1e3),
 )
@@ -221,6 +229,41 @@ class TestKernelProperties:
         # at 1e17 the float spacing is 16, so both corners round to the center
         box = BoundingBox(1e17, 0.0, 1.0, 1.0)
         assert iou(box, box) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(pred=extreme_rows, gt=extreme_rows)
+    def test_finite_union_gives_the_plain_quotient(self, pred, gt):
+        n = min(len(pred), len(gt))
+        pred, gt = np.array(pred[:n]), np.array(gt[:n])
+        intersection, union = overlap_areas(pred, gt)
+        ratios = overlap_ratios(pred, gt)
+        for k in np.flatnonzero(np.isfinite(union)).tolist():
+            expected = intersection[k] / union[k] if union[k] > 0 else 0.0
+            assert ratios[k].tobytes() == np.float64(expected).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=normal_boxes, b=normal_boxes, data=st.data())
+    def test_overflowing_union_scales_back_bit_for_bit(self, a, b, data):
+        # a pair scaled by 2**k until its union overflows scores what the
+        # pair itself scores; no field is subnormal before or after
+        pred, gt = box_rows([a]), box_rows([b])
+        union = overlap_areas(pred, gt)[1][0]
+        largest = max(np.abs(pred).max(), np.abs(gt).max())
+        low = math.ceil((1024 - math.log2(union)) / 2) + 1
+        k = data.draw(st.integers(low, 1020 - math.ceil(math.log2(largest))))
+        big_pred, big_gt = np.ldexp(pred, k), np.ldexp(gt, k)
+        assert np.isfinite(big_pred).all() and np.isfinite(big_gt).all()
+        assert not np.isfinite(overlap_areas(big_pred, big_gt)[1][0])
+        scaled = overlap_ratios(big_pred, big_gt)
+        assert scaled.tobytes() == overlap_ratios(pred, gt).tobytes()
+
+    def test_exact_box_beyond_float_range_scores_one(self):
+        # the areas overflow to inf, and so the unions to nan
+        rows = np.array([[0.0, 0.0, 1e200, 1e200], [1e308, -1e308, 1.7e308, 1.7e308]])
+        assert np.isnan(overlap_areas(rows, rows)[1]).all()
+        assert overlap_ratios(rows, rows).tolist() == [1.0, 1.0]
+        shifted = rows + [[0.25e200, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
+        assert overlap_ratios(rows[:1], shifted[:1])[0] == pytest.approx(0.6, rel=1e-15)
 
 
 class TestEvaluate:
