@@ -77,12 +77,19 @@ def overlap_areas(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """Intersection and union areas of paired ``(N, 4)`` center-format rows.
     The union takes the side lengths ``hi - lo`` rather than ``w * h``, so
     for equal rows the two are the same float and never cross.  An area
-    beyond float range is ``inf`` or ``nan``, without a warning."""
+    beyond float range is ``inf`` or ``nan``, without a warning.
+
+    The rows are worked on as contiguous ``(4, N)`` column blocks, whose
+    inner loops run over all ``N`` rows, not over the two fields of a
+    half row; the arithmetic per row is unchanged."""
+    a, b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
     with np.errstate(over="ignore", invalid="ignore"):
-        a_lo, a_hi = a[:, :2] - a[:, 2:] / 2.0, a[:, :2] + a[:, 2:] / 2.0
-        b_lo, b_hi = b[:, :2] - b[:, 2:] / 2.0, b[:, :2] + b[:, 2:] / 2.0
-        overlap = np.clip(np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo), 0.0, None)
-        intersection = overlap[:, 0] * overlap[:, 1]
+        a_half, b_half = a[2:] / 2.0, b[2:] / 2.0
+        a_lo, a_hi = a[:2] - a_half, a[:2] + a_half
+        b_lo, b_hi = b[:2] - b_half, b[:2] + b_half
+        overlap = np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo)
+        np.maximum(overlap, 0.0, out=overlap)  # np.clip's bits, signed zero and nan included
+        intersection = overlap[0] * overlap[1]
         a_sides, b_sides = a_hi - a_lo, b_hi - b_lo
-        union = a_sides[:, 0] * a_sides[:, 1] + b_sides[:, 0] * b_sides[:, 1] - intersection
+        union = a_sides[0] * a_sides[1] + b_sides[0] * b_sides[1] - intersection
     return intersection, union

@@ -241,8 +241,8 @@ def _center_rows(table: np.ndarray, center_format: bool) -> tuple[np.ndarray, np
 
 _BYTE_ORDER_MARK = "\ufeff".encode()
 # Body bytes that orjson reads, but not as ``float`` does: a JSON string,
-# array or object, or true, false or null, which ``np.array`` would turn
-# silently into a number; and the integer ``-0``, which orjson reads as 0.
+# array or object, or true, false or null, which would be packed silently as
+# 1 or 0 or read as a line end; and the integer ``-0``, which orjson reads as 0.
 _NON_NUMBER_BYTES = (b'"', b"[", b"]", b"{", b"}", b"t", b"f", b"n")
 _NEGATIVE_ZERO = re.compile(rb"(?<![eE])-0(?![.eE\d])")  # not in an exponent: 1e-05
 # The ASCII line breaks of str.splitlines other than \n, looked for one ``in``
@@ -255,7 +255,7 @@ def _parse_whole(data: bytes) -> np.ndarray | None:
     or ``None`` when the file needs :func:`_scan_rows`.
 
     Well-formed means: a header line or none, then box rows only (no
-    comment, blank line or blank field), each with ``width - 1`` separators,
+    comment, blank line or blank field), each with ``width`` fields,
     every field a JSON number, all read by one ``orjson.loads`` call,
     frames 1..N and every box valid.  Each of those is one operation over
     the whole file.  Lines are those of ``str.splitlines``.  An ASCII file
@@ -264,10 +264,12 @@ def _parse_whole(data: bytes) -> np.ndarray | None:
     rejoined with ``\n`` and encoded again, and bytes that are not UTF-8
     give ``None``, so that the scan reports them.  The header test decodes
     the first line alone, so ``str.lstrip`` strips U+001F there too.  The
-    separator count is one array check on the byte positions of the commas
-    (tabs are commas) and the ``\n`` breaks: ``(width - 1) * lines`` commas,
-    each break after its line's last comma and before the next line's first.
-    The body's breaks then become commas, and its fields one JSON array.
+    body may hold no byte of a JSON string, array, object, ``true``,
+    ``false`` or ``null``; then its breaks become ``,null,`` (tabs are
+    commas already) and the whole body one JSON array, so the one parse
+    marks the line ends.  Each line has ``width`` fields exactly when the
+    array's length plus one is a multiple of ``width + 1``, every
+    ``width + 1``-th item is a break's ``None``, and no other item is.
     JSON's numbers are a subset of ``float``'s spellings,
     and orjson reads each to ``float``'s double but for the integer ``-0``.
     A file that fails any check, holds ``-0`` or a spelling only ``float``
@@ -286,25 +288,25 @@ def _parse_whole(data: bytes) -> np.ndarray | None:
     center_format = head.decode().lstrip().lower().startswith("frame")
     body = rest if center_format else data
     width = 5 if center_format else 4
-    chars = np.frombuffer(body, dtype=np.uint8)
-    commas = np.flatnonzero(chars == ord(","))
-    breaks = np.flatnonzero(chars == ord("\n"))
-    if len(commas) != (width - 1) * (len(breaks) + 1):
-        return None
-    commas = commas.reshape(-1, width - 1)  # one row per line, if each has width - 1
-    if not ((commas[:-1, -1] < breaks) & (breaks < commas[1:, 0])).all():
-        return None
-    joined = body.replace(b"\n", b",")
-    if any(char in joined for char in _NON_NUMBER_BYTES):
+    if any(char in body for char in _NON_NUMBER_BYTES):  # so every None is a break
         return None
     try:
-        values = orjson.loads(b"[" + joined + b"]")
+        values = orjson.loads(b"[" + body.replace(b"\n", b",null,") + b"]")
     except orjson.JSONDecodeError:  # a blank field or a spelling JSON does not have
         return None
-    # fromiter converts each int or float as np.array does, without first
-    # walking the list to find its shape and type: half the time on a frame column
-    fields = np.fromiter(values, dtype=float, count=len(values))
-    if not fields.all() and _NEGATIVE_ZERO.search(joined):  # a zero that may be -0
+    lines, extra = divmod(len(values) + 1, width + 1)
+    if extra or values[width::width + 1] != [None] * (lines - 1):
+        return None
+    del values[width::width + 1]
+    # one pack converts each int or float as float() does, in half the time
+    # of np.fromiter; a None left over (lines of other lengths that add up) is
+    # a struct.error, as struct reports every failed conversion
+    fields = np.empty(len(values))
+    try:
+        struct.pack_into(f"{len(values)}d", fields, 0, *values)
+    except struct.error:
+        return None
+    if not fields.all() and _NEGATIVE_ZERO.search(body):  # a zero that may be -0
         return None
     table = fields.reshape(-1, width)
     if center_format and not (table[:, 0] == np.arange(1, len(table) + 1)).all():

@@ -226,3 +226,49 @@ def test_summarize_records_each_workloads_own_settings(bench_pairs, tmp_path, ca
         "(seed 7 for 3.0 s, seed 7 for 10.0 s); pairs from different settings cannot be compared"
     )
     assert not mixed.exists()
+
+
+def test_summarize_writes_the_file_before_the_table(bench_pairs, tmp_path, monkeypatch):
+    # stdout piped into a reader that has exited, such as `| head -1`
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    log, out = tmp_path / "runs.jsonl", tmp_path / "BENCH_1.json"
+    records = [run_record(side, 0, 100.0) for side in ("parent", "change")]
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out.write_text("an older summary\n")
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        bench_pairs.main(["summarize", "--log", str(log), "--out", str(out)])
+    monkeypatch.undo()
+    entry = json.loads(out.read_text())["workloads"]["refine_stream"]
+    assert entry["parent"]["runs"] == entry["change"]["runs"] == 1
+
+
+def test_summarize_takes_the_median_of_every_traced_run(bench_pairs, tmp_path, capsys):
+    log, out = tmp_path / "runs.jsonl", tmp_path / "BENCH_1.json"
+    records = [run_record(side, 0, 100.0) for side in ("parent", "change")]
+    # two traced pairs; the change's second run lacks one metric
+    layers = {("parent", 0): (3.0, 10.0), ("parent", 1): (5.0, 20.0),
+              ("change", 0): (1.0, 7.0), ("change", 1): (2.0, None)}
+    for (side, pair), (self_us, calls) in layers.items():
+        record = run_record(side, pair, 90.0)
+        record["trace"] = 1
+        record["metrics"] = {"formats.self_us_per_frame": {"value": self_us}}
+        if calls is not None:
+            record["metrics"]["metrics.evaluate_calls"] = {"value": calls}
+        records.append(record)
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    bench_pairs.main(["summarize", "--log", str(log), "--out", str(out)])
+    entry = json.loads(out.read_text())["workloads"]["refine_stream"]
+    assert entry["parent"]["per_layer"] == {"formats.self_us_per_frame": 4.0,
+                                            "metrics.evaluate_calls": 15.0}
+    assert entry["change"]["per_layer"] == {"formats.self_us_per_frame": 1.5,
+                                            "metrics.evaluate_calls": 7.0}
+    # traced runs count neither as runs nor as pairs
+    assert entry["parent"]["runs"] == entry["change"]["runs"] == 1
+    assert entry["change_wins"]["frames_per_s"] == "0/1"

@@ -300,6 +300,7 @@ def assert_same_outcome(path, reference=None):
         else:
             assert new.dtype == reference.dtype and new.shape == reference.shape
             assert new.tobytes() == reference.tobytes()  # bitwise, -0.0 included
+            assert new.flags.writeable  # rows the caller may scale or shift in place
 
 
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -514,6 +515,12 @@ PER_ROW = [
     "10,20,4,6\x0c10,20,nan,6\x0c",
     "",
     "frame,cx,cy,w,h\r\n",
+    # a JSON null or true at a line-width boundary: without the byte check, a
+    # null there could read as a line break, the first file as two rows
+    "10,20,4,6,null,11,21,4,6\n",
+    "10,20,4,6,null\n11,21,4,6\n",
+    "frame,cx,cy,w,h\n1,10,20,4,6,null,2,11,21,4,6\n",
+    "10,20,4,6,true,11,21,4,6\n",
 ]
 
 
@@ -583,6 +590,44 @@ class TestOnePassParse:
         path.write_text(text, newline="")
         assert _parse_whole(text.encode()) is None
         assert_same_outcome(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(header=st.booleans(), data=st.data())
+    def test_lines_off_by_one_field_take_the_per_row_scan(self, tmp_path_factory, header, data):
+        # valid boxes throughout, so only the field counts decide the path
+        width = 5 if header else 4
+        counts = data.draw(st.lists(st.sampled_from([width - 1, width, width, width + 1]),
+                                    min_size=1, max_size=6))
+        separator = data.draw(st.sampled_from([",", "\t"]))
+        lines = ["frame,cx,cy,w,h"] if header else []
+        for frame, count in enumerate(counts, start=1):
+            fields = data.draw(st.lists(st.one_of(st.integers(1, 40).map(str),
+                                                  st.floats(0.5, 300.0).map(repr)),
+                                        min_size=count, max_size=count))
+            if header:
+                fields[0] = str(frame)
+            lines.append(separator.join(fields))
+        text = "\n".join(lines) + data.draw(st.sampled_from(["", "\n"]))
+        path = tmp_path_factory.mktemp("counts") / "t.txt"
+        path.write_text(text)
+        one_pass = _parse_whole(text.encode()) is not None
+        assert one_pass == all(count == width for count in counts)
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize("name, text", [
+        ("p.csv", "frame,cx,cy,w,h\n1,10,20,4,6\n"),
+        ("p.txt", "10\t20\t4\t6\n"),
+        ("p.csv", "frame,cx,cy,w,h\n1,10,20,4,6\n2,11,21,5,7\n"),
+        ("p.txt", "10,20,4,6\n11,21,5,7"),
+    ])
+    def test_returned_rows_are_writable(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        parsed = _parse_whole(text.encode())
+        assert parsed is not None and parsed.flags.writeable
+        for rows in (read_trajectory_rows(path), scan_trajectory_rows(path)):
+            assert rows.flags.writeable and rows.flags.c_contiguous
+            rows[0] = 0.0  # a read-only array raises here
 
     @pytest.mark.parametrize("text", ONE_PASS + PER_ROW + [layout_text(
         np.array([[10.0, 20.0, 4.0, 6.0], [11.0, 21.0, 5.0, 7.0]]), layout) for layout in LAYOUTS

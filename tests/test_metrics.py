@@ -3,6 +3,7 @@
 import contextlib
 import math
 import re
+import struct
 from unittest import mock
 
 import numpy as np
@@ -264,6 +265,106 @@ class TestKernelProperties:
         assert overlap_ratios(rows, rows).tolist() == [1.0, 1.0]
         shifted = rows + [[0.25e200, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
         assert overlap_ratios(rows[:1], shifted[:1])[0] == pytest.approx(0.6, rel=1e-15)
+
+
+def numpy_min(x: float, y: float) -> float:
+    """``np.minimum`` on two floats: nan if either is, else ``y`` on a tie,
+    so ``numpy_min(0.0, -0.0)`` is ``-0.0``."""
+    return x if x != x or x < y else y
+
+
+def numpy_max(x: float, y: float) -> float:
+    """``np.maximum`` on two floats: nan if either is, else ``y`` on a tie."""
+    return x if x != x or x > y else y
+
+
+def overlap_areas_oracle(a, b) -> tuple[list[float], list[float]]:
+    """overlap_areas one row at a time in Python floats, every operation in
+    the kernel's order: corners as centre -+ half size, the overlap clipped
+    at 0 as ``np.clip`` does, the union from corner differences."""
+    intersections, unions = [], []
+    for (acx, acy, aw, ah), (bcx, bcy, bw, bh) in zip(a.tolist(), b.tolist()):
+        a_lo, a_hi = (acx - aw / 2.0, acy - ah / 2.0), (acx + aw / 2.0, acy + ah / 2.0)
+        b_lo, b_hi = (bcx - bw / 2.0, bcy - bh / 2.0), (bcx + bw / 2.0, bcy + bh / 2.0)
+        overlap = [numpy_max(numpy_min(a_hi[k], b_hi[k]) - numpy_max(a_lo[k], b_lo[k]), 0.0)
+                   for k in range(2)]
+        intersection = overlap[0] * overlap[1]
+        a_sides = [a_hi[k] - a_lo[k] for k in range(2)]
+        b_sides = [b_hi[k] - b_lo[k] for k in range(2)]
+        intersections.append(intersection)
+        unions.append(a_sides[0] * a_sides[1] + b_sides[0] * b_sides[1] - intersection)
+    return intersections, unions
+
+
+def assert_oracle_bits(got: np.ndarray, expected: list[float]):
+    """``got`` is ``expected`` bit for bit, signed zeros included; a nan
+    need only be nan, since IEEE 754 fixes no sign or payload for it."""
+    assert got.dtype == np.float64 and got.shape == (len(expected),)
+    for value, want in zip(got.tolist(), expected):
+        if math.isnan(want):
+            assert math.isnan(value)
+        else:
+            assert struct.pack("<d", value) == struct.pack("<d", want)
+
+
+def assert_overlap_matches_oracle(a: np.ndarray, b: np.ndarray):
+    intersection, union = overlap_areas(a, b)
+    oracle = overlap_areas_oracle(a, b)
+    assert_oracle_bits(intersection, oracle[0])
+    assert_oracle_bits(union, oracle[1])
+    assert intersection.flags.writeable and union.flags.writeable  # overlap_ratios writes
+
+
+# Any field: every float, with the edges a box kernel meets drawn often.
+overlap_fields = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, 1e200, -1e200, 5e-324, 1.7976931348623157e308,
+                     math.inf, -math.inf, math.nan]),
+)
+overlap_rows = st.tuples(*[overlap_fields] * 4)
+
+
+class TestOverlapAreas:
+    """overlap_areas against a per-row Python-float oracle, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(overlap_rows, overlap_rows), max_size=14),
+           same=st.booleans())
+    def test_any_rows_match_the_oracle(self, pairs, same):
+        a = np.array([p for p, _ in pairs], dtype=float).reshape(-1, 4)
+        b = a.copy() if same else np.array([q for _, q in pairs], dtype=float).reshape(-1, 4)
+        assert_overlap_matches_oracle(a, b)
+        # a strided view reads as its values
+        assert_overlap_matches_oracle(a[::-1], b[::-1])
+
+    @pytest.mark.parametrize("a, b", [
+        pytest.param(np.empty((0, 4)), np.empty((0, 4)), id="no-rows"),
+        pytest.param([[10.0, 20.0, 4.0, 6.0]], [[10.0, 20.0, 4.0, 6.0]], id="equal"),
+        # touching on one edge, then on a corner: a zero overlap, of either sign
+        pytest.param([[0.0, 0.0, 2.0, 2.0]], [[2.0, 0.0, 2.0, 2.0]], id="touching-edge"),
+        pytest.param([[0.0, 0.0, 2.0, 2.0]], [[2.0, 2.0, 2.0, 2.0]], id="touching-corner"),
+        pytest.param([[-0.0, -0.0, -0.0, -0.0]], [[0.0, 0.0, 0.0, 0.0]], id="signed-zeros"),
+        # an overlap of -0.0 before the clip, which the clip makes +0.0
+        pytest.param([[-0.0, 0.0, -0.0, 2.0]], [[0.0, 0.0, 2.0, 2.0]], id="clipped-negative-zero"),
+        pytest.param([[0.0, 0.0, 1e200, 1e200]], [[0.0, 0.0, 1e200, 1e200]], id="areas-overflow"),
+        pytest.param([[0.0, 0.0, 1e200, 1e200]], [[1e199, 0.0, 1e200, 1e-200]], id="huge-and-tiny"),
+        pytest.param([[0.0, 0.0, math.inf, 2.0]], [[0.0, 0.0, 2.0, 2.0]], id="inf-size"),
+        pytest.param([[math.inf, 0.0, 2.0, 2.0]], [[-math.inf, 0.0, 2.0, 2.0]], id="inf-centres"),
+        pytest.param([[math.nan, 0.0, 2.0, 2.0]], [[0.0, 0.0, 2.0, 2.0]], id="nan-centre"),
+        pytest.param([[0.0, 0.0, 2.0, math.nan]], [[0.0, 0.0, 2.0, 2.0]], id="nan-size"),
+    ])
+    def test_edge_rows_match_the_oracle(self, a, b):
+        assert_overlap_matches_oracle(np.array(a, dtype=float), np.array(b, dtype=float))
+
+    @pytest.mark.parametrize("n", [0, 1, 12, 1000])
+    def test_sequences_match_the_oracle(self, n):
+        # 12 rows as in a training step, 1000 as in an evaluated sequence
+        rng = np.random.default_rng(60 + n)
+        a = np.column_stack([rng.uniform(0, 100, (n, 2)), rng.uniform(1, 30, (n, 2))])
+        b = a + rng.normal(0, 5, (n, 4))
+        b[::3] = a[::3]  # equal boxes
+        b[1::5, 0] = a[1::5, 0] + (a[1::5, 2] + b[1::5, 2]) / 2.0  # about touching
+        assert_overlap_matches_oracle(a, b)
 
 
 class TestEvaluate:

@@ -16,15 +16,16 @@ runs (an error when they differ), and per side, the number of runs and the
 median and quartiles of every end-to-end metric (scaled and wall clock), the
 pairs the change won on each metric, each metric's verdict
 (``gain``, ``worse``, ``unresolved`` or ``no worse``; see :func:`verdict`),
-and the per-layer metrics of the traced runs; it also prints a table of the
-medians.  ``compare`` prints the before/after table of two committed files:
-for every workload in both, the median and quartiles of each end-to-end
-metric on the ``change`` side (the code each file was written for) and the
-ratio of the medians, followed for frames_per_s by each file's own parent ->
-change medians, pair wins and, in files that record one, verdict.  Scaling
-to the reference kernel makes files from different days comparable, but not
-exactly: a change is judged by the pairs inside one file.  Nothing under
-``benchmarks/`` is changed or imported.
+and the median of each per-layer metric over the traced runs; it writes
+the file, then prints a table of the medians.  ``compare`` prints the
+before/after table of two committed files: for every workload in both, the
+median and quartiles of each end-to-end metric on the ``change`` side (the
+code each file was written for) and the ratio of the medians, followed for
+frames_per_s by each file's own parent -> change medians, pair wins and, in
+files that record one, verdict.  Scaling to the reference kernel makes
+files from different days comparable, but not exactly: a change is judged
+by the pairs inside one file.  Nothing under ``benchmarks/`` is changed or
+imported.
 """
 
 from __future__ import annotations
@@ -137,12 +138,22 @@ def verdict(parent, change, wins: int, pairs: int, better: str, bound: float) ->
     return "no worse"
 
 
+def per_layer(traced: list[dict]) -> dict:
+    """Each per-layer metric's median over the traced runs of one side."""
+    values: dict[str, list] = {}
+    for record in traced:
+        for name, metric in record["metrics"].items():
+            values.setdefault(name, []).append(metric["value"])
+    return {name: float(np.median(found)) for name, found in values.items()}
+
+
 def cmd_summarize(args):
     spec = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     records = [json.loads(line) for line in Path(args.log).read_text().splitlines() if line.strip()]
     summary = {"source": "tools/bench_pairs.py", "workloads": {}}
+    table = []
     for workload in dict.fromkeys(r["workload"] for r in records):
         runs_of = [r for r in records if r["workload"] == workload]
         settings = {(r["seed"], r["seconds"]) for r in runs_of}
@@ -165,10 +176,7 @@ def cmd_summarize(args):
                 "wall_clock": {
                     name: stats([r["wall"][name] for r in runs]) for name in runs[0]["wall"]
                 } if runs else {},
-                "per_layer": {
-                    name: m["value"]
-                    for r in traced if r["side"] == side for name, m in r["metrics"].items()
-                },
+                "per_layer": per_layer([r for r in traced if r["side"] == side]),
             }
         pairs = {}
         for r in untraced:
@@ -186,13 +194,16 @@ def cmd_summarize(args):
         entry["change_wins"] = wins
         entry["verdicts"] = verdicts
         summary["workloads"][workload] = entry
-        print(f"{workload}: parent {len(by_side['parent'])} runs, change {len(by_side['change'])} runs")
+        table.append(f"{workload}: parent {len(by_side['parent'])} runs, "
+                     f"change {len(by_side['change'])} runs")
         for name in verdicts:
             p, c = entry["parent"]["end_to_end"][name], entry["change"]["end_to_end"][name]
-            print(f"  {name:22s} {p['median']:12.6g} [{p['q1']:.6g}-{p['q3']:.6g}] -> "
-                  f"{c['median']:12.6g} [{c['q1']:.6g}-{c['q3']:.6g}]  wins {wins[name]}, "
-                  f"{verdicts[name]}")
+            table.append(f"  {name:22s} {p['median']:12.6g} [{p['q1']:.6g}-{p['q3']:.6g}] -> "
+                         f"{c['median']:12.6g} [{c['q1']:.6g}-{c['q3']:.6g}]  wins {wins[name]}, "
+                         f"{verdicts[name]}")
+    # the file first: a table printed into a closed pipe must not cost it
     Path(args.out).write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
+    print("\n".join(table))
 
 
 def _cell(entry) -> str:
