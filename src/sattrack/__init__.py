@@ -8,7 +8,6 @@ tracker outputs, a synthetic scenario simulator, and one-pass evaluation.
 
 from .attention import (
     ProjectionWeights,
-    attention_weights,
     enhance_features,
     init_projection_weights,
     project_qkv,
@@ -29,7 +28,6 @@ from .metrics import EvalResult, aggregate_results
 from .motion import (
     MotionParams,
     TrackerState,
-    normalized_psr,
     psr,
     refine_step,
     track_rows,
@@ -56,7 +54,6 @@ __all__ = [
     "ScenarioConfig",
     "TrackerState",
     "aggregate_results",
-    "attention_weights",
     "build_label_maps",
     "centerness_loss",
     "cls_loss",
@@ -64,7 +61,6 @@ __all__ = [
     "generate_scenario",
     "generate_scenario_rows",
     "init_projection_weights",
-    "normalized_psr",
     "project_qkv",
     "psr",
     "refine_step",

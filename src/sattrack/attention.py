@@ -6,9 +6,8 @@ template content is added back onto the search features through a learnable
 residual gate.  Feature maps are plain float arrays of shape (C, H, W).
 
 The softmax is taken over a template-major (Nt, Ns) score matrix, so its
-max, sum and divide reduce along the contiguous leading axis;
-:func:`attention_weights` hands out the transpose, the row-stochastic
-(Ns, Nt) matrix.
+max, sum and divide reduce along the contiguous leading axis; its
+transpose is the row-stochastic (Ns, Nt) attention matrix.
 
 The module also hosts the depthwise sliding-window correlation used to turn a
 matched template/search pair into a response map, and the saliency readout
@@ -163,16 +162,6 @@ def _template_softmax(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=0)
     return probs
-
-
-def attention_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Row-stochastic attention matrix (Ns, Nt): softmax over template
-    locations of the raw dot-product scores.
-
-    The result is the transpose of a template-major array, a view rather
-    than a copy.
-    """
-    return _template_softmax(q, k).T
 
 
 def _attend(

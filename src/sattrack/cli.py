@@ -193,6 +193,7 @@ def cmd_centerness_map(args, out: Path):
     )
     grid_h, grid_w, stride = formats._parse_numbers(args.grid, (int,) * 3, "--grid")
     grid = formats._build("--grid", GridGeometry, stride=stride, height=grid_h, width=grid_w)
+    formats._check_bytes("--grid", 128 * grid_h * grid_w)  # 2 maps, labels, 3 CSV texts
     params, _ = _settings(args, AspectRatioParams())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -450,16 +451,22 @@ def cmd_attention_demo(args, out: Path):
     if search_path:
         search = _read("--search", formats.read_feature_map, search_path)
     else:
-        search = rng.standard_normal(_sizes(args.search_size, 3, "--search-size"))
+        channels, rows, cols = _sizes(args.search_size, 3, "--search-size")
+        # five maps of its size (it, its values, mixed, enhanced, their file), C*C weights
+        formats._check_bytes("--search-size", 8 * channels * (5 * rows * cols + 2 * channels))
+        search = rng.standard_normal((channels, rows, cols))
     if template_path:
         template = _read("--template", formats.read_feature_map, template_path)
     else:
-        template = rng.standard_normal(
-            (search.shape[0], *_sizes(args.template_size, 2, "--template-size"))
-        )
+        rows, cols = _sizes(args.template_size, 2, "--template-size")
+        formats._check_bytes("--template-size", 16 * search.shape[0] * rows * cols)
+        template = rng.standard_normal((search.shape[0], rows, cols))
 
     # what set the channel counts: a random template and weights take the search's
     channels_from = _named(search_path) or "--search-size"
+    # the (Nt, Ns) attention matrix, and the (Ns, Nt) rows the saliency takes
+    sizes_from = f"{channels_from}, {_named(template_path) or '--template-size'}"
+    formats._check_bytes(sizes_from, 16 * search[0].size * template[0].size)
     if weights_path:
         weights = _read("--weights", formats.read_projection_weights, weights_path)
     else:

@@ -91,6 +91,27 @@ def _build(where, build, *args, **fields):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _memory_limit() -> float:
+    """The bytes this process may hold: physical memory, or its address-space
+    limit (``RLIMIT_AS``) where that is lower; ``inf`` where neither is known."""
+    try:
+        import resource  # POSIX only, as os.sysconf is
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    except (ImportError, AttributeError, ValueError, OSError):
+        return math.inf
+    return limit if soft == resource.RLIM_INFINITY else min(limit, soft)
+
+
+def _check_bytes(where: str, nbytes: int):
+    """Reject ``nbytes`` of arrays that exceed :func:`_memory_limit`, before
+    they are allocated, with a ConfigError opening with ``where``."""
+    limit = _memory_limit()
+    if nbytes > limit:
+        raise ConfigError(f"{where}: needs {nbytes:,} bytes of arrays, more than the "
+                          f"{limit:,} bytes of memory this process may use")
+
+
 def atomic_write_bytes(path, data: bytes):
     """Write ``data`` to ``path``, in an existing directory, by a temp file
     beside it; on any failure ``path`` is left as it was."""
@@ -408,27 +429,10 @@ def grid_csv(grid: np.ndarray) -> bytes:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2:
         raise ValueError(f"grid must be 2-D, got shape {grid.shape}")
-    if not grid.size:  # read_grid_csv rejects the file an empty grid would make
+    if not grid.size:  # it would make an empty file, which reads back as no grid at all
         raise ValueError(f"grid must have a row and a column, got shape {grid.shape}")
     rows = zip(*[iter(_float_texts(grid))] * grid.shape[1])  # the texts, one grid row at a time
     return ("\n".join(map(",".join, rows)) + "\n").encode("ascii")
-
-
-def read_grid_csv(path) -> np.ndarray:
-    rows = []
-    for number, line in enumerate(_read_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        row = []
-        for part in _split_row(line):
-            try:
-                row.append(float(part))
-            except ValueError:
-                raise ConfigError(f"{path}:{number}: non-numeric grid cell {part!r}") from None
-        rows.append(row)
-    if not rows or any(len(row) != len(rows[0]) for row in rows):
-        raise ConfigError(f"{path}: ragged or empty grid")
-    return np.array(rows)
 
 
 def pgm(grid: np.ndarray) -> bytes:

@@ -140,10 +140,6 @@ class TrackerState:
         self._rows = np.zeros((2 * capacity, 4))
         self._end = 0  # the row the next box goes to
 
-    def _window(self) -> np.ndarray:
-        """The stored rows, oldest first, as one contiguous ``(count, 4)`` view."""
-        return self._rows[max(self._end - self.capacity, 0) : self._end]
-
     def _push(self, row):
         """Store one ``(cx, cy, w, h)`` row, a tuple or list of floats."""
         rows, end = self._rows, self._end
@@ -301,16 +297,6 @@ def _normalize(value: float, psr_max: float) -> tuple[float, float]:
     keeps the old maximum against a NaN ``value``."""
     psr_max = max(psr_max, value)
     return psr_max, value / psr_max if psr_max > 0.0 else 0.0
-
-
-def normalized_psr(response, state: TrackerState) -> float:
-    """PSR divided by the running per-sequence maximum.
-
-    The maximum is raised first, so the result always lies in [0, 1]; while
-    the maximum is still zero the score is defined as 0.
-    """
-    state.psr_max, npsr = _normalize(psr(response), state.psr_max)
-    return npsr
 
 
 @functools.lru_cache(maxsize=16)

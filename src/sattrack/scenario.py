@@ -79,7 +79,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .boxes import BoundingBox, box_rows, check_rows
-from .formats import ConfigError
+from .formats import ConfigError, _check_bytes
 from .motion import BLOCK_FRAMES, MotionParams, _psr_block, track_rows
 # Not called here: benchmarks/tracing.py wraps ``scenario.refine_step`` by name.
 from .motion import refine_step  # noqa: F401
@@ -367,6 +367,22 @@ def _window_cells(gt_x, gt_y, centre_x, centre_y, shape, cell_scale):
     return cells, inside
 
 
+def _check_sizes(config: ScenarioConfig):
+    """Raise the ConfigError of the first key, in allocation order, at which
+    the bytes of a scenario's arrays outgrow memory: 1,024 a frame (rows,
+    columns, the walk's lists), 64 a peak (cells, amplitudes, flags, the
+    placement pass's copies), then the maps; each with its block's share."""
+    frames, peaks, (rows, cols) = config.frame_count, 1 + config.distractor_count, config.map_size
+    block, needed = min(frames, BLOCK_FRAMES), 0
+    for key, value, nbytes in (
+        ("frame_count", frames, frames * 1024),
+        ("distractor_count", peaks - 1, peaks * (frames * 64 + block * (rows + cols) * 16)),
+        ("map_size", f"{rows} {cols}", (frames + 4 * block) * rows * cols * 8),
+    ):
+        needed += nbytes
+        _check_bytes(f"{key} = {value}", needed)
+
+
 def generate_scenario_rows(
     config: ScenarioConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -388,6 +404,7 @@ def generate_scenario_rows(
     Every row must make a valid :class:`BoundingBox`; the first that does
     not (ground truth before raw within a frame) raises the box's error.
     """
+    _check_sizes(config)
     walk_rng, cell_rng, amp_rng, noise_rng = _streams(config.seed)
     count = config.frame_count
     shape = tuple(config.map_size)

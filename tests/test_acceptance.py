@@ -18,7 +18,6 @@ from sattrack import (
     MotionParams,
     ScenarioConfig,
     TrackerState,
-    attention_weights,
     build_label_maps,
     centerness_loss,
     cls_loss,
@@ -26,7 +25,6 @@ from sattrack import (
     generate_scenario,
     generate_scenario_rows,
     init_projection_weights,
-    normalized_psr,
     project_qkv,
     psr,
     refine_step,
@@ -34,12 +32,14 @@ from sattrack import (
     run_tracking,
     track_rows,
 )
+from sattrack.attention import _template_softmax
 from sattrack.boxes import box_rows
 from sattrack.cli import main
-from sattrack.formats import read_grid_csv
 from sattrack.geometry import GridGeometry
 from sattrack.metrics import center_errors, evaluate_rows
 from test_attention import with_biases
+from test_formats import read_grid
+from test_motion import normalized_psr
 
 
 def report(number, label, detail):
@@ -115,10 +115,10 @@ def test_criterion_2_wide_box_profiles(tmp_path, monkeypatch):
             ["centerness-map", "--box", "124,124,192,32", "--gamma", gamma, "--output", str(out)]
         )
         assert code == 0
-        constrained = read_grid_csv(out / "constrained.csv")
+        constrained = read_grid(out / "constrained.csv")
         profiles[gamma] = constrained
         if gamma == "0.5":
-            classic = read_grid_csv(out / "classic.csv")
+            classic = read_grid(out / "classic.csv")
             classic_row = classic[15]
             classic_col = classic[:, 15]
 
@@ -234,7 +234,7 @@ def test_criterion_4_attention_invariants():
             weights = with_biases(weights, seed=trial)
 
         q, k, _ = project_qkv(search, template, weights)
-        attn = attention_weights(q, k)
+        attn = _template_softmax(q, k).T
         worst_row = max(worst_row, np.abs(attn.sum(axis=1) - 1.0).max())
         assert (attn >= 0).all()
 

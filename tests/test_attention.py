@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from sattrack import (
     ProjectionWeights,
-    attention_weights,
     enhance_features,
     init_projection_weights,
     project_qkv,
     template_saliency,
     xcorr_depthwise,
 )
-from sattrack.attention import _attend
+from sattrack.attention import _attend, _template_softmax
 
 
 def identity_weights(channels, gamma=0.0):
@@ -139,18 +138,18 @@ class TestAttentionWeights:
     def test_zero_queries_give_uniform_rows(self):
         q = np.zeros((2, 5))
         k = np.random.default_rng(2).normal(size=(2, 4))
-        attn = attention_weights(q, k)
+        attn = _template_softmax(q, k).T
         assert np.allclose(attn, 0.25)
 
     def test_single_template_point_gives_ones(self):
         rng = np.random.default_rng(3)
-        attn = attention_weights(rng.normal(size=(3, 6)), rng.normal(size=(3, 1)))
+        attn = _template_softmax(rng.normal(size=(3, 6)), rng.normal(size=(3, 1))).T
         assert np.array_equal(attn, np.ones((6, 1)))
 
     def test_two_key_softmax_value(self):
         q = np.array([[10.0], [0.0]])
         k = np.array([[1.0, 0.0], [0.0, 1.0]])
-        attn = attention_weights(q, k)
+        attn = _template_softmax(q, k).T
         assert attn[0, 0] == pytest.approx(1 / (1 + math.exp(-10)))
         assert attn[0, 0] == pytest.approx(0.9999546, abs=1e-7)
         assert attn[0, 1] == pytest.approx(4.54e-5, abs=1e-7)
@@ -160,7 +159,7 @@ class TestAttentionWeights:
         for _ in range(100):
             q = rng.normal(size=(3, 7))
             k = rng.normal(size=(3, 5))
-            attn = attention_weights(q, k)
+            attn = _template_softmax(q, k).T
             assert (attn >= 0).all()
             assert np.abs(attn.sum(axis=1) - 1.0).max() < 1e-6
 
@@ -168,18 +167,18 @@ class TestAttentionWeights:
         # q = [2], keys k_j: logits 2*k_j; offsetting every key by 3.5 shifts
         # the whole row's logits by 7, which softmax must cancel exactly
         kk = np.random.default_rng(5).normal(size=(1, 3))
-        a = attention_weights(np.array([[2.0]]), kk)
-        b = attention_weights(np.array([[2.0]]), kk + 3.5)
+        a = _template_softmax(np.array([[2.0]]), kk).T
+        b = _template_softmax(np.array([[2.0]]), kk + 3.5).T
         assert np.abs(a - b).max() < 1e-12
 
     def test_large_logits_do_not_overflow(self):
-        attn = attention_weights(np.array([[500.0]]), np.array([[2.0, 1.0]]))
+        attn = _template_softmax(np.array([[500.0]]), np.array([[2.0, 1.0]])).T
         assert np.isfinite(attn).all()
         assert attn[0, 0] == pytest.approx(1.0)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            attention_weights(np.zeros((2, 3)), np.zeros((3, 3)))
+            _template_softmax(np.zeros((2, 3)), np.zeros((3, 3)))
 
 
 class TestAggregation:
@@ -217,7 +216,7 @@ class TestAggregation:
         search, template = rng.normal(size=(4, 1, 2)), rng.normal(size=(4, 2, 1))
         weights = init_projection_weights(4, seed=7, gamma=0.5)
         q, k, v = project_qkv(search, template, weights)
-        attn = attention_weights(q, k)
+        attn = _template_softmax(q, k).T
         out = enhance_features(search, template, weights).reshape(4, 2)
         oracle = np.empty((4, 2))
         for c in range(4):
@@ -488,7 +487,7 @@ class TestAttentionWeightsProperties:
         rng = np.random.default_rng(seed)
         q = scale * rng.normal(size=(dim, n_search))
         k = scale * rng.normal(size=(dim, n_template))
-        attn = attention_weights(q, k)
+        attn = _template_softmax(q, k).T
         assert attn.shape == (n_search, n_template)
         assert np.abs(attn - softmax_rows(q, k)).max() <= 1e-12
         assert (attn >= 0).all()
@@ -499,7 +498,7 @@ class TestAttentionWeightsProperties:
         search, template = rng.normal(size=(8, 6, 7)), rng.normal(size=(8, 3, 2))
         weights = with_biases(init_projection_weights(8, seed=4, gamma=0.3), seed=4)
         q, k, v = project_qkv(search, template, weights)
-        attention = attention_weights(q, k)
+        attention = _template_softmax(q, k).T
         mixed = (v @ attention.T).reshape(search.shape)
         assert np.array_equal(
             enhance_features(search, template, weights), search + 0.3 * mixed

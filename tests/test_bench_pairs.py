@@ -1,4 +1,4 @@
-"""The ``compare`` step and the run guard of tools/bench_pairs.py."""
+"""The ``compare`` and ``summarize`` steps and the run guard of tools/bench_pairs.py."""
 
 import importlib.util
 import json
@@ -23,9 +23,12 @@ def bench_pairs():
     return module
 
 
-def summary(fps_median, machine="box", workloads=("refine_stream",)):
+def summary(fps_median, machine="box", workloads=("refine_stream",), wall=None):
+    """A summary whose change side reads ``fps_median`` frames/s and parent
+    side 1, with each side's wall-clock median ``wall`` (no wall clock for
+    ``None``)."""
     def side(median):
-        return {
+        entry = {
             "machine": machine,
             "runs": 5,
             "failed": 0,
@@ -34,6 +37,10 @@ def summary(fps_median, machine="box", workloads=("refine_stream",)):
                                  "iqr": 2.0},
             },
         }
+        if wall is not None:
+            entry["wall_clock"] = {"frames_per_s": {"median": wall, "q1": wall, "q3": wall,
+                                                    "iqr": 0.0}}
+        return entry
 
     return {
         "source": "tools/bench_pairs.py",
@@ -91,7 +98,18 @@ def test_compare_lines_show_each_files_in_file_verdict(bench_pairs):
     lines = bench_pairs.compare_lines(before, after)
     assert lines[1].split()[-1] == "1.500x"
     assert lines[2] == "    in-file parent -> change: 1 -> 40 (wins 3/5) | 42 -> 60 (wins 10/10)"
-    assert len(lines) == 3
+    # files without a wall clock have no ratio to show
+    assert lines[3] == "    scaled/wall: parent -, change - | parent -, change -"
+    assert len(lines) == 4
+
+
+def test_compare_lines_show_each_sides_scaled_to_wall_ratio(bench_pairs):
+    before, after = summary(40.0, wall=32.0), summary(60.0, wall=50.0)
+    for entry in (before, after):
+        entry["workloads"]["refine_stream"]["change_wins"] = {"frames_per_s": "5/5"}
+    lines = bench_pairs.compare_lines(before, after)
+    assert lines[3] == ("    scaled/wall: parent 0.031, change 1.250 | "
+                        "parent 0.020, change 1.200")
 
 
 @pytest.mark.parametrize("before, after", [
@@ -179,15 +197,61 @@ def test_verdicts(bench_pairs, parent, change, wins, pairs, better, expected):
     assert bench_pairs.verdict(parent, change, wins, pairs, better, 0.25) == expected
 
 
-def run_record(side, pair, fps, workload="refine_stream", seed=9001, seconds=10.0):
+def run_record(side, pair, fps, workload="refine_stream", seed=9001, seconds=10.0, wall=None):
     """One ``run`` log record: each higher-is-better end-to-end metric reads
-    ``fps``, each lower-is-better one ``1 / fps``."""
+    ``fps``, each lower-is-better one ``1 / fps``; the wall clock reads
+    ``wall`` frames/s (``fps`` when not given) and its inverse as the p50."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: {"value": fps if m["better"] == "higher" else 1.0 / fps}
                for m in spec["end_to_end"]}
+    wall = fps if wall is None else wall
     return {"side": side, "pair": pair, "workload": workload, "seed": seed,
             "seconds": seconds, "trace": 0, "machine": "box", "failed": 0,
-            "wall": {"frames_per_s": fps}, "metrics": metrics}
+            "wall": {"frames_per_s": wall, "frame_p50_us": 1.0 / wall}, "metrics": metrics}
+
+
+def summarize_records(bench_pairs, tmp_path, records) -> dict:
+    """The refine_stream entry ``summarize`` writes for a log of ``records``."""
+    log, out = tmp_path / "runs.jsonl", tmp_path / "BENCH_1.json"
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    bench_pairs.main(["summarize", "--log", str(log), "--out", str(out)])
+    return json.loads(out.read_text())["workloads"]["refine_stream"]
+
+
+def test_summarize_judges_the_wall_clock_and_flags_a_scaling_that_moved(bench_pairs, tmp_path,
+                                                                       capsys):
+    # scaled, the change gains 20 frames/s on every pair; on the wall clock
+    # it loses 30: the reference probe read the two sides differently
+    records = [record for pair in range(10) for record in (
+        run_record("parent", pair, 100.0 + pair),
+        run_record("change", pair, 120.0 + pair, wall=70.0 + pair),
+    )]
+    entry = summarize_records(bench_pairs, tmp_path, records)
+    assert entry["verdicts"]["frames_per_s"] == entry["verdicts"]["frame_p50_us"] == "gain"
+    assert entry["wall_verdicts"] == {"frames_per_s": "worse", "frame_p50_us": "worse"}
+    assert entry["wall_change_wins"] == {"frames_per_s": "0/10", "frame_p50_us": "0/10"}
+    assert entry["parent"]["scaled_to_wall"]["median"] == 1.0
+    assert entry["change"]["scaled_to_wall"]["median"] == pytest.approx(124.5 / 74.5, rel=1e-3)
+    assert entry["scaling_differs"] is True
+    table = capsys.readouterr().out
+    assert "  wall frames_per_s " in table and "wins 0/10, worse" in table
+    assert table.rstrip().endswith("differs by more than either IQR")
+
+
+def test_summarize_leaves_a_scaling_within_the_spread_unflagged(bench_pairs, tmp_path, capsys):
+    # scaled-to-wall ratios 0.90..1.10 on the parent (IQR 0.1) and
+    # 0.95..1.15 on the change: medians 0.05 apart, inside the spread
+    records = []
+    for pair, ratio in enumerate([0.90, 0.95, 1.00, 1.05, 1.10]):
+        records.append(run_record("parent", pair, 100.0, wall=100.0 / ratio))
+        records.append(run_record("change", pair, 100.0, wall=100.0 / (ratio + 0.05)))
+    entry = summarize_records(bench_pairs, tmp_path, records)
+    assert entry["change"]["scaled_to_wall"]["median"] == pytest.approx(1.05)
+    assert entry["parent"]["scaled_to_wall"]["iqr"] == pytest.approx(0.1)
+    assert entry["scaling_differs"] is False
+    # the change's wall clock is slower by 5% at the median, inside the 25% bound
+    assert entry["wall_verdicts"] == {"frames_per_s": "no worse", "frame_p50_us": "no worse"}
+    assert "differs by more" not in capsys.readouterr().out
 
 
 def test_summarize_records_each_metrics_verdict(bench_pairs, tmp_path, capsys):

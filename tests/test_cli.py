@@ -7,6 +7,8 @@ import os
 import pickle
 import shutil
 import signal
+import subprocess
+import sys
 import tempfile
 import threading
 import warnings
@@ -18,22 +20,23 @@ from hypothesis import given, settings, strategies as st
 
 from sattrack import cli, formats
 from sattrack.cli import main
-from sattrack.formats import ConfigError, read_feature_map, read_grid_csv
+from sattrack.formats import ConfigError, read_feature_map
 from sattrack import (
-    attention_weights,
     enhance_features,
     init_projection_weights,
     project_qkv,
     template_saliency,
 )
 from sattrack import AspectRatioParams, BoundingBox, MotionParams, ScenarioConfig, TrackerState
-from sattrack import generate_scenario, motion, normalized_psr, psr
+from sattrack import generate_scenario, motion, psr
+from sattrack.attention import _template_softmax
 from sattrack.motion import _branch_weights
 from test_attention import with_biases
 from test_formats import (
-    feature_map_bytes, read_trajectory, scenario_from_file, scenario_text, write_feature_map,
-    write_projection_weights,
+    feature_map_bytes, read_grid, read_trajectory, scenario_from_file, scenario_text,
+    write_feature_map, write_projection_weights,
 )
+from test_motion import history_rows, normalized_psr
 from test_scenario import PIN_CONFIGS
 
 CLEAN_SCENARIO = """\
@@ -98,18 +101,18 @@ def read_trace(path):
 def test_centerness_square_box_maps_identical(tmp_path):
     out = tmp_path / "out"
     assert main(["centerness-map", "--box", "124,124,60,60", "--output", str(out)]) == 0
-    constrained = read_grid_csv(out / "constrained.csv")
-    classic = read_grid_csv(out / "classic.csv")
+    constrained = read_grid(out / "constrained.csv")
+    classic = read_grid(out / "classic.csv")
     assert np.array_equal(constrained, classic)
-    labels = read_grid_csv(out / "labels.csv")
+    labels = read_grid(out / "labels.csv")
     assert set(np.unique(labels)) <= {0.0, 1.0}
 
 
 def test_centerness_wide_box_concentrates_on_long_axis(tmp_path):
     out = tmp_path / "out"
     assert main(["centerness-map", "--box", "124,124,192,32", "--output", str(out)]) == 0
-    constrained = read_grid_csv(out / "constrained.csv")
-    classic = read_grid_csv(out / "classic.csv")
+    constrained = read_grid(out / "constrained.csv")
+    classic = read_grid(out / "classic.csv")
     # row 15 is the grid row through the box center (y = 4 + 15*8 = 124)
     assert constrained[15].sum() > classic[15].sum()
 
@@ -130,7 +133,7 @@ def test_centerness_gamma_monotone_on_principal_axis(tmp_path):
             ]
         )
         assert code == 0
-        rows[gamma] = read_grid_csv(out / "constrained.csv")[15]
+        rows[gamma] = read_grid(out / "constrained.csv")[15]
     assert (rows["0.75"] >= rows["0.25"] - 1e-15).all()
 
 
@@ -156,7 +159,7 @@ def test_centerness_negative_cx_takes_the_equals_form(tmp_path, capsys):
     out = tmp_path / "equals"
     assert main(["centerness-map", "--box=-5,10,40,40", "--output", str(out)]) == 0
     assert "BoundingBox(cx=-5.0, cy=10.0, w=40.0, h=40.0)" in capsys.readouterr().out
-    assert read_grid_csv(out / "labels.csv").any()
+    assert read_grid(out / "labels.csv").any()
     assert not (tmp_path / "space").exists()
 
 
@@ -167,7 +170,7 @@ def test_centerness_box_off_the_grid_warns_once(tmp_path, capsys):
         assert capsys.readouterr().err == (
             "warning: ground-truth box covers no grid point; all cells are negative\n"
         )
-    assert not read_grid_csv(tmp_path / "o" / "labels.csv").any()
+    assert not read_grid(tmp_path / "o" / "labels.csv").any()
 
 
 @pytest.mark.parametrize(
@@ -316,6 +319,83 @@ def test_a_failing_input_leaves_no_output_directory(commands, tmp_path, capsys, 
     assert main([command, *commands[command][1], "--output", str(out)]) == 1
     assert_one_error_line(capsys, "error: ")
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# sizes checked against memory before anything is allocated
+
+
+ADDRESS_SPACE = 2_000_000_000  # bytes the child process caps itself at
+
+CAPPED_MAIN = f"""\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE}, {ADDRESS_SPACE}))
+from sattrack.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+SCENARIO_SIZES = "frame_count = {t}\nwaypoint = 1 30 40\nwaypoint = {t} 60 50\ntarget_size = 12 8\n"
+
+# argv, scenario file text (or None), and the key or flags the error opens with
+OVERSIZED = {
+    "centerness-map-grid": (["centerness-map", "--box", "100,100,24,8",
+                             "--grid", "100000,100000,8"], None, "--grid"),
+    "attention-demo-search": (["attention-demo", "--search-size", "8,100000,100000"],
+                              None, "--search-size"),
+    "attention-demo-channels": (["attention-demo", "--search-size", "100000,1,1"],
+                                None, "--search-size"),
+    "attention-demo-template": (["attention-demo", "--search-size", "8,5,5",
+                                 "--template-size", "100000,100000"], None, "--template-size"),
+    "attention-demo-matrix": (["attention-demo", "--search-size", "8,1000,1000",
+                               "--template-size", "100,100"], None,
+                              "--search-size, --template-size"),
+    "simulate-frame-count": (["simulate"], SCENARIO_SIZES.format(t=10**9),
+                             "frame_count = 1000000000"),
+    "simulate-map-size": (["simulate"], SCENARIO_SIZES.format(t=10) + "map_size = 100000 100000\n",
+                          "map_size = 100000 100000"),
+    "simulate-distractors": (["simulate"],
+                             SCENARIO_SIZES.format(t=10) + "distractor_count = 1000000000\n",
+                             "distractor_count = 1000000000"),
+    "track-frame-count": (["track", "--n1", "12", "--n2", "4"], SCENARIO_SIZES.format(t=10**9),
+                          "frame_count = 1000000000"),
+}
+
+
+@pytest.mark.parametrize("case", OVERSIZED)
+def test_an_oversized_size_is_one_error_line_under_an_address_space_cap(tmp_path, case):
+    pytest.importorskip("resource")  # the child caps itself with resource.setrlimit
+    # each size would need from 1 TB up; the child caps its address space at
+    # 2 GB, so a size that slipped past the check ends in a MemoryError there
+    argv, scenario, opening = OVERSIZED[case]
+    if scenario is not None:
+        path = tmp_path / "sizes.cfg"
+        path.write_text(scenario)
+        argv = [argv[0], "--scenario", str(path), *argv[1:]]
+        opening = f"{path}: {opening}"
+    out = tmp_path / "out"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, *argv, "--output", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"error: {opening}: needs ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.endswith(f"more than the {ADDRESS_SPACE:,} bytes of memory this "
+                                "process may use\n"), proc.stderr
+    assert not out.exists()
+
+
+def test_a_size_may_need_exactly_the_memory_limit(tmp_path, capsys, monkeypatch):
+    # a 25 x 25 grid is counted at 128 bytes a cell; the rule rejects only more
+    monkeypatch.setattr(formats, "_memory_limit", lambda: 128 * 25 * 25)
+    argv = ["centerness-map", "--box", "100,100,24,8", "--grid", "25,25,8"]
+    assert main([*argv, "--output", str(tmp_path / "fits")]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(formats, "_memory_limit", lambda: 128 * 25 * 25 - 1)
+    assert main([*argv, "--output", str(tmp_path / "over")]) == 1
+    assert_one_error_line(capsys, "error: --grid: needs 80,000 bytes of arrays, more than "
+                                  "the 79,999 bytes of memory this process may use")
+    assert not (tmp_path / "over").exists()
 
 
 INPUT_FLAGS = ["--scenario", "--params", "--pred", "--gt", "--attributes", "--search",
@@ -1169,7 +1249,7 @@ def reference_refine_step(state, model_box, response, params):
     if state.frame_index <= params.n1:
         refined, branch = model_box, "warmup"
     else:
-        window = state._window()
+        window = history_rows(state)
         low, high = _branch_weights(params.n1, params.n2)
         lam = params.lambda_ema
         prev_cx, prev_cy, prev_w, prev_h = window[-1].tolist()
@@ -1748,7 +1828,7 @@ def test_attention_demo_single_point_template_saliency(tmp_path):
         ]
     )
     assert code == 0
-    saliency = read_grid_csv(out / "saliency.csv")
+    saliency = read_grid(out / "saliency.csv")
     assert saliency.shape == (1, 1)
     assert saliency[0, 0] == pytest.approx(25.0, abs=1e-6)
 
@@ -1783,7 +1863,7 @@ def test_attention_demo_mask_saliency_total(tmp_path):
         ]
     )
     assert code == 0
-    saliency = read_grid_csv(out / "saliency.csv")
+    saliency = read_grid(out / "saliency.csv")
     assert saliency.shape == (5, 5)
     assert saliency.sum() == pytest.approx(6.0, abs=1e-6)
 
@@ -1812,9 +1892,9 @@ def test_attention_demo_outputs_match_library_calls(tmp_path, mask):
         cells = [r * 7 + c for r in range(3, 5) for c in range(4, 7)]
     else:
         cells = range(9 * 7)
-    attn = attention_weights(*project_qkv(search, template, weights)[:2])
+    attn = _template_softmax(*project_qkv(search, template, weights)[:2]).T
     saliency = template_saliency(attn, cells).reshape(3, 4)
-    assert np.array_equal(read_grid_csv(out / "saliency.csv"), saliency)
+    assert np.array_equal(read_grid(out / "saliency.csv"), saliency)
 
 
 def test_attention_demo_mask_out_of_bounds(tmp_path, capsys):

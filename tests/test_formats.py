@@ -43,7 +43,6 @@ from sattrack.formats import (
     pgm,
     read_attribute_groups,
     read_feature_map,
-    read_grid_csv,
     read_kv_file,
     read_projection_weights,
     read_trajectory_rows,
@@ -105,6 +104,13 @@ def feature_map_bytes(tensor) -> bytes:
     makes a file holding a cell that ``write_feature_map`` refuses."""
     tensor = np.asarray(tensor, dtype="<f4")
     return struct.pack("<3I", *tensor.shape) + tensor.tobytes()
+
+
+def read_grid(path) -> np.ndarray:
+    """A grid CSV as a 2-D float array, read by numpy rather than by the
+    package, so a round trip checks the writer against an independent
+    reader."""
+    return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
 def read_trajectory(path) -> list[BoundingBox]:
@@ -649,8 +655,7 @@ class TestUtf8Text:
     def expected(self, path, offset=25):
         return rf"^{re.escape(str(path))}: not UTF-8 text \(byte 0xff at offset {offset}\)$"
 
-    @pytest.mark.parametrize("reader", [read_trajectory_rows, read_grid_csv,
-                                        read_kv_file, scenario_from_file,
+    @pytest.mark.parametrize("reader", [read_trajectory_rows, read_kv_file, scenario_from_file,
                                         motion_params_from_file, read_attribute_groups])
     def test_undecodable_byte_is_config_error_naming_the_file(self, tmp_path, reader):
         path = tmp_path / "bad.txt"
@@ -665,7 +670,6 @@ class TestUtf8Text:
     @pytest.mark.parametrize("reader, text", [
         pytest.param(reader, text, id=reader.__name__) for reader, text in [
             (read_trajectory_rows, "frame,cx,cy,w,h\n1,10,20,4,6\n"),
-            (read_grid_csv, "1,2\n3,4\n"),
             (read_kv_file, "n1 = 12\n"),
             (scenario_from_file,
              "frame_count = 5\nwaypoint = 1 1 1\nwaypoint = 5 9 1\ntarget_size = 4 4\n"),
@@ -775,7 +779,7 @@ input_bytes = st.one_of(
 )
 
 
-@pytest.mark.parametrize("reader", [read_trajectory_rows, read_grid_csv, read_kv_file,
+@pytest.mark.parametrize("reader", [read_trajectory_rows, read_kv_file,
                                     scenario_from_file, motion_params_from_file,
                                     read_attribute_groups, read_feature_map,
                                     read_projection_weights])
@@ -811,24 +815,12 @@ class TestTraceAndGrids:
         grid = np.random.default_rng(52).normal(size=(7, 9))
         path = tmp_path / "grid.csv"
         path.write_bytes(grid_csv(grid))
-        assert np.array_equal(read_grid_csv(path), grid)
+        assert np.array_equal(read_grid(path), grid)
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
     def test_empty_grid_is_not_written(self, shape):
         with pytest.raises(ValueError, match=rf"got shape \({shape[0]}, {shape[1]}\)"):
             grid_csv(np.zeros(shape))
-
-    def test_ragged_grid_rejected(self, tmp_path):
-        path = tmp_path / "grid.csv"
-        path.write_text("1,2,3\n4,5\n")
-        with pytest.raises(ConfigError, match="ragged"):
-            read_grid_csv(path)
-
-    def test_non_numeric_cell_reports_path_and_line(self, tmp_path):
-        path = tmp_path / "grid.csv"
-        path.write_text("1,2,3\n\n4,x,6\n")
-        with pytest.raises(ConfigError, match=r"grid\.csv:3: non-numeric grid cell 'x'"):
-            read_grid_csv(path)
 
     def test_pgm_layout(self):
         data = pgm(np.array([[0.0, 1.0], [0.5, 0.25]]))
@@ -1061,7 +1053,7 @@ class TestRoundTripProperties:
         assert data == oracle_grid_text(grid).encode()
         path = tmp_path_factory.mktemp("grid") / "grid.csv"
         path.write_bytes(data)
-        loaded = read_grid_csv(path)
+        loaded = read_grid(path)
         assert loaded.dtype == float and loaded.shape == grid.shape
         assert loaded.tobytes() == grid.tobytes()  # -0.0 and inf included
 

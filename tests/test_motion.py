@@ -16,7 +16,6 @@ from sattrack import (
     BoundingBox,
     MotionParams,
     TrackerState,
-    normalized_psr,
     psr,
     refine_step,
 )
@@ -35,6 +34,20 @@ from sattrack.motion import (
     _refine_rows,
     track_rows,
 )
+
+
+def normalized_psr(response, state: TrackerState) -> float:
+    """PSR over the running per-sequence maximum, which is raised first: the
+    online step's one normalisation, ``motion._normalize``, of ``psr``.  The
+    result lies in [0, 1], and is 0 while the maximum is still 0."""
+    state.psr_max, npsr = _normalize(psr(response), state.psr_max)
+    return npsr
+
+
+def history_rows(state: TrackerState) -> np.ndarray:
+    """The tracker's stored rows, oldest first: the last ``capacity`` rows
+    of its row buffer before ``_end``."""
+    return state._rows[max(state._end - state.capacity, 0) : state._end]
 
 
 def brute_psr(grid):
@@ -367,7 +380,7 @@ def instantaneous_velocity(centers, n2: int) -> np.ndarray:
 
 def history(state: TrackerState) -> tuple[BoundingBox, ...]:
     """The boxes stored in the tracker's history, oldest first."""
-    return tuple(BoundingBox(*row) for row in state._window().tolist())
+    return tuple(BoundingBox(*row) for row in history_rows(state).tolist())
 
 
 class TestLinearFit:
@@ -528,7 +541,7 @@ class TestTrackerState:
         for k, box in enumerate(boxes, start=1):
             state._push((box.cx, box.cy, box.w, box.h))
             assert history(state) == tuple(boxes[max(k - capacity, 0) : k])
-            assert state._window().flags.c_contiguous
+            assert history_rows(state).flags.c_contiguous
         assert state.capacity == capacity
 
     def test_history_cannot_be_mutated(self):

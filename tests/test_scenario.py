@@ -19,7 +19,6 @@ from sattrack import (
     TrackerState,
     generate_scenario,
     generate_scenario_rows,
-    normalized_psr,
     psr,
     refine_step,
     run_tracking,
@@ -43,6 +42,7 @@ from sattrack.scenario import (
     _synthesize,
     _walk,
 )
+from test_motion import normalized_psr
 
 
 def clean_config(frames=120, seed=0, **overrides):

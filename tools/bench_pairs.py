@@ -17,12 +17,20 @@ median and quartiles of every end-to-end metric (scaled and wall clock), the
 pairs the change won on each metric, each metric's verdict
 (``gain``, ``worse``, ``unresolved`` or ``no worse``; see :func:`verdict`),
 and the median of each per-layer metric over the traced runs; it writes
-the file, then prints a table of the medians.  ``compare`` prints the
-before/after table of two committed files: for every workload in both, the
-median and quartiles of each end-to-end metric on the ``change`` side (the
-code each file was written for) and the ratio of the medians, followed for
-frames_per_s by each file's own parent -> change medians, pair wins and, in
-files that record one, verdict.  Scaling to the reference kernel makes
+the file, then prints a table of the medians.  The wall-clock
+``frames_per_s`` and ``frame_p50_us`` get pair wins and a verdict by the
+same rule (``wall_change_wins``, ``wall_verdicts``).  Each side also
+records the stats of its runs' scaled-to-wall ``frames_per_s`` ratios
+(``scaled_to_wall``), and a workload whose two sides' median ratios
+differ by more than either side's IQR of them is flagged
+(``scaling_differs``): its scaled verdicts then rest partly on how the
+reference probe read each side.  ``compare`` prints the before/after
+table of two committed files: for every workload in both, the median and
+quartiles of each end-to-end metric on the ``change`` side (the code each
+file was written for) and the ratio of the medians, followed for
+frames_per_s by each file's own parent -> change medians, pair wins and,
+in files that record one, verdict, and by each side's scaled-to-wall
+ratio of medians in each file.  Scaling to the reference kernel makes
 files from different days comparable, but not exactly: a change is judged
 by the pairs inside one file.  Nothing under ``benchmarks/`` is changed or
 imported.
@@ -39,6 +47,8 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+# the wall-clock metrics judged beside the scaled ones
+WALL_JUDGED = ("frames_per_s", "frame_p50_us")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -138,6 +148,29 @@ def verdict(parent, change, wins: int, pairs: int, better: str, bound: float) ->
     return "no worse"
 
 
+def judge(by_side: dict, value, better: str, bound: float) -> tuple[str, str | None]:
+    """The pairs the change won on one metric, as ``won/pairs`` (ties count
+    for neither), and its :func:`verdict`, ``None`` while a side has no
+    run.  ``by_side`` holds each side's untraced runs; ``value(run)`` reads
+    the metric from a run."""
+    sign = 1 if better == "higher" else -1
+    paired: dict = {}
+    for side, runs in by_side.items():
+        for r in runs:
+            paired.setdefault(r["pair"], {})[side] = value(r)
+    diffs = [sign * (p["change"] - p["parent"]) for p in paired.values() if len(p) == 2]
+    won = sum(d > 0 for d in diffs)
+    if not all(by_side.values()):
+        return f"{won}/{len(diffs)}", None
+    values = [[value(r) for r in by_side[side]] for side in SIDES]
+    return f"{won}/{len(diffs)}", verdict(*values, won, len(diffs), better, bound)
+
+
+def scaled_to_wall(run: dict) -> float:
+    """A run's scaled frames_per_s over its unscaled wall-clock one."""
+    return run["metrics"]["frames_per_s"]["value"] / run["wall"]["frames_per_s"]
+
+
 def per_layer(traced: list[dict]) -> dict:
     """Each per-layer metric's median over the traced runs of one side."""
     values: dict[str, list] = {}
@@ -178,29 +211,39 @@ def cmd_summarize(args):
                 } if runs else {},
                 "per_layer": per_layer([r for r in traced if r["side"] == side]),
             }
-        pairs = {}
-        for r in untraced:
-            pairs.setdefault(r["pair"], {})[r["side"]] = r["metrics"]
-        wins, verdicts = {}, {}
+        wins, verdicts, wall_wins, wall_verdicts = {}, {}, {}, {}
         for name, direction in better.items():
-            sign = 1 if direction == "higher" else -1
-            diffs = [sign * (p["change"][name]["value"] - p["parent"][name]["value"])
-                     for p in pairs.values() if len(p) == 2]
-            won = sum(d > 0 for d in diffs)
-            wins[name] = f"{won}/{len(diffs)}"
-            if by_side["parent"] and by_side["change"]:
-                values = [[r["metrics"][name]["value"] for r in by_side[s]] for s in SIDES]
-                verdicts[name] = verdict(*values, won, len(diffs), direction, bounds[name])
-        entry["change_wins"] = wins
-        entry["verdicts"] = verdicts
+            wins[name], found = judge(by_side, lambda r: r["metrics"][name]["value"],
+                                      direction, bounds[name])
+            if found:
+                verdicts[name] = found
+        walled = [name for name in WALL_JUDGED if all(name in r["wall"] for r in untraced)]
+        for name in walled:
+            wall_wins[name], found = judge(by_side, lambda r: r["wall"][name],
+                                           better[name], bounds[name])
+            if found:
+                wall_verdicts[name] = found
+        entry.update(change_wins=wins, verdicts=verdicts, wall_change_wins=wall_wins,
+                     wall_verdicts=wall_verdicts)
+        if "frames_per_s" in walled and all(by_side.values()):
+            p, c = (stats(list(map(scaled_to_wall, by_side[side]))) for side in SIDES)
+            entry["parent"]["scaled_to_wall"], entry["change"]["scaled_to_wall"] = p, c
+            entry["scaling_differs"] = abs(c["median"] - p["median"]) > max(p["iqr"], c["iqr"])
         summary["workloads"][workload] = entry
         table.append(f"{workload}: parent {len(by_side['parent'])} runs, "
                      f"change {len(by_side['change'])} runs")
-        for name in verdicts:
-            p, c = entry["parent"]["end_to_end"][name], entry["change"]["end_to_end"][name]
-            table.append(f"  {name:22s} {p['median']:12.6g} [{p['q1']:.6g}-{p['q3']:.6g}] -> "
-                         f"{c['median']:12.6g} [{c['q1']:.6g}-{c['q3']:.6g}]  wins {wins[name]}, "
-                         f"{verdicts[name]}")
+        rows = [(name, "end_to_end", wins, verdicts) for name in verdicts]
+        rows += [(name, "wall_clock", wall_wins, wall_verdicts) for name in wall_verdicts]
+        for name, kind, won, found in rows:
+            label = name if kind == "end_to_end" else f"wall {name}"
+            p, c = entry["parent"][kind][name], entry["change"][kind][name]
+            table.append(f"  {label:22s} {p['median']:12.6g} [{p['q1']:.6g}-{p['q3']:.6g}] -> "
+                         f"{c['median']:12.6g} [{c['q1']:.6g}-{c['q3']:.6g}]  "
+                         f"wins {won[name]}, {found[name]}")
+        if "scaling_differs" in entry:
+            p, c = (entry[side]["scaled_to_wall"] for side in SIDES)
+            flag = ", differs by more than either IQR" if entry["scaling_differs"] else ""
+            table.append(f"  scaled/wall frames_per_s {_cell(p)} -> {_cell(c)}{flag}")
     # the file first: a table printed into a closed pipe must not cost it
     Path(args.out).write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
     print("\n".join(table))
@@ -220,11 +263,24 @@ def _in_file(entry) -> str:
             f"(wins {entry['change_wins']['frames_per_s']}{verdict_note})")
 
 
+def _scaling(entry) -> str:
+    """Each side's scaled-to-wall ratio of median frames_per_s in one file,
+    ``-`` for a side without a wall-clock median."""
+    ratios = []
+    for side in SIDES:
+        wall = entry[side].get("wall_clock", {}).get("frames_per_s", {}).get("median")
+        scaled = entry[side]["end_to_end"]["frames_per_s"]["median"]
+        ratios.append(f"{side} {scaled / wall:.3f}" if wall else f"{side} -")
+    return ", ".join(ratios)
+
+
 def compare_lines(before: dict, after: dict) -> list[str]:
     """The before/after table of two summaries' change sides, one line per
     workload metric.  Under frames_per_s, when both files hold pair
     wins, each file's in-file parent -> change result follows the
-    cross-file ratio, since only the in-file pairs judge a change."""
+    cross-file ratio, since only the in-file pairs judge a change; then
+    each side's scaled-to-wall ratio in each file, which shows how far
+    the reference scaling moved it."""
     lines = []
     for workload, new_entry in after["workloads"].items():
         old_entry = before["workloads"].get(workload)
@@ -245,6 +301,7 @@ def compare_lines(before: dict, after: dict) -> list[str]:
             if name == "frames_per_s" and "change_wins" in old_entry and "change_wins" in new_entry:
                 lines.append(f"    in-file parent -> change: {_in_file(old_entry)} | "
                              f"{_in_file(new_entry)}")
+                lines.append(f"    scaled/wall: {_scaling(old_entry)} | {_scaling(new_entry)}")
     lines.extend(f"{w}: only in the first file"
                  for w in before["workloads"] if w not in after["workloads"])
     return lines
