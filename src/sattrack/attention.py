@@ -11,20 +11,19 @@ transpose is the row-stochastic (Ns, Nt) attention matrix.
 
 The module also hosts the depthwise sliding-window correlation used to turn a
 matched template/search pair into a response map, and the saliency readout
-that sums attention columns to show which template locations the search
-region relied on.  The correlation is one batched matrix product per
-template row: the rows of the search map that the template row meets,
-times the (C, Ws, ow) banded Toeplitz matrix of that template row.  The
-Toeplitz matrices are read-only strided views of one zero-padded
-(C, Ht, Ws + ow - 1) copy of the template, so the extra memory is
-O(C * Ht * (Ws + ow)) plus the output; no C * oh * ow * Ht * Wt window copy
-is ever formed.
+that sums the attention of a rectangle of search cells to show which
+template locations that region relied on.  The correlation is one batched
+matrix product per template row: the rows of the search map that the
+template row meets, times the (C, Ws, ow) banded Toeplitz matrix of that
+template row.  The Toeplitz matrices are read-only strided views of one
+zero-padded (C, Ht, Ws + ow - 1) copy of the template, so the extra memory
+is O(C * Ht * (Ws + ow)) plus the output; no C * oh * ow * Ht * Wt window
+copy is ever formed.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,25 +192,26 @@ def enhance_features(
     return _attend(search, template, weights)[0]
 
 
-def template_saliency(attn: np.ndarray, search_mask) -> np.ndarray:
-    """Total attention each template location receives from the masked search
-    cells: the column sums of the selected attention rows.
+def template_saliency(attention: np.ndarray, window=None) -> np.ndarray:
+    """Total attention each template location receives from a rectangle of
+    search cells.
 
-    ``search_mask`` is a collection of flat row-major search indices.  An
-    empty mask yields all zeros and a warning.
+    ``attention`` is the template-major attention over the search grid,
+    shape (Nt, H, W), as ``_attend``'s (Nt, Ns) matrix reshapes to.
+    ``window`` is ``(top, left, height, width)`` in search cells, the whole
+    grid when None; a window that leaves the grid is a ValueError.  The
+    window's rows are copied to one C-contiguous (n, Nt) block and summed
+    along its first axis, which adds the search cells in row-major order
+    (a sum over a strided view would round differently).
     """
-    if attn.ndim != 2:
-        raise ValueError(f"attention matrix must be 2-D, got shape {attn.shape}")
-    indices = np.asarray(sorted(set(int(i) for i in search_mask)), dtype=int)
-    if indices.size == 0:
-        warnings.warn("empty search mask: saliency is all zeros", stacklevel=2)
-        return np.zeros(attn.shape[1])
-    if indices.min() < 0 or indices.max() >= attn.shape[0]:
-        raise ValueError(
-            f"mask indices must lie in [0, {attn.shape[0]}), "
-            f"got range [{indices.min()}, {indices.max()}]"
-        )
-    return attn[indices].sum(axis=0)
+    if attention.ndim != 3:
+        raise ValueError(f"attention must have shape (Nt, H, W), got {attention.shape}")
+    grid = attention.shape[1:]
+    top, left, height, width = (0, 0, *grid) if window is None else window
+    if not (0 <= top <= top + height <= grid[0] and 0 <= left <= left + width <= grid[1]):
+        raise ValueError(f"outside search grid {grid}")
+    block = attention[:, top:top + height, left:left + width]
+    return np.moveaxis(block, 0, -1).copy().reshape(-1, len(attention)).sum(axis=0)
 
 
 def xcorr_depthwise(template: np.ndarray, search: np.ndarray) -> np.ndarray:

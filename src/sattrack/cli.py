@@ -464,7 +464,7 @@ def cmd_attention_demo(args, out: Path):
 
     # what set the channel counts: a random template and weights take the search's
     channels_from = _named(search_path) or "--search-size"
-    # the (Nt, Ns) attention matrix, and the (Ns, Nt) rows the saliency takes
+    # the (Nt, Ns) attention matrix, and the copy of its rows the saliency sums
     sizes_from = f"{channels_from}, {_named(template_path) or '--template-size'}"
     formats._check_bytes(sizes_from, 16 * search[0].size * template[0].size)
     if weights_path:
@@ -478,23 +478,20 @@ def cmd_attention_demo(args, out: Path):
     inputs = (channels_from, _named(template_path), _named(weights_path))
     where = ", ".join(dict.fromkeys(filter(None, inputs)))
     enhanced, attention = formats._build(where, _attend, search, template, weights)
+    window = None
     if args.mask:
-        top, left, mask_h, mask_w = formats._parse_numbers(args.mask, (int,) * 4, "--mask")
-        if mask_h <= 0 or mask_w <= 0:
+        window = formats._parse_numbers(args.mask, (int,) * 4, "--mask")
+        height, width = window[2:]
+        if height <= 0 or width <= 0:
             raise ConfigError(
                 f"--mask {args.mask}: height and width must be positive, "
-                f"got {mask_h} and {mask_w}"
+                f"got {height} and {width}"
             )
-        # checked before any index array is built, so a huge mask costs nothing
-        if (top < 0 or top + mask_h > search.shape[1]
-                or left < 0 or left + mask_w > search.shape[2]):
-            raise ConfigError(f"--mask {args.mask} outside search grid {search.shape[1:]}")
-        rows = np.arange(top, top + mask_h)
-        cols = np.arange(left, left + mask_w)
-        mask = (rows[:, None] * search.shape[2] + cols[None, :]).ravel()
-    else:
-        mask = np.arange(search.shape[1] * search.shape[2])
-    saliency = template_saliency(attention.T, mask).reshape(template.shape[1:])
+    try:  # its one error, a window outside the grid, is raised before any copy
+        saliency = template_saliency(attention.reshape(-1, *search.shape[1:]), window)
+    except ValueError as exc:
+        raise ConfigError(f"--mask {args.mask} {exc}") from exc
+    saliency = saliency.reshape(template.shape[1:])
 
     # the features are search + gamma * mixed: a cell beyond float32 is
     # charged to what set gamma

@@ -319,13 +319,12 @@ def _walk(gt_x, gt_y, occluded, steps, shape, cell_scale):
     truth = np.stack((gt_x, gt_y), axis=1).tolist()
     steps_list, hidden = steps.tolist(), occluded.tolist()
     frame = 0
-    while True:
-        misses = np.flatnonzero(~locks[frame:])
-        if not len(misses):
-            break
+    for miss in np.flatnonzero(~locks).tolist():
+        if miss < frame:  # inside a stretch already walked
+            continue
         # this frame's window is right, but it does not lock on: the next
         # frames are walked from here until one locks on
-        frame += int(misses[0])
+        frame = miss
         raw_x, raw_y = centre_x[frame].item(), centre_y[frame].item()
         while frame < len(truth):
             (gx, gy), (dx, dy) = truth[frame], steps_list[frame]

@@ -316,44 +316,87 @@ class TestInitialization:
         assert biased.b_v.shape == (8,)
 
 
+def saliency_oracle(attention, grid, window):
+    """The saliency of ``window`` = (top, left, height, width) on the
+    template-major (Nt, Ns) ``attention`` over a search grid of ``grid``
+    cells: the selected search columns added one by one, in row-major order.
+    With one template cell every attention entry is 1.0, so the sum is exact
+    in any order."""
+    top, left, height, width = window
+    total = np.zeros(len(attention))
+    for row in range(top, top + height):
+        for col in range(left, left + width):
+            total = total + attention[:, row * grid[1] + col]
+    return total
+
+
+def random_attention(rng, cells, grid):
+    """A column-stochastic (Nt, Ns) attention over ``cells`` template and
+    ``grid`` search cells, as the attention block returns."""
+    scores = rng.normal(0.0, 3.0, (cells, grid[0] * grid[1]))
+    return _template_softmax(scores, np.eye(cells))
+
+
 class TestSaliency:
-    def test_full_mask_uniform_attention(self):
-        attn = np.full((6, 3), 1 / 3)
-        saliency = template_saliency(attn, range(6))
+    def test_whole_grid_uniform_attention(self):
+        attn = np.full((3, 2, 3), 1 / 3)
+        saliency = template_saliency(attn)
         assert np.allclose(saliency, 2.0)  # N_s / N_t
 
-    def test_single_index_mask_returns_row(self):
-        rng = np.random.default_rng(16)
-        raw = rng.uniform(0.1, 1.0, size=(4, 3))
-        attn = raw / raw.sum(axis=1, keepdims=True)
-        saliency = template_saliency(attn, {2})
-        assert np.allclose(saliency, attn[2])
+    def test_single_cell_window_returns_its_column(self):
+        attn = random_attention(np.random.default_rng(16), 3, (2, 2)).reshape(3, 2, 2)
+        saliency = template_saliency(attn, (1, 0, 1, 1))
+        assert np.array_equal(saliency, attn[:, 1, 0])
         assert saliency.sum() == pytest.approx(1.0)
 
-    def test_two_index_mask_sums_rows(self):
-        attn = np.array([[0.5, 0.5], [0.9, 0.1], [0.2, 0.8]])
-        saliency = template_saliency(attn, {0, 2})
-        assert np.allclose(saliency, [0.7, 1.3])
+    def test_column_window_sums_its_cells(self):
+        attn = np.array([[0.5, 0.9, 0.2], [0.5, 0.1, 0.8]]).reshape(2, 3, 1)
+        saliency = template_saliency(attn, (1, 0, 2, 1))
+        assert np.allclose(saliency, [1.1, 0.9])
 
-    def test_total_equals_mask_size(self):
-        rng = np.random.default_rng(17)
-        raw = rng.uniform(0.1, 1.0, size=(10, 4))
-        attn = raw / raw.sum(axis=1, keepdims=True)
-        saliency = template_saliency(attn, {1, 4, 7})
-        assert abs(saliency.sum() - 3.0) < 1e-6
+    def test_total_equals_window_size(self):
+        attn = random_attention(np.random.default_rng(17), 4, (5, 2)).reshape(4, 5, 2)
+        saliency = template_saliency(attn, (1, 0, 3, 2))
+        assert abs(saliency.sum() - 6.0) < 1e-6
 
-    def test_empty_mask_warns_and_zeroes(self):
-        attn = np.full((4, 2), 0.5)
-        with pytest.warns(UserWarning, match="empty"):
-            saliency = template_saliency(attn, set())
-        assert np.array_equal(saliency, np.zeros(2))
+    def test_empty_window_is_zeros(self):
+        attn = np.full((2, 2, 2), 0.5)
+        for window in ((1, 1, 0, 1), (2, 0, 0, 2), (0, 2, 2, 0)):
+            assert np.array_equal(template_saliency(attn, window), np.zeros(2))
 
-    def test_out_of_range_mask_rejected(self):
-        attn = np.full((4, 2), 0.5)
-        with pytest.raises(ValueError):
-            template_saliency(attn, {4})
-        with pytest.raises(ValueError):
-            template_saliency(attn, {-1})
+    @pytest.mark.parametrize(
+        "window",
+        [(0, 0, 3, 1), (2, 0, 2, 1), (-1, 0, 1, 1), (0, 0, 1, 3), (0, 1, 1, 2),
+         (0, -1, 1, 1), (1, 0, -1, 1), (0, 1, 1, -1), (0, 0, 10**12, 1)],
+    )
+    def test_window_outside_the_grid_rejected(self, window):
+        attn = np.full((2, 2, 2), 0.5)
+        with pytest.raises(ValueError, match=r"^outside search grid \(2, 2\)$"):
+            template_saliency(attn, window)
+
+    def test_flat_attention_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            template_saliency(np.full((2, 4), 0.5))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        cells=st.integers(1, 6),
+        grid=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        data=st.data(),
+    )
+    def test_any_window_matches_the_row_major_oracle(self, seed, cells, grid, data):
+        attn = random_attention(np.random.default_rng(seed), cells, grid)
+        top = data.draw(st.integers(0, grid[0] - 1))
+        left = data.draw(st.integers(0, grid[1] - 1))
+        window = (top, left, data.draw(st.integers(1, grid[0] - top)),
+                  data.draw(st.integers(1, grid[1] - left)))
+        grid_attn = attn.reshape(cells, *grid)
+        got = template_saliency(grid_attn, window)
+        assert got.tobytes() == saliency_oracle(attn, grid, window).tobytes()
+        whole = template_saliency(grid_attn, (0, 0, *grid))
+        assert whole.tobytes() == template_saliency(grid_attn).tobytes()
+        assert whole.tobytes() == saliency_oracle(attn, grid, (0, 0, *grid)).tobytes()
 
 
 class TestCrossCorrelation:

@@ -25,13 +25,12 @@ from sattrack import (
     enhance_features,
     init_projection_weights,
     project_qkv,
-    template_saliency,
 )
 from sattrack import AspectRatioParams, BoundingBox, MotionParams, ScenarioConfig, TrackerState
 from sattrack import generate_scenario, motion, psr
 from sattrack.attention import _template_softmax
 from sattrack.motion import _branch_weights
-from test_attention import with_biases
+from test_attention import saliency_oracle, with_biases
 from test_formats import (
     feature_map_bytes, read_grid, read_trajectory, scenario_from_file, scenario_text,
     write_feature_map, write_projection_weights,
@@ -1888,12 +1887,9 @@ def test_attention_demo_outputs_match_library_calls(tmp_path, mask):
     assert read_feature_map(out / "enhanced.bin").tobytes() == (
         expected.astype(np.float32).astype(float).tobytes()
     )
-    if mask:
-        cells = [r * 7 + c for r in range(3, 5) for c in range(4, 7)]
-    else:
-        cells = range(9 * 7)
-    attn = _template_softmax(*project_qkv(search, template, weights)[:2]).T
-    saliency = template_saliency(attn, cells).reshape(3, 4)
+    window = (3, 4, 2, 3) if mask else (0, 0, 9, 7)
+    attn = _template_softmax(*project_qkv(search, template, weights)[:2])
+    saliency = saliency_oracle(attn, (9, 7), window).reshape(3, 4)
     assert np.array_equal(read_grid(out / "saliency.csv"), saliency)
 
 
@@ -1914,7 +1910,7 @@ def test_attention_demo_mask_out_of_bounds(tmp_path, capsys):
 
 
 def test_attention_demo_huge_mask_is_outside_the_grid(tmp_path, capsys):
-    # checked before any index array is built: a 10**12-row mask allocates nothing
+    # checked before the window's rows are copied: a 10**12-row mask allocates nothing
     out = tmp_path / "o"
     argv = ["attention-demo", "--search-size", "4,5,5", "--mask", "0,0,1000000000000,1"]
     assert main(argv + ["--output", str(out)]) == 1

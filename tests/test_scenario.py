@@ -249,6 +249,39 @@ class TestWalk:
             assert column.shape == reference.shape and column.dtype == reference.dtype
             assert column.tobytes() == reference.tobytes()
 
+    @pytest.mark.parametrize("frames", [3000, 3001, 8000])
+    def test_every_other_frame_occluded_matches_a_frame_by_frame_walk(self, frames):
+        # a lost stretch starts at every other frame: each is walked once
+        rng = np.random.default_rng(frames)
+        gt_x = np.cumsum(rng.normal(0.0, 4.0, frames))
+        gt_y = np.cumsum(rng.normal(0.0, 4.0, frames))
+        occluded = np.arange(frames) % 2 == 1
+        steps = rng.normal(0.0, 0.5, (frames, 2))
+        for shape, cell_scale in (((4, 4), 8.0), ((25, 25), 8.0), ((3, 5), 1.0)):
+            got = _walk(gt_x, gt_y, occluded, steps, shape, cell_scale)
+            expected = reference_walk(gt_x, gt_y, occluded, steps, shape, cell_scale)
+            for column, reference in zip(got, expected):
+                assert column.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("hidden", [1, 40, 700])
+    def test_long_lost_stretches_relock_as_a_frame_by_frame_walk(self, hidden):
+        # a slow target hidden for ``hidden`` frames out of every 1,000, while
+        # the raw box drifts off it; once seen inside the window it locks on
+        frames = 6000
+        rng = np.random.default_rng(hidden)
+        gt_x = np.cumsum(rng.normal(0.0, 0.3, frames))
+        gt_y = np.cumsum(rng.normal(0.0, 0.3, frames))
+        occluded = np.arange(frames) % 1000 >= 1000 - hidden
+        steps = rng.normal(0.0, 1.0, (frames, 2))
+        for shape, cell_scale in (((25, 25), 8.0), ((9, 9), 1.0), ((5, 7), 2.0)):
+            got = _walk(gt_x, gt_y, occluded, steps, shape, cell_scale)
+            expected = reference_walk(gt_x, gt_y, occluded, steps, shape, cell_scale)
+            relocks = np.flatnonzero(occluded[:-1] & ~occluded[1:]) + 1
+            for column, reference in zip(got, expected):
+                assert column.tobytes() == reference.tobytes()
+            if shape == (25, 25):  # the box stays in view: every stretch re-locks
+                assert got[2][relocks].all()
+
     def test_non_finite_offsets_match_a_frame_by_frame_walk(self):
         gt_x = np.array([0.0, 1e300, np.inf, 0.0, 200.0, 0.0, 3.0, -1e308, 5.0])
         gt_y = np.array([0.0, 0.0, 0.0, np.nan, 0.0, -96.0, 1.0, 1e308, 2.0])
