@@ -192,24 +192,29 @@ def enhance_features(
     return _attend(search, template, weights)[0]
 
 
+def _window(window, grid: tuple[int, int]) -> tuple[int, int, int, int]:
+    """``window`` as ``(top, left, height, width)`` search cells, the whole
+    ``grid`` when None; a window that leaves the grid is a ValueError."""
+    top, left, height, width = (0, 0, *grid) if window is None else window
+    if not (0 <= top <= top + height <= grid[0] and 0 <= left <= left + width <= grid[1]):
+        raise ValueError(f"outside search grid {grid}")
+    return top, left, height, width
+
+
 def template_saliency(attention: np.ndarray, window=None) -> np.ndarray:
     """Total attention each template location receives from a rectangle of
     search cells.
 
     ``attention`` is the template-major attention over the search grid,
     shape (Nt, H, W), as ``_attend``'s (Nt, Ns) matrix reshapes to.
-    ``window`` is ``(top, left, height, width)`` in search cells, the whole
-    grid when None; a window that leaves the grid is a ValueError.  The
+    ``window`` is read by :func:`_window` against the (H, W) grid.  The
     window's rows are copied to one C-contiguous (n, Nt) block and summed
     along its first axis, which adds the search cells in row-major order
     (a sum over a strided view would round differently).
     """
     if attention.ndim != 3:
         raise ValueError(f"attention must have shape (Nt, H, W), got {attention.shape}")
-    grid = attention.shape[1:]
-    top, left, height, width = (0, 0, *grid) if window is None else window
-    if not (0 <= top <= top + height <= grid[0] and 0 <= left <= left + width <= grid[1]):
-        raise ValueError(f"outside search grid {grid}")
+    top, left, height, width = _window(window, attention.shape[1:])
     block = attention[:, top:top + height, left:left + width]
     return np.moveaxis(block, 0, -1).copy().reshape(-1, len(attention)).sum(axis=0)
 

@@ -9,10 +9,11 @@ SATTRACK_LAMBDA_EMA.  A value comes from the flag, else the variable, else
 the config file, else the default.  Every number, from a flag, a variable
 or a config file, is read by one rule (:func:`formats._parse`: an int, or a
 finite float).  One settings step, :func:`_settings`, lays the flags and
-variables over a settings object's file values or defaults and builds it
-once.  A value that does not parse is an error opening with its source
-(``--theta needs a float, got 'inf'``); an object its class rejects, with
-every source that set one of its values, file first: ``p.cfg, --n2: ...``.
+variables over a settings object's file values or defaults and builds it;
+a scenario or ``--weights`` file is also checked when read.  A value that
+does not parse is an error opening with its source (``--theta needs a
+float, got 'inf'``); an object its class rejects, with every source that
+set one of its values, file first: ``p.cfg, --n2: ...``.
 
 Handlers compute and return their files' bytes; :func:`main` resolves the
 output directory first and writes the files atomically once the handler
@@ -45,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .attention import _attend, init_projection_weights, template_saliency
+from .attention import _attend, _window, init_projection_weights, template_saliency
 from .boxes import BoundingBox
 from .formats import ConfigError
 from .geometry import AspectRatioParams, GridGeometry, build_label_maps
@@ -195,12 +196,11 @@ def cmd_centerness_map(args, out: Path):
     grid = formats._build("--grid", GridGeometry, stride=stride, height=grid_h, width=grid_w)
     formats._check_bytes("--grid", 128 * grid_h * grid_w)  # 2 maps, labels, 3 CSV texts
     params, _ = _settings(args, AspectRatioParams())
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        constrained = build_label_maps(box, grid, params)
-        classic = build_label_maps(box, grid, None)
-    for message in dict.fromkeys(str(warning.message) for warning in caught):  # say it once
-        print(f"warning: {message}", file=sys.stderr)
+    constrained = build_label_maps(box, grid, params)
+    classic = build_label_maps(box, grid, None)  # the same labels: they do not use params
+    if not constrained.positive_count:
+        print("warning: ground-truth box covers no grid point; all cells are negative",
+              file=sys.stderr)
 
     files = {
         "constrained.csv": formats.grid_csv(constrained.centerness),
@@ -455,6 +455,18 @@ def cmd_attention_demo(args, out: Path):
         # five maps of its size (it, its values, mixed, enhanced, their file), C*C weights
         formats._check_bytes("--search-size", 8 * channels * (5 * rows * cols + 2 * channels))
         search = rng.standard_normal((channels, rows, cols))
+    window = None
+    if args.mask:  # checked against the search grid before the attention is built
+        window = formats._parse_numbers(args.mask, (int,) * 4, "--mask")
+        if min(window[2:]) <= 0:
+            raise ConfigError(
+                f"--mask {args.mask}: height and width must be positive, "
+                f"got {window[2]} and {window[3]}"
+            )
+        try:
+            _window(window, search.shape[1:])
+        except ValueError as exc:
+            raise ConfigError(f"--mask {args.mask} {exc}") from exc
     if template_path:
         template = _read("--template", formats.read_feature_map, template_path)
     else:
@@ -478,19 +490,7 @@ def cmd_attention_demo(args, out: Path):
     inputs = (channels_from, _named(template_path), _named(weights_path))
     where = ", ".join(dict.fromkeys(filter(None, inputs)))
     enhanced, attention = formats._build(where, _attend, search, template, weights)
-    window = None
-    if args.mask:
-        window = formats._parse_numbers(args.mask, (int,) * 4, "--mask")
-        height, width = window[2:]
-        if height <= 0 or width <= 0:
-            raise ConfigError(
-                f"--mask {args.mask}: height and width must be positive, "
-                f"got {height} and {width}"
-            )
-    try:  # its one error, a window outside the grid, is raised before any copy
-        saliency = template_saliency(attention.reshape(-1, *search.shape[1:]), window)
-    except ValueError as exc:
-        raise ConfigError(f"--mask {args.mask} {exc}") from exc
+    saliency = template_saliency(attention.reshape(-1, *search.shape[1:]), window)
     saliency = saliency.reshape(template.shape[1:])
 
     # the features are search + gamma * mixed: a cell beyond float32 is

@@ -18,7 +18,6 @@ head, and a plain binary cross entropy for the centerness head.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,18 +123,13 @@ def build_label_maps(
     bottom sides scores sqrt((min(l, r)/max(l, r))**e_h *
     (min(t, b)/max(t, b))**e_v), the FCOS centerness when both exponents are
     1 (``params`` None) and otherwise the exponents of :func:`_exponents` at
-    rho = w/h.  A box that covers no grid point yields all-negative maps and
-    a warning.
+    rho = w/h.  A box that covers no grid point yields all-negative maps,
+    ``positive_count`` 0.
     """
     x0, y0, x1, y1 = gt_box.corners
     xs, ys = grid.point_xs(), grid.point_ys()
     ratio_h, inside_x = _side_ratios(xs - x0, x1 - xs)
     ratio_v, inside_y = _side_ratios(ys - y0, y1 - ys)
-    if not (inside_x.any() and inside_y.any()):
-        warnings.warn(
-            "ground-truth box covers no grid point; all cells are negative",
-            stacklevel=2,
-        )
     exp_h, exp_v = _exponents(gt_box.w / gt_box.h, params)
     # both profiles are zero outside the box, so negatives score zero
     centerness = np.sqrt(np.multiply.outer(ratio_v**exp_v, ratio_h**exp_h))

@@ -1920,6 +1920,32 @@ def test_attention_demo_huge_mask_is_outside_the_grid(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "mask, message",
+    [
+        ("1,2,x,3", "--mask needs a int, got 'x'"),
+        ("1,1,0,2", "--mask 1,1,0,2: height and width must be positive, got 0 and 2"),
+        ("4,4,3,3", "--mask 4,4,3,3 outside search grid (5, 5)"),
+        ("0,0,1000000000000,1", "--mask 0,0,1000000000000,1 outside search grid (5, 5)"),
+    ],
+)
+def test_attention_demo_mask_is_checked_before_the_attention(
+    tmp_path, monkeypatch, capsys, mask, message
+):
+    # the window is read once the search grid is known: before the template,
+    # whose 3 channels would not match the search's 4, and before any attention
+    def attend(*args):
+        raise AssertionError("the attention was built for a bad --mask")
+
+    monkeypatch.setattr(cli, "_attend", attend)
+    write_feature_map(tmp_path / "t.bin", np.zeros((3, 2, 2), dtype=np.float32))
+    out = tmp_path / "o"
+    argv = ["attention-demo", "--search-size", "4,5,5", "--template", str(tmp_path / "t.bin")]
+    assert main(argv + ["--mask", mask, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", ["--gamma", "SATTRACK_GAMMA", "weights"])
 def test_attention_demo_float32_overflow_is_one_error_line(tmp_path, monkeypatch, capsys, source):
     out = tmp_path / "o"

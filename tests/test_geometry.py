@@ -115,8 +115,10 @@ class TestLabelMaps:
         classic = build_label_maps(box, params=None)
         assert constrained.centerness.sum() > classic.centerness.sum()
 
-    def test_outside_box_warns_and_is_all_negative(self):
-        with pytest.warns(UserWarning, match="no grid point"):
+    def test_outside_box_is_all_negative_without_a_warning(self):
+        # the empty box is reported by its count alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             maps = build_label_maps(BoundingBox(1000.0, 1000.0, 10.0, 10.0))
         assert maps.positive_count == 0
         assert not maps.centerness.any()
@@ -132,15 +134,13 @@ class TestLabelMaps:
     def test_unrepresentable_aspect_ratio_rejected(self, tmp_path, capsys, w, h, rho):
         # w/h overflows to inf or underflows to 0, so one exponent is undefined
         message = f"aspect ratio w/h must be finite and > 0 with a finite reciprocal, got {rho}"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                build_label_maps(BoundingBox(100.0, 100.0, w, h))
-            # the classic map uses no aspect ratio and still builds
-            classic = build_label_maps(BoundingBox(100.0, 100.0, w, h), params=None)
-            assert classic.centerness.shape == (25, 25)
-            argv = ["centerness-map", "--box", f"100,100,{w!r},{h!r}", "--output", str(tmp_path)]
-            assert main(argv) == 1
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_label_maps(BoundingBox(100.0, 100.0, w, h))
+        # the classic map uses no aspect ratio and still builds
+        classic = build_label_maps(BoundingBox(100.0, 100.0, w, h), params=None)
+        assert classic.centerness.shape == (25, 25)
+        argv = ["centerness-map", "--box", f"100,100,{w!r},{h!r}", "--output", str(tmp_path)]
+        assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
@@ -155,11 +155,9 @@ class TestLabelMaps:
             cy = rng.uniform(20, 235)
             gamma = rng.uniform(0.25, 1.0)
             box = BoundingBox(cx, cy, w, h)
-            with warnings.catch_warnings():
-                # a draw far to the right may cover no grid point at all;
-                # the all-negative result is still checked below
-                warnings.simplefilter("ignore", UserWarning)
-                maps = build_label_maps(box, grid, AspectRatioParams(gamma))
+            # a draw far to the right may cover no grid point at all;
+            # the all-negative result is still checked below
+            maps = build_label_maps(box, grid, AspectRatioParams(gamma))
             x0, y0, x1, y1 = box.corners
             for i in range(grid.height):
                 for j in range(grid.width):
@@ -217,14 +215,14 @@ class TestLabelMapProperties:
         box = BoundingBox(cx, cy, w, h)
         params = None if gamma is None else AspectRatioParams(gamma)
         expected_centerness, expected_labels = meshgrid_label_maps(box, grid, params)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty box is no warning either
             maps = build_label_maps(box, grid, params)
         assert np.array_equal(maps.centerness, expected_centerness)
         assert np.array_equal(maps.labels, expected_labels)
         assert maps.labels.dtype == np.uint8
         assert maps.centerness.shape == (height, width)
-        assert bool(caught) == (not expected_labels.any())
+        assert (maps.positive_count == 0) == (not expected_labels.any())
         assert maps.centerness.min() >= 0.0 and maps.centerness.max() <= 1.0
 
     @settings(max_examples=200, deadline=None)
@@ -247,10 +245,8 @@ class TestLabelMapProperties:
         params = None if gamma is None else AspectRatioParams(gamma)
         xs, ys = grid.point_xs(), grid.point_ys()
         mirrored = BoundingBox(xs[0] + xs[-1] - cx, ys[0] + ys[-1] - cy, w, h)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            maps = build_label_maps(BoundingBox(cx, cy, w, h), grid, params)
-            flipped = build_label_maps(mirrored, grid, params)
+        maps = build_label_maps(BoundingBox(cx, cy, w, h), grid, params)
+        flipped = build_label_maps(mirrored, grid, params)
         assert np.array_equal(flipped.centerness, maps.centerness[::-1, ::-1])
         assert np.array_equal(flipped.labels, maps.labels[::-1, ::-1])
 
@@ -270,10 +266,8 @@ class TestLabelMapProperties:
         grid = GridGeometry(stride=stride, height=height, width=width)
         swapped_grid = GridGeometry(stride=stride, height=width, width=height)
         params = None if gamma is None else AspectRatioParams(gamma)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            maps = build_label_maps(BoundingBox(cx, cy, w, h), grid, params)
-            swapped = build_label_maps(BoundingBox(cy, cx, h, w), swapped_grid, params)
+        maps = build_label_maps(BoundingBox(cx, cy, w, h), grid, params)
+        swapped = build_label_maps(BoundingBox(cy, cx, h, w), swapped_grid, params)
         assert np.array_equal(swapped.labels, maps.labels.T)
         if params is None:
             assert np.array_equal(swapped.centerness, maps.centerness.T)
@@ -293,10 +287,8 @@ class TestLabelMapProperties:
         # exponents are at most 1 and side ratios lie in [0, 1], so the
         # constrained score is at least the classic one, on the same cells
         box = BoundingBox(cx, cy, w, h)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            constrained = build_label_maps(box, params=AspectRatioParams(gamma))
-            classic = build_label_maps(box, params=None)
+        constrained = build_label_maps(box, params=AspectRatioParams(gamma))
+        classic = build_label_maps(box, params=None)
         assert np.array_equal(constrained.labels, classic.labels)
         # allow for the last bits of the power, which need not round exactly
         assert (constrained.centerness >= classic.centerness * (1.0 - 1e-12)).all()
