@@ -19,6 +19,20 @@ template row.  The Toeplitz matrices are read-only strided views of one
 zero-padded (C, Ht, Ws + ow - 1) copy of the template, so the extra memory
 is O(C * Ht * (Ws + ow)) plus the output; no C * oh * ow * Ht * Wt window
 copy is ever formed.
+
+On head-sized maps (an 8x29x29 search map, a 5x5 template) the cost of a
+call is numpy call overhead more than arithmetic, so each call makes as
+few array calls as it can and stays exact:
+
+* The Toeplitz matrices are one read-only ``np.ndarray`` view built
+  straight from the padded copy's strides (the last axis runs backwards
+  from offset ``ow - 1``), not ``sliding_window_view`` and a reversal,
+  whose Python wrappers cost more than one of the ``Ht`` products.
+* A feature map is proved finite by one dot product with a cached ones
+  vector (``motion._ones``), as PSR does: a finite total proves every cell
+  finite, and only a total that is not (a non-finite cell, or finite cells
+  that overflow) pays for the cell-by-cell scan.  ``np.vdot`` never warns,
+  where a ``sum`` would on an overflowing total.
 """
 
 from __future__ import annotations
@@ -27,14 +41,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+
+from .motion import _ones
 
 
 def _check_feature_map(f: np.ndarray, name: str) -> np.ndarray:
+    """``f`` as a float (C, H, W) map, checked finite.  A finite total
+    proves every cell finite, so the cell-by-cell scan runs only when the
+    total is not (non-finite cells, or finite cells that overflow)."""
     f = np.asarray(f, dtype=float)
     if f.ndim != 3 or min(f.shape) < 1:
         raise ValueError(f"{name} must have shape (C, H, W), got {f.shape}")
-    if not np.isfinite(f).all():
+    if not math.isfinite(np.vdot(f, _ones(f.size))) and not np.isfinite(f).all():
         raise ValueError(f"{name} must be finite")
     return f
 
@@ -241,7 +259,13 @@ def xcorr_depthwise(template: np.ndarray, search: np.ndarray) -> np.ndarray:
     # toeplitz[c, i, s, x] = template[c, i, s - x] for 0 <= s - x < cols, else 0
     padded = np.zeros((channels, rows, search.shape[2] + out_w - 1))
     padded[:, :, out_w - 1:out_w - 1 + cols] = template
-    toeplitz = sliding_window_view(padded, out_w, axis=2)[..., ::-1]
+    # that is padded[c, i, s + out_w - 1 - x]: one view, its last axis backwards
+    s0, s1, s2 = padded.strides
+    toeplitz = np.ndarray(
+        (channels, rows, search.shape[2], out_w), buffer=padded,
+        offset=(out_w - 1) * s2, strides=(s0, s1, s2, -s2),
+    )
+    toeplitz.flags.writeable = False
     out = search[:, :out_h] @ toeplitz[:, 0]
     for i in range(1, rows):
         out += search[:, i:i + out_h] @ toeplitz[:, i]

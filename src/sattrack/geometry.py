@@ -13,10 +13,18 @@ one only on its row, so a whole map is built from two 1-D profiles.
 The losses consume these targets: a soft-label cross entropy for the
 classification head, a centerness-weighted log-IoU loss for the regression
 head, and a plain binary cross entropy for the centerness head.
+
+On a 25x25 grid the cost of a map or a loss is numpy call overhead more
+than arithmetic, so the kernels make as few array calls as they can and
+stay exact: a :class:`GridGeometry` builds its read-only grid points once
+and keeps them, and the cross entropy clamps with ``np.minimum`` and
+``np.maximum`` and averages with ``np.add.reduce`` over the size, the same
+doubles as ``np.clip`` and ``mean`` without their Python wrappers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,13 +70,25 @@ class GridGeometry:
         if self.stride <= 0 or self.height <= 0 or self.width <= 0:
             raise ValueError("grid stride and shape must be positive")
 
+    @functools.cached_property
+    def _points(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only column x and row y coordinates, built on first use
+        and kept on the instance."""
+        points = tuple(
+            self.stride // 2 + np.arange(count, dtype=float) * self.stride
+            for count in (self.width, self.height)
+        )
+        for axis in points:
+            axis.flags.writeable = False
+        return points
+
     def point_xs(self) -> np.ndarray:
-        """Image x coordinate of every grid column."""
-        return self.stride // 2 + np.arange(self.width, dtype=float) * self.stride
+        """Image x coordinate of every grid column (read-only)."""
+        return self._points[0]
 
     def point_ys(self) -> np.ndarray:
-        """Image y coordinate of every grid row."""
-        return self.stride // 2 + np.arange(self.height, dtype=float) * self.stride
+        """Image y coordinate of every grid row (read-only)."""
+        return self._points[1]
 
 
 @dataclass(frozen=True)
@@ -148,9 +168,10 @@ def _soft_binary_cross_entropy(preds, targets) -> float:
         # one check: NaN and +-inf fail the comparisons as well
         if not (arr.min() >= 0.0 and arr.max() <= 1.0):
             raise ValueError(f"{name} must lie in [0, 1]")
-    p = np.clip(preds, LOG_EPS, 1.0 - LOG_EPS)
+    # np.clip and mean give these doubles too, through slower wrappers
+    p = np.minimum(np.maximum(preds, LOG_EPS), 1.0 - LOG_EPS)
     terms = targets * np.log(p) + (1.0 - targets) * np.log1p(-p)
-    return float(-terms.mean())
+    return float(-(np.add.reduce(terms) / terms.size))
 
 
 def cls_loss(preds, soft_targets) -> float:

@@ -1,6 +1,7 @@
 """Cross-frame attention tests, including a naive per-location reference forward."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -549,3 +550,67 @@ class TestAttentionWeightsProperties:
         enhanced, template_major = _attend(search, template, weights)
         assert np.array_equal(enhanced, search + 0.3 * mixed)
         assert np.array_equal(template_major.T, attention)
+
+
+# the three entry points that take feature maps, called with (search,
+# template); all-zero projections keep every product finite, so a map
+# whose total overflows reaches the end of each call
+ZERO_WEIGHTS = ProjectionWeights(
+    w_q=np.zeros((2, 2)), w_k=np.zeros((2, 2)), w_v=np.zeros((2, 2)), gamma=0.5
+)
+FEATURE_MAP_CALLS = {
+    "project_qkv": lambda search, template: project_qkv(search, template, ZERO_WEIGHTS),
+    "enhance_features": lambda search, template: enhance_features(search, template, ZERO_WEIGHTS),
+    "xcorr_depthwise": lambda search, template: xcorr_depthwise(template, search),
+}
+
+
+@st.composite
+def feature_map_pairs(draw):
+    """{"search": ..., "template": ...} of 2 channels, the template no
+    larger than the search map, with cells in [-1, 1]."""
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    t_rows, t_cols = draw(st.integers(1, rows)), draw(st.integers(1, cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return {
+        "search": rng.uniform(-1.0, 1.0, size=(2, rows, cols)),
+        "template": rng.uniform(-1.0, 1.0, size=(2, t_rows, t_cols)),
+    }
+
+
+class TestFeatureMapsMustBeFinite:
+    @PROPERTY_SETTINGS
+    @given(
+        st.sampled_from(sorted(FEATURE_MAP_CALLS)),
+        feature_map_pairs(),
+        st.sampled_from(["search", "template"]),
+        st.integers(0, 2**16),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    def test_one_non_finite_cell_anywhere_is_rejected(self, call, maps, name, cell, value):
+        poisoned = maps[name]
+        poisoned.flat[cell % poisoned.size] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            FEATURE_MAP_CALLS[call](**maps)
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.sampled_from(sorted(FEATURE_MAP_CALLS)),
+        feature_map_pairs(),
+        st.sampled_from(["search", "template"]),
+        st.floats(1e308, 1.7e308),
+    )
+    def test_a_finite_map_whose_total_overflows_is_accepted(self, call, maps, name, top):
+        # every cell of one map in [0.95 top, top]: at least two cells, so
+        # their total is beyond the float range; the other map's cells are
+        # small enough that no product or window sum overflows
+        maps[name] = top * (0.975 + 0.025 * maps[name])
+        with np.errstate(over="ignore"):
+            assert np.add.reduce(maps[name], axis=None) == math.inf
+        other = "template" if name == "search" else "search"
+        maps[other] *= 1e-6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = FEATURE_MAP_CALLS[call](**maps)
+        for part in out if call == "project_qkv" else (out,):
+            assert np.isfinite(part).all()

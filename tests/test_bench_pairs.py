@@ -235,7 +235,27 @@ def test_summarize_judges_the_wall_clock_and_flags_a_scaling_that_moved(bench_pa
     assert entry["scaling_differs"] is True
     table = capsys.readouterr().out
     assert "  wall frames_per_s " in table and "wins 0/10, worse" in table
-    assert table.rstrip().endswith("differs by more than either IQR")
+    assert table.rstrip().endswith("scaled and wall-clock verdicts differ")
+
+
+def test_summarize_leaves_a_moved_scaling_unflagged_where_the_verdicts_agree(bench_pairs,
+                                                                            tmp_path, capsys):
+    # unchanged code, as refine_stream in BENCH_36.json: the scaled-to-wall
+    # ratios read 0.73 on the parent and 0.70 on the change, 0.03 apart
+    # against IQRs of 0.004, yet both verdicts are "no worse"
+    records = []
+    for pair in range(5):
+        spread = 0.002 * pair
+        records.append(run_record("parent", pair, 73.0 + pair, wall=(73.0 + pair) / (0.726 + spread)))
+        records.append(run_record("change", pair, 73.0 + pair, wall=(73.0 + pair) / (0.696 + spread)))
+    entry = summarize_records(bench_pairs, tmp_path, records)
+    p, c = (entry[side]["scaled_to_wall"] for side in ("parent", "change"))
+    assert c["median"] - p["median"] == pytest.approx(-0.03)
+    assert max(p["iqr"], c["iqr"]) == pytest.approx(0.004)
+    assert entry["verdicts"]["frames_per_s"] == entry["wall_verdicts"]["frames_per_s"] == "no worse"
+    assert entry["scaling_differs"] is False
+    table = capsys.readouterr().out
+    assert "scaled/wall frames_per_s 0.73 [0.728-0.732] -> 0.7 [0.698-0.702]\n" in table
 
 
 def test_summarize_leaves_a_scaling_within_the_spread_unflagged(bench_pairs, tmp_path, capsys):
@@ -251,7 +271,7 @@ def test_summarize_leaves_a_scaling_within_the_spread_unflagged(bench_pairs, tmp
     assert entry["scaling_differs"] is False
     # the change's wall clock is slower by 5% at the median, inside the 25% bound
     assert entry["wall_verdicts"] == {"frames_per_s": "no worse", "frame_p50_us": "no worse"}
-    assert "differs by more" not in capsys.readouterr().out
+    assert "verdicts differ" not in capsys.readouterr().out
 
 
 def test_summarize_records_each_metrics_verdict(bench_pairs, tmp_path, capsys):

@@ -123,6 +123,17 @@ class TestLabelMaps:
         assert maps.positive_count == 0
         assert not maps.centerness.any()
 
+    def test_grid_points_are_built_once_and_read_only(self):
+        grid = GridGeometry(stride=6, height=3, width=4)
+        assert grid.point_xs().tolist() == [3.0, 9.0, 15.0, 21.0]
+        assert grid.point_ys().tolist() == [3.0, 9.0, 15.0]
+        assert grid.point_xs() is grid.point_xs() and grid.point_ys() is grid.point_ys()
+        with pytest.raises(ValueError, match="read-only"):
+            grid.point_xs()[0] = 0.0
+        # the cache is no field: equal grids stay equal and hash alike
+        assert grid == GridGeometry(stride=6, height=3, width=4)
+        assert hash(grid) == hash(GridGeometry(stride=6, height=3, width=4))
+
     def test_grid_points_on_the_box_edge_are_negative(self):
         # grid points sit at 4, 12, 20, ...; this box's edges are x = 4, 20
         # and y = 12, 36, so only the points strictly between them count

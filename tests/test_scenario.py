@@ -980,6 +980,21 @@ class TestBatchedSynthesis:
         )
         assert np.abs(grid - expected).max() <= 1e-15 * (1.0 + total)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        side=st.integers(1, 2000),
+        count=st.integers(0, 600),
+    )
+    def test_a_square_map_draws_cells_as_the_pair_bound_does(self, seed, side, count):
+        # the placement draws with the scalar bound on a square map; the
+        # reference above keeps the (H, W) bound, so its cells pin this too
+        pair, scalar = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+        expected = pair.integers(0, (side, side), size=(count, 2))
+        drawn = scalar.integers(0, side, size=(count, 2))
+        assert np.array_equal(drawn, expected) and drawn.dtype == expected.dtype
+        assert scalar.bit_generator.state == pair.bit_generator.state
+
     def test_responses_are_views_of_one_read_only_array(self):
         scenario = generate_scenario(pin_config("wide"))
         stack = scenario[0].response.base

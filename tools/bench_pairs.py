@@ -21,16 +21,17 @@ the file, then prints a table of the medians.  The wall-clock
 ``frames_per_s`` and ``frame_p50_us`` get pair wins and a verdict by the
 same rule (``wall_change_wins``, ``wall_verdicts``).  Each side also
 records the stats of its runs' scaled-to-wall ``frames_per_s`` ratios
-(``scaled_to_wall``), and a workload whose two sides' median ratios
-differ by more than either side's IQR of them is flagged
-(``scaling_differs``): its scaled verdicts then rest partly on how the
-reference probe read each side.  ``compare`` prints the before/after
-table of two committed files: for every workload in both, the median and
-quartiles of each end-to-end metric on the ``change`` side (the code each
-file was written for) and the ratio of the medians, followed for
-frames_per_s by each file's own parent -> change medians, pair wins and,
-in files that record one, verdict, and by each side's scaled-to-wall
-ratio of medians in each file.  Scaling to the reference kernel makes
+(``scaled_to_wall``), and a workload whose scaled and wall-clock
+``frames_per_s`` verdicts differ is flagged (``scaling_differs``): there
+the verdict rests on how the reference probe read each side.  The ratios
+alone do not flag a workload, as the probe's reading moves between runs
+of unchanged code by more than one side's IQR shows.  ``compare`` prints
+the before/after table of two committed files: for every workload in
+both, the median and quartiles of each end-to-end metric on the
+``change`` side (the code each file was written for) and the ratio of
+the medians, followed for frames_per_s by each file's own parent ->
+change medians, pair wins and, in files that record one, verdict, and by
+each side's scaled-to-wall ratio of medians in each file.  Scaling to the reference kernel makes
 files from different days comparable, but not exactly: a change is judged
 by the pairs inside one file.  Nothing under ``benchmarks/`` is changed or
 imported.
@@ -228,7 +229,7 @@ def cmd_summarize(args):
         if "frames_per_s" in walled and all(by_side.values()):
             p, c = (stats(list(map(scaled_to_wall, by_side[side]))) for side in SIDES)
             entry["parent"]["scaled_to_wall"], entry["change"]["scaled_to_wall"] = p, c
-            entry["scaling_differs"] = abs(c["median"] - p["median"]) > max(p["iqr"], c["iqr"])
+            entry["scaling_differs"] = verdicts["frames_per_s"] != wall_verdicts["frames_per_s"]
         summary["workloads"][workload] = entry
         table.append(f"{workload}: parent {len(by_side['parent'])} runs, "
                      f"change {len(by_side['change'])} runs")
@@ -242,7 +243,7 @@ def cmd_summarize(args):
                          f"wins {won[name]}, {found[name]}")
         if "scaling_differs" in entry:
             p, c = (entry[side]["scaled_to_wall"] for side in SIDES)
-            flag = ", differs by more than either IQR" if entry["scaling_differs"] else ""
+            flag = ", scaled and wall-clock verdicts differ" if entry["scaling_differs"] else ""
             table.append(f"  scaled/wall frames_per_s {_cell(p)} -> {_cell(c)}{flag}")
     # the file first: a table printed into a closed pipe must not cost it
     Path(args.out).write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
