@@ -10,15 +10,14 @@ default ``auto_da_alloc``) a rename over an existing file forces the new
 data to disk before the rename is committed, so after a power loss too a
 rewritten target holds the old file or the new one.
 
-Every CSV file but a grid is built by one table encoder, :func:`_table`,
-from equal-length columns; a grid is built line by grid row.  Their floats
+Every CSV file is built by one table encoder, :func:`_table`, from
+equal-length columns (a grid's own columns, with no header).  Its floats
 are Python's shortest round-trip ``repr``, so files are byte-stable across
 runs and parse back to the exact values that were written.  orjson
 produces the digits, all of a file's floats in one :func:`_float_texts`
-call; a value whose orjson notation is
-not ``repr``'s (nan, +-inf, and any nonzero magnitude outside
-``[1e-4, 1e16)``) is written by ``repr`` itself.  Every output is encoded
-as ASCII.
+call; a value whose orjson notation is not ``repr``'s (nan, +-inf, and
+any nonzero magnitude outside ``[1e-4, 1e16)``) is written by ``repr``
+itself.  Every output is encoded as ASCII.
 
 Text files are read as UTF-8, whatever the locale: every text reader goes
 through one decoder, :func:`_decoded`, which skips a leading byte-order
@@ -424,15 +423,14 @@ def trace_csv(psr, npsr, branch: Sequence[str]) -> bytes:
 
 
 def grid_csv(grid: np.ndarray) -> bytes:
-    """A 2-D grid as one line per grid row, its floats from one
-    :func:`_float_texts` call."""
+    """A 2-D grid as one line per grid row, without a header: the
+    :func:`_table` of its columns."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2:
         raise ValueError(f"grid must be 2-D, got shape {grid.shape}")
     if not grid.size:  # it would make an empty file, which reads back as no grid at all
         raise ValueError(f"grid must have a row and a column, got shape {grid.shape}")
-    rows = zip(*[iter(_float_texts(grid))] * grid.shape[1])  # the texts, one grid row at a time
-    return ("\n".join(map(",".join, rows)) + "\n").encode("ascii")
+    return _table(None, list(grid.T))
 
 
 def pgm(grid: np.ndarray) -> bytes:

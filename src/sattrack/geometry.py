@@ -17,9 +17,11 @@ head, and a plain binary cross entropy for the centerness head.
 On a 25x25 grid the cost of a map or a loss is numpy call overhead more
 than arithmetic, so the kernels make as few array calls as they can and
 stay exact: a :class:`GridGeometry` builds its read-only grid points once
-and keeps them, and the cross entropy clamps with ``np.minimum`` and
+and keeps them, the cross entropy clamps with ``np.minimum`` and
 ``np.maximum`` and averages with ``np.add.reduce`` over the size, the same
-doubles as ``np.clip`` and ``mean`` without their Python wrappers.
+doubles as ``np.clip`` and ``mean`` without their Python wrappers, and the
+regression loss proves each input finite by one dot product
+(``motion._all_finite``), scanning cell by cell only when that total is not.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import BoundingBox, overlap_areas
+from .motion import _all_finite
 
 # Predictions are clamped to [LOG_EPS, 1 - LOG_EPS] before any logarithm.
 LOG_EPS = 1e-7
@@ -207,7 +210,7 @@ def regression_loss(pred_boxes, gt_boxes, centerness_weights) -> float:
         raise ValueError(
             f"expected {pred.shape[0]} weights, got {weights.shape[0]}"
         )
-    if not (np.isfinite(pred).all() and np.isfinite(gt).all() and np.isfinite(weights).all()):
+    if not (_all_finite(pred) and _all_finite(gt) and _all_finite(weights)):
         raise ValueError("loss inputs must be finite")
     if (pred[:, 2:] <= 0).any() or (gt[:, 2:] <= 0).any():
         raise ValueError("box sizes must be positive")

@@ -160,6 +160,14 @@ def _ones(size: int) -> np.ndarray:
     return ones
 
 
+def _all_finite(array: np.ndarray) -> bool:
+    """Whether every cell of the float ``array`` is finite.  A finite total
+    (one ``np.vdot`` with :func:`_ones`, which never warns) proves it, so
+    the cell-by-cell scan runs only when the total is not: non-finite
+    cells, or finite cells that overflow."""
+    return math.isfinite(np.vdot(array, _ones(array.size))) or bool(np.isfinite(array).all())
+
+
 def _check_response(response) -> tuple[np.ndarray, float]:
     """Validate a response map; return it as a C-contiguous float array with
     its cell sum.

@@ -23,14 +23,10 @@ Randomness comes from four independent PCG64 streams, spawned once from
 
 Each purpose draws whole arrays from its own stream, so all frames are
 synthesized in one batch.  Only the raw-box walk over pre-drawn ``(T, 2)``
-steps is partly a Python loop, because each position depends on the one
-before; it yields each frame's target cell and whether the cell lies in
-the window.  A frame after one that locked on starts from that frame's
-truth plus step, so runs of locked frames are decided as arrays and only
-the frames after a lost one are stepped one at a time.  An offset of a
-map or more, or a non-finite one, is outside the window and never
-rounded, so no valid config can overflow the walk.  Then, over all frames
-at once:
+steps is a Python loop, one pass over the frames as Python floats,
+because each position depends on the one before; it yields each frame's
+target cell and whether the cell lies in the window (:func:`_walk` states
+the rule).  Then, over all frames at once:
 
 * distractor cells: one vectorised rejection pass per distractor slot,
   redrawing only the frames whose candidate sits within
@@ -298,77 +294,44 @@ def _synthesize(
 
 def _walk(gt_x, gt_y, occluded, steps, shape, cell_scale):
     """The raw tracker's ``(T, 2)`` path and, per frame, the target's cell
-    in its window and whether that cell lies inside the map.
+    in its window and whether that cell lies inside the map, walked one
+    frame at a time.
 
     Frame ``k``'s window is centred on the raw position after frame
-    ``k - 1`` (frame 1's on the truth).  The raw box then locks onto the
-    truth plus ``steps[k]`` when the target is seen, and otherwise moves by
-    ``steps[k]`` from where it was.  The cell of a frame outside the window
-    is unused, as :func:`_synthesize` places no target there.
-
-    A frame whose predecessor locked on has its window centred on that
-    predecessor's truth plus step, so such runs of frames are decided as
-    arrays; only the frames after one that did not lock on are walked one
-    by one, until one locks on again.  Both give the same floats.
+    ``k - 1`` (frame 1's on the truth).  The target's offset from that
+    centre, in cells, is outside the window when it is NaN, infinite or a
+    map or more away, and is then never rounded (its cell is ``(0, 0)``);
+    any other offset rounds half to even, as :func:`round` does, to the
+    cell it names, which may still fall off the map.  The raw box then
+    locks onto the truth plus ``steps[k]`` when the target is inside and
+    not occluded, and otherwise moves by ``steps[k]`` from where it was.
+    The cell of a frame outside the window is unused, as
+    :func:`_synthesize` places no target there.
     """
     rows, cols = shape
-    with np.errstate(all="ignore"):  # overflow gives inf, as with Python floats
-        locked = gt_x + steps[:, 0], gt_y + steps[:, 1]
-    path = np.stack(locked, axis=1)
-    # each frame's window centre were its predecessor locked on
-    centre_x = np.concatenate((gt_x[:1], locked[0][:-1]))
-    centre_y = np.concatenate((gt_y[:1], locked[1][:-1]))
-    cells, inside = _window_cells(gt_x, gt_y, centre_x, centre_y, shape, cell_scale)
-    locks = inside & ~occluded
-
-    truth = np.stack((gt_x, gt_y), axis=1).tolist()
-    steps_list, hidden = steps.tolist(), occluded.tolist()
-    frame = 0
-    for miss in np.flatnonzero(~locks).tolist():
-        if miss < frame:  # inside a stretch already walked
-            continue
-        # this frame's window is right, but it does not lock on: the next
-        # frames are walked from here until one locks on
-        frame = miss
-        raw_x, raw_y = centre_x[frame].item(), centre_y[frame].item()
-        while frame < len(truth):
-            (gx, gy), (dx, dy) = truth[frame], steps_list[frame]
-            if frame > 0 and not locks[frame - 1]:
-                di, dj = (gy - raw_y) / cell_scale, (gx - raw_x) / cell_scale
-                # an offset that is NaN, infinite or a map or more away lies
-                # outside the window; only the others are rounded to a cell
-                ci = cj = 0
-                in_window = abs(di) < rows and abs(dj) < cols
-                if in_window:
-                    ci, cj = rows // 2 + round(di), cols // 2 + round(dj)
-                    in_window = 0 <= ci < rows and 0 <= cj < cols
-                cells[frame] = ci, cj
-                inside[frame] = in_window
-                locks[frame] = in_window and not hidden[frame]
-            if locks[frame]:
-                break
+    raw_x, raw_y = gt_x[0].item(), gt_y[0].item()
+    xs, ys, cis, cjs, inside = [], [], [], [], []
+    for gx, gy, dx, dy, hidden in zip(
+        gt_x.tolist(), gt_y.tolist(), steps[:, 0].tolist(), steps[:, 1].tolist(),
+        occluded.tolist(),
+    ):
+        di, dj = (gy - raw_y) / cell_scale, (gx - raw_x) / cell_scale
+        ci = cj = 0
+        in_window = abs(di) < rows and abs(dj) < cols
+        if in_window:
+            ci, cj = rows // 2 + round(di), cols // 2 + round(dj)
+            in_window = 0 <= ci < rows and 0 <= cj < cols
+        if in_window and not hidden:
+            raw_x, raw_y = gx + dx, gy + dy
+        else:
             raw_x, raw_y = raw_x + dx, raw_y + dy
-            path[frame] = raw_x, raw_y
-            frame += 1
-        frame += 1
-    return path, cells, inside
-
-
-def _window_cells(gt_x, gt_y, centre_x, centre_y, shape, cell_scale):
-    """Per frame, the truth's cell in a map of ``shape`` cells of
-    ``cell_scale`` pixels centred on ``(centre_x, centre_y)``, and whether
-    it lies inside the map.  An offset that is NaN, infinite or a map or
-    more away lies outside and is never rounded; its cell is ``(0, 0)``.
-    Rounding is half to even, as :func:`round`'s."""
-    rows, cols = shape
-    with np.errstate(all="ignore"):  # inf and NaN offsets, as with Python floats
-        di, dj = (gt_y - centre_y) / cell_scale, (gt_x - centre_x) / cell_scale
-        inside = (np.abs(di) < rows) & (np.abs(dj) < cols)
-    cells = np.zeros((len(di), 2), dtype=np.intp)
-    cells[inside, 0] = rows // 2 + np.round(di[inside])
-    cells[inside, 1] = cols // 2 + np.round(dj[inside])
-    inside &= ((cells >= 0) & (cells < shape)).all(axis=1)
-    return cells, inside
+        xs.append(raw_x)
+        ys.append(raw_y)
+        cis.append(ci)
+        cjs.append(cj)
+        inside.append(in_window)
+    cells = np.column_stack((cis, cjs)).astype(np.intp, copy=False)
+    return np.column_stack((xs, ys)), cells, np.array(inside)
 
 
 def _check_sizes(config: ScenarioConfig):

@@ -258,6 +258,22 @@ def test_summarize_leaves_a_moved_scaling_unflagged_where_the_verdicts_agree(ben
     assert "scaled/wall frames_per_s 0.73 [0.728-0.732] -> 0.7 [0.698-0.702]\n" in table
 
 
+def test_summarize_leaves_an_unresolved_wall_clock_unflagged(bench_pairs, tmp_path, capsys):
+    # as head_train_step in BENCH_39.json: scaled, the change gains 20
+    # frames/s on every pair, while the box's speed swings so far between
+    # runs (the change's wall clock 70..160) that the wall clock gives no
+    # verdict; a verdict that cannot be read does not differ from one
+    records = [record for pair in range(10) for record in (
+        run_record("parent", pair, 100.0 + pair),
+        run_record("change", pair, 120.0 + pair, wall=70.0 + 10.0 * pair),
+    )]
+    entry = summarize_records(bench_pairs, tmp_path, records)
+    assert entry["verdicts"]["frames_per_s"] == "gain"
+    assert entry["wall_verdicts"]["frames_per_s"] == "unresolved"
+    assert entry["scaling_differs"] is False
+    assert "verdicts differ" not in capsys.readouterr().out
+
+
 def test_summarize_leaves_a_scaling_within_the_spread_unflagged(bench_pairs, tmp_path, capsys):
     # scaled-to-wall ratios 0.90..1.10 on the parent (IQR 0.1) and
     # 0.95..1.15 on the change: medians 0.05 apart, inside the spread

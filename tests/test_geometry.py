@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -306,6 +307,15 @@ class TestLabelMapProperties:
         assert constrained.centerness.max() <= 1.0
 
 
+def loss_outcome(arrays) -> tuple[str, str]:
+    """``regression_loss`` of the three arrays, as the hex of its loss or
+    its error message."""
+    try:
+        return "loss", regression_loss(*arrays).hex()
+    except ValueError as error:
+        return "error", str(error)
+
+
 class TestLosses:
     def test_cls_loss_log2(self):
         assert cls_loss([0.5], [0.5]) == pytest.approx(math.log(2))
@@ -405,6 +415,38 @@ class TestLosses:
         gt = pred + [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
         with pytest.raises(ValueError, match="^centerness weights must have a finite sum$"):
             regression_loss(pred, gt, [weight, weight])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        count=st.integers(1, 5),
+        huge=st.booleans(),
+        data=st.data(),
+        which=st.integers(0, 2),
+        cell=st.integers(0, 19),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    def test_regression_loss_finiteness_is_proved_cell_by_cell(
+        self, count, huge, data, which, cell, bad
+    ):
+        # fields near the float maximum make a total overflow while every
+        # cell is finite: those inputs get the outcome of a plain per-cell
+        # scan (the loss's bits, or the same error), with no warning
+        big = st.floats(0.95e308, 1.7e308) if huge else st.floats(1.0, 1e3)
+        centre = st.one_of(st.floats(-100.0, 100.0), big, big.map(lambda v: -v))
+        size = st.one_of(st.floats(0.5, 100.0), big)
+        box = st.tuples(centre, centre, size, size)
+        boxes = st.lists(box, min_size=count, max_size=count)
+        weights = st.lists(st.one_of(st.floats(0.0, 1.0), big), min_size=count, max_size=count)
+        arrays = [np.array(data.draw(strategy)) for strategy in (boxes, boxes, weights)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = loss_outcome(arrays)
+        with mock.patch("sattrack.geometry._all_finite", lambda a: bool(np.isfinite(a).all())):
+            assert got == loss_outcome(arrays)
+        # one NaN or infinity anywhere fails the finiteness check first
+        arrays[which].flat[cell % arrays[which].size] = bad
+        with pytest.raises(ValueError, match="^loss inputs must be finite$"):
+            regression_loss(*arrays)
 
     @pytest.mark.parametrize("pred, gt, weights", [
         # the weight sum is finite, but 1e308 times the disjoint term -log(1/201) is not

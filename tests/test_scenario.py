@@ -197,7 +197,7 @@ class TestSynthesizeResponseMap:
 
 def reference_walk(gt_x, gt_y, occluded, steps, shape, cell_scale):
     """The raw-box walk one frame at a time on Python floats: the oracle of
-    ``_walk``, which decides runs of locked frames as arrays."""
+    ``_walk``, written from the rule apart from it."""
     rows, cols = shape
     raw_x, raw_y = float(gt_x[0]), float(gt_y[0])
     path, cells, inside = [], [], []

@@ -22,10 +22,12 @@ the file, then prints a table of the medians.  The wall-clock
 same rule (``wall_change_wins``, ``wall_verdicts``).  Each side also
 records the stats of its runs' scaled-to-wall ``frames_per_s`` ratios
 (``scaled_to_wall``), and a workload whose scaled and wall-clock
-``frames_per_s`` verdicts differ is flagged (``scaling_differs``): there
-the verdict rests on how the reference probe read each side.  The ratios
-alone do not flag a workload, as the probe's reading moves between runs
-of unchanged code by more than one side's IQR shows.  ``compare`` prints
+``frames_per_s`` verdicts are both resolved (neither ``unresolved``) and
+differ is flagged (``scaling_differs``): there the verdict rests on how
+the reference probe read each side.  A wall clock too noisy to give a
+verdict does not flag a workload, nor do the ratios alone, as the probe's
+reading moves between runs of unchanged code by more than one side's IQR
+shows.  ``compare`` prints
 the before/after table of two committed files: for every workload in
 both, the median and quartiles of each end-to-end metric on the
 ``change`` side (the code each file was written for) and the ratio of
@@ -229,7 +231,8 @@ def cmd_summarize(args):
         if "frames_per_s" in walled and all(by_side.values()):
             p, c = (stats(list(map(scaled_to_wall, by_side[side]))) for side in SIDES)
             entry["parent"]["scaled_to_wall"], entry["change"]["scaled_to_wall"] = p, c
-            entry["scaling_differs"] = verdicts["frames_per_s"] != wall_verdicts["frames_per_s"]
+            scaled, wall = verdicts["frames_per_s"], wall_verdicts["frames_per_s"]
+            entry["scaling_differs"] = "unresolved" not in (scaled, wall) and scaled != wall
         summary["workloads"][workload] = entry
         table.append(f"{workload}: parent {len(by_side['parent'])} runs, "
                      f"change {len(by_side['change'])} runs")
