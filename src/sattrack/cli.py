@@ -58,7 +58,7 @@ from .motion import MotionParams
 # ``track`` and ``simulate`` run on rows and the scenario's PSR column;
 # benchmarks/tracing.py wraps these two names and reports them as
 # ``scenario.generate_scenario`` and ``scenario.run_tracking``.
-from .motion import _refine_rows as run_tracking
+from .motion import track_rows as run_tracking
 from .scenario import ScenarioConfig
 from .scenario import generate_scenario_rows as generate_scenario
 

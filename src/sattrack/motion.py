@@ -23,13 +23,13 @@ the branch, runs the kernel on the tracker state's history and pushes the
 result there.  That history is a row buffer (:class:`TrackerState`) whose
 window is one contiguous slice, as :func:`track_rows`' is of its output.
 
-:func:`track_rows` does a whole sequence with no per-frame object.  It
-scores every map first, then decides nPSR, warm-up and branch for all
-frames as arrays (:func:`_normalized`: the running maximum is one
+:func:`track_rows` does a whole sequence with no per-frame object, from
+its raw rows and its maps' PSR column (each map scored once, by the
+simulator or :func:`_psr_maps`).  It decides nPSR, warm-up and branch for
+all frames as arrays (:func:`_normalized`: the running maximum is one
 ``accumulate``); only the history recurrence is looped, the kernel run on
 each frame's window of the refined ``(T, 4)`` output.  It returns the
-records as columns, the same floats and labels as a :func:`refine_step`
-loop.
+records as columns, the same floats and labels as a :func:`refine_step` loop.
 
 On a 25x25 map the cost of a step is numpy call overhead, not arithmetic,
 so each step makes as few array calls as it can and stays exact:
@@ -41,7 +41,7 @@ so each step makes as few array calls as it can and stays exact:
   lower call cost, but it warns where a sum overflows or is invalid, and
   ``np.vdot`` does not.  The clipped block bounds are comparisons, not
   ``max``/``min`` calls.
-* PSR takes one dot product of the map with a cached read-only ones vector
+* PSR takes one dot product of the map with a shared read-only ones vector
   (the whole-map total: a finite total proves every cell finite, so the
   cell-by-cell scan runs only when it is not; minus the 3x3 block, it
   gives the sidelobe mean), one ``argmax``, a ``min`` only when the peak
@@ -151,13 +151,22 @@ class TrackerState:
         self._end = end + 1
 
 
-@functools.lru_cache(maxsize=16)
+_ONES = np.ones(0)  # read-only; grown by _ones to the largest size asked for
+
+
 def _ones(size: int) -> np.ndarray:
-    """A read-only vector of ``size`` ones, built once per map size: a dot
-    product with it is the cheapest whole-map sum."""
-    ones = np.ones(size)
-    ones.flags.writeable = False
-    return ones
+    """A read-only vector of ``size`` ones, the first ``size`` cells of one
+    shared buffer: a dot product with it is the cheapest whole-map sum, and
+    a stride-1 slice runs the same ``ddot`` as a vector of its own.  The
+    buffer itself is returned at its own size, where a slice would cost
+    more than the call does (one map size, as in ``track``)."""
+    global _ONES
+    ones = _ONES  # one read, so a racing grow cannot shorten the slice
+    if size > len(ones):
+        ones = np.ones(size)
+        ones.flags.writeable = False
+        _ONES = ones
+    return ones if size == len(ones) else ones[:size]
 
 
 def _all_finite(array: np.ndarray) -> bool:
@@ -170,11 +179,7 @@ def _all_finite(array: np.ndarray) -> bool:
 
 def _check_response(response) -> tuple[np.ndarray, float]:
     """Validate a response map; return it as a C-contiguous float array with
-    its cell sum.
-
-    A finite sum proves every cell finite, so the cell-by-cell scan only runs
-    when the sum is not (non-finite cells, or finite cells that overflow).
-    """
+    its cell sum, proved finite as :func:`_all_finite` proves it."""
     # order="C" copies a strided, transposed or Fortran-ordered map, so its
     # dot products run over one stride-1 buffer, in one summation order;
     # unlike np.ascontiguousarray it keeps a 0-d input 0-d for the message
@@ -405,35 +410,6 @@ def refine_step(
     return refined
 
 
-def track_rows(
-    raw_rows, maps, params: MotionParams, ommr_enabled: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
-    """Run the online refinement (or the raw model verbatim) over a sequence.
-
-    ``raw_rows`` are the raw model's ``(T, 4)`` ``(cx, cy, w, h)`` rows and
-    ``maps`` its ``T`` response maps (a ``(T, H, W)`` array or a sequence of
-    ``(H, W)`` maps), frame ``k + 1`` at index ``k``.  Returns the per-frame
-    records as columns: the ``(T, 4)`` trajectory rows, the ``(T,)`` PSR and
-    normalized PSR and the ``T`` branch labels, the floats and labels of a
-    :func:`refine_step` loop.  Off, the trajectory is a copy of the raw rows
-    and the maps are still scored, under branch label ``"raw"``.
-
-    Every map is scored before the first frame is refined, in one batched
-    pass that gives :func:`psr`'s floats (:func:`_psr_maps`).  So a map
-    :func:`psr` rejects is reported before an error of any refinement step,
-    even one of an earlier frame.  The refinement is :func:`_refine_rows`.
-    """
-    raw = np.asarray(raw_rows, dtype=float)
-    if raw.ndim != 2 or raw.shape[1] != 4:
-        raise ValueError(f"raw rows must be (T, 4), got shape {raw.shape}")
-    if len(raw) < 2:
-        raise ValueError(f"scenario must have at least 2 frames, got {len(raw)}")
-    if len(maps) != len(raw):
-        raise ValueError(f"{len(raw)} raw rows but {len(maps)} response maps")
-    check_rows(raw)
-    return _refine_rows(raw, np.array(_psr_maps(maps)), params, ommr_enabled)
-
-
 def _normalized(values: np.ndarray) -> np.ndarray:
     """The nPSR column of a sequence's ``(T,)`` PSR column: a loop of
     :func:`_normalize` from a fresh state, bit for bit, as arrays.  The
@@ -445,11 +421,19 @@ def _normalized(values: np.ndarray) -> np.ndarray:
         return np.divide(values, peak, out=np.zeros_like(values), where=peak > 0.0)
 
 
-def _refine_rows(
-    raw: np.ndarray, values: np.ndarray, params: MotionParams, ommr_enabled: bool
+def track_rows(
+    raw_rows, psrs, params: MotionParams, ommr_enabled: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
-    """:func:`track_rows` on checked ``(T, 4)`` raw rows and their maps'
-    ``(T,)`` PSR column ``values``.
+    """Run the online refinement (or the raw model verbatim) over a sequence.
+
+    ``raw_rows`` are the raw model's ``(T, 4)`` ``(cx, cy, w, h)`` rows and
+    ``psrs`` the ``(T,)`` PSR column of its response maps, frame ``k + 1``
+    at index ``k``: the column :func:`~sattrack.scenario.generate_scenario_rows`
+    returns, or ``[psr(m) for m in maps]``.  Returns the per-frame records
+    as columns: the ``(T, 4)`` trajectory rows, the ``(T,)`` PSR and
+    normalized PSR and the ``T`` branch labels, the floats and labels of a
+    :func:`refine_step` loop on the maps.  Off, the trajectory is a copy of
+    the raw rows, under branch label ``"raw"``.
 
     nPSR, warm-up and branch are decided as arrays: the first ``n1``
     refined rows are the raw rows, a later frame takes the low branch where
@@ -458,6 +442,18 @@ def _refine_rows(
     before it, read as one slice of the output, and on the last of them as
     the floats the loop made.
     """
+    raw = np.asarray(raw_rows, dtype=float)
+    if raw.ndim != 2 or raw.shape[1] != 4:
+        raise ValueError(f"raw rows must be (T, 4), got shape {raw.shape}")
+    if len(raw) < 2:
+        raise ValueError(f"scenario must have at least 2 frames, got {len(raw)}")
+    values = np.asarray(psrs, dtype=float)
+    if values.shape != (len(raw),):
+        raise ValueError(
+            f"psrs must be the ({len(raw)},) PSR column of {len(raw)} raw rows, "
+            f"got shape {values.shape}"
+        )
+    check_rows(raw)
     npsr = _normalized(values)
     out = raw.copy()
     if not ommr_enabled:

@@ -57,7 +57,7 @@ O(T * D) or O(BLOCK_FRAMES * H * W).
 4)`` ground-truth and raw ``(cx, cy, w, h)`` rows, the read-only ``(T, H,
 W)`` maps, the ``(T,)`` occlusion flags and the ``(T,)`` PSR of each map,
 with no per-frame object; ``sattrack track`` and ``simulate`` run on
-those.
+those, and ``track`` refines from the PSR column, scoring no map twice.
 :func:`generate_scenario` wraps them into one :class:`FrameObservation` per
 frame, whose ``response`` is a view of its map.
 
@@ -76,7 +76,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .boxes import BoundingBox, box_rows, check_rows
 from .formats import ConfigError, _check_bytes
-from .motion import BLOCK_FRAMES, MotionParams, _psr_block, track_rows
+from .motion import BLOCK_FRAMES, MotionParams, _psr_block, _psr_maps, track_rows
 # Not called here: benchmarks/tracing.py wraps ``scenario.refine_step`` by name.
 from .motion import refine_step  # noqa: F401
 
@@ -427,16 +427,13 @@ def generate_scenario(config: ScenarioConfig) -> list[FrameObservation]:
 def run_tracking(
     scenario: list[FrameObservation], params: MotionParams, ommr_enabled: bool
 ) -> list[BoundingBox]:
-    """Run the online refinement (or the raw model verbatim) over a scenario:
-    :func:`~sattrack.motion.track_rows` on the observations' raw boxes and
-    maps, as one :class:`BoundingBox` per frame.  The per-frame trace is
-    ``track_rows``' PSR, normalized PSR and branch columns.
-    """
+    """Run the online refinement (or the raw model verbatim) over a scenario,
+    as one :class:`BoundingBox` per frame.  Every map is scored first
+    (:func:`~sattrack.motion._psr_maps`), so a map ``psr`` rejects is
+    reported before any refinement error, even an earlier frame's; then
+    :func:`~sattrack.motion.track_rows` refines from that PSR column."""
+    psrs = _psr_maps([obs.response for obs in scenario])
     rows, _, _, _ = track_rows(
-        box_rows(obs.raw_model_box for obs in scenario),
-        [obs.response for obs in scenario],
-        params,
-        ommr_enabled,
+        box_rows(obs.raw_model_box for obs in scenario), psrs, params, ommr_enabled
     )
     return [BoundingBox(*row) for row in rows.tolist()]
-

@@ -299,8 +299,8 @@ def test_criterion_5_confidence_contract():
             occlusions=((60, 100),),
             seed=seed,
         )
-        _, raw, maps, occluded, _ = generate_scenario_rows(config)
-        _, _, npsrs, _ = track_rows(raw, maps, MotionParams(), False)
+        _, raw, _, occluded, column = generate_scenario_rows(config)
+        _, _, npsrs, _ = track_rows(raw, column, MotionParams(), False)
         wins += npsrs[occluded].mean() < npsrs[~occluded].mean()
     pvalue = scipy.stats.binomtest(wins, 50, alternative="greater").pvalue
     assert pvalue < 0.01

@@ -27,7 +27,7 @@ from sattrack import (
     project_qkv,
 )
 from sattrack import AspectRatioParams, BoundingBox, MotionParams, ScenarioConfig, TrackerState
-from sattrack import generate_scenario, motion, psr
+from sattrack import generate_scenario, generate_scenario_rows, motion, psr, track_rows
 from sattrack.attention import _template_softmax
 from sattrack.motion import _branch_weights
 from test_attention import saliency_oracle, with_biases
@@ -1035,6 +1035,20 @@ def test_track_raw_mode_copies_model_boxes(scenario_file, tmp_path):
     assert read_trajectory(track_out / "trajectory.csv") == raw
     branches = {row[3] for row in read_trace(track_out / "trace.csv")}
     assert branches == {"raw"}
+
+
+@pytest.mark.parametrize("ommr", ["on", "off"])
+def test_track_writes_the_bytes_of_track_rows_on_the_synthesis_column(
+    scenario_file, tmp_path, ommr
+):
+    # the CLI and the library are one path: the maps are scored once, in synthesis
+    config = scenario_file(OCCLUSION_SCENARIO)
+    out = tmp_path / "out"
+    assert main(["track", "--scenario", config, "--ommr", ommr, "--output", str(out)]) == 0
+    _, raw, _, _, psrs = generate_scenario_rows(scenario_from_file(config))
+    trajectory, *trace = track_rows(raw, psrs, MotionParams(), ommr == "on")
+    assert (out / "trajectory.csv").read_bytes() == formats.trajectory_csv(trajectory)
+    assert (out / "trace.csv").read_bytes() == formats.trace_csv(*trace)
 
 
 def test_track_clean_scenario_goes_high_after_warmup(scenario_file, tmp_path):

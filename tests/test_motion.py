@@ -25,13 +25,13 @@ from sattrack.motion import (
     HIGH_CONFIDENCE,
     LOW_CONFIDENCE,
     WARMUP,
+    _branch_row,
     _branch_weights,
     _check_response,
     _normalize,
     _normalized,
     _ones,
     _psr_maps,
-    _refine_rows,
     track_rows,
 )
 
@@ -291,10 +291,19 @@ class TestPsrKernelPasses:
 
     def test_ones_vector_is_read_only_and_shared(self):
         ones = _ones(625)
-        assert _ones(625) is ones
+        assert np.shares_memory(_ones(625), ones) and np.shares_memory(_ones(4), ones)
         assert ones.shape == (625,) and (ones == 1.0).all()
         with pytest.raises(ValueError, match="read-only"):
             ones[0] = 2.0
+
+    def test_ones_buffer_serves_every_smaller_size(self):
+        # a regression loss asks for 4N and N, a 25x25 map for 625: one
+        # buffer serves them all, so no size evicts another's vector
+        largest = _ones(4 * 30 + 625)
+        for size in [625] + [4 * n for n in range(6, 31)] + list(range(6, 31)):
+            ones = _ones(size)
+            assert ones.shape == (size,) and np.shares_memory(ones, largest)
+            assert not ones.flags.writeable and (ones == 1.0).all()
 
     def test_refine_step_scores_through_the_module_psr(self, monkeypatch):
         # per-layer tracing wraps ``motion.psr``; the step must call it by name
@@ -981,8 +990,8 @@ def random_sequence(seed, frames, shape):
 
 
 class TestTrackRowsScoring:
-    """``track_rows`` scores the whole sequence first, then refines frame by
-    frame: the same floats as a ``refine_step`` loop."""
+    """``track_rows`` on the maps' PSR column gives the floats of a
+    ``refine_step`` loop on the maps."""
 
     @settings(max_examples=30, deadline=None)
     @given(SEEDS, st.integers(2, 150), STACK_SHAPES, st.booleans(), st.booleans())
@@ -990,7 +999,7 @@ class TestTrackRowsScoring:
         raw, maps = random_sequence(seed, frames, shape)
         params = MotionParams(n1=12, n2=4)
         given_maps = list(maps) if as_list else maps
-        rows, psrs, npsrs, branches = track_rows(raw, given_maps, params, refine)
+        rows, psrs, npsrs, branches = track_rows(raw, _psr_maps(given_maps), params, refine)
         state = TrackerState(params.n1)
         hand, trace = [], []
         for row, grid in zip(raw.tolist(), maps):
@@ -1011,7 +1020,7 @@ class TestTrackRowsScoring:
         # pushes after the first 2 * n1: 60 frames hold at least four copies
         raw, maps = random_sequence(7, 60, (9, 9))
         params = MotionParams(n1=n1, n2=n2)
-        rows, psrs, npsrs, branches = track_rows(raw, maps, params, True)
+        rows, psrs, npsrs, branches = track_rows(raw, _psr_maps(maps), params, True)
         state, hand, trace, shifts = TrackerState(n1), [], [], 0
         for row, grid in zip(raw.tolist(), maps):
             end = state._end
@@ -1024,19 +1033,6 @@ class TestTrackRowsScoring:
         assert np.array([psrs, npsrs]).tobytes() == np.array([t[:2] for t in trace]).T.tobytes()
         assert branches == [t[2] for t in trace]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_a_non_finite_map_is_reported_before_any_frame_is_refined(self):
-        # frame 4's refined cx is nan (see test_non_finite_refined_centre_rejected);
-        # a non-finite map at frame 5 is still the error reported
-        params = MotionParams(n1=3, n2=1)
-        raw = [[cx, 0.0, 2.0, 2.0] for cx in (0.0, -1.7e308, 1.7e308, -1.7e308, 0.0)]
-        maps = [map_with_score(8.0)] * 3 + [map_with_score(6.0)] * 2
-        with pytest.raises(ValueError, match="^box field cx must be finite$"):
-            track_rows(raw, maps, params, True)
-        maps[4] = np.full((11, 11), np.nan)
-        with pytest.raises(ValueError, match="^response map must be finite$"):
-            track_rows(raw, maps, params, True)
-
     @pytest.mark.parametrize("as_list", [False, True])
     @pytest.mark.parametrize("refine", [True, False])
     def test_memory_stays_within_a_few_blocks(self, as_list, refine):
@@ -1046,10 +1042,11 @@ class TestTrackRowsScoring:
         raw, maps = random_sequence(3, 2000, (25, 25))
         given_maps = list(maps) if as_list else maps
         params = MotionParams()
-        track_rows(raw[:100], given_maps[:100], params, refine)  # caches built outside the trace
+        # caches built outside the trace
+        track_rows(raw[:100], _psr_maps(given_maps[:100]), params, refine)
         tracemalloc.start()
         try:
-            track_rows(raw, given_maps, params, refine)
+            track_rows(raw, _psr_maps(given_maps), params, refine)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1067,8 +1064,9 @@ LAYOUTS = {
 
 
 class TestMapLayout:
-    """A map's memory layout does not change its PSR: ``psr``, ``_psr_maps``,
-    ``track_rows`` and a ``refine_step`` loop all score the C-contiguous copy."""
+    """A map's memory layout does not change its PSR: ``psr``, ``_psr_maps``
+    (so ``track_rows`` on its column) and a ``refine_step`` loop all score
+    the C-contiguous copy."""
 
     @pytest.fixture(scope="class")
     def sequence(self):
@@ -1093,9 +1091,9 @@ class TestMapLayout:
         raw, maps = sequence
         views = LAYOUTS[layout](maps)
         params = MotionParams(n1=12, n2=4)
-        expected = track_rows(raw, np.ascontiguousarray(views), params, True)
+        expected = track_rows(raw, _psr_maps(np.ascontiguousarray(views)), params, True)
         for given_maps in (views, list(views)):
-            columns = track_rows(raw, given_maps, params, True)
+            columns = track_rows(raw, _psr_maps(given_maps), params, True)
             assert [np.asarray(c).tobytes() for c in columns[:3]] == [
                 np.asarray(c).tobytes() for c in expected[:3]
             ]
@@ -1191,7 +1189,7 @@ class TestArrayDecisions:
             for row, value in zip(raw.tolist(), values.tolist()):
                 box = refine_step(state, BoundingBox(*row), value, params)
                 records.append(((box.cx, box.cy, box.w, box.h), state.last_npsr, state.last_branch))
-        rows, psrs, npsrs, branches = _refine_rows(raw, values, params, True)
+        rows, psrs, npsrs, branches = track_rows(raw, values, params, True)
         assert rows.tobytes() == np.array([r[0] for r in records], dtype=float).tobytes()
         assert npsrs.tobytes() == np.array([r[1] for r in records]).tobytes()
         assert psrs is values and branches == [r[2] for r in records]
@@ -1201,7 +1199,73 @@ class TestArrayDecisions:
     def test_refinement_off_copies_the_raw_rows(self):
         raw, _ = random_sequence(5, 40, (3, 4))
         values = np.linspace(0.0, 9.0, 40)
-        rows, psrs, npsrs, branches = _refine_rows(raw, values, MotionParams(), False)
+        rows, psrs, npsrs, branches = track_rows(raw, values, MotionParams(), False)
         assert rows.tobytes() == raw.tobytes() and rows is not raw
         assert npsrs.tobytes() == loop_normalized(values.tolist()).tobytes()
         assert branches == ["raw"] * 40
+
+
+# PSR values a caller may hand over: any float, NaN and both infinities,
+# signed zeros and negatives among scores of a map's size, which keep nPSR
+# near 1 often enough to reach the high branch
+ANY_PSR = st.one_of(
+    st.floats(1.0, 10.0),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0]),
+)
+
+
+def scalar_track(raw, column, params, refine):
+    """``track_rows`` as a scalar loop: the ``normalized_psr`` oracle on each
+    frame's PSR, then the raw row or ``_branch_row`` on the rows so far."""
+    n1, state, rows, npsrs, branches = params.n1, TrackerState(params.n1), [], [], []
+    with mock.patch.dict(globals(), psr=float):  # each frame's "map" is its PSR
+        for k, (row, value) in enumerate(zip(raw, column)):
+            npsr = normalized_psr(value, state)
+            if not refine or k < n1:
+                branch = WARMUP if refine else "raw"
+            else:
+                low = npsr < params.theta
+                row = _branch_row(np.array(rows[k - n1 : k]), rows[-1], row, npsr, low, params)
+                branch = LOW_CONFIDENCE if low else HIGH_CONFIDENCE
+            rows.append(list(row))
+            npsrs.append(npsr)
+            branches.append(branch)
+    return np.array(rows), np.array(column, dtype=float), np.array(npsrs), branches
+
+
+def outcome(run):
+    """The record columns' bytes and labels of ``run()``, or its error."""
+    try:
+        rows, psrs, npsrs, branches = run()
+    except ValueError as error:
+        return str(error)
+    return rows.tobytes(), psrs.tobytes(), npsrs.tobytes(), branches
+
+
+class TestPsrColumn:
+    """``track_rows`` takes the maps' ``(T,)`` PSR column, never the maps:
+    any other shape is one error, and any float column refines as a scalar
+    loop does."""
+
+    @pytest.mark.parametrize("shape", [(30, 5, 5), (29,), (31,), (30, 1), (1, 30), ()])
+    def test_maps_or_a_misshapen_column_are_rejected(self, shape):
+        raw, _ = random_sequence(3, 30, (3, 4))
+        for column in (np.ones(shape), np.ones(shape).tolist()):
+            with pytest.raises(ValueError, match=r"^psrs must be the \(30,\) PSR column"):
+                track_rows(raw, column, MotionParams(n1=9, n2=4), True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        SEEDS,
+        st.lists(ANY_PSR, min_size=2, max_size=60),
+        st.sampled_from([(3, 1), (9, 4)]),
+        st.floats(0.05, 0.95),
+        st.booleans(),
+    )
+    def test_any_column_is_a_scalar_loop_bit_for_bit(self, seed, column, windows, theta, refine):
+        params = MotionParams(n1=windows[0], n2=windows[1], theta=theta)
+        raw, _ = random_sequence(seed, len(column), (3, 4))
+        assert outcome(lambda: track_rows(raw, column, params, refine)) == outcome(
+            lambda: scalar_track(raw.tolist(), column, params, refine)
+        )

@@ -42,7 +42,7 @@ from sattrack.scenario import (
     _synthesize,
     _walk,
 )
-from test_motion import normalized_psr
+from test_motion import map_with_score, normalized_psr
 
 
 def clean_config(frames=120, seed=0, **overrides):
@@ -513,8 +513,8 @@ class TestRunTracking:
         assert refined[140:160].mean() < raw[140:160].mean()
 
     def test_trace_rows_cover_every_frame(self):
-        _, raw, maps, _, _ = generate_scenario_rows(clean_config(frames=60))
-        _, psrs, npsrs, branches = track_rows(raw, maps, MotionParams(n1=20, n2=8), True)
+        _, raw, _, _, column = generate_scenario_rows(clean_config(frames=60))
+        _, psrs, npsrs, branches = track_rows(raw, column, MotionParams(n1=20, n2=8), True)
         assert len(psrs) == len(npsrs) == len(branches) == 60
         assert set(branches) <= {"warmup", "low", "high"}
         assert ((0.0 <= npsrs) & (npsrs <= 1.0)).all()
@@ -526,8 +526,8 @@ class TestRunTracking:
         scenario = generate_scenario(config)
         params = MotionParams(n1=12, n2=4)
         trajectory = run_tracking(scenario, params, refine)
-        _, raw, maps, _, _ = generate_scenario_rows(config)
-        _, psrs, npsrs, branches = track_rows(raw, maps, params, refine)
+        _, raw, _, _, column = generate_scenario_rows(config)
+        _, psrs, npsrs, branches = track_rows(raw, column, params, refine)
         trace = list(zip(psrs.tolist(), npsrs.tolist(), branches))
         assert len(trace) == len(trajectory) == len(scenario)
         state = TrackerState(capacity=params.n1)
@@ -569,8 +569,8 @@ class TestRunTracking:
             seed=seed,
         )
         params = MotionParams(n1=2 * n2 + extra, n2=n2, theta=theta)
-        _, raw, maps, _, _ = generate_scenario_rows(config)
-        rows, psrs, npsrs, branches = track_rows(raw, maps, params, refine)
+        _, raw, _, _, column = generate_scenario_rows(config)
+        rows, psrs, npsrs, branches = track_rows(raw, column, params, refine)
 
         scenario = generate_scenario(config)
         boxes = run_tracking(scenario, params, refine)
@@ -591,20 +591,43 @@ class TestRunTracking:
         assert psrs.dtype == npsrs.dtype == float
 
     def test_row_loop_rejects_bad_inputs(self):
-        _, raw, maps, _, _ = generate_scenario_rows(clean_config(frames=30))
+        _, raw, maps, _, column = generate_scenario_rows(clean_config(frames=30))
         params = MotionParams(n1=9, n2=4)
         with pytest.raises(ValueError, match=r"must be \(T, 4\)"):
-            track_rows(raw[:, :3], maps, params, True)
-        with pytest.raises(ValueError, match="30 raw rows but 29 response maps"):
-            track_rows(raw, maps[1:], params, True)
+            track_rows(raw[:, :3], column, params, True)
+        expected = r"^psrs must be the \(30,\) PSR column of 30 raw rows, got shape "
+        with pytest.raises(ValueError, match=expected + r"\(29,\)$"):
+            track_rows(raw, column[1:], params, True)
+        with pytest.raises(ValueError, match=expected + r"\(30, 25, 25\)$"):
+            track_rows(raw, maps, params, True)
         bad = raw.copy()
         bad[7, 1] = np.nan
         with pytest.raises(ValueError, match="^box field cy must be finite$"):
-            track_rows(bad, maps, params, False)
+            track_rows(bad, column, params, False)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_non_finite_map_is_reported_before_any_frame_is_refined(self):
+        # frame 4's refined cx is nan (see test_non_finite_refined_centre_rejected);
+        # a non-finite map at frame 5 is still the error reported
+        params = MotionParams(n1=3, n2=1)
+        boxes = [BoundingBox(cx, 0.0, 2.0, 2.0) for cx in (0.0, -1.7e308, 1.7e308, -1.7e308, 0.0)]
+        maps = [map_with_score(8.0)] * 3 + [map_with_score(6.0)] * 2
+
+        def observations():
+            return [
+                FrameObservation(k, box, box, grid, False)
+                for k, (box, grid) in enumerate(zip(boxes, maps), start=1)
+            ]
+
+        with pytest.raises(ValueError, match="^box field cx must be finite$"):
+            run_tracking(observations(), params, True)
+        maps[4] = np.full((11, 11), np.nan)
+        with pytest.raises(ValueError, match="^response map must be finite$"):
+            run_tracking(observations(), params, True)
 
     def test_raw_mode_rows_are_a_copy(self):
-        _, raw, maps, _, _ = generate_scenario_rows(clean_config(frames=30))
-        rows, _, _, branches = track_rows(raw, maps, MotionParams(n1=9, n2=4), False)
+        _, raw, _, _, column = generate_scenario_rows(clean_config(frames=30))
+        rows, _, _, branches = track_rows(raw, column, MotionParams(n1=9, n2=4), False)
         assert rows.tobytes() == raw.tobytes() and not np.shares_memory(rows, raw)
         assert branches == ["raw"] * 30
 
@@ -874,9 +897,9 @@ def refine_loop_columns(config):
 
 
 def track_rows_columns(config):
-    """``track_rows`` on ``generate_scenario_rows``' rows and maps, in Python floats."""
-    _, raw, maps, _, _ = generate_scenario_rows(config)
-    rows, psrs, npsrs, branches = track_rows(raw, maps, MotionParams(), True)
+    """``track_rows`` on ``generate_scenario_rows``' rows and PSR column, in Python floats."""
+    _, raw, _, _, column = generate_scenario_rows(config)
+    rows, psrs, npsrs, branches = track_rows(raw, column, MotionParams(), True)
     return rows.tolist(), psrs.tolist(), npsrs.tolist(), branches
 
 
