@@ -9,11 +9,14 @@ SATTRACK_LAMBDA_EMA.  A value comes from the flag, else the variable, else
 the config file, else the default.  Every number, from a flag, a variable
 or a config file, is read by one rule (:func:`formats._parse`: an int, or a
 finite float).  One settings step, :func:`_settings`, lays the flags and
-variables over a settings object's file values or defaults and builds it;
-a scenario or ``--weights`` file is also checked when read.  A value that
-does not parse is an error opening with its source (``--theta needs a
-float, got 'inf'``); an object its class rejects, with every source that
-set one of its values, file first: ``p.cfg, --n2: ...``.
+variables over the values a file set, else the defaults, and builds the
+settings object once, so a flag overrides any value of the file's.  A
+value that does not parse is an error opening with its source (``--theta
+needs a float, got 'inf'``); an object its class rejects, with the file
+when it set a value the object keeps, then each flag and variable that
+set one: ``p.cfg, --n2: ...``.  Every other input a handler rejects is
+attributed by one call, :func:`formats._build`: ``s.cfg: box field cx
+must be finite``, ``--box: aspect ratio ...``.
 
 Handlers compute and return their files' bytes; :func:`main` resolves the
 output directory first and writes the files atomically once the handler
@@ -46,7 +49,8 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .attention import _attend, _window, init_projection_weights, template_saliency
+from .attention import ProjectionWeights, _attend, _window
+from .attention import init_projection_weights, template_saliency
 from .boxes import BoundingBox
 from .formats import ConfigError
 from .geometry import AspectRatioParams, GridGeometry, build_label_maps
@@ -101,33 +105,26 @@ def _named(path) -> str | None:
     return str(Path(path)) if path else None
 
 
-def _settings(args, settings, path=None, fields=None):
-    """``(settings, sources)``: ``settings`` with each field a flag or
-    variable sets laid over, built once.  ``settings`` is an object (the
-    defaults, or built from the file ``path``) or its class, which is built
-    from ``fields``; an object with nothing laid over comes back as read.
-    ``fields`` are the values the file set, which an object already holds;
-    an object read from ``path`` without them had every field set there.
-    ``sources`` maps those fields to their flag or variable, else the file
-    where it set them, else ``None``.  A rejected value's error opens with
-    each source that set one: the file, then flags and variables in field
-    order."""
-    whole = not isinstance(settings, type)
+def _settings(args, kind, path=None, fields=None):
+    """``(settings, sources)``: the settings class ``kind`` built once from
+    ``fields``, the values the file ``path`` set, with each field a flag or
+    variable sets laid over them.  ``sources`` maps those fields to their
+    flag or variable, else the file that set them, else ``None``.  A
+    rejected value's error opens with the file, when it set a value the
+    object keeps, then the flags and variables in field order."""
     path = _named(path)
-    values = {} if whole else dict(fields or {})
-    names = [field.name for field in dataclasses.fields(settings) if field.name in _KINDS]
-    from_file = names if fields is None else fields
-    sources = {name: path if name in from_file else None for name in names}
+    values = dict(fields or {})
+    names = [field.name for field in dataclasses.fields(kind) if field.name in _KINDS]
+    sources = {name: path if name in values else None for name in names}
+    laid = {}  # field -> the flag or variable that set it, in field order
     for name in names:
         value, source = _resolve(args, name)
         if source:
-            values[name], sources[name] = value, source
-    if whole and not values:
-        return settings, sources
-    opening = [path] if path and path in sources.values() else []
-    where = ", ".join(opening + [s for s in sources.values() if s not in (None, path)])
-    build = functools.partial(dataclasses.replace, settings) if whole else settings
-    return formats._build(where, build, **values), sources
+            values[name], laid[name] = value, source
+    sources.update(laid)
+    kept = path and set(values) - set(laid)  # a value of the file's that no flag replaced
+    where = ", ".join(([path] if kept else []) + list(laid.values()))
+    return formats._build(where, kind, **values), sources
 
 
 def _input_path(flag: str, text: str | None) -> Path | None:
@@ -166,15 +163,7 @@ def _sizes(text: str, count: int, flag: str) -> tuple:
 def _scenario_config(args):
     path = _input_path("--scenario", args.scenario)
     fields = _read("--scenario", formats.read_scenario_fields, path)
-    return _settings(args, formats._build(path, ScenarioConfig, **fields), path, fields)
-
-
-def _scenario_rows(args, config):
-    """``generate_scenario(config)``; its config errors open with the scenario file."""
-    try:
-        return generate_scenario(config)
-    except ConfigError as exc:  # a value the synthesis rejects: an overflowing noise_sigma
-        raise ConfigError(f"{_named(args.scenario)}: {exc}") from None
+    return _settings(args, ScenarioConfig, path, fields)
 
 
 def _motion_params(args):
@@ -195,8 +184,8 @@ def cmd_centerness_map(args, out: Path):
     grid_h, grid_w, stride = formats._parse_numbers(args.grid, (int,) * 3, "--grid")
     grid = formats._build("--grid", GridGeometry, stride=stride, height=grid_h, width=grid_w)
     formats._check_bytes("--grid", 128 * grid_h * grid_w)  # 2 maps, labels, 3 CSV texts
-    params, _ = _settings(args, AspectRatioParams())
-    constrained = build_label_maps(box, grid, params)
+    params, _ = _settings(args, AspectRatioParams)
+    constrained = formats._build("--box", build_label_maps, box, grid, params)
     classic = build_label_maps(box, grid, None)  # the same labels: they do not use params
     if not constrained.positive_count:
         print("warning: ground-truth box covers no grid point; all cells are negative",
@@ -214,7 +203,9 @@ def cmd_centerness_map(args, out: Path):
 
 def cmd_simulate(args, out: Path):
     config, _ = _scenario_config(args)
-    gt, raw, maps, occluded, psrs = _scenario_rows(args, config)
+    gt, raw, maps, occluded, psrs = formats._build(
+        _named(args.scenario), generate_scenario, config
+    )
     flat = maps.reshape(len(maps), -1)
     peaks = flat.argmax(axis=1)
     peak_rows, peak_cols = np.divmod(peaks, maps.shape[2])
@@ -248,7 +239,7 @@ def cmd_track(args, out: Path):
         raise ConfigError(
             f"{scenario}: scenario must have at least 2 frames, got {config.frame_count}"
         )
-    gt, raw, _, _, psrs = _scenario_rows(args, config)
+    gt, raw, _, _, psrs = formats._build(scenario, generate_scenario, config)
     trajectory, *trace = run_tracking(raw, psrs, params, refine)
 
     files = {
@@ -289,13 +280,10 @@ def _score_sequence(sequence: tuple[str, Path, Path]):
     """``(name, result)`` of one ``(name, pred_file, gt_file)`` sequence: the
     one scoring path of directory mode, in this process or in a forked child."""
     name, pred_file, gt_file = sequence
-    try:
-        return name, evaluate(
-            _read("--pred", formats.read_trajectory_rows, pred_file),
-            _read("--gt", formats.read_trajectory_rows, gt_file),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"sequence {name!r}: {exc}") from exc
+    return name, formats._build(f"sequence {name!r}", lambda: evaluate(
+        _read("--pred", formats.read_trajectory_rows, pred_file),
+        _read("--gt", formats.read_trajectory_rows, gt_file),
+    ))
 
 
 def _cpu_count() -> int:
@@ -408,10 +396,7 @@ def cmd_evaluate(args, out: Path):
     if not pred_path.is_dir():
         pred_rows = _read("--pred", formats.read_trajectory_rows, pred_path)
         gt_rows = _read("--gt", formats.read_trajectory_rows, gt_path)
-        try:
-            result = evaluate(pred_rows, gt_rows)
-        except ValueError as exc:
-            raise ConfigError(f"{pred_path} and {gt_path}: {exc}") from exc
+        result = formats._build(f"{pred_path} and {gt_path}", evaluate, pred_rows, gt_rows)
         files = {
             "summary.json": formats.json_bytes(formats.result_summary(result)),
             "curves.csv": formats.curves_csv(result),
@@ -463,10 +448,7 @@ def cmd_attention_demo(args, out: Path):
                 f"--mask {args.mask}: height and width must be positive, "
                 f"got {window[2]} and {window[3]}"
             )
-        try:
-            _window(window, search.shape[1:])
-        except ValueError as exc:
-            raise ConfigError(f"--mask {args.mask} {exc}") from exc
+        formats._build(f"--mask {args.mask}", _window, window, search.shape[1:])
     if template_path:
         template = _read("--template", formats.read_feature_map, template_path)
     else:
@@ -485,7 +467,7 @@ def cmd_attention_demo(args, out: Path):
         weights = formats._build(
             channels_from, init_projection_weights, search.shape[0], seed=seed
         )
-    weights, sources = _settings(args, weights, weights_path)
+    weights, sources = _settings(args, ProjectionWeights, weights_path, vars(weights))
 
     inputs = (channels_from, _named(template_path), _named(weights_path))
     where = ", ".join(dict.fromkeys(filter(None, inputs)))

@@ -608,7 +608,7 @@ def test_overflowing_waypoint_path_is_the_box_error(scenario_file, tmp_path, cap
     )
     argv = [command, "--scenario", config, "--output", str(tmp_path / "o")]
     assert main(argv + (["--n1", "3", "--n2", "1"] if command == "track" else [])) == 1
-    assert capsys.readouterr().err == "error: box field cx must be finite\n"
+    assert capsys.readouterr().err == f"error: {config}: box field cx must be finite\n"
     assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
 
 
@@ -767,12 +767,12 @@ def test_track_reads_the_params_file_once(scenario_file, tmp_path, monkeypatch, 
 def test_settings_come_back_as_read_when_nothing_is_laid_over(scenario_file):
     scenario = scenario_file(CLEAN_SCENARIO)
     args = cli.build_parser().parse_args(["track", "--scenario", scenario])
-    config = scenario_from_file(scenario)
-    assert cli._settings(args, config, scenario) == (config, {"seed": scenario})
-    assert cli._settings(args, config, scenario)[0] is config
-    defaults = AspectRatioParams()
+    fields = formats.read_scenario_fields(scenario)
+    assert cli._settings(args, ScenarioConfig, scenario, fields) == (
+        scenario_from_file(scenario), {"seed": scenario}
+    )
     args = cli.build_parser().parse_args(["centerness-map", "--box", "1,2,3,4"])
-    assert cli._settings(args, defaults)[0] is defaults
+    assert cli._settings(args, AspectRatioParams) == (AspectRatioParams(), {"gamma": None})
 
 
 @pytest.mark.parametrize("seed_line, flags, env, expected", [
@@ -811,7 +811,7 @@ SHORT_SCENARIO = "frame_count = 1\nwaypoint = 1 30 40\ntarget_size = 12 8\n"
     ("simulate", {"s.cfg": CLEAN_SCENARIO + "cell_scale = 0\n"}, [],
      "s.cfg: cell_scale must be > 0, got 0.0"),
     ("simulate", {"s.cfg": CLEAN_SCENARIO}, ["--seed", "-1"],
-     "--seed: seed must be >= 0, got -1"),
+     "s.cfg, --seed: seed must be >= 0, got -1"),
     ("simulate", {}, ["--scenario", ".//missing.cfg"],
      "--scenario: cannot read missing.cfg: No such file or directory"),
 ])
@@ -926,10 +926,10 @@ def number_texts():
 def run_with_setting(work: Path, command: str, name: str, text: str, source: str):
     """Run ``command`` with ``name`` given the text ``text`` as its flag
     (``source`` "flag"), its variable ("env") or its config file entry
-    ("file").  Returns the source's name as an error opens with it, the
-    exit code, stderr, and what a run that succeeds gives: stdout, the output
-    files (None when nothing was written) and the resolved motion setting
-    (``track`` only)."""
+    ("file").  Returns what an error opens with (the source's name, after
+    the scenario file for a seed that parses), the exit code, stderr, and
+    what a run that succeeds gives: stdout, the output files (None when
+    nothing was written) and the resolved motion setting (``track`` only)."""
     out, scenario = work / "out", work / "scenario.cfg"
     shutil.rmtree(out, ignore_errors=True)
     seed_line = f"seed = {text}\n" if (source, name) == ("file", "seed") else ""
@@ -956,7 +956,13 @@ def run_with_setting(work: Path, command: str, name: str, text: str, source: str
             value = getattr(cli._motion_params(cli.build_parser().parse_args(argv))[0], name)
     outputs = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else None
     result = stdout.getvalue(), outputs, (value, type(value))
-    return named[source], code, stderr.getvalue(), result
+    opening = named[source]
+    if command == "simulate" and source != "file":
+        # a seed that parses is rejected along with the values the scenario file set
+        with contextlib.suppress(ConfigError):
+            formats._parse(text, int, opening)
+            opening = f"{scenario}, {opening}"
+    return opening, code, stderr.getvalue(), result
 
 
 @settings(max_examples=200, deadline=None)
@@ -985,7 +991,7 @@ def test_a_number_reads_alike_from_flag_variable_and_file(setting, text):
         (["track", "--n1", "10"], {},
          "--n1: n1 must exceed 2*n2 so the velocity window fits the history, got n1=10, n2=10"),
         (["track", "--n1", "30"], {"SATTRACK_N2": "15"}, "--n1, SATTRACK_N2: n1 must exceed"),
-        (["simulate", "--seed", "-1"], {}, "--seed: seed must be >= 0, got -1"),
+        (["simulate", "--seed", "-1"], {}, "{scenario}, --seed: seed must be >= 0, got -1"),
         (["centerness-map", "--box", "1,2,3,4", "--gamma", "-0.0"], {},
          "--gamma: gamma must be > 0, got -0.0"),
         (["attention-demo", "--gamma", "inf"], {}, "--gamma needs a float, got 'inf'"),
@@ -1001,13 +1007,106 @@ def test_a_rejected_value_is_one_error_line_naming_its_source(
 ):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
+    scenario = scenario_file(CLEAN_SCENARIO)
     if argv[0] in ("track", "simulate"):
-        argv = argv + ["--scenario", scenario_file(CLEAN_SCENARIO)]
+        argv = argv + ["--scenario", scenario]
     out = tmp_path / "o"
     assert main(argv + ["--output", str(out)]) == 1
     err = capsys.readouterr().err
+    message = message.format(scenario=scenario)
     assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+# An out-of-range value and a valid one for each setting a file can set, the
+# others at their defaults: CLEAN_SCENARIO's 120 frames and MotionParams().
+BAD_AND_GOOD = {
+    "seed": (st.integers(max_value=-1), st.integers(0, 2**63)),
+    "n1": (st.integers(max_value=20), st.integers(21, 119)),
+    "n2": (st.integers(max_value=0) | st.integers(min_value=25), st.integers(1, 24)),
+    "theta": (
+        st.floats(max_value=0.0, allow_infinity=False)
+        | st.floats(min_value=1.0, allow_infinity=False),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    ),
+    "lambda_ema": (
+        st.floats(max_value=-5e-324, allow_infinity=False)
+        | st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
+        st.floats(0.0, 1.0),
+    ),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(), name=st.sampled_from(list(BAD_AND_GOOD)),
+    source=st.sampled_from(["flag", "env"]),
+)
+def test_a_flag_or_variable_overrides_a_bad_file_value(data, name, source):
+    # the file's value is laid over before anything is built, so a valid flag
+    # replaces an out-of-range value as if the file had held the valid one
+    bad_values, good_values = BAD_AND_GOOD[name]
+    bad, good = data.draw(bad_values, label="bad"), data.draw(good_values, label="good")
+    variable = "SATTRACK_" + name.upper()
+    outputs = []
+    with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as env:
+        for value, laid in ((bad, good), (good, None)):
+            run = Path(work) / f"run{len(outputs)}"
+            run.mkdir()
+            scenario, params = run / "s.cfg", run / "p.cfg"
+            seeded = CLEAN_SCENARIO.replace("seed = 0", f"seed = {value!r}")
+            scenario.write_text(seeded if name == "seed" else CLEAN_SCENARIO)
+            argv = ["track", "--scenario", str(scenario), "--output", str(run / "o")]
+            if name != "seed":
+                params.write_text(f"{name} = {value!r}\n")
+                argv += ["--params", str(params)]
+            env.delenv(variable, raising=False)
+            if laid is not None:
+                if source == "flag":
+                    argv.append(f"--{name.replace('_', '-')}={laid!r}")
+                else:
+                    env.setenv(variable, repr(laid))
+            assert run_capturing_stderr(argv) == (0, "")
+            outputs.append({path.name: path.read_bytes() for path in (run / "o").iterdir()})
+    assert outputs[0] == outputs[1]
+
+
+# finite waypoints with a path between them that overflows
+OVERFLOWING_PATH = (
+    "frame_count = 5\nwaypoint = 1 1.7e308 0\nwaypoint = 5 -1.7e308 0\ntarget_size = 6 6\n"
+)
+SHORT_TRAJECTORY = "frame,cx,cy,w,h\n1,10,10,4,4\n"
+LONG_TRAJECTORY = SHORT_TRAJECTORY + "2,11,10,4,4\n"
+UNEQUAL = "trajectories must have equal nonzero length, got 1 and 2"
+
+
+@pytest.mark.parametrize("files, argv, line", [
+    ({"s.cfg": OVERFLOWING_PATH},
+     ["simulate", "--scenario", "s.cfg"], "s.cfg: box field cx must be finite"),
+    ({"s.cfg": OVERFLOWING_PATH},
+     ["track", "--scenario", "s.cfg", "--n1", "3", "--n2", "1"],
+     "s.cfg: box field cx must be finite"),
+    ({}, ["centerness-map", "--box", "0,0,1e308,1e-308"],
+     "--box: aspect ratio w/h must be finite and > 0 with a finite reciprocal, got inf"),
+    ({}, ["attention-demo", "--search-size", "4,5,5", "--mask", "1,1,0,2"],
+     "--mask 1,1,0,2: height and width must be positive, got 0 and 2"),
+    ({}, ["attention-demo", "--search-size", "4,5,5", "--mask", "4,4,3,3"],
+     "--mask 4,4,3,3: outside search grid (5, 5)"),
+    ({"p.csv": SHORT_TRAJECTORY, "g.csv": LONG_TRAJECTORY},
+     ["evaluate", "--pred", "p.csv", "--gt", "g.csv"], f"p.csv and g.csv: {UNEQUAL}"),
+    ({"p/a.csv": SHORT_TRAJECTORY, "g/a.csv": LONG_TRAJECTORY},
+     ["evaluate", "--pred", "p", "--gt", "g"], f"sequence 'a': {UNEQUAL}"),
+])
+def test_every_input_error_opens_with_its_source(
+    tmp_path, monkeypatch, capsys, files, argv, line
+):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert main(argv + ["--output", "out"]) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_parser_is_built_once_and_sees_wrapped_functions(scenario_file, tmp_path, monkeypatch):
@@ -1929,7 +2028,7 @@ def test_attention_demo_huge_mask_is_outside_the_grid(tmp_path, capsys):
     argv = ["attention-demo", "--search-size", "4,5,5", "--mask", "0,0,1000000000000,1"]
     assert main(argv + ["--output", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "error: --mask 0,0,1000000000000,1 outside search grid (5, 5)\n"
+        "error: --mask 0,0,1000000000000,1: outside search grid (5, 5)\n"
     )
     assert not out.exists()
 
@@ -1939,8 +2038,8 @@ def test_attention_demo_huge_mask_is_outside_the_grid(tmp_path, capsys):
     [
         ("1,2,x,3", "--mask needs a int, got 'x'"),
         ("1,1,0,2", "--mask 1,1,0,2: height and width must be positive, got 0 and 2"),
-        ("4,4,3,3", "--mask 4,4,3,3 outside search grid (5, 5)"),
-        ("0,0,1000000000000,1", "--mask 0,0,1000000000000,1 outside search grid (5, 5)"),
+        ("4,4,3,3", "--mask 4,4,3,3: outside search grid (5, 5)"),
+        ("0,0,1000000000000,1", "--mask 0,0,1000000000000,1: outside search grid (5, 5)"),
     ],
 )
 def test_attention_demo_mask_is_checked_before_the_attention(

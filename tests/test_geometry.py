@@ -153,7 +153,7 @@ class TestLabelMaps:
         assert classic.centerness.shape == (25, 25)
         argv = ["centerness-map", "--box", f"100,100,{w!r},{h!r}", "--output", str(tmp_path)]
         assert main(argv) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: --box: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_brute_force_oracle(self):
