@@ -27,11 +27,12 @@ fully written, 1 on runtime or configuration errors, 2 on usage errors.
 Directory-mode ``evaluate`` cuts its sorted sequences into contiguous
 shares, one per CPU this process may run on (no more than there are
 sequences).  It scores the first share itself and forks one child per other
-share, which sends its results back as one pickle through a pipe; with one
-CPU, or without ``os.fork``, there is one share and no child.  Every share
-runs :func:`_score_sequence` in sorted sequence order, so any count of
-shares writes the same bytes, and the first sequence that fails in that
-order is the one reported.  An ``--attributes`` group is checked against
+share, which sends back its results as one pickle through a pipe, or
+nothing; with one CPU, or without ``os.fork``, there is one share and no
+child.  A fork is only a speedup: any share whose child did not exit 0 with
+its results is scored here, through the same :func:`_score_sequence` in
+sorted order, so every count of shares gives the one-process run's exit
+code, error line and bytes.  An ``--attributes`` group is checked against
 the discovered sequences before any is scored.
 """
 
@@ -294,8 +295,8 @@ def _cpu_count() -> int:
 
 
 def _fork_share(share: list, readers: list[int]) -> tuple[int, int]:
-    """Fork a child that scores ``share`` and writes one pickle to a pipe,
-    ``("ok", results)`` or ``("error", exc)`` at its first exception; the
+    """Fork a child that scores ``share`` and writes its results to a pipe
+    as one pickle, or nothing and exits 1 if anything goes wrong there; the
     child's pid and the pipe's read end.  ``readers`` are the read ends of
     earlier children's pipes.  The child closes them, so that this process
     holds the only copy and closing it frees a child blocked on a full
@@ -318,11 +319,7 @@ def _fork_share(share: list, readers: list[int]) -> tuple[int, int]:
         try:
             for fd in (reader, *readers):
                 os.close(fd)
-            try:
-                payload = ("ok", list(map(_score_sequence, share)))
-            except Exception as exc:
-                payload = ("error", exc)
-            data = pickle.dumps(payload)  # in full before a byte is written
+            data = pickle.dumps(list(map(_score_sequence, share)))  # in full before a write
             with open(writer, "wb") as pipe:
                 pipe.write(data)
             code = 0
@@ -332,33 +329,12 @@ def _fork_share(share: list, readers: list[int]) -> tuple[int, int]:
     return pid, reader
 
 
-def _read_pipe(reader: int) -> bytes:
-    """Everything a child writes to the pipe ``reader`` until it closes it."""
-    chunks = []
-    while chunk := os.read(reader, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
-
-
-def _share_results(data: bytes, status: int) -> list:
-    """The results a child's pipe held, or the exception it raised there; a
-    child that wrote nothing or exited other than 0 is one error."""
-    code = os.waitstatus_to_exitcode(status)
-    if code or not data:
-        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-        raise ConfigError(f"a worker process scoring the sequences died: {how}")
-    outcome, value = pickle.loads(data)  # written by the child forked above
-    if outcome == "error":
-        raise value
-    return value
-
-
 def _score_sequences(sequences: list[tuple[str, Path, Path]]) -> dict:
     """Every sequence's result by name, in the order given.  The sequences
     are independent, so they are cut into one contiguous share per CPU (one
     share without ``os.fork``): this process scores the first and a forked
-    child each other.  The first share's error wins, so the error raised is
-    the first failing sequence's in the order given."""
+    child each other.  A share whose child did not exit 0 with its results
+    is scored here, so the outcome is the one-process run's."""
     workers = min(_cpu_count(), len(sequences)) if hasattr(os, "fork") else 1
     cuts = [len(sequences) * k // workers for k in range(workers + 1)]
     shares = [sequences[start:stop] for start, stop in zip(cuts, cuts[1:])]
@@ -367,15 +343,16 @@ def _score_sequences(sequences: list[tuple[str, Path, Path]]) -> dict:
         for share in shares[1:]:
             children.append(_fork_share(share, [reader for _, reader in children]))
         results = list(map(_score_sequence, shares[0]))
-        written = [_read_pipe(reader) for _, reader in children]
+        written = [open(reader, "rb", closefd=False).read() for _, reader in children]
     finally:
         # every read end closed before any wait: a child still writing then
         # fails and exits rather than blocking on a full pipe
         for _, reader in children:
             os.close(reader)
         statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-    for data, status in zip(written, statuses):
-        results += _share_results(data, status)
+    for share, data, status in zip(shares[1:], written, statuses):
+        # the child's pickle, written by the fork above
+        results += pickle.loads(data) if data and not status else map(_score_sequence, share)
     return dict(results)
 
 

@@ -31,7 +31,9 @@ the rule).  Then, over all frames at once:
 * distractor cells: one vectorised rejection pass per distractor slot,
   redrawing only the frames whose candidate sits within
   :data:`CLUTTER_CLEARANCE` (Chebyshev) of an earlier peak, for at most
-  :data:`PLACEMENT_TRIES` draws;
+  :data:`PLACEMENT_TRIES` draws; one bool mask per frame of the cells
+  near the peaks placed so far makes each draw's check one gather, however
+  many distractors there are;
 * amplitudes: one ``(T, 1 + D)`` uniform draw;
 * noise: drawn in place into the ``(T, H, W)`` result, one scoring block
   (:data:`~sattrack.motion.BLOCK_FRAMES`) at a time in block order, from
@@ -51,7 +53,8 @@ cache: scaled by each frame's sigma, its peaks added, clipped at zero in
 place and scored (:func:`~sattrack.motion._psr_block`,
 :func:`~sattrack.motion.psr`'s floats).  The result is made read-only.
 It takes ``T*H*W*8`` bytes, as the per-frame maps did; every temporary is
-O(T * D) or O(BLOCK_FRAMES * H * W).
+O(T * D) or O(BLOCK_FRAMES * H * W), but for the placement mask's byte a
+cell.
 
 :func:`generate_scenario_rows` returns a scenario as columns: the ``(T,
 4)`` ground-truth and raw ``(cx, cy, w, h)`` rows, the read-only ``(T, H,
@@ -202,31 +205,39 @@ def _streams(seed: int) -> list[np.random.Generator]:
     ]
 
 
-def _place_distractors(rng, shape, cells, placed):
+def _place_distractors(rng, shape, cells, in_window):
     """Fill slots ``1:`` of the ``(T, P, 2)`` cell array with uniform random
     cells, each at Chebyshev distance >= :data:`CLUTTER_CLEARANCE` from the
-    earlier slots of its frame that ``placed`` (``(T, P)``) marks.
+    earlier slots of its frame: the distractors before it, and slot 0, the
+    target, in the frames ``in_window`` marks.
 
     A slot draws one cell for every frame, then redraws only the frames
     whose candidate clashes, for at most :data:`PLACEMENT_TRIES` draws in
-    all; a frame that still clashes keeps its last candidate.
+    all; a frame that still clashes keeps its last candidate.  The clashing
+    cells are one bool mask per frame, padded by ``CLUTTER_CLEARANCE - 1``
+    on each side so that each placed peak marks its whole square: one
+    gather per draw and one scatter per slot, whatever the slot count.
 
     A square map draws with the scalar bound, which gives the same cells
     and leaves the generator in the same state as the ``(H, W)`` bound, in
     about a third of the time.
     """
+    pad = CLUTTER_CLEARANCE - 1
+    near = np.zeros((len(cells), shape[0] + 2 * pad, shape[1] + 2 * pad), dtype=bool)
+    # squares[t, i, j] is the mask of the cells within the clearance of cell (i, j)
+    squares = sliding_window_view(near, (2 * pad + 1,) * 2, axis=(1, 2), writeable=True)
     high = shape[0] if shape[0] == shape[1] else shape
+    every = np.arange(len(cells))
+    peaks = every[in_window]  # the frames whose previous slot holds a peak
     for slot in range(1, cells.shape[1]):
-        frames = np.arange(len(cells))
+        squares[peaks, cells[peaks, slot - 1, 0], cells[peaks, slot - 1, 1]] = True
+        peaks = frames = every
         for _ in range(PLACEMENT_TRIES):
             candidates = rng.integers(0, high, size=(len(frames), 2))
             cells[frames, slot] = candidates
-            gaps = np.abs(cells[frames, :slot] - candidates[:, None]).max(axis=2)
-            clash = ((gaps < CLUTTER_CLEARANCE) & placed[frames, :slot]).any(axis=1)
-            frames = frames[clash]
+            frames = frames[near[frames, candidates[:, 0] + pad, candidates[:, 1] + pad]]
             if not len(frames):
                 break
-        placed[:, slot] = True
 
 
 def _add_peaks(out, profiles, cells, amps):
@@ -269,9 +280,7 @@ def _synthesize(
 
     cells = np.empty((count, 1 + distractors, 2), dtype=np.intp)
     cells[:, 0] = np.where(in_window[:, None], target, 0)
-    placed = np.zeros((count, 1 + distractors), dtype=bool)
-    placed[:, 0] = in_window
-    _place_distractors(cell_rng, shape, cells, placed)
+    _place_distractors(cell_rng, shape, cells, in_window)
 
     amps = amp_rng.uniform(*CLUTTER_AMP, size=(count, 1 + distractors))
     amps[:, 0] = np.where(seen, 1.0, np.where(in_window, amps[:, 0], 0.0))
@@ -337,14 +346,16 @@ def _walk(gt_x, gt_y, occluded, steps, shape, cell_scale):
 def _check_sizes(config: ScenarioConfig):
     """Raise the ConfigError of the first key, in allocation order, at which
     the bytes of a scenario's arrays outgrow memory: 1,024 a frame (rows,
-    columns, the walk's lists), 64 a peak (cells, amplitudes, flags, the
-    placement pass's copies), then the maps; each with its block's share."""
+    columns, the walk's lists), 64 a peak (cells, amplitudes, the placement
+    pass's copies), then the maps and the placement pass's mask (a byte a
+    cell of the padded map); each with its block's share."""
     frames, peaks, (rows, cols) = config.frame_count, 1 + config.distractor_count, config.map_size
-    block, needed = min(frames, BLOCK_FRAMES), 0
+    block, needed, pad = min(frames, BLOCK_FRAMES), 0, 2 * (CLUTTER_CLEARANCE - 1)
     for key, value, nbytes in (
         ("frame_count", frames, frames * 1024),
         ("distractor_count", peaks - 1, peaks * (frames * 64 + block * (rows + cols) * 16)),
-        ("map_size", f"{rows} {cols}", (frames + 4 * block) * rows * cols * 8),
+        ("map_size", f"{rows} {cols}",
+         (frames + 4 * block) * rows * cols * 8 + frames * (rows + pad) * (cols + pad)),
     ):
         needed += nbytes
         _check_bytes(f"{key} = {value}", needed)

@@ -1724,14 +1724,15 @@ def test_evaluate_mixed_file_and_directory(tmp_path, capsys):
     assert "both" in capsys.readouterr().err
 
 
-def write_mixed_suite(root: Path):
-    """Five sequences of different lengths under ``root/pred`` and
-    ``root/gt``, trajectory CSVs and corner .txt files mixed, and an
-    attribute groups file ``root/groups.cfg``."""
+def write_mixed_suite(root: Path, names: str = "abcde"):
+    """One sequence per letter of ``names``, of different lengths, under
+    ``root/pred`` and ``root/gt``, trajectory CSVs and corner .txt files
+    mixed, and an attribute groups file ``root/groups.cfg`` of the odd and
+    the even ones."""
     pred_dir, gt_dir = root / "pred", root / "gt"
     pred_dir.mkdir(), gt_dir.mkdir()
     rng = np.random.default_rng(16)
-    for k, name in enumerate("abcde"):
+    for k, name in enumerate(names):
         frames = 20 + 7 * k
         gt = np.column_stack([
             40 + 2.5 * np.arange(frames), 30 + 0.5 * np.arange(frames),
@@ -1744,7 +1745,8 @@ def write_mixed_suite(root: Path):
             else:
                 corners = np.column_stack([rows[:, :2] - rows[:, 2:] / 2, rows[:, 2:]])
                 write_corner_file(directory / f"{name}.txt", corners.tolist())
-    (root / "groups.cfg").write_text("odd = b d\neven = a c e\n")
+    odd, even = " ".join(names[1::2]), " ".join(names[::2])
+    (root / "groups.cfg").write_text(f"odd = {odd}\neven = {even}\n")
 
 
 def run_evaluate_suite(root: Path, workers: int, monkeypatch, capsys, *flags):
@@ -1827,44 +1829,61 @@ def test_evaluate_workers_report_the_in_process_error(
     assert code == 1 and err.startswith(opening) and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("die, detail", [
-    (lambda: os._exit(3), "exit status 3"),
-    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {signal.SIGKILL.value}"),
-])
-def test_evaluate_worker_death_is_one_error_line(tmp_path, monkeypatch, capfd, die, detail):
-    write_mixed_suite(tmp_path)
-    parent, read = os.getpid(), formats.read_trajectory_rows
-
-    def read_or_die(path):
-        if os.getpid() != parent:
-            die()
-        return read(path)
-
-    monkeypatch.setattr(formats, "read_trajectory_rows", read_or_die)
-    code, stdout, err, out = run_evaluate_suite(tmp_path, 2, monkeypatch, capfd)
-    assert (code, stdout) == (1, "")
-    assert err.startswith("error: a worker process scoring the sequences died: ")
-    assert err == f"error: a worker process scoring the sequences died: {detail}\n"
-    assert not out.exists()
+def outputs(out: Path):
+    """Every file of an output directory, name -> bytes; None for no directory."""
+    if not out.exists():
+        return None
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
 class SequenceCrash(Exception):
     """An exception no handler expects, raised only in a child."""
 
 
-def test_evaluate_child_exception_comes_back_as_its_type(tmp_path, monkeypatch, capsys):
-    write_mixed_suite(tmp_path)
-    parent, read = os.getpid(), formats.read_trajectory_rows
+def fail_in_children(monkeypatch, fault: str) -> list:
+    """Make every forked child fail as ``fault`` says: at its first read,
+    by exiting with status 3 (``exit``), a SIGKILL (``kill``) or a
+    :class:`SequenceCrash` (``raise``), or by exiting with status 5 after
+    writing all of its results (``exit-after-write``) or the first half of
+    their pickle (``exit-mid-write``); ``none`` leaves the children alone.
+    Returns the list of files this process reads."""
+    parent, read, leave, dumps = os.getpid(), formats.read_trajectory_rows, os._exit, pickle.dumps
+    reads = []
 
-    def read_or_crash(path):
-        if os.getpid() != parent:
+    def read_or_fail(path):
+        if os.getpid() == parent:
+            reads.append(Path(path).name)
+        elif fault == "exit":
+            os._exit(3)
+        elif fault == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        elif fault == "raise":
             raise SequenceCrash(f"no reading {Path(path).name} here")
         return read(path)
 
-    monkeypatch.setattr(formats, "read_trajectory_rows", read_or_crash)
-    with pytest.raises(SequenceCrash, match=r"^no reading c\.(csv|txt) here$"):
-        run_evaluate_suite(tmp_path, 2, monkeypatch, capsys)  # shares a b | c d e
-    assert not (tmp_path / "out-2").exists()
+    def half_in_children(obj):
+        data = dumps(obj)
+        return data if os.getpid() == parent else data[: len(data) // 2]
+
+    monkeypatch.setattr(formats, "read_trajectory_rows", read_or_fail)
+    if fault in ("exit-after-write", "exit-mid-write"):
+        monkeypatch.setattr(os, "_exit", lambda code: leave(code or 5))
+    if fault == "exit-mid-write":
+        monkeypatch.setattr(pickle, "dumps", half_in_children)
+    return reads
+
+
+@pytest.mark.parametrize("fault", ["exit", "kill", "raise"])
+def test_evaluate_failed_worker_gives_the_one_process_outcome(tmp_path, monkeypatch, capfd, fault):
+    write_mixed_suite(tmp_path)
+    flags = ("--attributes", str(tmp_path / "groups.cfg"))
+    code, stdout, err, serial = run_evaluate_suite(tmp_path, 1, monkeypatch, capfd, *flags)
+    assert (code, err) == (0, "")
+    reads = fail_in_children(monkeypatch, fault)
+    run = run_evaluate_suite(tmp_path, 2, monkeypatch, capfd, *flags)  # shares a b | c d e
+    assert run[:3] == (0, stdout, "")
+    assert outputs(run[3]) == outputs(serial)
+    assert len(reads) == 10  # the failed child's share too, read and scored here
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -1880,7 +1899,7 @@ def test_evaluate_own_share_error_frees_a_child_on_a_full_pipe(tmp_path, monkeyp
             (directory / f"s{k:03}.csv").write_bytes(formats.trajectory_csv(rows + k))
     child_share = cli._discover_sequences(pred_dir, gt_dir)[80:]
     results = list(map(cli._score_sequence, child_share))
-    assert len(pickle.dumps(("ok", results))) > 65536
+    assert len(pickle.dumps(results)) > 65536
     (pred_dir / "s000.csv").write_text("frame,cx,cy,w,h\n1,x,2,3,4\n")
 
     def stuck(*_):
@@ -1897,6 +1916,46 @@ def test_evaluate_own_share_error_frees_a_child_on_a_full_pipe(tmp_path, monkeyp
     assert err.startswith("error: sequence 's000': ") and err.count("\n") == 1
     assert not out.exists()
     with pytest.raises(ChildProcessError):  # the child was freed and reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+# ways to make one sequence's prediction file unusable
+DAMAGE = {
+    "short": lambda path: path.write_text("".join(path.read_text().splitlines(True)[:-1])),
+    "garbage": lambda path: path.write_text("1,x,2,3,4\n"),
+    "directory": lambda path: (path.unlink(), path.mkdir()),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    count=st.integers(2, 7),
+    damage=st.none() | st.tuples(st.integers(0, 6), st.sampled_from(sorted(DAMAGE))),
+    fault=st.sampled_from(
+        ["none", "exit", "kill", "raise", "exit-after-write", "exit-mid-write"]
+    ),
+    workers=st.integers(1, 4),
+)
+def test_evaluate_any_worker_fault_gives_the_one_process_outcome(count, damage, fault, workers):
+    with tempfile.TemporaryDirectory() as work:
+        root, names = Path(work), "abcdefg"[:count]
+        write_mixed_suite(root, names)
+        if damage:
+            index, kind = damage
+            DAMAGE[kind](next((root / "pred").glob(f"{names[index % count]}.*")))
+        runs = []
+        for run, cpus in enumerate((1, workers)):
+            out, stdout, stderr = root / f"out{run}", io.StringIO(), io.StringIO()
+            with pytest.MonkeyPatch.context() as env:
+                env.setattr(cli, "_cpu_count", lambda: cpus)
+                fail_in_children(env, fault)
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(["evaluate", "--pred", str(root / "pred"), "--gt",
+                                 str(root / "gt"), "--attributes", str(root / "groups.cfg"),
+                                 "--output", str(out)])
+            runs.append((code, stdout.getvalue(), stderr.getvalue(), outputs(out)))
+        assert runs[1] == runs[0]
+    with pytest.raises(ChildProcessError):  # every child reaped
         os.waitpid(-1, os.WNOHANG)
 
 

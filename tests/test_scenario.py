@@ -37,6 +37,7 @@ from sattrack.scenario import (
     WALK_SIGMA,
     FrameObservation,
     _add_peaks,
+    _place_distractors,
     _profiles,
     _streams,
     _synthesize,
@@ -1050,6 +1051,49 @@ class TestBatchedSynthesis:
         # temporaries but not for a second full-size array
         assert peak - result < 8 * BLOCK_FRAMES * rows * cols * 8 + 2_000_000
         assert peak < 1.5 * result
+
+
+def pairwise_placement(rng, shape, cells, placed):
+    """The placement pass before the clearance mask, kept as its oracle:
+    each draw compares its candidates with every earlier slot of their
+    frames that ``placed`` (``(T, P)``) marks."""
+    high = shape[0] if shape[0] == shape[1] else shape
+    for slot in range(1, cells.shape[1]):
+        frames = np.arange(len(cells))
+        for _ in range(PLACEMENT_TRIES):
+            candidates = rng.integers(0, high, size=(len(frames), 2))
+            cells[frames, slot] = candidates
+            gaps = np.abs(cells[frames, :slot] - candidates[:, None]).max(axis=2)
+            clash = ((gaps < CLUTTER_CLEARANCE) & placed[frames, :slot]).any(axis=1)
+            frames = frames[clash]
+            if not len(frames):
+                break
+        placed[:, slot] = True
+
+
+class TestPlacementMask:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        shape=st.tuples(st.integers(3, 30), st.integers(3, 30)).filter(lambda s: s != (3, 3)),
+        distractors=st.integers(0, 40),
+        frames=st.integers(1, 120),
+    )
+    def test_the_mask_places_the_cells_of_the_pairwise_rule(
+        self, seed, shape, distractors, frames
+    ):
+        setup = np.random.default_rng(seed)
+        in_window = setup.random(frames) < 0.8
+        expected = np.zeros((frames, 1 + distractors, 2), dtype=np.intp)
+        expected[:, 0] = np.where(in_window[:, None], setup.integers(0, shape, (frames, 2)), 0)
+        cells = expected.copy()
+        placed = np.zeros((frames, 1 + distractors), dtype=bool)
+        placed[:, 0] = in_window
+        oracle, rng = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+        pairwise_placement(oracle, shape, expected, placed)
+        _place_distractors(rng, shape, cells, in_window)
+        assert np.array_equal(cells, expected)
+        assert rng.bit_generator.state == oracle.bit_generator.state
 
 
 class TestNoiseBlocks:
