@@ -28,11 +28,9 @@ few array calls as it can and stays exact:
   straight from the padded copy's strides (the last axis runs backwards
   from offset ``ow - 1``), not ``sliding_window_view`` and a reversal,
   whose Python wrappers cost more than one of the ``Ht`` products.
-* A feature map is proved finite by ``motion._all_finite``: one dot
-  product with a cached ones vector, as PSR does.  A finite total proves
-  every cell finite, and only a total that is not (a non-finite cell, or
-  finite cells that overflow) pays for the cell-by-cell scan.
-  ``np.vdot`` never warns, where a ``sum`` would on an overflowing total.
+* A feature map is proved finite by ``motion._finite_total``, the proof
+  PSR's maps take: one dot product with a cached ones vector, which never
+  warns, and the cell-by-cell scan only when that total is not finite.
 """
 
 from __future__ import annotations
@@ -42,17 +40,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .motion import _all_finite
+from .motion import _finite_total
 
 
 def _check_feature_map(f: np.ndarray, name: str) -> np.ndarray:
     """``f`` as a float (C, H, W) map, checked finite by
-    :func:`~sattrack.motion._all_finite`."""
+    :func:`~sattrack.motion._finite_total`."""
     f = np.asarray(f, dtype=float)
     if f.ndim != 3 or min(f.shape) < 1:
         raise ValueError(f"{name} must have shape (C, H, W), got {f.shape}")
-    if not _all_finite(f):
-        raise ValueError(f"{name} must be finite")
+    _finite_total(f, name)
     return f
 
 

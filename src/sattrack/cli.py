@@ -59,7 +59,7 @@ from .metrics import _checked_groups, aggregate_results
 # ``evaluate`` here scores (N, 4) rows; benchmarks/tracing.py wraps this name
 # and reports its time as ``metrics.evaluate``.
 from .metrics import evaluate_rows as evaluate
-from .motion import MotionParams
+from .motion import MotionParams, _check_frame_count
 # ``track`` and ``simulate`` run on rows and the scenario's PSR column;
 # benchmarks/tracing.py wraps these two names and reports them as
 # ``scenario.generate_scenario`` and ``scenario.run_tracking``.
@@ -236,12 +236,13 @@ def cmd_track(args, out: Path):
             f"{sources['n1'] or scenario}: n1 ({params.n1}) must be below frame_count "
             f"({config.frame_count}) for refinement to activate; lower --n1 or use --ommr off"
         )
-    if config.frame_count < 2:  # track_rows needs two frames; simulate takes one
-        raise ConfigError(
-            f"{scenario}: scenario must have at least 2 frames, got {config.frame_count}"
-        )
+    formats._build(scenario, _check_frame_count, config.frame_count)
     gt, raw, _, _, psrs = formats._build(scenario, generate_scenario, config)
-    trajectory, *trace = run_tracking(raw, psrs, params, refine)
+    # a refined row is the scenario's and the motion settings' together: name them all
+    used = ", ".join(f"{name}={getattr(params, name)} ({source or 'default'})"
+                     for name, source in sources.items())
+    where = f"{scenario} refined with {used}" if refine else scenario
+    trajectory, *trace = formats._build(where, run_tracking, raw, psrs, params, refine)
 
     files = {
         "trajectory.csv": formats.trajectory_csv(trajectory),

@@ -20,8 +20,9 @@ stay exact: a :class:`GridGeometry` builds its read-only grid points once
 and keeps them, the cross entropy clamps with ``np.minimum`` and
 ``np.maximum`` and averages with ``np.add.reduce`` over the size, the same
 doubles as ``np.clip`` and ``mean`` without their Python wrappers, and the
-regression loss proves each input finite by one dot product
-(``motion._all_finite``), scanning cell by cell only when that total is not.
+regression loss proves each input finite by PSR's proof
+(``motion._finite_total``): one dot product, and the cell-by-cell scan only
+when that total is not finite.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import BoundingBox, overlap_areas
-from .motion import _all_finite
+from .motion import _finite_total
 
 # Predictions are clamped to [LOG_EPS, 1 - LOG_EPS] before any logarithm.
 LOG_EPS = 1e-7
@@ -210,8 +211,8 @@ def regression_loss(pred_boxes, gt_boxes, centerness_weights) -> float:
         raise ValueError(
             f"expected {pred.shape[0]} weights, got {weights.shape[0]}"
         )
-    if not (_all_finite(pred) and _all_finite(gt) and _all_finite(weights)):
-        raise ValueError("loss inputs must be finite")
+    for array in (pred, gt, weights):
+        _finite_total(array, "loss inputs")
     if (pred[:, 2:] <= 0).any() or (gt[:, 2:] <= 0).any():
         raise ValueError("box sizes must be positive")
     if weights.min() < 0:

@@ -42,14 +42,14 @@ so each step makes as few array calls as it can and stays exact:
   ``np.vdot`` does not.  The clipped block bounds are comparisons, not
   ``max``/``min`` calls.
 * PSR takes one dot product of the map with a shared read-only ones vector
-  (the whole-map total: a finite total proves every cell finite, so the
-  cell-by-cell scan runs only when it is not; minus the 3x3 block, it
-  gives the sidelobe mean), one ``argmax``, a ``min`` only when the peak
-  is cell 0 (``argmax`` returns the first maximum, so only there can the
-  map be flat), the block's rows summed left to right from 0.0, then the
-  row sums (not by ``sum``, compensated from Python 3.12), and one dot
-  product of the centred map with the block zeroed in that copy (not the
-  whole-map squares minus the block's, which cancel under tall peaks).
+  (the whole-map total, which proves the map finite by the one proof the
+  package has, :func:`_finite_total`; minus the 3x3 block, it gives the
+  sidelobe mean), one ``argmax``, a ``min`` only when the peak is cell 0
+  (``argmax`` returns the first maximum, so only there can the map be
+  flat), the block's rows summed left to right from 0.0, then the row sums
+  (not by ``sum``, compensated from Python 3.12), and one dot product of
+  the centred map with the block zeroed in that copy (not the whole-map
+  squares minus the block's, which cancel under tall peaks).
 * A whole sequence is scored :data:`BLOCK_FRAMES` maps per pass
   (:func:`_psr_maps`), with the operations of :func:`psr` in the same
   order, so bit for bit the same values: each sum is one ``ddot`` per map,
@@ -169,29 +169,16 @@ def _ones(size: int) -> np.ndarray:
     return ones if size == len(ones) else ones[:size]
 
 
-def _all_finite(array: np.ndarray) -> bool:
-    """Whether every cell of the float ``array`` is finite.  A finite total
-    (one ``np.vdot`` with :func:`_ones`, which never warns) proves it, so
-    the cell-by-cell scan runs only when the total is not: non-finite
-    cells, or finite cells that overflow."""
-    return math.isfinite(np.vdot(array, _ones(array.size))) or bool(np.isfinite(array).all())
-
-
-def _check_response(response) -> tuple[np.ndarray, float]:
-    """Validate a response map; return it as a C-contiguous float array with
-    its cell sum, proved finite as :func:`_all_finite` proves it."""
-    # order="C" copies a strided, transposed or Fortran-ordered map, so its
-    # dot products run over one stride-1 buffer, in one summation order;
-    # unlike np.ascontiguousarray it keeps a 0-d input 0-d for the message
-    response = np.asarray(response, dtype=float, order="C")
-    if response.ndim != 2:
-        raise ValueError(f"response map must be 2-D, got shape {response.shape}")
-    if response.shape[0] < 3 or response.shape[1] < 3:
-        raise ValueError(f"response map must be at least 3x3, got {response.shape}")
-    total = float(np.vdot(response, _ones(response.size)))
-    if not math.isfinite(total) and not np.isfinite(response).all():
-        raise ValueError("response map must be finite")
-    return response, total
+def _finite_total(array: np.ndarray, what: str) -> float:
+    """The cell sum of the float ``array``, one ``np.vdot`` with :func:`_ones`
+    (which never warns); ``ValueError("<what> must be finite")`` unless every
+    cell is.  The one finiteness proof: a finite total proves every cell
+    finite, so the cell scan runs only when it is not (a non-finite cell, or
+    finite cells that overflow)."""
+    total = float(np.vdot(array, _ones(array.size)))
+    if not math.isfinite(total) and not np.isfinite(array).all():
+        raise ValueError(f"{what} must be finite")
+    return total
 
 
 def psr(response) -> float:
@@ -202,10 +189,18 @@ def psr(response) -> float:
     at the borders).  Returns (peak - mean) / (std + eps) with the population
     standard deviation of the sidelobe, so a constant map scores 0.  A map
     is scored as its C-contiguous float copy, so a strided, transposed or
-    Fortran-ordered map scores as ``np.ascontiguousarray(map)`` does.
+    Fortran-ordered map scores as ``np.ascontiguousarray(map)`` does.  A
+    map that is not 2-D, is under 3x3, has a non-finite cell or (not flat)
+    has no sidelobe is a ``ValueError``, checked in that order.
     """
-    response, total = _check_response(response)
+    # unlike np.ascontiguousarray, order="C" keeps a 0-d input 0-d for the message
+    response = np.asarray(response, dtype=float, order="C")
+    if response.ndim != 2:
+        raise ValueError(f"response map must be 2-D, got shape {response.shape}")
     height, width = response.shape
+    if height < 3 or width < 3:
+        raise ValueError(f"response map must be at least 3x3, got {response.shape}")
+    total = _finite_total(response, "response map")
     peak_index = int(response.argmax())
     # argmax returns the first maximum, so a flat map peaks at cell 0 and a
     # peak anywhere else proves the map is not flat.
@@ -410,6 +405,12 @@ def refine_step(
     return refined
 
 
+def _check_frame_count(count: int):
+    """Refinement runs on a sequence of at least 2 frames."""
+    if count < 2:
+        raise ValueError(f"scenario must have at least 2 frames, got {count}")
+
+
 def _normalized(values: np.ndarray) -> np.ndarray:
     """The nPSR column of a sequence's ``(T,)`` PSR column: a loop of
     :func:`_normalize` from a fresh state, bit for bit, as arrays.  The
@@ -445,8 +446,7 @@ def track_rows(
     raw = np.asarray(raw_rows, dtype=float)
     if raw.ndim != 2 or raw.shape[1] != 4:
         raise ValueError(f"raw rows must be (T, 4), got shape {raw.shape}")
-    if len(raw) < 2:
-        raise ValueError(f"scenario must have at least 2 frames, got {len(raw)}")
+    _check_frame_count(len(raw))
     values = np.asarray(psrs, dtype=float)
     if values.shape != (len(raw),):
         raise ValueError(

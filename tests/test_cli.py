@@ -1312,13 +1312,16 @@ def test_warmup_error_opens_with_the_source_of_n1(
 
 @pytest.mark.parametrize("ommr", ["off", "on"])
 def test_a_one_frame_scenario_is_an_error_naming_the_scenario_file(
-    scenario_file, tmp_path, capsys, ommr
+    scenario_file, tmp_path, monkeypatch, capsys, ommr
 ):
     scenario = scenario_file("frame_count = 1\nwaypoint = 1 30 40\ntarget_size = 12 8\n")
     out = tmp_path / "o"
     assert main(["simulate", "--scenario", scenario, "--output", str(tmp_path / "sim")]) == 0
     capsys.readouterr()
+    calls = []
+    monkeypatch.setattr(cli, "generate_scenario", calls.append)
     assert main(["track", "--scenario", scenario, "--ommr", ommr, "--output", str(out)]) == 1
+    assert calls == []  # rejected before any synthesis
     if ommr == "off":
         message = "scenario must have at least 2 frames, got 1"
     else:  # n1 >= 3 > 1 frame: the warm-up check comes first
@@ -1458,13 +1461,32 @@ def test_simulate_writes_the_object_path_bytes(scenario_file, tmp_path, name):
     assert {file: (out / file).read_text() for file in SIMULATE_FILES} == expected
 
 
-def test_track_rejects_a_nan_refined_centre(scenario_file, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("params, flags, env, settings", [
+    (None, [], {}, "n1=50 (default), n2=10 (default), theta=0.5 (default), "
+                   "lambda_ema=0.7 (default)"),
+    ("theta = 0.25\nn2 = 4\n", ["--n2", "5"], {"SATTRACK_LAMBDA_EMA": "0.5"},
+     "n1=50 (default), n2=5 (--n2), theta=0.25 ({params}), lambda_ema=0.5 (SATTRACK_LAMBDA_EMA)"),
+], ids=["defaults", "file-flag-variable"])
+def test_track_rejects_a_nan_refined_centre(
+    scenario_file, tmp_path, monkeypatch, capsys, params, flags, env, settings
+):
+    # the refined row is the scenario's and every motion setting's together:
+    # the line names them all, each setting with its value and source
     monkeypatch.setattr(motion, "_branch_weights", lambda n1, n2: (np.full(n1, np.nan),) * 2)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    scenario = scenario_file(CLEAN_SCENARIO)
+    if params:
+        flags = ["--params", scenario_file(params, "p.cfg"), *flags]
     out = tmp_path / "out"
-    argv = ["track", "--scenario", scenario_file(CLEAN_SCENARIO), "--output", str(out)]
+    argv = ["track", "--scenario", scenario, *flags, "--output", str(out)]
     assert main(argv) == 1
-    assert capsys.readouterr().err == "error: box field cx must be finite\n"
+    settings = settings.format(params=tmp_path / "p.cfg")
+    line = f"error: {scenario} refined with {settings}: box field cx must be finite\n"
+    assert capsys.readouterr().err == line
     assert not out.exists()
+    # the raw model's rows need no branch
+    assert main([*argv, "--ommr", "off"]) == 0
 
 
 # ---------------------------------------------------------------------------

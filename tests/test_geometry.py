@@ -441,7 +441,11 @@ class TestLosses:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = loss_outcome(arrays)
-        with mock.patch("sattrack.geometry._all_finite", lambda a: bool(np.isfinite(a).all())):
+        def scan(array, what):  # the plain per-cell scan the proof stands for
+            if not np.isfinite(array).all():
+                raise ValueError(f"{what} must be finite")
+
+        with mock.patch("sattrack.geometry._finite_total", scan):
             assert got == loss_outcome(arrays)
         # one NaN or infinity anywhere fails the finiteness check first
         arrays[which].flat[cell % arrays[which].size] = bad

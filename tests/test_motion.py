@@ -3,7 +3,9 @@
 import copy
 import math
 import pickle
+import struct
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -27,7 +29,7 @@ from sattrack.motion import (
     WARMUP,
     _branch_row,
     _branch_weights,
-    _check_response,
+    _finite_total,
     _normalize,
     _normalized,
     _ones,
@@ -262,12 +264,26 @@ class TestPsrKernelPasses:
         assert int(grid.argmax()) == 0
         assert_matches_oracle(grid)
 
+    @staticmethod
+    def proofs_of(grid) -> tuple[list, float]:
+        """``(array, what, total)`` of each :func:`_finite_total` call ``psr``
+        makes on ``grid``, and its score."""
+        calls = []
+
+        def recording(array, what):
+            total = _finite_total(array, what)
+            calls.append((array, what, total))
+            return total
+
+        with mock.patch.object(motion, "_finite_total", recording):
+            return calls, psr(grid)
+
     @PROPERTY_SETTINGS
     @given(dyadic_maps())
     def test_total_is_the_exact_cell_sum(self, grid):
-        # dyadic cells sum exactly in any order
-        checked, total = _check_response(grid)
-        assert checked is grid
+        # psr proves the map itself finite, once; dyadic cells sum exactly
+        [(checked, what, total)], _ = self.proofs_of(grid)
+        assert checked is grid and what == "response map"
         assert type(total) is float
         assert total == sum(grid.ravel().tolist())
 
@@ -277,17 +293,64 @@ class TestPsrKernelPasses:
         grid = np.zeros((6, 7))
         for offset, bad in enumerate(cells):
             grid.flat[where + offset] = bad
-        with pytest.raises(ValueError, match="response map must be finite"):
-            _check_response(grid)
-        with pytest.raises(ValueError, match="response map must be finite"):
+        with pytest.raises(ValueError, match="^response map must be finite$"):
             psr(grid)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_total_is_accepted(self):
-        grid = np.full((5, 5), 1e308)
-        _, total = _check_response(grid)
-        assert total == math.inf
-        assert np.isfinite(grid).all()
+        # finite cells whose total overflows: the scan clears the map, flat
+        # or not, and psr scores it
+        for grid, score in ((np.full((5, 5), 1e308), 0.0), (overflowing_map(), math.nan)):
+            [(_, _, total)], value = self.proofs_of(grid)
+            assert total == math.inf and np.isfinite(grid).all()
+            assert value == score or math.isnan(value) and math.isnan(score)
+
+    @pytest.mark.parametrize("grid, line", [
+        (np.float64(1.0), "response map must be 2-D, got shape ()"),
+        (np.zeros(9), "response map must be 2-D, got shape (9,)"),
+        (np.zeros((3, 3, 1)), "response map must be 2-D, got shape (3, 3, 1)"),
+        ([[0.0, 1.0], [2.0, 3.0]], "response map must be at least 3x3, got (2, 2)"),
+        (np.zeros((2, 5)), "response map must be at least 3x3, got (2, 5)"),
+        (np.zeros((5, 2)), "response map must be at least 3x3, got (5, 2)"),
+        (np.zeros((0, 4)), "response map must be at least 3x3, got (0, 4)"),
+        # the rules in order: shape before finiteness before the sidelobe
+        (np.full((2, 2), np.nan), "response map must be at least 3x3, got (2, 2)"),
+        (np.array([[0.0, 0, 0], [0, 1, 0], [0, 0, np.inf]]), "response map must be finite"),
+        (np.array([[0.0, 0, 0], [0, 1, 0], [0, 0, 0]]),
+         "map (3, 3) has no sidelobe outside the peak block"),
+    ])
+    def test_rejected_maps_and_their_messages(self, grid, line):
+        with pytest.raises(ValueError) as caught:
+            psr(grid)
+        assert str(caught.value) == line
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=1, max_dims=3, max_side=8),
+            elements=st.floats(-1.7e308, 1.7e308)
+            | st.sampled_from([1.7e308, -1.7e308, 0.9e308])
+            | st.sampled_from([math.nan, math.inf, -math.inf]),
+        ),
+        st.booleans(),
+    )
+    def test_the_finiteness_proof(self, array, transposed):
+        # raises exactly when a cell is not finite, else returns the ddot
+        # total with a ones vector bit for bit (inf or nan where finite cells
+        # overflow), and never warns
+        if transposed:
+            array = array.T
+        expected = float(np.vdot(array, np.ones(array.size)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not np.isfinite(array).all():
+                with pytest.raises(ValueError, match="^cells must be finite$"):
+                    _finite_total(array, "cells")
+                return
+            total = _finite_total(array, "cells")
+        assert type(total) is float
+        assert struct.pack("<d", total) == struct.pack("<d", expected)
 
     def test_ones_vector_is_read_only_and_shared(self):
         ones = _ones(625)

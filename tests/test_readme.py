@@ -1,5 +1,5 @@
 """README.md's library example runs against the package as it is, and
-every name it cites exists."""
+every name it or the package's docstrings cite exists."""
 
 import contextlib
 import functools
@@ -10,7 +10,10 @@ from pathlib import Path
 import sattrack
 import sattrack.cli  # imports every module of the package
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+SOURCES = sorted((ROOT / "src" / "sattrack").glob("*.py"))
+MODULES = "|".join(path.stem for path in SOURCES if path.stem != "__init__")
 
 
 def python_blocks(text: str) -> list[str]:
@@ -30,15 +33,30 @@ def test_python_blocks_run_in_order(tmp_path, monkeypatch):
     }
 
 
+def resolves(dotted: str) -> bool:
+    """Whether ``sattrack.<dotted>`` names an attribute of the package."""
+    try:
+        functools.reduce(getattr, dotted.split("."), sattrack)
+    except AttributeError:
+        return False
+    return True
+
+
 def test_every_cited_name_resolves():
-    cited = re.findall(r"`sattrack((?:\.\w+)+)", README.read_text(encoding="utf-8"))
+    cited = re.findall(r"`sattrack\.(\w+(?:\.\w+)*)", README.read_text(encoding="utf-8"))
     assert len(cited) >= 8
-
-    def resolves(dotted: str) -> bool:
-        try:
-            functools.reduce(getattr, dotted.split(".")[1:], sattrack)
-        except AttributeError:
-            return False
-        return True
-
     assert [dotted for dotted in cited if not resolves(dotted)] == []
+
+
+def test_every_private_name_and_role_cited_in_the_sources_resolves():
+    # ``motion._finite_total`` in a docstring, `attention._attend` in the
+    # README, :func:`~sattrack.motion.psr` in either
+    private = rf"`{{1,2}}((?:{MODULES})\._\w+)`{{1,2}}"
+    role = r":\w+:`~?sattrack\.(\w+(?:\.\w+)*)`"
+    cited = {}
+    for path in [README, *SOURCES]:
+        text = path.read_text(encoding="utf-8")
+        for dotted in re.findall(private, text) + re.findall(role, text):
+            cited.setdefault(dotted, path.name)
+    assert len(cited) >= 12
+    assert {dotted: where for dotted, where in cited.items() if not resolves(dotted)} == {}
